@@ -435,50 +435,6 @@ std::vector<CompositeCell> run_stack_sweep_cells(
   return cells;
 }
 
-// ---- monomorphized replay kernels: virtual vs static dispatch ----
-
-/// Virtual vs kernel replay for the hot policies on both trace paths. The
-/// composite-cell shape reuses the existing JSON/table plumbing: the
-/// "sparse" columns hold the forced-virtual run (KernelMode::kOff), the
-/// "dense" columns the forced-kernel run (kOn), on the same trace. Cells
-/// are bit-identity cross-checked AND engine-honesty checked: the two runs
-/// must report replay_kernel == "virtual" / "monomorphized" respectively.
-/// The detailed ABBA-interleaved per-policy grid lives in
-/// bench/dispatch_overhead; this section feeds the release-to-release
-/// trend (scripts/trend_throughput.py, WEBCACHE_GATE_PCT).
-std::vector<CompositeCell> run_kernel_cells(
-    const trace::Trace& trace, const trace::DenseTrace& dense,
-    std::uint64_t capacity, int reps, const sim::SimulatorOptions& options) {
-  sim::SimulatorOptions virtual_options = options;
-  virtual_options.kernel = sim::KernelMode::kOff;
-  sim::SimulatorOptions kernel_options = options;
-  kernel_options.kernel = sim::KernelMode::kOn;
-  const double requests = static_cast<double>(trace.requests.size());
-
-  std::vector<CompositeCell> cells;
-  for (const char* name : {"LRU", "GDSF(1)", "CLOCK"}) {
-    const cache::PolicySpec spec = cache::policy_spec_from_name(name);
-    const auto race = [&](const auto& t, const std::string& path) {
-      const auto virt = best_of(reps, [&] {
-        return sim::simulate(t, capacity, spec, virtual_options);
-      });
-      const auto kern = best_of(reps, [&] {
-        return sim::simulate(t, capacity, spec, kernel_options);
-      });
-      const bool honest = virt.result.replay_kernel == "virtual" &&
-                          kern.result.replay_kernel == "monomorphized";
-      cells.push_back(make_composite_cell(
-          "kernel " + std::string(name) + " (" + path + ")", requests,
-          virt.seconds, virt.result.evictions, kern.seconds,
-          kern.result.evictions,
-          results_identical(virt.result, kern.result) && honest));
-    };
-    race(trace, "sparse");
-    race(dense, "dense");
-  }
-  return cells;
-}
-
 // ---- sharded replay engine: thread-scaling ladder ----
 
 /// One thread count of the sharded scaling ladder, measured against the
@@ -491,7 +447,6 @@ struct ShardedCell {
   double rps_per_core = 0.0;  // requests_per_sec / worker threads
   double speedup_vs_serial = 0.0;
   bool identical = false;
-  std::string engine;  // SimResult::replay_kernel of the cell's run
 };
 
 struct ShardedReport {
@@ -501,10 +456,6 @@ struct ShardedReport {
   // threads=1 shares the serial code path by construction; this is the
   // dispatch overhead of spelling the same run `--threads=1`.
   double delegation_overhead_pct = 0.0;
-  // The threads=1 cell must delegate to the *same* serial engine the
-  // baseline used (kernel or virtual) — the degenerate case routes through
-  // sim::simulate, not the queue-carve pipeline.
-  bool delegation_same_engine = false;
   std::vector<ShardedCell> cells;
 };
 
@@ -561,13 +512,10 @@ ShardedReport run_sharded_cells(const trace::DenseTrace& dense,
     cell.rps_per_core = cell.rps / static_cast<double>(v.config.threads);
     cell.speedup_vs_serial = serial.seconds / timing.seconds;
     cell.identical = results_identical(serial.result, timing.result);
-    cell.engine = timing.result.replay_kernel;
     report.cells.push_back(cell);
   }
   report.delegation_overhead_pct =
       (report.cells[0].seconds / serial.seconds - 1.0) * 100.0;
-  report.delegation_same_engine =
-      report.cells[0].engine == serial.result.replay_kernel;
   return report;
 }
 
@@ -579,8 +527,6 @@ void append_sharded_json(std::ostringstream& out,
       << "    \"serial_requests_per_sec\": " << report.serial_rps << ",\n"
       << "    \"delegation_overhead_pct\": " << report.delegation_overhead_pct
       << ",\n"
-      << "    \"delegation_same_engine\": "
-      << (report.delegation_same_engine ? "true" : "false") << ",\n"
       << "    \"cells\": [\n";
   for (std::size_t i = 0; i < report.cells.size(); ++i) {
     const ShardedCell& c = report.cells[i];
@@ -590,7 +536,6 @@ void append_sharded_json(std::ostringstream& out,
         << "\"requests_per_sec\": " << c.rps << ", "
         << "\"requests_per_sec_per_core\": " << c.rps_per_core << ", "
         << "\"speedup_vs_serial\": " << c.speedup_vs_serial << ", "
-        << "\"engine\": \"" << c.engine << "\", "
         << "\"identical\": " << (c.identical ? "true" : "false") << "}"
         << (i + 1 < report.cells.size() ? "," : "") << "\n";
   }
@@ -968,8 +913,6 @@ int main(int argc, char** argv) {
       run_streaming_cells(synthetic, synthetic_capacity, reps, options);
   const std::vector<CompositeCell> checkpoint_cells =
       run_checkpoint_cells(synthetic, synthetic_capacity, reps, options);
-  const std::vector<CompositeCell> kernel_cells = run_kernel_cells(
-      synthetic, dense_synthetic, synthetic_capacity, reps, options);
 
   bool all_identical = true;
   for (const TraceReport& report : reports) {
@@ -1024,12 +967,6 @@ int main(int argc, char** argv) {
                            " requests)",
                        "throughput_checkpoint", checkpoint_cells,
                        all_identical, "plain req/s", "checkpointed req/s");
-  emit_composite_table(ctx,
-                       "monomorphized replay kernels (" +
-                           std::to_string(synthetic.requests.size()) +
-                           " requests)",
-                       "throughput_kernels", kernel_cells, all_identical,
-                       "virtual req/s", "kernel req/s");
 
   {
     util::Table table("sharded replay scaling (LRU, " +
@@ -1050,13 +987,7 @@ int main(int argc, char** argv) {
       all_identical = all_identical && c.identical;
     }
     ctx.emit(table, "throughput_sharded");
-    // The degenerate --threads=1 run must have delegated to the same serial
-    // engine the baseline used, not the queue-carve pipeline.
-    all_identical = all_identical && sharded_report.delegation_same_engine;
-    std::cout << "delegated serial engine: " << sharded_report.cells[0].engine
-              << (sharded_report.delegation_same_engine ? " (matches serial)"
-                                                        : " (MISMATCH)")
-              << "\n\n";
+    std::cout << "\n";
   }
 
   {
@@ -1092,7 +1023,6 @@ int main(int argc, char** argv) {
   append_composite_json(json, "trace_load", trace_load_cells);
   append_composite_json(json, "streaming", streaming_cells);
   append_composite_json(json, "checkpoint", checkpoint_cells);
-  append_composite_json(json, "kernels", kernel_cells);
   append_sharded_json(json, sharded_report);
   append_lazy_json(json, lazy_cells);
   json << "  \"traces\": [\n";

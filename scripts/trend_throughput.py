@@ -80,11 +80,6 @@ def summarize(report: dict) -> dict:
         # each snapshot cadence (absent in reports from before the
         # checkpoint layer landed). speedup < 1 here is the snapshot cost.
         "checkpoint": cell_speedups(report.get("checkpoint", [])),
-        # Monomorphized replay kernels vs the forced-virtual path (absent in
-        # reports from before the kernel layer landed). In these cells the
-        # "dense" rate is the kernel engine, so they ride the same gate as
-        # the trace cells below.
-        "kernels": cell_speedups(report.get("kernels", [])),
     }
     # Sharded replay scaling ladder (absent in reports from before the
     # sharded engine landed). These keys ride along in the trend line; the
@@ -120,19 +115,14 @@ def summarize(report: dict) -> dict:
 
 
 def dense_rps_by_cell(entry: dict) -> dict:
-    """{(trace, label): dense_requests_per_sec} for every gated cell: the
-    per-trace grid plus the kernel-engine cells (whose "dense" rate is the
-    monomorphized run)."""
+    """{(trace, label): dense_requests_per_sec} for every gated cell of the
+    per-trace grid."""
     out = {}
     for trace in entry.get("traces", []):
         for cell in trace.get("cells", []):
             rps = cell.get("dense_requests_per_sec")
             if rps:
                 out[(trace.get("trace"), cell.get("label"))] = rps
-    for cell in entry.get("kernels", []):
-        rps = cell.get("dense_requests_per_sec")
-        if rps:
-            out[("kernels", cell.get("label"))] = rps
     return out
 
 

@@ -1,19 +1,6 @@
 // The cache container: capacity accounting, object metadata, per-class
 // occupancy, and the eviction loop. Replacement order is delegated to a
-// ReplacementPolicy.
-//
-// The container is a template over its *policy holder* so the same source
-// compiles into two shapes:
-//   * Cache = BasicCache<std::unique_ptr<ReplacementPolicy>> — the runtime-
-//     polymorphic container every existing caller uses (policy chosen at
-//     run time, hooks dispatched virtually);
-//   * BasicCache<PolicyValue<P>> — the monomorphized form the replay
-//     kernels (sim/kernel.hpp) instantiate per concrete policy, where the
-//     policy hooks are direct calls the compiler can inline into the
-//     replay loop.
-// Both instantiate the identical member functions, so the two forms run the
-// same access/evict/insert sequence by construction — the bit-identity the
-// kernel differential suite then verifies.
+// ReplacementPolicy chosen at run time; its hooks dispatch virtually.
 #pragma once
 
 #include <algorithm>
@@ -61,9 +48,9 @@ class RemovalListener {
   virtual void on_removal(const CacheObject& obj, RemovalCause cause) = 0;
 };
 
-/// Outcome classification of one access(). Namespace-scope (shared by every
-/// BasicCache instantiation); Cache::AccessKind / Cache::AccessOutcome stay
-/// available as member aliases for existing call sites.
+/// Outcome classification of one access(). Namespace-scope so frontends
+/// share it; Cache::AccessKind / Cache::AccessOutcome stay available as
+/// member aliases for existing call sites.
 enum class AccessKind : std::uint8_t {
   kHit,     // document resident and valid
   kMiss,    // not resident (or forced invalid); now inserted
@@ -81,29 +68,15 @@ struct AccessOutcome {
   bool was_resident = false;
 };
 
-/// By-value policy holder: dereferences to a concrete policy type, so
-/// BasicCache's `policy_->hook(...)` calls compile to direct (inlinable)
-/// calls. The replay kernels use this; the runtime path keeps unique_ptr.
-template <typename P>
-struct PolicyValue {
-  P policy;
-
-  P* operator->() { return &policy; }
-  const P* operator->() const { return &policy; }
-  P& operator*() { return policy; }
-  const P& operator*() const { return policy; }
-  explicit operator bool() const { return true; }
-};
-
-template <typename PolicyHolder>
-class BasicCache {
+class Cache {
  public:
   // Compatibility aliases: call sites spell these Cache::AccessKind etc.
   using AccessKind = cache::AccessKind;
   using AccessOutcome = cache::AccessOutcome;
 
   /// capacity_bytes == 0 disables storage entirely (everything bypasses).
-  BasicCache(std::uint64_t capacity_bytes, PolicyHolder policy)
+  Cache(std::uint64_t capacity_bytes,
+        std::unique_ptr<ReplacementPolicy> policy)
       : capacity_bytes_(capacity_bytes), policy_(std::move(policy)) {
     if (!policy_) throw std::invalid_argument("Cache: null policy");
   }
@@ -202,14 +175,6 @@ class BasicCache {
     if (objects_.contains(id)) remove_object(id, /*is_eviction=*/false);
   }
 
-  /// Software-prefetch hint for an upcoming access(id) — dense-id mode
-  /// only, a no-op otherwise. The streaming kernels issue these a few
-  /// requests ahead so the slot cell is in cache when the access arrives.
-  void prefetch(ObjectId id) const { objects_.prefetch_slot(id); }
-  /// Deeper hint: also prefetches the slab entry id currently maps to (the
-  /// mapping may go stale before the access — harmless, it is a hint).
-  void prefetch_object(ObjectId id) const { objects_.prefetch_object(id); }
-
   // ---- accounting ----
 
   std::uint64_t capacity_bytes() const { return capacity_bytes_; }
@@ -229,9 +194,7 @@ class BasicCache {
     return occ;
   }
 
-  /// The held policy: ReplacementPolicy& for the runtime Cache, the
-  /// concrete policy type for monomorphized instantiations.
-  const auto& policy() const { return *policy_; }
+  const ReplacementPolicy& policy() const { return *policy_; }
 
   /// Observability snapshot of the policy's internal state (heap size,
   /// aging term, beta estimate); sampled per metrics window.
@@ -432,7 +395,7 @@ class BasicCache {
 
   std::uint64_t capacity_bytes_;
   std::uint64_t admission_limit_ = 0;
-  PolicyHolder policy_;
+  std::unique_ptr<ReplacementPolicy> policy_;
   RemovalListener* removal_listener_ = nullptr;
   ObjectTable objects_;
   std::uint64_t used_bytes_ = 0;
@@ -442,8 +405,5 @@ class BasicCache {
   std::array<std::uint64_t, trace::kDocumentClassCount> class_objects_{};
   std::array<std::uint64_t, trace::kDocumentClassCount> class_bytes_{};
 };
-
-/// The runtime-polymorphic container (policy chosen at run time).
-using Cache = BasicCache<std::unique_ptr<ReplacementPolicy>>;
 
 }  // namespace webcache::cache

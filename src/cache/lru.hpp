@@ -11,9 +11,6 @@
 
 namespace webcache::cache {
 
-// Hot-path bodies live in the header so the monomorphized kernel layer
-// (sim/kernel_impl.hpp instantiates BasicCache<PolicyValue<LruPolicy>>)
-// can inline them; the virtual path still dispatches through the vtable.
 class LruPolicy final : public ReplacementPolicy {
  public:
   void reserve_ids(std::uint64_t universe) override {

@@ -56,37 +56,6 @@ class ObjectTable {
   }
   bool contains(ObjectId id) const { return find(id) != nullptr; }
 
-  /// Software-prefetch hint: pull the slot-index cell for id toward the
-  /// cache ahead of a find(id). Dense mode only (the hash map's bucket
-  /// address is not computable without probing); a no-op otherwise.
-  void prefetch_slot(ObjectId id) const {
-#if defined(__GNUC__) || defined(__clang__)
-    if (dense_) {
-      const auto i = static_cast<std::size_t>(id);
-      if (i < slot_.size()) __builtin_prefetch(&slot_[i], 0, 1);
-    }
-#else
-    (void)id;
-#endif
-  }
-
-  /// Deeper hint: reads the slot cell now and prefetches the slab entry it
-  /// maps to. The mapping may be stale by the time the access arrives
-  /// (inserts/erases move slab entries) — harmless, prefetches are hints.
-  void prefetch_object(ObjectId id) const {
-#if defined(__GNUC__) || defined(__clang__)
-    if (dense_) {
-      const auto i = static_cast<std::size_t>(id);
-      if (i < slot_.size()) {
-        const std::uint32_t s = slot_[i];
-        if (s != kNoSlot) __builtin_prefetch(&slab_[s], 0, 1);
-      }
-    }
-#else
-    (void)id;
-#endif
-  }
-
   /// Inserts a copy of obj (keyed by obj.id); throws on duplicates.
   CacheObject& insert(const CacheObject& obj) {
     if (dense_) {

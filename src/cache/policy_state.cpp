@@ -46,7 +46,7 @@ void save_list(util::StateWriter& w, const LruIndexList& list) {
 }
 
 std::vector<ObjectId> take_id_run(util::StateReader& r) {
-  const std::uint64_t n = r.take_u64();
+  const std::uint64_t n = r.take_count(8, "id run");
   std::vector<ObjectId> ids;
   ids.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) ids.push_back(r.take_u64());
@@ -289,7 +289,7 @@ void SecondChancePolicy::save_state(util::StateWriter& w) const {
 }
 
 void SecondChancePolicy::restore_state(util::StateReader& r) {
-  const std::uint64_t n = r.take_u64();
+  const std::uint64_t n = r.take_count(8 + 4, "ring entry");
   std::vector<std::pair<ObjectId, std::uint32_t>> entries;
   entries.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -324,7 +324,7 @@ void DelayLruPolicy::save_state(util::StateWriter& w) const {
 }
 
 void DelayLruPolicy::restore_state(util::StateReader& r) {
-  const std::uint64_t n = r.take_u64();
+  const std::uint64_t n = r.take_count(8 + 8, "delay entry");
   std::vector<std::pair<ObjectId, std::uint64_t>> entries;
   entries.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
@@ -366,7 +366,7 @@ void BetaEstimator::restore_state(util::StateReader& r) {
   beta_ = r.take_double();
   samples_ = r.take_u64();
   since_refit_ = r.take_u64();
-  const std::uint64_t n = r.take_u64();
+  const std::uint64_t n = r.take_count(8, "beta histogram bin");
   std::vector<double> counts;
   counts.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) counts.push_back(r.take_double());

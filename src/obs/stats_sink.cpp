@@ -258,6 +258,12 @@ void restore_sample(util::StateReader& r, WindowSample& s) {
   s.state.beta = restore_optional(r);
 }
 
+/// Encoded size of a WarmupWindow: one WindowCounters (eight u64s) overall
+/// and one per class. A WindowSample starts with the same counters, so this
+/// is a lower bound for both when take_count checks their counts.
+constexpr std::size_t kWarmupWindowBytes =
+    8 * 8 * (1 + trace::kDocumentClassCount);
+
 void save_warmup_window(util::StateWriter& w, const WarmupWindow& win) {
   save_counters(w, win.overall);
   for (const WindowCounters& c : win.per_class) save_counters(w, c);
@@ -278,7 +284,7 @@ void save_curve(util::StateWriter& w, const WarmupCurve& curve) {
 void restore_curve(util::StateReader& r, WarmupCurve& curve) {
   curve.node = r.take_u32();
   curve.recovered_at = r.take_u64();
-  const std::uint64_t n = r.take_u64();
+  const std::uint64_t n = r.take_count(kWarmupWindowBytes, "warm-up window");
   curve.windows.resize(static_cast<std::size_t>(n));
   for (WarmupWindow& win : curve.windows) restore_warmup_window(r, win);
 }
@@ -312,10 +318,12 @@ void RecordingSink::restore_state(util::StateReader& r) {
            std::to_string(series_.window_requests) + ")");
   }
   series_.total_requests = r.take_u64();
-  series_.windows.resize(static_cast<std::size_t>(r.take_u64()));
+  series_.windows.resize(static_cast<std::size_t>(
+      r.take_count(kWarmupWindowBytes, "metrics window")));
   for (WindowSample& s : series_.windows) restore_sample(r, s);
   series_.fault_nodes = r.take_u64();
-  series_.warmup_curves.resize(static_cast<std::size_t>(r.take_u64()));
+  series_.warmup_curves.resize(static_cast<std::size_t>(
+      r.take_count(4 + 8 + 8, "warm-up curve")));
   for (WarmupCurve& c : series_.warmup_curves) restore_curve(r, c);
   restore_sample(r, current_);
   window_open_ = r.take_bool();

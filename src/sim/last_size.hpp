@@ -130,7 +130,7 @@ class GrowingDenseLastSize {
     for (const std::uint64_t v : last_) w.put_u64(v);
   }
   void restore_state(util::StateReader& r) {
-    const std::uint64_t n = r.take_u64();
+    const std::uint64_t n = r.take_count(8, "last-size entry");
     last_.clear();
     last_.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) last_.push_back(r.take_u64());

@@ -91,13 +91,6 @@ struct SimResult {
   /// hits + (requests - hits - lost) + lost == requests by construction.
   FaultStats faults;
 
-  /// Which replay engine produced this result: "virtual" (the polymorphic
-  /// CacheFrontend path) or "monomorphized" (a registered replay kernel,
-  /// sim/kernel.hpp). Diagnostic only — both engines emit bit-identical
-  /// counters, and the field is never serialized into checkpoints (kernel
-  /// and virtual checkpoints stay interchangeable).
-  std::string replay_kernel = "virtual";
-
   const HitCounters& of(trace::DocumentClass c) const {
     return per_class[static_cast<std::size_t>(c)];
   }

@@ -39,13 +39,8 @@ enum : std::uint8_t {
 // Per-request flags byte emitted by the annotate stage.
 enum : std::uint8_t { kFlagModified = 1, kFlagInterrupted = 2 };
 
+using detail::admission_limit_of;
 using detail::validate_options;
-
-std::uint64_t admission_limit_of(const cache::PolicySpec& policy) {
-  return policy.kind == cache::PolicyKind::kLruThreshold
-             ? policy.admission_threshold_bytes
-             : 0;
-}
 
 std::uint64_t warmup_of(std::uint64_t total, const SimulatorOptions& options) {
   return static_cast<std::uint64_t>(

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "obs/stats_sink.hpp"
-#include "sim/kernel.hpp"
 #include "sim/last_size.hpp"
 #include "sim/replay_core.hpp"
 
@@ -12,6 +11,7 @@ namespace webcache::sim {
 
 namespace {
 
+using detail::admission_limit_of;
 using detail::validate_options;
 
 // Templated on the sink so the NullSink instantiation *is* the pre-obs
@@ -35,15 +35,8 @@ SimResult simulate_loop(const trace::Trace& trace, cache::CacheFrontend& cache,
 SimResult simulate(const trace::Trace& trace, std::uint64_t capacity_bytes,
                    const cache::PolicySpec& policy,
                    const SimulatorOptions& options) {
-  if (auto kernel = detail::routed_kernel(capacity_bytes, policy, options)) {
-    return kernel->run(trace, options);
-  }
-  const std::uint64_t admission_limit =
-      policy.kind == cache::PolicyKind::kLruThreshold
-          ? policy.admission_threshold_bytes
-          : 0;
   return simulate(trace, capacity_bytes, cache::make_policy(policy), options,
-                  admission_limit);
+                  admission_limit_of(policy));
 }
 
 SimResult simulate(const trace::Trace& trace, std::uint64_t capacity_bytes,
@@ -96,22 +89,9 @@ SimResult simulate(const trace::DenseTrace& trace,
   return result;
 }
 
-namespace {
-
-std::uint64_t admission_limit_of(const cache::PolicySpec& policy) {
-  return policy.kind == cache::PolicyKind::kLruThreshold
-             ? policy.admission_threshold_bytes
-             : 0;
-}
-
-}  // namespace
-
 SimResult simulate(const trace::Trace& trace, std::uint64_t capacity_bytes,
                    const cache::PolicySpec& policy,
                    const SimulatorOptions& options, obs::RecordingSink& sink) {
-  if (auto kernel = detail::routed_kernel(capacity_bytes, policy, options)) {
-    return kernel->run(trace, options, sink);
-  }
   cache::SingleCacheFrontend frontend(capacity_bytes,
                                       cache::make_policy(policy),
                                       admission_limit_of(policy));
@@ -121,9 +101,6 @@ SimResult simulate(const trace::Trace& trace, std::uint64_t capacity_bytes,
 SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
                    const cache::PolicySpec& policy,
                    const SimulatorOptions& options, obs::RecordingSink& sink) {
-  if (auto kernel = detail::routed_kernel(capacity_bytes, policy, options)) {
-    return kernel->run(trace, options, sink);
-  }
   cache::SingleCacheFrontend frontend(capacity_bytes,
                                       cache::make_policy(policy),
                                       admission_limit_of(policy));
@@ -133,15 +110,8 @@ SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
 SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
                    const cache::PolicySpec& policy,
                    const SimulatorOptions& options) {
-  if (auto kernel = detail::routed_kernel(capacity_bytes, policy, options)) {
-    return kernel->run(trace, options);
-  }
-  const std::uint64_t admission_limit =
-      policy.kind == cache::PolicyKind::kLruThreshold
-          ? policy.admission_threshold_bytes
-          : 0;
   return simulate(trace, capacity_bytes, cache::make_policy(policy), options,
-                  admission_limit);
+                  admission_limit_of(policy));
 }
 
 SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,

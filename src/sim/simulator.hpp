@@ -36,20 +36,10 @@ enum class ModificationRule {
   kNever,
 };
 
-/// Replay-engine selection for the PolicySpec-taking entry points
-/// (sim/kernel.hpp). Frontend-taking overloads always run the virtual path
-/// — the caller already committed to a concrete frontend object.
-enum class KernelMode : std::uint8_t {
-  /// Use a monomorphized kernel when one is registered for the policy,
-  /// fall back to the virtual path otherwise. The default: results are
-  /// bit-identical either way, the kernel is just faster.
-  kAuto,
-  /// Require a kernel; throw std::invalid_argument when the policy has
-  /// none registered (benchmarks and tests pin the engine this way).
-  kOn,
-  /// Always run the virtual path.
-  kOff,
-};
+/// A single-value enum with nothing left to select: every replay runs the
+/// one virtual CacheFrontend engine. Kept only because the benchmark
+/// harness (perfbench/wcbench.cpp) still names KernelMode::kOff.
+enum class KernelMode : std::uint8_t { kOff };
 
 struct SimulatorOptions {
   double warmup_fraction = 0.10;
@@ -64,10 +54,9 @@ struct SimulatorOptions {
   double latency_setup_ms = 150.0;
   double latency_bytes_per_ms = 400.0;
 
-  /// Which replay engine the spec-taking entry points use. Not part of the
-  /// checkpoint fingerprint: both engines replay the identical state
-  /// machine, so kernel and virtual checkpoints are interchangeable.
-  KernelMode kernel = KernelMode::kAuto;
+  /// Fixed at kOff and read by nothing in the library; it exists so the
+  /// benchmark harness, which assigns it, keeps compiling.
+  KernelMode kernel = KernelMode::kOff;
 };
 
 namespace detail {
@@ -82,6 +71,14 @@ inline void validate_options(const SimulatorOptions& options) {
     throw std::invalid_argument(
         "simulate: modification_threshold out of (0, 1)");
   }
+}
+
+/// The admission limit a PolicySpec installs on its cache: LRU-Threshold's
+/// size threshold, 0 (unlimited) for every other policy.
+inline std::uint64_t admission_limit_of(const cache::PolicySpec& policy) {
+  return policy.kind == cache::PolicyKind::kLruThreshold
+             ? policy.admission_threshold_bytes
+             : 0;
 }
 
 }  // namespace detail

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "sim/kernel.hpp"
 #include "sim/last_size.hpp"
 #include "sim/replay_core.hpp"
 
@@ -11,13 +10,8 @@ namespace webcache::sim {
 
 namespace {
 
+using detail::admission_limit_of;
 using detail::validate_options;
-
-std::uint64_t admission_limit_of(const cache::PolicySpec& policy) {
-  return policy.kind == cache::PolicyKind::kLruThreshold
-             ? policy.admission_threshold_bytes
-             : 0;
-}
 
 // The sparse last-size map cannot reserve for the whole stream (that is the
 // point of streaming); cap the up-front reservation and let it grow.
@@ -66,9 +60,6 @@ SimResult simulate_stream(trace::RequestStream& stream,
                           std::uint64_t capacity_bytes,
                           const cache::PolicySpec& policy,
                           const SimulatorOptions& options) {
-  if (auto kernel = detail::routed_kernel(capacity_bytes, policy, options)) {
-    return kernel->run_stream(stream, options);
-  }
   cache::SingleCacheFrontend frontend(
       capacity_bytes, cache::make_policy(policy), admission_limit_of(policy));
   return simulate_stream(stream, frontend, options);
@@ -79,9 +70,6 @@ SimResult simulate_stream(trace::RequestStream& stream,
                           const cache::PolicySpec& policy,
                           const SimulatorOptions& options,
                           obs::RecordingSink& sink) {
-  if (auto kernel = detail::routed_kernel(capacity_bytes, policy, options)) {
-    return kernel->run_stream(stream, options, sink);
-  }
   cache::SingleCacheFrontend frontend(
       capacity_bytes, cache::make_policy(policy), admission_limit_of(policy));
   return simulate_stream(stream, frontend, options, sink);
@@ -92,9 +80,6 @@ SimResult simulate_stream(trace::RequestStream& stream,
                           const cache::PolicySpec& policy,
                           const SimulatorOptions& options,
                           const FaultSchedule& faults) {
-  if (auto kernel = detail::routed_kernel(capacity_bytes, policy, options)) {
-    return kernel->run_stream(stream, options, faults);
-  }
   cache::SingleCacheFrontend frontend(
       capacity_bytes, cache::make_policy(policy), admission_limit_of(policy));
   return simulate_stream(stream, frontend, options, faults);
@@ -106,9 +91,6 @@ SimResult simulate_stream(trace::RequestStream& stream,
                           const SimulatorOptions& options,
                           const FaultSchedule& faults,
                           obs::RecordingSink& sink) {
-  if (auto kernel = detail::routed_kernel(capacity_bytes, policy, options)) {
-    return kernel->run_stream(stream, options, faults, sink);
-  }
   cache::SingleCacheFrontend frontend(
       capacity_bytes, cache::make_policy(policy), admission_limit_of(policy));
   return simulate_stream(stream, frontend, options, faults, sink);
@@ -189,9 +171,6 @@ SimResult simulate_stream_densified(
     trace::RequestStream& stream, std::uint64_t capacity_bytes,
     const cache::PolicySpec& policy, const SimulatorOptions& options,
     trace::OnlineDensifier::Options densify_options) {
-  if (auto kernel = detail::routed_kernel(capacity_bytes, policy, options)) {
-    return kernel->run_stream_densified(stream, options, densify_options);
-  }
   cache::SingleCacheFrontend frontend(
       capacity_bytes, cache::make_policy(policy), admission_limit_of(policy));
   return simulate_stream_densified(stream, frontend, options,
@@ -202,10 +181,6 @@ SimResult simulate_stream_densified(
     trace::RequestStream& stream, std::uint64_t capacity_bytes,
     const cache::PolicySpec& policy, const SimulatorOptions& options,
     obs::RecordingSink& sink, trace::OnlineDensifier::Options densify_options) {
-  if (auto kernel = detail::routed_kernel(capacity_bytes, policy, options)) {
-    return kernel->run_stream_densified(stream, options, sink,
-                                        densify_options);
-  }
   cache::SingleCacheFrontend frontend(
       capacity_bytes, cache::make_policy(policy), admission_limit_of(policy));
   return simulate_stream_densified(stream, frontend, options, sink,

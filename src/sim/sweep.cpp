@@ -243,12 +243,6 @@ std::unique_ptr<cache::CacheFrontend> build_frontend(
   return frontend;
 }
 
-std::uint64_t admission_limit_of(const cache::PolicySpec& policy) {
-  return policy.kind == cache::PolicyKind::kLruThreshold
-             ? policy.admission_threshold_bytes
-             : 0;
-}
-
 template <typename TraceT>
 SweepResult run_policy_sweep(const TraceT& trace, const SweepConfig& config) {
   validate_policies(config);
@@ -266,7 +260,7 @@ SweepResult run_policy_sweep(const TraceT& trace, const SweepConfig& config) {
                 const cache::PolicySpec& spec = config.policies[p];
                 cache::SingleCacheFrontend frontend(
                     capacity, cache::make_policy(spec),
-                    admission_limit_of(spec));
+                    detail::admission_limit_of(spec));
                 return simulate(trace, frontend, config.simulator,
                                 config.faults);
               });

@@ -1,5 +1,6 @@
 #include "util/state_io.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 
@@ -101,6 +102,16 @@ std::string StateReader::take_string() {
                 static_cast<std::size_t>(n));
   pos_ += static_cast<std::size_t>(n);
   return s;
+}
+
+std::uint64_t StateReader::take_count(std::size_t min_bytes_per_element,
+                                      const std::string& field) {
+  const std::uint64_t n = take_u64();
+  if (n > remaining() / std::max<std::size_t>(min_bytes_per_element, 1)) {
+    fail(field + " count " + std::to_string(n) + " exceeds the " +
+         std::to_string(remaining()) + " byte(s) left");
+  }
+  return n;
 }
 
 void StateReader::expect_end() const {

@@ -77,6 +77,12 @@ class StateReader {
   bool take_bool();
   double take_double();
   std::string take_string();
+  /// Reads a u64 element count and bounds it by the bytes left: every
+  /// element encodes to at least `min_bytes_per_element` bytes, so a count
+  /// the stream cannot hold throws a StateError naming `field` before the
+  /// caller sizes a container by it.
+  std::uint64_t take_count(std::size_t min_bytes_per_element,
+                           const std::string& field);
 
   /// Bytes not yet consumed.
   std::size_t remaining() const { return size_ - pos_; }

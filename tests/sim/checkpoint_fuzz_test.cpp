@@ -16,7 +16,10 @@
 
 #include "cache/factory.hpp"
 #include "cache/frontend.hpp"
+#include "cache/lru.hpp"
+#include "obs/stats_sink.hpp"
 #include "sim/checkpoint.hpp"
+#include "sim/last_size.hpp"
 #include "sim/simulator.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
@@ -92,6 +95,81 @@ TEST(CheckpointFuzz, EveryBitFlipDetected) {
   // The overwhelming majority of flips hit CRC-covered payload or structural
   // fields and must throw outright.
   EXPECT_GT(throws, bytes.size());
+}
+
+/// Runs `decode` and expects a runtime_error-family rejection whose message
+/// names `field`. A decoder that sizes memory by the count first dies with
+/// std::length_error or std::bad_alloc instead, which fails the test.
+template <typename Decode>
+void expect_named_rejection(const std::string& field, Decode&& decode) {
+  try {
+    decode();
+    ADD_FAILURE() << field << ": a huge count decoded cleanly";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << field << " not named in: " << e.what();
+  }
+}
+
+/// A section payload whose first count is `count`, after `prefix`.
+std::vector<std::uint8_t> with_count(util::StateWriter prefix,
+                                     std::uint64_t count) {
+  prefix.put_u64(count);
+  return prefix.take();
+}
+
+TEST(CheckpointFuzz, HugeCountsRejectedByNameBeforeAllocating) {
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 62;
+
+  {
+    // WCKP container: the u32 section count is the largest it can be.
+    util::StateWriter w;
+    w.put_bytes("WCKP", 4);
+    w.put_u32(1);
+    w.put_u32(0xFFFFFFFFu);
+    const std::vector<std::uint8_t> bytes = w.take();
+    expect_named_rejection("section count",
+                           [&] { detail::decode_checkpoint(bytes); });
+  }
+  {
+    const std::vector<std::uint8_t> bytes = with_count({}, kHuge);
+    expect_named_rejection("id run", [&] {
+      util::StateReader r(bytes.data(), bytes.size(), "cache");
+      cache::LruPolicy().restore_state(r);
+    });
+  }
+  {
+    // The occupancy-sample count sits right before the six fault counters.
+    util::StateWriter w;
+    detail::save_sim_result(w, SimResult{});
+    std::vector<std::uint8_t> bytes = w.take();
+    const std::size_t at = bytes.size() - 6 * 8 - 8;
+    for (std::size_t i = 0; i < 8; ++i) {
+      bytes[at + i] = static_cast<std::uint8_t>(kHuge >> (8 * i));
+    }
+    expect_named_rejection("occupancy sample", [&] {
+      util::StateReader r(bytes.data(), bytes.size(), "result");
+      detail::restore_sim_result(r);
+    });
+  }
+  {
+    // Window length (must match the sink's), total requests, then windows.
+    util::StateWriter w;
+    w.put_u64(113);
+    w.put_u64(0);
+    const std::vector<std::uint8_t> bytes = with_count(std::move(w), kHuge);
+    expect_named_rejection("metrics window", [&] {
+      util::StateReader r(bytes.data(), bytes.size(), "metrics");
+      obs::RecordingSink(113).restore_state(r);
+    });
+  }
+  {
+    const std::vector<std::uint8_t> bytes = with_count({}, kHuge);
+    expect_named_rejection("last-size entry", [&] {
+      util::StateReader r(bytes.data(), bytes.size(), "lastsize");
+      detail::GrowingDenseLastSize().restore_state(r);
+    });
+  }
 }
 
 TEST(CheckpointFuzz, CrossWiredSectionsRejectedOnResume) {

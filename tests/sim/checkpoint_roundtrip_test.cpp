@@ -144,11 +144,13 @@ TEST(CheckpointRoundTrip, AllFactoryPoliciesSplitRunMatchesUninterrupted) {
     EXPECT_TRUE(phase1.stopped_early) << name;
     EXPECT_GT(phase1.checkpoints_written, 0u) << name;
 
+    // Resume through the PolicySpec-taking overload: it must fingerprint
+    // and restore exactly like the frontend it replaces.
     job.checkpoint.stop_after_requests = 0;
     job.checkpoint.resume = true;
     trace::MemoryRequestStream s2(t, 4096);
-    cache::SingleCacheFrontend f2 = make_frontend(spec, capacity);
-    const CheckpointedRun done = simulate_stream_checkpointed(s2, f2, job);
+    const CheckpointedRun done =
+        simulate_stream_checkpointed(s2, capacity, spec, job);
     EXPECT_EQ(done.resumed_from, half) << name;
     EXPECT_TRUE(checkpoint_resume_diagnostics().empty()) << name;
     expect_identical(baseline, done.result, name);

@@ -62,12 +62,17 @@ trace::Trace recorded_trace() {
   return generator.generate();
 }
 
+// Every spelling the policy factory accepts.
 const std::vector<std::string>& policies_under_test() {
   static const std::vector<std::string> names = {
       "LRU",          "LFU-DA",      "GDS(1)",  "GDS(packet)",
       "GDSF(1)",      "GD*(1)",      "GD*(packet)",
       "GD*C(packet)", "LRU-MIN",     "LRU-THOLD(300000)",
-      "FIFO",         "SIZE",        "LFU",     "LRU-2"};
+      "FIFO",         "SIZE",        "LFU",     "LRU-2",
+      "GDS(latency)", "GDSF(packet)", "GDSF(latency)", "GD*(latency)",
+      "GD*C(1)",      "RANDOM:seed=7",                "CLOCK",
+      "DELAY-CLOCK:k=3",             "PROB-LRU:p=0.5,seed=9",
+      "DELAY-LRU:k=2",               "BATCH-LRU:batch=8"};
   return names;
 }
 

@@ -68,6 +68,10 @@ void expect_identical(const SimResult& a, const SimResult& b,
     EXPECT_EQ(sa.occupancy.objects, sb.occupancy.objects) << label;
     EXPECT_EQ(sa.occupancy.bytes, sb.occupancy.bytes) << label;
   }
+  EXPECT_EQ(a.faults.events_applied, b.faults.events_applied) << label;
+  EXPECT_EQ(a.faults.failovers, b.faults.failovers) << label;
+  EXPECT_EQ(a.faults.lost_requests, b.faults.lost_requests) << label;
+  EXPECT_EQ(a.faults.lost_bytes, b.faults.lost_bytes) << label;
 }
 
 trace::Trace recorded_trace() {
@@ -137,6 +141,18 @@ TEST(StreamingEquivalence, MetricsWindowsStraddleChunkBoundaries) {
     write_metrics_json(json, streamed, sink.series());
     EXPECT_EQ(baseline_json.str(), json.str())
         << "metrics JSON diverged at chunk=" << chunk;
+
+    // The PolicySpec-taking overload builds its own frontend.
+    trace::MemoryRequestStream spec_stream(t, chunk);
+    obs::RecordingSink spec_sink(113);
+    const SimResult by_spec =
+        simulate_stream(spec_stream, capacity, spec, options, spec_sink);
+    expect_identical(baseline, by_spec,
+                     "metrics by spec chunk=" + std::to_string(chunk));
+    std::ostringstream spec_json;
+    write_metrics_json(spec_json, by_spec, spec_sink.series());
+    EXPECT_EQ(baseline_json.str(), spec_json.str())
+        << "metrics JSON by spec diverged at chunk=" << chunk;
   }
 }
 
@@ -167,6 +183,12 @@ TEST(StreamingEquivalence, FaultSchedulesStraddleChunkBoundaries) {
         simulate_stream(stream, frontend, options, schedule);
     expect_identical(baseline, streamed,
                      "faults chunk=" + std::to_string(chunk));
+
+    trace::MemoryRequestStream spec_stream(t, chunk);
+    const SimResult by_spec =
+        simulate_stream(spec_stream, capacity, spec, options, schedule);
+    expect_identical(baseline, by_spec,
+                     "faults by spec chunk=" + std::to_string(chunk));
   }
 
   // Instrumented fault replay: series must also match exactly.
@@ -187,6 +209,15 @@ TEST(StreamingEquivalence, FaultSchedulesStraddleChunkBoundaries) {
     write_metrics_json(json, streamed, sink.series());
     EXPECT_EQ(baseline_json.str(), json.str())
         << "faulted metrics JSON diverged at chunk=" << chunk;
+
+    trace::MemoryRequestStream spec_stream(t, chunk);
+    obs::RecordingSink spec_sink(113);
+    const SimResult by_spec = simulate_stream(spec_stream, capacity, spec,
+                                              options, schedule, spec_sink);
+    std::ostringstream spec_json;
+    write_metrics_json(spec_json, by_spec, spec_sink.series());
+    EXPECT_EQ(baseline_json.str(), spec_json.str())
+        << "faulted metrics JSON by spec diverged at chunk=" << chunk;
   }
 }
 
@@ -235,6 +266,12 @@ TEST(StreamingEquivalence, DensifiedStreamMatchesSparse) {
           simulate_stream_densified(stream, frontend, options, densify);
       expect_identical(baseline, streamed,
                        name + " hot=" + std::to_string(hot));
+
+      trace::MemoryRequestStream spec_stream(t, 4096);
+      const SimResult by_spec = simulate_stream_densified(
+          spec_stream, capacity, spec, options, densify);
+      expect_identical(baseline, by_spec,
+                       name + " by spec hot=" + std::to_string(hot));
     }
   }
 }
