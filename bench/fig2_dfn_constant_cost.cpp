@@ -18,6 +18,7 @@
 #include "common.hpp"
 #include "sim/reporter.hpp"
 #include "sim/sweep.hpp"
+#include "trace/dense_trace.hpp"
 
 int main(int argc, char** argv) {
   using namespace webcache;
@@ -25,7 +26,8 @@ int main(int argc, char** argv) {
   std::cout << "=== Figure 2: DFN, constant cost model (scale=" << ctx.scale
             << ") ===\n\n";
 
-  const trace::Trace t = ctx.make_trace(synth::WorkloadProfile::DFN());
+  const trace::DenseTrace t =
+      trace::densify(ctx.make_trace(synth::WorkloadProfile::DFN()));
 
   sim::SweepConfig config;
   config.cache_fractions = bench::paper_cache_fractions();

@@ -15,6 +15,7 @@
 #include "common.hpp"
 #include "sim/reporter.hpp"
 #include "sim/sweep.hpp"
+#include "trace/dense_trace.hpp"
 
 int main(int argc, char** argv) {
   using namespace webcache;
@@ -22,7 +23,8 @@ int main(int argc, char** argv) {
   std::cout << "=== Figure 3: DFN, packet cost model (scale=" << ctx.scale
             << ") ===\n\n";
 
-  const trace::Trace t = ctx.make_trace(synth::WorkloadProfile::DFN());
+  const trace::DenseTrace t =
+      trace::densify(ctx.make_trace(synth::WorkloadProfile::DFN()));
 
   sim::SweepConfig config;
   config.cache_fractions = bench::paper_cache_fractions();

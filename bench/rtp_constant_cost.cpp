@@ -13,6 +13,7 @@
 #include "common.hpp"
 #include "sim/reporter.hpp"
 #include "sim/sweep.hpp"
+#include "trace/dense_trace.hpp"
 
 int main(int argc, char** argv) {
   using namespace webcache;
@@ -20,7 +21,8 @@ int main(int argc, char** argv) {
   std::cout << "=== Section 4.4: RTP, constant cost model (scale=" << ctx.scale
             << ") ===\n\n";
 
-  const trace::Trace t = ctx.make_trace(synth::WorkloadProfile::RTP());
+  const trace::DenseTrace t =
+      trace::densify(ctx.make_trace(synth::WorkloadProfile::RTP()));
 
   sim::SweepConfig config;
   config.cache_fractions = bench::paper_cache_fractions();

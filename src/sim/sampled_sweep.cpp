@@ -123,7 +123,18 @@ SampledCurve SampledSweep::run(const trace::Trace& trace) const {
   return run(stream);
 }
 
+SampledCurve SampledSweep::run(const trace::DenseTrace& trace) const {
+  trace::MemoryRequestStream stream(trace.trace);
+  return run(stream, &trace.original_ids);
+}
+
 SampledCurve SampledSweep::run(trace::RequestStream& stream) const {
+  return run(stream, nullptr);
+}
+
+SampledCurve SampledSweep::run(
+    trace::RequestStream& stream,
+    const std::vector<trace::DocumentId>* original) const {
   const std::size_t k = config_.capacities.size();
   SampledCurve curve;
   curve.configured_rate = config_.sample_rate;
@@ -255,14 +266,17 @@ SampledCurve SampledSweep::run(trace::RequestStream& stream) const {
         true_reqs += 1.0;
         true_bytes += static_cast<double>(size);
       }
-      const std::uint64_t h = sampling_hash(config_.hash_seed, r.document);
+      const trace::DocumentId doc =
+          original ? (*original)[static_cast<std::size_t>(r.document)]
+                   : r.document;
+      const std::uint64_t h = sampling_hash(config_.hash_seed, doc);
       if (h >= threshold) continue;
       ++sampled_refs;
       const double rate_now =
           static_cast<double>(threshold) / kTwoPow64;
       const double w = 1.0 / rate_now;
 
-      auto it = docs.find(r.document);
+      auto it = docs.find(doc);
       const bool seen = it != docs.end();
 
       detail::SizeChange change;
@@ -289,8 +303,8 @@ SampledCurve SampledSweep::run(trace::RequestStream& stream) const {
         st.last_size = size;
         st.hash = h;
         fen.add(st.slot, size);
-        docs.emplace(r.document, st);
-        by_hash.emplace(h, r.document);
+        docs.emplace(doc, st);
+        by_hash.emplace(h, doc);
 
         if (config_.max_sampled_documents > 0 &&
             docs.size() > config_.max_sampled_documents) {
@@ -315,7 +329,7 @@ SampledCurve SampledSweep::run(trace::RequestStream& stream) const {
 
       if (measured) {
         const double wb = w * static_cast<double>(size);
-        if (auto wit = docs.find(r.document); wit != docs.end()) {
+        if (auto wit = docs.find(doc); wit != docs.end()) {
           wit->second.w_acc += w;
           wit->second.wb_acc += wb;
         } else {

@@ -35,6 +35,7 @@
 
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
+#include "trace/dense_trace.hpp"
 #include "trace/request.hpp"
 #include "trace/request_stream.hpp"
 
@@ -120,6 +121,11 @@ class SampledSweep {
   /// Convenience over a materialized trace.
   SampledCurve run(const trace::Trace& trace) const;
 
+  /// Over a densified trace: documents are sampled and tracked by their
+  /// original ids, so the curve is bit-identical to run() on the source
+  /// trace.
+  SampledCurve run(const trace::DenseTrace& trace) const;
+
   const SampledSweepConfig& config() const { return config_; }
 
   /// Rough peak-memory estimate for running the *exact* StackSweep over a
@@ -129,6 +135,11 @@ class SampledSweep {
       std::uint64_t total_requests);
 
  private:
+  // `original` (when set) maps each request's dense document id back to
+  // the id that is hashed and tracked.
+  SampledCurve run(trace::RequestStream& stream,
+                   const std::vector<trace::DocumentId>* original) const;
+
   SampledSweepConfig config_;
 };
 

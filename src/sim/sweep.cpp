@@ -195,8 +195,7 @@ std::vector<char> apply_sampling(const TraceT& trace,
   sampled.simulator = config.simulator;
   sampled.sample_rate = config.sample_rate;
   sampled.hash_seed = config.sample_seed;
-  const SampledCurve curve =
-      SampledSweep(std::move(sampled)).run(raw_trace(trace));
+  const SampledCurve curve = SampledSweep(std::move(sampled)).run(trace);
 
   for (SweepPoint& point : sweep.points) point.estimates.resize(columns);
   for (std::size_t f = 0; f < sweep.points.size(); ++f) {
@@ -247,7 +246,7 @@ template <typename TraceT>
 SweepResult run_policy_sweep(const TraceT& trace, const SweepConfig& config) {
   validate_policies(config);
   const std::size_t columns = config.policies.size();
-  SweepResult sweep = layout_grid(raw_trace(trace).overall_size_bytes(),
+  SweepResult sweep = layout_grid(trace.overall_size_bytes(),
                                   config.cache_fractions, columns);
 
   // Fault-aware sweep: every cell replays the schedule against a fresh
@@ -309,9 +308,9 @@ template <typename TraceT>
 SweepResult run_frontend_sweep(const TraceT& trace,
                                const FrontendSweepConfig& config) {
   validate_frontends(config);
-  SweepResult sweep =
-      layout_grid(raw_trace(trace).overall_size_bytes(),
-                  config.cache_fractions, config.frontends.size());
+  SweepResult sweep = layout_grid(trace.overall_size_bytes(),
+                                  config.cache_fractions,
+                                  config.frontends.size());
   fill_grid(sweep, config.frontends.size(), config.threads, {},
             [&](std::uint64_t capacity, std::size_t p) {
               const auto frontend = build_frontend(config, p, capacity);

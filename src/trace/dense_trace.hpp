@@ -9,6 +9,9 @@
 // densify() makes one pass over a Trace and renumbers documents into the
 // compact range [0, distinct_documents), in order of first appearance, while
 // keeping a table mapping each dense id back to the original DocumentId.
+// The renumbering goes through trace::IdMap (trace/id_map.hpp), a flat
+// open-addressing table, so densifying costs one cache-missing probe per
+// request rather than a hash-node chase.
 // Every downstream structure can then be a flat array indexed by document
 // id. Remapping changes nothing observable: document identity is only ever
 // compared for equality, and policies break ties by insertion sequence, so
@@ -40,6 +43,11 @@ struct DenseTrace {
   DocumentId original_id(DocumentId dense_id) const {
     return original_ids[dense_id];
   }
+
+  /// The paper's "Overall Size": each document's last document_size,
+  /// summed. Equals Trace::overall_size_bytes() of the source trace, but
+  /// tracks last sizes in a flat vector indexed by dense id, not a hash map.
+  std::uint64_t overall_size_bytes() const;
 };
 
 /// One-pass remap (first appearance order). The copying overload leaves the

@@ -7,7 +7,9 @@ generate -> export -> convert -> simulate round trip must produce a
 --metrics-out JSON file that parses, carries the webcache.metrics.v1
 schema, and satisfies the roll-up invariants (window sums equal the
 aggregate, per-class sums equal the overall counters). The CSV variant
-must agree with the JSON row for row.
+must agree with the JSON row for row. On the checked-in golden trace,
+`simulate --result-out` must reproduce golden_dfn_expected.tsv's
+constant-cost rows counter for counter.
 
 Usage: cli_smoke_test.py <path-to-webcache-binary>
 """
@@ -242,6 +244,61 @@ def check_lazy_family(cli, tmp):
               fragment in p.stderr, p.stderr.strip()[:200])
 
 
+DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "data")
+# kCacheFraction in tests/integration/golden_trace_test.cpp.
+GOLDEN_CACHE_FRACTION = "0.04"
+
+
+def golden_rows():
+    """Constant-cost rows of golden_dfn_expected.tsv: policy -> counters."""
+    rows = {}
+    with open(os.path.join(DATA_DIR, "golden_dfn_expected.tsv")) as f:
+        for line in f:
+            if not line.strip() or line.startswith("#"):
+                continue
+            fields = line.split("\t")
+            if fields[1] == "constant":
+                rows[fields[0]] = [int(x) for x in fields[2:]]
+    return rows
+
+
+def result_counters(doc):
+    """A webcache.result.v1 file in the golden TSV's column order."""
+    def hits(h):
+        return [h["requests"], h["hits"], h["requested_bytes"], h["hit_bytes"]]
+
+    out = hits(doc["overall"])
+    out += [doc["evictions"], doc["bypasses"], doc["modification_misses"]]
+    for cls in doc["per_class"]:
+        out += hits(cls)
+    return out
+
+
+def check_golden_counters(cli, tmp):
+    """`webcache simulate` on the golden trace reproduces the library's
+    golden counters: the CLI's own load -> densify -> replay path, not just
+    the library overloads GoldenTrace covers."""
+    wct = os.path.join(DATA_DIR, "golden_dfn.wct")
+    rows = golden_rows()
+    check("golden TSV has constant-cost rows", len(rows) >= 4, str(rows))
+    for policy, expected in rows.items():
+        out = os.path.join(tmp, "golden_result.json")
+        p = run(cli, "simulate", wct, f"--policy={policy}",
+                f"--cache-fraction={GOLDEN_CACHE_FRACTION}",
+                f"--result-out={out}")
+        check(f"simulate golden {policy}", p.returncode == 0,
+              p.stderr.strip()[:200])
+        if p.returncode != 0:
+            continue
+        with open(out) as f:
+            doc = json.load(f)
+        check(f"golden {policy} policy name", doc["policy"] == policy,
+              doc["policy"])
+        actual = result_counters(doc)
+        check(f"golden {policy} counters match the TSV", actual == expected,
+              f"expected {expected} got {actual}")
+
+
 def main():
     if len(sys.argv) != 2:
         print("usage: cli_smoke_test.py <webcache-binary>", file=sys.stderr)
@@ -251,6 +308,7 @@ def main():
     with tempfile.TemporaryDirectory(prefix="webcache_cli_smoke.") as tmp:
         check_round_trip(cli, tmp)
         check_lazy_family(cli, tmp)
+        check_golden_counters(cli, tmp)
     if FAILURES:
         print(f"\n{len(FAILURES)} smoke check(s) failed: {FAILURES}",
               file=sys.stderr)

@@ -17,6 +17,7 @@
 #include "sim/sweep.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
+#include "trace/dense_trace.hpp"
 #include "trace/request_stream.hpp"
 
 namespace webcache::sim {
@@ -313,6 +314,29 @@ TEST(SampledSweep, SweepJsonCarriesErrorBars) {
   write_sweep_json(exact_json, exact);
   EXPECT_EQ(exact_json.str().find("\"sampling\""), std::string::npos);
   EXPECT_EQ(exact_json.str().find("\"hit_rate_error\""), std::string::npos);
+}
+
+TEST(SampledSweep, DenseTraceSamplesByOriginalIdByteForByte) {
+  // SHARDS picks documents by hashing their id, so a densified trace must
+  // hash the original ids, not its renumbered ones. Otherwise the same
+  // trace would sample a different document set once densified, and
+  // `webcache sweep --sampling=on` would change its curve when the CLI
+  // densifies after loading.
+  const trace::Trace& t = reference_trace();
+  SweepConfig config;
+  config.cache_fractions = {0.005, 0.04, 0.4};
+  config.policies = {cache::policy_spec_from_name("LRU"),
+                     cache::policy_spec_from_name("GD*(1)")};
+  config.sampling = SamplingMode::kOn;
+  config.sample_rate = 0.1;
+  config.threads = 2;
+
+  std::ostringstream sparse_json;
+  write_sweep_json(sparse_json, run_sweep(t, config));
+  std::ostringstream dense_json;
+  write_sweep_json(dense_json, run_sweep(trace::densify(t), config));
+  EXPECT_NE(sparse_json.str().find("\"hit_rate_error\""), std::string::npos);
+  EXPECT_EQ(sparse_json.str(), dense_json.str());
 }
 
 }  // namespace
