@@ -13,15 +13,11 @@
 // (sim/stack_sweep.hpp, one replay for every capacity) against the serial
 // per-cell grid on an 8-fraction LRU ladder, and a `trace_load` section
 // times the mmap binary-trace loader against the per-record stream decoder
-// on a freshly written trace file. A `sharded` section runs the exact
-// sharded replay engine (sim/sharded_replay.hpp) over a 1/2/4/8 worker
-// ladder against the serial baseline, reporting requests_per_sec_per_core
-// and the --threads=1 delegation overhead alongside the raw speedups.
-// A `lazy_promotion` section replays the lazy-promotion / RANDOM family
-// (RANDOM, CLOCK, DELAY-CLOCK, PROB-LRU, DELAY-LRU, BATCH-LRU) against an
-// LRU baseline on the dense path, reporting each member's requests/sec
-// relative to LRU next to its hit rate — the cost/accuracy trade the
-// family exists for. A `streaming` section races the bounded-memory paths
+// on a freshly written trace file. A `lazy_promotion` section replays the
+// lazy-promotion / RANDOM family (RANDOM, CLOCK, DELAY-CLOCK, PROB-LRU,
+// DELAY-LRU, BATCH-LRU) against an LRU baseline on the dense path,
+// reporting each member's requests/sec relative to LRU next to its hit
+// rate — the cost/accuracy trade the family exists for. A `streaming` section races the bounded-memory paths
 // (file-streamed replay via StreamingTraceReader, its online-densified
 // variant, and the SHARDS-sampled sweep) against their materialized twins,
 // cross-checking bit-identity for the replays and the reported error
@@ -63,7 +59,6 @@
 #include "sim/hierarchy.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/sampled_sweep.hpp"
-#include "sim/sharded_replay.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stack_sweep.hpp"
 #include "sim/streaming.hpp"
@@ -435,113 +430,6 @@ std::vector<CompositeCell> run_stack_sweep_cells(
   return cells;
 }
 
-// ---- sharded replay engine: thread-scaling ladder ----
-
-/// One thread count of the sharded scaling ladder, measured against the
-/// plain serial simulate() baseline on the same dense trace.
-struct ShardedCell {
-  std::string label;
-  std::uint32_t threads = 1;
-  double seconds = 0.0;
-  double rps = 0.0;
-  double rps_per_core = 0.0;  // requests_per_sec / worker threads
-  double speedup_vs_serial = 0.0;
-  bool identical = false;
-};
-
-struct ShardedReport {
-  std::string policy;
-  double serial_seconds = 0.0;
-  double serial_rps = 0.0;
-  // threads=1 shares the serial code path by construction; this is the
-  // dispatch overhead of spelling the same run `--threads=1`.
-  double delegation_overhead_pct = 0.0;
-  std::vector<ShardedCell> cells;
-};
-
-/// Replays LRU through the exact sharded engine at 1/2/4/8 worker threads
-/// (plus a forced single-thread pipeline cell, so the pipeline cost is
-/// visible even on a 1-core runner) and cross-checks every cell against
-/// the serial result. The per-core column keeps the numbers honest when
-/// hardware_concurrency is low: on a 1-core box the thread ladder cannot
-/// speed up, and the JSON records exactly that.
-ShardedReport run_sharded_cells(const trace::DenseTrace& dense,
-                                std::uint64_t capacity, int reps,
-                                const sim::SimulatorOptions& options) {
-  const cache::PolicySpec lru = cache::policy_spec_from_name("LRU");
-  const double requests = static_cast<double>(dense.trace.requests.size());
-
-  ShardedReport report;
-  report.policy = "LRU";
-  const auto serial = best_of(
-      reps, [&] { return sim::simulate(dense, capacity, lru, options); });
-  report.serial_seconds = serial.seconds;
-  report.serial_rps = requests / serial.seconds;
-
-  struct Variant {
-    std::string label;
-    sim::ShardedConfig config;
-  };
-  std::vector<Variant> variants;
-  for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-    Variant v;
-    v.label = "threads=" + std::to_string(threads) +
-              (threads == 1 ? " (delegated serial)" : "");
-    v.config.threads = threads;
-    variants.push_back(v);
-  }
-  {
-    // Same engine, pipeline forced on one thread: isolates the carve/
-    // annotate/merge cost from any actual parallelism.
-    Variant v;
-    v.label = "threads=1 shards=4 (forced pipeline)";
-    v.config.threads = 1;
-    v.config.shards = 4;
-    variants.push_back(v);
-  }
-
-  for (const Variant& v : variants) {
-    const auto timing = best_of(reps, [&] {
-      return sim::simulate_sharded(dense, capacity, lru, options, v.config);
-    });
-    ShardedCell cell;
-    cell.label = v.label;
-    cell.threads = v.config.threads;
-    cell.seconds = timing.seconds;
-    cell.rps = requests / timing.seconds;
-    cell.rps_per_core = cell.rps / static_cast<double>(v.config.threads);
-    cell.speedup_vs_serial = serial.seconds / timing.seconds;
-    cell.identical = results_identical(serial.result, timing.result);
-    report.cells.push_back(cell);
-  }
-  report.delegation_overhead_pct =
-      (report.cells[0].seconds / serial.seconds - 1.0) * 100.0;
-  return report;
-}
-
-void append_sharded_json(std::ostringstream& out,
-                         const ShardedReport& report) {
-  out << "  \"sharded\": {\n"
-      << "    \"policy\": \"" << report.policy << "\",\n"
-      << "    \"serial_seconds\": " << report.serial_seconds << ",\n"
-      << "    \"serial_requests_per_sec\": " << report.serial_rps << ",\n"
-      << "    \"delegation_overhead_pct\": " << report.delegation_overhead_pct
-      << ",\n"
-      << "    \"cells\": [\n";
-  for (std::size_t i = 0; i < report.cells.size(); ++i) {
-    const ShardedCell& c = report.cells[i];
-    out << "      {\"label\": \"" << c.label << "\", "
-        << "\"threads\": " << c.threads << ", "
-        << "\"seconds\": " << c.seconds << ", "
-        << "\"requests_per_sec\": " << c.rps << ", "
-        << "\"requests_per_sec_per_core\": " << c.rps_per_core << ", "
-        << "\"speedup_vs_serial\": " << c.speedup_vs_serial << ", "
-        << "\"identical\": " << (c.identical ? "true" : "false") << "}"
-        << (i + 1 < report.cells.size() ? "," : "") << "\n";
-  }
-  out << "    ]\n  },\n";
-}
-
 // ---- lazy-promotion / RANDOM family: hit-path cost vs LRU ----
 
 /// One member of the lazy-promotion family, replayed on the dense path and
@@ -905,8 +793,6 @@ int main(int argc, char** argv) {
       run_trace_load_cells(synthetic, reps);
   const std::uint64_t synthetic_capacity = static_cast<std::uint64_t>(
       static_cast<double>(synthetic.overall_size_bytes()) * fraction);
-  const ShardedReport sharded_report =
-      run_sharded_cells(dense_synthetic, synthetic_capacity, reps, options);
   const std::vector<LazyCell> lazy_cells = run_lazy_promotion_cells(
       synthetic, dense_synthetic, synthetic_capacity, reps, options);
   const std::vector<CompositeCell> streaming_cells =
@@ -969,28 +855,6 @@ int main(int argc, char** argv) {
                        all_identical, "plain req/s", "checkpointed req/s");
 
   {
-    util::Table table("sharded replay scaling (LRU, " +
-                      std::to_string(synthetic.requests.size()) +
-                      " requests, serial baseline " +
-                      util::fmt_count(static_cast<std::uint64_t>(
-                          sharded_report.serial_rps)) +
-                      " req/s)");
-    table.set_header(
-        {"configuration", "req/s", "req/s/core", "speedup", "identical"});
-    for (const ShardedCell& c : sharded_report.cells) {
-      table.add_row({c.label,
-                     util::fmt_count(static_cast<std::uint64_t>(c.rps)),
-                     util::fmt_count(static_cast<std::uint64_t>(
-                         c.rps_per_core)),
-                     util::fmt_fixed(c.speedup_vs_serial, 2),
-                     c.identical ? "yes" : "NO"});
-      all_identical = all_identical && c.identical;
-    }
-    ctx.emit(table, "throughput_sharded");
-    std::cout << "\n";
-  }
-
-  {
     util::Table table("lazy-promotion family hit-path cost (dense replay, "
                       "LRU baseline)");
     table.set_header(
@@ -1023,7 +887,6 @@ int main(int argc, char** argv) {
   append_composite_json(json, "trace_load", trace_load_cells);
   append_composite_json(json, "streaming", streaming_cells);
   append_composite_json(json, "checkpoint", checkpoint_cells);
-  append_sharded_json(json, sharded_report);
   append_lazy_json(json, lazy_cells);
   json << "  \"traces\": [\n";
   for (std::size_t i = 0; i < reports.size(); ++i) {

@@ -81,27 +81,6 @@ def summarize(report: dict) -> dict:
         # checkpoint layer landed). speedup < 1 here is the snapshot cost.
         "checkpoint": cell_speedups(report.get("checkpoint", [])),
     }
-    # Sharded replay scaling ladder (absent in reports from before the
-    # sharded engine landed). These keys ride along in the trend line; the
-    # throughput gate still reads only the `traces` cells.
-    sharded = report.get("sharded") or {}
-    entry["sharded"] = {
-        "policy": sharded.get("policy"),
-        "serial_requests_per_sec": sharded.get("serial_requests_per_sec"),
-        "delegation_overhead_pct": sharded.get("delegation_overhead_pct"),
-        "cells": [
-            {
-                "label": cell.get("label"),
-                "threads": cell.get("threads"),
-                "requests_per_sec": cell.get("requests_per_sec"),
-                "requests_per_sec_per_core":
-                    cell.get("requests_per_sec_per_core"),
-                "speedup_vs_serial": cell.get("speedup_vs_serial"),
-                "identical": cell.get("identical"),
-            }
-            for cell in sharded.get("cells", [])
-        ],
-    }
     traces = []
     for trace in report.get("traces", []):
         traces.append({

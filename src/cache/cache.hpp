@@ -218,16 +218,6 @@ class Cache {
     class_bytes_.fill(0);
   }
 
-  /// Changes the byte capacity in place. Shrinking evicts (through the
-  /// replacement policy, counted as ordinary evictions and reported to the
-  /// removal listener) until the contents fit; growing never touches the
-  /// contents. Returns the number of objects evicted. The sharded replay
-  /// engine's quota rebalance uses this to move budget between shards.
-  std::uint64_t resize(std::uint64_t new_capacity_bytes) {
-    capacity_bytes_ = new_capacity_bytes;
-    return evict_until_fits(0);
-  }
-
   /// Simulates a node failure (fault injection): every resident object is
   /// dropped and the replacement policy restarts cold, but the request clock
   /// and the cumulative eviction/insertion counters keep running — they

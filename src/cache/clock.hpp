@@ -16,8 +16,7 @@
 //
 // Determinism: no randomness; the ring evolution depends only on the
 // insert/hit/evict sequence, never on id numbering — sparse and dense-id
-// replays are bit-identical, and the sharded exact engine replays the same
-// sequence against the same structure.
+// replays are bit-identical.
 #pragma once
 
 #include <cstdint>

@@ -2,9 +2,7 @@
 // hit path by promoting less often (Prob-LRU, Delay-LRU) or in batches
 // (batch promotion). The FIFO-family lazy-promotion studies (see
 // PAPERS.md / SNIPPETS.md: the libCacheSim-based artifact) show these
-// retain most of LRU's hit ratio while removing the per-hit list splice —
-// which also makes them the natural policies for sharded replay, where
-// promotion traffic is the contention hot spot.
+// retain most of LRU's hit ratio while removing the per-hit list splice.
 //
 // Determinism: Prob-LRU draws one Bernoulli per hit from a seeded
 // util::Rng (position-independent, so sparse and dense-id replays see the

@@ -15,9 +15,7 @@
 // seed in the PolicySpec, and victims are chosen by position in a dense
 // resident vector maintained with swap-remove. The vector's evolution
 // depends only on the insert/erase sequence — never on the id numbering —
-// so sparse and dense-id replays are bit-identical, and the sharded exact
-// engine reproduces the stream by replaying the same sequence against the
-// same structure.
+// so sparse and dense-id replays are bit-identical.
 #pragma once
 
 #include <cstdint>

@@ -1,15 +1,10 @@
 #include "sim/sweep.hpp"
 
-#include <atomic>
 #include <cmath>
-#include <exception>
 #include <functional>
-#include <mutex>
 #include <stdexcept>
-#include <thread>
 
 #include "sim/sampled_sweep.hpp"
-#include "sim/sharded_replay.hpp"
 #include "sim/stack_sweep.hpp"
 #include "util/parallel.hpp"
 
@@ -58,49 +53,11 @@ void fill_grid(SweepResult& sweep, std::size_t columns,
     if (skip.empty() || skip[cell] == 0) pending.push_back(cell);
   }
 
-  auto fill_cell = [&](std::size_t cell) {
-    const std::size_t p = cell % columns;
-    const std::size_t f = cell / columns;
-    sweep.points[f].results[p] =
-        run_cell(sweep.points[f].capacity_bytes, p);
-  };
-
-  std::uint32_t threads = config_threads;
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
-  threads = static_cast<std::uint32_t>(
-      std::min<std::size_t>(threads, pending.size()));
-
-  if (threads <= 1) {
-    for (const std::size_t cell : pending) fill_cell(cell);
-    return;
-  }
-
-  // Workers must never let an exception escape (std::terminate); the first
-  // captured failure is rethrown on the calling thread after the join.
-  std::atomic<std::size_t> next{0};
-  std::exception_ptr failure;
-  std::mutex failure_mutex;
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (std::uint32_t w = 0; w < threads; ++w) {
-    workers.emplace_back([&] {
-      try {
-        for (std::size_t i = next.fetch_add(1); i < pending.size();
-             i = next.fetch_add(1)) {
-          fill_cell(pending[i]);
-        }
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock(failure_mutex);
-        if (!failure) failure = std::current_exception();
-        // Drain the remaining cells so sibling workers finish promptly.
-        next.store(pending.size());
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-  if (failure) std::rethrow_exception(failure);
+  util::parallel_for(pending.size(), config_threads, [&](std::size_t i) {
+    const std::size_t p = pending[i] % columns;
+    const std::size_t f = pending[i] / columns;
+    sweep.points[f].results[p] = run_cell(sweep.points[f].capacity_bytes, p);
+  });
 }
 
 const trace::Trace& raw_trace(const trace::Trace& trace) { return trace; }
@@ -251,8 +208,8 @@ SweepResult run_policy_sweep(const TraceT& trace, const SweepConfig& config) {
 
   // Fault-aware sweep: every cell replays the schedule against a fresh
   // single-cache frontend (node 0 = the whole cache). Fault replay is
-  // strictly sequential, so the one-pass and sharded fast paths are off;
-  // the grid itself still parallelizes across cells.
+  // strictly sequential, so the one-pass fast path is off; the grid itself
+  // still parallelizes across cells.
   if (!config.faults.empty()) {
     fill_grid(sweep, columns, config.threads, {},
               [&](std::uint64_t capacity, std::size_t p) {
@@ -274,30 +231,8 @@ SweepResult run_policy_sweep(const TraceT& trace, const SweepConfig& config) {
           ? apply_sampling(trace, config, sweep)
           : apply_one_pass(trace, config, sweep);
 
-  // Leftover-thread routing: when the grid has fewer pending cells than
-  // worker threads, the spare threads move inside the cells through the
-  // sharded replay engine. Only exact-eligible cells take the sharded
-  // path, so the sweep stays bit-identical to the serial grid.
-  std::size_t pending = 0;
-  for (const char s : skip) {
-    if (s == 0) ++pending;
-  }
-  const std::uint32_t resolved = util::resolve_threads(config.threads);
-  const std::uint32_t per_cell_threads =
-      pending > 0 ? static_cast<std::uint32_t>(std::min<std::uint64_t>(
-                        resolved / pending, 0xffffffffu))
-                  : 0;
-
   fill_grid(sweep, columns, config.threads, skip,
             [&](std::uint64_t capacity, std::size_t p) {
-              if (per_cell_threads >= 2 &&
-                  ShardedReplay::exact_eligible(config.policies[p],
-                                                config.simulator)) {
-                ShardedConfig sharded;
-                sharded.threads = per_cell_threads;
-                return simulate_sharded(trace, capacity, config.policies[p],
-                                        config.simulator, sharded);
-              }
               return simulate(trace, capacity, config.policies[p],
                               config.simulator);
             });

@@ -57,18 +57,15 @@ struct SweepConfig {
   SimulatorOptions simulator;
   /// Worker threads for the (fraction x policy) grid. Every cell is an
   /// independent simulation, so results are bit-identical for any thread
-  /// count; 0 = std::thread::hardware_concurrency(). When there are more
-  /// threads than grid cells, the leftover threads go *inside* exact-
-  /// eligible cells via the sharded replay engine (sim/sharded_replay.hpp)
-  /// — still bit-identical, the exact mode guarantees it.
+  /// count; 0 = std::thread::hardware_concurrency().
   std::uint32_t threads = 1;
   /// One-pass LRU fast path (see OnePassMode). Never changes results.
   OnePassMode one_pass = OnePassMode::kAuto;
   /// Fault schedule applied to every grid cell (each cell runs the
   /// fault-aware replay against a fresh single-cache frontend; node 0 is
-  /// the whole cache). Non-empty schedules disable the one-pass and
-  /// sharded fast paths — fault replay is strictly sequential. An empty
-  /// schedule is bit-identical to not passing one.
+  /// the whole cache). Non-empty schedules disable the one-pass fast path
+  /// — fault replay is strictly sequential. An empty schedule is
+  /// bit-identical to not passing one.
   FaultSchedule faults;
   /// SHARDS sampling of LRU columns (see SamplingMode).
   SamplingMode sampling = SamplingMode::kAuto;

@@ -1,5 +1,6 @@
 #include "synth/profile_io.hpp"
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <istream>
@@ -16,6 +17,27 @@ std::string trim(const std::string& s) {
   if (begin == std::string::npos) return "";
   const auto end = s.find_last_not_of(" \t\r");
   return s.substr(begin, end - begin + 1);
+}
+
+// Strict numeric parsing for trimmed values: the whole value must be the
+// number, so "12abc" is an error, not 12. Throws std::invalid_argument
+// (reported as "bad number") or std::out_of_range.
+double whole_number(const std::string& value) {
+  std::size_t used = 0;
+  const double parsed = std::stod(value, &used);
+  if (used != value.size()) throw std::invalid_argument(value);
+  return parsed;
+}
+
+// As whole_number, for counts: stoull would wrap "-1" to 2^64 - 1.
+std::uint64_t whole_count(const std::string& value) {
+  if (!value.empty() && value.front() == '-') {
+    throw std::invalid_argument(value);
+  }
+  std::size_t used = 0;
+  const std::uint64_t parsed = std::stoull(value, &used);
+  if (used != value.size()) throw std::invalid_argument(value);
+  return parsed;
 }
 
 /// Full-precision double rendering that round-trips through stod.
@@ -144,11 +166,11 @@ WorkloadProfile profile_from_text(std::istream& in) {
         if (key == "name") {
           profile.name = value;
         } else if (key == "distinct_documents") {
-          profile.distinct_documents = std::stoull(value);
+          profile.distinct_documents = whole_count(value);
         } else if (key == "total_requests") {
-          profile.total_requests = std::stoull(value);
+          profile.total_requests = whole_count(value);
         } else if (key == "mean_interarrival_ms") {
-          profile.mean_interarrival_ms = std::stod(value);
+          profile.mean_interarrival_ms = whole_number(value);
         } else {
           throw std::runtime_error("profile: unknown top-level key '" + key +
                                    "' at line " + std::to_string(line_number));
@@ -159,7 +181,7 @@ WorkloadProfile profile_from_text(std::istream& in) {
           throw std::runtime_error("profile: unknown class key '" + key +
                                    "' at line " + std::to_string(line_number));
         }
-        it->second(*section, std::stod(value));
+        it->second(*section, whole_number(value));
       }
     } catch (const std::invalid_argument&) {
       throw std::runtime_error("profile: bad number '" + value +

@@ -28,23 +28,60 @@ std::string Args::get(const std::string& key, const std::string& fallback) const
   return it == values_.end() ? fallback : it->second;
 }
 
+namespace {
+
+// Parses all of `value` with `parse` (a std::sto* call that reports how
+// many characters it consumed). An empty value, an unconsumed tail or a
+// number out of range throws std::invalid_argument naming the flag, so
+// `--cache-mb=4x` fails instead of running as 4.
+template <typename Parse>
+auto parse_whole(const std::string& key, const std::string& value,
+                 const char* expected, Parse parse) {
+  try {
+    std::size_t used = 0;
+    const auto parsed = parse(value, &used);
+    if (used == value.size()) return parsed;
+  } catch (const std::logic_error&) {
+    // std::invalid_argument (no number at all) or std::out_of_range.
+  }
+  throw std::invalid_argument("--" + key + ": expected " + expected +
+                              ", got '" + value + "'");
+}
+
+}  // namespace
+
 std::int64_t Args::get_int(const std::string& key, std::int64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::stoll(it->second);
+  return parse_whole(key, it->second, "an integer",
+                     [](const std::string& v, std::size_t* used) {
+                       return std::stoll(v, used);
+                     });
 }
 
 std::uint64_t Args::get_uint(const std::string& key,
                              std::uint64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::stoull(it->second);
+  return parse_whole(key, it->second, "a non-negative integer",
+                     [](const std::string& v, std::size_t* used) {
+                       // stoull skips leading space and wraps "-1" to
+                       // 2^64 - 1.
+                       const auto first = v.find_first_not_of(" \t\n\v\f\r");
+                       if (first != std::string::npos && v[first] == '-') {
+                         throw std::invalid_argument("negative");
+                       }
+                       return std::stoull(v, used);
+                     });
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return std::stod(it->second);
+  return parse_whole(key, it->second, "a number",
+                     [](const std::string& v, std::size_t* used) {
+                       return std::stod(v, used);
+                     });
 }
 
 bool Args::get_bool(const std::string& key, bool fallback) const {

@@ -1,8 +1,11 @@
-// Minimal command-line argument parsing for the bench/example binaries.
+// Minimal command-line argument parsing for the webcache CLI and the
+// bench/example binaries.
 //
 // Supports --key=value and --flag forms. Anything else is collected as a
 // positional argument. Unknown keys are tolerated (benchmark runners pass
-// their own flags through).
+// their own flags through). The numeric getters are strict: the whole
+// value must parse, and get_uint rejects a leading '-'; a malformed value
+// throws std::invalid_argument naming the flag.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,4 @@
-// Minimal fork-join helper shared by the parallel drivers (the sweep grid,
-// the sharded replay engine's annotate/account stages).
+// Minimal fork-join helper behind the parallel sweep grid.
 //
 // parallel_for(n, threads, fn) invokes fn(i) exactly once for every
 // i in [0, n), either inline (threads <= 1 or n <= 1) or on a freshly

@@ -239,41 +239,6 @@ TEST(Cache, ResetClearsEverything) {
   ASSERT_TRUE(cache.check_invariants());
 }
 
-TEST(Cache, ResizeGrowsWithoutEvictingAndShrinksThroughPolicy) {
-  Cache cache = make_cache(10);
-  RecordingListener listener;
-  cache.set_removal_listener(&listener);
-  access_sized(cache, 1, 4);
-  access_sized(cache, 2, 4);
-  access_sized(cache, 3, 2);
-
-  // Growing never touches the contents.
-  EXPECT_EQ(cache.resize(100), 0u);
-  EXPECT_EQ(cache.capacity_bytes(), 100u);
-  EXPECT_EQ(cache.object_count(), 3u);
-  EXPECT_TRUE(listener.removed.empty());
-
-  // Shrinking evicts through the replacement policy (LRU: oldest first),
-  // counts the departures as ordinary evictions, and notifies the listener.
-  const std::uint64_t before = cache.eviction_count();
-  EXPECT_EQ(cache.resize(5), 2u);  // drops 1 then 2; 3 (2 bytes) fits
-  EXPECT_EQ(cache.capacity_bytes(), 5u);
-  EXPECT_EQ(cache.eviction_count(), before + 2);
-  EXPECT_TRUE(cache.contains(3));
-  EXPECT_FALSE(cache.contains(1));
-  EXPECT_FALSE(cache.contains(2));
-  ASSERT_EQ(listener.removed.size(), 2u);
-  EXPECT_EQ(listener.removed[0], 1u);
-  EXPECT_EQ(listener.removed[1], 2u);
-  EXPECT_EQ(listener.causes[0], RemovalCause::kEviction);
-  EXPECT_EQ(listener.causes[1], RemovalCause::kEviction);
-  ASSERT_TRUE(cache.check_invariants());
-
-  // Still fully usable at the new capacity.
-  EXPECT_EQ(access_sized(cache, 4, 3).kind, Cache::AccessKind::kMiss);
-  EXPECT_LE(cache.used_bytes(), 5u);
-}
-
 TEST(Cache, ClockCountsAccesses) {
   Cache cache = make_cache(10);
   access(cache, 1);

@@ -175,6 +175,13 @@ def check_round_trip(cli, tmp):
     check("LRU has no beta trace",
           all(w.get("beta") is None for w in doc["windows"]))
 
+    # A negative cache size must not wrap to an effectively infinite cache.
+    p = run(cli, "simulate", wct, "--policy=LRU", "--cache-mb=-1")
+    check("simulate --cache-mb=-1 rejected", p.returncode != 0,
+          f"rc={p.returncode}")
+    check("--cache-mb=-1 error names the flag", "--cache-mb" in p.stderr,
+          p.stderr.strip()[:200])
+
 
 def check_lazy_family(cli, tmp):
     """The lazy-promotion / RANDOM family through every policy-taking
@@ -208,12 +215,6 @@ def check_lazy_family(cli, tmp):
     p = run(cli, "hierarchy", wct, "--edges=2", "--edge-policy=CLOCK",
             "--root-policy=DELAY-CLOCK:k=2")
     check("hierarchy accepts CLOCK policies", p.returncode == 0,
-          p.stderr.strip()[:200])
-
-    # Exact sharded replay covers the read-only-hit-path members.
-    p = run(cli, "simulate", wct, "--policy=RANDOM", "--cache-fraction=0.04",
-            "--threads=2", "--sharded=exact")
-    check("sharded exact accepts RANDOM", p.returncode == 0,
           p.stderr.strip()[:200])
 
     # Metrics JSON schema for a new-family policy.

@@ -7,8 +7,8 @@ metrics JSON must match the non-streamed run byte for byte, at any chunk
 size and through the bounded online densifier. `sweep --stream` runs the
 SHARDS-sampled LRU curve; at --sample-rate=1.0 it is exact, below that the
 exported JSON must carry the sampling block and per-cell error bars. Error
-paths (missing --cache-mb, --squid, sharded flags, corrupt traces) must
-fail with a diagnostic, never a crash.
+paths (missing --cache-mb, --squid, corrupt traces) must fail with a
+diagnostic, never a crash.
 
 Usage: cli_streaming_test.py <path-to-webcache-binary>
 """
@@ -144,8 +144,6 @@ def main():
              ["simulate", wct, "--stream", "--cache-fraction=0.04"]),
             ("stream with --squid",
              ["simulate", wct, "--stream", "--cache-mb=2", "--squid"]),
-            ("stream with --threads",
-             ["simulate", wct, "--stream", "--cache-mb=2", "--threads=2"]),
             ("stream sweep without capacities",
              ["sweep", wct, "--stream"]),
             ("bogus sampling mode",

@@ -3,8 +3,7 @@
 // schedule must leave the sweep bit-identical to the plain driver, crash
 // events must surface in the per-cell FaultStats deterministically, and
 // schedules a frontend cannot express (root/probe events, out-of-range
-// nodes) must be rejected. The leftover-thread sharded routing inside
-// exact-eligible cells must never change a counter either.
+// nodes) must be rejected.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -18,7 +17,6 @@
 #include "sim/sweep.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
-#include "trace/dense_trace.hpp"
 
 namespace webcache::sim {
 namespace {
@@ -189,30 +187,6 @@ TEST(SweepFaults, FrontendSweepEmptyScheduleMatchesPlainDriver) {
   EXPECT_TRUE(with_empty.faults.empty());
   expect_identical_cells(run_sweep(t, plain), run_sweep(t, with_empty),
                          "frontend empty schedule");
-}
-
-TEST(SweepFaults, LeftoverThreadShardedRoutingIsBitIdentical) {
-  // More threads than cells routes the spare threads inside exact-eligible
-  // cells via the sharded engine; the sweep must stay bit-identical to the
-  // one-thread grid.
-  const trace::Trace t = recorded_trace();
-  const trace::DenseTrace dense = trace::densify(t);
-  SweepConfig config;
-  config.cache_fractions = {0.02};
-  config.policies = {cache::policy_spec_from_name("LRU"),
-                     cache::policy_spec_from_name("FIFO"),
-                     cache::policy_spec_from_name("GDSF(1)")};
-  config.one_pass = OnePassMode::kOff;  // keep all cells on the grid
-
-  config.threads = 1;
-  const SweepResult serial = run_sweep(t, config);
-  const SweepResult serial_dense = run_sweep(dense, config);
-  config.threads = 32;  // 32 threads over 3 cells -> 10 per cell
-  const SweepResult routed = run_sweep(t, config);
-  const SweepResult routed_dense = run_sweep(dense, config);
-
-  expect_identical_cells(serial, routed, "sharded routing sparse");
-  expect_identical_cells(serial_dense, routed_dense, "sharded routing dense");
 }
 
 }  // namespace

@@ -60,6 +60,11 @@ TEST(ProfileIo, ErrorsCarryLineNumbers) {
   expect_error("unknown_key = 5\n", "unknown top-level key");
   expect_error("[Images]\nwrong_field = 1\n", "unknown class key");
   expect_error("distinct_documents = banana\n", "bad number");
+  // Strict numbers: no wrap-around of negatives, no ignored tail.
+  expect_error("total_requests = -1\n", "bad number '-1' at line 1");
+  expect_error("name = X\ndistinct_documents = 12abc\n",
+               "bad number '12abc' at line 2");
+  expect_error("[Images]\nalpha = 0.5x\n", "bad number '0.5x' at line 2");
   expect_error("[Images\n", "unterminated section");
 }
 

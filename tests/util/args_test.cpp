@@ -50,6 +50,26 @@ TEST(Args, IntegerParsing) {
   EXPECT_EQ(args.get_int("absent", 5), 5);
 }
 
+TEST(Args, RejectsMalformedNumbers) {
+  Args args = make_args({"--neg=-1", "--tail=4x", "--frac=0.04x", "--empty=",
+                         "--int=-42", "--sci=1e-3"});
+  EXPECT_THROW(args.get_uint("neg", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_uint("tail", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_int("tail", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_double("frac", 0.0), std::invalid_argument);
+  EXPECT_THROW(args.get_uint("empty", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_int("empty", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_double("empty", 0.0), std::invalid_argument);
+  EXPECT_EQ(args.get_int("int", 0), -42);
+  EXPECT_DOUBLE_EQ(args.get_double("sci", 0.0), 1e-3);
+  try {
+    args.get_uint("neg", 0);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--neg: expected a non-negative integer, got '-1'");
+  }
+}
+
 TEST(Args, PositionalCollected) {
   Args args = make_args({"first", "--k=v", "second"});
   ASSERT_EQ(args.positional().size(), 2u);

@@ -31,7 +31,6 @@
 #include "sim/hierarchy.hpp"
 #include "sim/replication.hpp"
 #include "sim/reporter.hpp"
-#include "sim/sharded_replay.hpp"
 #include "sim/sampled_sweep.hpp"
 #include "sim/streaming.hpp"
 #include "sim/sweep.hpp"
@@ -77,19 +76,10 @@ int usage(std::ostream& os) {
         "           [--metrics-out=FILE[.json|.csv]] [--metrics-window=N]\n"
         "           (windowed per-class time series incl. aging L and GD*\n"
         "            beta traces; window defaults to ~1% of the trace)\n"
-        "           [--threads=1] [--shards=0] [--sharded=exact|approx]\n"
-        "           [--rebalance=N]\n"
-        "           (--threads=N replays through the sharded engine;\n"
-        "            exact mode is LRU/FIFO-family only and bit-identical\n"
-        "            to the serial replay, --threads=1 IS the serial\n"
-        "            replay; --sharded=approx opts any policy into the\n"
-        "            per-shard-quota approximation, optionally rebalanced\n"
-        "            every --rebalance=N requests)\n"
         "           [--stream [--chunk=65536] [--densify[=hot-capacity]]]\n"
         "           (--stream replays the binary trace file chunk by chunk\n"
         "            at bounded memory — bit-identical results; needs\n"
-        "            --cache-mb and is incompatible with --squid and the\n"
-        "            sharded flags, which need a materialized trace)\n"
+        "            --cache-mb and is incompatible with --squid)\n"
         "           [--checkpoint-dir=DIR [--checkpoint-every=N]\n"
         "            [--checkpoint-keep=3] [--resume]] (crash-safe stream\n"
         "            replay: every N requests the full run state is written\n"
@@ -307,11 +297,21 @@ int cmd_characterize(const util::Args& args) {
   return 0;
 }
 
+/// --KEY=N mebibytes as bytes. A count whose byte size overflows 64 bits
+/// is rejected by name instead of wrapping to a tiny cache.
+std::uint64_t mib_arg(const util::Args& args, const std::string& key,
+                      std::uint64_t fallback_mb) {
+  const std::uint64_t mb = args.get_uint(key, fallback_mb);
+  if (mb > (std::numeric_limits<std::uint64_t>::max() >> 20)) {
+    throw std::invalid_argument("--" + key + ": " + std::to_string(mb) +
+                                " MiB overflows a 64-bit byte count");
+  }
+  return mb << 20;
+}
+
 std::uint64_t capacity_from_args(const util::Args& args,
                                  const trace::DenseTrace& t) {
-  if (args.has("cache-mb")) {
-    return args.get_uint("cache-mb", 64) * 1024 * 1024;
-  }
+  if (args.has("cache-mb")) return mib_arg(args, "cache-mb", 64);
   const double fraction = args.get_double("cache-fraction", 0.04);
   return static_cast<std::uint64_t>(
       static_cast<double>(t.overall_size_bytes()) * fraction);
@@ -416,12 +416,6 @@ int cmd_simulate_stream(const util::Args& args) {
         "simulate: --stream reads the binary format only; run `webcache "
         "convert` first");
   }
-  if (args.has("threads") || args.has("shards") || args.has("sharded") ||
-      args.has("rebalance")) {
-    throw std::invalid_argument(
-        "simulate: --stream is incompatible with --threads/--shards/"
-        "--sharded — the sharded engine partitions a materialized trace");
-  }
   if (args.has("cache-fraction") || !args.has("cache-mb")) {
     throw std::invalid_argument(
         "simulate: --stream needs an absolute --cache-mb — cache fractions "
@@ -433,7 +427,7 @@ int cmd_simulate_stream(const util::Args& args) {
         "simulate: --recover needs a materialized replay (drop --stream) — "
         "or rewrite the damaged file first with `webcache convert --recover`");
   }
-  const std::uint64_t capacity = args.get_uint("cache-mb", 64) * 1024 * 1024;
+  const std::uint64_t capacity = mib_arg(args, "cache-mb", 64);
   const auto chunk =
       static_cast<std::size_t>(args.get_uint("chunk", 1 << 16));
   trace::StreamingTraceReader stream(args.positional()[0], chunk);
@@ -551,44 +545,16 @@ int cmd_simulate(const util::Args& args) {
   const std::uint64_t capacity = capacity_from_args(args, t);
   const std::string metrics_path = args.get("metrics-out", "");
 
-  // Any of the sharded flags routes the replay through the sharded engine;
-  // --threads=1 with auto shards delegates straight back to the serial
-  // simulate() inside ShardedReplay, so the plain and sharded spellings of
-  // a single-threaded run share one code path.
-  const bool sharded_run =
-      args.has("threads") || args.has("shards") || args.has("sharded");
-  sim::ShardedConfig sharded;
-  if (sharded_run) {
-    sharded.threads = static_cast<std::uint32_t>(args.get_uint("threads", 1));
-    sharded.shards = static_cast<std::uint32_t>(args.get_uint("shards", 0));
-    const std::string mode = args.get("sharded", "exact");
-    if (mode == "exact") {
-      sharded.mode = sim::ShardedMode::kExact;
-    } else if (mode == "approx") {
-      sharded.mode = sim::ShardedMode::kApprox;
-    } else {
-      throw std::invalid_argument(
-          "simulate: --sharded must be exact or approx (got '" + mode + "')");
-    }
-    sharded.rebalance_interval = args.get_uint("rebalance", 0);
-  }
-
   const auto spec = cache::policy_spec_from_name(policy);
   sim::SimResult r;
   if (metrics_path.empty()) {
-    r = sharded_run
-            ? sim::simulate_sharded(t, capacity, spec, simulator_options(args),
-                                    sharded)
-            : sim::simulate(t, capacity, spec, simulator_options(args));
+    r = sim::simulate(t, capacity, spec, simulator_options(args));
   } else {
     // Instrumented replay: identical results, plus the windowed series.
     const std::uint64_t default_window =
         std::max<std::uint64_t>(1, t.trace.total_requests() / 100);
     obs::RecordingSink sink(args.get_uint("metrics-window", default_window));
-    r = sharded_run
-            ? sim::simulate_sharded(t, capacity, spec, simulator_options(args),
-                                    sharded, sink)
-            : sim::simulate(t, capacity, spec, simulator_options(args), sink);
+    r = sim::simulate(t, capacity, spec, simulator_options(args), sink);
     write_metrics_file(metrics_path, r, sink);
   }
 
@@ -731,8 +697,7 @@ int cmd_sweep(const util::Args& args) {
   if (args.has("sample-seed")) {
     config.sample_seed = args.get_uint("sample-seed", config.sample_seed);
   }
-  config.sample_memory_budget_bytes =
-      args.get_uint("mem-budget-mb", 0) * 1024 * 1024;
+  config.sample_memory_budget_bytes = mib_arg(args, "mem-budget-mb", 0);
 
   const sim::SweepResult sweep = sim::run_sweep(t, config);
   if (sweep.sampled) {
