@@ -249,8 +249,11 @@ PolicySpec policy_spec_from_name(std::string_view name) {
     spec.kind = PolicyKind::kLruThreshold;
     const std::string digits(name.substr(10, name.size() - 11));
     try {
-      const long long bytes = std::stoll(digits);
-      if (bytes <= 0) throw std::invalid_argument("non-positive");
+      std::size_t used = 0;
+      const long long bytes = std::stoll(digits, &used);
+      if (used != digits.size() || bytes <= 0) {
+        throw std::invalid_argument("non-positive or trailing characters");
+      }
       spec.admission_threshold_bytes = static_cast<std::uint64_t>(bytes);
     } catch (const std::exception&) {
       throw std::invalid_argument(

@@ -3,7 +3,9 @@
 // The simulator, hierarchy, and frontend replay loops are templated on a
 // StatsSink. The default NullSink has empty inline hooks, so the
 // uninstrumented instantiation is the pre-existing code path: bit-identical
-// results, no measurable overhead (bench/obs_overhead proves both). The
+// results (ObsEquivalence* and RecordingSink.SeriesSumsBackToAggregateExactly
+// prove it) and no added per-request work; perfbench's
+// obs.recording_ns_per_req prices the recording instantiation. The
 // RecordingSink instantiation collects per-request-window time series —
 // hit/byte-hit counters, evictions and evicted bytes (per document class),
 // admission rejections, and an end-of-window snapshot of cache occupancy,

@@ -16,7 +16,8 @@ using detail::validate_options;
 
 // Templated on the sink so the NullSink instantiation *is* the pre-obs
 // loop: the empty inline hook compiles away and results stay bit-identical
-// (tests/obs/obs_equivalence_test.cpp; bench/obs_overhead measures it).
+// (ObsEquivalence*, RecordingSink.SeriesSumsBackToAggregateExactly;
+// perfbench's obs.recording_ns_per_req prices the recording loop).
 // The per-request body lives in detail::ReplayCore, shared with the
 // fault-aware loop (faults.cpp) and the streaming entry points
 // (streaming.cpp).

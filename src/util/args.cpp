@@ -50,6 +50,26 @@ auto parse_whole(const std::string& key, const std::string& value,
 
 }  // namespace
 
+std::uint64_t parse_uint(const std::string& key, const std::string& value) {
+  return parse_whole(key, value, "a non-negative integer",
+                     [](const std::string& v, std::size_t* used) {
+                       // stoull skips leading space and wraps "-1" to
+                       // 2^64 - 1.
+                       const auto first = v.find_first_not_of(" \t\n\v\f\r");
+                       if (first != std::string::npos && v[first] == '-') {
+                         throw std::invalid_argument("negative");
+                       }
+                       return std::stoull(v, used);
+                     });
+}
+
+double parse_double(const std::string& key, const std::string& value) {
+  return parse_whole(key, value, "a number",
+                     [](const std::string& v, std::size_t* used) {
+                       return std::stod(v, used);
+                     });
+}
+
 std::int64_t Args::get_int(const std::string& key, std::int64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
@@ -62,26 +82,12 @@ std::int64_t Args::get_int(const std::string& key, std::int64_t fallback) const 
 std::uint64_t Args::get_uint(const std::string& key,
                              std::uint64_t fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return parse_whole(key, it->second, "a non-negative integer",
-                     [](const std::string& v, std::size_t* used) {
-                       // stoull skips leading space and wraps "-1" to
-                       // 2^64 - 1.
-                       const auto first = v.find_first_not_of(" \t\n\v\f\r");
-                       if (first != std::string::npos && v[first] == '-') {
-                         throw std::invalid_argument("negative");
-                       }
-                       return std::stoull(v, used);
-                     });
+  return it == values_.end() ? fallback : parse_uint(key, it->second);
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
-  if (it == values_.end()) return fallback;
-  return parse_whole(key, it->second, "a number",
-                     [](const std::string& v, std::size_t* used) {
-                       return std::stod(v, used);
-                     });
+  return it == values_.end() ? fallback : parse_double(key, it->second);
 }
 
 bool Args::get_bool(const std::string& key, bool fallback) const {

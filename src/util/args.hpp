@@ -5,7 +5,8 @@
 // positional argument. Unknown keys are tolerated (benchmark runners pass
 // their own flags through). The numeric getters are strict: the whole
 // value must parse, and get_uint rejects a leading '-'; a malformed value
-// throws std::invalid_argument naming the flag.
+// throws std::invalid_argument naming the flag. The parse_* functions
+// apply the same rules to one element of a list flag (--fractions=A,B).
 #pragma once
 
 #include <cstdint>
@@ -14,6 +15,10 @@
 #include <vector>
 
 namespace webcache::util {
+
+// Parse all of `value`, the value (or one list element) of flag --`key`.
+std::uint64_t parse_uint(const std::string& key, const std::string& value);
+double parse_double(const std::string& key, const std::string& value);
 
 class Args {
  public:

@@ -45,6 +45,8 @@ TEST(Factory, UnknownNamesRejected) {
   EXPECT_THROW(policy_spec_from_name("GDS"), std::invalid_argument);
   EXPECT_THROW(policy_spec_from_name("GDS(rtt)"), std::invalid_argument);
   EXPECT_THROW(policy_spec_from_name("GD*"), std::invalid_argument);
+  EXPECT_THROW(policy_spec_from_name("LRU-THOLD(12abc)"),
+               std::invalid_argument);
 }
 
 TEST(Factory, PaperPolicySetOrderAndModels) {

@@ -182,6 +182,19 @@ def check_round_trip(cli, tmp):
     check("--cache-mb=-1 error names the flag", "--cache-mb" in p.stderr,
           p.stderr.strip()[:200])
 
+    # List flags parse each element whole: no ignored tail, no negative
+    # capacity cast to a huge one.
+    for name, args in (
+        ("sweep --fractions=0.04x", ("--fractions=0.04x",)),
+        ("sweep --stream --capacities-mb=-16",
+         ("--stream", "--capacities-mb=-16")),
+    ):
+        flag = args[-1].split("=")[0]
+        p = run(cli, "sweep", wct, "--policies=LRU", *args)
+        check(f"{name} rejected", p.returncode != 0, f"rc={p.returncode}")
+        check(f"{name} error names {flag}", flag in p.stderr,
+              p.stderr.strip()[:200])
+
 
 def check_lazy_family(cli, tmp):
     """The lazy-promotion / RANDOM family through every policy-taking

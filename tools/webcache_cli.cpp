@@ -115,8 +115,8 @@ int usage(std::ostream& os) {
         "            [--sample-seed=N] [--max-docs=N]]\n"
         "           (--stream runs the SHARDS-sampled LRU curve over the\n"
         "            binary trace file at bounded memory; capacities are\n"
-        "            absolute because fractions need the overall trace\n"
-        "            size, which streaming never materializes)\n"
+        "            absolute whole MiB because fractions need the overall\n"
+        "            trace size, which streaming never materializes)\n"
         "  hierarchy TRACE [--edges=4] [--edge-policy='GD*(1)']\n"
         "           [--edge-fraction=0.005] [--root-policy='GD*(packet)']\n"
         "           [--root-fraction=0.08] [--mesh] [--squid]\n"
@@ -297,16 +297,20 @@ int cmd_characterize(const util::Args& args) {
   return 0;
 }
 
-/// --KEY=N mebibytes as bytes. A count whose byte size overflows 64 bits
-/// is rejected by name instead of wrapping to a tiny cache.
-std::uint64_t mib_arg(const util::Args& args, const std::string& key,
-                      std::uint64_t fallback_mb) {
-  const std::uint64_t mb = args.get_uint(key, fallback_mb);
+/// N mebibytes of flag --KEY as bytes. A count whose byte size overflows
+/// 64 bits is rejected by name instead of wrapping to a tiny cache.
+std::uint64_t mib_bytes(const std::string& key, std::uint64_t mb) {
   if (mb > (std::numeric_limits<std::uint64_t>::max() >> 20)) {
     throw std::invalid_argument("--" + key + ": " + std::to_string(mb) +
                                 " MiB overflows a 64-bit byte count");
   }
   return mb << 20;
+}
+
+/// --KEY=N mebibytes as bytes.
+std::uint64_t mib_arg(const util::Args& args, const std::string& key,
+                      std::uint64_t fallback_mb) {
+  return mib_bytes(key, args.get_uint(key, fallback_mb));
 }
 
 std::uint64_t capacity_from_args(const util::Args& args,
@@ -581,7 +585,7 @@ int cmd_sweep_stream(const util::Args& args) {
   config.simulator = simulator_options(args);
   for (const std::string& mb : split_list(args.get("capacities-mb", ""))) {
     config.capacities.push_back(
-        static_cast<std::uint64_t>(std::stod(mb) * 1024.0 * 1024.0));
+        mib_bytes("capacities-mb", util::parse_uint("capacities-mb", mb)));
   }
   config.sample_rate = args.get_double("sample-rate", 0.01);
   if (args.has("sample-seed")) {
@@ -660,7 +664,7 @@ int cmd_sweep(const util::Args& args) {
   if (args.has("fractions")) {
     config.cache_fractions.clear();
     for (const std::string& f : split_list(args.get("fractions", ""))) {
-      config.cache_fractions.push_back(std::stod(f));
+      config.cache_fractions.push_back(util::parse_double("fractions", f));
     }
   }
   config.threads = static_cast<std::uint32_t>(args.get_uint("threads", 0));
