@@ -85,11 +85,11 @@ class Cache {
   /// lies in [0, universe) — true for traces run through trace::densify().
   /// The object table switches to a flat-indexed slab and the hint is
   /// forwarded to the policy (ReplacementPolicy::reserve_ids). Results are
-  /// bit-identical to the hash-backed mode. Only legal while empty.
+  /// bit-identical to the hash-backed mode. Later calls may extend the
+  /// universe under live objects (a stream interning ids as it reads
+  /// them); a first call on a non-empty cache, or one that would shrink
+  /// the universe, throws std::logic_error.
   void reserve_dense_ids(std::uint64_t universe) {
-    if (!objects_.empty()) {
-      throw std::logic_error("Cache: reserve_dense_ids on non-empty cache");
-    }
     objects_.reserve_dense(universe);
     policy_->reserve_ids(universe);
   }
@@ -304,7 +304,7 @@ class Cache {
     const std::uint64_t count = r.take_u64();
     for (std::uint64_t i = 0; i < count; ++i) {
       CacheObject obj;
-      obj.id = r.take_u64();
+      obj.id = r.take_id();
       obj.size = r.take_u64();
       const std::uint8_t cls = r.take_u8();
       if (cls >= trace::kDocumentClassCount) {

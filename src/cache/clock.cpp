@@ -13,9 +13,10 @@ SecondChancePolicy::SecondChancePolicy(std::uint32_t counter_max)
 
 void SecondChancePolicy::reserve_ids(std::uint64_t universe) {
   ring_.reserve_ids(universe);
+  extend_dense_index(dense_counters_, universe, std::uint32_t{0},
+                     "SecondChancePolicy");
   dense_ = true;
   counters_.clear();
-  dense_counters_.assign(static_cast<std::size_t>(universe), 0);
 }
 
 std::uint32_t SecondChancePolicy::counter_of(ObjectId id) const {

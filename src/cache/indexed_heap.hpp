@@ -24,6 +24,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cache/types.hpp"
+
 namespace webcache::cache {
 
 template <typename Key, typename Priority>
@@ -40,16 +42,17 @@ class IndexedMinHeap {
   bool contains(const Key& key) const { return find_slot(key) != kNoSlot; }
 
   /// Switches the key -> slot index to a flat vector covering keys in
-  /// [0, universe). Only legal while empty; requires an integral Key.
+  /// [0, universe); requires an integral Key. The first call is only legal
+  /// while empty; later calls may extend the universe, never shrink it.
   void reserve_dense_keys(std::uint64_t universe) {
     static_assert(std::is_integral_v<Key>,
                   "dense key index requires an integral Key");
-    if (!heap_.empty()) {
+    if (!dense_ && !heap_.empty()) {
       throw std::logic_error("IndexedMinHeap: reserve_dense_keys on non-empty");
     }
+    extend_dense_index(dense_slots_, universe, kNoSlot, "IndexedMinHeap");
     dense_ = true;
     slots_.clear();
-    dense_slots_.assign(static_cast<std::size_t>(universe), kNoSlot);
   }
 
   /// Inserts a new key. Throws std::logic_error if the key is present.

@@ -68,9 +68,10 @@ DelayLruPolicy::DelayLruPolicy(std::uint64_t k)
 
 void DelayLruPolicy::reserve_ids(std::uint64_t universe) {
   order_.reserve_ids(universe);
+  extend_dense_index(dense_stamps_, universe, std::uint64_t{0},
+                     "DelayLruPolicy");
   dense_ = true;
   stamps_.clear();
-  dense_stamps_.assign(static_cast<std::size_t>(universe), 0);
 }
 
 std::uint64_t DelayLruPolicy::stamp_of(ObjectId id) const {

@@ -24,15 +24,18 @@ class LruIndexList {
   std::size_t size() const { return size_; }
 
   /// Hint that every id passed from now on lies in [0, universe): the
-  /// id -> node index becomes a flat vector. Only legal while empty.
+  /// id -> node index becomes a flat vector. The first call is only legal
+  /// while empty; later calls may extend the universe, never shrink it.
   void reserve_ids(std::uint64_t universe) {
-    if (size_ != 0) {
-      throw std::logic_error("LruIndexList: reserve_ids on non-empty list");
+    if (!dense_) {
+      if (size_ != 0) {
+        throw std::logic_error("LruIndexList: reserve_ids on non-empty list");
+      }
+      nodes_.reserve(static_cast<std::size_t>(universe));
     }
+    extend_dense_index(dense_where_, universe, kNil, "LruIndexList");
     dense_ = true;
     where_.clear();
-    dense_where_.assign(static_cast<std::size_t>(universe), kNil);
-    nodes_.reserve(static_cast<std::size_t>(universe));
   }
 
   bool contains(ObjectId id) const { return find_node(id) != kNil; }

@@ -44,12 +44,12 @@ std::size_t LruMinPolicy::bucket_of(std::uint64_t size) {
 }
 
 void LruMinPolicy::reserve_ids(std::uint64_t universe) {
-  if (resident_ != 0) {
+  if (!dense_ && resident_ != 0) {
     throw std::logic_error("LruMinPolicy: reserve_ids on non-empty policy");
   }
+  extend_dense_index(dense_where_, universe, Slot{}, "LruMinPolicy");
   dense_ = true;
   where_.clear();
-  dense_where_.assign(static_cast<std::size_t>(universe), Slot{});
 }
 
 LruMinPolicy::Slot* LruMinPolicy::find_slot(ObjectId id) {

@@ -29,17 +29,18 @@ class ObjectTable {
   bool empty() const { return size() == 0; }
 
   /// Switches to the slab + flat-index representation for ids in
-  /// [0, universe). Only legal while empty.
+  /// [0, universe). The first call is only legal while empty; later calls
+  /// may extend the universe under live objects, never shrink it.
   void reserve_dense(std::uint64_t universe) {
-    if (!empty()) {
+    if (!dense_ && !empty()) {
       throw std::logic_error("ObjectTable: reserve_dense on non-empty table");
     }
     if (universe >= kNoSlot) {
       throw std::invalid_argument("ObjectTable: dense universe too large");
     }
+    extend_dense_index(slot_, universe, kNoSlot, "ObjectTable");
     dense_ = true;
     map_.clear();
-    slot_.assign(static_cast<std::size_t>(universe), kNoSlot);
   }
 
   CacheObject* find(ObjectId id) {

@@ -53,8 +53,10 @@ PartitionedCache::PartitionedCache(const PartitionedCacheConfig& config)
 }
 
 void PartitionedCache::reserve_dense_ids(std::uint64_t universe) {
+  // Check every partition before switching any, so a rejected first
+  // reservation leaves the whole cache sparse.
   for (const auto& partition : partitions_) {
-    if (partition->object_count() != 0) {
+    if (dense_universe_ == 0 && partition->object_count() != 0) {
       throw std::logic_error(
           "PartitionedCache: reserve_dense_ids on non-empty cache");
     }

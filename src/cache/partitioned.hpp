@@ -44,8 +44,9 @@ class PartitionedCache final : public CacheFrontend {
                               trace::DocumentClass doc_class,
                               bool force_miss) override;
   /// Forwards the reservation to every partition, so each per-class cache
-  /// switches to its flat-array representation. Only legal while all
-  /// partitions are empty (std::logic_error otherwise). Afterwards any
+  /// switches to its flat-array representation. The first call is only
+  /// legal while all partitions are empty; later calls may extend the
+  /// universe, never shrink it (std::logic_error otherwise). Afterwards any
   /// access with an id outside [0, universe) is rejected with
   /// std::invalid_argument — mixing dense and sparse ids in one partitioned
   /// cache would silently corrupt the flat indices.

@@ -52,8 +52,9 @@ class ReplacementPolicy {
   /// Hint that every ObjectId this policy will ever see lies in
   /// [0, universe) — true after trace::densify(). Array-backed policies
   /// switch their key -> position indices from hash maps to flat vectors;
-  /// the eviction order is unaffected. Only legal before any on_insert
-  /// (or right after clear()). Default: ignored.
+  /// the eviction order is unaffected. The first call is only legal before
+  /// any on_insert (or right after clear()); later calls may extend the
+  /// universe under live entries, never shrink it. Default: ignored.
   virtual void reserve_ids(std::uint64_t /*universe*/) {}
 
   virtual void on_insert(const CacheObject& obj) = 0;

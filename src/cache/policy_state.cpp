@@ -49,7 +49,7 @@ std::vector<ObjectId> take_id_run(util::StateReader& r) {
   const std::uint64_t n = r.take_count(8, "id run");
   std::vector<ObjectId> ids;
   ids.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) ids.push_back(r.take_u64());
+  for (std::uint64_t i = 0; i < n; ++i) ids.push_back(r.take_id());
   return ids;
 }
 
@@ -71,7 +71,7 @@ void save_heap(util::StateWriter& w, const IndexedMinHeap<ObjectId, double>& hea
 void restore_heap(util::StateReader& r, IndexedMinHeap<ObjectId, double>& heap) {
   const std::uint64_t n = r.take_u64();
   for (std::uint64_t i = 0; i < n; ++i) {
-    const ObjectId key = r.take_u64();
+    const ObjectId key = r.take_id();
     const double priority = r.take_double();
     const std::uint64_t sequence = r.take_u64();
     heap.restore_entry(key, priority, sequence);
@@ -107,7 +107,7 @@ template <typename Map>
 void restore_map(util::StateReader& r, Map& map) {
   const std::uint64_t n = r.take_u64();
   for (std::uint64_t i = 0; i < n; ++i) {
-    const ObjectId id = r.take_u64();
+    const ObjectId id = r.take_id();
     map[id] = static_cast<typename Map::mapped_type>(r.take_u64());
   }
 }
@@ -140,10 +140,10 @@ void FifoPolicy::save_state(util::StateWriter& w) const {
 
 void FifoPolicy::restore_state(util::StateReader& r) {
   const std::uint64_t n = r.take_u64();
-  for (std::uint64_t i = 0; i < n; ++i) order_.push_back(r.take_u64());
+  for (std::uint64_t i = 0; i < n; ++i) order_.push_back(r.take_id());
   restore_map(r, tombstones_);
   const std::uint64_t m = r.take_u64();
-  for (std::uint64_t i = 0; i < m; ++i) resident_.insert(r.take_u64());
+  for (std::uint64_t i = 0; i < m; ++i) resident_.insert(r.take_id());
 }
 
 // ---- heap-ordered family ---------------------------------------------------
@@ -222,7 +222,7 @@ void LruKPolicy::restore_state(util::StateReader& r) {
   restore_map(r, history_);
   const std::uint64_t n = r.take_u64();
   for (std::uint64_t i = 0; i < n; ++i) {
-    const ObjectId id = r.take_u64();
+    const ObjectId id = r.take_id();
     const std::uint64_t stamp = r.take_u64();
     history_fifo_.emplace_back(id, stamp);
   }
@@ -247,7 +247,7 @@ void LruMinPolicy::restore_state(util::StateReader& r) {
   for (std::size_t b = 0; b < kBuckets; ++b) {
     const std::uint64_t n = r.take_u64();
     for (std::uint64_t i = 0; i < n; ++i) {
-      const ObjectId id = r.take_u64();
+      const ObjectId id = r.take_id();
       const std::uint64_t size = r.take_u64();
       const std::uint64_t stamp = r.take_u64();
       buckets_[b].push_back(Entry{id, size, stamp});
@@ -272,7 +272,7 @@ void RandomPolicy::restore_state(util::StateReader& r) {
   restore_rng(r, rng_);
   const std::uint64_t n = r.take_u64();
   for (std::uint64_t i = 0; i < n; ++i) {
-    const ObjectId id = r.take_u64();
+    const ObjectId id = r.take_id();
     set_position(id, static_cast<std::uint32_t>(ids_.size()));
     ids_.push_back(id);
   }
@@ -293,7 +293,7 @@ void SecondChancePolicy::restore_state(util::StateReader& r) {
   std::vector<std::pair<ObjectId, std::uint32_t>> entries;
   entries.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
-    const ObjectId id = r.take_u64();
+    const ObjectId id = r.take_id();
     const std::uint32_t counter = r.take_u32();
     entries.emplace_back(id, counter);
   }
@@ -328,7 +328,7 @@ void DelayLruPolicy::restore_state(util::StateReader& r) {
   std::vector<std::pair<ObjectId, std::uint64_t>> entries;
   entries.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
-    const ObjectId id = r.take_u64();
+    const ObjectId id = r.take_id();
     const std::uint64_t stamp = r.take_u64();
     entries.emplace_back(id, stamp);
   }
@@ -347,7 +347,7 @@ void BatchPromotionPolicy::save_state(util::StateWriter& w) const {
 void BatchPromotionPolicy::restore_state(util::StateReader& r) {
   restore_list(r, order_);
   const std::uint64_t n = r.take_u64();
-  for (std::uint64_t i = 0; i < n; ++i) pending_.push_back(r.take_u64());
+  for (std::uint64_t i = 0; i < n; ++i) pending_.push_back(r.take_id());
 }
 
 // ---- beta estimator --------------------------------------------------------

@@ -7,13 +7,15 @@ namespace webcache::cache {
 RandomPolicy::RandomPolicy(std::uint64_t seed) : seed_(seed), rng_(seed) {}
 
 void RandomPolicy::reserve_ids(std::uint64_t universe) {
-  if (!ids_.empty()) {
-    throw std::logic_error("RandomPolicy: reserve_ids on non-empty policy");
+  if (!dense_) {
+    if (!ids_.empty()) {
+      throw std::logic_error("RandomPolicy: reserve_ids on non-empty policy");
+    }
+    ids_.reserve(static_cast<std::size_t>(universe));
   }
+  extend_dense_index(dense_where_, universe, kAbsent, "RandomPolicy");
   dense_ = true;
   where_.clear();
-  dense_where_.assign(static_cast<std::size_t>(universe), kAbsent);
-  ids_.reserve(static_cast<std::size_t>(universe));
 }
 
 std::uint32_t RandomPolicy::find_position(ObjectId id) const {

@@ -2,6 +2,9 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "trace/document_class.hpp"
 #include "trace/request.hpp"
@@ -30,5 +33,19 @@ struct CacheObject {
   std::uint64_t previous_access = 0;
   std::uint64_t insert_index = 0;    // request index of insertion
 };
+
+/// Grows a flat id-indexed vector to cover [0, universe), filling the new
+/// entries with `unset`; existing entries keep their values. The dense
+/// structures' reserve calls share it: a universe may extend while ids are
+/// live, but never shrink (std::logic_error naming `owner`).
+template <typename T>
+void extend_dense_index(std::vector<T>& index, std::uint64_t universe,
+                        const T& unset, const char* owner) {
+  if (universe < index.size()) {
+    throw std::logic_error(std::string(owner) +
+                           ": dense universe cannot shrink");
+  }
+  index.resize(static_cast<std::size_t>(universe), unset);
+}
 
 }  // namespace webcache::cache

@@ -23,7 +23,7 @@
 #include "sim/faults.hpp"
 #include "sim/last_size.hpp"
 #include "sim/replay_core.hpp"
-#include "trace/online_densify.hpp"
+#include "trace/id_map.hpp"
 #include "trace/request_stream.hpp"
 #include "util/state_io.hpp"
 
@@ -34,7 +34,7 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kMagic[4] = {'W', 'C', 'K', 'P'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 constexpr const char* kFileSuffix = ".wckp";
 
 thread_local std::vector<std::string> g_resume_diagnostics;
@@ -143,6 +143,13 @@ namespace detail {
 std::vector<std::uint8_t> encode_checkpoint(
     const std::vector<CheckpointSection>& sections) {
   util::StateWriter w;
+  // Sized once: the image copies every section, and the largest are
+  // proportional to the documents seen.
+  std::size_t size = sizeof(kMagic) + 8;
+  for (const CheckpointSection& s : sections) {
+    size += 16 + s.name.size() + s.payload.size();
+  }
+  w.reserve(size);
   w.put_bytes(kMagic, sizeof(kMagic));
   w.put_u32(kVersion);
   w.put_u32(static_cast<std::uint32_t>(sections.size()));
@@ -348,8 +355,6 @@ void save_fingerprint(util::StateWriter& w, const CheckpointFingerprint& fp) {
   w.put_u32(fp.occupancy_samples);
   w.put_double(fp.latency_setup_ms);
   w.put_double(fp.latency_bytes_per_ms);
-  w.put_bool(fp.densified);
-  w.put_u64(fp.hot_capacity);
   w.put_u64(fp.window_requests);
   w.put_u64(fp.fault_hash);
   w.put_string(fp.trace_source);
@@ -367,8 +372,6 @@ CheckpointFingerprint restore_fingerprint(util::StateReader& r) {
   fp.occupancy_samples = r.take_u32();
   fp.latency_setup_ms = r.take_double();
   fp.latency_bytes_per_ms = r.take_double();
-  fp.densified = r.take_bool();
-  fp.hot_capacity = r.take_u64();
   fp.window_requests = r.take_u64();
   fp.fault_hash = r.take_u64();
   fp.trace_source = r.take_string();
@@ -421,13 +424,6 @@ void validate_fingerprint(const CheckpointFingerprint& expected,
     mismatch("latency_bytes_per_ms", num(found.latency_bytes_per_ms),
              num(expected.latency_bytes_per_ms));
   }
-  if (found.densified != expected.densified) {
-    mismatch("densified", num(found.densified), num(expected.densified));
-  }
-  if (found.hot_capacity != expected.hot_capacity) {
-    mismatch("hot_capacity", num(found.hot_capacity),
-             num(expected.hot_capacity));
-  }
   if (found.window_requests != expected.window_requests) {
     mismatch("window_requests", num(found.window_requests),
              num(expected.window_requests));
@@ -446,6 +442,23 @@ void validate_fingerprint(const CheckpointFingerprint& expected,
   }
   if (found.seed != expected.seed) {
     mismatch("seed", num(found.seed), num(expected.seed));
+  }
+}
+
+void save_ids(util::StateWriter& w, const trace::IdMap& ids) {
+  w.reserve(w.size() + 8 * (1 + ids.size()));
+  w.put_u64(ids.size());
+  for (const trace::DocumentId key : ids.keys()) w.put_u64(key);
+}
+
+void restore_ids(util::StateReader& r, trace::IdMap& ids) {
+  const std::uint64_t n = r.take_count(8, "document id");
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const trace::DocumentId key = r.take_u64();
+    if (ids.intern(key) != i) {
+      r.fail("document id " + std::to_string(key) + " repeated at position " +
+             std::to_string(i));
+    }
   }
 }
 
@@ -517,13 +530,6 @@ void prune_checkpoints(const std::string& dir, std::size_t keep) {
   }
 }
 
-/// The sparse last-size map cannot reserve for the whole stream (that is
-/// the point of streaming); cap the up-front reservation and let it grow.
-std::size_t stream_reserve_hint(std::uint64_t total_requests) {
-  return static_cast<std::size_t>(
-      std::min<std::uint64_t>(total_requests, 1 << 20));
-}
-
 /// Fingerprint of a checkpointed run: the identity of the replayed state
 /// machine.
 CheckpointFingerprint make_stream_fingerprint(
@@ -539,8 +545,6 @@ CheckpointFingerprint make_stream_fingerprint(
   fp.occupancy_samples = job.options.occupancy_samples;
   fp.latency_setup_ms = job.options.latency_setup_ms;
   fp.latency_bytes_per_ms = job.options.latency_bytes_per_ms;
-  fp.densified = job.densified;
-  fp.hot_capacity = job.densified ? job.densify_options.hot_capacity : 0;
   fp.window_requests = job.sink != nullptr ? job.sink->window_requests() : 0;
   fp.fault_hash = job.faults != nullptr ? fault_schedule_hash(*job.faults) : 0;
   fp.trace_source = job.checkpoint.trace_source;
@@ -549,7 +553,7 @@ CheckpointFingerprint make_stream_fingerprint(
   return fp;
 }
 
-template <bool Densified, typename Sink, typename Faults>
+template <typename Sink, typename Faults>
 CheckpointedRun run_checkpointed(trace::RequestStream& stream,
                                  cache::CacheFrontend& frontend,
                                  const StreamCheckpointJob& job,
@@ -557,23 +561,25 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
                                  Faults* faults) {
   namespace fs = std::filesystem;
   constexpr bool kRecording = std::is_same_v<Sink, obs::RecordingSink>;
-  using LastSize = std::conditional_t<Densified, GrowingDenseLastSize,
-                                      SparseLastSize>;
   constexpr bool kFaulted = !std::is_same_v<Faults, NoFaultReplay>;
 
   const CheckpointConfig& config = job.checkpoint;
-  auto last_size = [&] {
-    if constexpr (Densified) {
-      return LastSize{};
-    } else {
-      return LastSize(stream_reserve_hint(stream.total_requests()));
+  // Documents are interned as they stream in, and the frontend's dense
+  // universe follows the ids interned so far. Reserving exactly those lets
+  // the id-indexed vectors grow geometrically underneath, so memory tracks
+  // the distinct documents.
+  trace::IdMap ids;
+  std::uint64_t reserved = 0;
+  const auto reserve_interned = [&] {
+    if (ids.size() > reserved) {
+      reserved = ids.size();
+      frontend.reserve_dense_ids(reserved);
     }
-  }();
-  std::optional<trace::OnlineDensifier> densifier;
-  if constexpr (Densified) densifier.emplace(job.densify_options);
+  };
+  GrowingDenseLastSize last_size;
 
   if constexpr (kRecording) sink.begin_run(frontend);
-  ReplayCore<LastSize, Sink, Faults> core(
+  ReplayCore<GrowingDenseLastSize, Sink, Faults> core(
       frontend, job.options, last_size, sink, stream.total_requests(), faults);
 
   CheckpointedRun out;
@@ -581,38 +587,43 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
   if (config.resume) {
     if (auto selected = select_resume_checkpoint(config.dir)) {
       const std::string& file = selected->file;
-      const auto reader = [&](const CheckpointSection& s) {
+      const auto reader = [&](const char* name) {
+        const CheckpointSection& s =
+            need_section(selected->sections, name, file);
         return util::StateReader(s.payload.data(), s.payload.size(), s.name);
       };
       {
-        auto r = reader(need_section(selected->sections, "fingerprint", file));
+        auto r = reader("fingerprint");
         validate_fingerprint(fp, restore_fingerprint(r), file);
         r.expect_end();
       }
       std::uint64_t consumed = 0;
       {
-        auto r = reader(need_section(selected->sections, "result", file));
+        auto r = reader("result");
         consumed = r.take_u64();
         core.restore(consumed, restore_sim_result(r));
         r.expect_end();
       }
       {
-        auto r = reader(need_section(selected->sections, "cache", file));
+        auto r = reader("ids");
+        restore_ids(r, ids);
+        r.expect_end();
+        reserve_interned();
+      }
+      {
+        auto r = reader("cache");
+        r.bound_ids(ids.size());
         frontend.restore_state(r);
         r.expect_end();
       }
       {
-        auto r = reader(need_section(selected->sections, "lastsize", file));
+        auto r = reader("lastsize");
+        r.bound_ids(ids.size());
         last_size.restore_state(r);
         r.expect_end();
       }
-      if constexpr (Densified) {
-        auto r = reader(need_section(selected->sections, "densifier", file));
-        densifier->restore_state(r);
-        r.expect_end();
-      }
       if constexpr (kRecording) {
-        auto r = reader(need_section(selected->sections, "metrics", file));
+        auto r = reader("metrics");
         sink.restore_state(r);
         r.expect_end();
       }
@@ -647,6 +658,11 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
     }
     {
       util::StateWriter w;
+      save_ids(w, ids);
+      add("ids", std::move(w));
+    }
+    {
+      util::StateWriter w;
       frontend.save_state(w);
       add("cache", std::move(w));
     }
@@ -654,11 +670,6 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
       util::StateWriter w;
       last_size.save_state(w);
       add("lastsize", std::move(w));
-    }
-    if constexpr (Densified) {
-      util::StateWriter w;
-      densifier->save_state(w);
-      add("densifier", std::move(w));
     }
     if constexpr (kRecording) {
       util::StateWriter w;
@@ -677,30 +688,48 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
     fs::create_directories(config.dir, ec);
   }
 
+  const std::uint64_t stop = config.stop_after_requests;
+  std::vector<std::uint32_t> batch_ids;
   for (auto chunk = stream.next_chunk(); !chunk.empty();
        chunk = stream.next_chunk()) {
-    for (const trace::Request& r : chunk) {
-      if (skip > 0) {
-        // Fast-forward after resume: requests up to the checkpoint were
-        // already accounted; they must not touch the restored densifier or
-        // last-size state again.
-        --skip;
-        continue;
-      }
-      if (crash_at != 0 && core.consumed() + 1 == crash_at) {
-        std::raise(SIGKILL);
-      }
-      if constexpr (Densified) {
-        trace::Request dense = r;
-        dense.document = densifier->densify(r.document);
-        core.step(dense);
-      } else {
-        core.step(r);
-      }
+    // Fast-forward after resume: requests up to the checkpoint were
+    // already accounted; they must not touch the restored id map or
+    // last-size state again.
+    const auto skipped =
+        static_cast<std::size_t>(std::min<std::uint64_t>(skip, chunk.size()));
+    skip -= skipped;
+    chunk = chunk.subspan(skipped);
+    while (!chunk.empty()) {
+      // A batch ends at the next checkpoint or stop, so a checkpoint's id
+      // map holds exactly the documents replayed so far.
       const std::uint64_t done = core.consumed();
-      const bool stopping = config.stop_after_requests != 0 &&
-                            done == config.stop_after_requests;
-      if (config.every != 0 && (done % config.every == 0 || stopping)) {
+      std::uint64_t n = chunk.size();
+      if (config.every != 0) {
+        n = std::min(n, config.every - done % config.every);
+      }
+      if (stop > done) n = std::min(n, stop - done);
+      const auto batch = chunk.first(static_cast<std::size_t>(n));
+      chunk = chunk.subspan(batch.size());
+
+      // Intern the whole batch before replaying it: the id map's probes
+      // and the cache's then miss in separate tight loops, not in turns.
+      batch_ids.resize(batch.size());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        batch_ids[i] = ids.intern(batch[i].document);
+      }
+      reserve_interned();
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (crash_at != 0 && core.consumed() + 1 == crash_at) {
+          std::raise(SIGKILL);
+        }
+        trace::Request dense = batch[i];
+        dense.document = batch_ids[i];
+        core.step(dense);
+      }
+
+      const std::uint64_t now = core.consumed();
+      const bool stopping = stop != 0 && now == stop;
+      if (config.every != 0 && (now % config.every == 0 || stopping)) {
         write_checkpoint();
       }
       if (stopping) {
@@ -716,19 +745,18 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
   return out;
 }
 
-template <bool Densified, typename Sink>
+template <typename Sink>
 CheckpointedRun dispatch_faults(trace::RequestStream& stream,
                                 cache::CacheFrontend& frontend,
                                 const StreamCheckpointJob& job,
                                 const CheckpointFingerprint& fp, Sink& sink) {
   if (job.faults != nullptr) {
     FaultRun run(*job.faults, frontend.fault_domains(), /*has_root=*/false);
-    return run_checkpointed<Densified, Sink, FaultRun>(stream, frontend, job,
-                                                       fp, sink, &run);
+    return run_checkpointed<Sink, FaultRun>(stream, frontend, job, fp, sink,
+                                            &run);
   }
-  return run_checkpointed<Densified, Sink, NoFaultReplay>(stream, frontend,
-                                                          job, fp, sink,
-                                                          nullptr);
+  return run_checkpointed<Sink, NoFaultReplay>(stream, frontend, job, fp,
+                                               sink, nullptr);
 }
 
 }  // namespace
@@ -746,20 +774,11 @@ CheckpointedRun simulate_stream_checkpointed(trace::RequestStream& stream,
   }
   const CheckpointFingerprint fp =
       detail::make_stream_fingerprint(frontend, stream, job);
-  if (job.densified) {
-    if (job.sink != nullptr) {
-      return detail::dispatch_faults<true>(stream, frontend, job, fp,
-                                           *job.sink);
-    }
-    obs::NullSink null;
-    return detail::dispatch_faults<true>(stream, frontend, job, fp, null);
-  }
   if (job.sink != nullptr) {
-    return detail::dispatch_faults<false>(stream, frontend, job, fp,
-                                          *job.sink);
+    return detail::dispatch_faults(stream, frontend, job, fp, *job.sink);
   }
   obs::NullSink null;
-  return detail::dispatch_faults<false>(stream, frontend, job, fp, null);
+  return detail::dispatch_faults(stream, frontend, job, fp, null);
 }
 
 CheckpointedRun simulate_stream_checkpointed(trace::RequestStream& stream,

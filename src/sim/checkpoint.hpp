@@ -2,11 +2,12 @@
 //
 // A long replay is a deterministic state machine: (trace, frontend config,
 // options, schedule, seed) fully determine every counter. simulate_stream_
-// checkpointed() drives the same ReplayCore as simulate_stream(), but every
-// `every` requests it serializes the complete run state — policy and object
-// table (CacheFrontend::save_state), last-size tracker, online densifier
-// mapping, metrics windows, accumulated SimResult, fault-schedule cursor
-// position — into a versioned, per-section-CRC'd checkpoint file, written
+// checkpointed() is the one streamed replay loop (simulate_stream() runs it
+// with no checkpoints), and every `every` requests it serializes the
+// complete run state — policy and object table (CacheFrontend::save_state),
+// last-size tracker, the stream's document-id map, metrics windows,
+// accumulated SimResult, fault-schedule cursor position — into a
+// versioned, per-section-CRC'd checkpoint file, written
 // atomically (temp file + fsync + rename + directory fsync). A run killed
 // at any instant — including mid-checkpoint-write — resumes from the newest
 // valid checkpoint and finishes with counters, latency doubles and
@@ -25,8 +26,10 @@
 //   then per section:
 //     u32 name_len | name bytes | u64 payload_len | u32 crc32(payload) |
 //     payload
-// Sections: "fingerprint", "result", "cache", "lastsize", and optionally
-// "densifier" (densified runs) and "metrics" (instrumented runs).
+// Sections: "fingerprint", "result", "ids" (the interned document ids' keys
+// in id order; every id in "cache" and "lastsize" must be below their
+// count), "cache", "lastsize", and optionally "metrics" (instrumented
+// runs). Version 2; version-1 files are rejected as unsupported.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +40,7 @@
 #include "obs/stats_sink.hpp"
 #include "sim/faults.hpp"
 #include "sim/simulator.hpp"
-#include "trace/online_densify.hpp"
+#include "trace/id_map.hpp"
 #include "trace/request_stream.hpp"
 
 namespace webcache::sim {
@@ -54,8 +57,6 @@ struct CheckpointFingerprint {
   std::uint32_t occupancy_samples = 0;
   double latency_setup_ms = 0.0;
   double latency_bytes_per_ms = 0.0;
-  bool densified = false;
-  std::uint64_t hot_capacity = 0;     // densified runs only
   std::uint64_t window_requests = 0;  // 0 = uninstrumented run
   std::uint64_t fault_hash = 0;       // 0 = no fault schedule
   std::string trace_source;           // caller-chosen trace identity tag
@@ -102,25 +103,25 @@ struct CheckpointedRun {
   bool stopped_early = false;
 };
 
-/// Optional collaborators for the checkpointed replay. The four
-/// combinations of {densified, sink} x {faults, none} dispatch to the same
-/// ReplayCore instantiations the plain simulate_stream overloads use.
+/// Optional collaborators for the streamed replay. The plain
+/// simulate_stream overloads fill in the same job with no checkpoints.
 struct StreamCheckpointJob {
   SimulatorOptions options{};
   CheckpointConfig checkpoint{};
-  bool densified = false;
-  trace::OnlineDensifier::Options densify_options{};
   obs::RecordingSink* sink = nullptr;      // optional instrumentation
   const FaultSchedule* faults = nullptr;   // optional fault scenario
 };
 
-/// The checkpointed streaming replay. With checkpoint.every == 0 and
-/// checkpoint.resume == false this replays exactly like the matching
-/// simulate_stream overload. Throws std::runtime_error on unusable
-/// checkpoint state (fingerprint mismatch, or a resume where every
-/// candidate file is corrupt); structurally invalid files are skipped with
-/// a named reason (retrievable via checkpoint_resume_diagnostics() for the
-/// last resume attempt on this thread).
+/// The streamed replay. Every request's document is interned through one
+/// trace::IdMap as the chunks are read, and the frontend runs dense
+/// (CacheFrontend::reserve_dense_ids, extended as new documents arrive),
+/// so the frontend must start empty. With checkpoint.every == 0 and
+/// checkpoint.resume == false it is simulate_stream. Throws
+/// std::runtime_error on unusable checkpoint state (fingerprint mismatch,
+/// an id past the "ids" count, or a resume where every candidate file is
+/// corrupt); structurally invalid files are skipped with a named reason
+/// (retrievable via checkpoint_resume_diagnostics() for the last resume
+/// attempt on this thread).
 CheckpointedRun simulate_stream_checkpointed(trace::RequestStream& stream,
                                              cache::CacheFrontend& frontend,
                                              const StreamCheckpointJob& job);
@@ -175,6 +176,12 @@ CheckpointFingerprint restore_fingerprint(util::StateReader& r);
 void validate_fingerprint(const CheckpointFingerprint& expected,
                           const CheckpointFingerprint& found,
                           const std::string& file);
+
+/// Serialize / restore the "ids" section: the IdMap's keys in id order.
+/// restore_ids re-interns them into an empty map and throws a StateError
+/// on a repeated key or a count the payload cannot hold.
+void save_ids(util::StateWriter& w, const trace::IdMap& ids);
+void restore_ids(util::StateReader& r, trace::IdMap& ids);
 
 }  // namespace detail
 

@@ -13,8 +13,8 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -63,25 +63,6 @@ class SparseLastSize {
     return inserted ? nullptr : &it->second;
   }
 
-  /// Checkpointing: entries sorted by document id (deterministic bytes).
-  void save_state(util::StateWriter& w) const {
-    std::vector<std::pair<trace::DocumentId, std::uint64_t>> items(
-        last_.begin(), last_.end());
-    std::sort(items.begin(), items.end());
-    w.put_u64(items.size());
-    for (const auto& [id, size] : items) {
-      w.put_u64(id);
-      w.put_u64(size);
-    }
-  }
-  void restore_state(util::StateReader& r) {
-    const std::uint64_t n = r.take_u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const trace::DocumentId id = r.take_u64();
-      last_[id] = r.take_u64();
-    }
-  }
-
  private:
   std::unordered_map<trace::DocumentId, std::uint64_t> last_;
 };
@@ -106,10 +87,10 @@ class DenseLastSize {
   std::vector<std::uint64_t> last_;
 };
 
-/// Flat-vector tracker for online-densified streams: the id universe is not
-/// known up front, but OnlineDensifier hands out ids sequentially, so the
-/// vector grows amortized-O(1) as new documents appear. Identical lookup
-/// semantics to DenseLastSize.
+/// Flat-vector tracker for streamed replays: the id universe is not known
+/// up front, but trace::IdMap hands out ids sequentially, so the vector
+/// grows amortized-O(1) as new documents appear. Identical lookup semantics
+/// to DenseLastSize.
 class GrowingDenseLastSize {
  public:
   std::uint64_t* lookup(trace::DocumentId document, std::uint64_t size) {
@@ -124,13 +105,19 @@ class GrowingDenseLastSize {
   }
 
   /// Checkpointing: the raw vector, sentinels included (the length is the
-  /// high-water dense id and part of the state).
+  /// high-water dense id and part of the state). Entry i belongs to id i,
+  /// so restore rejects more entries than the reader's id bound.
   void save_state(util::StateWriter& w) const {
+    w.reserve(w.size() + 8 * (1 + last_.size()));
     w.put_u64(last_.size());
     for (const std::uint64_t v : last_) w.put_u64(v);
   }
   void restore_state(util::StateReader& r) {
     const std::uint64_t n = r.take_count(8, "last-size entry");
+    if (n > r.id_bound()) {
+      r.fail("last-size entry count " + std::to_string(n) + " exceeds the " +
+             std::to_string(r.id_bound()) + " interned id(s)");
+    }
     last_.clear();
     last_.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) last_.push_back(r.take_u64());

@@ -124,10 +124,10 @@ SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
 
 /// Dense frontend path: the frontend (e.g. a cache::PartitionedCache)
 /// reserves the trace's dense universe — every underlying cache switches to
-/// flat arrays — and the last-size tracker becomes a flat vector. The
-/// frontend must be empty (CacheFrontend::reserve_dense_ids throws
-/// std::logic_error otherwise). Bit-identical to the sparse frontend
-/// overload.
+/// flat arrays — and the last-size tracker becomes a flat vector. Pass an
+/// empty frontend (CacheFrontend::reserve_dense_ids throws
+/// std::logic_error on a non-empty sparse one). Bit-identical to the
+/// sparse frontend overload.
 SimResult simulate(const trace::DenseTrace& trace,
                    cache::CacheFrontend& frontend,
                    const SimulatorOptions& options = {});

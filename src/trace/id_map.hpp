@@ -65,6 +65,9 @@ class IdMap {
   /// Number of distinct keys interned so far.
   std::size_t size() const { return keys_.size(); }
 
+  /// The keys in id order: element `id` is the key numbered `id`.
+  const std::vector<DocumentId>& keys() const { return keys_; }
+
   /// Moves the id -> key table out (element `id` is the key numbered
   /// `id`); the map is left empty.
   std::vector<DocumentId> release_keys() {

@@ -114,6 +114,15 @@ std::uint64_t StateReader::take_count(std::size_t min_bytes_per_element,
   return n;
 }
 
+std::uint64_t StateReader::take_id() {
+  const std::uint64_t id = take_u64();
+  if (ids_bounded_ && id >= id_bound_) {
+    fail("document id " + std::to_string(id) + " outside the " +
+         std::to_string(id_bound_) + " interned id(s)");
+  }
+  return id;
+}
+
 void StateReader::expect_end() const {
   if (!exhausted()) {
     throw StateError(section_, std::to_string(remaining()) +

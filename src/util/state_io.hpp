@@ -1,7 +1,7 @@
 // Byte-stream serialization primitives for checkpointing.
 //
 // Every stateful layer that participates in crash-safe checkpoints
-// (policies, caches, the densifier, the metrics sink, the replay core)
+// (policies, caches, the stream's id map, the metrics sink, the replay core)
 // encodes itself through a StateWriter and decodes through a StateReader.
 // The wire format is deliberately dumb: fixed-width little-endian
 // integers, doubles as IEEE-754 bit patterns (so restored latency sums
@@ -48,6 +48,8 @@ class StateWriter {
   void put_double(double v);
   void put_string(const std::string& s);
   void put_bytes(const void* data, std::size_t n);
+  /// Capacity hint for a writer whose final size is known up front.
+  void reserve(std::size_t n) { bytes_.reserve(n); }
 
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   std::vector<std::uint8_t> take() { return std::move(bytes_); }
@@ -84,6 +86,18 @@ class StateReader {
   std::uint64_t take_count(std::size_t min_bytes_per_element,
                            const std::string& field);
 
+  /// Bounds the document ids this reader hands out: take_id() then rejects
+  /// any id at or past `bound`, naming the section, before a dense
+  /// structure can be indexed by it. Unbounded by default (sparse ids).
+  void bound_ids(std::uint64_t bound) {
+    id_bound_ = bound;
+    ids_bounded_ = true;
+  }
+  /// The bound set by bound_ids(); 2^64 - 1 while unbounded.
+  std::uint64_t id_bound() const { return id_bound_; }
+  /// Reads a u64 document id, checked against the id bound.
+  std::uint64_t take_id();
+
   /// Bytes not yet consumed.
   std::size_t remaining() const { return size_ - pos_; }
   bool exhausted() const { return pos_ == size_; }
@@ -103,6 +117,8 @@ class StateReader {
   std::size_t size_;
   std::size_t pos_ = 0;
   std::string section_;
+  std::uint64_t id_bound_ = ~std::uint64_t{0};
+  bool ids_bounded_ = false;
 };
 
 }  // namespace webcache::util

@@ -31,6 +31,21 @@ TEST(Cache, ReserveDenseIdsOnNonEmptyCacheThrows) {
   // Once drained back to empty the reservation becomes legal again.
   cache.erase(1);
   EXPECT_NO_THROW(cache.reserve_dense_ids(64));
+
+  // A dense cache may extend its universe under live contents, and keeps
+  // them (recency order included); it may never shrink it.
+  access_sized(cache, 3, 5);
+  access_sized(cache, 63, 5);
+  access_sized(cache, 3, 5);
+  EXPECT_THROW(cache.access(64, 5, DocumentClass::kHtml), std::logic_error);
+  EXPECT_NO_THROW(cache.reserve_dense_ids(128));
+  EXPECT_TRUE(cache.contains(3));
+  EXPECT_TRUE(cache.contains(63));
+  EXPECT_EQ(access_sized(cache, 127, 91).evictions, 1u);
+  EXPECT_FALSE(cache.contains(63));  // the LRU victim survived the extend
+  EXPECT_TRUE(cache.contains(3));
+  EXPECT_THROW(cache.reserve_dense_ids(100), std::logic_error);
+  EXPECT_TRUE(cache.contains(127));
 }
 
 TEST(Cache, MissInsertsThenHits) {

@@ -52,8 +52,12 @@ TEST(SingleCacheFrontend, ReserveDenseIdsForwardsToCache) {
   frontend.reserve_dense_ids(16);
   frontend.access(3, 10, DocumentClass::kHtml, false);
   EXPECT_TRUE(frontend.contains(3));
-  // The reservation reached the underlying cache: it is no longer empty, so
-  // a second reservation trips the cache's own guard.
+  // The reservation reached the underlying cache: it extends under live
+  // contents, and a shrinking one trips the cache's own guard.
+  EXPECT_NO_THROW(frontend.reserve_dense_ids(32));
+  frontend.access(31, 10, DocumentClass::kHtml, false);
+  EXPECT_TRUE(frontend.contains(3));
+  EXPECT_TRUE(frontend.contains(31));
   EXPECT_THROW(frontend.reserve_dense_ids(16), std::logic_error);
 }
 

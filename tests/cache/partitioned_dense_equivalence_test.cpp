@@ -172,6 +172,21 @@ TEST(PartitionedDenseEquivalence, ReserveOnNonEmptyCacheThrows) {
       1000, policy_spec_from_name("LRU"), uniform_weights()));
   cache.access(7, 10, DocumentClass::kImage, false);
   EXPECT_THROW(cache.reserve_dense_ids(100), std::logic_error);
+
+  // Once dense, the universe extends under live contents in every
+  // partition and moves the sparse-id guard with it, but never shrinks.
+  PartitionedCache dense(PartitionedCacheConfig::uniform_policy(
+      1000, policy_spec_from_name("LRU"), uniform_weights()));
+  dense.reserve_dense_ids(8);
+  dense.access(7, 10, DocumentClass::kImage, false);
+  EXPECT_THROW(dense.access(8, 10, DocumentClass::kHtml, false),
+               std::invalid_argument);
+  EXPECT_NO_THROW(dense.reserve_dense_ids(100));
+  EXPECT_TRUE(dense.contains(7));
+  dense.access(99, 10, DocumentClass::kHtml, false);
+  EXPECT_TRUE(dense.partition(DocumentClass::kHtml).contains(99));
+  EXPECT_THROW(dense.reserve_dense_ids(50), std::logic_error);
+  EXPECT_TRUE(dense.contains(7));
 }
 
 }  // namespace

@@ -10,8 +10,7 @@ windowed series. Torn or corrupt checkpoints must be rejected on stderr
 with a named diagnostic, never silently restored.
 
 The kill points are drawn from a seeded RNG so every run of this harness
-exercises the same ≥10 crash sites across five eviction families, sparse
-and densified.
+exercises the same 20 crash sites across five eviction families.
 
 Usage: cli_crash_test.py <path-to-webcache-binary>
 """
@@ -59,35 +58,29 @@ def read(path):
         return f.read()
 
 
-def simulate_args(cli, wct, policy, densified, result_out, metrics_out):
-    args = [cli, "simulate", wct, f"--policy={policy}", "--cache-mb=4",
+def simulate_args(cli, wct, policy, result_out, metrics_out):
+    return [cli, "simulate", wct, f"--policy={policy}", "--cache-mb=4",
             "--stream", f"--metrics-window={METRICS_WINDOW}",
             f"--metrics-out={metrics_out}", f"--result-out={result_out}"]
-    if densified:
-        args.append("--densify=256")
-    return args
 
 
-def crash_chain(cli, wct, tmp, policy, tag, densified, kill_points,
-                torn_write):
+def crash_chain(cli, wct, tmp, policy, tag, kill_points, torn_write):
     """Kill a checkpointed run at each point in turn, resume after every
     crash, and compare the finished run byte-for-byte with the
     uninterrupted baseline."""
-    mode = "densified" if densified else "sparse"
-    label = f"{tag} {mode}"
+    label = tag
 
-    base_result = os.path.join(tmp, f"{tag}_{mode}_base_result.json")
-    base_metrics = os.path.join(tmp, f"{tag}_{mode}_base_metrics.json")
-    p = run(*simulate_args(cli, wct, policy, densified, base_result,
-                           base_metrics))
+    base_result = os.path.join(tmp, f"{tag}_base_result.json")
+    base_metrics = os.path.join(tmp, f"{tag}_base_metrics.json")
+    p = run(*simulate_args(cli, wct, policy, base_result, base_metrics))
     check(f"{label}: baseline runs", p.returncode == 0,
           p.stderr.strip()[:200])
     if p.returncode != 0:
         return
 
-    ckpt_dir = os.path.join(tmp, f"ckpt_{tag}_{mode}")
-    final_result = os.path.join(tmp, f"{tag}_{mode}_result.json")
-    final_metrics = os.path.join(tmp, f"{tag}_{mode}_metrics.json")
+    ckpt_dir = os.path.join(tmp, f"ckpt_{tag}")
+    final_result = os.path.join(tmp, f"{tag}_result.json")
+    final_metrics = os.path.join(tmp, f"{tag}_metrics.json")
     ckpt_flags = [f"--checkpoint-dir={ckpt_dir}",
                   f"--checkpoint-every={CHECKPOINT_EVERY}"]
 
@@ -100,7 +93,7 @@ def crash_chain(cli, wct, tmp, policy, tag, densified, kill_points,
             # to half and renamed over the final name before the SIGKILL,
             # so the newest checkpoint on disk is torn.
             env = {"WEBCACHE_CHECKPOINT_CRASH_AT_WRITE": "2"}
-        argv = simulate_args(cli, wct, policy, densified, final_result,
+        argv = simulate_args(cli, wct, policy, final_result,
                              final_metrics) + ckpt_flags
         if resumed:
             argv.append("--resume")
@@ -110,7 +103,7 @@ def crash_chain(cli, wct, tmp, policy, tag, densified, kill_points,
               f"rc={p.returncode} stderr={p.stderr.strip()[:200]}")
         resumed = True
 
-    argv = simulate_args(cli, wct, policy, densified, final_result,
+    argv = simulate_args(cli, wct, policy, final_result,
                          final_metrics) + ckpt_flags + ["--resume"]
     p = run(*argv)
     check(f"{label}: final resume completes", p.returncode == 0,
@@ -145,26 +138,25 @@ def main():
         if FAILURES:
             return 1
 
-        # Two randomized kill points per cell, increasing, both past the
-        # first checkpoint so every resume starts from real state: 5
-        # policies x {sparse, densified} = 20 kill sites, plus torn-write
-        # cells below.
+        # Four randomized kill points per policy, one in each quarter of
+        # the span past the first checkpoint, so they increase and every
+        # resume starts from real state: 5 policies x 4 = 20 kill sites,
+        # plus torn-write cells below.
+        first = CHECKPOINT_EVERY + 100
+        quarter = (TOTAL_REQUESTS - 200 - first) // 4
         for policy, tag in POLICIES:
-            for densified in (False, True):
-                k1 = rng.randrange(CHECKPOINT_EVERY + 100,
-                                   TOTAL_REQUESTS // 2)
-                k2 = rng.randrange(TOTAL_REQUESTS // 2 + 100,
-                                   TOTAL_REQUESTS - 200)
-                crash_chain(cli, wct, tmp, policy, tag, densified,
-                            [k1, k2], torn_write=False)
+            kills = [rng.randrange(first + q * quarter,
+                                   first + (q + 1) * quarter - 100)
+                     for q in range(4)]
+            crash_chain(cli, wct, tmp, policy, tag, kills,
+                        torn_write=False)
 
         # Torn-checkpoint cells: the crash happens inside the checkpoint
         # writer, leaving a half-length file under the final checkpoint
         # name. Resume must reject it by name and fall back.
-        crash_chain(cli, wct, tmp, "LRU", "lru_torn", False,
-                    [0], torn_write=True)
-        crash_chain(cli, wct, tmp, "GDSF(1)", "gdsf_torn", True,
-                    [0], torn_write=True)
+        crash_chain(cli, wct, tmp, "LRU", "lru_torn", [0], torn_write=True)
+        crash_chain(cli, wct, tmp, "GDSF(1)", "gdsf_torn", [0],
+                    torn_write=True)
 
         # A checkpoint directory full of garbage must abort the resume with
         # diagnostics, never cold-start over the user's intent.
@@ -181,7 +173,7 @@ def main():
 
         # Resuming under a different configuration must be rejected with the
         # mismatching field named.
-        good_dir = os.path.join(tmp, "ckpt_lru_sparse")
+        good_dir = os.path.join(tmp, "ckpt_lru")
         p = run(cli, "simulate", wct, "--policy=GDSF(1)", "--cache-mb=4",
                 "--stream", f"--checkpoint-dir={good_dir}", "--resume")
         check("cross-policy resume rejected by field name",

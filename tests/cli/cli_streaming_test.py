@@ -4,7 +4,7 @@
 `simulate --stream` replays the binary trace chunk by chunk through the
 same per-request core as the materialized path, so its rendered table and
 metrics JSON must match the non-streamed run byte for byte, at any chunk
-size and through the bounded online densifier. `sweep --stream` runs the
+size. `sweep --stream` runs the
 SHARDS-sampled LRU curve; at --sample-rate=1.0 it is exact, below that the
 exported JSON must carry the sampling block and per-cell error bars. Error
 paths (missing --cache-mb, --squid, corrupt traces) must fail with a
@@ -55,8 +55,7 @@ def main():
                    "--cache-mb=2")
         check("materialized simulate", base.returncode == 0,
               base.stderr.strip()[:200])
-        for extra in ([], ["--chunk=7"], ["--chunk=4096"], ["--densify"],
-                      ["--densify=3", "--chunk=7"]):
+        for extra in ([], ["--chunk=7"], ["--chunk=4096"]):
             p = run(cli, "simulate", wct, "--policy=GD*(packet)",
                     "--cache-mb=2", "--stream", *extra)
             label = " ".join(extra) or "default chunk"

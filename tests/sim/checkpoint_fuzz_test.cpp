@@ -23,6 +23,7 @@
 #include "sim/simulator.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
+#include "trace/id_map.hpp"
 #include "trace/request_stream.hpp"
 #include "util/state_io.hpp"
 
@@ -125,7 +126,7 @@ TEST(CheckpointFuzz, HugeCountsRejectedByNameBeforeAllocating) {
     // WCKP container: the u32 section count is the largest it can be.
     util::StateWriter w;
     w.put_bytes("WCKP", 4);
-    w.put_u32(1);
+    w.put_u32(2);
     w.put_u32(0xFFFFFFFFu);
     const std::vector<std::uint8_t> bytes = w.take();
     expect_named_rejection("section count",
@@ -170,81 +171,173 @@ TEST(CheckpointFuzz, HugeCountsRejectedByNameBeforeAllocating) {
       detail::GrowingDenseLastSize().restore_state(r);
     });
   }
+  {
+    const std::vector<std::uint8_t> bytes = with_count({}, kHuge);
+    expect_named_rejection("document id", [&] {
+      util::StateReader r(bytes.data(), bytes.size(), "ids");
+      trace::IdMap ids;
+      detail::restore_ids(r, ids);
+    });
+  }
+}
+
+/// A checkpointed LRU run over a small DFN trace, stopped after 6000
+/// requests with checkpoints every 3000. Every file but the newest is
+/// deleted, so a resume has no valid fallback to hide damage behind.
+class NewestCheckpoint {
+ public:
+  explicit NewestCheckpoint(const std::string& name)
+      : t_(synth::TraceGenerator(synth::WorkloadProfile::DFN().scaled(0.002))
+               .generate()),
+        capacity_(t_.overall_size_bytes() / 25),
+        spec_(cache::policy_spec_from_name("LRU")),
+        dir_(testing::TempDir() + "/" + name) {
+    fs::remove_all(dir_);
+    job_.checkpoint.dir = dir_;
+    job_.checkpoint.every = 3000;
+    job_.checkpoint.trace_source = "synthetic-dfn-0.002";
+    job_.checkpoint.stop_after_requests = 6000;
+    {
+      trace::MemoryRequestStream stream(t_, 4096);
+      cache::SingleCacheFrontend frontend(capacity_, cache::make_policy(spec_));
+      EXPECT_TRUE(
+          simulate_stream_checkpointed(stream, frontend, job_).stopped_early);
+    }
+    std::vector<fs::path> files;
+    for (const auto& entry : fs::directory_iterator(dir_)) {
+      files.push_back(entry.path());
+    }
+    std::sort(files.begin(), files.end());
+    EXPECT_FALSE(files.empty());
+    newest_ = files.back();
+    for (const fs::path& older : files) {
+      if (older != newest_) fs::remove(older);
+    }
+  }
+  ~NewestCheckpoint() { fs::remove_all(dir_); }
+
+  std::vector<std::uint8_t> bytes() const {
+    std::ifstream in(newest_, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+  }
+  std::vector<CheckpointSection> sections() const {
+    return detail::decode_checkpoint(bytes());
+  }
+  void overwrite(const std::vector<std::uint8_t>& bytes) const {
+    std::ofstream out(newest_, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+  }
+
+  /// Resumes from the (possibly rewritten) newest checkpoint and returns
+  /// the rejection message, or "" when the resume ran through.
+  std::string resume_error() {
+    job_.checkpoint.stop_after_requests = 0;
+    job_.checkpoint.resume = true;
+    trace::MemoryRequestStream stream(t_, 4096);
+    cache::SingleCacheFrontend frontend(capacity_, cache::make_policy(spec_));
+    try {
+      simulate_stream_checkpointed(stream, frontend, job_);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  }
+
+ private:
+  trace::Trace t_;
+  std::uint64_t capacity_;
+  cache::PolicySpec spec_;
+  std::string dir_;
+  StreamCheckpointJob job_;
+  fs::path newest_;
+};
+
+CheckpointSection& section_named(std::vector<CheckpointSection>& sections,
+                                 const std::string& name) {
+  for (CheckpointSection& s : sections) {
+    if (s.name == name) return s;
+  }
+  throw std::runtime_error("no section " + name);
 }
 
 TEST(CheckpointFuzz, CrossWiredSectionsRejectedOnResume) {
-  synth::TraceGenerator generator(synth::WorkloadProfile::DFN().scaled(0.002));
-  const trace::Trace t = generator.generate();
-  const std::uint64_t capacity = t.overall_size_bytes() / 25;
-  const cache::PolicySpec spec = cache::policy_spec_from_name("LRU");
-
-  const std::string dir = testing::TempDir() + "/webcache_ckpt_crosswire";
-  fs::remove_all(dir);
-
-  StreamCheckpointJob job;
-  job.checkpoint.dir = dir;
-  job.checkpoint.every = 3000;
-  job.checkpoint.trace_source = "synthetic-dfn-0.002";
-  job.checkpoint.stop_after_requests = 6000;
-  {
-    trace::MemoryRequestStream stream(t, 4096);
-    cache::SingleCacheFrontend frontend(capacity, cache::make_policy(spec));
-    ASSERT_TRUE(simulate_stream_checkpointed(stream, frontend, job)
-                    .stopped_early);
-  }
+  NewestCheckpoint checkpoint("webcache_ckpt_crosswire");
 
   // Swap the payloads of two sections in the newest checkpoint: each CRC
   // still validates, but the content belongs to the wrong subsystem.
-  std::vector<fs::path> files;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());
-  ASSERT_FALSE(files.empty());
-  const fs::path newest = files.back();
-  for (const fs::path& older : files) {
-    if (older != newest) fs::remove(older);  // no valid fallback may remain
-  }
-  std::vector<std::uint8_t> bytes;
-  {
-    std::ifstream in(newest, std::ios::binary);
-    bytes.assign((std::istreambuf_iterator<char>(in)),
-                 std::istreambuf_iterator<char>());
-  }
-  std::vector<CheckpointSection> sections = detail::decode_checkpoint(bytes);
-  CheckpointSection* cache_section = nullptr;
-  CheckpointSection* lastsize_section = nullptr;
-  for (CheckpointSection& s : sections) {
-    if (s.name == "cache") cache_section = &s;
-    if (s.name == "lastsize") lastsize_section = &s;
-  }
-  ASSERT_NE(cache_section, nullptr);
-  ASSERT_NE(lastsize_section, nullptr);
-  std::swap(cache_section->payload, lastsize_section->payload);
-  {
-    const std::vector<std::uint8_t> rewired =
-        detail::encode_checkpoint(sections);
-    std::ofstream out(newest, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(rewired.data()),
-              static_cast<std::streamsize>(rewired.size()));
-  }
+  std::vector<CheckpointSection> sections = checkpoint.sections();
+  std::swap(section_named(sections, "cache").payload,
+            section_named(sections, "lastsize").payload);
+  checkpoint.overwrite(detail::encode_checkpoint(sections));
 
-  job.checkpoint.stop_after_requests = 0;
-  job.checkpoint.resume = true;
-  trace::MemoryRequestStream stream(t, 4096);
-  cache::SingleCacheFrontend frontend(capacity, cache::make_policy(spec));
-  try {
-    simulate_stream_checkpointed(stream, frontend, job);
-    FAIL() << "cross-wired checkpoint restored silently";
-  } catch (const std::runtime_error& e) {
-    // The misdelivered payload fails section-level parsing, which names the
-    // section it was read as.
-    const std::string what = e.what();
-    EXPECT_TRUE(what.find("cache") != std::string::npos ||
-                what.find("lastsize") != std::string::npos)
-        << what;
+  // The misdelivered payload fails section-level parsing, which names the
+  // section it was read as.
+  const std::string what = checkpoint.resume_error();
+  ASSERT_FALSE(what.empty()) << "cross-wired checkpoint restored silently";
+  EXPECT_TRUE(what.find("cache") != std::string::npos ||
+              what.find("lastsize") != std::string::npos)
+      << what;
+}
+
+TEST(CheckpointFuzz, IdsPastTheIdsCountRejectedByName) {
+  NewestCheckpoint checkpoint("webcache_ckpt_id_bound");
+  const std::vector<CheckpointSection> sections = checkpoint.sections();
+
+  // The cache section starts with the accounting words (admission limit,
+  // used bytes, clock, evictions, insertions, per-class objects and bytes)
+  // and the resident count; the first resident object's id follows.
+  constexpr std::size_t kFirstId =
+      8 * (5 + 2 * trace::kDocumentClassCount) + 8;
+  std::vector<CheckpointSection> huge_id = sections;
+  std::vector<std::uint8_t>& cache = section_named(huge_id, "cache").payload;
+  ASSERT_GT(cache.size(), kFirstId + 8);
+  for (std::size_t i = 0; i < 8; ++i) {
+    cache[kFirstId + i] =
+        static_cast<std::uint8_t>((std::uint64_t{1} << 40) >> (8 * i));
   }
-  fs::remove_all(dir);
+  checkpoint.overwrite(detail::encode_checkpoint(huge_id));
+  std::string what = checkpoint.resume_error();
+  EXPECT_NE(what.find("section 'cache'"), std::string::npos) << what;
+  EXPECT_NE(what.find("1099511627776"), std::string::npos) << what;
+
+  // One last-size entry more than there are interned ids.
+  std::vector<CheckpointSection> long_sizes = sections;
+  std::vector<std::uint8_t>& lastsize =
+      section_named(long_sizes, "lastsize").payload;
+  util::StateReader count(lastsize.data(), lastsize.size(), "lastsize");
+  const std::uint64_t entries = count.take_u64() + 1;
+  for (std::size_t i = 0; i < 8; ++i) {
+    lastsize[i] = static_cast<std::uint8_t>(entries >> (8 * i));
+  }
+  lastsize.insert(lastsize.end(), 8, 0xFF);
+  checkpoint.overwrite(detail::encode_checkpoint(long_sizes));
+  what = checkpoint.resume_error();
+  EXPECT_NE(what.find("section 'lastsize'"), std::string::npos) << what;
+
+  // Policy state reads its ids through the same bound.
+  util::StateWriter w;
+  w.put_u64(1);
+  w.put_u64(10);
+  const std::vector<std::uint8_t> run = w.take();
+  util::StateReader r(run.data(), run.size(), "cache");
+  r.bound_ids(10);
+  EXPECT_THROW(cache::LruPolicy().restore_state(r), util::StateError);
+}
+
+TEST(CheckpointFuzz, VersionOneImageRejected) {
+  std::vector<std::uint8_t> bytes =
+      detail::encode_checkpoint(sample_sections());
+  bytes[4] = 1;  // the u32 version follows the 4-byte magic
+  try {
+    detail::decode_checkpoint(bytes);
+    FAIL() << "version-1 image decoded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(CheckpointFuzz, FingerprintValidationNamesEveryField) {
@@ -257,8 +350,6 @@ TEST(CheckpointFuzz, FingerprintValidationNamesEveryField) {
   base.occupancy_samples = 8;
   base.latency_setup_ms = 2.0;
   base.latency_bytes_per_ms = 4000.0;
-  base.densified = false;
-  base.hot_capacity = 0;
   base.window_requests = 113;
   base.fault_hash = 7;
   base.trace_source = "trace.wct";
@@ -292,8 +383,6 @@ TEST(CheckpointFuzz, FingerprintValidationNamesEveryField) {
        [](CheckpointFingerprint& f) { f.latency_setup_ms = 3.0; }},
       {"latency_bytes_per_ms",
        [](CheckpointFingerprint& f) { f.latency_bytes_per_ms = 1.0; }},
-      {"densified", [](CheckpointFingerprint& f) { f.densified = true; }},
-      {"hot_capacity", [](CheckpointFingerprint& f) { f.hot_capacity = 64; }},
       {"window_requests",
        [](CheckpointFingerprint& f) { f.window_requests = 0; }},
       {"fault_schedule", [](CheckpointFingerprint& f) { f.fault_hash = 8; }},

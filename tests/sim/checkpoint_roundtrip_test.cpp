@@ -2,9 +2,10 @@
 // arbitrary request, serializing the complete run state to disk, and
 // resuming in a fresh process image has to yield bit-identical SimResults
 // (and metrics series) to the uninterrupted run — for every factory policy,
-// densified or sparse, instrumented or not, with or without a fault
-// schedule. A checkpoint whose fingerprint disagrees with the resuming run
-// must be rejected by name, never silently restored.
+// instrumented or not, with or without a fault schedule, with the stream's
+// id map carried across every split. A checkpoint whose fingerprint
+// disagrees with the resuming run must be rejected by name, never silently
+// restored.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -158,14 +159,11 @@ TEST(CheckpointRoundTrip, AllFactoryPoliciesSplitRunMatchesUninterrupted) {
   }
 }
 
-TEST(CheckpointRoundTrip, DensifiedInstrumentedThreeSegmentRun) {
+TEST(CheckpointRoundTrip, InstrumentedThreeSegmentRun) {
   const trace::Trace t = recorded_trace();
   const std::uint64_t capacity = t.overall_size_bytes() / 25;
   const std::uint64_t third = t.total_requests() / 3;
   const SimulatorOptions options;
-
-  trace::OnlineDensifier::Options densify;
-  densify.hot_capacity = 64;  // force hot-tier spills across the splits
 
   std::size_t index = 0;
   for (const std::string& name :
@@ -176,18 +174,16 @@ TEST(CheckpointRoundTrip, DensifiedInstrumentedThreeSegmentRun) {
     trace::MemoryRequestStream s0(t, 4096);
     cache::SingleCacheFrontend f0 = make_frontend(spec, capacity);
     const SimResult baseline =
-        simulate_stream_densified(s0, f0, options, baseline_sink, densify);
+        simulate_stream(s0, f0, options, baseline_sink);
     std::ostringstream baseline_json;
     write_metrics_json(baseline_json, baseline, baseline_sink.series());
 
-    const std::string dir = fresh_dir("densified_" + std::to_string(index++));
+    const std::string dir = fresh_dir("segments_" + std::to_string(index++));
     StreamCheckpointJob job;
     job.options = options;
     job.checkpoint.dir = dir;
     job.checkpoint.every = 701;
     job.checkpoint.trace_source = "synthetic-dfn-0.002";
-    job.densified = true;
-    job.densify_options = densify;
 
     SimResult final_result;
     std::ostringstream final_json;
@@ -209,7 +205,7 @@ TEST(CheckpointRoundTrip, DensifiedInstrumentedThreeSegmentRun) {
         EXPECT_TRUE(run.stopped_early) << name;
       }
     }
-    expect_identical(baseline, final_result, name + " densified");
+    expect_identical(baseline, final_result, name + " three segments");
     EXPECT_EQ(baseline_json.str(), final_json.str())
         << name << ": metrics series diverged across the splits";
     fs::remove_all(dir);

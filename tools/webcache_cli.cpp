@@ -32,7 +32,6 @@
 #include "sim/replication.hpp"
 #include "sim/reporter.hpp"
 #include "sim/sampled_sweep.hpp"
-#include "sim/streaming.hpp"
 #include "sim/sweep.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile_io.hpp"
@@ -76,10 +75,11 @@ int usage(std::ostream& os) {
         "           [--metrics-out=FILE[.json|.csv]] [--metrics-window=N]\n"
         "           (windowed per-class time series incl. aging L and GD*\n"
         "            beta traces; window defaults to ~1% of the trace)\n"
-        "           [--stream [--chunk=65536] [--densify[=hot-capacity]]]\n"
+        "           [--stream [--chunk=65536]]\n"
         "           (--stream replays the binary trace file chunk by chunk\n"
-        "            at bounded memory — bit-identical results; needs\n"
-        "            --cache-mb and is incompatible with --squid)\n"
+        "            in memory that grows with the distinct documents, not\n"
+        "            the trace — bit-identical results; needs --cache-mb\n"
+        "            and is incompatible with --squid)\n"
         "           [--checkpoint-dir=DIR [--checkpoint-every=N]\n"
         "            [--checkpoint-keep=3] [--resume]] (crash-safe stream\n"
         "            replay: every N requests the full run state is written\n"
@@ -413,7 +413,8 @@ void write_metrics_file(const std::string& path, const sim::SimResult& r,
 }
 
 /// simulate --stream: chunked replay straight off the binary file. Results
-/// are bit-identical to the materialized path; memory is O(chunk + cache).
+/// are bit-identical to the materialized path; memory is O(chunk + distinct
+/// documents).
 int cmd_simulate_stream(const util::Args& args) {
   if (args.get_bool("squid", false)) {
     throw std::invalid_argument(
@@ -439,22 +440,13 @@ int cmd_simulate_stream(const util::Args& args) {
   const auto spec =
       cache::policy_spec_from_name(args.get("policy", "GD*(1)"));
 
-  trace::OnlineDensifier::Options densify;
-  const bool densified = args.has("densify");
-  // --densify alone keeps the default hot tier; --densify=N bounds it.
-  if (densified && args.get("densify", "") != "true") {
-    densify.hot_capacity =
-        static_cast<std::size_t>(args.get_uint("densify", 1 << 20));
-  }
-
   const std::string metrics_path = args.get("metrics-out", "");
   const std::uint64_t default_window =
       std::max<std::uint64_t>(1, stream.total_requests() / 100);
   obs::RecordingSink sink(args.get_uint("metrics-window", default_window));
 
-  // Any checkpoint flag routes through the checkpointed driver; without one
-  // the plain streaming replay runs untouched, so the off-cadence path is
-  // bit-identical to pre-checkpoint builds by construction.
+  // Without a checkpoint flag the job writes no checkpoints: the same
+  // streamed replay, with no per-checkpoint work.
   const bool checkpointing = args.has("checkpoint-dir") ||
                              args.has("checkpoint-every") ||
                              args.get_bool("resume", false);
@@ -464,52 +456,37 @@ int cmd_simulate_stream(const util::Args& args) {
         "schedule is part of the checkpoint fingerprint)");
   }
 
-  sim::SimResult r;
+  sim::StreamCheckpointJob job;
+  job.options = simulator_options(args);
   if (checkpointing) {
-    sim::StreamCheckpointJob job;
-    job.options = simulator_options(args);
     job.checkpoint.dir = args.get("checkpoint-dir", "");
     job.checkpoint.every = args.get_uint("checkpoint-every", 1'000'000);
     job.checkpoint.keep = args.get_uint("checkpoint-keep", 3);
     job.checkpoint.resume = args.get_bool("resume", false);
     job.checkpoint.trace_source = args.positional()[0];
-    job.densified = densified;
-    job.densify_options = densify;
-    if (!metrics_path.empty()) job.sink = &sink;
-    sim::FaultSchedule schedule;
-    if (args.has("faults")) {
-      schedule = sim::load_fault_schedule_file(args.get("faults", ""));
-      if (args.has("fault-seed")) {
-        schedule.seed = args.get_uint("fault-seed", 0);
-      }
-      job.faults = &schedule;
+  }
+  if (!metrics_path.empty()) job.sink = &sink;
+  sim::FaultSchedule schedule;
+  if (args.has("faults")) {
+    schedule = sim::load_fault_schedule_file(args.get("faults", ""));
+    if (args.has("fault-seed")) {
+      schedule.seed = args.get_uint("fault-seed", 0);
     }
-    const sim::CheckpointedRun run =
-        sim::simulate_stream_checkpointed(stream, capacity, spec, job);
-    r = run.result;
-    for (const std::string& note : sim::checkpoint_resume_diagnostics()) {
-      std::cerr << "checkpoint: " << note << "\n";
-    }
-    if (run.resumed_from > 0) {
-      std::cerr << "checkpoint: resumed after request " << run.resumed_from
-                << "\n";
-    }
-    if (run.checkpoints_written > 0) {
-      std::cerr << "checkpoint: wrote " << run.checkpoints_written
-                << " checkpoint(s) to " << job.checkpoint.dir << "\n";
-    }
-  } else if (metrics_path.empty()) {
-    r = densified
-            ? sim::simulate_stream_densified(
-                  stream, capacity, spec, simulator_options(args), densify)
-            : sim::simulate_stream(stream, capacity, spec,
-                                   simulator_options(args));
-  } else {
-    r = densified ? sim::simulate_stream_densified(stream, capacity, spec,
-                                                   simulator_options(args),
-                                                   sink, densify)
-                  : sim::simulate_stream(stream, capacity, spec,
-                                         simulator_options(args), sink);
+    job.faults = &schedule;
+  }
+  const sim::CheckpointedRun run =
+      sim::simulate_stream_checkpointed(stream, capacity, spec, job);
+  const sim::SimResult& r = run.result;
+  for (const std::string& note : sim::checkpoint_resume_diagnostics()) {
+    std::cerr << "checkpoint: " << note << "\n";
+  }
+  if (run.resumed_from > 0) {
+    std::cerr << "checkpoint: resumed after request " << run.resumed_from
+              << "\n";
+  }
+  if (run.checkpoints_written > 0) {
+    std::cerr << "checkpoint: wrote " << run.checkpoints_written
+              << " checkpoint(s) to " << job.checkpoint.dir << "\n";
   }
   if (!metrics_path.empty()) write_metrics_file(metrics_path, r, sink);
   if (args.has("result-out")) write_result_json(args.get("result-out", ""), r);
