@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
             << ", " << edges << " edges x " << edge_fraction * 100
             << "% + root " << root_fraction * 100 << "%) ===\n\n";
 
-  const trace::Trace t = ctx.make_trace(synth::WorkloadProfile::DFN());
+  const trace::DenseTrace t =
+      trace::densify(ctx.make_trace(synth::WorkloadProfile::DFN()));
   const std::uint64_t overall = t.overall_size_bytes();
 
   util::Table table("Root policy comparison behind GD*(1) edges");

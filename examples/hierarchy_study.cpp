@@ -23,9 +23,9 @@ int main(int argc, char** argv) {
 
   synth::GeneratorOptions gen;
   gen.seed = args.get_uint("seed", 42);
-  const trace::Trace t =
+  const trace::DenseTrace t = trace::densify(
       synth::TraceGenerator(synth::WorkloadProfile::DFN().scaled(scale), gen)
-          .generate();
+          .generate());
   const double overall = static_cast<double>(t.overall_size_bytes());
   const double total_budget = overall * 0.10;  // 10% of trace bytes, total
 

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "sim/last_size.hpp"
 #include "sim/replay_core.hpp"
 
 namespace webcache::sim {
@@ -229,26 +228,12 @@ FaultRun::FaultRun(const FaultSchedule& schedule, std::uint32_t node_count,
 
 namespace {
 
-// Drives the shared per-request body (sim/replay_core.hpp) with the
-// fault-domain bookkeeping compiled in: a down domain loses the request
-// before the cache is consulted at all. Domains come from the frontend's
-// fault seams (one for a plain cache, one per class partition for a
-// PartitionedCache). The empty-schedule equivalence test in
+// The fault-aware overloads run the one materialized loop
+// (detail::replay_trace) with a FaultRun compiled in: a down domain loses
+// the request before the cache is consulted at all. Domains come from the
+// frontend's fault seams (one for a plain cache, one per class partition
+// for a PartitionedCache). The empty-schedule equivalence test in
 // tests/sim/fault_equivalence_test.cpp holds this against the plain loop.
-template <typename LastSize, obs::StatsSink Sink>
-SimResult frontend_fault_loop(const trace::Trace& trace,
-                              cache::CacheFrontend& cache,
-                              const SimulatorOptions& options,
-                              LastSize& last_size, FaultRun& faults,
-                              Sink& sink) {
-  detail::ReplayCore<LastSize, Sink, FaultRun> core(
-      cache, options, last_size, sink, trace.requests.size(), &faults);
-  for (const trace::Request& r : trace.requests) core.step(r);
-  return core.finish();
-}
-
-using detail::validate_options;
-
 FaultRun make_frontend_run(const cache::CacheFrontend& frontend,
                            const FaultSchedule& faults) {
   return FaultRun(faults, frontend.fault_domains(), /*has_root=*/false);
@@ -259,82 +244,31 @@ FaultRun make_frontend_run(const cache::CacheFrontend& frontend,
 SimResult simulate(const trace::Trace& trace, cache::CacheFrontend& frontend,
                    const SimulatorOptions& options,
                    const FaultSchedule& faults) {
-  validate_options(options);
-  FaultRun run = make_frontend_run(frontend, faults);
-  detail::SparseLastSize last_size(trace.requests.size());
-  obs::NullSink sink;
-  return frontend_fault_loop(trace, frontend, options, last_size, run, sink);
+  return detail::replay_trace(trace, frontend, options, obs::NullSink{},
+                              make_frontend_run(frontend, faults));
 }
 
 SimResult simulate(const trace::DenseTrace& trace,
                    cache::CacheFrontend& frontend,
                    const SimulatorOptions& options,
                    const FaultSchedule& faults) {
-  validate_options(options);
-  FaultRun run = make_frontend_run(frontend, faults);
-  frontend.reserve_dense_ids(trace.document_count());
-  detail::DenseLastSize last_size(trace.document_count());
-  obs::NullSink sink;
-  return frontend_fault_loop(trace.trace, frontend, options, last_size, run,
-                             sink);
+  return detail::replay_trace(trace, frontend, options, obs::NullSink{},
+                              make_frontend_run(frontend, faults));
 }
 
 SimResult simulate(const trace::Trace& trace, cache::CacheFrontend& frontend,
                    const SimulatorOptions& options, const FaultSchedule& faults,
                    obs::RecordingSink& sink) {
-  validate_options(options);
-  FaultRun run = make_frontend_run(frontend, faults);
-  detail::SparseLastSize last_size(trace.requests.size());
-  sink.begin_run(frontend);
-  SimResult result =
-      frontend_fault_loop(trace, frontend, options, last_size, run, sink);
-  sink.end_run();
-  return result;
+  return detail::replay_trace(trace, frontend, options, sink,
+                              make_frontend_run(frontend, faults));
 }
 
 SimResult simulate(const trace::DenseTrace& trace,
                    cache::CacheFrontend& frontend,
                    const SimulatorOptions& options, const FaultSchedule& faults,
                    obs::RecordingSink& sink) {
-  validate_options(options);
-  FaultRun run = make_frontend_run(frontend, faults);
-  frontend.reserve_dense_ids(trace.document_count());
-  detail::DenseLastSize last_size(trace.document_count());
-  sink.begin_run(frontend);
-  SimResult result = frontend_fault_loop(trace.trace, frontend, options,
-                                         last_size, run, sink);
-  sink.end_run();
-  return result;
-}
-
-SimResult simulate(const trace::Trace& trace, cache::PartitionedCache& cache,
-                   const SimulatorOptions& options,
-                   const FaultSchedule& faults) {
-  return simulate(trace, static_cast<cache::CacheFrontend&>(cache), options,
-                  faults);
-}
-
-SimResult simulate(const trace::DenseTrace& trace,
-                   cache::PartitionedCache& cache,
-                   const SimulatorOptions& options,
-                   const FaultSchedule& faults) {
-  return simulate(trace, static_cast<cache::CacheFrontend&>(cache), options,
-                  faults);
-}
-
-SimResult simulate(const trace::Trace& trace, cache::PartitionedCache& cache,
-                   const SimulatorOptions& options, const FaultSchedule& faults,
-                   obs::RecordingSink& sink) {
-  return simulate(trace, static_cast<cache::CacheFrontend&>(cache), options,
-                  faults, sink);
-}
-
-SimResult simulate(const trace::DenseTrace& trace,
-                   cache::PartitionedCache& cache,
-                   const SimulatorOptions& options, const FaultSchedule& faults,
-                   obs::RecordingSink& sink) {
-  return simulate(trace, static_cast<cache::CacheFrontend&>(cache), options,
-                  faults, sink);
+  return detail::replay_trace(trace, frontend, options, sink,
+                              make_frontend_run(frontend, faults));
 }
 
 }  // namespace webcache::sim

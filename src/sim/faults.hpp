@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/partitioned.hpp"
+#include "cache/frontend.hpp"
 #include "obs/stats_sink.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
@@ -226,12 +226,15 @@ class FaultRun {
 // Node i is fault domain i of the frontend (CacheFrontend::fault_domains):
 // one domain for a plain cache, one per document-class partition for a
 // PartitionedCache — so for partitioned caches node i is the partition of
-// class i, exactly the PR-4 semantics. A crash drops the domain's contents
+// class i. A crash drops the domain's contents
 // (CacheFrontend::crash_domain); while down, the domain's requests are
 // lost — a single box has no failover path. Root and probe events are
 // rejected at construction. With an empty schedule the result is
 // bit-identical to the plain simulate() overloads. Lost requests are
-// excluded from the latency model (nothing was fetched for them).
+// excluded from the latency model (nothing was fetched for them). A
+// PartitionedCache binds to these CacheFrontend& overloads directly; the
+// sparse `const trace::Trace&` forms are the independent reference the
+// dense ones are tested against.
 
 SimResult simulate(const trace::Trace& trace, cache::CacheFrontend& frontend,
                    const SimulatorOptions& options,
@@ -248,27 +251,6 @@ SimResult simulate(const trace::Trace& trace, cache::CacheFrontend& frontend,
 
 SimResult simulate(const trace::DenseTrace& trace,
                    cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options, const FaultSchedule& faults,
-                   obs::RecordingSink& sink);
-
-// PartitionedCache overloads (kept for callers that name the concrete
-// type): identical behavior to the CacheFrontend overloads above.
-
-SimResult simulate(const trace::Trace& trace, cache::PartitionedCache& cache,
-                   const SimulatorOptions& options,
-                   const FaultSchedule& faults);
-
-SimResult simulate(const trace::DenseTrace& trace,
-                   cache::PartitionedCache& cache,
-                   const SimulatorOptions& options,
-                   const FaultSchedule& faults);
-
-SimResult simulate(const trace::Trace& trace, cache::PartitionedCache& cache,
-                   const SimulatorOptions& options, const FaultSchedule& faults,
-                   obs::RecordingSink& sink);
-
-SimResult simulate(const trace::DenseTrace& trace,
-                   cache::PartitionedCache& cache,
                    const SimulatorOptions& options, const FaultSchedule& faults,
                    obs::RecordingSink& sink);
 

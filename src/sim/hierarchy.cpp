@@ -3,6 +3,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "cache/cache.hpp"
@@ -31,12 +32,9 @@ void count(HitCounters& counters, std::uint64_t bytes, bool hit) {
 }
 
 void validate_config(const HierarchyConfig& config) {
+  detail::validate_options(config.simulator);
   if (config.edge_count == 0) {
     throw std::invalid_argument("simulate_hierarchy: need at least one edge");
-  }
-  if (config.simulator.warmup_fraction < 0.0 ||
-      config.simulator.warmup_fraction >= 1.0) {
-    throw std::invalid_argument("simulate_hierarchy: bad warmup fraction");
   }
 }
 
@@ -91,23 +89,22 @@ bool probe_siblings(const trace::Request& r, std::uint64_t index,
   return sibling_hit;
 }
 
-// The replay loop, shared between the sparse and dense paths (only the
-// last-size representation differs; the caches themselves were already
-// switched by reserve_dense_ids before entry) and between plain and
-// fault-injected runs (F = NoFaults folds all fault handling away).
-template <typename LastSize, typename F, obs::StatsSink Sink>
-HierarchyResult hierarchy_loop(const trace::Trace& trace,
+// The replay loop, shared between plain and fault-injected runs
+// (F = NoFaults folds all fault handling away). Every cache in the mesh has
+// already reserved the trace's dense universe.
+template <typename F, obs::StatsSink Sink>
+HierarchyResult hierarchy_loop(const trace::DenseTrace& trace,
                                const HierarchyConfig& config,
                                std::vector<std::unique_ptr<cache::Cache>>& edges,
-                               cache::Cache& root, LastSize& last_size,
-                               F& faults, Sink& sink) {
+                               cache::Cache& root, F& faults, Sink& sink) {
   HierarchyResult result;
-  const std::uint64_t total = trace.requests.size();
+  const std::uint64_t total = trace.trace.requests.size();
   const auto warmup = static_cast<std::uint64_t>(std::floor(
       static_cast<double>(total) * config.simulator.warmup_fraction));
+  detail::DenseLastSize last_size(trace.document_count());
 
   std::uint64_t index = 0;
-  for (const trace::Request& r : trace.requests) {
+  for (const trace::Request& r : trace.trace.requests) {
     ++index;
     const bool measured = index > warmup;
     const std::uint64_t size = r.transfer_size;
@@ -297,13 +294,26 @@ HierarchyResult hierarchy_loop(const trace::Trace& trace,
   return result;
 }
 
+// One cache of the mesh, on the trace's dense universe. LRU-Threshold specs
+// install their admission limit, exactly as the single-cache simulate()
+// does (HierarchyReference.* pins both levels to it).
+std::unique_ptr<cache::Cache> make_cache(std::uint64_t capacity_bytes,
+                                         const cache::PolicySpec& spec,
+                                         std::uint64_t universe) {
+  auto c = std::make_unique<cache::Cache>(capacity_bytes,
+                                          cache::make_policy(spec));
+  c->set_admission_limit(detail::admission_limit_of(spec));
+  c->reserve_dense_ids(universe);
+  return c;
+}
+
 std::vector<std::unique_ptr<cache::Cache>> make_edges(
-    const HierarchyConfig& config) {
+    const HierarchyConfig& config, std::uint64_t universe) {
   std::vector<std::unique_ptr<cache::Cache>> edges;
   edges.reserve(config.edge_count);
   for (std::uint32_t e = 0; e < config.edge_count; ++e) {
-    edges.push_back(std::make_unique<cache::Cache>(
-        config.edge_capacity_bytes, cache::make_policy(config.edge_policy)));
+    edges.push_back(
+        make_cache(config.edge_capacity_bytes, config.edge_policy, universe));
   }
   return edges;
 }
@@ -404,141 +414,59 @@ void attach_sink(obs::RecordingSink& sink,
   root.set_removal_listener(&sink);
 }
 
+// Every simulate_hierarchy overload: validate, build the mesh on the
+// trace's dense universe (each cache sees a subset of it, so every one
+// reserves the full bound), attach a recording sink, and replay.
+template <typename F, typename Sink>
+HierarchyResult run_hierarchy(const trace::DenseTrace& trace,
+                              const HierarchyConfig& config, Sink&& sink,
+                              const FaultSchedule* schedule = nullptr) {
+  constexpr bool kRecording =
+      std::is_same_v<std::remove_cvref_t<Sink>, obs::RecordingSink>;
+  validate_config(config);
+  F faults = [&] {
+    if constexpr (F::kEnabled) {
+      return FaultRun(*schedule, config.edge_count, /*has_root=*/true);
+    } else {
+      return NoFaults{};
+    }
+  }();
+  const std::uint64_t universe = trace.document_count();
+  std::vector<std::unique_ptr<cache::Cache>> edges =
+      make_edges(config, universe);
+  const std::unique_ptr<cache::Cache> root =
+      make_cache(config.root_capacity_bytes, config.root_policy, universe);
+  if constexpr (kRecording) attach_sink(sink, edges, *root);
+  HierarchyResult result =
+      hierarchy_loop(trace, config, edges, *root, faults, sink);
+  if constexpr (kRecording) sink.end_run();
+  return result;
+}
+
 }  // namespace
 
-HierarchyResult simulate_hierarchy(const trace::Trace& trace,
-                                   const HierarchyConfig& config) {
-  validate_config(config);
-  std::vector<std::unique_ptr<cache::Cache>> edges = make_edges(config);
-  cache::Cache root(config.root_capacity_bytes,
-                    cache::make_policy(config.root_policy));
-  detail::SparseLastSize last_size(trace.requests.size());
-  NoFaults no_faults;
-  obs::NullSink sink;
-  return hierarchy_loop(trace, config, edges, root, last_size, no_faults,
-                        sink);
-}
-
 HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
                                    const HierarchyConfig& config) {
-  validate_config(config);
-  std::vector<std::unique_ptr<cache::Cache>> edges = make_edges(config);
-  cache::Cache root(config.root_capacity_bytes,
-                    cache::make_policy(config.root_policy));
-  // Each cache in the mesh sees a subset of the same dense universe, so
-  // every one reserves the full bound.
-  const std::uint64_t universe = trace.document_count();
-  for (const auto& edge : edges) edge->reserve_dense_ids(universe);
-  root.reserve_dense_ids(universe);
-  detail::DenseLastSize last_size(universe);
-  NoFaults no_faults;
-  obs::NullSink sink;
-  return hierarchy_loop(trace.trace, config, edges, root, last_size,
-                        no_faults, sink);
-}
-
-HierarchyResult simulate_hierarchy(const trace::Trace& trace,
-                                   const HierarchyConfig& config,
-                                   obs::RecordingSink& sink) {
-  validate_config(config);
-  std::vector<std::unique_ptr<cache::Cache>> edges = make_edges(config);
-  cache::Cache root(config.root_capacity_bytes,
-                    cache::make_policy(config.root_policy));
-  detail::SparseLastSize last_size(trace.requests.size());
-  NoFaults no_faults;
-  attach_sink(sink, edges, root);
-  HierarchyResult result =
-      hierarchy_loop(trace, config, edges, root, last_size, no_faults, sink);
-  sink.end_run();
-  return result;
+  return run_hierarchy<NoFaults>(trace, config, obs::NullSink{});
 }
 
 HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
                                    const HierarchyConfig& config,
                                    obs::RecordingSink& sink) {
-  validate_config(config);
-  std::vector<std::unique_ptr<cache::Cache>> edges = make_edges(config);
-  cache::Cache root(config.root_capacity_bytes,
-                    cache::make_policy(config.root_policy));
-  const std::uint64_t universe = trace.document_count();
-  for (const auto& edge : edges) edge->reserve_dense_ids(universe);
-  root.reserve_dense_ids(universe);
-  detail::DenseLastSize last_size(universe);
-  NoFaults no_faults;
-  attach_sink(sink, edges, root);
-  HierarchyResult result = hierarchy_loop(trace.trace, config, edges, root,
-                                          last_size, no_faults, sink);
-  sink.end_run();
-  return result;
-}
-
-// ---- fault-aware overloads ----
-
-HierarchyResult simulate_hierarchy(const trace::Trace& trace,
-                                   const HierarchyConfig& config,
-                                   const FaultSchedule& faults) {
-  validate_config(config);
-  std::vector<std::unique_ptr<cache::Cache>> edges = make_edges(config);
-  cache::Cache root(config.root_capacity_bytes,
-                    cache::make_policy(config.root_policy));
-  FaultRun run(faults, config.edge_count, /*has_root=*/true);
-  detail::SparseLastSize last_size(trace.requests.size());
-  obs::NullSink sink;
-  return hierarchy_loop(trace, config, edges, root, last_size, run, sink);
+  return run_hierarchy<NoFaults>(trace, config, sink);
 }
 
 HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
                                    const HierarchyConfig& config,
                                    const FaultSchedule& faults) {
-  validate_config(config);
-  std::vector<std::unique_ptr<cache::Cache>> edges = make_edges(config);
-  cache::Cache root(config.root_capacity_bytes,
-                    cache::make_policy(config.root_policy));
-  FaultRun run(faults, config.edge_count, /*has_root=*/true);
-  const std::uint64_t universe = trace.document_count();
-  for (const auto& edge : edges) edge->reserve_dense_ids(universe);
-  root.reserve_dense_ids(universe);
-  detail::DenseLastSize last_size(universe);
-  obs::NullSink sink;
-  return hierarchy_loop(trace.trace, config, edges, root, last_size, run,
-                        sink);
-}
-
-HierarchyResult simulate_hierarchy(const trace::Trace& trace,
-                                   const HierarchyConfig& config,
-                                   const FaultSchedule& faults,
-                                   obs::RecordingSink& sink) {
-  validate_config(config);
-  std::vector<std::unique_ptr<cache::Cache>> edges = make_edges(config);
-  cache::Cache root(config.root_capacity_bytes,
-                    cache::make_policy(config.root_policy));
-  FaultRun run(faults, config.edge_count, /*has_root=*/true);
-  detail::SparseLastSize last_size(trace.requests.size());
-  attach_sink(sink, edges, root);
-  HierarchyResult result =
-      hierarchy_loop(trace, config, edges, root, last_size, run, sink);
-  sink.end_run();
-  return result;
+  return run_hierarchy<FaultRun>(trace, config, obs::NullSink{}, &faults);
 }
 
 HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
                                    const HierarchyConfig& config,
                                    const FaultSchedule& faults,
                                    obs::RecordingSink& sink) {
-  validate_config(config);
-  std::vector<std::unique_ptr<cache::Cache>> edges = make_edges(config);
-  cache::Cache root(config.root_capacity_bytes,
-                    cache::make_policy(config.root_policy));
-  FaultRun run(faults, config.edge_count, /*has_root=*/true);
-  const std::uint64_t universe = trace.document_count();
-  for (const auto& edge : edges) edge->reserve_dense_ids(universe);
-  root.reserve_dense_ids(universe);
-  detail::DenseLastSize last_size(universe);
-  attach_sink(sink, edges, root);
-  HierarchyResult result =
-      hierarchy_loop(trace.trace, config, edges, root, last_size, run, sink);
-  sink.end_run();
-  return result;
+  return run_hierarchy<FaultRun>(trace, config, sink, &faults);
 }
 
 }  // namespace webcache::sim

@@ -102,17 +102,18 @@ struct HierarchyResult {
   double latency_savings() const;
 };
 
-HierarchyResult simulate_hierarchy(const trace::Trace& trace,
-                                   const HierarchyConfig& config);
-
-/// Dense-id fast path: a trace run through trace::densify() carries the
-/// document-count bound, so every edge cache and the root reserve the full
-/// dense universe (object tables and policy indices become flat arrays) and
-/// the per-request bookkeeping (last-size tracking) becomes a flat vector
-/// indexed by dense id. Client ids are untouched by densify(), so requests
-/// attach to exactly the same edges. Bit-identical HierarchyResults to the
-/// sparse overload — same hits, same eviction order, same tie-breaking —
-/// only faster.
+/// Replays a densified trace (trace::densify()) through the mesh. Every
+/// edge cache and the root reserve the trace's dense universe, so object
+/// tables, policy indices and the last-size tracker are flat arrays indexed
+/// by dense id. densify() leaves client ids untouched, so requests attach
+/// to the same edges as the source trace's. Each cache is set up exactly as
+/// the single-cache simulate() sets up its one cache (LRU-Threshold specs
+/// install their admission limit): a one-edge mesh without siblings gives
+/// the edge the counters of simulate() at the edge capacity, and with a
+/// zero-capacity edge the root gets those of simulate() at the root
+/// capacity (tests/sim/hierarchy_test.cpp, HierarchyReference.*). Config
+/// errors — no edges, or simulator options that simulate() rejects — throw
+/// std::invalid_argument.
 HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
                                    const HierarchyConfig& config);
 
@@ -120,10 +121,7 @@ HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
 /// is service by any level), evictions from every cache in the mesh, and
 /// per-window snapshots of mesh-wide occupancy/heap size with the *root's*
 /// aging/beta trace. Results are bit-identical to the uninstrumented
-/// overloads.
-HierarchyResult simulate_hierarchy(const trace::Trace& trace,
-                                   const HierarchyConfig& config,
-                                   obs::RecordingSink& sink);
+/// overload.
 HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
                                    const HierarchyConfig& config,
                                    obs::RecordingSink& sink);
@@ -137,20 +135,13 @@ HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
 // origin and still warm the edge; an edge-down/root-down double fault
 // loses the request (counted in offered.requests, never as a hit). With an
 // empty schedule the result is bit-identical to the plain overloads
-// (tests/sim/fault_equivalence_test.cpp). The instrumented forms
-// additionally feed the sink's fault hooks: per-window availability,
+// (tests/sim/fault_equivalence_test.cpp). The instrumented form
+// additionally feeds the sink's fault hooks: per-window availability,
 // failovers, losses, and post-recovery warm-up curves.
 
-HierarchyResult simulate_hierarchy(const trace::Trace& trace,
-                                   const HierarchyConfig& config,
-                                   const FaultSchedule& faults);
 HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
                                    const HierarchyConfig& config,
                                    const FaultSchedule& faults);
-HierarchyResult simulate_hierarchy(const trace::Trace& trace,
-                                   const HierarchyConfig& config,
-                                   const FaultSchedule& faults,
-                                   obs::RecordingSink& sink);
 HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
                                    const HierarchyConfig& config,
                                    const FaultSchedule& faults,

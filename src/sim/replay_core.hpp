@@ -7,7 +7,9 @@
 // finish form, so a chunked stream drives exactly the same instructions as
 // a materialized for-loop — the streamed results are bit-identical by
 // construction, not by parallel maintenance of two loops (the
-// streaming-equivalence suite then checks the construction).
+// streaming-equivalence suite then checks the construction). Exactly two
+// loops step it: replay_trace() below for materialized traces, and
+// run_checkpointed (checkpoint.cpp) for streams.
 //
 // The Faults parameter follows the sink pattern: the NoFaultReplay
 // instantiation compiles the fault-domain checks away entirely, so the
@@ -17,12 +19,14 @@
 #include <cmath>
 #include <cstdint>
 #include <type_traits>
+#include <vector>
 
 #include "cache/frontend.hpp"
 #include "obs/stats_sink.hpp"
 #include "sim/last_size.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
+#include "trace/dense_trace.hpp"
 #include "trace/request.hpp"
 
 namespace webcache::sim::detail {
@@ -202,5 +206,45 @@ class ReplayCore {
   std::uint64_t occupancy_countdown_ = 0;
   std::uint64_t index_ = 0;
 };
+
+/// The request sequence of a materialized trace, sparse or dense.
+inline const trace::Trace& raw_trace(const trace::Trace& trace) {
+  return trace;
+}
+inline const trace::Trace& raw_trace(const trace::DenseTrace& trace) {
+  return trace.trace;
+}
+
+/// The one materialized replay: every simulate() overload over a whole
+/// trace (plain, instrumented or fault-aware; sparse or dense ids) is one
+/// call to this. It validates the options, then picks the last-size tracker
+/// from the trace type: a DenseTrace reserves its document universe on the
+/// frontend and tracks sizes in a flat vector, a sparse Trace uses the hash
+/// map. A RecordingSink is bracketed by begin_run/end_run; a NullSink
+/// compiles to nothing. `faults` is a FaultRun for fault-aware runs.
+template <typename TraceT, typename Sink, typename Faults = NoFaultReplay>
+SimResult replay_trace(const TraceT& trace, cache::CacheFrontend& frontend,
+                       const SimulatorOptions& options, Sink&& sink,
+                       Faults faults = {}) {
+  using SinkT = std::remove_cvref_t<Sink>;
+  validate_options(options);
+  const std::vector<trace::Request>& requests = raw_trace(trace).requests;
+  auto last_size = [&] {
+    if constexpr (std::is_same_v<TraceT, trace::DenseTrace>) {
+      frontend.reserve_dense_ids(trace.document_count());
+      return DenseLastSize(trace.document_count());
+    } else {
+      return SparseLastSize(requests.size());
+    }
+  }();
+  if constexpr (std::is_same_v<SinkT, obs::RecordingSink>) {
+    sink.begin_run(frontend);
+  }
+  ReplayCore<decltype(last_size), SinkT, Faults> core(
+      frontend, options, last_size, sink, requests.size(), &faults);
+  for (const trace::Request& r : requests) core.step(r);
+  if constexpr (std::is_same_v<SinkT, obs::RecordingSink>) sink.end_run();
+  return core.finish();
+}
 
 }  // namespace webcache::sim::detail

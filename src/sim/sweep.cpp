@@ -4,6 +4,7 @@
 #include <functional>
 #include <stdexcept>
 
+#include "sim/replay_core.hpp"
 #include "sim/sampled_sweep.hpp"
 #include "sim/stack_sweep.hpp"
 #include "util/parallel.hpp"
@@ -11,6 +12,8 @@
 namespace webcache::sim {
 
 namespace {
+
+using detail::raw_trace;
 
 using CellRunner =
     std::function<SimResult(std::uint64_t capacity_bytes, std::size_t column)>;
@@ -58,11 +61,6 @@ void fill_grid(SweepResult& sweep, std::size_t columns,
     const std::size_t f = pending[i] / columns;
     sweep.points[f].results[p] = run_cell(sweep.points[f].capacity_bytes, p);
   });
-}
-
-const trace::Trace& raw_trace(const trace::Trace& trace) { return trace; }
-const trace::Trace& raw_trace(const trace::DenseTrace& trace) {
-  return trace.trace;
 }
 
 // One-pass LRU fast path: fills every stack-eligible (capacity x LRU
@@ -239,9 +237,19 @@ SweepResult run_policy_sweep(const TraceT& trace, const SweepConfig& config) {
   return sweep;
 }
 
-template <typename TraceT>
-SweepResult run_frontend_sweep(const TraceT& trace,
-                               const FrontendSweepConfig& config) {
+}  // namespace
+
+SweepResult run_sweep(const trace::Trace& trace, const SweepConfig& config) {
+  return run_policy_sweep(trace, config);
+}
+
+SweepResult run_sweep(const trace::DenseTrace& trace,
+                      const SweepConfig& config) {
+  return run_policy_sweep(trace, config);
+}
+
+SweepResult run_sweep(const trace::DenseTrace& trace,
+                      const FrontendSweepConfig& config) {
   validate_frontends(config);
   SweepResult sweep = layout_grid(trace.overall_size_bytes(),
                                   config.cache_fractions,
@@ -256,27 +264,6 @@ SweepResult run_frontend_sweep(const TraceT& trace,
               return simulate(trace, *frontend, config.simulator);
             });
   return sweep;
-}
-
-}  // namespace
-
-SweepResult run_sweep(const trace::Trace& trace, const SweepConfig& config) {
-  return run_policy_sweep(trace, config);
-}
-
-SweepResult run_sweep(const trace::DenseTrace& trace,
-                      const SweepConfig& config) {
-  return run_policy_sweep(trace, config);
-}
-
-SweepResult run_sweep(const trace::Trace& trace,
-                      const FrontendSweepConfig& config) {
-  return run_frontend_sweep(trace, config);
-}
-
-SweepResult run_sweep(const trace::DenseTrace& trace,
-                      const FrontendSweepConfig& config) {
-  return run_frontend_sweep(trace, config);
 }
 
 }  // namespace webcache::sim

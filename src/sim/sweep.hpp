@@ -20,14 +20,13 @@ namespace webcache::sim {
 /// Whether run_sweep may route LRU columns through the one-pass
 /// stack-analysis engine (sim/stack_sweep.hpp) instead of one grid cell per
 /// capacity. The fast path is exact — results are bit-identical to the
-/// grid — so kAuto and kOn behave the same: every stack-eligible
-/// (capacity x LRU) cell takes the one-pass engine and everything else
-/// (non-LRU policies, occupancy sampling, capacities smaller than the
-/// largest transfer) falls back to the per-cell grid. kOff forces the grid
-/// everywhere (the differential baseline).
+/// grid. kAuto: every stack-eligible (capacity x LRU) cell takes the
+/// one-pass engine and everything else (non-LRU policies, occupancy
+/// sampling, capacities smaller than the largest transfer) falls back to
+/// the per-cell grid. kOff forces the grid everywhere (the differential
+/// baseline).
 enum class OnePassMode {
   kAuto,
-  kOn,
   kOff,
 };
 
@@ -136,12 +135,10 @@ struct FrontendSweepConfig {
   FaultSchedule faults;
 };
 
-SweepResult run_sweep(const trace::Trace& trace,
-                      const FrontendSweepConfig& config);
-
-/// Dense-id fast path: each cell's frontend reserves the dense universe
-/// (CacheFrontend::reserve_dense_ids) before replay. Bit-identical to the
-/// sparse overload and to any thread count.
+/// Dense-only: each cell's frontend reserves the trace's dense universe
+/// (CacheFrontend::reserve_dense_ids) before replay. Bit-identical for any
+/// thread count, and cell for cell to the sparse single-frontend
+/// simulate(const Trace&, CacheFrontend&) on a fresh frontend.
 SweepResult run_sweep(const trace::DenseTrace& trace,
                       const FrontendSweepConfig& config);
 

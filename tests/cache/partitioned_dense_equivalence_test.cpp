@@ -118,22 +118,26 @@ TEST(PartitionedDenseEquivalence, FrontendSweepMatchesSparsePath) {
         });
   }
 
-  const sim::SweepResult a = sim::run_sweep(sparse, config);
-  const sim::SweepResult b = sim::run_sweep(dense, config);
-  ASSERT_EQ(a.points.size(), b.points.size());
-  EXPECT_EQ(a.overall_size_bytes, b.overall_size_bytes);
-  for (std::size_t f = 0; f < a.points.size(); ++f) {
-    ASSERT_EQ(a.points[f].results.size(), b.points[f].results.size());
-    EXPECT_EQ(a.points[f].capacity_bytes, b.points[f].capacity_bytes);
-    for (std::size_t p = 0; p < a.points[f].results.size(); ++p) {
-      expect_identical(a.points[f].results[p], b.points[f].results[p],
+  // Every dense sweep cell must equal the sparse single-frontend replay of
+  // a fresh frontend from the same factory at the cell's capacity.
+  const sim::SweepResult sweep = sim::run_sweep(dense, config);
+  EXPECT_EQ(sweep.overall_size_bytes, sparse.overall_size_bytes());
+  ASSERT_EQ(sweep.points.size(), config.cache_fractions.size());
+  for (std::size_t f = 0; f < sweep.points.size(); ++f) {
+    const sim::SweepPoint& point = sweep.points[f];
+    ASSERT_EQ(point.results.size(), config.frontends.size());
+    for (std::size_t p = 0; p < point.results.size(); ++p) {
+      const std::unique_ptr<CacheFrontend> fresh =
+          config.frontends[p](point.capacity_bytes);
+      expect_identical(sim::simulate(sparse, *fresh, config.simulator),
+                       point.results[p],
                        "cell f" + std::to_string(f) + " p" + std::to_string(p));
     }
   }
 }
 
 TEST(PartitionedDenseEquivalence, FrontendSweepRejectsBadConfig) {
-  const trace::Trace t = recorded_trace();
+  const trace::DenseTrace t = trace::densify(recorded_trace());
   sim::FrontendSweepConfig config;  // no frontends
   EXPECT_THROW(sim::run_sweep(t, config), std::invalid_argument);
   config.frontends.push_back(sim::FrontendFactory{});  // null factory

@@ -2,17 +2,19 @@
 """One-pass sweep CLI smoke test, run under CTest as `cli_one_pass`.
 
 The one-pass stack-analysis fast path behind `sweep --one-pass` is exact,
-so `--one-pass=on` and `--one-pass=off` must produce the same numbers on a
-mixed-policy grid. This test generates a synthetic mix, exports the sweep
-curves both ways via --curve-out, and asserts:
+so `--one-pass=auto` (the default) and `--one-pass=off` must produce the
+same numbers on a mixed-policy grid. This test generates a synthetic mix,
+exports the sweep curves both ways via --curve-out, and asserts:
 
   * both documents carry the webcache.sweep.v1 schema with the requested
     policy columns and fraction ladder;
   * every LRU column (the columns the fast path may take over) is
     identical between the two runs, counter for counter;
   * the non-LRU columns — which never take the fast path — agree too;
-  * the rendered stdout tables match byte for byte;
-  * a bogus --one-pass value fails with a diagnostic, not a crash.
+  * the rendered stdout tables match byte for byte, and the default run
+    matches the explicit auto run;
+  * a bogus --one-pass value (`maybe`, `on`) fails with a diagnostic
+    naming both accepted modes, not a crash.
 
 Usage: cli_one_pass_test.py <path-to-webcache-binary>
 """
@@ -76,19 +78,19 @@ def columns(doc, policy):
     return out
 
 
-def compare_columns(on_doc, off_doc, policy):
-    on_col = columns(on_doc, policy)
+def compare_columns(auto_doc, off_doc, policy):
+    auto_col = columns(auto_doc, policy)
     off_col = columns(off_doc, policy)
-    if len(on_col) != len(off_col) or not on_col:
+    if len(auto_col) != len(off_col) or not auto_col:
         check(f"{policy} column present both ways", False,
-              f"{len(on_col)} vs {len(off_col)} cells")
+              f"{len(auto_col)} vs {len(off_col)} cells")
         return
-    for (cap_on, rec_on), (cap_off, rec_off) in zip(on_col, off_col):
-        if cap_on != cap_off or rec_on != rec_off:
-            check(f"{policy} columns identical on/off", False,
-                  f"capacity {cap_on}: {rec_on} != {rec_off}")
+    for (cap_auto, rec_auto), (cap_off, rec_off) in zip(auto_col, off_col):
+        if cap_auto != cap_off or rec_auto != rec_off:
+            check(f"{policy} columns identical auto/off", False,
+                  f"capacity {cap_auto}: {rec_auto} != {rec_off}")
             return
-    check(f"{policy} columns identical on/off", True)
+    check(f"{policy} columns identical auto/off", True)
 
 
 def main():
@@ -99,16 +101,16 @@ def main():
 
     with tempfile.TemporaryDirectory(prefix="webcache_cli_one_pass.") as tmp:
         wct = os.path.join(tmp, "mix.wct")
-        on_json = os.path.join(tmp, "curves_on.json")
+        auto_json = os.path.join(tmp, "curves_auto.json")
         off_json = os.path.join(tmp, "curves_off.json")
 
         p = run(cli, "generate", "--profile=DFN", "--scale=0.002", "--seed=11",
                 f"--out={wct}")
         check("generate mix", p.returncode == 0, p.stderr.strip()[:200])
 
-        p_on = sweep(cli, wct, "on", on_json)
-        check("sweep --one-pass=on", p_on.returncode == 0,
-              p_on.stderr.strip()[:200])
+        p_auto = sweep(cli, wct, "auto", auto_json)
+        check("sweep --one-pass=auto", p_auto.returncode == 0,
+              p_auto.stderr.strip()[:200])
         p_off = sweep(cli, wct, "off", off_json)
         check("sweep --one-pass=off", p_off.returncode == 0,
               p_off.stderr.strip()[:200])
@@ -117,27 +119,30 @@ def main():
                   file=sys.stderr)
             return 1
 
-        check("rendered tables identical on/off",
-              p_on.stdout == p_off.stdout)
+        check("rendered tables identical auto/off",
+              p_auto.stdout == p_off.stdout)
 
-        on_doc = load_curves(on_json)
+        auto_doc = load_curves(auto_json)
         off_doc = load_curves(off_json)
         for policy in ("LRU", "LFU-DA", "GDS(1)"):
-            compare_columns(on_doc, off_doc, policy)
+            compare_columns(auto_doc, off_doc, policy)
 
-        # auto is the default and must agree with both explicit modes.
-        p_auto = run(cli, "sweep", wct, f"--policies={POLICIES}",
-                     f"--fractions={FRACTIONS}", "--warmup=0.1",
-                     "--threads=2")
-        check("sweep default (auto)", p_auto.returncode == 0,
-              p_auto.stderr.strip()[:200])
-        check("default tables match explicit modes",
-              p_auto.stdout == p_on.stdout)
+        # auto is the default: a run without the flag is the auto run.
+        p_default = run(cli, "sweep", wct, f"--policies={POLICIES}",
+                        f"--fractions={FRACTIONS}", "--warmup=0.1",
+                        "--threads=2")
+        check("sweep default", p_default.returncode == 0,
+              p_default.stderr.strip()[:200])
+        check("default tables match --one-pass=auto",
+              p_default.stdout == p_auto.stdout)
 
-        p_bad = run(cli, "sweep", wct, "--one-pass=maybe")
-        check("bogus --one-pass exits 1 with a diagnostic",
-              p_bad.returncode == 1 and "--one-pass" in p_bad.stderr,
-              f"rc={p_bad.returncode} stderr={p_bad.stderr.strip()[:200]}")
+        for bogus in ("maybe", "on"):
+            p_bad = run(cli, "sweep", wct, f"--one-pass={bogus}")
+            check(f"--one-pass={bogus} exits 1 naming auto and off",
+                  p_bad.returncode == 1 and "--one-pass" in p_bad.stderr
+                  and "auto" in p_bad.stderr and "off" in p_bad.stderr,
+                  f"rc={p_bad.returncode} "
+                  f"stderr={p_bad.stderr.strip()[:200]}")
 
     if FAILURES:
         print(f"\n{len(FAILURES)} check(s) failed: {FAILURES}",

@@ -135,31 +135,27 @@ TEST(ObsEquivalence, OptBoundIsUnchangedByInstrumentation) {
 }
 
 TEST(ObsEquivalence, HierarchyIsUnchangedByInstrumentation) {
-  const trace::Trace sparse = recorded_trace();
-  const trace::DenseTrace dense = trace::densify(sparse);
+  const trace::DenseTrace dense = trace::densify(recorded_trace());
 
   sim::HierarchyConfig config;
   config.edge_count = 4;
   config.edge_policy = cache::policy_spec_from_name("GD*(1)");
   config.root_policy = cache::policy_spec_from_name("GD*(packet)");
-  config.root_capacity_bytes = sparse.overall_size_bytes() / 25;
+  config.root_capacity_bytes = dense.overall_size_bytes() / 25;
   config.edge_capacity_bytes = config.root_capacity_bytes / 4;
   config.sibling_cooperation = true;
 
-  const sim::HierarchyResult a = sim::simulate_hierarchy(sparse, config);
+  const sim::HierarchyResult a = sim::simulate_hierarchy(dense, config);
   RecordingSink sink(500);
-  const sim::HierarchyResult b = sim::simulate_hierarchy(sparse, config, sink);
-  const sim::HierarchyResult c = sim::simulate_hierarchy(dense, config, sink);
+  const sim::HierarchyResult b = sim::simulate_hierarchy(dense, config, sink);
 
-  for (const auto* r : {&b, &c}) {
-    expect_identical_counters(a.offered, r->offered, "offered");
-    expect_identical_counters(a.edge_hits, r->edge_hits, "edge");
-    expect_identical_counters(a.sibling_hits, r->sibling_hits, "sibling");
-    expect_identical_counters(a.root_hits, r->root_hits, "root");
-    EXPECT_EQ(a.root_requests, r->root_requests);
-    EXPECT_EQ(a.edge_evictions, r->edge_evictions);
-    EXPECT_EQ(a.root_evictions, r->root_evictions);
-  }
+  expect_identical_counters(a.offered, b.offered, "offered");
+  expect_identical_counters(a.edge_hits, b.edge_hits, "edge");
+  expect_identical_counters(a.sibling_hits, b.sibling_hits, "sibling");
+  expect_identical_counters(a.root_hits, b.root_hits, "root");
+  EXPECT_EQ(a.root_requests, b.root_requests);
+  EXPECT_EQ(a.edge_evictions, b.edge_evictions);
+  EXPECT_EQ(a.root_evictions, b.root_evictions);
 }
 
 }  // namespace

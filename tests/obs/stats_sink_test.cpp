@@ -185,12 +185,12 @@ TEST(RecordingSink, ReusableAcrossRuns) {
 }
 
 TEST(RecordingSink, HierarchySinkObservesTheOfferedStream) {
-  const trace::Trace t = recorded_trace();
+  const trace::DenseTrace t = trace::densify(recorded_trace());
   sim::HierarchyConfig config;
   config.edge_count = 4;
   config.edge_policy = cache::policy_spec_from_name("LRU");
   config.root_policy = cache::policy_spec_from_name("GD*(packet)");
-  config.root_capacity_bytes = capacity_of(t);
+  config.root_capacity_bytes = capacity_of(t.trace);
   config.edge_capacity_bytes = config.root_capacity_bytes / 4;
 
   RecordingSink sink(kWindow);

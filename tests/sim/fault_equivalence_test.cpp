@@ -89,31 +89,23 @@ void expect_identical(const SimResult& a, const SimResult& b,
 }
 
 TEST(FaultEquivalence, EmptyScheduleMatchesPlainHierarchy) {
-  const trace::Trace sparse = recorded_trace();
-  const trace::DenseTrace dense = trace::densify(sparse);
+  const trace::DenseTrace dense = trace::densify(recorded_trace());
   const FaultSchedule empty;
 
   for (const std::string& name : factory_policies()) {
     const cache::PolicySpec spec = cache::policy_spec_from_name(name);
     HierarchyConfig config;
     config.edge_count = 3;
-    config.edge_capacity_bytes = sparse.overall_size_bytes() / 150;
+    config.edge_capacity_bytes = dense.overall_size_bytes() / 150;
     config.edge_policy = spec;
-    config.root_capacity_bytes = sparse.overall_size_bytes() / 12;
+    config.root_capacity_bytes = dense.overall_size_bytes() / 12;
     config.root_policy = spec;
     config.sibling_cooperation = true;
 
-    const HierarchyResult plain = simulate_hierarchy(sparse, config);
-    const HierarchyResult faulted = simulate_hierarchy(sparse, config, empty);
-    expect_identical(plain, faulted, name + " sparse");
-    expect_no_fault_stats(faulted.faults, name + " sparse");
-
-    const HierarchyResult plain_dense = simulate_hierarchy(dense, config);
-    const HierarchyResult faulted_dense =
-        simulate_hierarchy(dense, config, empty);
-    expect_identical(plain_dense, faulted_dense, name + " dense");
-    expect_identical(plain, plain_dense, name + " sparse-vs-dense");
-    expect_no_fault_stats(faulted_dense.faults, name + " dense");
+    const HierarchyResult plain = simulate_hierarchy(dense, config);
+    const HierarchyResult faulted = simulate_hierarchy(dense, config, empty);
+    expect_identical(plain, faulted, name);
+    expect_no_fault_stats(faulted.faults, name);
   }
 }
 
@@ -148,7 +140,7 @@ TEST(FaultEquivalence, InstrumentedEmptyScheduleMatchesPlainSeries) {
   // The fault-aware instrumented loop must report the same flow series as
   // the plain instrumented loop with an empty schedule — the fault feed
   // only adds the availability samples (every node up, every window).
-  const trace::Trace t = recorded_trace();
+  const trace::DenseTrace t = trace::densify(recorded_trace());
   HierarchyConfig config;
   config.edge_count = 3;
   config.edge_capacity_bytes = t.overall_size_bytes() / 150;

@@ -16,6 +16,7 @@
 #include "sim/hierarchy.hpp"
 #include "sim/simulator.hpp"
 #include "synth/generator.hpp"
+#include "trace/dense_trace.hpp"
 #include "util/rng.hpp"
 
 namespace webcache::sim {
@@ -80,7 +81,7 @@ void expect_window_conserved(const obs::WindowSample& w,
 TEST(FaultProperty, RandomHierarchySchedulesConserveRequests) {
   util::Rng rng(20260807);
   for (int round = 0; round < 8; ++round) {
-    const trace::Trace t = random_trace(rng);
+    const trace::DenseTrace t = trace::densify(random_trace(rng));
     HierarchyConfig config;
     config.edge_count = 1 + static_cast<std::uint32_t>(rng.below(4));
     config.edge_capacity_bytes =
@@ -91,7 +92,7 @@ TEST(FaultProperty, RandomHierarchySchedulesConserveRequests) {
     config.sibling_cooperation = rng.below(2) == 0;
 
     const FaultSchedule s = random_schedule(
-        rng, t.total_requests(), config.edge_count, /*with_root=*/true);
+        rng, t.trace.total_requests(), config.edge_count, /*with_root=*/true);
     const std::string label = "round " + std::to_string(round) + " (" +
                               std::to_string(s.events.size()) + " events)";
 
@@ -186,7 +187,7 @@ TEST(FaultProperty, ResultsAreReproducible) {
   // Same trace + same schedule -> identical counters, twice over (fresh
   // caches each time): the determinism the 1-based indexing exists for.
   util::Rng rng(777);
-  const trace::Trace t = random_trace(rng);
+  const trace::DenseTrace t = trace::densify(random_trace(rng));
   HierarchyConfig config;
   config.edge_count = 4;
   config.edge_capacity_bytes = t.overall_size_bytes() / 200;
@@ -195,7 +196,7 @@ TEST(FaultProperty, ResultsAreReproducible) {
   config.root_policy = cache::policy_spec_from_name("GD*(packet)");
   config.sibling_cooperation = true;
   const FaultSchedule s =
-      random_schedule(rng, t.total_requests(), 4, /*with_root=*/true);
+      random_schedule(rng, t.trace.total_requests(), 4, /*with_root=*/true);
 
   const HierarchyResult a = simulate_hierarchy(t, config, s);
   const HierarchyResult b = simulate_hierarchy(t, config, s);

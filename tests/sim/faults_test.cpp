@@ -19,6 +19,7 @@
 #include "sim/hierarchy.hpp"
 #include "sim/simulator.hpp"
 #include "synth/generator.hpp"
+#include "trace/dense_trace.hpp"
 
 namespace webcache::sim {
 namespace {
@@ -184,7 +185,9 @@ trace::Trace small_trace() {
       .generate();
 }
 
-HierarchyConfig basic_config(const trace::Trace& t) {
+trace::DenseTrace small_dense_trace() { return trace::densify(small_trace()); }
+
+HierarchyConfig basic_config(const trace::DenseTrace& t) {
   HierarchyConfig config;
   config.edge_count = 4;
   config.edge_capacity_bytes = t.overall_size_bytes() / 100;
@@ -195,12 +198,12 @@ HierarchyConfig basic_config(const trace::Trace& t) {
 }
 
 TEST(HierarchyFaults, EdgeCrashFailsOverToRoot) {
-  const trace::Trace t = small_trace();
+  const trace::DenseTrace t = small_dense_trace();
   const HierarchyConfig config = basic_config(t);
   const HierarchyResult baseline = simulate_hierarchy(t, config);
 
   FaultSchedule s =
-      schedule_of({{t.total_requests() / 2, FaultKind::kEdgeCrash, 0}});
+      schedule_of({{t.trace.total_requests() / 2, FaultKind::kEdgeCrash, 0}});
   const HierarchyResult r = simulate_hierarchy(t, config, s);
 
   EXPECT_EQ(r.faults.events_applied, 1u);
@@ -215,11 +218,11 @@ TEST(HierarchyFaults, EdgeCrashFailsOverToRoot) {
 }
 
 TEST(HierarchyFaults, RootOutageServesFromOriginAndWarmsEdges) {
-  const trace::Trace t = small_trace();
+  const trace::DenseTrace t = small_dense_trace();
   const HierarchyConfig config = basic_config(t);
 
   FaultSchedule s =
-      schedule_of({{t.total_requests() / 2, FaultKind::kRootOutage, 0}});
+      schedule_of({{t.trace.total_requests() / 2, FaultKind::kRootOutage, 0}});
   const HierarchyResult r = simulate_hierarchy(t, config, s);
 
   EXPECT_GT(r.faults.origin_fetches, 0u);
@@ -235,9 +238,9 @@ TEST(HierarchyFaults, RootOutageServesFromOriginAndWarmsEdges) {
 TEST(HierarchyFaults, DoubleFaultLosesRequests) {
   // Satellite: edge AND root down — the dead edge's clients have nowhere
   // to go (no mesh), so their requests are lost; everyone else is served.
-  const trace::Trace t = small_trace();
+  const trace::DenseTrace t = small_dense_trace();
   const HierarchyConfig config = basic_config(t);
-  const std::uint64_t mid = t.total_requests() / 2;
+  const std::uint64_t mid = t.trace.total_requests() / 2;
   FaultSchedule s = schedule_of({{mid, FaultKind::kEdgeCrash, 0},
                                  {mid, FaultKind::kRootOutage, 0}});
   const HierarchyResult r = simulate_hierarchy(t, config, s);
@@ -254,7 +257,7 @@ TEST(HierarchyFaults, DoubleFaultLosesRequests) {
 TEST(HierarchyFaults, AllEdgesDownRoutesEverythingToRoot) {
   // Satellite: every edge down at once, root up — nothing is lost, every
   // measured request is a failover, the edge level never answers again.
-  const trace::Trace t = small_trace();
+  const trace::DenseTrace t = small_dense_trace();
   const HierarchyConfig config = basic_config(t);
   FaultSchedule s = schedule_of({{1, FaultKind::kEdgeCrash, 0},
                                  {1, FaultKind::kEdgeCrash, 1},
@@ -270,7 +273,7 @@ TEST(HierarchyFaults, AllEdgesDownRoutesEverythingToRoot) {
 TEST(HierarchyFaults, TotalOutageLosesEveryRequest) {
   // Satellite: all edges and the root down from request 1 — a total mesh
   // outage. Every measured request is lost, none is a hit.
-  const trace::Trace t = small_trace();
+  const trace::DenseTrace t = small_dense_trace();
   const HierarchyConfig config = basic_config(t);
   FaultSchedule s = schedule_of({{1, FaultKind::kEdgeCrash, 0},
                                  {1, FaultKind::kEdgeCrash, 1},
@@ -288,7 +291,7 @@ TEST(HierarchyFaults, SingleEdgeHierarchyFailsOverStraightToRoot) {
   // Satellite: a 1-edge hierarchy has no siblings — an edge crash must go
   // straight to the root (and to lost when the root is down too), without
   // touching the (empty) sibling scan.
-  const trace::Trace t = small_trace();
+  const trace::DenseTrace t = small_dense_trace();
   HierarchyConfig config = basic_config(t);
   config.edge_count = 1;
   config.sibling_cooperation = true;  // cooperation with no siblings
@@ -309,9 +312,9 @@ TEST(HierarchyFaults, CrashAndRecoveryInSameWindowRestartsCold) {
   // Satellite: crash + recover at the same request index — the node stays
   // routable but restarts cold, so it produces fewer edge hits than the
   // fault-free run and no requests are lost or failed over.
-  const trace::Trace t = small_trace();
+  const trace::DenseTrace t = small_dense_trace();
   const HierarchyConfig config = basic_config(t);
-  const std::uint64_t mid = t.total_requests() / 2;
+  const std::uint64_t mid = t.trace.total_requests() / 2;
   FaultSchedule s = schedule_of({{mid, FaultKind::kEdgeCrash, 0},
                                  {mid, FaultKind::kEdgeRecover, 0}});
   const HierarchyResult r = simulate_hierarchy(t, config, s);
@@ -324,10 +327,10 @@ TEST(HierarchyFaults, CrashAndRecoveryInSameWindowRestartsCold) {
 }
 
 TEST(HierarchyFaults, MeshFailoverPrefersSiblingsOverRoot) {
-  const trace::Trace t = small_trace();
+  const trace::DenseTrace t = small_dense_trace();
   HierarchyConfig mesh = basic_config(t);
   mesh.sibling_cooperation = true;
-  const std::uint64_t mid = t.total_requests() / 2;
+  const std::uint64_t mid = t.trace.total_requests() / 2;
   const FaultSchedule s = schedule_of({{mid, FaultKind::kEdgeCrash, 0}});
 
   const HierarchyResult with_mesh = simulate_hierarchy(t, mesh, s);
@@ -343,7 +346,7 @@ TEST(HierarchyFaults, MeshFailoverPrefersSiblingsOverRoot) {
 }
 
 TEST(HierarchyFaults, DegradedSiblingTimesOutWithBoundedRetry) {
-  const trace::Trace t = small_trace();
+  const trace::DenseTrace t = small_dense_trace();
   HierarchyConfig mesh = basic_config(t);
   mesh.sibling_cooperation = true;
 
@@ -367,10 +370,10 @@ TEST(HierarchyFaults, DegradedSiblingTimesOutWithBoundedRetry) {
 }
 
 TEST(HierarchyFaults, InstrumentedRunMatchesUninstrumented) {
-  const trace::Trace t = small_trace();
+  const trace::DenseTrace t = small_dense_trace();
   HierarchyConfig config = basic_config(t);
   config.sibling_cooperation = true;
-  const std::uint64_t mid = t.total_requests() / 2;
+  const std::uint64_t mid = t.trace.total_requests() / 2;
   FaultSchedule s = schedule_of({{mid, FaultKind::kEdgeCrash, 0},
                                  {mid + 50, FaultKind::kRootOutage, 0},
                                  {mid + 200, FaultKind::kEdgeRecover, 0},
@@ -391,9 +394,9 @@ TEST(HierarchyFaults, InstrumentedRunMatchesUninstrumented) {
 }
 
 TEST(HierarchyFaults, SinkRecordsAvailabilityLossesAndWarmup) {
-  const trace::Trace t = small_trace();
+  const trace::DenseTrace t = small_dense_trace();
   const HierarchyConfig config = basic_config(t);
-  const std::uint64_t mid = t.total_requests() / 2;
+  const std::uint64_t mid = t.trace.total_requests() / 2;
   FaultSchedule s = schedule_of({{mid, FaultKind::kEdgeCrash, 0},
                                  {mid, FaultKind::kRootOutage, 0},
                                  {mid + 500, FaultKind::kEdgeRecover, 0},
@@ -452,9 +455,9 @@ TEST(HierarchyFaults, SinkRecordsAvailabilityLossesAndWarmup) {
 TEST(HierarchyFaults, WarmupCurveShowsColdStartTransient) {
   // The recovered node's first warm-up window must be colder than its last:
   // the cold-start transient the curves exist to show.
-  const trace::Trace t = small_trace();
+  const trace::DenseTrace t = small_dense_trace();
   const HierarchyConfig config = basic_config(t);
-  const std::uint64_t early = t.total_requests() / 4;
+  const std::uint64_t early = t.trace.total_requests() / 4;
   FaultSchedule s = schedule_of({{early, FaultKind::kEdgeCrash, 0},
                                  {early + 1, FaultKind::kEdgeRecover, 0}});
   obs::RecordingSink sink(200);

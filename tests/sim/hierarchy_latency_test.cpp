@@ -13,17 +13,17 @@
 #include "sim/hierarchy.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
-#include "trace/request.hpp"
+#include "trace/dense_trace.hpp"
 
 namespace webcache::sim {
 namespace {
 
-trace::Trace recorded_trace() {
+trace::DenseTrace recorded_trace() {
   synth::TraceGenerator generator(synth::WorkloadProfile::DFN().scaled(0.002));
-  return generator.generate();
+  return trace::densify(generator.generate());
 }
 
-HierarchyConfig base_config(const trace::Trace& t) {
+HierarchyConfig base_config(const trace::DenseTrace& t) {
   HierarchyConfig config;
   config.edge_count = 2;
   config.edge_policy = cache::policy_spec_from_name("LRU");
@@ -34,7 +34,7 @@ HierarchyConfig base_config(const trace::Trace& t) {
 }
 
 TEST(HierarchyLatency, FaultFreeAccountingIsConsistent) {
-  const trace::Trace t = recorded_trace();
+  const trace::DenseTrace t = recorded_trace();
   const HierarchyConfig config = base_config(t);
   const HierarchyResult r = simulate_hierarchy(t, config);
 
@@ -48,7 +48,7 @@ TEST(HierarchyLatency, FaultFreeAccountingIsConsistent) {
 }
 
 TEST(HierarchyLatency, ProbeRttKnobInertWithoutFaults) {
-  const trace::Trace t = recorded_trace();
+  const trace::DenseTrace t = recorded_trace();
   HierarchyConfig config = base_config(t);
   config.sibling_cooperation = true;
   const HierarchyResult baseline = simulate_hierarchy(t, config);
@@ -60,7 +60,7 @@ TEST(HierarchyLatency, ProbeRttKnobInertWithoutFaults) {
 }
 
 TEST(HierarchyLatency, ZeroTimeoutScheduleIsBitIdenticalAcrossRtt) {
-  const trace::Trace t = recorded_trace();
+  const trace::DenseTrace t = recorded_trace();
   HierarchyConfig config = base_config(t);
   config.sibling_cooperation = true;
 
@@ -87,7 +87,7 @@ TEST(HierarchyLatency, ZeroTimeoutScheduleIsBitIdenticalAcrossRtt) {
 }
 
 TEST(HierarchyLatency, TimedOutProbesChargeExactlyRttEach) {
-  const trace::Trace t = recorded_trace();
+  const trace::DenseTrace t = recorded_trace();
   HierarchyConfig config = base_config(t);
   config.sibling_cooperation = true;
   // No warm-up: every request is measured, so every timed-out probe on the
@@ -97,8 +97,9 @@ TEST(HierarchyLatency, TimedOutProbesChargeExactlyRttEach) {
   // Only probe degradation — all nodes stay up, so no request is ever lost
   // and probe_timeouts counts exactly the charged attempts.
   FaultSchedule schedule;
+  const std::uint64_t mid = t.trace.total_requests() / 2;
   schedule.events = {{1, FaultKind::kProbeDegrade, 1},
-                     {t.total_requests() / 2, FaultKind::kProbeRestore, 1}};
+                     {mid, FaultKind::kProbeRestore, 1}};
   schedule.probe_timeout_rate = 1.0;  // degraded probes always time out
   schedule.max_probe_retries = 2;
   schedule.seed = 3;
@@ -121,26 +122,6 @@ TEST(HierarchyLatency, TimedOutProbesChargeExactlyRttEach) {
       uncharged.miss_latency_ms +
       rtt * static_cast<double>(charged.faults.probe_timeouts);
   EXPECT_NEAR(charged.miss_latency_ms, expected, 1e-6 * expected);
-}
-
-TEST(HierarchyLatency, DenseAndSparseLatencyBitIdentical) {
-  const trace::Trace t = recorded_trace();
-  HierarchyConfig config = base_config(t);
-  config.sibling_cooperation = true;
-  config.probe_rtt_ms = 4.0;
-
-  FaultSchedule schedule;
-  schedule.events = {{1, FaultKind::kProbeDegrade, 1},
-                     {4000, FaultKind::kProbeRestore, 1}};
-  schedule.probe_timeout_rate = 0.75;
-  schedule.seed = 21;
-
-  const HierarchyResult sparse = simulate_hierarchy(t, config, schedule);
-  const trace::DenseTrace dense = trace::densify(t);
-  const HierarchyResult densified = simulate_hierarchy(dense, config, schedule);
-  EXPECT_EQ(sparse.miss_latency_ms, densified.miss_latency_ms);
-  EXPECT_EQ(sparse.all_miss_latency_ms, densified.all_miss_latency_ms);
-  EXPECT_EQ(sparse.faults.probe_timeouts, densified.faults.probe_timeouts);
 }
 
 }  // namespace

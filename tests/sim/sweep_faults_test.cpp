@@ -17,6 +17,7 @@
 #include "sim/sweep.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
+#include "trace/dense_trace.hpp"
 
 namespace webcache::sim {
 namespace {
@@ -161,7 +162,7 @@ TEST(SweepFaults, FrontendSweepMatchesDirectPartitionedFaultReplay) {
   FrontendSweepConfig config = partitioned_config();
   config.faults.events.push_back(
       FaultEvent{t.requests.size() / 4, FaultKind::kEdgeCrash, 1});
-  const SweepResult sweep = run_sweep(t, config);
+  const SweepResult sweep = run_sweep(trace::densify(t), config);
 
   std::array<double, trace::kDocumentClassCount> weights{};
   weights.fill(1.0);
@@ -181,7 +182,7 @@ TEST(SweepFaults, FrontendSweepMatchesDirectPartitionedFaultReplay) {
 }
 
 TEST(SweepFaults, FrontendSweepEmptyScheduleMatchesPlainDriver) {
-  const trace::Trace t = recorded_trace();
+  const trace::DenseTrace t = trace::densify(recorded_trace());
   const FrontendSweepConfig plain = partitioned_config();
   FrontendSweepConfig with_empty = partitioned_config();
   EXPECT_TRUE(with_empty.faults.empty());

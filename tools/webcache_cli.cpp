@@ -98,10 +98,10 @@ int usage(std::ostream& os) {
         "            replay only, strict loading stays the default)\n"
         "  sweep    TRACE [--policies=A,B,...] [--fractions=F1,F2,...]\n"
         "           [--warmup=0.1] [--threads=0] [--squid]\n"
-        "           [--one-pass=auto|on|off] [--curve-out=FILE.json]\n"
+        "           [--one-pass=auto|off] [--curve-out=FILE.json]\n"
         "           [--faults=FILE] [--fault-seed=N]\n"
         "           (--one-pass routes LRU columns through the exact\n"
-        "            single-pass stack-analysis engine; auto/on fall back\n"
+        "            single-pass stack-analysis engine; auto falls back\n"
         "            to the per-cell grid where ineligible, off forces the\n"
         "            grid. --curve-out exports webcache.sweep.v1 JSON.\n"
         "            --faults replays a fault schedule in every cell)\n"
@@ -654,13 +654,11 @@ int cmd_sweep(const util::Args& args) {
   const std::string one_pass = args.get("one-pass", "auto");
   if (one_pass == "auto") {
     config.one_pass = sim::OnePassMode::kAuto;
-  } else if (one_pass == "on") {
-    config.one_pass = sim::OnePassMode::kOn;
   } else if (one_pass == "off") {
     config.one_pass = sim::OnePassMode::kOff;
   } else {
     throw std::invalid_argument(
-        "sweep: --one-pass must be auto, on, or off (got '" + one_pass + "')");
+        "sweep: --one-pass must be auto or off (got '" + one_pass + "')");
   }
   const std::string sampling = args.get("sampling", "auto");
   if (sampling == "auto") {
@@ -711,8 +709,8 @@ int cmd_hierarchy(const util::Args& args) {
   if (args.positional().empty()) {
     throw std::invalid_argument("hierarchy: need a trace file");
   }
-  const trace::Trace t =
-      load_trace(args.positional()[0], args.get_bool("squid", false));
+  const trace::DenseTrace t = trace::densify(
+      load_trace(args.positional()[0], args.get_bool("squid", false)));
   const double overall = static_cast<double>(t.overall_size_bytes());
 
   sim::HierarchyConfig config;
@@ -746,7 +744,7 @@ int cmd_hierarchy(const util::Args& args) {
     // Instrumented replay: identical results, plus the windowed series
     // (with per-window availability and warm-up curves under --faults).
     const std::uint64_t default_window =
-        std::max<std::uint64_t>(1, t.total_requests() / 100);
+        std::max<std::uint64_t>(1, t.trace.total_requests() / 100);
     obs::RecordingSink sink(args.get_uint("metrics-window", default_window));
     r = have_faults ? sim::simulate_hierarchy(t, config, schedule, sink)
                     : sim::simulate_hierarchy(t, config, sink);
