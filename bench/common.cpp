@@ -13,7 +13,6 @@ BenchContext BenchContext::from_args(int argc, char** argv) {
   ctx.seed = args.get_uint("seed", ctx.seed);
   ctx.warmup_fraction = args.get_double("warmup", ctx.warmup_fraction);
   ctx.csv_dir = args.get("csv", "");
-  ctx.threads = static_cast<std::uint32_t>(args.get_uint("threads", 0));
   if (ctx.scale <= 0.0 || ctx.scale > 1.0) {
     throw std::invalid_argument("--scale must be in (0, 1]");
   }
@@ -45,12 +44,6 @@ void BenchContext::emit(const util::Table& table,
     }
     out << table.to_csv();
   }
-}
-
-const std::vector<double>& paper_cache_fractions() {
-  static const std::vector<double> fractions = {0.005, 0.01, 0.02, 0.04,
-                                                0.08,  0.16, 0.40};
-  return fractions;
 }
 
 }  // namespace webcache::bench

@@ -25,9 +25,6 @@ struct BenchContext {
   std::uint64_t seed = 42;
   double warmup_fraction = 0.10;
   std::string csv_dir;  // empty = no CSV output
-  /// Threads for sweep grids (0 = all cores); results are thread-count
-  /// independent.
-  std::uint32_t threads = 0;
 
   static BenchContext from_args(int argc, char** argv);
 
@@ -40,8 +37,5 @@ struct BenchContext {
   /// <csv_dir>/<slug>.csv.
   void emit(const util::Table& table, const std::string& slug) const;
 };
-
-/// The paper's cache-size ladder: ~0.5% to ~40% of overall trace size.
-const std::vector<double>& paper_cache_fractions();
 
 }  // namespace webcache::bench

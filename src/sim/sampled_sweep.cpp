@@ -94,28 +94,12 @@ SampledSweep::SampledSweep(SampledSweepConfig config)
   if (!(config_.sample_rate > 0.0) || config_.sample_rate > 1.0) {
     throw std::invalid_argument("sampled sweep: sample_rate out of (0, 1]");
   }
-  if (config_.simulator.warmup_fraction < 0.0 ||
-      config_.simulator.warmup_fraction >= 1.0) {
-    throw std::invalid_argument("simulate: warmup_fraction out of [0, 1)");
-  }
-  if (config_.simulator.modification_threshold <= 0.0 ||
-      config_.simulator.modification_threshold >= 1.0) {
-    throw std::invalid_argument(
-        "simulate: modification_threshold out of (0, 1)");
-  }
+  detail::validate_options(config_.simulator);
   if (!StackSweep::options_stack_safe(config_.simulator)) {
     throw std::invalid_argument(
         "sampled sweep: options are not stack-safe (occupancy sampling "
         "needs per-capacity cache state)");
   }
-}
-
-std::uint64_t SampledSweep::estimated_exact_footprint_bytes(
-    std::uint64_t total_requests) {
-  // StackSweep keeps Fenwick trees over one recency slot per request plus
-  // per-document bookkeeping; ~40 bytes per request is the honest order of
-  // magnitude (measured: 8-fraction DFN ladder).
-  return 40 * total_requests;
 }
 
 SampledCurve SampledSweep::run(const trace::Trace& trace) const {

@@ -128,12 +128,6 @@ class SampledSweep {
 
   const SampledSweepConfig& config() const { return config_; }
 
-  /// Rough peak-memory estimate for running the *exact* StackSweep over a
-  /// trace of this many requests (recency slots + per-document state).
-  /// run_sweep's kAuto routing samples when this exceeds the budget.
-  static std::uint64_t estimated_exact_footprint_bytes(
-      std::uint64_t total_requests);
-
  private:
   // `original` (when set) maps each request's dense document id back to
   // the id that is hashed and tracked.

@@ -291,14 +291,7 @@ void validate(const std::vector<std::uint64_t>& capacities,
   if (capacities.empty()) {
     throw std::invalid_argument("stack_sweep: no capacities configured");
   }
-  if (options.warmup_fraction < 0.0 || options.warmup_fraction >= 1.0) {
-    throw std::invalid_argument("simulate: warmup_fraction out of [0, 1)");
-  }
-  if (options.modification_threshold <= 0.0 ||
-      options.modification_threshold >= 1.0) {
-    throw std::invalid_argument(
-        "simulate: modification_threshold out of (0, 1)");
-  }
+  detail::validate_options(options);
   if (!StackSweep::options_stack_safe(options)) {
     throw std::invalid_argument(
         "stack_sweep: options are not stack-safe (occupancy sampling needs "

@@ -110,18 +110,11 @@ std::vector<char> apply_one_pass(const TraceT& trace,
 }
 
 // Whether this sweep routes its LRU columns through the SHARDS-sampled
-// engine instead of the exact one (see SamplingMode). kAuto compares the
-// exact engine's estimated footprint against the configured budget.
-bool sampling_engaged(const SweepConfig& config,
-                      std::uint64_t total_requests) {
-  if (config.sampling == SamplingMode::kOff) return false;
-  if (config.sample_rate >= 1.0) return false;
-  if (!config.faults.empty()) return false;
-  if (!StackSweep::options_stack_safe(config.simulator)) return false;
-  if (config.sampling == SamplingMode::kOn) return true;
-  return config.sample_memory_budget_bytes > 0 &&
-         SampledSweep::estimated_exact_footprint_bytes(total_requests) >
-             config.sample_memory_budget_bytes;
+// engine instead of the exact one (see SamplingMode).
+bool sampling_engaged(const SweepConfig& config) {
+  return config.sampling == SamplingMode::kOn && config.sample_rate < 1.0 &&
+         config.faults.empty() &&
+         StackSweep::options_stack_safe(config.simulator);
 }
 
 // SHARDS-sampled fill of every (capacity x LRU) cell in one pass; returns
@@ -225,7 +218,7 @@ SweepResult run_policy_sweep(const TraceT& trace, const SweepConfig& config) {
   // engaged; the two never mix on one sweep (exact cells would sit next to
   // approximate ones in the same column).
   const std::vector<char> skip =
-      sampling_engaged(config, raw_trace(trace).requests.size())
+      sampling_engaged(config)
           ? apply_sampling(trace, config, sweep)
           : apply_one_pass(trace, config, sweep);
 

@@ -17,6 +17,7 @@ Usage: cli_smoke_test.py <path-to-webcache-binary>
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -194,6 +195,22 @@ def check_round_trip(cli, tmp):
         check(f"{name} rejected", p.returncode != 0, f"rc={p.returncode}")
         check(f"{name} error names {flag}", flag in p.stderr,
               p.stderr.strip()[:200])
+
+    # Sampling is either on or off; the removed auto mode is an error.
+    p = run(cli, "sweep", wct, "--policies=LRU", "--sampling=auto")
+    check("sweep --sampling=auto rejected", p.returncode != 0,
+          f"rc={p.returncode}")
+    check("--sampling error names on and off",
+          re.search(r"\bon\b", p.stderr) and re.search(r"\boff\b", p.stderr),
+          p.stderr.strip()[:200])
+
+    # An unwritable --panels-out fails the sweep and names the path.
+    prefix = "/nonexistent/dir/x"
+    p = run(cli, "sweep", wct, "--policies=LRU", f"--panels-out={prefix}")
+    check("sweep --panels-out unwritable rejected", p.returncode != 0,
+          f"rc={p.returncode}")
+    check("--panels-out error names the path", prefix in p.stderr,
+          p.stderr.strip()[:200])
 
 
 def check_lazy_family(cli, tmp):

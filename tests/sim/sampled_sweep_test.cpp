@@ -224,6 +224,14 @@ TEST(SampledSweep, ValidatesConfiguration) {
   config.simulator.occupancy_samples = 4;  // not stack-safe
   EXPECT_THROW(SampledSweep{config}, std::invalid_argument);
   config.simulator.occupancy_samples = 0;
+  config.simulator.warmup_fraction = 1.0;
+  EXPECT_THROW(SampledSweep{config}, std::invalid_argument);
+  config.simulator.warmup_fraction = 0.1;
+  for (const double threshold : {0.0, 1.0}) {
+    config.simulator.modification_threshold = threshold;
+    EXPECT_THROW(SampledSweep{config}, std::invalid_argument) << threshold;
+  }
+  config.simulator.modification_threshold = 0.05;
   EXPECT_NO_THROW(SampledSweep{config});
 }
 
@@ -267,29 +275,6 @@ TEST(SampledSweep, RunSweepAnnotatesSampledLruCells) {
     }
     break;  // the exact cross-check only needs to run once
   }
-}
-
-TEST(SampledSweep, AutoModeKeysOffTheMemoryBudget) {
-  const trace::Trace& t = reference_trace();
-  SweepConfig config;
-  config.cache_fractions = {0.04};
-  config.policies = {cache::policy_spec_from_name("LRU")};
-  config.sampling = SamplingMode::kAuto;
-
-  // No budget: auto never samples.
-  const SweepResult no_budget = run_sweep(t, config);
-  EXPECT_FALSE(no_budget.sampled);
-
-  // A 1-byte budget: the exact engine's footprint always exceeds it.
-  config.sample_memory_budget_bytes = 1;
-  config.sample_rate = 0.1;
-  const SweepResult tight = run_sweep(t, config);
-  EXPECT_TRUE(tight.sampled);
-
-  // A huge budget: exact again.
-  config.sample_memory_budget_bytes = std::uint64_t{1} << 62;
-  const SweepResult loose = run_sweep(t, config);
-  EXPECT_FALSE(loose.sampled);
 }
 
 TEST(SampledSweep, SweepJsonCarriesErrorBars) {

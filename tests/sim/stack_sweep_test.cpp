@@ -161,6 +161,15 @@ TEST(StackSweep, RejectsNonStackSafeOptions) {
   EXPECT_FALSE(StackSweep::options_stack_safe(options));
   EXPECT_THROW(StackSweep({1 << 20}, options), std::invalid_argument);
   EXPECT_THROW(StackSweep({}, SimulatorOptions{}), std::invalid_argument);
+  SimulatorOptions warmup;
+  warmup.warmup_fraction = 1.0;
+  EXPECT_THROW(StackSweep({1 << 20}, warmup), std::invalid_argument);
+  for (const double threshold : {0.0, 1.0}) {
+    SimulatorOptions mod;
+    mod.modification_threshold = threshold;
+    EXPECT_THROW(StackSweep({1 << 20}, mod), std::invalid_argument)
+        << threshold;
+  }
 }
 
 // ---- run_sweep integration ----

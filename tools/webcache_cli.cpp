@@ -99,18 +99,20 @@ int usage(std::ostream& os) {
         "  sweep    TRACE [--policies=A,B,...] [--fractions=F1,F2,...]\n"
         "           [--warmup=0.1] [--threads=0] [--squid]\n"
         "           [--one-pass=auto|off] [--curve-out=FILE.json]\n"
-        "           [--faults=FILE] [--fault-seed=N]\n"
-        "           (--one-pass routes LRU columns through the exact\n"
+        "           [--panels-out=PREFIX] [--faults=FILE] [--fault-seed=N]\n"
+        "           (prints hit-rate and byte-hit-rate panels, overall and\n"
+        "            per document class — Figures 2-3 and Section 4.4;\n"
+        "            --panels-out also writes each as\n"
+        "            PREFIX_{hr,bhr}_{<class>,overall}.csv.\n"
+        "            --one-pass routes LRU columns through the exact\n"
         "            single-pass stack-analysis engine; auto falls back\n"
         "            to the per-cell grid where ineligible, off forces the\n"
         "            grid. --curve-out exports webcache.sweep.v1 JSON.\n"
         "            --faults replays a fault schedule in every cell)\n"
-        "           [--sampling=auto|on|off] [--sample-rate=0.01]\n"
-        "           [--sample-seed=N] [--mem-budget-mb=N]\n"
-        "           (SHARDS sampling of LRU columns: on = always sample,\n"
-        "            auto = sample only when the exact one-pass engine\n"
-        "            would exceed --mem-budget-mb. Sampled cells carry\n"
-        "            error bars in the table and the JSON)\n"
+        "           [--sampling=off|on] [--sample-rate=0.01]\n"
+        "           [--sample-seed=N]\n"
+        "           (on = SHARDS sampling of LRU columns; sampled cells\n"
+        "            carry error bars in the table and the JSON)\n"
         "           [--stream --capacities-mb=A,B,... [--sample-rate=R]\n"
         "            [--sample-seed=N] [--max-docs=N]]\n"
         "           (--stream runs the SHARDS-sampled LRU curve over the\n"
@@ -311,6 +313,25 @@ std::uint64_t mib_bytes(const std::string& key, std::uint64_t mb) {
 std::uint64_t mib_arg(const util::Args& args, const std::string& key,
                       std::uint64_t fallback_mb) {
   return mib_bytes(key, args.get_uint(key, fallback_mb));
+}
+
+/// Creates `path` and lets `write` fill it; a path that cannot be opened
+/// or written fails the command by name.
+template <typename Write>
+void write_file(const std::string& path, const Write& write) {
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error("cannot open " + path);
+  write(out);
+  if (!out.good()) throw std::runtime_error("cannot write " + path);
+}
+
+/// sweep --curve-out: the webcache.sweep.v1 JSON of the whole sweep.
+void write_curve_out(const util::Args& args, const sim::SweepResult& sweep) {
+  if (!args.has("curve-out")) return;
+  const std::string path = args.get("curve-out", "");
+  write_file(path,
+             [&](std::ostream& out) { sim::write_sweep_json(out, sweep); });
+  std::cerr << "wrote sweep curves to " << path << "\n";
 }
 
 std::uint64_t capacity_from_args(const util::Args& args,
@@ -591,14 +612,7 @@ int cmd_sweep_stream(const util::Args& args) {
                                curve.points[i].byte_hit_rate_error});
     result.points.push_back(std::move(point));
   }
-  if (args.has("curve-out")) {
-    const std::string path = args.get("curve-out", "");
-    std::ofstream out(path);
-    if (!out) throw std::runtime_error("cannot open " + path);
-    sim::write_sweep_json(out, result);
-    if (!out.good()) throw std::runtime_error("cannot write " + path);
-    std::cerr << "wrote sweep curves to " << path << "\n";
-  }
+  write_curve_out(args, result);
 
   util::Table table(
       curve.exact
@@ -660,47 +674,50 @@ int cmd_sweep(const util::Args& args) {
     throw std::invalid_argument(
         "sweep: --one-pass must be auto or off (got '" + one_pass + "')");
   }
-  const std::string sampling = args.get("sampling", "auto");
-  if (sampling == "auto") {
-    config.sampling = sim::SamplingMode::kAuto;
+  const std::string sampling = args.get("sampling", "off");
+  if (sampling == "off") {
+    config.sampling = sim::SamplingMode::kOff;
   } else if (sampling == "on") {
     config.sampling = sim::SamplingMode::kOn;
-  } else if (sampling == "off") {
-    config.sampling = sim::SamplingMode::kOff;
   } else {
     throw std::invalid_argument(
-        "sweep: --sampling must be auto, on, or off (got '" + sampling +
-        "')");
+        "sweep: --sampling must be on or off (got '" + sampling + "')");
   }
   config.sample_rate = args.get_double("sample-rate", config.sample_rate);
   if (args.has("sample-seed")) {
     config.sample_seed = args.get_uint("sample-seed", config.sample_seed);
   }
-  config.sample_memory_budget_bytes = mib_arg(args, "mem-budget-mb", 0);
 
   const sim::SweepResult sweep = sim::run_sweep(t, config);
   if (sweep.sampled) {
     std::cerr << "sampled LRU columns at rate " << sweep.sample_rate
               << " (seed " << sweep.sample_seed << ")\n";
   }
-  if (args.has("curve-out")) {
-    const std::string path = args.get("curve-out", "");
-    std::ofstream out(path);
-    if (!out) throw std::runtime_error("cannot open " + path);
-    sim::write_sweep_json(out, sweep);
-    if (!out.good()) throw std::runtime_error("cannot write " + path);
-    std::cerr << "wrote sweep curves to " << path << "\n";
-  }
-  sim::render_sweep_overall(sweep, sim::Metric::kHitRate, "Overall hit rate")
-      .print(std::cout);
-  sim::render_sweep_overall(sweep, sim::Metric::kByteHitRate,
-                            "Overall byte hit rate")
-      .print(std::cout);
+  write_curve_out(args, sweep);
+
+  // Each panel goes to stdout and, under --panels-out, to
+  // PREFIX_<slug>.csv (the figure CSVs scripts/make_figures.sh plots).
+  const std::string panels_prefix = args.get("panels-out", "");
+  const auto emit = [&](const util::Table& table, const std::string& slug) {
+    table.print(std::cout);
+    if (panels_prefix.empty()) return;
+    write_file(panels_prefix + "_" + slug + ".csv",
+               [&](std::ostream& out) { out << table.to_csv(); });
+  };
+  emit(sim::render_sweep_overall(sweep, sim::Metric::kHitRate,
+                                 "Overall hit rate"),
+       "hr_overall");
+  emit(sim::render_sweep_overall(sweep, sim::Metric::kByteHitRate,
+                                 "Overall byte hit rate"),
+       "bhr_overall");
   for (const auto cls : trace::kAllDocumentClasses) {
     const std::string name(trace::to_string(cls));
-    sim::render_sweep_panel(sweep, cls, sim::Metric::kHitRate,
-                            name + ": hit rate")
-        .print(std::cout);
+    emit(sim::render_sweep_panel(sweep, cls, sim::Metric::kHitRate,
+                                 name + ": hit rate"),
+         "hr_" + name);
+    emit(sim::render_sweep_panel(sweep, cls, sim::Metric::kByteHitRate,
+                                 name + ": byte hit rate"),
+         "bhr_" + name);
   }
   return 0;
 }
