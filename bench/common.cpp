@@ -1,5 +1,6 @@
 #include "common.hpp"
 
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
@@ -35,14 +36,12 @@ sim::SimulatorOptions BenchContext::simulator_options() const {
 void BenchContext::emit(const util::Table& table,
                         const std::string& slug) const {
   table.print(std::cout);
-  if (!csv_dir.empty()) {
-    const std::string path = csv_dir + "/" + slug + ".csv";
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "warning: cannot write " << path << "\n";
-      return;
-    }
-    out << table.to_csv();
+  if (csv_dir.empty()) return;
+  const std::string path = csv_dir + "/" + slug + ".csv";
+  std::ofstream out(path);
+  if (!(out << table.to_csv() << std::flush)) {
+    std::cerr << "error: cannot write " << path << "\n";
+    std::exit(1);
   }
 }
 

@@ -34,7 +34,8 @@ struct BenchContext {
   sim::SimulatorOptions simulator_options() const;
 
   /// Prints the table to stdout and, when --csv is set, writes
-  /// <csv_dir>/<slug>.csv.
+  /// <csv_dir>/<slug>.csv; a CSV that cannot be written exits 1 naming
+  /// its path.
   void emit(const util::Table& table, const std::string& slug) const;
 };
 

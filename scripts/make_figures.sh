@@ -1,10 +1,13 @@
 #!/usr/bin/env bash
-# Regenerates every figure of the paper as CSV series and (when gnuplot is
-# installed) as PNG plots.
+# Regenerates every table and figure of the paper as text reports and CSV
+# series and (when gnuplot is installed) the Figure 2-3 panels as PNG plots.
 #
-# Figures 2-3 and the Section 4.4 RTP runs come from `webcache sweep` over
-# one generated trace per profile; the tables, Figure 1 and the ablation /
-# extension studies come from the bench binaries.
+# One trace per profile (dfn.wct, rtp.wct) feeds every paper result:
+#   tables.txt             Tables 1-5 (`webcache characterize`)
+#   {dfn,rtp}_profile.ini  the generator's per-class alpha/beta targets
+#   fig1_gdstar_*.csv      Figure 1: per-class occupancy per metrics window
+#   {fig2,fig3,rtp_cc,rtp_pc}_*.csv  Figures 2-3 and Section 4.4 (`sweep`)
+# The ablation / extension bench binaries generate their own traces.
 #
 # Usage: scripts/make_figures.sh [BUILD_DIR] [OUT_DIR] [SCALE]
 set -euo pipefail
@@ -18,11 +21,23 @@ PACKET='LRU,LFU-DA,GDS(packet),GD*(packet)'
 
 mkdir -p "$OUT_DIR"
 
-echo "== generating traces (scale=$SCALE) =="
+echo "== generating traces and Tables 1-5 (scale=$SCALE) =="
 for profile in DFN RTP; do
-  trace="$OUT_DIR/$(echo "$profile" | tr '[:upper:]' '[:lower:]').wct"
+  name="${profile,,}"
   "$WEBCACHE" generate --profile="$profile" --scale="$SCALE" --seed=42 \
-      --out="$trace"
+      --out="$OUT_DIR/$name.wct"
+  "$WEBCACHE" profile --profile="$profile" --out="$OUT_DIR/${name}_profile.ini"
+done
+"$WEBCACHE" characterize "$OUT_DIR/dfn.wct" "$OUT_DIR/rtp.wct" \
+    > "$OUT_DIR/tables.txt"
+
+echo "== Figure 1 =="
+# 1.75 % of the DFN trace's overall size is roughly the paper's 1 GB cache.
+# The default metrics window is 1 % of the trace: 100 occupancy snapshots.
+for policy in 1 packet; do
+  "$WEBCACHE" simulate "$OUT_DIR/dfn.wct" --policy="GD*($policy)" \
+      --cache-fraction=0.0175 --metrics-out="$OUT_DIR/fig1_gdstar_$policy.csv" \
+      > "$OUT_DIR/fig1_gdstar_$policy.txt"
 done
 
 echo "== sweeping Figures 2-3 and Section 4.4 =="
@@ -37,9 +52,7 @@ sweep rtp_cc rtp "$CONSTANT"
 sweep rtp_pc rtp "$PACKET"
 
 echo "== running benchmarks (scale=$SCALE) =="
-for bench in table1_trace_properties table2_dfn_breakdown table3_rtp_breakdown \
-             table4_dfn_locality table5_rtp_locality fig1_adaptability \
-             ablation_gdstar_beta ablation_modification_rule \
+for bench in ablation_gdstar_beta ablation_modification_rule \
              ablation_warmup opt_headroom ext_partitioned_cache \
              ext_hierarchy ext_future_workload ext_latency_savings \
              ext_per_class_beta replication_confidence \

@@ -14,4 +14,13 @@ double Occupancy::byte_fraction(trace::DocumentClass c) const {
          static_cast<double>(total_bytes);
 }
 
+void Occupancy::add(const Occupancy& other) {
+  for (std::size_t c = 0; c < trace::kDocumentClassCount; ++c) {
+    objects[c] += other.objects[c];
+    bytes[c] += other.bytes[c];
+  }
+  total_objects += other.total_objects;
+  total_bytes += other.total_bytes;
+}
+
 }  // namespace webcache::cache

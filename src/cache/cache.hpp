@@ -26,6 +26,9 @@ struct Occupancy {
 
   double object_fraction(trace::DocumentClass c) const;
   double byte_fraction(trace::DocumentClass c) const;
+
+  /// Adds another cache's occupancy (composites: partitions, mesh nodes).
+  void add(const Occupancy& other);
 };
 
 /// Why an object left the cache: displaced by the replacement policy, or

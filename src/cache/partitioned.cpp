@@ -96,15 +96,7 @@ bool PartitionedCache::contains(ObjectId id) const {
 
 Occupancy PartitionedCache::occupancy() const {
   Occupancy total;
-  for (std::size_t c = 0; c < trace::kDocumentClassCount; ++c) {
-    const Occupancy part = partitions_[c]->occupancy();
-    for (std::size_t k = 0; k < trace::kDocumentClassCount; ++k) {
-      total.objects[k] += part.objects[k];
-      total.bytes[k] += part.bytes[k];
-    }
-    total.total_objects += part.total_objects;
-    total.total_bytes += part.total_bytes;
-  }
+  for (const auto& partition : partitions_) total.add(partition->occupancy());
   return total;
 }
 

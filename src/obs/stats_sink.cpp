@@ -10,9 +10,7 @@ namespace webcache::obs {
 SnapshotFn snapshot_from(const cache::CacheFrontend& frontend) {
   return [&frontend] {
     Snapshot snap;
-    const cache::Occupancy occ = frontend.occupancy();
-    snap.occupancy_bytes = occ.total_bytes;
-    snap.occupancy_objects = occ.total_objects;
+    snap.occupancy = frontend.occupancy();
     const cache::PolicyProbe probe = frontend.policy_probe();
     snap.heap_entries = probe.heap_entries;
     snap.aging = probe.aging;
@@ -232,8 +230,10 @@ void save_sample(util::StateWriter& w, const WindowSample& s) {
   w.put_u64(s.fault_events);
   w.put_u64(s.node_up_sum);
   w.put_u64(s.node_samples);
-  w.put_u64(s.state.occupancy_bytes);
-  w.put_u64(s.state.occupancy_objects);
+  for (const std::uint64_t v : s.state.occupancy.objects) w.put_u64(v);
+  for (const std::uint64_t v : s.state.occupancy.bytes) w.put_u64(v);
+  w.put_u64(s.state.occupancy.total_objects);
+  w.put_u64(s.state.occupancy.total_bytes);
   w.put_u64(s.state.heap_entries);
   save_optional(w, s.state.aging);
   save_optional(w, s.state.beta);
@@ -251,8 +251,10 @@ void restore_sample(util::StateReader& r, WindowSample& s) {
   s.fault_events = r.take_u64();
   s.node_up_sum = r.take_u64();
   s.node_samples = r.take_u64();
-  s.state.occupancy_bytes = r.take_u64();
-  s.state.occupancy_objects = r.take_u64();
+  for (std::uint64_t& v : s.state.occupancy.objects) v = r.take_u64();
+  for (std::uint64_t& v : s.state.occupancy.bytes) v = r.take_u64();
+  s.state.occupancy.total_objects = r.take_u64();
+  s.state.occupancy.total_bytes = r.take_u64();
   s.state.heap_entries = r.take_u64();
   s.state.aging = restore_optional(r);
   s.state.beta = restore_optional(r);

@@ -8,9 +8,10 @@
 // obs.recording_ns_per_req prices the recording instantiation. The
 // RecordingSink instantiation collects per-request-window time series —
 // hit/byte-hit counters, evictions and evicted bytes (per document class),
-// admission rejections, and an end-of-window snapshot of cache occupancy,
-// the policy's heap size, the aging term L, and GD*'s online beta estimate
-// — the dynamic behaviors behind the paper's aggregate Figures 1-3.
+// admission rejections, and an end-of-window snapshot of cache occupancy
+// (per document class and in total), the policy's heap size, the aging
+// term L, and GD*'s online beta estimate — the dynamic behaviors behind
+// the paper's Figures 1-3.
 //
 // Event feeds:
 //   * request outcomes arrive from the replay loop (StatsSink::on_access);
@@ -34,10 +35,10 @@
 
 namespace webcache::obs {
 
-/// End-of-window state snapshot: occupancy plus the policy probe.
+/// End-of-window state snapshot: occupancy (per class and in total — the
+/// paper's Figure 1) plus the policy probe.
 struct Snapshot {
-  std::uint64_t occupancy_bytes = 0;
-  std::uint64_t occupancy_objects = 0;
+  cache::Occupancy occupancy;
   std::uint64_t heap_entries = 0;
   std::optional<double> aging;  // L (GDS family inflation, LFU-DA cache age)
   std::optional<double> beta;   // GD*'s online estimate

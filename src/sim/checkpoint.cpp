@@ -34,7 +34,7 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kMagic[4] = {'W', 'C', 'K', 'P'};
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 constexpr const char* kFileSuffix = ".wckp";
 
 thread_local std::vector<std::string> g_resume_diagnostics;
@@ -289,14 +289,6 @@ void save_sim_result(util::StateWriter& w, const SimResult& result) {
   w.put_double(result.all_miss_latency_ms);
   w.put_u64(result.modification_misses);
   w.put_u64(result.interrupted_transfers);
-  w.put_u64(result.occupancy_series.size());
-  for (const OccupancySample& s : result.occupancy_series) {
-    w.put_u64(s.request_index);
-    for (const std::uint64_t v : s.occupancy.objects) w.put_u64(v);
-    for (const std::uint64_t v : s.occupancy.bytes) w.put_u64(v);
-    w.put_u64(s.occupancy.total_objects);
-    w.put_u64(s.occupancy.total_bytes);
-  }
   w.put_u64(result.faults.events_applied);
   w.put_u64(result.faults.failovers);
   w.put_u64(result.faults.lost_requests);
@@ -325,18 +317,6 @@ SimResult restore_sim_result(util::StateReader& r) {
   result.all_miss_latency_ms = r.take_double();
   result.modification_misses = r.take_u64();
   result.interrupted_transfers = r.take_u64();
-  const std::uint64_t samples = r.take_count(
-      8 * (3 + 2 * trace::kDocumentClassCount), "occupancy sample");
-  result.occupancy_series.reserve(static_cast<std::size_t>(samples));
-  for (std::uint64_t i = 0; i < samples; ++i) {
-    OccupancySample s;
-    s.request_index = r.take_u64();
-    for (std::uint64_t& v : s.occupancy.objects) v = r.take_u64();
-    for (std::uint64_t& v : s.occupancy.bytes) v = r.take_u64();
-    s.occupancy.total_objects = r.take_u64();
-    s.occupancy.total_bytes = r.take_u64();
-    result.occupancy_series.push_back(s);
-  }
   result.faults.events_applied = r.take_u64();
   result.faults.failovers = r.take_u64();
   result.faults.lost_requests = r.take_u64();
@@ -352,7 +332,6 @@ void save_fingerprint(util::StateWriter& w, const CheckpointFingerprint& fp) {
   w.put_double(fp.warmup_fraction);
   w.put_u8(fp.modification_rule);
   w.put_double(fp.modification_threshold);
-  w.put_u32(fp.occupancy_samples);
   w.put_double(fp.latency_setup_ms);
   w.put_double(fp.latency_bytes_per_ms);
   w.put_u64(fp.window_requests);
@@ -369,7 +348,6 @@ CheckpointFingerprint restore_fingerprint(util::StateReader& r) {
   fp.warmup_fraction = r.take_double();
   fp.modification_rule = r.take_u8();
   fp.modification_threshold = r.take_double();
-  fp.occupancy_samples = r.take_u32();
   fp.latency_setup_ms = r.take_double();
   fp.latency_bytes_per_ms = r.take_double();
   fp.window_requests = r.take_u64();
@@ -411,10 +389,6 @@ void validate_fingerprint(const CheckpointFingerprint& expected,
   if (found.modification_threshold != expected.modification_threshold) {
     mismatch("modification_threshold", num(found.modification_threshold),
              num(expected.modification_threshold));
-  }
-  if (found.occupancy_samples != expected.occupancy_samples) {
-    mismatch("occupancy_samples", num(found.occupancy_samples),
-             num(expected.occupancy_samples));
   }
   if (found.latency_setup_ms != expected.latency_setup_ms) {
     mismatch("latency_setup_ms", num(found.latency_setup_ms),
@@ -542,7 +516,6 @@ CheckpointFingerprint make_stream_fingerprint(
   fp.modification_rule =
       static_cast<std::uint8_t>(job.options.modification_rule);
   fp.modification_threshold = job.options.modification_threshold;
-  fp.occupancy_samples = job.options.occupancy_samples;
   fp.latency_setup_ms = job.options.latency_setup_ms;
   fp.latency_bytes_per_ms = job.options.latency_bytes_per_ms;
   fp.window_requests = job.sink != nullptr ? job.sink->window_requests() : 0;

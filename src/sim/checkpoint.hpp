@@ -29,7 +29,8 @@
 // Sections: "fingerprint", "result", "ids" (the interned document ids' keys
 // in id order; every id in "cache" and "lastsize" must be below their
 // count), "cache", "lastsize", and optionally "metrics" (instrumented
-// runs). Version 2; version-1 files are rejected as unsupported.
+// runs; each window's snapshot carries per-class occupancy). Version 3;
+// older files are rejected as unsupported.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +55,6 @@ struct CheckpointFingerprint {
   double warmup_fraction = 0.0;
   std::uint8_t modification_rule = 0;
   double modification_threshold = 0.0;
-  std::uint32_t occupancy_samples = 0;
   double latency_setup_ms = 0.0;
   double latency_bytes_per_ms = 0.0;
   std::uint64_t window_requests = 0;  // 0 = uninstrumented run

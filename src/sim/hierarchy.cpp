@@ -386,25 +386,21 @@ double HierarchyResult::latency_savings() const {
 
 namespace {
 
-// Instrumented runs snapshot the whole mesh: occupancy and heap entries
-// summed over edges + root; the aging/beta trace is the root's (the level
-// the paper's GD*(packet) analysis concerns — edges each run their own
-// estimator, probe them separately if needed).
+// Instrumented runs snapshot the whole mesh: occupancy (per class and in
+// total) and heap entries summed over edges + root; the aging/beta trace is
+// the root's (the level the paper's GD*(packet) analysis concerns — edges
+// each run their own estimator, probe them separately if needed).
 void attach_sink(obs::RecordingSink& sink,
                  std::vector<std::unique_ptr<cache::Cache>>& edges,
                  cache::Cache& root) {
   sink.begin_run([&edges, &root] {
     obs::Snapshot snap;
-    cache::Occupancy total = root.occupancy();
+    snap.occupancy = root.occupancy();
     snap.heap_entries = root.policy_probe().heap_entries;
     for (const auto& edge : edges) {
-      const cache::Occupancy occ = edge->occupancy();
-      total.total_bytes += occ.total_bytes;
-      total.total_objects += occ.total_objects;
+      snap.occupancy.add(edge->occupancy());
       snap.heap_entries += edge->policy_probe().heap_entries;
     }
-    snap.occupancy_bytes = total.total_bytes;
-    snap.occupancy_objects = total.total_objects;
     const cache::PolicyProbe probe = root.policy_probe();
     snap.aging = probe.aging;
     snap.beta = probe.beta;

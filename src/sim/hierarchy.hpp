@@ -119,9 +119,9 @@ HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
 
 /// Instrumented runs: the sink observes the client-offered stream (a "hit"
 /// is service by any level), evictions from every cache in the mesh, and
-/// per-window snapshots of mesh-wide occupancy/heap size with the *root's*
-/// aging/beta trace. Results are bit-identical to the uninstrumented
-/// overload.
+/// per-window snapshots of mesh-wide per-class occupancy and heap size with
+/// the *root's* aging/beta trace. Results are bit-identical to the
+/// uninstrumented overload.
 HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
                                    const HierarchyConfig& config,
                                    obs::RecordingSink& sink);

@@ -1,13 +1,11 @@
-// Simulation metrics: per-class and overall hit/byte-hit counters, plus the
-// occupancy time series behind the paper's Figure 1.
+// Simulation metrics: per-class and overall hit/byte-hit counters, latency
+// and fault totals.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "cache/cache.hpp"
 #include "trace/request.hpp"
 
 namespace webcache::sim {
@@ -24,11 +22,6 @@ struct HitCounters {
   double byte_hit_rate() const;
 
   void merge(const HitCounters& other);
-};
-
-struct OccupancySample {
-  std::uint64_t request_index = 0;  // position in the trace (1-based)
-  cache::Occupancy occupancy;
 };
 
 /// Aggregate fault-injection counters (sim/faults.hpp). The request-side
@@ -82,8 +75,6 @@ struct SimResult {
   std::uint64_t modification_misses = 0;
   /// Requests whose size change was classified as an interrupted transfer.
   std::uint64_t interrupted_transfers = 0;
-
-  std::vector<OccupancySample> occupancy_series;
 
   /// Fault-injection counters; all zero unless the run carried a
   /// FaultSchedule (sim/faults.hpp). Lost requests are counted in

@@ -42,9 +42,9 @@ class ReplayCore {
 
  public:
   /// `total_requests` must be the whole run's length (streams know it up
-  /// front) — it places the warm-up boundary and the occupancy stride
-  /// exactly where a materialized replay would. `faults` must outlive the
-  /// core and is ignored by the NoFaultReplay instantiation.
+  /// front) — it places the warm-up boundary exactly where a materialized
+  /// replay would. `faults` must outlive the core and is ignored by the
+  /// NoFaultReplay instantiation.
   ReplayCore(cache::CacheFrontend& cache, const SimulatorOptions& options,
              LastSize& last_size, Sink& sink, std::uint64_t total_requests,
              Faults* faults = nullptr)
@@ -59,12 +59,6 @@ class ReplayCore {
         static_cast<double>(total_requests) * options.warmup_fraction));
     result_.warmup_requests = warmup_;
     result_.measured_requests = total_requests - warmup_;
-    occupancy_stride_ =
-        options.occupancy_samples > 0
-            ? std::max<std::uint64_t>(1, total_requests /
-                                             options.occupancy_samples)
-            : 0;
-    occupancy_countdown_ = occupancy_stride_;
   }
 
   void step(const trace::Request& r) {
@@ -108,7 +102,6 @@ class ReplayCore {
           // copy modification counter cannot apply.
           if (change.interrupted) result_.interrupted_transfers += 1;
         }
-        sample_occupancy();
         return;
       }
       const auto outcome =
@@ -123,7 +116,6 @@ class ReplayCore {
       result_.evictions += outcome.evictions;
       account(r, size, change, outcome, measured);
     }
-    sample_occupancy();
   }
 
   SimResult finish() { return std::move(result_); }
@@ -131,21 +123,14 @@ class ReplayCore {
   // ---- checkpointing ----
   //
   // The core's own state is just the request index and the accumulating
-  // SimResult; warmup_ and occupancy_stride_ are recomputed identically
-  // from (total_requests, options) on resume.
+  // SimResult; warmup_ is recomputed identically from (total_requests,
+  // options) on resume.
 
   std::uint64_t consumed() const { return index_; }
   const SimResult& result() const { return result_; }
   void restore(std::uint64_t index, SimResult result) {
     index_ = index;
     result_ = std::move(result);
-    // Re-place the occupancy countdown where an uninterrupted run would be
-    // after `index` steps: the next sample fires at the next stride
-    // multiple (index % stride == 0 means one full stride away).
-    if (occupancy_stride_ > 0) {
-      const std::uint64_t into = index_ % occupancy_stride_;
-      occupancy_countdown_ = occupancy_stride_ - into;
-    }
   }
 
  private:
@@ -185,16 +170,6 @@ class ReplayCore {
     if (change.interrupted) result_.interrupted_transfers += 1;
   }
 
-  void sample_occupancy() {
-    // Countdown instead of `index_ % stride == 0`: one decrement and a
-    // predictable branch per request instead of a 64-bit division.
-    if (occupancy_stride_ == 0) return;
-    if (--occupancy_countdown_ != 0) return;
-    occupancy_countdown_ = occupancy_stride_;
-    result_.occupancy_series.push_back(
-        OccupancySample{index_, cache_.occupancy()});
-  }
-
   cache::CacheFrontend& cache_;
   const SimulatorOptions& options_;
   LastSize& last_size_;
@@ -202,8 +177,6 @@ class ReplayCore {
   Faults* faults_;
   SimResult result_;
   std::uint64_t warmup_ = 0;
-  std::uint64_t occupancy_stride_ = 0;
-  std::uint64_t occupancy_countdown_ = 0;
   std::uint64_t index_ = 0;
 };
 

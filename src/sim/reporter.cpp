@@ -63,26 +63,6 @@ util::Table render_sweep_overall(const SweepResult& sweep, Metric metric,
   return table;
 }
 
-util::Table render_occupancy_series(const SimResult& result, bool bytes,
-                                    const std::string& title) {
-  util::Table table(title);
-  std::vector<std::string> header = {"Requests"};
-  for (const auto c : trace::kAllDocumentClasses) {
-    header.emplace_back(trace::to_string(c));
-  }
-  table.set_header(header);
-  for (const OccupancySample& sample : result.occupancy_series) {
-    std::vector<std::string> row = {util::fmt_count(sample.request_index)};
-    for (const auto c : trace::kAllDocumentClasses) {
-      const double fraction = bytes ? sample.occupancy.byte_fraction(c)
-                                    : sample.occupancy.object_fraction(c);
-      row.push_back(util::fmt_percent(fraction, 2));
-    }
-    table.add_row(row);
-  }
-  return table;
-}
-
 namespace {
 
 std::string json_escape(const std::string& s) {
@@ -111,15 +91,21 @@ void write_hit_counters_json(std::ostream& os, const HitCounters& c) {
      << ", \"byte_hit_rate\": " << c.byte_hit_rate() << "}";
 }
 
-void write_window_counters_json(std::ostream& os,
-                                const obs::WindowCounters& c) {
-  os << "{\"requests\": " << c.requests << ", \"hits\": " << c.hits
+void write_window_counter_fields(std::ostream& os,
+                                 const obs::WindowCounters& c) {
+  os << "\"requests\": " << c.requests << ", \"hits\": " << c.hits
      << ", \"requested_bytes\": " << c.requested_bytes
      << ", \"hit_bytes\": " << c.hit_bytes
      << ", \"evictions\": " << c.evictions
      << ", \"evicted_bytes\": " << c.evicted_bytes
-     << ", \"lost\": " << c.lost << ", \"lost_bytes\": " << c.lost_bytes
-     << "}";
+     << ", \"lost\": " << c.lost << ", \"lost_bytes\": " << c.lost_bytes;
+}
+
+void write_window_counters_json(std::ostream& os,
+                                const obs::WindowCounters& c) {
+  os << "{";
+  write_window_counter_fields(os, c);
+  os << "}";
 }
 
 void write_fault_stats_json(std::ostream& os, const FaultStats& f) {
@@ -189,19 +175,20 @@ void write_series_json(std::ostream& os, const obs::MetricsSeries& series) {
        << ", \"probe_timeouts\": " << w.probe_timeouts
        << ", \"fault_events\": " << w.fault_events << ", \"availability\": ";
     write_optional(os, w.availability(series.fault_nodes));
-    os << ",\n     \"occupancy_bytes\": " << w.state.occupancy_bytes
-       << ", \"occupancy_objects\": " << w.state.occupancy_objects
+    const cache::Occupancy& occ = w.state.occupancy;
+    os << ",\n     \"occupancy_bytes\": " << occ.total_bytes
+       << ", \"occupancy_objects\": " << occ.total_objects
        << ", \"heap_entries\": " << w.state.heap_entries << ", \"aging\": ";
     write_optional(os, w.state.aging);
     os << ", \"beta\": ";
     write_optional(os, w.state.beta);
     os << ",\n     \"per_class\": {";
-    bool first_cls = true;
-    for (const auto cls : trace::kAllDocumentClasses) {
-      os << (first_cls ? "" : ", ") << "\"" << class_slug(cls) << "\": ";
-      write_window_counters_json(
-          os, w.per_class[static_cast<std::size_t>(cls)]);
-      first_cls = false;
+    for (std::size_t c = 0; c < trace::kDocumentClassCount; ++c) {
+      os << (c == 0 ? "" : ", ") << "\""
+         << class_slug(trace::kAllDocumentClasses[c]) << "\": {";
+      write_window_counter_fields(os, w.per_class[c]);
+      os << ", \"occupancy_objects\": " << occ.objects[c]
+         << ", \"occupancy_bytes\": " << occ.bytes[c] << "}";
     }
     os << "}}";
   }
@@ -313,6 +300,10 @@ void write_metrics_csv(std::ostream& os, const obs::MetricsSeries& series) {
       os << "," << slug << "_" << field;
     }
   }
+  for (const auto cls : trace::kAllDocumentClasses) {
+    const std::string slug = class_slug(cls);
+    os << "," << slug << "_occupancy_objects," << slug << "_occupancy_bytes";
+  }
   os << "\n";
   for (const obs::WindowSample& w : series.windows) {
     os << w.first_request << "," << w.last_request << ","
@@ -324,8 +315,9 @@ void write_metrics_csv(std::ostream& os, const obs::MetricsSeries& series) {
        << "," << w.overall.lost_bytes << "," << w.failovers << ","
        << w.probe_timeouts << "," << w.fault_events << ",";
     if (const auto avail = w.availability(series.fault_nodes)) os << *avail;
-    os << "," << w.state.occupancy_bytes << "," << w.state.occupancy_objects
-       << "," << w.state.heap_entries << ",";
+    const cache::Occupancy& occ = w.state.occupancy;
+    os << "," << occ.total_bytes << "," << occ.total_objects << ","
+       << w.state.heap_entries << ",";
     if (w.state.aging) os << *w.state.aging;
     os << ",";
     if (w.state.beta) os << *w.state.beta;
@@ -333,6 +325,9 @@ void write_metrics_csv(std::ostream& os, const obs::MetricsSeries& series) {
       os << "," << c.requests << "," << c.hits << "," << c.requested_bytes
          << "," << c.hit_bytes << "," << c.evictions << ","
          << c.evicted_bytes << "," << c.lost;
+    }
+    for (std::size_t c = 0; c < trace::kDocumentClassCount; ++c) {
+      os << "," << occ.objects[c] << "," << occ.bytes[c];
     }
     os << "\n";
   }

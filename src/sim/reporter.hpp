@@ -1,6 +1,7 @@
 // Renderers for simulation results: the hit-rate / byte-hit-rate series of
 // Figures 2/3 (one table per document type and metric, columns = policies,
-// rows = cache sizes) and the occupancy series of Figure 1.
+// rows = cache sizes), and the metrics exports whose per-window per-class
+// occupancy is Figure 1.
 #pragma once
 
 #include <iosfwd>
@@ -26,11 +27,6 @@ util::Table render_sweep_panel(const SweepResult& sweep,
 util::Table render_sweep_overall(const SweepResult& sweep, Metric metric,
                                  const std::string& title);
 
-/// Figure 1 panel: fraction of cached documents (or bytes) per class along
-/// the run for one simulation result.
-util::Table render_occupancy_series(const SimResult& result, bool bytes,
-                                    const std::string& title);
-
 /// Auxiliary diagnostics per sweep point (evictions, modification misses).
 util::Table render_sweep_diagnostics(const SweepResult& sweep,
                                      const std::string& title);
@@ -44,8 +40,9 @@ std::string class_slug(trace::DocumentClass c);
 /// Serializes an instrumented run — the aggregate SimResult plus the
 /// windowed time series — as a single JSON document, schema
 /// "webcache.metrics.v1": run header, aggregate overall/per-class hit
-/// counters, and one record per window (flow counters per class, admission
-/// rejections, occupancy/heap snapshot, aging L and beta traces; absent
+/// counters, and one record per window (flow counters and occupancy per
+/// class, admission rejections, occupancy/heap snapshot, aging L and beta
+/// traces; absent
 /// probes serialize as null). Validated by the CLI smoke test and the
 /// golden harness.
 void write_metrics_json(std::ostream& os, const SimResult& result,
@@ -59,8 +56,9 @@ void write_hierarchy_metrics_json(std::ostream& os,
                                   const obs::MetricsSeries& series);
 
 /// Flat CSV: one row per window, per-class columns prefixed with the class
-/// slug; absent aging/beta (and availability on fault-free runs) are empty
-/// cells.
+/// slug (the flow counters of every class, then each class's occupancy
+/// objects and bytes); absent aging/beta (and availability on fault-free
+/// runs) are empty cells.
 void write_metrics_csv(std::ostream& os, const obs::MetricsSeries& series);
 
 /// Serializes a full cache-size sweep as one JSON document, schema

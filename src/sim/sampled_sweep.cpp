@@ -95,11 +95,6 @@ SampledSweep::SampledSweep(SampledSweepConfig config)
     throw std::invalid_argument("sampled sweep: sample_rate out of (0, 1]");
   }
   detail::validate_options(config_.simulator);
-  if (!StackSweep::options_stack_safe(config_.simulator)) {
-    throw std::invalid_argument(
-        "sampled sweep: options are not stack-safe (occupancy sampling "
-        "needs per-capacity cache state)");
-  }
 }
 
 SampledCurve SampledSweep::run(const trace::Trace& trace) const {

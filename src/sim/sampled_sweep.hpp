@@ -45,9 +45,7 @@ struct SampledSweepConfig {
   /// Capacity ladder; any order, may repeat. Results come back in order.
   std::vector<std::uint64_t> capacities;
 
-  /// Same option validation as simulate(); must be stack-safe
-  /// (occupancy_samples == 0) — occupancy snapshots need per-capacity cache
-  /// state neither one-pass engine materializes.
+  /// Same option validation as simulate().
   SimulatorOptions simulator;
 
   /// Fraction of the document space tracked, in (0, 1]. 1.0 = exact
@@ -109,7 +107,7 @@ struct SampledCurve {
 class SampledSweep {
  public:
   /// Throws std::invalid_argument on an empty ladder, a rate outside
-  /// (0, 1], or options that fail validation / are not stack-safe.
+  /// (0, 1], or options that fail validation.
   explicit SampledSweep(SampledSweepConfig config);
 
   /// One pass over the stream (consumed; reset() to reuse). At rate 1.0

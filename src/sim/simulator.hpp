@@ -45,8 +45,6 @@ struct SimulatorOptions {
   double warmup_fraction = 0.10;
   ModificationRule modification_rule = ModificationRule::kThreshold;
   double modification_threshold = 0.05;
-  /// Number of equally spaced occupancy snapshots to record (0 = none).
-  std::uint32_t occupancy_samples = 0;
 
   /// Origin-fetch latency model used for the SimResult latency metrics
   /// (setup plus transfer at fixed bandwidth; matches LatencyCostModel's

@@ -286,25 +286,15 @@ std::vector<SimResult> run_stack(const trace::Trace& trace,
   return results;
 }
 
-void validate(const std::vector<std::uint64_t>& capacities,
-              const SimulatorOptions& options) {
-  if (capacities.empty()) {
-    throw std::invalid_argument("stack_sweep: no capacities configured");
-  }
-  detail::validate_options(options);
-  if (!StackSweep::options_stack_safe(options)) {
-    throw std::invalid_argument(
-        "stack_sweep: options are not stack-safe (occupancy sampling needs "
-        "per-capacity cache state; use the per-cell grid)");
-  }
-}
-
 }  // namespace
 
 StackSweep::StackSweep(std::vector<std::uint64_t> capacities,
                        SimulatorOptions options)
     : capacities_(std::move(capacities)), options_(options) {
-  validate(capacities_, options_);
+  if (capacities_.empty()) {
+    throw std::invalid_argument("stack_sweep: no capacities configured");
+  }
+  detail::validate_options(options_);
 }
 
 std::vector<SimResult> StackSweep::run(const trace::Trace& trace) const {
@@ -315,10 +305,6 @@ std::vector<SimResult> StackSweep::run(const trace::Trace& trace) const {
 std::vector<SimResult> StackSweep::run(const trace::DenseTrace& trace) const {
   DenseDocTable docs(trace.document_count());
   return run_stack(trace.trace, capacities_, options_, docs);
-}
-
-bool StackSweep::options_stack_safe(const SimulatorOptions& options) {
-  return options.occupancy_samples == 0;
 }
 
 std::uint64_t StackSweep::max_transfer_size(const trace::Trace& trace) {

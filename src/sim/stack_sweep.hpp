@@ -15,9 +15,7 @@
 // fallback):
 //  * the replacement policy is plain LRU (no admission limit, no cost
 //    model) — callers select LRU columns before invoking this;
-//  * options are stack-safe: occupancy_samples == 0 (occupancy snapshots
-//    depend on per-capacity cache state the one-pass engine does not
-//    materialize). All modification rules and warm-up fractions are safe;
+//  * all modification rules and warm-up fractions are supported;
 //  * every capacity is at least the trace's largest transfer size.
 //    A document larger than the cache bypasses (is never stored), which
 //    breaks the stack inclusion property across capacities; run() throws
@@ -38,9 +36,8 @@ namespace webcache::sim {
 class StackSweep {
  public:
   /// Capacities may be in any order and may repeat; results come back in
-  /// the same order. Throws std::invalid_argument on an empty ladder, on
-  /// options that fail simulate()'s validation, or on options that are not
-  /// stack-safe (options_stack_safe).
+  /// the same order. Throws std::invalid_argument on an empty ladder or on
+  /// options that fail simulate()'s validation.
   StackSweep(std::vector<std::uint64_t> capacities, SimulatorOptions options);
 
   /// One pass over the trace; SimResult i corresponds to capacities()[i]
@@ -55,9 +52,6 @@ class StackSweep {
   std::vector<SimResult> run(const trace::DenseTrace& trace) const;
 
   const std::vector<std::uint64_t>& capacities() const { return capacities_; }
-
-  /// True when `options` meet the one-pass exactness preconditions.
-  static bool options_stack_safe(const SimulatorOptions& options);
 
   /// The smallest capacity run() accepts for this trace.
   static std::uint64_t max_transfer_size(const trace::Trace& trace);

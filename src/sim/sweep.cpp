@@ -66,9 +66,9 @@ void fill_grid(SweepResult& sweep, std::size_t columns,
 // One-pass LRU fast path: fills every stack-eligible (capacity x LRU
 // policy) cell from a single StackSweep pass and returns the skip mask for
 // fill_grid. Eligibility mirrors StackSweep's exactness preconditions —
-// stack-safe options, plain-LRU column, capacity at least the largest
-// transfer size — so the prefilled cells are bit-identical to what the
-// grid would have computed; everything else stays on the grid.
+// plain-LRU column, capacity at least the largest transfer size — so the
+// prefilled cells are bit-identical to what the grid would have computed;
+// everything else stays on the grid.
 template <typename TraceT>
 std::vector<char> apply_one_pass(const TraceT& trace,
                                  const SweepConfig& config,
@@ -76,7 +76,6 @@ std::vector<char> apply_one_pass(const TraceT& trace,
   const std::size_t columns = config.policies.size();
   std::vector<char> skip(sweep.points.size() * columns, 0);
   if (config.one_pass == OnePassMode::kOff) return skip;
-  if (!StackSweep::options_stack_safe(config.simulator)) return skip;
 
   std::vector<std::size_t> lru_columns;
   for (std::size_t p = 0; p < columns; ++p) {
@@ -113,8 +112,7 @@ std::vector<char> apply_one_pass(const TraceT& trace,
 // engine instead of the exact one (see SamplingMode).
 bool sampling_engaged(const SweepConfig& config) {
   return config.sampling == SamplingMode::kOn && config.sample_rate < 1.0 &&
-         config.faults.empty() &&
-         StackSweep::options_stack_safe(config.simulator);
+         config.faults.empty();
 }
 
 // SHARDS-sampled fill of every (capacity x LRU) cell in one pass; returns

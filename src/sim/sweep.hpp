@@ -21,10 +21,9 @@ namespace webcache::sim {
 /// stack-analysis engine (sim/stack_sweep.hpp) instead of one grid cell per
 /// capacity. The fast path is exact — results are bit-identical to the
 /// grid. kAuto: every stack-eligible (capacity x LRU) cell takes the
-/// one-pass engine and everything else (non-LRU policies, occupancy
-/// sampling, capacities smaller than the largest transfer) falls back to
-/// the per-cell grid. kOff forces the grid everywhere (the differential
-/// baseline).
+/// one-pass engine and everything else (non-LRU policies, capacities
+/// smaller than the largest transfer) falls back to the per-cell grid. kOff
+/// forces the grid everywhere (the differential baseline).
 enum class OnePassMode {
   kAuto,
   kOff,
@@ -36,8 +35,8 @@ enum class OnePassMode {
 /// estimates — so it is off unless asked for:
 ///  * kOff: never sample (the default).
 ///  * kOn: sample LRU columns at sample_rate.
-/// Non-LRU columns, non-stack-safe options, fault schedules, and
-/// sample_rate == 1.0 always take the exact paths.
+/// Non-LRU columns, fault schedules, and sample_rate == 1.0 always take
+/// the exact paths.
 enum class SamplingMode {
   kOff,
   kOn,

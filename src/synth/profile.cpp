@@ -86,7 +86,7 @@ void WorkloadProfile::validate() const {
 //    classes in Arlitt, Friedrich & Jin (Perf. Eval. 39, 2000) and Mahanti,
 //    Williamson & Eager (IEEE Network 14(3), 2000), adjusted so that the
 //    *emergent* requested-data shares match the paper's percentages
-//    (verified by bench/table2_dfn_breakdown).
+//    (verified by `webcache characterize` on a generated DFN trace).
 //  * alpha/beta follow the prose ordering: alpha largest for images,
 //    smallest for multimedia/application; beta inverse (images nearly
 //    uncorrelated, multimedia/application highly correlated).

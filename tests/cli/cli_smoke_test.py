@@ -100,6 +100,12 @@ def check_metrics_json(path):
                 check(f"per-class {k} sums to overall", False,
                       f"window {w['first_request']}: {total} != {w['overall'][k]}")
                 return doc
+        for k in ("occupancy_objects", "occupancy_bytes"):
+            total = sum(per_class[s][k] for s in class_slugs())
+            if total != w[k]:
+                check(f"per-class {k} sums to the window's", False,
+                      f"window {w['first_request']}: {total} != {w[k]}")
+                return doc
     check("per-class sums to overall in every window", True)
     for k in sums:
         check(
@@ -124,6 +130,9 @@ def check_metrics_csv(path, doc):
             or int(row["requests"]) != w["overall"]["requests"]
             or int(row["hits"]) != w["overall"]["hits"]
             or int(row["evictions"]) != w["overall"]["evictions"]
+            or any(int(row[f"{s}_{k}"]) != w["per_class"][s][k]
+                   for s in class_slugs()
+                   for k in ("occupancy_objects", "occupancy_bytes"))
         ):
             check("csv agrees with json", False, f"row {row['first_request']}")
             return
@@ -164,6 +173,14 @@ def check_round_trip(cli, tmp):
     check("simulate --metrics-out csv", p.returncode == 0,
           p.stderr.strip()[:200])
     check_metrics_csv(mcsv, doc)
+
+    # characterize: Table 1 has a column per trace named by its file stem,
+    # and the per-trace tables are titled by the stem.
+    p = run(cli, "characterize", wct, wct2)
+    check("characterize two traces", p.returncode == 0 and
+          p.stdout.splitlines()[1].split() == ["smoke", "smoke2"] and
+          "smoke trace:" in p.stdout and "smoke2 trace:" in p.stdout,
+          p.stderr.strip()[:200] or p.stdout[:400])
 
     # The direct squid-log path must work without the binary conversion.
     p = run(

@@ -10,8 +10,10 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "cache/factory.hpp"
+#include "obs/stats_sink.hpp"
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "synth/generator.hpp"
@@ -261,27 +263,33 @@ TEST_F(PaperClaimsTest, Figure1AdaptabilityShapes) {
       synth::TraceGenerator(synth::WorkloadProfile::DFN().scaled(0.05), gen)
           .generate();
 
-  sim::SimulatorOptions opts;
-  opts.occupancy_samples = 8;
   const std::uint64_t capacity = static_cast<std::uint64_t>(
       static_cast<double>(figure_trace.overall_size_bytes()) * 0.0175);
 
-  const sim::SimResult constant = sim::simulate(
-      figure_trace, capacity, cache::policy_spec_from_name("GD*(1)"), opts);
-  const sim::SimResult packet = sim::simulate(
-      figure_trace, capacity, cache::policy_spec_from_name("GD*(packet)"),
-      opts);
+  // Eight occupancy snapshots per run: the closing state of each window.
+  const std::uint64_t window = figure_trace.total_requests() / 8;
+  obs::RecordingSink constant(window);
+  obs::RecordingSink packet(window);
+  sim::simulate(figure_trace, capacity, cache::policy_spec_from_name("GD*(1)"),
+                {}, constant);
+  sim::simulate(figure_trace, capacity,
+                cache::policy_spec_from_name("GD*(packet)"), {}, packet);
+
+  const std::vector<obs::WindowSample>& windows1 = constant.series().windows;
+  const std::vector<obs::WindowSample>& windows2 = packet.series().windows;
+  ASSERT_GE(windows1.size(), 8u);
+  ASSERT_GE(windows2.size(), 8u);
 
   const synth::WorkloadProfile profile = synth::WorkloadProfile::DFN();
-  for (std::size_t i = 4; i < constant.occupancy_series.size(); ++i) {
-    const auto& occ1 = constant.occupancy_series[i].occupancy;
+  for (std::size_t i = 4; i < 8; ++i) {
+    const cache::Occupancy& occ1 = windows1[i].state.occupancy;
     // GD*(1): multimedia bytes ~0; image byte share within 10 points of the
     // image request share.
     EXPECT_LT(occ1.byte_fraction(DocumentClass::kMultiMedia), 0.03);
     EXPECT_NEAR(occ1.byte_fraction(DocumentClass::kImage),
                 profile.of(DocumentClass::kImage).request_fraction, 0.12);
 
-    const auto& occ2 = packet.occupancy_series[i].occupancy;
+    const cache::Occupancy& occ2 = windows2[i].state.occupancy;
     // GD*(packet): document-count fractions track the request mix ...
     EXPECT_NEAR(occ2.object_fraction(DocumentClass::kImage),
                 profile.of(DocumentClass::kImage).request_fraction, 0.05);

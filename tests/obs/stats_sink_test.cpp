@@ -141,7 +141,7 @@ TEST(RecordingSink, PolicyStateTracesMatchThePolicy) {
   for (const WindowSample& w : gdstar.series().windows) {
     EXPECT_TRUE(w.state.aging.has_value());
     EXPECT_TRUE(w.state.beta.has_value());
-    EXPECT_EQ(w.state.heap_entries, w.state.occupancy_objects)
+    EXPECT_EQ(w.state.heap_entries, w.state.occupancy.total_objects)
         << "one heap entry per resident object";
     EXPECT_GE(*w.state.beta, 0.0);
   }
@@ -162,7 +162,7 @@ TEST(RecordingSink, PolicyStateTracesMatchThePolicy) {
   for (const WindowSample& w : lru.series().windows) {
     EXPECT_FALSE(w.state.aging.has_value());
     EXPECT_FALSE(w.state.beta.has_value());
-    EXPECT_LE(w.state.occupancy_bytes, r.capacity_bytes);
+    EXPECT_LE(w.state.occupancy.total_bytes, r.capacity_bytes);
   }
 }
 
@@ -224,7 +224,7 @@ TEST(RecordingSink, PartitionedFrontendAggregatesTheProbe) {
   for (const WindowSample& w : sink.series().windows) {
     // Heap entries aggregate across partitions; there is no single aging
     // term or beta for the composite, so the probe leaves them unset.
-    EXPECT_EQ(w.state.heap_entries, w.state.occupancy_objects);
+    EXPECT_EQ(w.state.heap_entries, w.state.occupancy.total_objects);
     EXPECT_FALSE(w.state.aging.has_value());
     EXPECT_FALSE(w.state.beta.has_value());
   }

@@ -2,11 +2,15 @@
 """End-to-end test of scripts/make_figures.sh, run under CTest as
 `make_figures`.
 
-Runs the script at a tiny scale into a temporary directory and checks the
-Figure 2-3 and Section 4.4 panels it writes through `webcache sweep
---panels-out`: every figure CSV exists, has the policy columns in order and
-one row per cache size, and the cost-model-blind LRU / LFU-DA columns agree
-between the constant-cost and packet-cost sweeps of the same trace.
+Runs the script at a tiny scale into a temporary directory and checks what
+it writes: Table 1 in tables.txt has a dfn and an rtp column and each trace
+has a breakdown table titled by its stem; both *_profile.ini files exist;
+each Figure 1 CSV has at least 100 windows whose per-class occupancy sums to
+the totals; every Figure 2-3 / Section 4.4 panel CSV exists with the policy
+columns in order and one row per cache size, and the cost-model-blind LRU /
+LFU-DA columns agree between the constant- and packet-cost sweeps of one
+trace. A bench binary whose --csv directory cannot be written must exit
+non-zero naming the path, so the script's `set -e` stops there.
 
 Usage: make_figures_test.py <path-to-make_figures.sh> <build-dir>
 """
@@ -24,6 +28,7 @@ CONSTANT = ["LRU", "LFU-DA", "GDS(1)", "GD*(1)"]
 PACKET = ["LRU", "LFU-DA", "GDS(packet)", "GD*(packet)"]
 FIGURES = {"fig2": CONSTANT, "fig3": PACKET,
            "rtp_cc": CONSTANT, "rtp_pc": PACKET}
+SLUGS = ["images", "html", "multi_media", "application", "other"]
 LADDER_ROWS = 7  # the paper's cache sizes, 0.5 % to 40 %
 
 
@@ -44,6 +49,44 @@ def column(rows, name):
     return [row[i] for row in rows[1:]]
 
 
+def check_tables(out):
+    lines = (out / "tables.txt").read_text().splitlines()
+    title = "Table 1. Properties of the traces"
+    header = lines[lines.index(title) + 1] if title in lines else ""
+    check("Table 1 has dfn and rtp columns", header.split() == ["dfn", "rtp"],
+          header)
+    for stem in ("dfn", "rtp"):
+        check(f"breakdown table titled {stem}", f"{stem} trace: workload "
+              "characteristics broken down into document types" in lines)
+        check(f"{stem}_profile.ini exists",
+              (out / f"{stem}_profile.ini").is_file())
+
+
+def check_figure1(out):
+    for policy in ("1", "packet"):
+        name = f"fig1_gdstar_{policy}.csv"
+        with open(out / name, newline="") as f:
+            rows = list(csv.DictReader(f))
+        check(f"{name} has at least 100 windows", len(rows) >= 100, len(rows))
+        bad = [row["last_request"] for row in rows
+               if any(sum(int(row[f"{s}_{k}"]) for s in SLUGS) != int(row[k])
+                      for k in ("occupancy_objects", "occupancy_bytes"))]
+        check(f"{name} per-class occupancy sums to the totals", not bad,
+              f"windows ending at {bad[:5]}")
+
+
+def check_bench_csv_failure(build_dir):
+    missing = "/nonexistent/dir"
+    proc = subprocess.run(
+        [str(Path(build_dir) / "bench" / "ext_latency_savings"),
+         "--scale=0.002", f"--csv={missing}"],
+        capture_output=True, text=True)
+    check("bench with an unwritable --csv exits non-zero",
+          proc.returncode > 0, f"rc={proc.returncode}")
+    check("bench --csv error names the path", missing in proc.stderr,
+          proc.stderr.strip()[-300:])
+
+
 def main():
     script, build_dir = sys.argv[1], sys.argv[2]
     with tempfile.TemporaryDirectory() as tmp:
@@ -53,6 +96,9 @@ def main():
               proc.stderr.strip()[-2000:])
         if proc.returncode != 0:
             return 1
+
+        check_tables(Path(tmp))
+        check_figure1(Path(tmp))
 
         panels = {}
         for prefix, policies in FIGURES.items():
@@ -81,6 +127,8 @@ def main():
                 for policy in ("LRU", "LFU-DA"):
                     check(f"fig2 == fig3 {metric} {cls} {policy}",
                           column(fig2, policy) == column(fig3, policy))
+
+    check_bench_csv_failure(build_dir)
 
     print(f"{len(FAILURES)} failure(s)")
     return 1 if FAILURES else 0

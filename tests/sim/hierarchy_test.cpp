@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -257,6 +258,28 @@ TEST(Hierarchy, WarmupExcluded) {
   EXPECT_EQ(r.offered.requests, t.trace.total_requests() -
                                     static_cast<std::uint64_t>(
                                         t.trace.total_requests() * 0.5));
+}
+
+TEST(Hierarchy, MeshWindowOccupancyPerClassSumsToTotals) {
+  // The mesh snapshot sums every edge and the root, class by class.
+  const trace::DenseTrace t = small_trace();
+  HierarchyConfig config = basic_config(t);
+  config.sibling_cooperation = true;
+  obs::RecordingSink sink(t.trace.total_requests() / 20);
+  simulate_hierarchy(t, config, sink);
+  ASSERT_GE(sink.series().windows.size(), 20u);
+  for (const obs::WindowSample& w : sink.series().windows) {
+    const cache::Occupancy& occ = w.state.occupancy;
+    EXPECT_EQ(std::accumulate(occ.objects.begin(), occ.objects.end(),
+                              std::uint64_t{0}),
+              occ.total_objects)
+        << w.last_request;
+    EXPECT_EQ(
+        std::accumulate(occ.bytes.begin(), occ.bytes.end(), std::uint64_t{0}),
+        occ.total_bytes)
+        << w.last_request;
+    EXPECT_GT(occ.total_objects, 0u) << w.last_request;
+  }
 }
 
 // ---- HierarchyReference: each level against the single-cache simulator ----

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+#include <string>
+
 #include "synth/generator.hpp"
 
 namespace webcache::sim {
@@ -52,14 +56,32 @@ TEST(Reporter, OccupancySeriesRendersClassColumns) {
           .generate();
   cache::PolicySpec spec;
   spec.kind = cache::PolicyKind::kGds;
-  SimulatorOptions opts;
-  opts.occupancy_samples = 8;
-  const SimResult result = simulate(t, 1 << 20, spec, opts);
-  const util::Table docs = render_occupancy_series(result, false, "Docs");
-  const util::Table bytes = render_occupancy_series(result, true, "Bytes");
-  EXPECT_EQ(docs.rows(), result.occupancy_series.size());
-  EXPECT_EQ(bytes.rows(), result.occupancy_series.size());
-  EXPECT_NE(docs.to_text().find("Multi Media"), std::string::npos);
+  obs::RecordingSink sink(t.total_requests() / 8);
+  simulate(t, 1 << 20, spec, SimulatorOptions{}, sink);
+  std::ostringstream os;
+  write_metrics_csv(os, sink.series());
+  std::istringstream in(os.str());
+  std::string header;
+  std::getline(in, header);
+
+  // The 58 pre-existing columns keep their positions; each class's
+  // occupancy objects and bytes come after them.
+  const std::size_t old_end = header.find(",other_lost") + 11;
+  EXPECT_EQ(std::count(header.begin(), header.begin() + old_end, ','), 57);
+  std::string occupancy_columns;
+  for (const auto cls : trace::kAllDocumentClasses) {
+    const std::string slug = class_slug(cls);
+    occupancy_columns +=
+        "," + slug + "_occupancy_objects," + slug + "_occupancy_bytes";
+  }
+  EXPECT_EQ(header.substr(old_end), occupancy_columns);
+  std::size_t rows = 0;
+  for (std::string line; std::getline(in, line); ++rows) {
+    EXPECT_EQ(std::count(line.begin(), line.end(), ','),
+              std::count(header.begin(), header.end(), ','));
+  }
+  EXPECT_EQ(rows, sink.series().windows.size());
+  EXPECT_GE(rows, 8u);
 }
 
 TEST(Reporter, DiagnosticsHasRowPerPolicyAndSize) {

@@ -221,9 +221,6 @@ TEST(SampledSweep, ValidatesConfiguration) {
   config.sample_rate = 1.5;
   EXPECT_THROW(SampledSweep{config}, std::invalid_argument);
   config.sample_rate = 0.5;
-  config.simulator.occupancy_samples = 4;  // not stack-safe
-  EXPECT_THROW(SampledSweep{config}, std::invalid_argument);
-  config.simulator.occupancy_samples = 0;
   config.simulator.warmup_fraction = 1.0;
   EXPECT_THROW(SampledSweep{config}, std::invalid_argument);
   config.simulator.warmup_fraction = 0.1;

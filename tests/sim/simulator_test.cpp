@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
+
+#include "obs/stats_sink.hpp"
 
 namespace webcache::sim {
 namespace {
@@ -186,15 +189,15 @@ TEST(Simulator, OccupancySeriesRecorded) {
   for (int i = 0; i < 100; ++i) {
     t.requests.push_back(req(i, 10, DocumentClass::kImage));
   }
-  SimulatorOptions opts = no_warmup();
-  opts.occupancy_samples = 10;
-  const SimResult r = simulate(t, 10000, lru(), opts);
-  ASSERT_EQ(r.occupancy_series.size(), 10u);
-  EXPECT_EQ(r.occupancy_series.front().request_index, 10u);
-  EXPECT_EQ(r.occupancy_series.back().request_index, 100u);
-  EXPECT_DOUBLE_EQ(
-      r.occupancy_series.back().occupancy.object_fraction(DocumentClass::kImage),
-      1.0);
+  obs::RecordingSink sink(10);
+  simulate(t, 10000, lru(), no_warmup(), sink);
+  const std::vector<obs::WindowSample>& windows = sink.series().windows;
+  ASSERT_EQ(windows.size(), 10u);
+  EXPECT_EQ(windows.front().last_request, 10u);
+  EXPECT_EQ(windows.back().last_request, 100u);
+  const cache::Occupancy& occ = windows.back().state.occupancy;
+  EXPECT_EQ(occ.total_objects, 100u);
+  EXPECT_DOUBLE_EQ(occ.object_fraction(DocumentClass::kImage), 1.0);
 }
 
 TEST(Simulator, PolicyNameAndCapacityRecorded) {

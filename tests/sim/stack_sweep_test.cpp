@@ -53,7 +53,6 @@ void expect_identical(const SimResult& expected, const SimResult& actual,
   EXPECT_EQ(expected.modification_misses, actual.modification_misses) << label;
   EXPECT_EQ(expected.interrupted_transfers, actual.interrupted_transfers)
       << label;
-  EXPECT_TRUE(actual.occupancy_series.empty()) << label;
 }
 
 trace::Trace recorded_trace(std::uint64_t seed = 42) {
@@ -155,11 +154,7 @@ TEST(StackSweep, RejectsCapacityBelowLargestTransfer) {
   EXPECT_THROW(sweep.run(trace::densify(trace)), std::invalid_argument);
 }
 
-TEST(StackSweep, RejectsNonStackSafeOptions) {
-  SimulatorOptions options;
-  options.occupancy_samples = 4;
-  EXPECT_FALSE(StackSweep::options_stack_safe(options));
-  EXPECT_THROW(StackSweep({1 << 20}, options), std::invalid_argument);
+TEST(StackSweep, RejectsInvalidOptions) {
   EXPECT_THROW(StackSweep({}, SimulatorOptions{}), std::invalid_argument);
   SimulatorOptions warmup;
   warmup.warmup_fraction = 1.0;
@@ -208,31 +203,6 @@ TEST(StackSweepIntegration, OnePassModesAgreeOnMixedPolicyGrids) {
 
   expect_identical_sweeps(grid, auto_sparse, "auto sparse");
   expect_identical_sweeps(grid, auto_dense, "auto dense");
-}
-
-TEST(StackSweepIntegration, FallsBackWhenOptionsAreNotStackSafe) {
-  const trace::Trace trace = recorded_trace();
-
-  SweepConfig config;
-  config.cache_fractions = {0.02, 0.08};
-  config.policies = {cache::policy_spec_from_name("LRU")};
-  config.simulator.occupancy_samples = 4;  // grid-only territory
-
-  config.one_pass = OnePassMode::kOff;
-  const SweepResult grid = run_sweep(trace, config);
-  config.one_pass = OnePassMode::kAuto;
-  const SweepResult fallback = run_sweep(trace, config);
-
-  ASSERT_EQ(grid.points.size(), fallback.points.size());
-  for (std::size_t f = 0; f < grid.points.size(); ++f) {
-    // Occupancy snapshots only exist on the grid path, so their presence
-    // proves the fallback ran — and the series must match the baseline.
-    ASSERT_FALSE(fallback.points[f].results[0].occupancy_series.empty());
-    EXPECT_EQ(grid.points[f].results[0].occupancy_series.size(),
-              fallback.points[f].results[0].occupancy_series.size());
-    EXPECT_EQ(grid.points[f].results[0].overall.hits,
-              fallback.points[f].results[0].overall.hits);
-  }
 }
 
 }  // namespace

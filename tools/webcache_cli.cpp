@@ -4,18 +4,19 @@
 //   generate      synthesize a workload (binary trace or Squid access.log)
 //   convert       Squid access.log -> binary trace (with preprocessing)
 //   export        binary trace -> Squid access.log
-//   characterize  Tables 1-5 + concentration statistics for a trace
+//   characterize  Tables 1-5 + concentration statistics for the traces
 //   simulate      one policy, one cache size, full per-class report
 //   sweep         the paper's cache-size ladder for a policy set
 //   help          this text
 //
 // Examples:
 //   webcache generate --profile=DFN --scale=0.01 --out=dfn.wct
-//   webcache characterize dfn.wct
+//   webcache characterize dfn.wct rtp.wct
 //   webcache simulate dfn.wct --policy='GD*(packet)' --cache-mb=64
 //   webcache sweep dfn.wct --policies='LRU,LFU-DA,GDS(1),GD*(1)'
 //   webcache convert access.log real.wct && webcache sweep real.wct
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -69,7 +70,9 @@ int usage(std::ostream& os) {
         "           dropped, and a clean WCT1 file is rewritten; the\n"
         "           recovery summary names each skipped record and offset)\n"
         "  export   IN.wct OUT.log\n"
-        "  characterize TRACE [--squid] [--windows=N]\n"
+        "  characterize TRACE... [--squid] [--windows=N]\n"
+        "           (Table 1 has a column per trace; the other tables are\n"
+        "            printed per trace, titled by its file stem)\n"
         "  simulate TRACE --policy=NAME [--cache-mb=N | --cache-fraction=F]\n"
         "           [--warmup=0.1] [--mod-rule=threshold|any|never] [--squid]\n"
         "           [--metrics-out=FILE[.json|.csv]] [--metrics-window=N]\n"
@@ -275,27 +278,31 @@ int cmd_characterize(const util::Args& args) {
   if (args.positional().empty()) {
     throw std::invalid_argument("characterize: need a trace file");
   }
-  const trace::Trace t =
-      load_trace(args.positional()[0], args.get_bool("squid", false));
-
-  const workload::Breakdown bd = workload::compute_breakdown(t);
-  workload::render_trace_properties({{"trace", bd}}).print(std::cout);
-  workload::render_class_breakdown("This", bd).print(std::cout);
-  workload::render_size_and_locality("This", workload::compute_size_stats(t),
-                                     workload::compute_locality(t))
-      .print(std::cout);
-
-  workload::render_concentration("This", workload::compute_concentration(t))
-      .print(std::cout);
-
   const auto windows =
       static_cast<std::size_t>(args.get_uint("windows", 0));
-  if (windows > 0) {
-    workload::render_drift(workload::compute_drift(t, windows),
-                           "Workload drift across " +
-                               std::to_string(windows) + " windows")
-        .print(std::cout);
+  // One Table 1 column per trace, then each trace's own tables, titled by
+  // its file stem. Each trace is loaded, rendered and released in turn.
+  std::vector<std::pair<std::string, workload::Breakdown>> properties;
+  std::vector<util::Table> tables;
+  for (const std::string& path : args.positional()) {
+    const trace::Trace t = load_trace(path, args.get_bool("squid", false));
+    const std::string name = std::filesystem::path(path).stem().string();
+    const workload::Breakdown bd = workload::compute_breakdown(t);
+    properties.emplace_back(name, bd);
+    tables.push_back(workload::render_class_breakdown(name, bd));
+    tables.push_back(workload::render_size_and_locality(
+        name, workload::compute_size_stats(t), workload::compute_locality(t)));
+    tables.push_back(workload::render_concentration(
+        name, workload::compute_concentration(t)));
+    if (windows > 0) {
+      tables.push_back(workload::render_drift(
+          workload::compute_drift(t, windows),
+          name + " trace: workload drift across " +
+              std::to_string(windows) + " windows"));
+    }
   }
+  workload::render_trace_properties(properties).print(std::cout);
+  for (const util::Table& table : tables) table.print(std::cout);
   return 0;
 }
 
