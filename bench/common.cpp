@@ -20,11 +20,12 @@ BenchContext BenchContext::from_args(int argc, char** argv) {
   return ctx;
 }
 
-trace::Trace BenchContext::make_trace(
+trace::DenseTrace BenchContext::make_trace(
     const synth::WorkloadProfile& profile) const {
   synth::GeneratorOptions opts;
   opts.seed = seed;
-  return synth::TraceGenerator(profile.scaled(scale), opts).generate();
+  return trace::densify(
+      synth::TraceGenerator(profile.scaled(scale), opts).generate());
 }
 
 sim::SimulatorOptions BenchContext::simulator_options() const {

@@ -1,6 +1,8 @@
-// Shared infrastructure for the benchmark binaries.
+// Shared infrastructure for the study binaries that no `webcache` command
+// can express (ext_partitioned_cache, ext_future_workload,
+// ext_per_class_beta).
 //
-// Every bench accepts:
+// Every one accepts:
 //   --scale=<f>    trace scale relative to the paper's full trace sizes
 //                  (default 0.02: ~134k requests for DFN, regenerates every
 //                  figure in seconds; 1.0 = the paper's full 6.7M requests)
@@ -14,7 +16,7 @@
 #include "sim/simulator.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
-#include "trace/request.hpp"
+#include "trace/dense_trace.hpp"
 #include "util/args.hpp"
 #include "util/table.hpp"
 
@@ -28,8 +30,9 @@ struct BenchContext {
 
   static BenchContext from_args(int argc, char** argv);
 
-  /// Generates the named profile ("DFN" or "RTP") at the configured scale.
-  trace::Trace make_trace(const synth::WorkloadProfile& profile) const;
+  /// Generates the profile at the configured scale, densified for the
+  /// dense replay overloads.
+  trace::DenseTrace make_trace(const synth::WorkloadProfile& profile) const;
 
   sim::SimulatorOptions simulator_options() const;
 

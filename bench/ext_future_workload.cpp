@@ -12,6 +12,9 @@
 // GD*(1)/GDS(1) byte-hit-rate penalty grow with the multimedia share and
 // the packet-cost variants take over — quantifying exactly why the paper
 // says the document-type breakdown matters for future cache design.
+//
+// A binary rather than a script line because its traces come from shifted
+// profiles (synth::future_workload), which `webcache generate` cannot make.
 #include <iostream>
 
 #include "cache/factory.hpp"
@@ -35,14 +38,14 @@ int main(int argc, char** argv) {
         growth == 1.0 ? synth::WorkloadProfile::DFN()
                       : synth::future_workload(synth::WorkloadProfile::DFN(),
                                                growth);
-    const trace::Trace t = ctx.make_trace(profile);
+    const trace::DenseTrace t = ctx.make_trace(profile);
     const auto capacity = static_cast<std::uint64_t>(
         static_cast<double>(t.overall_size_bytes()) * cache_fraction);
 
     const auto mm_share =
         [&] {
           std::uint64_t mm = 0, total = 0;
-          for (const auto& r : t.requests) {
+          for (const auto& r : t.trace.requests) {
             total += r.transfer_size;
             if (r.doc_class == trace::DocumentClass::kMultiMedia ||
                 r.doc_class == trace::DocumentClass::kApplication) {

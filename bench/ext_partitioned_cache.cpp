@@ -9,6 +9,9 @@
 //   * partitions sized by the byte mix (byte-hit oriented),
 // reporting the per-class trade the partitioning buys (notably: a protected
 // multi-media budget recovers byte hit rate that unified GD*(1) sacrifices).
+//
+// A binary rather than a script line because the partitioned variants need
+// a cache::PartitionedCache frontend, which no `webcache` command builds.
 #include <iostream>
 
 #include "cache/partitioned.hpp"
@@ -26,10 +29,10 @@ int main(int argc, char** argv) {
             << ctx.scale << ", cache " << cache_fraction * 100
             << "% of trace) ===\n\n";
 
-  const trace::Trace t = ctx.make_trace(synth::WorkloadProfile::DFN());
+  const trace::DenseTrace t = ctx.make_trace(synth::WorkloadProfile::DFN());
   const auto capacity = static_cast<std::uint64_t>(
       static_cast<double>(t.overall_size_bytes()) * cache_fraction);
-  const workload::Breakdown bd = workload::compute_breakdown(t);
+  const workload::Breakdown bd = workload::compute_breakdown(t.trace);
 
   std::array<double, trace::kDocumentClassCount> request_mix{};
   std::array<double, trace::kDocumentClassCount> byte_mix{};

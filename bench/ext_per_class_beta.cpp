@@ -10,6 +10,9 @@
 // If the diagnosis is right, GD*C(packet) should recover byte hit rate on
 // the RTP-like workload relative to GD*(packet), with little or no cost on
 // the DFN-like workload where one class dominates anyway.
+//
+// A binary rather than a script line because it reads GD*C's learned
+// per-class beta, which obs::Snapshot (one beta per window) does not carry.
 #include <iostream>
 
 #include "cache/factory.hpp"
@@ -29,7 +32,7 @@ int main(int argc, char** argv) {
 
   for (const auto& profile :
        {synth::WorkloadProfile::DFN(), synth::WorkloadProfile::RTP()}) {
-    const trace::Trace t = ctx.make_trace(profile);
+    const trace::DenseTrace t = ctx.make_trace(profile);
     const auto capacity = static_cast<std::uint64_t>(
         static_cast<double>(t.overall_size_bytes()) * cache_fraction);
 

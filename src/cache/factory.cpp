@@ -1,6 +1,7 @@
 #include "cache/factory.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -63,6 +64,11 @@ std::unique_ptr<ReplacementPolicy> make_policy(const PolicySpec& spec) {
       return std::make_unique<DelayLruPolicy>(spec.promote_interval);
     case PolicyKind::kBatchPromotion:
       return std::make_unique<BatchPromotionPolicy>(spec.promotion_batch);
+    case PolicyKind::kOpt:
+      throw std::invalid_argument(
+          "make_policy: OPT needs the whole future request sequence, so it "
+          "runs only as a `webcache sweep` policy (or as a cache::OptPolicy "
+          "built from the trace)");
   }
   throw std::invalid_argument("make_policy: unknown kind");
 }
@@ -77,7 +83,8 @@ std::string lower_ascii(std::string_view s) {
   return out;
 }
 
-// `base[:key=value,...]` parameter list for the lazy-promotion family.
+// `base[:key=value,...]` parameter list of the lazy-promotion family and
+// of GD*'s fixed beta.
 // Every diagnostic names the policy, the parameter, and the offending
 // value so a CLI typo is a one-line fix.
 struct ParamList {
@@ -113,18 +120,21 @@ struct ParamList {
     }
   }
 
-  double take_probability(std::string_view key, double fallback) {
+  /// A finite value in (0, max_value]; `expected` describes that range.
+  double take_positive(std::string_view key, double fallback,
+                       double max_value, std::string_view expected) {
     const std::string* raw = take(key);
     if (raw == nullptr) return fallback;
     try {
       std::size_t used = 0;
       const double v = std::stod(*raw, &used);
-      if (used != raw->size() || !(v > 0.0) || v > 1.0) {
+      if (used != raw->size() || !std::isfinite(v) || !(v > 0.0) ||
+          v > max_value) {
         throw std::invalid_argument("");
       }
       return v;
     } catch (const std::exception&) {
-      fail(key, *raw, "probability in (0, 1]");
+      fail(key, *raw, expected);
     }
   }
 
@@ -150,19 +160,11 @@ struct ParamList {
   std::string taken_;
 };
 
-/// Matches `name` against a lazy-family base (case-insensitive) and, on a
-/// match, splits the `key=value,...` tail. Returns nullopt when the base
-/// differs; throws on a matching base with a malformed tail.
-std::optional<ParamList> match_lazy(std::string_view name,
-                                    std::string_view canonical_base) {
-  const std::size_t colon = name.find(':');
-  const std::string_view base = name.substr(0, colon);
-  if (lower_ascii(base) != lower_ascii(canonical_base)) return std::nullopt;
-
+/// Splits the `key=value,...` tail of `policy`'s name; throws on an item
+/// that is not key=value.
+ParamList split_params(std::string_view policy, std::string_view tail) {
   ParamList params;
-  params.policy = canonical_base;
-  if (colon == std::string_view::npos) return params;
-  std::string_view tail = name.substr(colon + 1);
+  params.policy = policy;
   while (!tail.empty()) {
     const std::size_t comma = tail.find(',');
     const std::string_view item = tail.substr(0, comma);
@@ -171,7 +173,7 @@ std::optional<ParamList> match_lazy(std::string_view name,
     const std::size_t eq = item.find('=');
     if (eq == 0 || eq == std::string_view::npos || eq + 1 == item.size()) {
       throw std::invalid_argument(
-          "policy_spec_from_name: " + std::string(canonical_base) +
+          "policy_spec_from_name: " + std::string(policy) +
           ": malformed parameter '" + std::string(item) +
           "' (expected key=value)");
     }
@@ -179,6 +181,19 @@ std::optional<ParamList> match_lazy(std::string_view name,
                               std::string(item.substr(eq + 1)));
   }
   return params;
+}
+
+/// Matches `name` against a lazy-family base (case-insensitive) and, on a
+/// match, splits the `key=value,...` tail. Returns nullopt when the base
+/// differs; throws on a matching base with a malformed tail.
+std::optional<ParamList> match_lazy(std::string_view name,
+                                    std::string_view canonical_base) {
+  const std::size_t colon = name.find(':');
+  const std::string_view base = name.substr(0, colon);
+  if (lower_ascii(base) != lower_ascii(canonical_base)) return std::nullopt;
+  return split_params(canonical_base, colon == std::string_view::npos
+                                          ? std::string_view{}
+                                          : name.substr(colon + 1));
 }
 
 /// The lazy-promotion / RANDOM family, `base[:key=value,...]` syntax.
@@ -198,8 +213,8 @@ bool parse_lazy_family(std::string_view name, PolicySpec& spec) {
     p->finish();
   } else if (auto p = match_lazy(name, "PROB-LRU")) {
     spec.kind = PolicyKind::kProbLru;
-    spec.promote_probability =
-        p->take_probability("p", spec.promote_probability);
+    spec.promote_probability = p->take_positive(
+        "p", spec.promote_probability, 1.0, "probability in (0, 1]");
     spec.random_seed = p->take_u64("seed", spec.random_seed, 0);
     p->finish();
   } else if (auto p = match_lazy(name, "DELAY-LRU")) {
@@ -220,20 +235,27 @@ bool parse_lazy_family(std::string_view name, PolicySpec& spec) {
 
 PolicySpec policy_spec_from_name(std::string_view name) {
   PolicySpec spec;
-  auto with_cost = [&](PolicyKind kind, std::string_view base) -> bool {
-    if (name == std::string(base) + "(1)") {
+  // The cost-model families take an optional `:key=value,...` tail, of
+  // which only GD*'s `beta` exists.
+  const std::size_t colon = name.find(':');
+  const std::string_view base = name.substr(0, colon);
+  auto with_cost = [&](PolicyKind kind, std::string_view family) -> bool {
+    for (const auto& [suffix, model] :
+         {std::pair{"(1)", CostModelKind::kConstant},
+          std::pair{"(packet)", CostModelKind::kPacket},
+          std::pair{"(latency)", CostModelKind::kLatency}}) {
+      if (base != std::string(family) + suffix) continue;
       spec.kind = kind;
-      spec.cost_model = CostModelKind::kConstant;
-      return true;
-    }
-    if (name == std::string(base) + "(packet)") {
-      spec.kind = kind;
-      spec.cost_model = CostModelKind::kPacket;
-      return true;
-    }
-    if (name == std::string(base) + "(latency)") {
-      spec.kind = kind;
-      spec.cost_model = CostModelKind::kLatency;
+      spec.cost_model = model;
+      if (colon != std::string_view::npos) {
+        ParamList params = split_params(base, name.substr(colon + 1));
+        if (kind == PolicyKind::kGdStar) {
+          const double beta = params.take_positive(
+              "beta", 0.0, HUGE_VAL, "finite number > 0");
+          if (beta > 0.0) spec.fixed_beta = beta;
+        }
+        params.finish();
+      }
       return true;
     }
     return false;
@@ -241,6 +263,8 @@ PolicySpec policy_spec_from_name(std::string_view name) {
 
   if (name == "LRU") {
     spec.kind = PolicyKind::kLru;
+  } else if (name == "OPT") {
+    spec.kind = PolicyKind::kOpt;
   } else if (name == "LRU-MIN") {
     spec.kind = PolicyKind::kLruMin;
   } else if (name == "LRU-2") {

@@ -30,13 +30,17 @@ enum class PolicyKind {
   kProbLru,
   kDelayLru,
   kBatchPromotion,
+  /// The clairvoyant bound (cache/opt.hpp). Its oracle is built from the
+  /// trace, so only run_sweep constructs it; make_policy rejects it.
+  kOpt,
 };
 
 struct PolicySpec {
   PolicyKind kind = PolicyKind::kLru;
   /// Meaningful for the GDS family only.
   CostModelKind cost_model = CostModelKind::kConstant;
-  /// GD* only: disable the online estimator and pin beta.
+  /// GD* only: disable the online estimator and pin beta (the name's
+  /// `:beta=<x>` key).
   std::optional<double> fixed_beta;
   /// LRU-Threshold only: the admission threshold in bytes (> 0). The
   /// simulator applies it via Cache::set_admission_limit.
@@ -59,14 +63,16 @@ std::unique_ptr<ReplacementPolicy> make_policy(const PolicySpec& spec);
 
 /// Parses the paper's names: "LRU", "LFU-DA", "GDS(1)", "GDS(packet)",
 /// "GD*(1)", "GD*(packet)", plus the baselines "FIFO", "SIZE", "LFU",
-/// "GDSF(1)", "GDSF(packet)", "LRU-MIN", "LRU-2" and "LRU-THOLD(<bytes>)".
+/// "GDSF(1)", "GDSF(packet)", "LRU-MIN", "LRU-2", "LRU-THOLD(<bytes>)" and
+/// "OPT". GD* takes a fixed exponent as "GD*(1):beta=0.5".
 ///
 /// The lazy-promotion family uses `base[:key=value,...]` syntax with a
 /// case-insensitive base name: "RANDOM" (optional `seed=<n>`), "CLOCK",
 /// "DELAY-CLOCK" (`k=<n>`), "PROB-LRU" (`p=<x>`, optional `seed=<n>`),
 /// "DELAY-LRU" (`k=<n>`) and "BATCH-LRU" (`batch=<n>`), e.g.
-/// "prob-lru:p=0.1" or "DELAY-CLOCK:k=8". Unknown keys and malformed
-/// values are rejected with the policy and parameter named in the error.
+/// "prob-lru:p=0.1" or "DELAY-CLOCK:k=8". Unknown keys (`beta` on anything
+/// but GD*, too) and malformed values are rejected with the policy and
+/// parameter named in the error.
 ///
 /// Throws std::invalid_argument on anything else.
 PolicySpec policy_spec_from_name(std::string_view name);

@@ -1,5 +1,6 @@
 #include "cache/lru_variants.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 #include <string>
@@ -38,32 +39,26 @@ void LruThresholdPolicy::clear() { order_.clear(); }
 
 // ------------------------------------------------------------- LRU-MIN
 
-std::size_t LruMinPolicy::bucket_of(std::uint64_t size) {
-  if (size == 0) return 0;
-  return 63 - static_cast<std::size_t>(std::countl_zero(size));
-}
-
 void LruMinPolicy::reserve_ids(std::uint64_t universe) {
   if (!dense_ && resident_ != 0) {
     throw std::logic_error("LruMinPolicy: reserve_ids on non-empty policy");
   }
-  extend_dense_index(dense_where_, universe, Slot{}, "LruMinPolicy");
+  extend_dense_index(dense_where_, universe, kAbsent, "LruMinPolicy");
   dense_ = true;
   where_.clear();
 }
 
-LruMinPolicy::Slot* LruMinPolicy::find_slot(ObjectId id) {
+std::uint64_t* LruMinPolicy::find_position(ObjectId id) {
   if (dense_) {
     const auto i = static_cast<std::size_t>(id);
-    if (i >= dense_where_.size()) return nullptr;
-    Slot& slot = dense_where_[i];
-    return slot.bucket == kAbsent ? nullptr : &slot;
+    if (i >= dense_where_.size() || dense_where_[i] == kAbsent) return nullptr;
+    return &dense_where_[i];
   }
   const auto it = where_.find(id);
   return it == where_.end() ? nullptr : &it->second;
 }
 
-LruMinPolicy::Slot& LruMinPolicy::make_slot(ObjectId id) {
+std::uint64_t& LruMinPolicy::make_position(ObjectId id) {
   if (dense_) {
     const auto i = static_cast<std::size_t>(id);
     if (i >= dense_where_.size()) {
@@ -74,94 +69,130 @@ LruMinPolicy::Slot& LruMinPolicy::make_slot(ObjectId id) {
   return where_[id];
 }
 
-void LruMinPolicy::drop_slot(ObjectId id) {
+void LruMinPolicy::drop_position(ObjectId id) {
   if (dense_) {
-    dense_where_[static_cast<std::size_t>(id)] = Slot{};
+    dense_where_[static_cast<std::size_t>(id)] = kAbsent;
   } else {
     where_.erase(id);
   }
 }
 
+std::uint64_t LruMinPolicy::max_of_children(std::size_t level,
+                                            std::size_t node) const {
+  const std::uint64_t* child = &tree_[level_start_[level - 1] + kFanout * node];
+  return *std::max_element(child, child + kFanout);
+}
+
+void LruMinPolicy::set_leaf(std::size_t pos, std::uint64_t value) {
+  tree_[pos] = value;
+  // A node whose maximum does not change leaves its ancestors unchanged.
+  for (std::size_t level = 1; level < level_start_.size(); ++level) {
+    pos /= kFanout;
+    const std::uint64_t max = max_of_children(level, pos);
+    std::uint64_t& node = tree_[level_start_[level] + pos];
+    if (node == max) break;
+    node = max;
+  }
+}
+
+void LruMinPolicy::compact() {
+  // Residents keep their order and only move left, so this is in place.
+  std::size_t live = 0;
+  for (std::size_t pos = 0; pos < next_position_; ++pos) {
+    if (tree_[pos] == 0) continue;
+    make_position(entries_[pos].id) = live;
+    tree_[live] = tree_[pos];
+    entries_[live++] = entries_[pos];
+  }
+  next_position_ = live;
+  // Each level is padded to whole groups of kFanout, so level l - 1 holds
+  // exactly kFanout entries per node of level l; the last level is the root.
+  const auto padded = [](std::size_t n) {
+    return (n + kFanout - 1) / kFanout * kFanout;
+  };
+  width_ = padded(std::max<std::size_t>(64, 2 * (resident_ + 1)));
+  level_start_.clear();
+  std::size_t total = 0;
+  for (std::size_t n = width_;; n = (n + kFanout - 1) / kFanout) {
+    level_start_.push_back(total);
+    total += padded(n);
+    if (n == 1) break;
+  }
+  tree_.resize(total);
+  std::fill(tree_.begin() + static_cast<std::ptrdiff_t>(live), tree_.end(), 0);
+  entries_.resize(width_);
+  for (std::size_t level = 1; level < level_start_.size(); ++level) {
+    const std::size_t nodes =
+        (level_start_[level] - level_start_[level - 1]) / kFanout;
+    for (std::size_t node = 0; node < nodes; ++node) {
+      tree_[level_start_[level] + node] = max_of_children(level, node);
+    }
+  }
+}
+
+void LruMinPolicy::place(ObjectId id, std::uint64_t size,
+                         std::uint64_t stamp) {
+  if (next_position_ == width_) compact();
+  const std::size_t pos = next_position_++;
+  entries_[pos] = Entry{id, stamp};
+  set_leaf(pos, size + 1);
+  make_position(id) = pos;
+}
+
 void LruMinPolicy::on_insert(const CacheObject& obj) {
-  if (find_slot(obj.id) != nullptr) {
+  if (find_position(obj.id) != nullptr) {
     throw std::logic_error("LruMinPolicy: duplicate insert");
   }
-  const std::size_t bucket = bucket_of(obj.size);
-  buckets_[bucket].push_front(Entry{obj.id, obj.size, next_stamp_++});
-  make_slot(obj.id) = Slot{bucket, buckets_[bucket].begin()};
+  place(obj.id, obj.size, next_stamp_++);
   ++resident_;
 }
 
 void LruMinPolicy::on_hit(const CacheObject& obj) {
-  Slot* slot = find_slot(obj.id);
-  if (slot == nullptr) {
+  const std::uint64_t* pos = find_position(obj.id);
+  if (pos == nullptr) {
     throw std::logic_error("LruMinPolicy: hit on absent id");
   }
-  // Size may have been refreshed by the container; re-bucket if needed.
-  const std::size_t bucket = bucket_of(obj.size);
-  slot->where->size = obj.size;
-  slot->where->stamp = next_stamp_++;
-  buckets_[bucket].splice(buckets_[bucket].begin(), buckets_[slot->bucket],
-                          slot->where);
-  slot->bucket = bucket;
-  slot->where = buckets_[bucket].begin();
-}
-
-const LruMinPolicy::Entry* LruMinPolicy::oldest_at_least(
-    std::uint64_t threshold) const {
-  const Entry* best = nullptr;
-  const std::size_t first_bucket = threshold == 0 ? 0 : bucket_of(threshold);
-  for (std::size_t b = first_bucket; b < kBuckets; ++b) {
-    const auto& bucket = buckets_[b];
-    if (bucket.empty()) continue;
-    const Entry* candidate = nullptr;
-    if (b > first_bucket || threshold == 0 ||
-        threshold == (1ULL << first_bucket)) {
-      // Every entry in this bucket is >= threshold: its LRU tail qualifies.
-      candidate = &bucket.back();
-    } else {
-      // Boundary bucket: walk from the cold end for the first entry that
-      // clears the exact threshold.
-      for (auto it = bucket.rbegin(); it != bucket.rend(); ++it) {
-        if (it->size >= threshold) {
-          candidate = &*it;
-          break;
-        }
-      }
-    }
-    if (candidate != nullptr &&
-        (best == nullptr || candidate->stamp < best->stamp)) {
-      best = candidate;
-    }
-  }
-  return best;
+  // Moves to the newest position, with the size the container holds now.
+  set_leaf(static_cast<std::size_t>(*pos), 0);
+  place(obj.id, obj.size, next_stamp_++);
 }
 
 ObjectId LruMinPolicy::choose_victim(std::uint64_t incoming_size) {
   if (resident_ == 0) throw std::logic_error("LruMinPolicy: empty");
-  // Evict the LRU document with size >= S; halve S on failure. S = 0
-  // accepts anything, so the loop terminates at the global LRU victim.
+  // Halve S until some document has size >= S, i.e. a leaf (size + 1)
+  // exceeds S. S = 0 accepts anything, so the loop ends.
   std::uint64_t threshold = incoming_size;
-  for (;;) {
-    if (const Entry* victim = oldest_at_least(threshold)) return victim->id;
-    threshold /= 2;
+  while (tree_[level_start_.back()] <= threshold) threshold /= 2;
+  // Descend to the leftmost leaf above S: in each node, the first child
+  // above S (the node's own maximum guarantees one).
+  std::size_t pos = 0;
+  for (std::size_t level = level_start_.size() - 1; level-- > 0;) {
+    const std::uint64_t* child = &tree_[level_start_[level] + kFanout * pos];
+    std::size_t c = 0;
+    while (child[c] <= threshold) ++c;
+    pos = kFanout * pos + c;
   }
+  return entries_[pos].id;
 }
 
 void LruMinPolicy::on_evict(ObjectId id) {
-  Slot* slot = find_slot(id);
-  if (slot == nullptr) {
+  const std::uint64_t* pos = find_position(id);
+  if (pos == nullptr) {
     throw std::logic_error("LruMinPolicy: evict absent id");
   }
-  buckets_[slot->bucket].erase(slot->where);
-  drop_slot(id);
+  set_leaf(static_cast<std::size_t>(*pos), 0);
+  drop_position(id);
   --resident_;
 }
 
 void LruMinPolicy::clear() {
-  for (auto& bucket : buckets_) bucket.clear();
+  tree_.clear();
+  level_start_.clear();
+  entries_.clear();
+  width_ = 0;
+  next_position_ = 0;
   if (dense_) {
-    dense_where_.assign(dense_where_.size(), Slot{});
+    dense_where_.assign(dense_where_.size(), kAbsent);
   } else {
     where_.clear();
   }

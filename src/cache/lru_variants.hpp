@@ -4,9 +4,7 @@
 // Included for the extended comparison benchmarks.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <list>
 #include <unordered_map>
 #include <vector>
 
@@ -48,12 +46,14 @@ class LruThresholdPolicy final : public ReplacementPolicy {
 /// with size >= S; if none exists, halve S and repeat (degenerating to
 /// plain LRU at S = 0).
 ///
-/// Implementation: one LRU list per power-of-two size class, global
-/// recency stamps. Victim selection inspects the cold end of each class at
-/// or above the threshold bucket (walking inside the boundary bucket only),
-/// so the naive formulation's full-list scans — O(n) per eviction, ruinous
-/// when large multimedia documents arrive — become O(#buckets) with
-/// identical victims.
+/// Implementation: resident documents sit at recency positions, oldest
+/// first, and a max-tree over the positions (8 children per node, one
+/// cache line) holds each document's size. S halves until it is at most
+/// the largest resident size (the root), and one root-to-leaf descent then
+/// finds the leftmost, i.e. least recent, position whose size clears S.
+/// Every operation is O(log positions) with the naive formulation's
+/// victims. Positions are handed out in order and compacted (order kept)
+/// when they run out.
 class LruMinPolicy final : public ReplacementPolicy {
  public:
   void reserve_ids(std::uint64_t universe) override;
@@ -69,35 +69,42 @@ class LruMinPolicy final : public ReplacementPolicy {
   void restore_state(util::StateReader& r) override;
 
  private:
-  static constexpr std::size_t kBuckets = 64;
-  static constexpr std::size_t kAbsent = kBuckets;  // Slot.bucket sentinel
+  static constexpr std::uint64_t kAbsent = ~std::uint64_t{0};
+  static constexpr std::size_t kFanout = 8;
 
   struct Entry {
     ObjectId id;
-    std::uint64_t size;
-    std::uint64_t stamp;  // global recency: larger = more recent
-  };
-  struct Slot {
-    std::size_t bucket = kAbsent;
-    std::list<Entry>::iterator where;
+    std::uint64_t stamp;  // global recency, checkpointed: larger = newer
   };
 
-  static std::size_t bucket_of(std::uint64_t size);
-  /// Oldest entry with size >= threshold, or nullptr.
-  const Entry* oldest_at_least(std::uint64_t threshold) const;
+  /// Gives `id` the next recency position, compacting first when full.
+  void place(ObjectId id, std::uint64_t size, std::uint64_t stamp);
+  /// Sets position `pos`'s leaf (size + 1; 0 = vacant) and its ancestors.
+  void set_leaf(std::size_t pos, std::uint64_t value);
+  /// The largest of the kFanout children of `node` at `level` (>= 1).
+  std::uint64_t max_of_children(std::size_t level, std::size_t node) const;
+  /// Renumbers the resident documents to positions 0.. in recency order,
+  /// into a tree twice their count.
+  void compact();
 
-  Slot* find_slot(ObjectId id);
-  Slot& make_slot(ObjectId id);
-  void drop_slot(ObjectId id);
+  std::uint64_t* find_position(ObjectId id);
+  std::uint64_t& make_position(ObjectId id);
+  void drop_position(ObjectId id);
 
-  std::array<std::list<Entry>, kBuckets> buckets_;  // front = MRU per class
+  // Every level of the tree, leaves (one per position) first; level l
+  // starts at tree_[level_start_[l]] and the last level is the root.
+  std::vector<std::uint64_t> tree_;
+  std::vector<std::size_t> level_start_;
+  std::vector<Entry> entries_;  // by position
+  std::size_t width_ = 0;  // leaves: positions until the next compaction
+  std::size_t next_position_ = 0;
   std::uint64_t next_stamp_ = 0;
   std::size_t resident_ = 0;
 
-  // id -> slot, hash-backed by default, flat after reserve_ids().
+  // id -> position, hash-backed by default, flat after reserve_ids().
   bool dense_ = false;
-  std::unordered_map<ObjectId, Slot> where_;
-  std::vector<Slot> dense_where_;
+  std::unordered_map<ObjectId, std::uint64_t> where_;
+  std::vector<std::uint64_t> dense_where_;
 };
 
 }  // namespace webcache::cache

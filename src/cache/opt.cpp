@@ -1,29 +1,37 @@
 #include "cache/opt.hpp"
 
-#include <algorithm>
+#include <stdexcept>
+#include <string>
+
+#include "trace/id_map.hpp"
 
 namespace webcache::cache {
 
 OptPolicy::OptPolicy(const std::vector<trace::Request>& requests) {
-  positions_.reserve(requests.size() / 2 + 16);
-  std::uint64_t clock = 0;
-  for (const trace::Request& r : requests) {
-    ++clock;
-    positions_[r.document].push_back(clock);
+  if (requests.size() >= (std::uint64_t{1} << 32)) {
+    throw std::length_error(
+        "OptPolicy: " + std::to_string(requests.size()) +
+        " requests; the next-reference oracle holds 32-bit clocks, so a "
+        "trace must have fewer than 2^32 requests");
+  }
+  next_.resize(requests.size());
+  // Backward pass: upcoming[d] is the clock of the nearest later request
+  // for document d, under ids numbered by IdMap from the end.
+  trace::IdMap ids;
+  std::vector<std::uint32_t> upcoming;
+  for (std::size_t i = requests.size(); i-- > 0;) {
+    const std::uint32_t d = ids.intern(requests[i].document);
+    if (d == upcoming.size()) upcoming.push_back(0);
+    next_[i] = upcoming[d];
+    upcoming[d] = static_cast<std::uint32_t>(i + 1);
   }
 }
 
-std::uint64_t OptPolicy::next_reference_after(ObjectId id,
-                                              std::uint64_t now) const {
-  const auto it = positions_.find(id);
-  if (it == positions_.end()) return 0;
-  const auto& pos = it->second;
-  const auto next = std::upper_bound(pos.begin(), pos.end(), now);
-  return next == pos.end() ? 0 : *next;
-}
-
 double OptPolicy::priority_for(const CacheObject& obj) const {
-  const std::uint64_t next = next_reference_after(obj.id, obj.last_access);
+  // obj.last_access is the clock of the request being served.
+  const std::uint64_t now = obj.last_access;
+  const std::uint64_t next =
+      now == 0 || now > next_.size() ? 0 : next_[now - 1];
   if (next == 0) {
     // Dead object: evict before anything with a future, biggest first. The
     // base is far beyond any clock value yet small enough that adding the

@@ -11,11 +11,11 @@
 //
 // The container's logical clock must advance exactly once per trace request
 // (which the simulator guarantees), because next-reference lookups are
-// keyed by request index.
+// keyed by request index: the oracle is one 32-bit entry per request, the
+// clock of the next request for the same document.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/indexed_heap.hpp"
@@ -27,9 +27,13 @@ namespace webcache::cache {
 class OptPolicy final : public ReplacementPolicy {
  public:
   /// Builds the next-reference oracle from the full request sequence, in
-  /// trace order. Request i corresponds to container clock i + 1.
+  /// trace order, in one backward pass. Request i corresponds to container
+  /// clock i + 1. Throws std::length_error for 2^32 or more requests.
   explicit OptPolicy(const std::vector<trace::Request>& requests);
 
+  void reserve_ids(std::uint64_t universe) override {
+    heap_.reserve_dense_keys(universe);
+  }
   void on_insert(const CacheObject& obj) override;
   void on_hit(const CacheObject& obj) override;
   using ReplacementPolicy::choose_victim;
@@ -43,11 +47,9 @@ class OptPolicy final : public ReplacementPolicy {
   /// referenced again sort before everything (minus infinity bucket, with
   /// larger objects first so one eviction frees the most space).
   double priority_for(const CacheObject& obj) const;
-  /// Clock index (1-based) of the first reference to `id` strictly after
-  /// `now`; 0 when there is none.
-  std::uint64_t next_reference_after(ObjectId id, std::uint64_t now) const;
-
-  std::unordered_map<ObjectId, std::vector<std::uint64_t>> positions_;
+  /// next_[i]: the clock of the next request for request i's document; 0
+  /// when there is none.
+  std::vector<std::uint32_t> next_;
   IndexedMinHeap<ObjectId, double> heap_;
 };
 

@@ -14,7 +14,11 @@
 // memory image.
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <sstream>
+#include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -230,30 +234,45 @@ void LruKPolicy::restore_state(util::StateReader& r) {
 
 // ---- LRU-MIN ---------------------------------------------------------------
 
+// The layout groups residents by power-of-two size class (64 classes, size
+// 0 with size 1), newest first within a class, each as {id, size, stamp}.
 void LruMinPolicy::save_state(util::StateWriter& w) const {
+  std::array<std::vector<std::size_t>, 64> classes;
+  for (std::size_t pos = next_position_; pos-- > 0;) {
+    const std::uint64_t leaf = tree_[pos];
+    if (leaf == 0) continue;
+    classes[std::max<std::size_t>(std::bit_width(leaf - 1), 1) - 1].push_back(
+        pos);
+  }
   w.put_u64(next_stamp_);
-  for (const auto& bucket : buckets_) {
-    w.put_u64(bucket.size());
-    for (const Entry& e : bucket) {  // front (MRU) to back (LRU)
-      w.put_u64(e.id);
-      w.put_u64(e.size);
-      w.put_u64(e.stamp);
+  for (const auto& positions : classes) {
+    w.put_u64(positions.size());
+    for (const std::size_t pos : positions) {
+      w.put_u64(entries_[pos].id);
+      w.put_u64(tree_[pos] - 1);
+      w.put_u64(entries_[pos].stamp);
     }
   }
 }
 
 void LruMinPolicy::restore_state(util::StateReader& r) {
   next_stamp_ = r.take_u64();
-  for (std::size_t b = 0; b < kBuckets; ++b) {
+  std::vector<std::tuple<std::uint64_t, ObjectId, std::uint64_t>> saved;
+  for (std::size_t c = 0; c < 64; ++c) {
     const std::uint64_t n = r.take_u64();
     for (std::uint64_t i = 0; i < n; ++i) {
       const ObjectId id = r.take_id();
       const std::uint64_t size = r.take_u64();
-      const std::uint64_t stamp = r.take_u64();
-      buckets_[b].push_back(Entry{id, size, stamp});
-      make_slot(id) = Slot{b, std::prev(buckets_[b].end())};
-      ++resident_;
+      saved.emplace_back(r.take_u64(), id, size);
     }
+  }
+  std::sort(saved.begin(), saved.end());  // by stamp: oldest first
+  for (const auto& [stamp, id, size] : saved) {
+    if (find_position(id) != nullptr) {
+      throw std::logic_error("LruMinPolicy: duplicate id in saved state");
+    }
+    place(id, size, stamp);
+    ++resident_;
   }
 }
 

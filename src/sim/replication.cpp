@@ -36,8 +36,8 @@ std::vector<ReplicatedResult> run_replicated(
   for (std::uint32_t rep = 0; rep < config.replications; ++rep) {
     synth::GeneratorOptions gen;
     gen.seed = config.base_seed + rep;
-    const trace::Trace replica =
-        synth::TraceGenerator(profile, gen).generate();
+    const trace::DenseTrace replica =
+        trace::densify(synth::TraceGenerator(profile, gen).generate());
     const auto capacity = static_cast<std::uint64_t>(
         static_cast<double>(replica.overall_size_bytes()) *
         config.cache_fraction);

@@ -4,6 +4,7 @@
 #include <functional>
 #include <stdexcept>
 
+#include "cache/opt.hpp"
 #include "sim/replay_core.hpp"
 #include "sim/sampled_sweep.hpp"
 #include "sim/stack_sweep.hpp"
@@ -200,6 +201,13 @@ SweepResult run_policy_sweep(const TraceT& trace, const SweepConfig& config) {
   // strictly sequential, so the one-pass fast path is off; the grid itself
   // still parallelizes across cells.
   if (!config.faults.empty()) {
+    for (const cache::PolicySpec& spec : config.policies) {
+      if (spec.kind == cache::PolicyKind::kOpt) {
+        throw std::invalid_argument(
+            "run_sweep: OPT cannot replay a fault schedule (its oracle "
+            "assumes every request reaches the cache)");
+      }
+    }
     fill_grid(sweep, columns, config.threads, {},
               [&](std::uint64_t capacity, std::size_t p) {
                 const cache::PolicySpec& spec = config.policies[p];
@@ -222,8 +230,15 @@ SweepResult run_policy_sweep(const TraceT& trace, const SweepConfig& config) {
 
   fill_grid(sweep, columns, config.threads, skip,
             [&](std::uint64_t capacity, std::size_t p) {
-              return simulate(trace, capacity, config.policies[p],
-                              config.simulator);
+              const cache::PolicySpec& spec = config.policies[p];
+              if (spec.kind == cache::PolicyKind::kOpt) {
+                // OPT's oracle is the future of this very trace.
+                return simulate(trace, capacity,
+                                std::make_unique<cache::OptPolicy>(
+                                    raw_trace(trace).requests),
+                                config.simulator);
+              }
+              return simulate(trace, capacity, spec, config.simulator);
             });
   return sweep;
 }

@@ -47,6 +47,8 @@ struct SweepConfig {
   /// size; the paper's ladder by default.
   std::vector<double> cache_fractions = {0.005, 0.01, 0.02, 0.04,
                                          0.08,  0.16, 0.40};
+  /// A PolicyKind::kOpt column builds the clairvoyant OPT bound from the
+  /// trace for each cell (not under a fault schedule).
   std::vector<cache::PolicySpec> policies;
   SimulatorOptions simulator;
   /// Worker threads for the (fraction x policy) grid. Every cell is an

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <tuple>
 
 namespace webcache::cache {
 namespace {
@@ -98,6 +100,13 @@ TEST(Factory, LazyFamilySpecFields) {
   EXPECT_EQ(policy_spec_from_name("PROB-LRU:p=0.5,seed=3").random_seed, 3u);
   EXPECT_EQ(policy_spec_from_name("DELAY-LRU:k=7").promote_interval, 7u);
   EXPECT_EQ(policy_spec_from_name("BATCH-LRU:batch=128").promotion_batch, 128u);
+  EXPECT_EQ(policy_spec_from_name("GD*(1):beta=0.5").fixed_beta, 0.5);
+  const PolicySpec packet = policy_spec_from_name("GD*(packet):beta=2");
+  EXPECT_EQ(packet.kind, PolicyKind::kGdStar);
+  EXPECT_EQ(packet.cost_model, CostModelKind::kPacket);
+  EXPECT_EQ(packet.fixed_beta, 2.0);
+  EXPECT_FALSE(policy_spec_from_name("GD*(1)").fixed_beta.has_value());
+  EXPECT_EQ(policy_spec_from_name("OPT").kind, PolicyKind::kOpt);
 }
 
 // A bogus parameter string must be diagnosed with the policy and the
@@ -125,6 +134,28 @@ TEST(Factory, LazyFamilyBadParametersDiagnosed) {
   expect_error_mentions("RANDOM:k=2", "'k'");
   expect_error_mentions("CLOCK:k=2", "'k'");  // CLOCK takes no parameters
   expect_error_mentions("DELAY-CLOCK:=3", "=3");
+  // GD*'s fixed beta: each error names the policy and the parameter.
+  for (const auto& [name, policy, parameter] :
+       {std::tuple{"GD*(1):beta=0", "GD*(1)", "'beta'"},
+        std::tuple{"GD*(1):beta=-1", "GD*(1)", "'beta'"},
+        std::tuple{"GD*(1):beta=abc", "GD*(1)", "'beta'"},
+        std::tuple{"GD*(packet):beta=", "GD*(packet)", "beta="},
+        std::tuple{"GD*(1):gamma=1", "GD*(1)", "'gamma'"},
+        std::tuple{"GDS(1):beta=1", "GDS(1)", "'beta'"}}) {
+    expect_error_mentions(name, policy);
+    expect_error_mentions(name, parameter);
+  }
+}
+
+TEST(Factory, OptIsSweepOnly) {
+  // OPT's oracle is the trace's future, which make_policy does not have.
+  try {
+    make_policy("OPT");
+    FAIL() << "make_policy built OPT";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("OPT"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("sweep"), std::string::npos);
+  }
 }
 
 TEST(Factory, FixedBetaSpecHonored) {

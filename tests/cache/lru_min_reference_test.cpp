@@ -1,5 +1,5 @@
-// Differential test for the bucketed LRU-MIN: the production implementation
-// (per-size-class LRU lists, O(#buckets) victim selection) must make
+// Differential test for LRU-MIN: the production implementation (a max-tree
+// of sizes over recency positions, O(log n) victim selection) must make
 // exactly the same decisions as a literal transcription of the algorithm
 // (single recency list, full scan from the cold end, threshold halving).
 #include <gtest/gtest.h>

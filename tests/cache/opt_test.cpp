@@ -5,6 +5,9 @@
 #include "cache/cache.hpp"
 #include "cache/factory.hpp"
 #include "sim/simulator.hpp"
+#include "sim/sweep.hpp"
+#include "trace/binary_trace.hpp"
+#include "trace/dense_trace.hpp"
 #include "util/rng.hpp"
 
 namespace webcache::cache {
@@ -126,6 +129,40 @@ TEST(Opt, ClearAndReplayIsDeterministic) {
   const std::uint64_t first = replay_opt(t, 20);
   const std::uint64_t second = replay_opt(t, 20);
   EXPECT_EQ(first, second);
+}
+
+TEST(Opt, SweepCellMatchesDenseSimulateOnGoldenTrace) {
+  // A sweep's OPT column builds the oracle per cell from the densified
+  // trace; every cell must equal the dense replay with a hand-built one.
+  const trace::DenseTrace t = trace::densify(trace::read_binary_trace_file(
+      std::string(WEBCACHE_TEST_DATA_DIR) + "/golden_dfn.wct"));
+  sim::SweepConfig config;
+  config.cache_fractions = {0.01, 0.04, 0.16};
+  config.policies = {policy_spec_from_name("OPT"),
+                     policy_spec_from_name("LRU")};
+  config.threads = 2;
+  const sim::SweepResult sweep = sim::run_sweep(t, config);
+  for (const sim::SweepPoint& point : sweep.points) {
+    const sim::SimResult expected =
+        sim::simulate(t, point.capacity_bytes,
+                      std::make_unique<OptPolicy>(t.trace.requests),
+                      config.simulator);
+    const sim::SimResult& cell = point.results[0];
+    EXPECT_EQ(cell.policy_name, "OPT");
+    EXPECT_EQ(cell.evictions, expected.evictions);
+    EXPECT_EQ(cell.modification_misses, expected.modification_misses);
+    for (std::size_t c = 0; c < trace::kDocumentClassCount; ++c) {
+      EXPECT_EQ(cell.per_class[c].requests, expected.per_class[c].requests);
+      EXPECT_EQ(cell.per_class[c].hits, expected.per_class[c].hits);
+      EXPECT_EQ(cell.per_class[c].hit_bytes, expected.per_class[c].hit_bytes);
+    }
+    EXPECT_EQ(cell.overall.hits, expected.overall.hits);
+  }
+
+  // The oracle assumes every request reaches the cache, which a fault
+  // schedule breaks.
+  config.faults.events.push_back({});
+  EXPECT_THROW(sim::run_sweep(t, config), std::invalid_argument);
 }
 
 }  // namespace

@@ -9,7 +9,8 @@ schema, and satisfies the roll-up invariants (window sums equal the
 aggregate, per-class sums equal the overall counters). The CSV variant
 must agree with the JSON row for row. On the checked-in golden trace,
 `simulate --result-out` must reproduce golden_dfn_expected.tsv's
-constant-cost rows counter for counter.
+constant-cost rows counter for counter. `replicate` prints a verdict line
+for every policy pair, and OPT is refused, by name, everywhere but `sweep`.
 
 Usage: cli_smoke_test.py <path-to-webcache-binary>
 """
@@ -292,6 +293,40 @@ def check_lazy_family(cli, tmp):
               fragment in p.stderr, p.stderr.strip()[:200])
 
 
+def check_replicate_and_opt(cli, tmp):
+    """`replicate` prints a verdict line per policy pair; OPT runs only
+    inside `sweep`, and every other policy-taking command names it in its
+    error."""
+    policies = ["LRU", "LFU-DA", "GDS(1)", "GD*(1)"]
+    p = run(cli, "replicate", "--profile=DFN", "--scale=0.002", "--seeds=3",
+            "--policies=" + ",".join(policies))
+    check("replicate exits 0", p.returncode == 0, p.stderr.strip()[:200])
+    verdicts = [line for line in p.stdout.splitlines()
+                if " (hit rate): " in line]
+    pairs = [f"{a} vs {b} (hit rate): "
+             for i, a in enumerate(policies) for b in policies[i + 1:]]
+    check("replicate prints one separated-or-not verdict per policy pair",
+          len(verdicts) == len(pairs) and all(
+              line.startswith(pair) and "separated" in line
+              for line, pair in zip(verdicts, pairs)), "\n".join(verdicts))
+
+    wct = os.path.join(DATA_DIR, "golden_dfn.wct")
+    p = run(cli, "sweep", wct, "--policies=OPT,LRU", "--fractions=0.04")
+    check("sweep accepts OPT", p.returncode == 0 and "OPT" in p.stdout,
+          p.stderr.strip()[:200])
+    for name, args in (
+        ("simulate --policy=OPT", ("simulate", wct, "--policy=OPT")),
+        ("hierarchy --root-policy=OPT",
+         ("hierarchy", wct, "--root-policy=OPT")),
+        ("replicate --policies=OPT",
+         ("replicate", "--scale=0.002", "--seeds=1", "--policies=OPT")),
+    ):
+        p = run(cli, *args)
+        check(f"{name} exits 1", p.returncode == 1, f"rc={p.returncode}")
+        check(f"{name} error names OPT", "OPT" in p.stderr,
+              p.stderr.strip()[:200])
+
+
 DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "data")
 # kCacheFraction in tests/integration/golden_trace_test.cpp.
 GOLDEN_CACHE_FRACTION = "0.04"
@@ -357,6 +392,7 @@ def main():
         check_round_trip(cli, tmp)
         check_lazy_family(cli, tmp)
         check_golden_counters(cli, tmp)
+        check_replicate_and_opt(cli, tmp)
     if FAILURES:
         print(f"\n{len(FAILURES)} smoke check(s) failed: {FAILURES}",
               file=sys.stderr)

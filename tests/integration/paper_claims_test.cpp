@@ -144,7 +144,8 @@ TEST_F(PaperClaimsTest, DfnMultiMediaFavorsRecencyBasedSchemes) {
 //  GDS(1) [and GD*(1)] ... opposed to [8] we do not observe that GDS(1)
 //  stays competitive with LRU and LFU-DA in terms of byte hit rate."
 //  (Section 4.3; the paper attributes the difference to the 5% modification
-//  rule, exercised by bench/ablation_modification_rule.)
+//  rule, exercised by the `webcache sweep --mod-rule` ablation lines of
+//  scripts/make_figures.sh.)
 TEST_F(PaperClaimsTest, DfnConstantCostByteHitRateFavorsLruLfuda) {
   for (std::size_t f = 1; f < 3; ++f) {
     EXPECT_GT(at(dfn_->constant, f, kLru).overall.byte_hit_rate(),

@@ -16,6 +16,7 @@ Usage: make_figures_test.py <path-to-make_figures.sh> <build-dir>
 """
 
 import csv
+import json
 import subprocess
 import sys
 import tempfile
@@ -75,10 +76,60 @@ def check_figure1(out):
               f"windows ending at {bad[:5]}")
 
 
+STUDIES = ([f"ablation_mod_{r}" for r in ("threshold", "any", "never")]
+           + [f"ablation_warmup_{w}" for w in ("0", "0.05", "0.1", "0.2")]
+           + [f"{name}_{trace}" for trace in ("dfn", "rtp") for name in
+              ("ablation_beta", "overview", "ext_lazy_promotion")]
+           + ["opt_headroom", "ext_latency"])
+REPORTS = ([f"ext_hierarchy_{root}.txt" for root in ("gdstar_packet", "mesh",
+            "gds_packet", "lfu-da", "lru", "gdstar_1")]
+           + [f"replication_{p}_{c}.txt" for p in ("DFN", "RTP")
+              for c in ("1", "packet")]
+           + ["ablation_warmup_stackdist.txt", "ext_partitioned.csv",
+              "ext_future_x10.csv", "ext_per_class_beta_learned_RTP.csv"])
+
+
+def sweep_cells(out, name):
+    """policy -> cell of the first cache size in NAME.json."""
+    with open(out / f"{name}.json") as f:
+        doc = json.load(f)
+    return {c["policy"]: c for c in doc["points"][0]["policies"]}
+
+
+def check_studies(out):
+    for name in STUDIES:
+        for ext in ("txt", "json"):
+            check(f"{name}.{ext} exists", (out / f"{name}.{ext}").is_file())
+    for name in REPORTS:
+        check(f"{name} exists", (out / name).is_file())
+
+    # GD* with beta pinned to 1 is GDSF's formula: the same hits, exactly.
+    for trace in ("dfn", "rtp"):
+        cells = sweep_cells(out, f"ablation_beta_{trace}")
+        fixed = cells.get("GD*(1) [beta=1.000000]", {}).get("overall")
+        gdsf = cells.get("GDSF(1)", {}).get("overall")
+        check(f"{trace}: GD*(1) beta=1 equals GDSF(1) in HR and BHR",
+              fixed is not None and gdsf is not None and
+              (fixed["hit_rate"], fixed["byte_hit_rate"]) ==
+              (gdsf["hit_rate"], gdsf["byte_hit_rate"]), f"{fixed} {gdsf}")
+
+    for name in ("opt_headroom", "overview_dfn", "overview_rtp"):
+        check(f"{name} has an OPT column", "OPT" in sweep_cells(out, name))
+    for profile in ("DFN", "RTP"):
+        for cost in ("1", "packet"):
+            text = (out / f"replication_{profile}_{cost}.txt").read_text()
+            verdicts = [line for line in text.splitlines()
+                        if " (hit rate): " in line]
+            check(f"replication_{profile}_{cost} has 6 pairwise verdicts",
+                  len(verdicts) == 6, text[-600:])
+    check("mesh hierarchy reports sibling hits",
+          "Sibling hits" in (out / "ext_hierarchy_mesh.txt").read_text())
+
+
 def check_bench_csv_failure(build_dir):
     missing = "/nonexistent/dir"
     proc = subprocess.run(
-        [str(Path(build_dir) / "bench" / "ext_latency_savings"),
+        [str(Path(build_dir) / "bench" / "ext_partitioned_cache"),
          "--scale=0.002", f"--csv={missing}"],
         capture_output=True, text=True)
     check("bench with an unwritable --csv exits non-zero",
@@ -99,6 +150,7 @@ def main():
 
         check_tables(Path(tmp))
         check_figure1(Path(tmp))
+        check_studies(Path(tmp))
 
         panels = {}
         for prefix, policies in FIGURES.items():

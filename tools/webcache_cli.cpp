@@ -135,8 +135,9 @@ int usage(std::ostream& os) {
         "           cold-miss floor + unit-LRU hit curve)\n"
         "  help\n"
         "\n"
-        "Policies: LRU LFU-DA FIFO SIZE LFU LRU-MIN LRU-THOLD(bytes)\n"
-        "          GDS(1|packet|latency) GDSF(...) GD*(...)\n"
+        "Policies: LRU LFU-DA FIFO SIZE LFU LRU-MIN LRU-2 LRU-THOLD(bytes)\n"
+        "          GDS(1|packet|latency) GDSF(...) GD*(...)[:beta=X]\n"
+        "          GD*C(...) OPT (sweep only: the clairvoyant bound)\n"
         "          RANDOM[:seed=N] CLOCK DELAY-CLOCK[:k=N]\n"
         "          PROB-LRU[:p=X[,seed=N]] DELAY-LRU[:k=N] BATCH-LRU[:batch=N]\n";
   return 2;
@@ -850,6 +851,20 @@ int cmd_replicate(const util::Args& args) {
                    util::fmt_fixed(r.byte_hit_rate.ci95_half_width(), 4)});
   }
   table.print(std::cout);
+  // Which hit-rate differences survive seed noise, for every pair.
+  for (std::size_t a = 0; a < results.size(); ++a) {
+    for (std::size_t b = a + 1; b < results.size(); ++b) {
+      std::cout << results[a].policy_name << " vs " << results[b].policy_name
+                << " (hit rate): "
+                << (sim::clearly_separated(results[a].hit_rate,
+                                           results[b].hit_rate)
+                        ? "separated beyond seed noise"
+                        : "NOT separated")
+                << " (" << util::fmt_fixed(results[a].hit_rate.mean(), 4)
+                << " vs " << util::fmt_fixed(results[b].hit_rate.mean(), 4)
+                << ")\n";
+    }
+  }
   return 0;
 }
 
