@@ -2,43 +2,92 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
+#include <system_error>
 #include <vector>
 
 #include "trace/binary_trace_detail.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define WEBCACHE_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
+#include "trace/id_map.hpp"
 
 namespace webcache::trace {
 
-namespace detail {
+namespace {
 
-[[noreturn]] void read_fail(const std::string& what, std::uint64_t offset) {
-  throw std::runtime_error("binary trace: " + what + " (byte offset " +
-                           std::to_string(offset) + ")");
+using detail::kHeaderBytes;
+
+constexpr std::size_t kRecordBytesV1 = 8 + 8 + 1 + 2 + 8 + 8;
+constexpr std::size_t kRecordBytesV2 = 8 + 8 + 4 + 1 + 2 + 8 + 8;
+
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
+constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+constexpr std::uint64_t kLaneMultiplier = 0x9FB21C651E98DF25ULL;
+// The first 256 bits of pi's fraction: four distinct lane start values.
+constexpr std::uint64_t kLaneSeeds[4] = {
+    0x243F6A8885A308D3ULL, 0x13198A2E03707344ULL, 0xA4093822299F31D0ULL,
+    0x082EFA98EC4E6C89ULL};
+
+// Bijective in `h` for a fixed `w` (odd multiplier, xorshift) and in `w`
+// for a fixed `h`: a different word always leaves a different lane.
+inline std::uint64_t lane_step(std::uint64_t h, std::uint64_t w) {
+  h = (h ^ w) * kLaneMultiplier;
+  return h ^ (h >> 29);
 }
 
-[[noreturn]] void record_fail(const std::string& what, std::uint64_t index,
-                              std::uint64_t count, std::size_t record_bytes) {
-  read_fail(what + " at record " + std::to_string(index) + " of " +
-                std::to_string(count),
-            kHeaderBytes + index * record_bytes);
+// The format is little-endian, like the record fields, which are copied
+// in host order too.
+inline std::uint64_t load_word(const char* p) {
+  std::uint64_t w = 0;
+  std::memcpy(&w, p, sizeof(w));
+  return w;
 }
 
-std::uint8_t decode_record(const char* buf, std::uint32_t version,
-                           Request& r) {
-  const char* p = buf;
+// The four lanes are independent multiply chains, so they overlap in the
+// pipeline: one 32-byte block costs about one multiply's latency.
+void hash_blocks(std::uint64_t (&lanes)[4], const char* p,
+                 std::size_t blocks) {
+  std::uint64_t a = lanes[0], b = lanes[1], c = lanes[2], d = lanes[3];
+  for (; blocks > 0; --blocks, p += 32) {
+    a = lane_step(a, load_word(p));
+    b = lane_step(b, load_word(p + 8));
+    c = lane_step(c, load_word(p + 16));
+    d = lane_step(d, load_word(p + 24));
+  }
+  lanes[0] = a;
+  lanes[1] = b;
+  lanes[2] = c;
+  lanes[3] = d;
+}
+
+template <typename T>
+void encode(char*& p, T value) {
+  std::memcpy(p, &value, sizeof(T));
+  p += sizeof(T);
+}
+
+template <typename T>
+void decode(const char*& p, T& value) {
+  std::memcpy(&value, p, sizeof(T));
+  p += sizeof(T);
+}
+
+void encode_record(char*& p, const Request& r) {
+  encode(p, r.timestamp_ms);
+  encode(p, r.document);
+  encode(p, r.client);
+  encode(p, static_cast<std::uint8_t>(r.doc_class));
+  encode(p, r.status);
+  encode(p, r.document_size);
+  encode(p, r.transfer_size);
+}
+
+// Decodes one record's fields; returns the raw class byte for the caller
+// to validate.
+inline std::uint8_t decode_record(const char* p, std::uint32_t version,
+                                  Request& r) {
   std::uint8_t cls = 0;
   decode(p, r.timestamp_ms);
   decode(p, r.document);
@@ -50,20 +99,201 @@ std::uint8_t decode_record(const char* buf, std::uint32_t version,
   return cls;
 }
 
-}  // namespace detail
+std::string at_offset(const std::string& what, std::uint64_t offset) {
+  return what + " (byte offset " + std::to_string(offset) + ")";
+}
 
-namespace {
+[[noreturn]] void read_fail(const std::string& what, std::uint64_t offset) {
+  throw std::runtime_error("binary trace: " + at_offset(what, offset));
+}
 
-using detail::Checksum;
-using detail::decode_record;
-using detail::encode;
-using detail::kHeaderBytes;
-using detail::kRecordBytesV1;
-using detail::kRecordBytesV2;
-using detail::read_fail;
-using detail::record_fail;
+std::string record_of(std::uint64_t index, std::uint64_t count) {
+  return "record " + std::to_string(index) + " of " + std::to_string(count);
+}
 
 }  // namespace
+
+namespace detail {
+
+// ------------------------------------------------------------ checksum
+
+void TraceChecksum::update(const char* data, std::size_t n) {
+  if (n == 0) return;
+  if (legacy_) {
+    for (std::size_t i = 0; i < n; ++i) {
+      fnv_ ^= static_cast<unsigned char>(data[i]);
+      fnv_ *= kFnvPrime;
+    }
+    return;
+  }
+  bytes_ += n;
+  if (carry_bytes_ > 0) {
+    const std::size_t take = std::min(kBlockBytes - carry_bytes_, n);
+    std::memcpy(carry_ + carry_bytes_, data, take);
+    carry_bytes_ += take;
+    data += take;
+    n -= take;
+    if (carry_bytes_ < kBlockBytes) return;
+    hash_blocks(lanes_, carry_, 1);
+    carry_bytes_ = 0;
+  }
+  hash_blocks(lanes_, data, n / kBlockBytes);
+  carry_bytes_ = n % kBlockBytes;
+  std::memcpy(carry_, data + (n - carry_bytes_), carry_bytes_);
+}
+
+std::uint64_t TraceChecksum::value() const {
+  if (legacy_) return fnv_;
+  std::uint64_t lanes[4] = {lanes_[0], lanes_[1], lanes_[2], lanes_[3]};
+  if (carry_bytes_ > 0) {
+    char block[kBlockBytes] = {};
+    std::memcpy(block, carry_, carry_bytes_);
+    hash_blocks(lanes, block, 1);
+  }
+  // Folding the byte count in tells a payload from its zero-padded twin.
+  std::uint64_t h = lane_step(kLaneSeeds[0], bytes_);
+  for (const std::uint64_t lane : lanes) h = lane_step(h, lane);
+  return h;
+}
+
+void TraceChecksum::reset() {
+  fnv_ = kFnvOffset;
+  std::copy(std::begin(kLaneSeeds), std::end(kLaneSeeds), lanes_);
+  bytes_ = 0;
+  carry_bytes_ = 0;
+}
+
+// ------------------------------------------------------------- decoder
+
+RecordDecoder::RecordDecoder(std::istream& in, std::size_t chunk_records,
+                             RecoveryReport* recovery)
+    : in_(in),
+      chunk_records_(std::clamp<std::size_t>(chunk_records, 1,
+                                             kMaxChunkRecords)),
+      recovery_(recovery) {
+  char magic[4];
+  in_.read(magic, 4);
+  if (!in_ || std::memcmp(magic, kTraceMagic, 4) != 0) {
+    read_fail("bad magic", 0);
+  }
+  // A short version field reads as version 0.
+  if (!in_.read(reinterpret_cast<char*>(&version_), sizeof(version_))) {
+    version_ = 0;
+  }
+  if (version_ == 0 || version_ > kTraceVersion) {
+    read_fail("unsupported version " + std::to_string(version_), 4);
+  }
+  if (!in_.read(reinterpret_cast<char*>(&count_), sizeof(count_))) {
+    read_fail("truncated header", 8);
+  }
+  record_bytes_ = version_ == 1 ? kRecordBytesV1 : kRecordBytesV2;
+  checksum_ = TraceChecksum(version_);
+  end_ = count_;
+}
+
+bool RecordDecoder::next(std::vector<Request>& out) {
+  if (next_record_ >= end_) {
+    if (!trailer_checked_) check_trailer();
+    return false;
+  }
+  // The buffer holds at most kMaxChunkRecords records, whatever the header
+  // or the caller asks for: a corrupt count ends in the truncation
+  // diagnostic below, not in an allocation failure.
+  std::size_t n = static_cast<std::size_t>(
+      std::min<std::uint64_t>(chunk_records_, end_ - next_record_));
+  buffer_.resize(n * record_bytes_);
+  in_.read(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+  if (!in_) {
+    // The first record the read could not complete is where the file is
+    // truncated.
+    n = static_cast<std::size_t>(std::max<std::streamsize>(0, in_.gcount())) /
+        record_bytes_;
+    const std::uint64_t at = next_record_ + n;
+    const std::uint64_t offset = kHeaderBytes + at * record_bytes_;
+    const std::string what = "truncated at " + record_of(at, count_);
+    if (recovery_ == nullptr) read_fail(what, offset);
+    recovery_->truncated_records = count_ - at;
+    recovery_->missing_trailer = true;
+    // Listed first: the truncation decides what the rest of the file holds.
+    recovery_->first_errors.insert(recovery_->first_errors.begin(),
+                                   at_offset(what, offset));
+    if (recovery_->first_errors.size() > RecoveryReport::kMaxErrors) {
+      recovery_->first_errors.pop_back();
+    }
+    end_ = at;
+    trailer_checked_ = true;
+  }
+  checksum_.update(buffer_.data(), n * record_bytes_);
+
+  // Room for the whole chunk up front: a stream's window is allocated once
+  // at its final size, while a vector filled chunk by chunk still grows
+  // geometrically.
+  if (out.capacity() - out.size() < n) {
+    out.reserve(std::max(out.size() + n, 2 * out.capacity()));
+  }
+  const char* p = buffer_.data();
+  for (std::size_t i = 0; i < n; ++i, p += record_bytes_) {
+    Request r;
+    const std::uint8_t cls = decode_record(p, version_, r);
+    if (cls >= kDocumentClassCount) [[unlikely]] {
+      const std::uint64_t at = next_record_ + i;
+      const std::uint64_t offset = kHeaderBytes + at * record_bytes_;
+      const std::string what = "invalid document class " + std::to_string(cls);
+      if (recovery_ == nullptr) {
+        read_fail(what + " at " + record_of(at, count_), offset);
+      }
+      ++recovery_->skipped;
+      if (recovery_->first_errors.size() < RecoveryReport::kMaxErrors) {
+        recovery_->first_errors.push_back(at_offset(
+            "skipped " + record_of(at, count_) + ": " + what, offset));
+      }
+      continue;
+    }
+    r.doc_class = static_cast<DocumentClass>(cls);
+    out.push_back(r);
+  }
+  next_record_ += n;
+  return true;
+}
+
+void RecordDecoder::check_trailer() {
+  std::uint64_t digest = 0;
+  const bool present =
+      static_cast<bool>(in_.read(reinterpret_cast<char*>(&digest),
+                                 sizeof(digest)));
+  const bool match = present && digest == checksum_.value();
+  if (recovery_ != nullptr) {
+    recovery_->missing_trailer = !present;
+    recovery_->checksum_mismatch = present && !match;
+  } else {
+    // Every record was read, so the trailer offset cannot overflow.
+    const std::uint64_t trailer_offset = kHeaderBytes + count_ * record_bytes_;
+    if (!present) read_fail("truncated checksum trailer", trailer_offset);
+    if (!match) {
+      read_fail("checksum mismatch over " + std::to_string(count_) +
+                    " records",
+                trailer_offset);
+    }
+  }
+  trailer_checked_ = true;
+}
+
+void RecordDecoder::restart() {
+  next_record_ = 0;
+  end_ = count_;
+  trailer_checked_ = false;
+  checksum_.reset();
+}
+
+std::ifstream open_trace_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("binary trace: cannot open " + path);
+  return in;
+}
+
+}  // namespace detail
+
+// --------------------------------------------------------------- writer
 
 void write_binary_trace(std::ostream& out, const Trace& trace) {
   out.write(kTraceMagic, 4);
@@ -72,19 +302,21 @@ void write_binary_trace(std::ostream& out, const Trace& trace) {
   const std::uint64_t count = trace.requests.size();
   out.write(reinterpret_cast<const char*>(&count), sizeof(count));
 
-  Checksum checksum;
-  char buf[kRecordBytesV2];
-  for (const Request& r : trace.requests) {
-    char* p = buf;
-    encode(p, r.timestamp_ms);
-    encode(p, r.document);
-    encode(p, r.client);
-    encode(p, static_cast<std::uint8_t>(r.doc_class));
-    encode(p, r.status);
-    encode(p, r.document_size);
-    encode(p, r.transfer_size);
-    out.write(buf, kRecordBytesV2);
-    checksum.update(buf, kRecordBytesV2);
+  // Records are encoded into a block that is hashed and written whole: one
+  // checksum call and one write per block, not per 39-byte record.
+  constexpr std::size_t kBlockRecords = 1024;
+  detail::TraceChecksum checksum;
+  std::vector<char> block(kBlockRecords * kRecordBytesV2);
+  const std::vector<Request>& requests = trace.requests;
+  for (std::size_t first = 0; first < requests.size();
+       first += kBlockRecords) {
+    const std::size_t last =
+        std::min(requests.size(), first + kBlockRecords);
+    char* p = block.data();
+    for (std::size_t i = first; i < last; ++i) encode_record(p, requests[i]);
+    const std::size_t bytes = (last - first) * kRecordBytesV2;
+    checksum.update(block.data(), bytes);
+    out.write(block.data(), static_cast<std::streamsize>(bytes));
   }
   const std::uint64_t digest = checksum.value();
   out.write(reinterpret_cast<const char*>(&digest), sizeof(digest));
@@ -97,249 +329,57 @@ void write_binary_trace_file(const std::string& path, const Trace& trace) {
   write_binary_trace(out, trace);
 }
 
+// -------------------------------------------------------------- loaders
+
 namespace {
 
-// One-shot decoder over a complete in-memory image of the file. Emits the
-// same diagnostics (message, record index, byte offset) as the streaming
-// reader — every truncation point is computable from the image size — but
-// touches each byte exactly once instead of issuing one read per record.
-Trace decode_binary_trace(const char* data, std::size_t size) {
-  if (size < 4 || std::memcmp(data, kTraceMagic, 4) != 0) {
-    read_fail("bad magic", 0);
-  }
-  std::uint32_t version = 0;
-  if (size >= 8) std::memcpy(&version, data + 4, sizeof(version));
-  if (size < 8 || (version != 1 && version != 2)) {
-    read_fail("unsupported version " + std::to_string(version), 4);
-  }
-  if (size < kHeaderBytes) read_fail("truncated header", 8);
-  std::uint64_t count = 0;
-  std::memcpy(&count, data + 8, sizeof(count));
+// Records per read of the materialized loaders: ~624 KB of 39-byte
+// records, so each chunk is decoded while it is still in L2.
+constexpr std::size_t kLoadChunkRecords = 1 << 14;
 
-  const std::size_t record_bytes =
-      version == 1 ? kRecordBytesV1 : kRecordBytesV2;
-  // Divide instead of multiplying so a corrupt (astronomical) count cannot
-  // overflow — or drive a huge reserve() — before the truncation check.
-  const std::uint64_t payload = size - kHeaderBytes;
-  if (payload / record_bytes < count) {
-    record_fail("truncated", payload / record_bytes, count, record_bytes);
-  }
-  const std::uint64_t trailer_offset = kHeaderBytes + count * record_bytes;
-  if (size < trailer_offset + sizeof(std::uint64_t)) {
-    read_fail("truncated checksum trailer", trailer_offset);
-  }
-
+// Decodes every record of `in`. When `file_bytes` (the size of the whole
+// file) is known, it bounds the reservation: the vector never reserves for
+// records the file cannot hold, whatever count the header claims.
+Trace read_records(std::istream& in, std::uint64_t file_bytes,
+                   RecoveryReport* recovery) {
+  detail::RecordDecoder decoder(in, kLoadChunkRecords, recovery);
   Trace trace;
-  trace.requests.reserve(count);
-  const char* p = data + kHeaderBytes;
-  for (std::uint64_t i = 0; i < count; ++i, p += record_bytes) {
-    Request r;
-    const std::uint8_t cls = decode_record(p, version, r);
-    if (cls >= kDocumentClassCount) {
-      record_fail("invalid document class " + std::to_string(cls), i, count,
-                  record_bytes);
-    }
-    r.doc_class = static_cast<DocumentClass>(cls);
-    trace.requests.push_back(r);
+  if (file_bytes > kHeaderBytes) {
+    const std::uint64_t present =
+        (file_bytes - kHeaderBytes) / decoder.record_bytes();
+    trace.requests.reserve(
+        static_cast<std::size_t>(std::min(decoder.count(), present)));
   }
-
-  Checksum checksum;
-  checksum.update(data + kHeaderBytes, count * record_bytes);
-  std::uint64_t digest = 0;
-  std::memcpy(&digest, data + trailer_offset, sizeof(digest));
-  if (digest != checksum.value()) {
-    read_fail("checksum mismatch over " + std::to_string(count) + " records",
-              trailer_offset);
+  while (decoder.next(trace.requests)) {
   }
   return trace;
+}
+
+// 0 when unknown (e.g. a pipe): the loader then grows the vector as it goes.
+std::uint64_t size_of(const std::string& path) {
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  return ec ? 0 : static_cast<std::uint64_t>(size);
 }
 
 }  // namespace
 
 Trace read_binary_trace(std::istream& in) {
-  char magic[4];
-  in.read(magic, 4);
-  if (!in || std::memcmp(magic, kTraceMagic, 4) != 0) {
-    read_fail("bad magic", 0);
-  }
-  std::uint32_t version = 0;
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  if (!in || (version != 1 && version != 2)) {
-    read_fail("unsupported version " + std::to_string(version), 4);
-  }
-  std::uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in) read_fail("truncated header", 8);
-
-  const std::size_t record_bytes =
-      version == 1 ? kRecordBytesV1 : kRecordBytesV2;
-  Trace trace;
-  trace.requests.reserve(count);
-  Checksum checksum;
-  char buf[kRecordBytesV2];
-  for (std::uint64_t i = 0; i < count; ++i) {
-    in.read(buf, static_cast<std::streamsize>(record_bytes));
-    if (!in) {
-      record_fail("truncated", i, count, record_bytes);
-    }
-    checksum.update(buf, record_bytes);
-    Request r;
-    const std::uint8_t cls = decode_record(buf, version, r);
-    if (cls >= kDocumentClassCount) {
-      record_fail("invalid document class " + std::to_string(cls), i, count,
-                  record_bytes);
-    }
-    r.doc_class = static_cast<DocumentClass>(cls);
-    trace.requests.push_back(r);
-  }
-  const std::uint64_t trailer_offset = kHeaderBytes + count * record_bytes;
-  std::uint64_t digest = 0;
-  in.read(reinterpret_cast<char*>(&digest), sizeof(digest));
-  if (!in) read_fail("truncated checksum trailer", trailer_offset);
-  if (digest != checksum.value()) {
-    read_fail("checksum mismatch over " + std::to_string(count) + " records",
-              trailer_offset);
-  }
-  return trace;
+  return read_records(in, 0, nullptr);
 }
 
-namespace {
-
-// Fallback file loader: one seek to size the buffer, one read() for the
-// whole image. Still a single pass over the bytes.
-Trace read_buffered_trace_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw std::runtime_error("binary trace: cannot open " + path);
-  const std::streamoff size = in.tellg();
-  if (size < 0) throw std::runtime_error("binary trace: cannot open " + path);
-  std::vector<char> data(static_cast<std::size_t>(size));
-  in.seekg(0);
-  if (!data.empty()) in.read(data.data(), size);
-  if (!in) {
-    throw std::runtime_error("binary trace: short read loading " + path);
-  }
-  return decode_binary_trace(data.data(), data.size());
+Trace read_binary_trace_file(const std::string& path) {
+  std::ifstream in = detail::open_trace_file(path);
+  return read_records(in, size_of(path), nullptr);
 }
-
-// Permissive decode over a complete image. Shares the header validation
-// (and its exceptions) with the strict decoder; past the header, damage is
-// reported instead of thrown.
-Trace decode_binary_trace_recovering(const char* data, std::size_t size,
-                                     RecoveryReport& report) {
-  if (size < 4 || std::memcmp(data, kTraceMagic, 4) != 0) {
-    read_fail("bad magic", 0);
-  }
-  std::uint32_t version = 0;
-  if (size >= 8) std::memcpy(&version, data + 4, sizeof(version));
-  if (size < 8 || (version != 1 && version != 2)) {
-    read_fail("unsupported version " + std::to_string(version), 4);
-  }
-  if (size < kHeaderBytes) read_fail("truncated header", 8);
-  std::uint64_t count = 0;
-  std::memcpy(&count, data + 8, sizeof(count));
-
-  const std::size_t record_bytes =
-      version == 1 ? kRecordBytesV1 : kRecordBytesV2;
-  const std::uint64_t payload = size - kHeaderBytes;
-  const std::uint64_t complete = std::min<std::uint64_t>(
-      count, payload / record_bytes);  // records actually present
-  if (complete < count) {
-    report.truncated_records = count - complete;
-    report.missing_trailer = true;
-    if (report.first_errors.size() < RecoveryReport::kMaxErrors) {
-      report.first_errors.push_back(
-          "truncated at record " + std::to_string(complete) + " of " +
-          std::to_string(count) + " (byte offset " +
-          std::to_string(kHeaderBytes + complete * record_bytes) + ")");
-    }
-  }
-
-  Trace trace;
-  trace.requests.reserve(complete);
-  Checksum checksum;
-  const char* p = data + kHeaderBytes;
-  for (std::uint64_t i = 0; i < complete; ++i, p += record_bytes) {
-    checksum.update(p, record_bytes);
-    Request r;
-    const std::uint8_t cls = decode_record(p, version, r);
-    if (cls >= kDocumentClassCount) {
-      ++report.skipped;
-      if (report.first_errors.size() < RecoveryReport::kMaxErrors) {
-        report.first_errors.push_back(
-            "skipped record " + std::to_string(i) + " of " +
-            std::to_string(count) + ": invalid document class " +
-            std::to_string(cls) + " (byte offset " +
-            std::to_string(kHeaderBytes + i * record_bytes) + ")");
-      }
-      continue;
-    }
-    r.doc_class = static_cast<DocumentClass>(cls);
-    trace.requests.push_back(r);
-  }
-  report.recovered = trace.requests.size();
-
-  if (complete == count) {
-    const std::uint64_t trailer_offset = kHeaderBytes + count * record_bytes;
-    if (size < trailer_offset + sizeof(std::uint64_t)) {
-      report.missing_trailer = true;
-    } else {
-      std::uint64_t digest = 0;
-      std::memcpy(&digest, data + trailer_offset, sizeof(digest));
-      if (digest != checksum.value()) report.checksum_mismatch = true;
-    }
-  }
-  return trace;
-}
-
-}  // namespace
 
 Trace read_binary_trace_file_recovering(const std::string& path,
                                         RecoveryReport& report) {
   report = RecoveryReport{};
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw std::runtime_error("binary trace: cannot open " + path);
-  const std::streamoff size = in.tellg();
-  if (size < 0) throw std::runtime_error("binary trace: cannot open " + path);
-  std::vector<char> data(static_cast<std::size_t>(size));
-  in.seekg(0);
-  if (!data.empty()) in.read(data.data(), size);
-  if (!in) {
-    throw std::runtime_error("binary trace: short read loading " + path);
-  }
-  return decode_binary_trace_recovering(data.data(), data.size(), report);
-}
-
-Trace read_binary_trace_file(const std::string& path) {
-#ifdef WEBCACHE_HAVE_MMAP
-  // mmap the file and decode straight out of the page cache: no copy into a
-  // userspace buffer and no per-record read() calls. Any mapping failure
-  // falls back to the buffered single-read loader; both decode through
-  // decode_binary_trace, so diagnostics are identical.
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) throw std::runtime_error("binary trace: cannot open " + path);
-  struct stat st{};
-  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode) || st.st_size <= 0) {
-    ::close(fd);
-    return read_buffered_trace_file(path);
-  }
-  const auto size = static_cast<std::size_t>(st.st_size);
-  void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
-  if (map == MAP_FAILED) return read_buffered_trace_file(path);
-#ifdef POSIX_MADV_SEQUENTIAL
-  ::posix_madvise(map, size, POSIX_MADV_SEQUENTIAL);
-#endif
-  try {
-    Trace trace = decode_binary_trace(static_cast<const char*>(map), size);
-    ::munmap(map, size);
-    return trace;
-  } catch (...) {
-    ::munmap(map, size);
-    throw;
-  }
-#else
-  return read_buffered_trace_file(path);
-#endif
+  std::ifstream in = detail::open_trace_file(path);
+  Trace trace = read_records(in, size_of(path), &report);
+  report.recovered = trace.requests.size();
+  return trace;
 }
 
 // --------------------------------------------------- Trace aggregates
@@ -351,18 +391,21 @@ std::uint64_t Trace::requested_bytes() const {
 }
 
 std::uint64_t Trace::distinct_documents() const {
-  std::unordered_set<DocumentId> seen;
-  seen.reserve(requests.size());
-  for (const Request& r : requests) seen.insert(r.document);
-  return seen.size();
+  IdMap ids;
+  for (const Request& r : requests) ids.intern(r.document);
+  return ids.size();
 }
 
 std::uint64_t Trace::overall_size_bytes() const {
-  std::unordered_map<DocumentId, std::uint64_t> last_size;
-  last_size.reserve(requests.size());
-  for (const Request& r : requests) last_size[r.document] = r.document_size;
+  // Walking backwards, a document's first appearance is its last request,
+  // so each size is added once and nothing is written per request.
+  IdMap ids;
   std::uint64_t total = 0;
-  for (const auto& [id, size] : last_size) total += size;
+  for (auto r = requests.rbegin(); r != requests.rend(); ++r) {
+    const std::size_t known = ids.size();
+    ids.intern(r->document);
+    if (ids.size() > known) total += r->document_size;
+  }
   return total;
 }
 

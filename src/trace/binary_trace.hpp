@@ -6,11 +6,19 @@
 //
 // Layout (little-endian):
 //   header:  magic "WCT1" | u32 version | u64 record count
-//   records (v2): u64 timestamp_ms | u64 document | u32 client | u8 class |
-//                 u16 status | u64 document_size | u64 transfer_size
-//   records (v1): as v2 without the client field (read-compatible;
-//                 client = 0)
-//   trailer: u64 FNV-1a checksum over all record bytes
+//   records (v2, v3): u64 timestamp_ms | u64 document | u32 client | u8 class |
+//                     u16 status | u64 document_size | u64 transfer_size
+//   records (v1): as v2 without the client field (client = 0)
+//   trailer: u64 digest of all record bytes
+//
+// The v3 digest is a word-wise 4-lane hash. The payload is cut into 32-byte
+// blocks; word k (a little-endian u64) of each block feeds lane k as
+//   h = (h ^ w) * 0x9FB21C651E98DF25;  h ^= h >> 29;
+// The final partial block is zero-padded, and the payload byte count and
+// the four lanes are folded into the digest. Every step is a bijection of
+// its lane, so a change confined to one word always changes the digest.
+// Versions 1 and 2 store byte-wise FNV-1a instead (one dependent multiply
+// per byte, ~10x slower); they stay readable, but nothing writes them.
 #pragma once
 
 #include <cstdint>
@@ -23,9 +31,10 @@
 namespace webcache::trace {
 
 inline constexpr char kTraceMagic[4] = {'W', 'C', 'T', '1'};
-/// Current writer version. The reader also accepts version-1 files (written
-/// before the client field existed).
-inline constexpr std::uint32_t kTraceVersion = 2;
+/// Current writer version. The readers accept every version from 1 up to it:
+/// v1 files were written before the client field existed, and v1/v2 files
+/// carry the legacy FNV-1a trailer.
+inline constexpr std::uint32_t kTraceVersion = 3;
 
 /// Writes a trace; throws std::runtime_error on I/O failure.
 void write_binary_trace(std::ostream& out, const Trace& trace);
@@ -33,11 +42,15 @@ void write_binary_trace_file(const std::string& path, const Trace& trace);
 
 /// Reads a trace; throws std::runtime_error on corrupt or truncated input
 /// (bad magic, version mismatch, checksum mismatch, short read). The
-/// diagnostics name the failing record index and byte offset. The stream
-/// overload decodes record by record (works on any istream, including
-/// non-seekable ones); the file overload mmaps the file (falling back to a
-/// single buffered read) and decodes the whole image in one pass — same
-/// results, same diagnostics, much faster loads.
+/// diagnostics name the failing record index and byte offset. Both overloads
+/// (and StreamingTraceReader) decode through one chunk loop: whole-record
+/// chunks are read into a reused buffer and decoded straight into the
+/// vector, so the loaders share every check and every diagnostic. The stream
+/// overload works on any istream, including non-seekable ones. Neither
+/// sizes anything from the header's record count alone: the file overload
+/// reserves for the records the file can hold, the stream overload grows
+/// the vector as it reads, so a corrupt count ends in a truncation
+/// diagnostic, never in a huge allocation.
 Trace read_binary_trace(std::istream& in);
 Trace read_binary_trace_file(const std::string& path);
 

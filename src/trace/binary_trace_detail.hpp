@@ -1,70 +1,106 @@
 // Shared decode internals of the WCT1 binary trace format.
 //
-// The materialized loaders (`read_binary_trace`, `read_binary_trace_file`)
-// and the chunked `StreamingTraceReader` must agree byte-for-byte on record
-// layout, checksum accumulation and — just as importantly — on diagnostics:
-// a truncated final chunk has to name the same record index and byte offset
-// no matter which loader hit it. Keeping the decoder and the failure
-// helpers here is what makes that a structural guarantee instead of three
-// copies drifting apart.
+// Every loader — `read_binary_trace`, `read_binary_trace_file`, the
+// permissive `read_binary_trace_file_recovering` and the chunked
+// `StreamingTraceReader` — reads through one RecordDecoder, so they agree
+// byte-for-byte on record layout, checksum accumulation and diagnostics: a
+// truncated final chunk names the same record index and byte offset no
+// matter which loader hit it, because there is only one loop to hit it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
+#include <fstream>
+#include <istream>
 #include <string>
+#include <vector>
 
+#include "trace/binary_trace.hpp"
 #include "trace/request.hpp"
 
 namespace webcache::trace::detail {
 
-inline constexpr std::size_t kRecordBytesV1 = 8 + 8 + 1 + 2 + 8 + 8;
-inline constexpr std::size_t kRecordBytesV2 = 8 + 8 + 4 + 1 + 2 + 8 + 8;
-
 // Header layout: 4 magic + 4 version + 8 count.
 inline constexpr std::uint64_t kHeaderBytes = 16;
 
-inline constexpr std::size_t record_bytes_for(std::uint32_t version) {
-  return version == 1 ? kRecordBytesV1 : kRecordBytesV2;
-}
-
-/// FNV-1a over the record payload; the trailer stores the digest.
-class Checksum {
+/// Digest of the record payload, as the trailer of a file of `version`
+/// stores it: the v3 4-lane word hash (see binary_trace.hpp), or byte-wise
+/// FNV-1a for versions 1 and 2. Split-invariant: feeding the payload in any
+/// pieces gives the one-shot digest (v3 carries at most 31 bytes between
+/// update() calls).
+class TraceChecksum {
  public:
-  void update(const char* data, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= static_cast<unsigned char>(data[i]);
-      h_ *= 1099511628211ULL;
-    }
+  explicit TraceChecksum(std::uint32_t version = kTraceVersion)
+      : legacy_(version < 3) {
+    reset();
   }
-  std::uint64_t value() const { return h_; }
-  void reset() { h_ = 1469598103934665603ULL; }
+
+  void update(const char* data, std::size_t n);
+  std::uint64_t value() const;
+  void reset();
 
  private:
-  std::uint64_t h_ = 1469598103934665603ULL;
+  static constexpr std::size_t kBlockBytes = 32;
+
+  bool legacy_;
+  std::uint64_t fnv_ = 0;
+  std::uint64_t lanes_[4] = {};
+  std::uint64_t bytes_ = 0;
+  char carry_[kBlockBytes] = {};
+  std::size_t carry_bytes_ = 0;
 };
 
-template <typename T>
-void encode(char*& p, T value) {
-  std::memcpy(p, &value, sizeof(T));
-  p += sizeof(T);
-}
+/// Opens a trace file for reading; throws "binary trace: cannot open PATH".
+std::ifstream open_trace_file(const std::string& path);
 
-template <typename T>
-void decode(const char*& p, T& value) {
-  std::memcpy(&value, p, sizeof(T));
-  p += sizeof(T);
-}
+/// The one chunk-decode loop of the WCT1 loaders. The constructor reads and
+/// validates the header (bad magic, unsupported version, truncated header
+/// throw std::runtime_error); next() then reads whole-record chunks of at
+/// most min(`chunk_records`, kMaxChunkRecords) into a reused buffer and
+/// decodes them.
+///
+/// Damage past the header throws a diagnostic naming the record index and
+/// byte offset — unless `recovery` is given, in which case it is recorded
+/// there instead: a record with an invalid class is skipped, a truncated
+/// tail is dropped, a bad or missing trailer is flagged.
+class RecordDecoder {
+ public:
+  /// Caps the read buffer (~40 MB), so neither a huge `chunk_records` nor
+  /// a corrupt record count can size it.
+  static constexpr std::size_t kMaxChunkRecords = std::size_t{1} << 20;
 
-[[noreturn]] void read_fail(const std::string& what, std::uint64_t offset);
+  RecordDecoder(std::istream& in, std::size_t chunk_records,
+                RecoveryReport* recovery = nullptr);
 
-/// Names the failing record index and the byte offset where that record
-/// starts, so a corrupted file can be inspected with a hex dump directly.
-[[noreturn]] void record_fail(const std::string& what, std::uint64_t index,
-                              std::uint64_t count, std::size_t record_bytes);
+  std::uint32_t version() const { return version_; }
+  /// Record count the header declares.
+  std::uint64_t count() const { return count_; }
+  std::size_t record_bytes() const { return record_bytes_; }
 
-/// Decodes one record's fields (shared between every loader); returns the
-/// raw class byte for the caller to validate.
-std::uint8_t decode_record(const char* buf, std::uint32_t version, Request& r);
+  /// Appends the next chunk of decoded records to `out` and returns true;
+  /// once every record has been read, checks the checksum trailer (the
+  /// first time) and returns false.
+  bool next(std::vector<Request>& out);
+
+  /// Starts over at the first record; the caller has positioned the stream
+  /// just past the header.
+  void restart();
+
+ private:
+  void check_trailer();
+
+  std::istream& in_;
+  std::size_t chunk_records_;
+  RecoveryReport* recovery_;
+  std::uint32_t version_ = 0;
+  std::uint64_t count_ = 0;
+  std::size_t record_bytes_ = 0;
+  /// Records the file holds; below count_ only after a recovered truncation.
+  std::uint64_t end_ = 0;
+  std::uint64_t next_record_ = 0;
+  bool trailer_checked_ = false;
+  TraceChecksum checksum_;
+  std::vector<char> buffer_;
+};
 
 }  // namespace webcache::trace::detail

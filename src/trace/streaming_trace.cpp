@@ -1,101 +1,26 @@
 #include "trace/streaming_trace.hpp"
 
-#include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
-#include "trace/binary_trace.hpp"
-
 namespace webcache::trace {
-
-using detail::kHeaderBytes;
-using detail::read_fail;
-using detail::record_fail;
 
 StreamingTraceReader::StreamingTraceReader(std::string path,
                                            std::size_t chunk_records)
     : path_(std::move(path)),
-      chunk_records_(std::max<std::size_t>(1, chunk_records)) {
-  in_.open(path_, std::ios::binary);
-  if (!in_) throw std::runtime_error("binary trace: cannot open " + path_);
-
-  char magic[4];
-  in_.read(magic, 4);
-  if (!in_ || std::memcmp(magic, kTraceMagic, 4) != 0) {
-    read_fail("bad magic", 0);
-  }
-  in_.read(reinterpret_cast<char*>(&version_), sizeof(version_));
-  // A short header reads as version 0, like the one-shot image decoder,
-  // which only copies the field when all four bytes are present.
-  if (!in_) version_ = 0;
-  if (version_ != 1 && version_ != 2) {
-    read_fail("unsupported version " + std::to_string(version_), 4);
-  }
-  in_.read(reinterpret_cast<char*>(&count_), sizeof(count_));
-  if (!in_) read_fail("truncated header", 8);
-  record_bytes_ = detail::record_bytes_for(version_);
-}
+      in_(detail::open_trace_file(path_)),
+      decoder_(in_, chunk_records) {}
 
 std::span<const Request> StreamingTraceReader::next_chunk() {
-  if (next_record_ >= count_) {
-    // All records delivered: validate the trailer once, then keep
-    // signalling end of stream.
-    if (!trailer_checked_) validate_trailer();
-    return {};
-  }
-
-  const std::uint64_t remaining = count_ - next_record_;
-  const std::size_t n = static_cast<std::size_t>(
-      std::min<std::uint64_t>(chunk_records_, remaining));
-  buffer_.resize(n * record_bytes_);
-  in_.read(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-  if (!in_) {
-    // The first record the read could not complete is where the file is
-    // truncated — the same index the one-shot loaders compute from the
-    // image size.
-    const auto got = static_cast<std::uint64_t>(std::max<std::streamsize>(
-        0, in_.gcount()));
-    record_fail("truncated", next_record_ + got / record_bytes_, count_,
-                record_bytes_);
-  }
-  checksum_.update(buffer_.data(), buffer_.size());
-
   chunk_.clear();
-  chunk_.reserve(n);
-  const char* p = buffer_.data();
-  for (std::size_t i = 0; i < n; ++i, p += record_bytes_) {
-    Request r;
-    const std::uint8_t cls = detail::decode_record(p, version_, r);
-    if (cls >= kDocumentClassCount) {
-      record_fail("invalid document class " + std::to_string(cls),
-                  next_record_ + i, count_, record_bytes_);
-    }
-    r.doc_class = static_cast<DocumentClass>(cls);
-    chunk_.push_back(r);
-  }
-  next_record_ += n;
+  if (!decoder_.next(chunk_)) return {};
   return {chunk_.data(), chunk_.size()};
-}
-
-void StreamingTraceReader::validate_trailer() {
-  const std::uint64_t trailer_offset = kHeaderBytes + count_ * record_bytes_;
-  std::uint64_t digest = 0;
-  in_.read(reinterpret_cast<char*>(&digest), sizeof(digest));
-  if (!in_) read_fail("truncated checksum trailer", trailer_offset);
-  if (digest != checksum_.value()) {
-    read_fail("checksum mismatch over " + std::to_string(count_) + " records",
-              trailer_offset);
-  }
-  trailer_checked_ = true;
 }
 
 void StreamingTraceReader::reset() {
   in_.clear();
-  in_.seekg(static_cast<std::streamoff>(kHeaderBytes));
+  in_.seekg(static_cast<std::streamoff>(detail::kHeaderBytes));
   if (!in_) throw std::runtime_error("binary trace: cannot rewind " + path_);
-  next_record_ = 0;
-  trailer_checked_ = false;
-  checksum_.reset();
+  decoder_.restart();
   chunk_.clear();
 }
 

@@ -1,14 +1,13 @@
 // Chunked reader over the WCT1 binary trace format.
 //
-// Where read_binary_trace_file materializes the whole trace (mmap + one
-// decode pass), StreamingTraceReader pulls bounded windows: memory use is
-// O(chunk_records), independent of the file size, so multi-GB traces replay
-// without fitting in RAM. It shares the materialized loaders' decoder and
-// failure helpers (trace/binary_trace_detail.hpp), so a corrupt or
-// truncated file produces the identical diagnostic — same message, same
-// record index, same byte offset — whichever loader hits it. The FNV-1a
-// checksum is accumulated across chunks and validated against the trailer
-// after the final record, exactly like the one-shot loaders.
+// Where read_binary_trace_file materializes the whole trace, this reader
+// pulls bounded windows: memory use is O(chunk_records), independent of the
+// file size, so multi-GB traces replay without fitting in RAM. Both read
+// through the same chunk-decode loop (detail::RecordDecoder in
+// trace/binary_trace_detail.hpp), so a corrupt or truncated file produces
+// the identical diagnostic — same message, same record index, same byte
+// offset — whichever loader hits it. The checksum is accumulated across
+// chunks and checked against the trailer after the final record.
 #pragma once
 
 #include <cstdint>
@@ -26,30 +25,25 @@ class StreamingTraceReader final : public RequestStream {
   /// Opens the file and validates the header; throws std::runtime_error
   /// with the same diagnostics as read_binary_trace_file on a bad magic,
   /// unsupported version or truncated header. `chunk_records` bounds the
-  /// window size (and thus the reader's memory footprint).
+  /// window size (and thus the reader's memory footprint); windows never
+  /// exceed detail::RecordDecoder::kMaxChunkRecords.
   explicit StreamingTraceReader(std::string path,
                                 std::size_t chunk_records = 1 << 16);
+  // The decoder refers to in_, so the reader stays where it was built.
+  StreamingTraceReader(const StreamingTraceReader&) = delete;
+  StreamingTraceReader& operator=(const StreamingTraceReader&) = delete;
 
-  std::uint64_t total_requests() const override { return count_; }
+  std::uint64_t total_requests() const override { return decoder_.count(); }
   std::span<const Request> next_chunk() override;
   void reset() override;
 
-  std::uint32_t version() const { return version_; }
+  std::uint32_t version() const { return decoder_.version(); }
   const std::string& path() const { return path_; }
 
  private:
-  void validate_trailer();
-
   std::string path_;
-  std::size_t chunk_records_;
   std::ifstream in_;
-  std::uint32_t version_ = 0;
-  std::uint64_t count_ = 0;
-  std::size_t record_bytes_ = 0;
-  std::uint64_t next_record_ = 0;
-  bool trailer_checked_ = false;
-  detail::Checksum checksum_;
-  std::vector<char> buffer_;
+  detail::RecordDecoder decoder_;
   std::vector<Request> chunk_;
 };
 

@@ -9,7 +9,9 @@ schema, and satisfies the roll-up invariants (window sums equal the
 aggregate, per-class sums equal the overall counters). The CSV variant
 must agree with the JSON row for row. On the checked-in golden trace,
 `simulate --result-out` must reproduce golden_dfn_expected.tsv's
-constant-cost rows counter for counter. `replicate` prints a verdict line
+constant-cost rows counter for counter, and `convert --recover` upgrades
+it from WCT1 v2 to v3 without changing a record byte or a result byte.
+`replicate` prints a verdict line
 for every policy pair, and OPT is refused, by name, everywhere but `sweep`.
 
 Usage: cli_smoke_test.py <path-to-webcache-binary>
@@ -382,6 +384,42 @@ def check_golden_counters(cli, tmp):
               f"expected {expected} got {actual}")
 
 
+def check_v2_to_v3_upgrade(cli, tmp):
+    """`convert --recover` rewrites the v2 golden trace as the current
+    version: only the version field and the checksum trailer change, and a
+    replay of the rewritten file writes the same result bytes."""
+    golden = os.path.join(DATA_DIR, "golden_dfn.wct")
+    upgraded = os.path.join(tmp, "golden_v3.wct")
+    p = run(cli, "convert", "--recover", golden, upgraded)
+    check("convert --recover golden", p.returncode == 0,
+          p.stderr.strip()[:200])
+    if p.returncode != 0:
+        return
+    with open(golden, "rb") as f:
+        old = f.read()
+    with open(upgraded, "rb") as f:
+        new = f.read()
+    check("golden is version 2", int.from_bytes(old[4:8], "little") == 2)
+    check("upgraded is version 3", int.from_bytes(new[4:8], "little") == 3,
+          str(new[4:8]))
+    check("upgrade keeps the magic, count and record bytes",
+          len(new) == len(old) and new[:4] == old[:4]
+          and new[8:-8] == old[8:-8])
+
+    results = []
+    for wct in (golden, upgraded):
+        out = os.path.join(tmp, os.path.basename(wct) + ".result.json")
+        p = run(cli, "simulate", wct, "--policy=GD*(1)",
+                f"--cache-fraction={GOLDEN_CACHE_FRACTION}",
+                f"--result-out={out}")
+        check(f"simulate {os.path.basename(wct)}", p.returncode == 0,
+              p.stderr.strip()[:200])
+        with open(out, "rb") as f:
+            results.append(f.read())
+    check("v2 and v3 golden replays write identical results",
+          results[0] == results[1])
+
+
 def main():
     if len(sys.argv) != 2:
         print("usage: cli_smoke_test.py <webcache-binary>", file=sys.stderr)
@@ -392,6 +430,7 @@ def main():
         check_round_trip(cli, tmp)
         check_lazy_family(cli, tmp)
         check_golden_counters(cli, tmp)
+        check_v2_to_v3_upgrade(cli, tmp)
         check_replicate_and_opt(cli, tmp)
     if FAILURES:
         print(f"\n{len(FAILURES)} smoke check(s) failed: {FAILURES}",

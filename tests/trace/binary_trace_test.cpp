@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "trace/streaming_trace.hpp"
 
 namespace webcache::trace {
 namespace {
@@ -220,8 +224,8 @@ TEST(BinaryTrace, FileRoundTrip) {
 }
 
 TEST(BinaryTrace, FileAndStreamLoadersAgree) {
-  // The mmap/buffered file loader and the per-record stream decoder must
-  // produce identical traces from the same bytes.
+  // The file loader and the istream loader must produce identical traces
+  // from the same bytes.
   Trace t = sample_trace();
   t.requests[0].client = 99;
   const std::string path = testing::TempDir() + "/webcache_trace_agree.bin";
@@ -297,6 +301,56 @@ TEST(BinaryTrace, FileLoaderPreservesCorruptionDiagnostics) {
 
   what = file_diagnostic_for("NOPE-this-is-not-a-trace");
   EXPECT_NE(what.find("bad magic"), std::string::npos) << what;
+}
+
+TEST(BinaryTrace, CorruptHugeCountIsATruncationNotAnAllocation) {
+  // A valid 3-record file whose header claims 10^15 records. No loader may
+  // size anything from that count: each must read what the file holds and
+  // name the truncation (reserving 10^15 records threw std::bad_alloc).
+  Trace t = sample_trace();
+  t.requests.push_back(t.requests[0]);
+  std::stringstream buf;
+  write_binary_trace(buf, t);
+  std::string data = buf.str();
+  const std::uint64_t claimed = 1000000000000000ULL;
+  std::memcpy(data.data() + 8, &claimed, sizeof(claimed));
+  const std::string expected =
+      "truncated at record 3 of 1000000000000000 (byte offset 133)";
+
+  EXPECT_NE(diagnostic_for(data).find(expected), std::string::npos)
+      << diagnostic_for(data);
+  EXPECT_NE(file_diagnostic_for(data).find(expected), std::string::npos)
+      << file_diagnostic_for(data);
+
+  const std::string path = testing::TempDir() + "/webcache_trace_huge.bin";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(data.data(), static_cast<std::streamsize>(data.size()));
+  }
+  // The largest chunk asks for the whole claimed count at once.
+  for (const std::size_t chunk :
+       {std::size_t{1} << 16, std::numeric_limits<std::size_t>::max()}) {
+    std::string streamed;
+    try {
+      StreamingTraceReader reader(path, chunk);
+      EXPECT_EQ(reader.total_requests(), claimed);
+      while (!reader.next_chunk().empty()) {
+      }
+    } catch (const std::runtime_error& e) {
+      streamed = e.what();
+    }
+    EXPECT_NE(streamed.find(expected), std::string::npos)
+        << "chunk " << chunk << ": " << streamed;
+  }
+
+  RecoveryReport report;
+  const Trace recovered = read_binary_trace_file_recovering(path, report);
+  std::remove(path.c_str());
+  EXPECT_EQ(recovered.requests.size(), 3u);
+  EXPECT_EQ(report.truncated_records, claimed - 3);
+  EXPECT_TRUE(report.missing_trailer);
+  ASSERT_FALSE(report.first_errors.empty());
+  EXPECT_EQ(report.first_errors[0], expected);
 }
 
 TEST(BinaryTrace, MissingFileThrows) {

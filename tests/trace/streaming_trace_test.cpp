@@ -62,7 +62,7 @@ TEST(StreamingTrace, RoundTripMatchesFileLoaderForEveryChunking) {
        {std::size_t{1}, std::size_t{3}, std::size_t{64}, std::size_t{1024}}) {
     StreamingTraceReader reader(path, chunk);
     EXPECT_EQ(reader.total_requests(), t.requests.size());
-    EXPECT_EQ(reader.version(), 2u);
+    EXPECT_EQ(reader.version(), kTraceVersion);
     std::vector<Request> streamed;
     for (auto span = reader.next_chunk(); !span.empty();
          span = reader.next_chunk()) {
