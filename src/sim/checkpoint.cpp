@@ -1,6 +1,7 @@
 #include "sim/checkpoint.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -113,6 +114,154 @@ struct ByteCursor {
   }
 };
 
+/// Where a WCKP image goes: memory (encode_checkpoint) or a checkpoint
+/// file. Keeps a running CRC-32 of the bytes appended since restart_crc(),
+/// so a section's CRC is known once its payload is out.
+class ImageOutput : public util::StateSpill {
+ public:
+  void spill(const std::uint8_t* data, std::size_t n) final {
+    crc_ = util::crc32(data, n, crc_);
+    append(data, n);
+  }
+  void restart_crc() { crc_ = 0; }
+  std::uint32_t crc() const { return crc_; }
+  /// Overwrites `n` bytes appended earlier, starting at `offset`.
+  virtual void patch(std::uint64_t offset, const std::uint8_t* data,
+                     std::size_t n) = 0;
+
+ protected:
+  ~ImageOutput() = default;
+  virtual void append(const std::uint8_t* data, std::size_t n) = 0;
+
+ private:
+  std::uint32_t crc_ = 0;
+};
+
+class MemoryImage final : public ImageOutput {
+ public:
+  void patch(std::uint64_t offset, const std::uint8_t* data,
+             std::size_t n) override {
+    std::memcpy(bytes.data() + offset, data, n);
+  }
+
+  std::vector<std::uint8_t> bytes;
+
+ private:
+  void append(const std::uint8_t* data, std::size_t n) override {
+    bytes.insert(bytes.end(), data, data + n);
+  }
+};
+
+/// A checkpoint file written from offset 0 through one descriptor. It is
+/// opened without O_TRUNC, so a recycled file is overwritten in place and
+/// keeps its disk blocks; finish() cuts a tail the new image left over.
+class FileImage final : public ImageOutput {
+ public:
+  explicit FileImage(std::string path) : path_(std::move(path)) {
+    fd_ = ::open(path_.c_str(), O_CREAT | O_WRONLY, 0644);
+    if (fd_ < 0) fail("cannot open", errno);
+    struct stat st {};
+    if (::fstat(fd_, &st) != 0) {
+      const int err = errno;
+      ::close(fd_);
+      fail("cannot stat", err);
+    }
+    old_size_ = static_cast<std::uint64_t>(st.st_size);
+  }
+  FileImage(const FileImage&) = delete;
+  FileImage& operator=(const FileImage&) = delete;
+  ~FileImage() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  void patch(std::uint64_t offset, const std::uint8_t* data,
+             std::size_t n) override {
+    write_at(offset, data, n);
+  }
+
+  /// Cuts the file to the image's size (a no-op unless a longer recycled
+  /// file held it) and makes it durable.
+  void finish() {
+    if (old_size_ > size_ && ::ftruncate(fd_, static_cast<off_t>(size_)) != 0) {
+      fail("cannot truncate", errno);
+    }
+    if (::fsync(fd_) != 0) fail("fsync failed", errno);
+  }
+
+  /// The torn-write fault: keep half the image, as a failing disk might.
+  void tear() {
+    (void)::ftruncate(fd_, static_cast<off_t>(size_ / 2));
+    (void)::fsync(fd_);
+  }
+
+ private:
+  void append(const std::uint8_t* data, std::size_t n) override {
+    write_at(size_, data, n);
+    size_ += n;
+  }
+
+  void write_at(std::uint64_t offset, const std::uint8_t* data,
+                std::size_t n) {
+    while (n > 0) {
+      const ssize_t k = ::pwrite(fd_, data, n, static_cast<off_t>(offset));
+      if (k < 0) {
+        if (errno == EINTR) continue;
+        fail("write failed", errno);
+      }
+      data += k;
+      n -= static_cast<std::size_t>(k);
+      offset += static_cast<std::uint64_t>(k);
+    }
+  }
+
+  [[noreturn]] void fail(const char* what, int err) const {
+    throw std::runtime_error("checkpoint: " + std::string(what) + " '" +
+                             path_ + "': " + std::strerror(err));
+  }
+
+  std::string path_;
+  int fd_ = -1;
+  std::uint64_t size_ = 0;      // image bytes written
+  std::uint64_t old_size_ = 0;  // size of the recycled file, 0 when fresh
+};
+
+/// The one WCKP encoder: the file header, then per section its header and
+/// the payload `save` writes. Payloads go through a StateWriter that spills
+/// into the output, so the encoder holds about 1 MiB however large the
+/// state; a section's length and CRC are patched in once its payload is
+/// out.
+class CheckpointEncoder {
+ public:
+  CheckpointEncoder(ImageOutput& out, std::uint32_t section_count)
+      : out_(out), w_(&out) {
+    w_.put_bytes(kMagic, sizeof(kMagic));
+    w_.put_u32(kVersion);
+    w_.put_u32(section_count);
+  }
+
+  template <typename Save>
+  void section(const std::string& name, Save&& save) {
+    w_.put_u32(static_cast<std::uint32_t>(name.size()));
+    w_.put_bytes(name.data(), name.size());
+    const std::uint64_t fields = w_.size();
+    w_.put_u64(0);  // payload length
+    w_.put_u32(0);  // payload CRC
+    w_.flush();
+    const std::uint64_t payload = w_.size();
+    out_.restart_crc();
+    save(w_);
+    w_.flush();
+    util::StateWriter patch;
+    patch.put_u64(w_.size() - payload);
+    patch.put_u32(out_.crc());
+    out_.patch(fields, patch.bytes().data(), patch.bytes().size());
+  }
+
+ private:
+  ImageOutput& out_;
+  util::StateWriter w_;
+};
+
 }  // namespace
 
 std::uint64_t fault_schedule_hash(const FaultSchedule& schedule) {
@@ -142,25 +291,15 @@ namespace detail {
 
 std::vector<std::uint8_t> encode_checkpoint(
     const std::vector<CheckpointSection>& sections) {
-  util::StateWriter w;
-  // Sized once: the image copies every section, and the largest are
-  // proportional to the documents seen.
-  std::size_t size = sizeof(kMagic) + 8;
+  MemoryImage image;
+  CheckpointEncoder encoder(image,
+                            static_cast<std::uint32_t>(sections.size()));
   for (const CheckpointSection& s : sections) {
-    size += 16 + s.name.size() + s.payload.size();
+    encoder.section(s.name, [&s](util::StateWriter& w) {
+      w.put_bytes(s.payload.data(), s.payload.size());
+    });
   }
-  w.reserve(size);
-  w.put_bytes(kMagic, sizeof(kMagic));
-  w.put_u32(kVersion);
-  w.put_u32(static_cast<std::uint32_t>(sections.size()));
-  for (const CheckpointSection& s : sections) {
-    w.put_u32(static_cast<std::uint32_t>(s.name.size()));
-    w.put_bytes(s.name.data(), s.name.size());
-    w.put_u64(s.payload.size());
-    w.put_u32(util::crc32(s.payload.data(), s.payload.size()));
-    w.put_bytes(s.payload.data(), s.payload.size());
-  }
-  return w.take();
+  return std::move(image.bytes);
 }
 
 std::vector<CheckpointSection> decode_checkpoint(
@@ -211,63 +350,6 @@ std::vector<CheckpointSection> decode_checkpoint(
     throw std::runtime_error("trailing bytes after last section");
   }
   return sections;
-}
-
-void atomic_write_file(const std::string& path,
-                       const std::vector<std::uint8_t>& bytes) {
-  // Torn-write fault hook: on the k-th checkpoint write of this process,
-  // truncate the temp file to half, rename it anyway, and die — simulating
-  // a kernel/media failure that breaks the temp file *before* rename makes
-  // it visible. The resulting file must be rejected on resume.
-  static std::uint64_t write_number = 0;
-  const std::uint64_t crash_at_write =
-      checkpoint_env_u64("WEBCACHE_CHECKPOINT_CRASH_AT_WRITE");
-  ++write_number;
-
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
-  if (fd < 0) {
-    throw std::runtime_error("checkpoint: cannot create '" + tmp +
-                             "': " + std::strerror(errno));
-  }
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::write(fd, bytes.data() + off, bytes.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      throw std::runtime_error("checkpoint: write to '" + tmp +
-                               "' failed: " + std::strerror(err));
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (crash_at_write != 0 && write_number == crash_at_write) {
-    (void)::ftruncate(fd, static_cast<off_t>(bytes.size() / 2));
-    (void)::fsync(fd);
-    (void)::close(fd);
-    (void)std::rename(tmp.c_str(), path.c_str());
-    std::raise(SIGKILL);
-  }
-  if (::fsync(fd) != 0) {
-    const int err = errno;
-    ::close(fd);
-    throw std::runtime_error("checkpoint: fsync of '" + tmp +
-                             "' failed: " + std::strerror(err));
-  }
-  ::close(fd);
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    throw std::runtime_error("checkpoint: rename '" + tmp + "' -> '" + path +
-                             "' failed: " + std::strerror(errno));
-  }
-  // Persist the rename itself: fsync the containing directory.
-  const std::string dir = fs::path(path).parent_path().string();
-  const int dfd = ::open(dir.empty() ? "." : dir.c_str(),
-                         O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    (void)::fsync(dfd);
-    ::close(dfd);
-  }
 }
 
 void save_sim_result(util::StateWriter& w, const SimResult& result) {
@@ -420,7 +502,6 @@ void validate_fingerprint(const CheckpointFingerprint& expected,
 }
 
 void save_ids(util::StateWriter& w, const trace::IdMap& ids) {
-  w.reserve(w.size() + 8 * (1 + ids.size()));
   w.put_u64(ids.size());
   for (const trace::DocumentId key : ids.keys()) w.put_u64(key);
 }
@@ -493,14 +574,66 @@ std::optional<SelectedCheckpoint> select_resume_checkpoint(
                            dir + "' (" + all + ")");
 }
 
-/// Retention: keep the newest `keep` checkpoint files, drop older ones.
+/// Writes checkpoint file `name` into `dir` atomically: a temp file in the
+/// same directory, fsync, rename to `name`, fsync the directory. The temp
+/// file is the spare when there is one, overwritten in place, so the write
+/// frees no disk blocks. `emit` writes the image into the file. Honors the
+/// WEBCACHE_CHECKPOINT_CRASH_AT_WRITE torn-write fault hook.
+template <typename Emit>
+void write_checkpoint_file(const std::string& dir, const std::string& name,
+                           Emit&& emit) {
+  // Torn-write fault hook: on the k-th checkpoint write of this process,
+  // truncate the temp file to half, rename it anyway, and die — simulating
+  // a kernel/media failure that breaks the temp file *before* rename makes
+  // it visible. The resulting file must be rejected on resume.
+  static std::uint64_t write_number = 0;
+  const std::uint64_t crash_at_write =
+      checkpoint_env_u64("WEBCACHE_CHECKPOINT_CRASH_AT_WRITE");
+  ++write_number;
+
+  const fs::path path = fs::path(dir) / name;
+  const std::string tmp = path.string() + ".tmp";
+  // Without a spare the rename fails and the temp file starts fresh (or
+  // reuses a stale temp file of the same name in place).
+  const std::string spare = (fs::path(dir) / kSpareCheckpointFile).string();
+  (void)std::rename(spare.c_str(), tmp.c_str());
+  {
+    FileImage file(tmp);
+    emit(file);
+    if (crash_at_write != 0 && write_number == crash_at_write) {
+      file.tear();
+      (void)std::rename(tmp.c_str(), path.c_str());
+      std::raise(SIGKILL);
+    }
+    file.finish();
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    throw std::runtime_error("checkpoint: rename '" + tmp + "' -> '" +
+                             path.string() + "' failed: " +
+                             std::strerror(errno));
+  }
+  // Persist the rename itself: fsync the containing directory.
+  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dfd >= 0) {
+    (void)::fsync(dfd);
+    ::close(dfd);
+  }
+}
+
+/// Retention: keep the newest `keep` checkpoint files. The oldest excess
+/// file becomes the spare the next write recycles; once a spare exists,
+/// the rest are unlinked.
 void prune_checkpoints(const std::string& dir, std::size_t keep) {
   if (keep == 0) keep = 1;
-  std::vector<fs::path> files = list_checkpoints(dir);
+  const std::vector<fs::path> files = list_checkpoints(dir);
+  const fs::path spare = fs::path(dir) / kSpareCheckpointFile;
   std::error_code ec;
-  while (files.size() > keep) {
-    fs::remove(files.front(), ec);
-    files.erase(files.begin());
+  for (std::size_t i = 0; i + keep < files.size(); ++i) {
+    if (fs::exists(spare, ec)) {
+      fs::remove(files[i], ec);
+    } else {
+      fs::rename(files[i], spare, ec);
+    }
   }
 }
 
@@ -614,44 +747,26 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
 
   const std::uint64_t crash_at = checkpoint_env_u64("WEBCACHE_CRASH_AT_REQUEST");
   const auto write_checkpoint = [&] {
-    std::vector<CheckpointSection> sections;
-    const auto add = [&sections](const char* name, util::StateWriter&& w) {
-      sections.push_back({name, w.take()});
+    const auto emit = [&](ImageOutput& file) {
+      CheckpointEncoder e(file, kRecording ? 6 : 5);
+      e.section("fingerprint",
+                [&](util::StateWriter& w) { save_fingerprint(w, fp); });
+      e.section("result", [&](util::StateWriter& w) {
+        w.put_u64(core.consumed());
+        save_sim_result(w, core.result());
+      });
+      e.section("ids", [&](util::StateWriter& w) { save_ids(w, ids); });
+      e.section("cache",
+                [&](util::StateWriter& w) { frontend.save_state(w); });
+      e.section("lastsize",
+                [&](util::StateWriter& w) { last_size.save_state(w); });
+      if constexpr (kRecording) {
+        e.section("metrics",
+                  [&](util::StateWriter& w) { sink.save_state(w); });
+      }
     };
-    {
-      util::StateWriter w;
-      save_fingerprint(w, fp);
-      add("fingerprint", std::move(w));
-    }
-    {
-      util::StateWriter w;
-      w.put_u64(core.consumed());
-      save_sim_result(w, core.result());
-      add("result", std::move(w));
-    }
-    {
-      util::StateWriter w;
-      save_ids(w, ids);
-      add("ids", std::move(w));
-    }
-    {
-      util::StateWriter w;
-      frontend.save_state(w);
-      add("cache", std::move(w));
-    }
-    {
-      util::StateWriter w;
-      last_size.save_state(w);
-      add("lastsize", std::move(w));
-    }
-    if constexpr (kRecording) {
-      util::StateWriter w;
-      sink.save_state(w);
-      add("metrics", std::move(w));
-    }
-    const fs::path path =
-        fs::path(config.dir) / checkpoint_file_name(core.consumed());
-    atomic_write_file(path.string(), encode_checkpoint(sections));
+    write_checkpoint_file(config.dir, checkpoint_file_name(core.consumed()),
+                          emit);
     prune_checkpoints(config.dir, config.keep);
     ++out.checkpoints_written;
   };

@@ -15,6 +15,18 @@
 // (tests/cli/cli_crash_test.py kills and resumes real processes to pin
 // this).
 //
+// The writer frees no disk blocks and holds about 1 MiB of serialized
+// state, however large the run. Freeing the blocks of a synced file can
+// stall for a long time (ext4 mounted with `discard`: 60–200 ms at 3 MB),
+// so pruning renames the oldest excess checkpoint to the directory's one
+// spare file (detail::kSpareCheckpointFile; further excess files are
+// unlinked), and the next write renames the spare to its temp name and
+// overwrites it in place, cutting it only when the new image is shorter.
+// Each section streams through a StateWriter that spills every 1 MiB to
+// the file under a running CRC-32; the section header's length and CRC are
+// patched in afterwards. The files are byte-identical to ones written
+// fresh.
+//
 // Torn, truncated, bit-flipped or stale files are rejected with a named
 // diagnostic (never silently restored): structural damage falls back to the
 // next-older checkpoint, a fingerprint mismatch (different policy, trace,
@@ -77,7 +89,10 @@ struct CheckpointConfig {
   /// bookkeeping is added).
   std::uint64_t every = 0;
   /// Retention: newest `keep` checkpoint files survive, older ones are
-  /// pruned after each successful write.
+  /// pruned after each successful write. The first pruned file becomes the
+  /// directory's spare, which the next write overwrites instead of
+  /// allocating a new file; so the directory holds `keep` checkpoints plus
+  /// at most one spare that resume never reads.
   std::size_t keep = 3;
   /// Resume from the newest valid checkpoint in `dir` (cold start when the
   /// directory holds none).
@@ -148,7 +163,13 @@ struct CheckpointSection {
   std::vector<std::uint8_t> payload;
 };
 
-/// Serializes sections into the WCKP container format.
+/// The checkpoint directory's spare: a pruned checkpoint, which the next
+/// write recycles as its temp file. The name never matches
+/// checkpoint-*.wckp, so resume never reads it.
+inline constexpr char kSpareCheckpointFile[] = "checkpoint.spare";
+
+/// Serializes sections into the WCKP container format (the same encoder
+/// that writes checkpoint files, writing into memory).
 std::vector<std::uint8_t> encode_checkpoint(
     const std::vector<CheckpointSection>& sections);
 
@@ -157,12 +178,6 @@ std::vector<std::uint8_t> encode_checkpoint(
 /// any structural damage.
 std::vector<CheckpointSection> decode_checkpoint(
     const std::vector<std::uint8_t>& bytes);
-
-/// Atomically writes `bytes` to `path`: temp file in the same directory,
-/// fsync, rename over the target, fsync the directory. Honors the
-/// WEBCACHE_CHECKPOINT_CRASH_AT_WRITE torn-write fault hook.
-void atomic_write_file(const std::string& path,
-                       const std::vector<std::uint8_t>& bytes);
 
 /// Serialize / restore a SimResult (used by the "result" section and by
 /// tests).

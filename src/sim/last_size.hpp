@@ -108,7 +108,6 @@ class GrowingDenseLastSize {
   /// high-water dense id and part of the state). Entry i belongs to id i,
   /// so restore rejects more entries than the reader's id bound.
   void save_state(util::StateWriter& w) const {
-    w.reserve(w.size() + 8 * (1 + last_.size()));
     w.put_u64(last_.size());
     for (const std::uint64_t v : last_) w.put_u64(v);
   }

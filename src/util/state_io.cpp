@@ -8,26 +8,49 @@ namespace webcache::util {
 
 namespace {
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slicing-by-8 tables: t[0] is the byte-wise table, and t[k][b] is
+/// t[0][b] advanced through k more zero bytes.
+CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo = c ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; --n, ++p) {
+    c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -44,9 +67,35 @@ void StateWriter::put_string(const std::string& s) {
   put_bytes(s.data(), s.size());
 }
 
-void StateWriter::put_bytes(const void* data, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  bytes_.insert(bytes_.end(), p, p + n);
+bool StateWriter::make_room(const void* data, std::size_t n) {
+  if (target_ == nullptr) {
+    buffer_.resize(std::max(used_ + n, std::max<std::size_t>(
+                                           2 * buffer_.size(), 256)));
+    return true;
+  }
+  flush();
+  if (n >= kSpillBytes) {
+    target_->spill(static_cast<const std::uint8_t*>(data), n);
+    spilled_ += n;
+    return false;
+  }
+  buffer_.resize(kSpillBytes);
+  return true;
+}
+
+void StateWriter::flush() {
+  if (target_ == nullptr || used_ == 0) return;
+  target_->spill(buffer_.data(), used_);
+  spilled_ += used_;
+  used_ = 0;
+}
+
+std::vector<std::uint8_t> StateWriter::take() {
+  buffer_.resize(used_);
+  std::vector<std::uint8_t> out = std::move(buffer_);
+  buffer_.clear();
+  used_ = 0;
+  return out;
 }
 
 void StateReader::need(std::size_t n) const {

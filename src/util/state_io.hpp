@@ -13,6 +13,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -37,9 +39,28 @@ class StateError : public std::runtime_error {
 /// Pass a previous return value as `seed` to continue a running digest.
 std::uint32_t crc32(const void* data, std::size_t n, std::uint32_t seed = 0);
 
+/// Where a spilling StateWriter sends its bytes as its buffer fills.
+class StateSpill {
+ public:
+  virtual void spill(const std::uint8_t* data, std::size_t n) = 0;
+
+ protected:
+  ~StateSpill() = default;
+};
+
 class StateWriter {
  public:
-  void put_u8(std::uint8_t v) { bytes_.push_back(v); }
+  /// A spilling writer's buffer size.
+  static constexpr std::size_t kSpillBytes = std::size_t{1} << 20;
+
+  /// Holds every byte in memory.
+  StateWriter() = default;
+  /// Hands its buffered bytes to `target` whenever a put would not fit in
+  /// kSpillBytes, so it holds about 1 MiB however much it writes; flush()
+  /// hands on the rest.
+  explicit StateWriter(StateSpill* target) : target_(target) {}
+
+  void put_u8(std::uint8_t v) { put_bytes(&v, 1); }
   void put_u32(std::uint32_t v) { put_le(v); }
   void put_u64(std::uint64_t v) { put_le(v); }
   void put_i32(std::int32_t v) { put_le(static_cast<std::uint32_t>(v)); }
@@ -47,23 +68,43 @@ class StateWriter {
   /// IEEE-754 bit pattern; round-trips every double exactly (incl. NaN).
   void put_double(double v);
   void put_string(const std::string& s);
-  void put_bytes(const void* data, std::size_t n);
-  /// Capacity hint for a writer whose final size is known up front.
-  void reserve(std::size_t n) { bytes_.reserve(n); }
+  void put_bytes(const void* data, std::size_t n) {
+    if (buffer_.size() - used_ < n && !make_room(data, n)) return;
+    if (n == 0) return;
+    std::memcpy(buffer_.data() + used_, data, n);
+    used_ += n;
+  }
+  /// Hands the buffered bytes to the spill target; no-op without one.
+  void flush();
 
-  const std::vector<std::uint8_t>& bytes() const { return bytes_; }
-  std::vector<std::uint8_t> take() { return std::move(bytes_); }
-  std::size_t size() const { return bytes_.size(); }
+  /// The buffered bytes: all of them for a writer without a spill target.
+  std::span<const std::uint8_t> bytes() const {
+    return {buffer_.data(), used_};
+  }
+  /// Moves the buffered bytes out, leaving the buffer empty.
+  std::vector<std::uint8_t> take();
+  /// Bytes written so far, spilled ones included.
+  std::size_t size() const { return spilled_ + used_; }
 
  private:
   template <typename T>
   void put_le(T v) {
+    std::uint8_t le[sizeof(T)];
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      bytes_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      le[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
+    put_bytes(le, sizeof(T));
   }
+  /// Spills or grows the buffer until `n` more bytes fit. Returns false
+  /// when a spilling writer handed the `n` bytes straight to its target
+  /// instead (a put of kSpillBytes or more).
+  bool make_room(const void* data, std::size_t n);
 
-  std::vector<std::uint8_t> bytes_;
+  // buffer_[0, used_) holds the bytes not yet spilled; the rest is room.
+  std::vector<std::uint8_t> buffer_;
+  std::size_t used_ = 0;
+  StateSpill* target_ = nullptr;
+  std::size_t spilled_ = 0;
 };
 
 class StateReader {

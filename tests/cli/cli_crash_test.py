@@ -64,10 +64,13 @@ def simulate_args(cli, wct, policy, result_out, metrics_out):
             f"--metrics-out={metrics_out}", f"--result-out={result_out}"]
 
 
-def crash_chain(cli, wct, tmp, policy, tag, kill_points, torn_write):
+def crash_chain(cli, wct, tmp, policy, tag, kill_points, torn_write,
+                keep=None):
     """Kill a checkpointed run at each point in turn, resume after every
     crash, and compare the finished run byte-for-byte with the
-    uninterrupted baseline."""
+    uninterrupted baseline. A torn write dies in checkpoint write 2, or in
+    write 3 with keep=1: by then the first checkpoint was pruned into the
+    spare, so the torn file is a recycled one."""
     label = tag
 
     base_result = os.path.join(tmp, f"{tag}_base_result.json")
@@ -83,6 +86,9 @@ def crash_chain(cli, wct, tmp, policy, tag, kill_points, torn_write):
     final_metrics = os.path.join(tmp, f"{tag}_metrics.json")
     ckpt_flags = [f"--checkpoint-dir={ckpt_dir}",
                   f"--checkpoint-every={CHECKPOINT_EVERY}"]
+    if keep is not None:
+        ckpt_flags.append(f"--checkpoint-keep={keep}")
+    torn_at = 3 if keep == 1 else 2
 
     # Segment 0 starts cold; each later segment resumes the ring.
     resumed = False
@@ -92,7 +98,7 @@ def crash_chain(cli, wct, tmp, policy, tag, kill_points, torn_write):
             # Die mid-checkpoint-write instead: the temp file is truncated
             # to half and renamed over the final name before the SIGKILL,
             # so the newest checkpoint on disk is torn.
-            env = {"WEBCACHE_CHECKPOINT_CRASH_AT_WRITE": "2"}
+            env = {"WEBCACHE_CHECKPOINT_CRASH_AT_WRITE": str(torn_at)}
         argv = simulate_args(cli, wct, policy, final_result,
                              final_metrics) + ckpt_flags
         if resumed:
@@ -101,6 +107,13 @@ def crash_chain(cli, wct, tmp, policy, tag, kill_points, torn_write):
         check(f"{label}: segment {i} dies by SIGKILL",
               p.returncode == -signal.SIGKILL,
               f"rc={p.returncode} stderr={p.stderr.strip()[:200]}")
+        if torn_write and i == 0 and keep == 1:
+            # Write 3 took the spare: only checkpoints 2 (whole) and 3
+            # (torn) are left.
+            names = sorted(os.listdir(ckpt_dir))
+            check(f"{label}: torn write recycled the spare",
+                  names == [f"checkpoint-{n * CHECKPOINT_EVERY:020d}.wckp"
+                            for n in (2, 3)], str(names))
         resumed = True
 
     argv = simulate_args(cli, wct, policy, final_result,
@@ -115,6 +128,10 @@ def crash_chain(cli, wct, tmp, policy, tag, kill_points, torn_write):
     if torn_write:
         check(f"{label}: torn checkpoint rejected by name",
               "rejected '" in p.stderr and "checkpoint" in p.stderr,
+              p.stderr.strip()[:300])
+        check(f"{label}: resume fell back to the next-older checkpoint",
+              "resuming from older checkpoint 'checkpoint-"
+              f"{(torn_at - 1) * CHECKPOINT_EVERY:020d}.wckp'" in p.stderr,
               p.stderr.strip()[:300])
 
     check(f"{label}: result JSON byte-identical after crashes",
@@ -157,6 +174,8 @@ def main():
         crash_chain(cli, wct, tmp, "LRU", "lru_torn", [0], torn_write=True)
         crash_chain(cli, wct, tmp, "GDSF(1)", "gdsf_torn", [0],
                     torn_write=True)
+        crash_chain(cli, wct, tmp, "GDSF(1)", "gdsf_torn_recycled", [0],
+                    torn_write=True, keep=1)
 
         # A checkpoint directory full of garbage must abort the resume with
         # diagnostics, never cold-start over the user's intent.

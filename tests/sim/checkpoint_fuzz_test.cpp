@@ -212,6 +212,9 @@ class NewestCheckpoint {
     return detail::decode_checkpoint(bytes());
   }
   void overwrite(const std::vector<std::uint8_t>& bytes) const {
+    // Removed first, so the rewrite starts a new file: truncating one in
+    // place has cost milliseconds a call (ext4 mounted with `discard`).
+    fs::remove(newest_);
     std::ofstream out(newest_, std::ios::binary | std::ios::trunc);
     out.write(reinterpret_cast<const char*>(bytes.data()),
               static_cast<std::streamsize>(bytes.size()));

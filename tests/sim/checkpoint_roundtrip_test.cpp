@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -389,12 +391,135 @@ TEST(CheckpointRoundTrip, RetentionKeepsOnlyNewestFiles) {
   const CheckpointedRun run = simulate_stream_checkpointed(stream, frontend, job);
   EXPECT_GT(run.checkpoints_written, 2u);
 
+  // The newest `keep` checkpoints, plus the pruned file the next write
+  // would recycle.
   std::size_t files = 0;
+  std::size_t others = 0;
   for (const auto& entry : fs::directory_iterator(dir)) {
-    (void)entry;
-    ++files;
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("checkpoint-", 0) == 0 &&
+        entry.path().extension() == ".wckp") {
+      ++files;
+    } else {
+      ++others;
+    }
   }
   EXPECT_EQ(files, 2u);
+  EXPECT_EQ(others, 1u);
+  EXPECT_TRUE(fs::exists(fs::path(dir) / detail::kSpareCheckpointFile));
+  fs::remove_all(dir);
+}
+
+std::vector<std::uint8_t> file_bytes(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// A recycled file is overwritten in place, so it must end up byte-equal
+/// to a fresh one: whether the spare is longer than the new image (cut),
+/// shorter (grown) or absent.
+TEST(CheckpointRoundTrip, RecycledFilesEqualFreshOnes) {
+  const trace::Trace t = recorded_trace();
+  const std::uint64_t capacity = t.overall_size_bytes() / 25;
+  const cache::PolicySpec spec = cache::policy_spec_from_name("GD*(packet)");
+  constexpr std::uint64_t kEvery = 1000;
+
+  StreamCheckpointJob job;
+  job.checkpoint.every = kEvery;
+  job.checkpoint.trace_source = "synthetic-dfn-0.002";
+
+  // Every file fresh: nothing is ever pruned.
+  const std::string fresh = fresh_dir("recycle_fresh");
+  job.checkpoint.dir = fresh;
+  job.checkpoint.keep = 100;
+  {
+    trace::MemoryRequestStream stream(t, 4096);
+    cache::SingleCacheFrontend frontend = make_frontend(spec, capacity);
+    simulate_stream_checkpointed(stream, frontend, job);
+  }
+
+  // keep=1, one checkpoint per segment, so every file can be compared. A
+  // spare longer than any image starts the ring: the first write cuts it.
+  const std::string ring = fresh_dir("recycle_ring");
+  fs::create_directories(ring);
+  {
+    std::ofstream junk(fs::path(ring) / detail::kSpareCheckpointFile,
+                       std::ios::binary);
+    const std::string block(1 << 16, '\xAB');
+    for (int i = 0; i < 64; ++i) junk << block;
+  }
+  job.checkpoint.dir = ring;
+  job.checkpoint.keep = 1;
+  std::size_t compared = 0;
+  for (std::uint64_t stop = kEvery; stop < t.total_requests();
+       stop += kEvery) {
+    job.checkpoint.stop_after_requests = stop;
+    job.checkpoint.resume = stop > kEvery;
+    trace::MemoryRequestStream stream(t, 4096);
+    cache::SingleCacheFrontend frontend = make_frontend(spec, capacity);
+    ASSERT_TRUE(simulate_stream_checkpointed(stream, frontend, job)
+                    .stopped_early);
+    std::vector<fs::path> files;
+    for (const auto& entry : fs::directory_iterator(ring)) {
+      if (entry.path().extension() == ".wckp") files.push_back(entry.path());
+    }
+    ASSERT_EQ(files.size(), 1u) << "after request " << stop;
+    const fs::path twin = fs::path(fresh) / files[0].filename();
+    ASSERT_TRUE(fs::exists(twin)) << twin;
+    EXPECT_EQ(file_bytes(files[0]), file_bytes(twin))
+        << files[0].filename() << " differs from its fresh twin";
+    ++compared;
+  }
+  EXPECT_GE(compared, 5u);
+  EXPECT_TRUE(fs::exists(fs::path(ring) / detail::kSpareCheckpointFile));
+  fs::remove_all(fresh);
+  fs::remove_all(ring);
+}
+
+/// Resume reads only checkpoint-*.wckp: neither the spare nor a temp file a
+/// crash left behind is a candidate, even when both hold garbage.
+TEST(CheckpointRoundTrip, ResumeIgnoresTheSpareAndAStaleTempFile) {
+  const trace::Trace t = recorded_trace();
+  const std::uint64_t capacity = t.overall_size_bytes() / 25;
+  const cache::PolicySpec spec = cache::policy_spec_from_name("LRU");
+  const SimulatorOptions options;
+
+  trace::MemoryRequestStream s0(t, 4096);
+  cache::SingleCacheFrontend f0 = make_frontend(spec, capacity);
+  const SimResult baseline = simulate_stream(s0, f0, options);
+
+  const std::string dir = fresh_dir("resume_ignores");
+  StreamCheckpointJob job;
+  job.options = options;
+  job.checkpoint.dir = dir;
+  job.checkpoint.every = 1000;
+  job.checkpoint.keep = 1;
+  job.checkpoint.trace_source = "synthetic-dfn-0.002";
+  job.checkpoint.stop_after_requests = 3000;
+  {
+    trace::MemoryRequestStream stream(t, 4096);
+    cache::SingleCacheFrontend frontend = make_frontend(spec, capacity);
+    ASSERT_TRUE(
+        simulate_stream_checkpointed(stream, frontend, job).stopped_early);
+  }
+  const fs::path spare = fs::path(dir) / detail::kSpareCheckpointFile;
+  ASSERT_TRUE(fs::exists(spare));
+  for (const fs::path& path :
+       {spare, fs::path(dir) / "checkpoint-00000000000000009000.wckp.tmp"}) {
+    fs::remove(path);
+    std::ofstream(path, std::ios::binary) << "WCKP garbage";
+  }
+
+  job.checkpoint.stop_after_requests = 0;
+  job.checkpoint.resume = true;
+  trace::MemoryRequestStream stream(t, 4096);
+  cache::SingleCacheFrontend frontend = make_frontend(spec, capacity);
+  const CheckpointedRun done =
+      simulate_stream_checkpointed(stream, frontend, job);
+  EXPECT_EQ(done.resumed_from, 3000u);
+  EXPECT_TRUE(checkpoint_resume_diagnostics().empty());
+  expect_identical(baseline, done.result, "resume past spare and temp");
   fs::remove_all(dir);
 }
 

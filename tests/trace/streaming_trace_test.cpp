@@ -36,6 +36,9 @@ Trace sample_trace(std::size_t n = 100) {
 
 std::string write_temp(const std::string& data, const char* name) {
   const std::string path = testing::TempDir() + "/" + name;
+  // Removed first, so the rewrite starts a new file: truncating one in
+  // place has cost milliseconds a call (ext4 mounted with `discard`).
+  std::remove(path.c_str());
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(data.data(), static_cast<std::streamsize>(data.size()));
   return path;
