@@ -8,7 +8,7 @@
 namespace webcache::cache {
 
 BetaEstimator::BetaEstimator(const Options& options)
-    : options_(options), histogram_(2.0, 48), beta_(options.initial_beta) {
+    : options_(options), histogram_(2.0, 48) {
   if (!(options.min_beta > 0.0 && options.min_beta <= options.max_beta)) {
     throw std::invalid_argument("BetaEstimator: invalid beta clamp range");
   }
@@ -19,6 +19,7 @@ BetaEstimator::BetaEstimator(const Options& options)
   if (!(options.decay > 0.0 && options.decay <= 1.0)) {
     throw std::invalid_argument("BetaEstimator: decay must be in (0, 1]");
   }
+  set_beta(options.initial_beta);
 }
 
 void BetaEstimator::observe_gap(std::uint64_t gap) {
@@ -38,7 +39,7 @@ void BetaEstimator::refit() {
   if (points.size() >= 3) {
     const util::LineFit fit = util::fit_loglog(points);
     if (fit.valid()) {
-      beta_ = std::clamp(-fit.slope, options_.min_beta, options_.max_beta);
+      set_beta(std::clamp(-fit.slope, options_.min_beta, options_.max_beta));
     }
   }
   histogram_.scale(options_.decay);
@@ -46,7 +47,7 @@ void BetaEstimator::refit() {
 
 void BetaEstimator::clear() {
   histogram_.clear();
-  beta_ = options_.initial_beta;
+  set_beta(options_.initial_beta);
   samples_ = 0;
   since_refit_ = 0;
 }

@@ -44,6 +44,9 @@ class BetaEstimator {
 
   /// Current estimate of beta (clamped to [min_beta, max_beta]).
   double beta() const { return beta_; }
+  /// 1 / beta(), the GD* utility exponent; recomputed only when beta
+  /// changes (a refit, clear or restore), not on every request.
+  double exponent() const { return exponent_; }
 
   std::uint64_t samples() const { return samples_; }
 
@@ -57,10 +60,15 @@ class BetaEstimator {
 
  private:
   void refit();
+  void set_beta(double beta) {
+    beta_ = beta;
+    exponent_ = 1.0 / beta;
+  }
 
   Options options_;
   util::LogHistogram histogram_;
   double beta_;
+  double exponent_;
   std::uint64_t samples_ = 0;
   std::uint64_t since_refit_ = 0;
 };

@@ -11,6 +11,7 @@ GdStarPolicy::GdStarPolicy(CostModelKind cost_model,
                            BetaEstimator::Options estimator_options)
     : cost_model_(make_cost_model(cost_model)),
       fixed_beta_(fixed_beta),
+      fixed_exponent_(fixed_beta ? 1.0 / *fixed_beta : 0.0),
       estimator_(estimator_options) {
   if (fixed_beta && *fixed_beta <= 0.0) {
     throw std::invalid_argument("GdStarPolicy: fixed beta must be > 0");
@@ -29,7 +30,8 @@ double GdStarPolicy::value_of(const CacheObject& obj) const {
   const double size = std::max<double>(1.0, static_cast<double>(obj.size));
   const double utility = static_cast<double>(obj.reference_count) *
                          cost_model_->cost(obj.size) / size;
-  return std::pow(utility, 1.0 / beta());
+  return std::pow(utility,
+                  fixed_beta_ ? fixed_exponent_ : estimator_.exponent());
 }
 
 void GdStarPolicy::on_insert(const CacheObject& obj) {

@@ -61,6 +61,7 @@ class GdStarPolicy final : public ReplacementPolicy {
   IndexedMinHeap<ObjectId, double> heap_;
   std::unique_ptr<CostModel> cost_model_;
   std::optional<double> fixed_beta_;
+  double fixed_exponent_;  // 1 / *fixed_beta_, when set
   BetaEstimator estimator_;
   std::string name_;
   double inflation_ = 0.0;

@@ -34,7 +34,9 @@ double GdStarPerClassPolicy::value_of(const CacheObject& obj) const {
   const double size = std::max<double>(1.0, static_cast<double>(obj.size));
   const double utility = static_cast<double>(obj.reference_count) *
                          cost_model_->cost(obj.size) / size;
-  return std::pow(utility, 1.0 / beta(obj.doc_class));
+  return std::pow(
+      utility,
+      estimators_[static_cast<std::size_t>(obj.doc_class)].exponent());
 }
 
 void GdStarPerClassPolicy::on_insert(const CacheObject& obj) {

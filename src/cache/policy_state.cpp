@@ -62,27 +62,6 @@ void restore_list(util::StateReader& r, LruIndexList& list) {
   for (auto it = ids.rbegin(); it != ids.rend(); ++it) list.push_front(*it);
 }
 
-void save_heap(util::StateWriter& w, const IndexedMinHeap<ObjectId, double>& heap) {
-  w.put_u64(heap.size());
-  heap.for_each_entry([&](const IndexedMinHeap<ObjectId, double>::Entry& e) {
-    w.put_u64(e.key);
-    w.put_double(e.priority);
-    w.put_u64(e.sequence);
-  });
-  w.put_u64(heap.next_sequence());
-}
-
-void restore_heap(util::StateReader& r, IndexedMinHeap<ObjectId, double>& heap) {
-  const std::uint64_t n = r.take_u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const ObjectId key = r.take_id();
-    const double priority = r.take_double();
-    const std::uint64_t sequence = r.take_u64();
-    heap.restore_entry(key, priority, sequence);
-  }
-  heap.set_next_sequence(r.take_u64());
-}
-
 void save_rng(util::StateWriter& w, const util::Rng& rng) {
   std::ostringstream os;
   os << rng.engine();
@@ -117,6 +96,32 @@ void restore_map(util::StateReader& r, Map& map) {
 }
 
 }  // namespace
+
+void save_heap(util::StateWriter& w,
+               const IndexedMinHeap<ObjectId, double>& heap) {
+  w.put_u64(heap.size());
+  heap.for_each_entry([&](const IndexedMinHeap<ObjectId, double>::Entry& e) {
+    w.put_u64(e.key);
+    w.put_double(e.priority);
+    w.put_u64(e.sequence);
+  });
+  w.put_u64(heap.next_sequence());
+}
+
+void restore_heap(util::StateReader& r,
+                  IndexedMinHeap<ObjectId, double>& heap) {
+  using Entry = IndexedMinHeap<ObjectId, double>::Entry;
+  const std::uint64_t n = r.take_count(24, "heap entry");
+  std::vector<Entry> entries;
+  entries.reserve(static_cast<std::size_t>(n));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const ObjectId key = r.take_id();
+    const double priority = r.take_double();
+    const std::uint64_t sequence = r.take_u64();
+    entries.push_back(Entry{key, priority, sequence});
+  }
+  heap.restore(entries, r.take_u64());
+}
 
 // ---- LRU family ------------------------------------------------------------
 
@@ -382,7 +387,7 @@ void BetaEstimator::save_state(util::StateWriter& w) const {
 }
 
 void BetaEstimator::restore_state(util::StateReader& r) {
-  beta_ = r.take_double();
+  set_beta(r.take_double());
   samples_ = r.take_u64();
   since_refit_ = r.take_u64();
   const std::uint64_t n = r.take_count(8, "beta histogram bin");

@@ -45,46 +45,87 @@ SweepResult layout_grid(std::uint64_t overall_size_bytes,
   return sweep;
 }
 
-// Fills every cell not marked in `skip` with run_cell(capacity, column),
-// either inline or on a worker pool. Every cell is an independent
-// simulation, so results are bit-identical for any thread count.
-void fill_grid(SweepResult& sweep, std::size_t columns,
-               std::uint32_t config_threads, const std::vector<char>& skip,
-               const CellRunner& run_cell) {
+// The cells of a grid that still have to run, in the order the pool starts
+// them: row-major (smallest cache first), except that the cells of
+// `late_columns` come after all others. A cell marked in `skip` is filled
+// elsewhere; an empty mask marks nothing.
+std::vector<std::size_t> pending_cells(
+    std::size_t rows, std::size_t columns, const std::vector<char>& skip,
+    const std::vector<std::size_t>& late_columns) {
+  std::vector<char> late(columns, 0);
+  for (const std::size_t p : late_columns) late[p] = 1;
   std::vector<std::size_t> pending;
-  pending.reserve(sweep.points.size() * columns);
-  for (std::size_t cell = 0; cell < sweep.points.size() * columns; ++cell) {
-    if (skip.empty() || skip[cell] == 0) pending.push_back(cell);
-  }
-
-  util::parallel_for(pending.size(), config_threads, [&](std::size_t i) {
-    const std::size_t p = pending[i] % columns;
-    const std::size_t f = pending[i] / columns;
-    sweep.points[f].results[p] = run_cell(sweep.points[f].capacity_bytes, p);
-  });
-}
-
-// One-pass LRU fast path: fills every stack-eligible (capacity x LRU
-// policy) cell from a single StackSweep pass and returns the skip mask for
-// fill_grid. Eligibility mirrors StackSweep's exactness preconditions —
-// plain-LRU column, capacity at least the largest transfer size — so the
-// prefilled cells are bit-identical to what the grid would have computed;
-// everything else stays on the grid.
-template <typename TraceT>
-std::vector<char> apply_one_pass(const TraceT& trace,
-                                 const SweepConfig& config,
-                                 SweepResult& sweep) {
-  const std::size_t columns = config.policies.size();
-  std::vector<char> skip(sweep.points.size() * columns, 0);
-  if (config.one_pass == OnePassMode::kOff) return skip;
-
-  std::vector<std::size_t> lru_columns;
-  for (std::size_t p = 0; p < columns; ++p) {
-    if (config.policies[p].kind == cache::PolicyKind::kLru) {
-      lru_columns.push_back(p);
+  pending.reserve(rows * columns);
+  for (const char late_pass : {0, 1}) {
+    for (std::size_t cell = 0; cell < rows * columns; ++cell) {
+      if (late[cell % columns] == late_pass &&
+          (skip.empty() || skip[cell] == 0)) {
+        pending.push_back(cell);
+      }
     }
   }
-  if (lru_columns.empty()) return skip;
+  return pending;
+}
+
+// Runs `lead` (when set) and then run_cell(capacity, column) for every
+// pending cell, either inline or on one worker pool that starts tasks in
+// that order. Each task writes only its own cells and every cell is an
+// independent simulation, so results are bit-identical for any thread
+// count.
+void fill_grid(SweepResult& sweep, std::size_t columns,
+               std::uint32_t config_threads,
+               const std::vector<std::size_t>& pending,
+               const CellRunner& run_cell,
+               const std::function<void()>& lead = {}) {
+  const std::size_t leads = lead ? 1 : 0;
+  util::parallel_for(
+      leads + pending.size(), config_threads, [&](std::size_t i) {
+        if (i < leads) {
+          lead();
+          return;
+        }
+        const std::size_t cell = pending[i - leads];
+        const std::size_t p = cell % columns;
+        const std::size_t f = cell / columns;
+        sweep.points[f].results[p] =
+            run_cell(sweep.points[f].capacity_bytes, p);
+      });
+}
+
+// The plain-LRU columns: the ones a one-pass engine can fill, and the
+// cheapest cells of the grid (a heap-policy cell costs 2-5x an LRU cell).
+std::vector<std::size_t> lru_columns_of(const SweepConfig& config) {
+  std::vector<std::size_t> lru;
+  for (std::size_t p = 0; p < config.policies.size(); ++p) {
+    if (config.policies[p].kind == cache::PolicyKind::kLru) lru.push_back(p);
+  }
+  return lru;
+}
+
+// The cells a one-pass engine fills (the skip mask for fill_grid) and, for
+// the exact engine, the pass that fills them; fill_grid runs it as its
+// first task, beside the grid cells. The sampled engine has already run.
+struct OnePassPlan {
+  std::vector<char> skip;
+  std::function<void()> run;
+};
+
+// One-pass LRU fast path: plans one StackSweep pass over every
+// stack-eligible (capacity x LRU policy) cell. Eligibility mirrors
+// StackSweep's exactness preconditions — plain-LRU column, capacity at
+// least the largest transfer size — so the pass's cells are bit-identical
+// to what the grid would have computed; everything else stays on the grid.
+// The StackSweep is built here, so its option checks throw before any cell
+// runs.
+template <typename TraceT>
+OnePassPlan plan_one_pass(const TraceT& trace, const SweepConfig& config,
+                          SweepResult& sweep) {
+  const std::size_t columns = config.policies.size();
+  OnePassPlan plan{std::vector<char>(sweep.points.size() * columns, 0), {}};
+  if (config.one_pass == OnePassMode::kOff) return plan;
+
+  const std::vector<std::size_t> lru_columns = lru_columns_of(config);
+  if (lru_columns.empty()) return plan;
 
   const std::uint64_t largest =
       StackSweep::max_transfer_size(raw_trace(trace));
@@ -96,17 +137,21 @@ std::vector<char> apply_one_pass(const TraceT& trace,
       rows.push_back(f);
     }
   }
-  if (capacities.empty()) return skip;
+  if (capacities.empty()) return plan;
 
-  const StackSweep stack(std::move(capacities), config.simulator);
-  const std::vector<SimResult> results = stack.run(trace);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    for (const std::size_t p : lru_columns) {
-      sweep.points[rows[i]].results[p] = results[i];
-      skip[rows[i] * columns + p] = 1;
-    }
+  for (const std::size_t f : rows) {
+    for (const std::size_t p : lru_columns) plan.skip[f * columns + p] = 1;
   }
-  return skip;
+  plan.run = [&trace, &sweep, rows, lru_columns,
+              stack = StackSweep(std::move(capacities), config.simulator)] {
+    const std::vector<SimResult> results = stack.run(trace);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      for (const std::size_t p : lru_columns) {
+        sweep.points[rows[i]].results[p] = results[i];
+      }
+    }
+  };
+  return plan;
 }
 
 // Whether this sweep routes its LRU columns through the SHARDS-sampled
@@ -127,12 +172,7 @@ std::vector<char> apply_sampling(const TraceT& trace,
   const std::size_t columns = config.policies.size();
   std::vector<char> skip(sweep.points.size() * columns, 0);
 
-  std::vector<std::size_t> lru_columns;
-  for (std::size_t p = 0; p < columns; ++p) {
-    if (config.policies[p].kind == cache::PolicyKind::kLru) {
-      lru_columns.push_back(p);
-    }
-  }
+  const std::vector<std::size_t> lru_columns = lru_columns_of(config);
   if (lru_columns.empty()) return skip;
 
   SampledSweepConfig sampled;
@@ -208,7 +248,9 @@ SweepResult run_policy_sweep(const TraceT& trace, const SweepConfig& config) {
             "assumes every request reaches the cache)");
       }
     }
-    fill_grid(sweep, columns, config.threads, {},
+    fill_grid(sweep, columns, config.threads,
+              pending_cells(sweep.points.size(), columns, {},
+                            lru_columns_of(config)),
               [&](std::uint64_t capacity, std::size_t p) {
                 const cache::PolicySpec& spec = config.policies[p];
                 cache::SingleCacheFrontend frontend(
@@ -220,15 +262,18 @@ SweepResult run_policy_sweep(const TraceT& trace, const SweepConfig& config) {
     return sweep;
   }
 
-  // Sampling replaces the exact one-pass prefill for LRU columns when
-  // engaged; the two never mix on one sweep (exact cells would sit next to
-  // approximate ones in the same column).
-  const std::vector<char> skip =
+  // Sampling replaces the exact stack pass for LRU columns when engaged;
+  // the two never mix on one sweep (exact cells would sit next to
+  // approximate ones in the same column). The pool starts the stack pass
+  // first, then the other policies' cells, then the per-cell LRU cells.
+  const OnePassPlan plan =
       sampling_engaged(config)
-          ? apply_sampling(trace, config, sweep)
-          : apply_one_pass(trace, config, sweep);
+          ? OnePassPlan{apply_sampling(trace, config, sweep), {}}
+          : plan_one_pass(trace, config, sweep);
 
-  fill_grid(sweep, columns, config.threads, skip,
+  fill_grid(sweep, columns, config.threads,
+            pending_cells(sweep.points.size(), columns, plan.skip,
+                          lru_columns_of(config)),
             [&](std::uint64_t capacity, std::size_t p) {
               const cache::PolicySpec& spec = config.policies[p];
               if (spec.kind == cache::PolicyKind::kOpt) {
@@ -239,7 +284,8 @@ SweepResult run_policy_sweep(const TraceT& trace, const SweepConfig& config) {
                                 config.simulator);
               }
               return simulate(trace, capacity, spec, config.simulator);
-            });
+            },
+            plan.run);
   return sweep;
 }
 
@@ -260,7 +306,9 @@ SweepResult run_sweep(const trace::DenseTrace& trace,
   SweepResult sweep = layout_grid(trace.overall_size_bytes(),
                                   config.cache_fractions,
                                   config.frontends.size());
-  fill_grid(sweep, config.frontends.size(), config.threads, {},
+  fill_grid(sweep, config.frontends.size(), config.threads,
+            pending_cells(sweep.points.size(), config.frontends.size(), {},
+                          {}),
             [&](std::uint64_t capacity, std::size_t p) {
               const auto frontend = build_frontend(config, p, capacity);
               if (!config.faults.empty()) {

@@ -22,8 +22,11 @@ namespace webcache::sim {
 /// capacity. The fast path is exact — results are bit-identical to the
 /// grid. kAuto: every stack-eligible (capacity x LRU) cell takes the
 /// one-pass engine and everything else (non-LRU policies, capacities
-/// smaller than the largest transfer) falls back to the per-cell grid. kOff
-/// forces the grid everywhere (the differential baseline).
+/// smaller than the largest transfer) falls back to the per-cell grid. The
+/// stack pass is one task of the grid's worker pool: the pool starts it
+/// first, then the non-LRU cells, then the per-cell LRU cells, so no serial
+/// pass precedes the grid. kOff forces the grid everywhere (the
+/// differential baseline).
 enum class OnePassMode {
   kAuto,
   kOff,

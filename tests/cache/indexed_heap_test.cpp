@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
+#include "util/state_io.hpp"
 
 namespace webcache::cache {
 namespace {
@@ -162,6 +168,260 @@ TEST(IndexedHeapProperty, MatchesSortReference) {
     EXPECT_EQ(entry.key, k);
     EXPECT_DOUBLE_EQ(entry.priority, p);
   }
+}
+
+// ---- differential test against a std::set reference -----------------------
+
+// The reference orders live keys by (priority, insertion number). Its
+// insertion numbers are never renumbered, so it also checks that the heap's
+// 32-bit sequence renumbering keeps the relative order.
+class ReferenceHeap {
+ public:
+  bool contains(std::uint64_t key) const { return by_key_.count(key) != 0; }
+  std::size_t size() const { return by_key_.size(); }
+
+  void push(std::uint64_t key, double priority) {
+    const Slot slot{priority, next_++};
+    by_key_[key] = slot;
+    order_.emplace(slot, key);
+  }
+  void update(std::uint64_t key, double priority) {
+    Slot& slot = by_key_.at(key);
+    order_.erase({slot, key});
+    slot.first = priority;
+    order_.emplace(slot, key);
+  }
+  void erase(std::uint64_t key) {
+    order_.erase({by_key_.at(key), key});
+    by_key_.erase(key);
+  }
+  std::pair<std::uint64_t, double> top() const {
+    const auto& [slot, key] = *order_.begin();
+    return {key, slot.first};
+  }
+  double priority_of(std::uint64_t key) const { return by_key_.at(key).first; }
+
+ private:
+  using Slot = std::pair<double, std::uint64_t>;  // (priority, insertion)
+  std::map<std::uint64_t, Slot> by_key_;
+  std::set<std::pair<Slot, std::uint64_t>> order_;
+  std::uint64_t next_ = 0;
+};
+
+struct DifferentialRun {
+  std::uint64_t seed = 1;
+  int steps = 20000;
+  bool dense = true;
+};
+
+// Few distinct priorities, so equal priorities (the sequence tie-break) are
+// common; updates move an entry up, down or not at all.
+double draw_priority(util::Rng& rng) {
+  return static_cast<double>(rng.below(16));
+}
+
+// Drives `h` and the reference through one random mix of push, update,
+// erase and pop, comparing every observable result.
+void run_differential(Heap& h, const DifferentialRun& run) {
+  constexpr std::uint64_t kUniverse = 512;
+  util::Rng rng(run.seed);
+  ReferenceHeap ref;
+  std::vector<std::uint64_t> live;
+  // Map mode draws keys across the whole 64-bit range (re-used after an
+  // erase or pop); dense mode draws them from the reserved universe.
+  std::vector<std::uint64_t> key_pool;
+  for (std::uint64_t i = 0; i < kUniverse; ++i) {
+    key_pool.push_back(run.dense ? i
+                                 : rng.next_u64() | (std::uint64_t{1} << 63));
+  }
+  const auto remove_live = [&](std::uint64_t key) {
+    const auto it = std::find(live.begin(), live.end(), key);
+    ASSERT_NE(it, live.end());
+    *it = live.back();
+    live.pop_back();
+  };
+
+  for (int step = 0; step < run.steps; ++step) {
+    const double dice = rng.uniform();
+    if (live.empty() || dice < 0.4) {
+      const std::uint64_t key = key_pool[rng.below(key_pool.size())];
+      const double priority = draw_priority(rng);
+      if (ref.contains(key)) {
+        EXPECT_THROW(h.push(key, priority), std::logic_error);
+        continue;
+      }
+      h.push(key, priority);
+      ref.push(key, priority);
+      live.push_back(key);
+    } else if (dice < 0.7) {
+      const std::uint64_t key = live[rng.below(live.size())];
+      const double old = ref.priority_of(key);
+      const double third = rng.uniform();
+      const double priority = third < 0.25   ? old
+                              : third < 0.5  ? old + 1.0 + draw_priority(rng)
+                              : third < 0.75 ? old - 1.0 - draw_priority(rng)
+                                             : draw_priority(rng);
+      h.update(key, priority);
+      ref.update(key, priority);
+    } else if (dice < 0.85) {
+      const std::uint64_t key = live[rng.below(live.size())];
+      h.erase(key);
+      ref.erase(key);
+      remove_live(key);
+    } else {
+      const auto [key, priority] = ref.top();
+      const auto entry = h.pop();
+      ASSERT_EQ(entry.key, key) << "step " << step;
+      ASSERT_EQ(entry.priority, priority) << "step " << step;
+      ref.erase(key);
+      remove_live(key);
+    }
+    ASSERT_EQ(h.size(), ref.size());
+    if (!live.empty()) {
+      ASSERT_EQ(h.top().key, ref.top().first) << "step " << step;
+    }
+    if (step % 257 == 0) {
+      ASSERT_TRUE(h.check_invariants()) << "step " << step;
+    }
+  }
+  ASSERT_TRUE(h.check_invariants());
+  while (ref.size() > 0) {
+    ASSERT_EQ(h.pop().key, ref.top().first);
+    ref.erase(ref.top().first);
+  }
+  EXPECT_TRUE(h.empty());
+}
+
+Heap make_heap(bool dense) {
+  Heap h;
+  if (dense) h.reserve_dense_keys(512);
+  return h;
+}
+
+TEST(IndexedHeapDifferential, DenseModeMatchesReference) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Heap h = make_heap(true);
+    run_differential(h, {seed, 20000, true});
+  }
+}
+
+TEST(IndexedHeapDifferential, MapModeWith64BitKeysMatchesReference) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Heap h = make_heap(false);
+    run_differential(h, {seed, 20000, false});
+  }
+}
+
+constexpr std::uint64_t kSequenceWrap = std::uint64_t{1} << 32;
+
+TEST(IndexedHeapDifferential, CrossesSequenceRenumbering) {
+  for (const bool dense : {true, false}) {
+    Heap h = make_heap(dense);
+    h.set_next_sequence(kSequenceWrap - 8);
+    run_differential(h, {11, 5000, dense});
+    EXPECT_LT(h.next_sequence(), kSequenceWrap);
+  }
+}
+
+TEST(IndexedHeapDifferential, RenumberingKeepsFifoTies) {
+  // Sixteen equal priorities: eight pushed with the last eight 32-bit
+  // sequences, eight after the renumbering. Pops must stay FIFO.
+  for (const bool dense : {true, false}) {
+    Heap h = make_heap(dense);
+    h.set_next_sequence(kSequenceWrap - 8);
+    for (std::uint64_t k = 0; k < 16; ++k) h.push(k, 1.0);
+    ASSERT_TRUE(h.check_invariants());
+    EXPECT_EQ(h.next_sequence(), 16u);
+    for (std::uint64_t k = 0; k < 16; ++k) EXPECT_EQ(h.pop().key, k);
+  }
+}
+
+std::vector<std::uint8_t> saved(const Heap& h) {
+  util::StateWriter w;
+  save_heap(w, h);
+  return w.take();
+}
+
+Heap restored(const std::vector<std::uint8_t>& bytes, bool dense) {
+  Heap h = make_heap(dense);
+  util::StateReader r(bytes.data(), bytes.size(), "heap");
+  restore_heap(r, h);
+  r.expect_end();
+  return h;
+}
+
+TEST(IndexedHeapDifferential, SaveRestoreRoundTripAcrossRenumbering) {
+  for (const bool dense : {true, false}) {
+    util::Rng rng(21);
+    Heap a = make_heap(dense);
+    a.set_next_sequence(kSequenceWrap - 8);
+    for (std::uint64_t k = 0; k < 6; ++k) a.push(k * 7, draw_priority(rng));
+    a.update(7, 100.0);
+
+    // A restored copy rebuilds the very same array, so it saves the same
+    // bytes; both then cross the renumbering in step.
+    const std::vector<std::uint8_t> before = saved(a);
+    Heap b = restored(before, dense);
+    ASSERT_TRUE(b.check_invariants());
+    EXPECT_EQ(saved(b), before);
+    for (std::uint64_t k = 100; k < 140; ++k) {
+      const double priority = draw_priority(rng);
+      a.push(k, priority);
+      b.push(k, priority);
+    }
+    ASSERT_TRUE(a.check_invariants());
+    EXPECT_LT(a.next_sequence(), kSequenceWrap);
+
+    // The renumbered heap round-trips too, and pops in the same order.
+    const std::vector<std::uint8_t> after = saved(a);
+    EXPECT_EQ(saved(b), after);
+    Heap c = restored(after, dense);
+    EXPECT_EQ(saved(c), after);
+    while (!a.empty()) {
+      const auto want = a.pop();
+      EXPECT_EQ(b.pop().key, want.key);
+      EXPECT_EQ(c.pop().key, want.key);
+    }
+    EXPECT_TRUE(b.empty());
+    EXPECT_TRUE(c.empty());
+  }
+}
+
+TEST(IndexedHeapDifferential, RestoresSequencesBeyond32Bits) {
+  // A heap saved with 64-bit sequences (a stream past 2^32 insertions):
+  // restore renumbers them in order, so the pop order is unchanged.
+  const std::vector<std::pair<double, std::uint64_t>> saved_entries = {
+      {1.0, kSequenceWrap + 5}, {1.0, 3}, {2.0, kSequenceWrap * 3},
+      {1.0, kSequenceWrap}, {0.5, kSequenceWrap + 9}};
+  util::StateWriter w;
+  w.put_u64(saved_entries.size());
+  for (std::size_t i = 0; i < saved_entries.size(); ++i) {
+    w.put_u64(i);
+    w.put_double(saved_entries[i].first);
+    w.put_u64(saved_entries[i].second);
+  }
+  w.put_u64(kSequenceWrap * 3 + 1);
+  const std::vector<std::uint8_t> bytes = w.take();
+
+  for (const bool dense : {true, false}) {
+    Heap h = restored(bytes, dense);
+    ASSERT_TRUE(h.check_invariants());
+    EXPECT_EQ(h.next_sequence(), saved_entries.size());
+    h.push(9, 1.0);  // after every restored 1.0 entry
+    for (const std::uint64_t key : {4u, 1u, 3u, 0u, 9u, 2u}) {
+      EXPECT_EQ(h.pop().key, key);
+    }
+  }
+}
+
+TEST(IndexedHeap, DenseUniverseBound) {
+  Heap h;
+  EXPECT_THROW(h.reserve_dense_keys(std::numeric_limits<std::uint32_t>::max()),
+               std::invalid_argument);
+  h.reserve_dense_keys(4);
+  EXPECT_THROW(h.push(4, 1.0), std::logic_error);
+  EXPECT_TRUE(h.empty());
+  EXPECT_TRUE(h.check_invariants());
 }
 
 }  // namespace

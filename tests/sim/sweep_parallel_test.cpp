@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
+#include "sim/stack_sweep.hpp"
 #include "sim/sweep.hpp"
 #include "synth/generator.hpp"
+#include "trace/dense_trace.hpp"
 
 namespace webcache::sim {
 namespace {
@@ -43,6 +46,94 @@ TEST(SweepParallel, MatchesSerialBitForBit) {
       EXPECT_EQ(ra.overall.hit_bytes, rb.overall.hit_bytes);
       EXPECT_EQ(ra.evictions, rb.evictions);
       EXPECT_DOUBLE_EQ(ra.miss_latency_ms, rb.miss_latency_ms);
+    }
+  }
+}
+
+void expect_same_counters(const HitCounters& a, const HitCounters& b,
+                          const std::string& label) {
+  EXPECT_EQ(a.requests, b.requests) << label;
+  EXPECT_EQ(a.hits, b.hits) << label;
+  EXPECT_EQ(a.requested_bytes, b.requested_bytes) << label;
+  EXPECT_EQ(a.hit_bytes, b.hit_bytes) << label;
+}
+
+void expect_same_result(const SimResult& a, const SimResult& b,
+                        const std::string& label) {
+  EXPECT_EQ(a.policy_name, b.policy_name) << label;
+  EXPECT_EQ(a.capacity_bytes, b.capacity_bytes) << label;
+  expect_same_counters(a.overall, b.overall, label);
+  for (std::size_t c = 0; c < a.per_class.size(); ++c) {
+    expect_same_counters(a.per_class[c], b.per_class[c],
+                         label + " class " + std::to_string(c));
+  }
+  EXPECT_EQ(a.warmup_requests, b.warmup_requests) << label;
+  EXPECT_EQ(a.measured_requests, b.measured_requests) << label;
+  EXPECT_EQ(a.evictions, b.evictions) << label;
+  EXPECT_EQ(a.bypasses, b.bypasses) << label;
+  EXPECT_EQ(a.miss_latency_ms, b.miss_latency_ms) << label;
+  EXPECT_EQ(a.all_miss_latency_ms, b.all_miss_latency_ms) << label;
+  EXPECT_EQ(a.modification_misses, b.modification_misses) << label;
+  EXPECT_EQ(a.interrupted_transfers, b.interrupted_transfers) << label;
+}
+
+TEST(SweepParallel, DenseStackPassInPoolMatchesSerialGrid) {
+  // Two LRU columns beside the heap policies. The small rows sit below the
+  // largest transfer, so their LRU cells stay on the per-cell grid, while
+  // the large rows come from the in-pool StackSweep task.
+  const trace::DenseTrace t = trace::densify(small_trace());
+  SweepConfig config = grid_config();
+  config.cache_fractions = {0.01, 0.04, 0.2, 0.4};
+  config.policies.push_back(cache::policy_spec_from_name("LRU"));
+
+  const std::uint64_t largest = StackSweep::max_transfer_size(t.trace);
+  std::size_t stack_rows = 0;
+  for (const double fraction : config.cache_fractions) {
+    if (static_cast<double>(t.overall_size_bytes()) * fraction >=
+        static_cast<double>(largest)) {
+      ++stack_rows;
+    }
+  }
+  ASSERT_EQ(stack_rows, 2u);
+
+  SweepConfig serial = config;
+  serial.threads = 1;
+  serial.one_pass = OnePassMode::kOff;
+  const SweepResult baseline = run_sweep(t, serial);
+
+  // The comparison must cover every counter the stack pass reproduces.
+  std::uint64_t modification_misses = 0;
+  std::uint64_t interrupted = 0;
+  std::uint64_t bypasses = 0;
+  for (const SweepPoint& point : baseline.points) {
+    for (const SimResult& r : point.results) {
+      modification_misses += r.modification_misses;
+      interrupted += r.interrupted_transfers;
+      bypasses += r.bypasses;
+    }
+  }
+  EXPECT_GT(modification_misses, 0u);
+  EXPECT_GT(interrupted, 0u);
+  EXPECT_GT(bypasses, 0u);
+
+  for (const std::uint32_t threads : {1u, 2u, 4u}) {
+    for (const OnePassMode mode : {OnePassMode::kAuto, OnePassMode::kOff}) {
+      SweepConfig run = config;
+      run.threads = threads;
+      run.one_pass = mode;
+      const SweepResult sweep = run_sweep(t, run);
+      ASSERT_EQ(sweep.points.size(), baseline.points.size());
+      for (std::size_t f = 0; f < sweep.points.size(); ++f) {
+        ASSERT_EQ(sweep.points[f].results.size(),
+                  baseline.points[f].results.size());
+        for (std::size_t p = 0; p < sweep.points[f].results.size(); ++p) {
+          expect_same_result(
+              sweep.points[f].results[p], baseline.points[f].results[p],
+              "threads " + std::to_string(threads) + " one-pass " +
+                  (mode == OnePassMode::kAuto ? "auto" : "off") + " row " +
+                  std::to_string(f) + " column " + std::to_string(p));
+        }
+      }
     }
   }
 }
