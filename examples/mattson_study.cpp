@@ -58,8 +58,9 @@ int main(int argc, char** argv) {
                    capacities.end());
   sim::SimulatorOptions options;
   options.warmup_fraction = 0.0;
+  const trace::DenseTrace dense = trace::densify(t);
   const std::vector<sim::SimResult> predicted =
-      sim::StackSweep(capacities, options).run(t);
+      sim::StackSweep(capacities, options).run(dense);
 
   util::Table table("Predicted (one pass) vs simulated byte-LRU hit rate");
   table.set_header({"Cache size", "Predicted HR", "Simulated HR",
@@ -68,7 +69,7 @@ int main(int argc, char** argv) {
   bool exact = true;
   for (std::size_t i = 0; i < capacities.size(); ++i) {
     const sim::SimResult simulated =
-        sim::simulate(t, capacities[i], lru, options);
+        sim::simulate(dense, capacities[i], lru, options);
     exact = exact && simulated.overall.hits == predicted[i].overall.hits &&
             simulated.overall.hit_bytes == predicted[i].overall.hit_bytes;
     table.add_row({util::fmt_bytes(static_cast<double>(capacities[i])),

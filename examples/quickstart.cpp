@@ -1,13 +1,11 @@
 // Quickstart: the 60-second tour of the library's public API.
 //
-//  1. Use ProxyCache — the online, URL-keyed cache a proxy would embed.
-//  2. Generate a synthetic workload calibrated to the paper's DFN trace.
-//  3. Run the trace-driven simulator and compare two replacement schemes.
+//  1. Generate a synthetic workload calibrated to the paper's DFN trace.
+//  2. Run the trace-driven simulator and compare two replacement schemes.
 //
 // Build & run:  ./examples/quickstart
 #include <iostream>
 
-#include "proxy/proxy_cache.hpp"
 #include "sim/simulator.hpp"
 #include "synth/generator.hpp"
 #include "util/format.hpp"
@@ -15,33 +13,7 @@
 int main() {
   using namespace webcache;
 
-  // ---- 1. An online cache with the paper's best backbone policy. --------
-  proxy::ProxyCacheConfig config;
-  config.capacity_bytes = 64 * 1024;  // toy capacity so evictions happen
-  config.policy = "GD*(packet)";
-  proxy::ProxyCache cache(config);
-
-  const char* urls[] = {
-      "http://example.com/index.html", "http://example.com/logo.gif",
-      "http://example.com/talk.mp3", "http://example.com/paper.pdf",
-  };
-  const std::uint64_t sizes[] = {6 * 1024, 3 * 1024, 48 * 1024, 20 * 1024};
-
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 4; ++i) {
-      if (cache.lookup(urls[i]) == proxy::Disposition::kMiss) {
-        // A real proxy would fetch from the origin here.
-        cache.store(urls[i], sizes[i]);
-      }
-    }
-  }
-  std::cout << "ProxyCache [" << cache.policy_name() << "] after 3 rounds: "
-            << cache.stats().overall.hits << " hits / "
-            << cache.stats().overall.requests << " requests, "
-            << util::fmt_bytes(static_cast<double>(cache.used_bytes()))
-            << " resident\n\n";
-
-  // ---- 2. A synthetic DFN-like trace (0.2% of the paper's size). --------
+  // ---- 1. A synthetic DFN-like trace (0.2% of the paper's size). --------
   synth::GeneratorOptions gen;
   gen.seed = 42;
   const trace::Trace trace =
@@ -52,7 +24,7 @@ int main() {
             << util::fmt_bytes(static_cast<double>(trace.requested_bytes()))
             << " requested)\n\n";
 
-  // ---- 3. Simulate LRU vs GD*(1) at 4% of the trace's total bytes. ------
+  // ---- 2. Simulate LRU vs GD*(1) at 4% of the trace's total bytes. ------
   const std::uint64_t capacity = trace.overall_size_bytes() / 25;
   for (const char* policy : {"LRU", "GD*(1)"}) {
     const sim::SimResult r = sim::simulate(

@@ -77,13 +77,14 @@ int main(int argc, char** argv) {
   util::Table table("Policy comparison at " +
                     util::fmt_bytes(static_cast<double>(capacity_bytes)));
   table.set_header({"Policy", "Hit rate", "Byte hit rate", "Evictions"});
+  const trace::DenseTrace dense = trace::densify(t);
   for (const char* name :
        {"LRU", "LFU-DA", "GDS(1)", "GD*(1)", "GDS(packet)", "GD*(packet)"}) {
     sim::SimulatorOptions opts;
     // Small logs: skip warmup so the demo shows non-zero rates.
     opts.warmup_fraction = t.requests.size() < 1000 ? 0.0 : 0.10;
     const sim::SimResult r = sim::simulate(
-        t, capacity_bytes, cache::policy_spec_from_name(name), opts);
+        dense, capacity_bytes, cache::policy_spec_from_name(name), opts);
     table.add_row({r.policy_name, util::fmt_fixed(r.overall.hit_rate(), 4),
                    util::fmt_fixed(r.overall.byte_hit_rate(), 4),
                    util::fmt_count(r.evictions)});

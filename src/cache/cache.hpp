@@ -140,7 +140,7 @@ class Cache {
     return outcome;
   }
 
-  // ---- granular operations (used by the proxy facade) ----
+  // ---- granular operations (used by the hierarchy simulator) ----
 
   /// Advances the request clock and, when the object is resident, records a
   /// hit on it (reference count, access indices, policy). Returns whether

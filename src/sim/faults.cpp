@@ -241,25 +241,11 @@ FaultRun make_frontend_run(const cache::CacheFrontend& frontend,
 
 }  // namespace
 
-SimResult simulate(const trace::Trace& trace, cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options,
-                   const FaultSchedule& faults) {
-  return detail::replay_trace(trace, frontend, options, obs::NullSink{},
-                              make_frontend_run(frontend, faults));
-}
-
 SimResult simulate(const trace::DenseTrace& trace,
                    cache::CacheFrontend& frontend,
                    const SimulatorOptions& options,
                    const FaultSchedule& faults) {
   return detail::replay_trace(trace, frontend, options, obs::NullSink{},
-                              make_frontend_run(frontend, faults));
-}
-
-SimResult simulate(const trace::Trace& trace, cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options, const FaultSchedule& faults,
-                   obs::RecordingSink& sink) {
-  return detail::replay_trace(trace, frontend, options, sink,
                               make_frontend_run(frontend, faults));
 }
 

@@ -230,24 +230,15 @@ class FaultRun {
 // (CacheFrontend::crash_domain); while down, the domain's requests are
 // lost — a single box has no failover path. Root and probe events are
 // rejected at construction. With an empty schedule the result is
-// bit-identical to the plain simulate() overloads. Lost requests are
-// excluded from the latency model (nothing was fetched for them). A
-// PartitionedCache binds to these CacheFrontend& overloads directly; the
-// sparse `const trace::Trace&` forms are the independent reference the
-// dense ones are tested against.
-
-SimResult simulate(const trace::Trace& trace, cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options,
-                   const FaultSchedule& faults);
+// bit-identical to the plain simulate() overloads
+// (tests/sim/fault_equivalence_test.cpp). Lost requests are excluded from
+// the latency model (nothing was fetched for them). A PartitionedCache
+// binds to these CacheFrontend& overloads directly.
 
 SimResult simulate(const trace::DenseTrace& trace,
                    cache::CacheFrontend& frontend,
                    const SimulatorOptions& options,
                    const FaultSchedule& faults);
-
-SimResult simulate(const trace::Trace& trace, cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options, const FaultSchedule& faults,
-                   obs::RecordingSink& sink);
 
 SimResult simulate(const trace::DenseTrace& trace,
                    cache::CacheFrontend& frontend,

@@ -3,10 +3,10 @@
 //
 // The paper's document-modification rule needs the previously recorded
 // transfer size of every document, across the whole run (warm-up included).
-// Two interchangeable representations: a hash map for arbitrary ids and a
-// flat vector for densified traces. lookup() returns the stored previous
-// size (for the caller to inspect and overwrite), or nullptr on the
-// document's first appearance, which it records.
+// Both trackers are flat vectors indexed by dense id: one sized to a
+// densified trace's universe, one growing with a stream. lookup() returns
+// the stored previous size (for the caller to inspect and overwrite), or
+// nullptr on the document's first appearance, which it records.
 #pragma once
 
 #include <algorithm>
@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <limits>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -52,20 +51,6 @@ inline SizeChange classify_size_change(std::uint64_t previous,
   }
   return change;
 }
-
-class SparseLastSize {
- public:
-  explicit SparseLastSize(std::size_t expected) {
-    last_.reserve(expected / 2 + 16);
-  }
-  std::uint64_t* lookup(trace::DocumentId document, std::uint64_t size) {
-    const auto [it, inserted] = last_.try_emplace(document, size);
-    return inserted ? nullptr : &it->second;
-  }
-
- private:
-  std::unordered_map<trace::DocumentId, std::uint64_t> last_;
-};
 
 class DenseLastSize {
  public:

@@ -7,9 +7,10 @@
 // finish form, so a chunked stream drives exactly the same instructions as
 // a materialized for-loop — the streamed results are bit-identical by
 // construction, not by parallel maintenance of two loops (the
-// streaming-equivalence suite then checks the construction). Exactly two
-// loops step it: replay_trace() below for materialized traces, and
-// run_checkpointed (checkpoint.cpp) for streams.
+// streaming-equivalence suite then checks the construction, and the
+// textbook oracle in tests/support checks the results). Exactly two loops
+// step it: replay_trace() below for densified traces, and run_checkpointed
+// (checkpoint.cpp) for streams.
 //
 // The Faults parameter follows the sink pattern: the NoFaultReplay
 // instantiation compiles the fault-domain checks away entirely, so the
@@ -180,40 +181,26 @@ class ReplayCore {
   std::uint64_t index_ = 0;
 };
 
-/// The request sequence of a materialized trace, sparse or dense.
-inline const trace::Trace& raw_trace(const trace::Trace& trace) {
-  return trace;
-}
-inline const trace::Trace& raw_trace(const trace::DenseTrace& trace) {
-  return trace.trace;
-}
-
 /// The one materialized replay: every simulate() overload over a whole
-/// trace (plain, instrumented or fault-aware; sparse or dense ids) is one
-/// call to this. It validates the options, then picks the last-size tracker
-/// from the trace type: a DenseTrace reserves its document universe on the
-/// frontend and tracks sizes in a flat vector, a sparse Trace uses the hash
-/// map. A RecordingSink is bracketed by begin_run/end_run; a NullSink
-/// compiles to nothing. `faults` is a FaultRun for fault-aware runs.
-template <typename TraceT, typename Sink, typename Faults = NoFaultReplay>
-SimResult replay_trace(const TraceT& trace, cache::CacheFrontend& frontend,
+/// trace (plain, instrumented or fault-aware) is one call to this. It
+/// validates the options, reserves the trace's dense universe on the
+/// frontend and tracks last sizes in a flat vector. A RecordingSink is
+/// bracketed by begin_run/end_run; a NullSink compiles to nothing.
+/// `faults` is a FaultRun for fault-aware runs.
+template <typename Sink, typename Faults = NoFaultReplay>
+SimResult replay_trace(const trace::DenseTrace& trace,
+                       cache::CacheFrontend& frontend,
                        const SimulatorOptions& options, Sink&& sink,
                        Faults faults = {}) {
   using SinkT = std::remove_cvref_t<Sink>;
   validate_options(options);
-  const std::vector<trace::Request>& requests = raw_trace(trace).requests;
-  auto last_size = [&] {
-    if constexpr (std::is_same_v<TraceT, trace::DenseTrace>) {
-      frontend.reserve_dense_ids(trace.document_count());
-      return DenseLastSize(trace.document_count());
-    } else {
-      return SparseLastSize(requests.size());
-    }
-  }();
+  const std::vector<trace::Request>& requests = trace.trace.requests;
+  frontend.reserve_dense_ids(trace.document_count());
+  DenseLastSize last_size(trace.document_count());
   if constexpr (std::is_same_v<SinkT, obs::RecordingSink>) {
     sink.begin_run(frontend);
   }
-  ReplayCore<decltype(last_size), SinkT, Faults> core(
+  ReplayCore<DenseLastSize, SinkT, Faults> core(
       frontend, options, last_size, sink, requests.size(), &faults);
   for (const trace::Request& r : requests) core.step(r);
   if constexpr (std::is_same_v<SinkT, obs::RecordingSink>) sink.end_run();

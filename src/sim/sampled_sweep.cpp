@@ -10,6 +10,7 @@
 #include "sim/faults.hpp"  // detail::mix64
 #include "sim/last_size.hpp"
 #include "sim/stack_sweep.hpp"
+#include "trace/id_map.hpp"
 
 namespace webcache::sim {
 
@@ -97,11 +98,6 @@ SampledSweep::SampledSweep(SampledSweepConfig config)
   detail::validate_options(config_.simulator);
 }
 
-SampledCurve SampledSweep::run(const trace::Trace& trace) const {
-  trace::MemoryRequestStream stream(trace);
-  return run(stream);
-}
-
 SampledCurve SampledSweep::run(const trace::DenseTrace& trace) const {
   trace::MemoryRequestStream stream(trace.trace);
   return run(stream, &trace.original_ids);
@@ -124,19 +120,26 @@ SampledCurve SampledSweep::run(
                  config_.simulator.warmup_fraction));
 
   if (config_.sample_rate == 1.0 && config_.max_sampled_documents == 0) {
-    // Degenerate exact mode: materialize and delegate to the one-pass
+    // Degenerate exact mode: materialize the stream with its documents
+    // interned to dense ids as they are read, and delegate to the one-pass
     // engine; every point is the true value with zero error. (With an
     // adaptive cap the bounded-memory property is the whole point, so that
     // combination stays on the sampled engine below.)
-    trace::Trace trace;
-    trace.requests.reserve(
+    trace::IdMap ids;
+    trace::DenseTrace dense;
+    dense.trace.requests.reserve(
         static_cast<std::size_t>(stream.total_requests()));
     for (auto chunk = stream.next_chunk(); !chunk.empty();
          chunk = stream.next_chunk()) {
-      trace.requests.insert(trace.requests.end(), chunk.begin(), chunk.end());
+      for (trace::Request r : chunk) {
+        r.document = ids.intern(r.document);
+        dense.trace.requests.push_back(r);
+      }
     }
+    curve.sampled_documents = ids.size();
+    dense.original_ids = ids.release_keys();
     StackSweep exact(config_.capacities, config_.simulator);
-    curve.results = exact.run(trace);
+    curve.results = exact.run(dense);
     curve.points.reserve(k);
     for (std::size_t i = 0; i < k; ++i) {
       const SimResult& r = curve.results[i];
@@ -153,7 +156,6 @@ SampledCurve SampledSweep::run(
     curve.effective_rate = 1.0;
     curve.exact = true;
     curve.sampled_requests = curve.total_requests;
-    curve.sampled_documents = trace.distinct_documents();
     return curve;
   }
 

@@ -111,13 +111,11 @@ class SampledSweep {
   explicit SampledSweep(SampledSweepConfig config);
 
   /// One pass over the stream (consumed; reset() to reuse). At rate 1.0
-  /// the stream is materialized and delegated to StackSweep — exactness
-  /// requires the full recency order, so the bounded-memory property only
-  /// holds for rate < 1.
+  /// the stream is materialized with dense ids and delegated to
+  /// StackSweep — exactness requires the full recency order, so the
+  /// bounded-memory property only holds for rate < 1. A materialized
+  /// Trace goes through trace::MemoryRequestStream.
   SampledCurve run(trace::RequestStream& stream) const;
-
-  /// Convenience over a materialized trace.
-  SampledCurve run(const trace::Trace& trace) const;
 
   /// Over a densified trace: documents are sampled and tracked by their
   /// original ids, so the curve is bit-identical to run() on the source

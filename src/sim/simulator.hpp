@@ -81,53 +81,43 @@ inline std::uint64_t admission_limit_of(const cache::PolicySpec& policy) {
 
 }  // namespace detail
 
-/// Runs one policy at one cache size over the trace. LRU-Threshold specs
-/// additionally install their admission limit on the cache.
-SimResult simulate(const trace::Trace& trace, std::uint64_t capacity_bytes,
+/// Runs one policy at one cache size over a densified trace
+/// (trace::densify): the cache's object table, the policy's index
+/// structures and the last-size tracker are flat arrays indexed by dense
+/// id. LRU-Threshold specs additionally install their admission limit on
+/// the cache.
+SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
                    const cache::PolicySpec& policy,
                    const SimulatorOptions& options = {});
 
 /// Same, with a caller-constructed policy — the path for policies that need
 /// out-of-band state, e.g. the clairvoyant OPT bound built from the trace:
 ///
-///   simulate(trace, capacity,
-///            std::make_unique<cache::OptPolicy>(trace.requests), options);
+///   simulate(dense, capacity,
+///            std::make_unique<cache::OptPolicy>(dense.trace.requests),
+///            options);
 ///
 /// admission_limit_bytes > 0 installs Cache::set_admission_limit.
-SimResult simulate(const trace::Trace& trace, std::uint64_t capacity_bytes,
+SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
                    std::unique_ptr<cache::ReplacementPolicy> policy,
                    const SimulatorOptions& options = {},
                    std::uint64_t admission_limit_bytes = 0);
 
 /// The most general form: drives any CacheFrontend (a composite cache such
 /// as cache::PartitionedCache, or an adapted plain Cache) over the trace.
-/// The frontend arrives in whatever state the caller left it — pass a fresh
-/// one for a cold-start experiment.
-SimResult simulate(const trace::Trace& trace, cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options = {});
-
-/// Dense-id fast path: a trace run through trace::densify() carries the
-/// document-count bound, so the cache's object table, the policy's index
-/// structures, and the simulator's last-size tracker all become flat arrays
-/// instead of hash maps. Emits bit-identical SimResults to the sparse
-/// overloads (same hits, same evictions, same tie-breaking) — only faster.
-SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
-                   const cache::PolicySpec& policy,
-                   const SimulatorOptions& options = {});
-
-SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
-                   std::unique_ptr<cache::ReplacementPolicy> policy,
-                   const SimulatorOptions& options = {},
-                   std::uint64_t admission_limit_bytes = 0);
-
-/// Dense frontend path: the frontend (e.g. a cache::PartitionedCache)
-/// reserves the trace's dense universe — every underlying cache switches to
-/// flat arrays — and the last-size tracker becomes a flat vector. Pass an
-/// empty frontend (CacheFrontend::reserve_dense_ids throws
-/// std::logic_error on a non-empty sparse one). Bit-identical to the
-/// sparse frontend overload.
+/// The frontend reserves the trace's dense universe, so pass an empty one
+/// (CacheFrontend::reserve_dense_ids throws std::logic_error on a non-empty
+/// frontend holding sparse ids).
 SimResult simulate(const trace::DenseTrace& trace,
                    cache::CacheFrontend& frontend,
+                   const SimulatorOptions& options = {});
+
+/// A trace with arbitrary (e.g. URL-hash) document ids: densify, then the
+/// dense overload above. It stays because the benchmark harness
+/// (perfbench/wcbench.cpp), the examples and many tests replay a loaded or
+/// generated Trace directly; the results are the dense path's.
+SimResult simulate(const trace::Trace& trace, std::uint64_t capacity_bytes,
+                   const cache::PolicySpec& policy,
                    const SimulatorOptions& options = {});
 
 // ---- instrumented runs (obs layer) ----
@@ -137,15 +127,8 @@ SimResult simulate(const trace::DenseTrace& trace,
 // uninstrumented overloads — the sink only observes. The sink's series()
 // is valid after return; sinks are reusable (begin_run resets).
 
-SimResult simulate(const trace::Trace& trace, cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options, obs::RecordingSink& sink);
-
 SimResult simulate(const trace::DenseTrace& trace,
                    cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options, obs::RecordingSink& sink);
-
-SimResult simulate(const trace::Trace& trace, std::uint64_t capacity_bytes,
-                   const cache::PolicySpec& policy,
                    const SimulatorOptions& options, obs::RecordingSink& sink);
 
 SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,

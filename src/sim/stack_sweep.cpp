@@ -106,21 +106,6 @@ struct DocState {
   std::uint64_t last_size = 0;
 };
 
-class SparseDocTable {
- public:
-  explicit SparseDocTable(std::size_t expected) {
-    docs_.reserve(expected / 2 + 16);
-  }
-  DocState* get(trace::DocumentId document, bool& first_seen) {
-    const auto [it, inserted] = docs_.try_emplace(document);
-    first_seen = inserted;
-    return &it->second;
-  }
-
- private:
-  std::unordered_map<trace::DocumentId, DocState> docs_;
-};
-
 class DenseDocTable {
  public:
   explicit DenseDocTable(std::uint64_t universe)
@@ -139,11 +124,10 @@ class DenseDocTable {
   std::vector<DocState> docs_{};
 };
 
-template <typename DocTable>
-std::vector<SimResult> run_stack(const trace::Trace& trace,
+std::vector<SimResult> run_stack(const trace::DenseTrace& dense,
                                  const std::vector<std::uint64_t>& capacities,
-                                 const SimulatorOptions& options,
-                                 DocTable& docs) {
+                                 const SimulatorOptions& options) {
+  const trace::Trace& trace = dense.trace;
   const std::uint64_t total = trace.requests.size();
   if (total >= std::numeric_limits<Slot>::max() - 1) {
     throw std::invalid_argument(
@@ -174,6 +158,7 @@ std::vector<SimResult> run_stack(const trace::Trace& trace,
   }
 
   const Slot slots = static_cast<Slot>(total);
+  DenseDocTable docs(dense.document_count());
   Fenwick bytes(slots);
   Fenwick counts(slots);
 
@@ -297,14 +282,12 @@ StackSweep::StackSweep(std::vector<std::uint64_t> capacities,
   detail::validate_options(options_);
 }
 
-std::vector<SimResult> StackSweep::run(const trace::Trace& trace) const {
-  SparseDocTable docs(trace.requests.size());
-  return run_stack(trace, capacities_, options_, docs);
+std::vector<SimResult> StackSweep::run(const trace::DenseTrace& trace) const {
+  return run_stack(trace, capacities_, options_);
 }
 
-std::vector<SimResult> StackSweep::run(const trace::DenseTrace& trace) const {
-  DenseDocTable docs(trace.document_count());
-  return run_stack(trace.trace, capacities_, options_, docs);
+std::vector<SimResult> StackSweep::run(const trace::Trace& trace) const {
+  return run(trace::densify(trace));
 }
 
 std::uint64_t StackSweep::max_transfer_size(const trace::Trace& trace) {

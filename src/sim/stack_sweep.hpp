@@ -42,14 +42,17 @@ class StackSweep {
 
   /// One pass over the trace; SimResult i corresponds to capacities()[i]
   /// and equals simulate(trace, capacities()[i], LRU, options)
-  /// bit-for-bit. Throws std::invalid_argument when any capacity is
-  /// smaller than the trace's largest transfer size (see header comment)
-  /// or the trace exceeds 2^32 - 2 requests.
-  std::vector<SimResult> run(const trace::Trace& trace) const;
-
-  /// Dense-id fast path: the per-document last-access table becomes a flat
-  /// array indexed by dense id. Bit-identical to the sparse overload.
+  /// bit-for-bit. The per-document table is a flat array indexed by dense
+  /// id. Throws std::invalid_argument when any capacity is smaller than
+  /// the trace's largest transfer size (see header comment) or the trace
+  /// exceeds 2^32 - 2 requests.
   std::vector<SimResult> run(const trace::DenseTrace& trace) const;
+
+  /// A trace with arbitrary document ids: densify, then the dense
+  /// overload. It stays because the benchmark harness
+  /// (perfbench/wcbench.cpp) and the stack-sweep tests run a loaded or
+  /// generated Trace directly.
+  std::vector<SimResult> run(const trace::Trace& trace) const;
 
   const std::vector<std::uint64_t>& capacities() const { return capacities_; }
 

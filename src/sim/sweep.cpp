@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "cache/opt.hpp"
-#include "sim/replay_core.hpp"
 #include "sim/sampled_sweep.hpp"
 #include "sim/stack_sweep.hpp"
 #include "util/parallel.hpp"
@@ -13,8 +12,6 @@
 namespace webcache::sim {
 
 namespace {
-
-using detail::raw_trace;
 
 using CellRunner =
     std::function<SimResult(std::uint64_t capacity_bytes, std::size_t column)>;
@@ -117,9 +114,8 @@ struct OnePassPlan {
 // to what the grid would have computed; everything else stays on the grid.
 // The StackSweep is built here, so its option checks throw before any cell
 // runs.
-template <typename TraceT>
-OnePassPlan plan_one_pass(const TraceT& trace, const SweepConfig& config,
-                          SweepResult& sweep) {
+OnePassPlan plan_one_pass(const trace::DenseTrace& trace,
+                          const SweepConfig& config, SweepResult& sweep) {
   const std::size_t columns = config.policies.size();
   OnePassPlan plan{std::vector<char>(sweep.points.size() * columns, 0), {}};
   if (config.one_pass == OnePassMode::kOff) return plan;
@@ -128,7 +124,7 @@ OnePassPlan plan_one_pass(const TraceT& trace, const SweepConfig& config,
   if (lru_columns.empty()) return plan;
 
   const std::uint64_t largest =
-      StackSweep::max_transfer_size(raw_trace(trace));
+      StackSweep::max_transfer_size(trace.trace);
   std::vector<std::uint64_t> capacities;
   std::vector<std::size_t> rows;
   for (std::size_t f = 0; f < sweep.points.size(); ++f) {
@@ -165,8 +161,7 @@ bool sampling_engaged(const SweepConfig& config) {
 // the skip mask for fill_grid and records per-cell error estimates. The
 // sampled engine has no largest-transfer precondition, so every row's LRU
 // cell is covered — non-LRU columns stay on the exact grid.
-template <typename TraceT>
-std::vector<char> apply_sampling(const TraceT& trace,
+std::vector<char> apply_sampling(const trace::DenseTrace& trace,
                                  const SweepConfig& config,
                                  SweepResult& sweep) {
   const std::size_t columns = config.policies.size();
@@ -229,8 +224,10 @@ std::unique_ptr<cache::CacheFrontend> build_frontend(
   return frontend;
 }
 
-template <typename TraceT>
-SweepResult run_policy_sweep(const TraceT& trace, const SweepConfig& config) {
+}  // namespace
+
+SweepResult run_sweep(const trace::DenseTrace& trace,
+                      const SweepConfig& config) {
   validate_policies(config);
   const std::size_t columns = config.policies.size();
   SweepResult sweep = layout_grid(trace.overall_size_bytes(),
@@ -280,7 +277,7 @@ SweepResult run_policy_sweep(const TraceT& trace, const SweepConfig& config) {
                 // OPT's oracle is the future of this very trace.
                 return simulate(trace, capacity,
                                 std::make_unique<cache::OptPolicy>(
-                                    raw_trace(trace).requests),
+                                    trace.trace.requests),
                                 config.simulator);
               }
               return simulate(trace, capacity, spec, config.simulator);
@@ -289,15 +286,8 @@ SweepResult run_policy_sweep(const TraceT& trace, const SweepConfig& config) {
   return sweep;
 }
 
-}  // namespace
-
 SweepResult run_sweep(const trace::Trace& trace, const SweepConfig& config) {
-  return run_policy_sweep(trace, config);
-}
-
-SweepResult run_sweep(const trace::DenseTrace& trace,
-                      const SweepConfig& config) {
-  return run_policy_sweep(trace, config);
+  return run_sweep(trace::densify(trace), config);
 }
 
 SweepResult run_sweep(const trace::DenseTrace& trace,

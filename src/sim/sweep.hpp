@@ -101,12 +101,15 @@ struct SweepResult {
   std::uint64_t sample_seed = 0;
 };
 
-SweepResult run_sweep(const trace::Trace& trace, const SweepConfig& config);
-
-/// Dense-id fast path: every grid cell runs the array-backed simulate()
-/// overload. Bit-identical to the sparse overload and to any thread count.
+/// Every grid cell runs the dense simulate() overload. Bit-identical for
+/// any thread count.
 SweepResult run_sweep(const trace::DenseTrace& trace,
                       const SweepConfig& config);
+
+/// A trace with arbitrary document ids: densify, then the dense overload.
+/// It stays because the benchmark harness (perfbench/wcbench.cpp) and many
+/// tests sweep a loaded or generated Trace directly.
+SweepResult run_sweep(const trace::Trace& trace, const SweepConfig& config);
 
 /// Builds a cold composite cache for one grid cell. Called once per
 /// (fraction x variant) cell with that cell's capacity in bytes; the sweep
@@ -132,10 +135,10 @@ struct FrontendSweepConfig {
   FaultSchedule faults;
 };
 
-/// Dense-only: each cell's frontend reserves the trace's dense universe
+/// Each cell's frontend reserves the trace's dense universe
 /// (CacheFrontend::reserve_dense_ids) before replay. Bit-identical for any
-/// thread count, and cell for cell to the sparse single-frontend
-/// simulate(const Trace&, CacheFrontend&) on a fresh frontend.
+/// thread count, and cell for cell to simulate(trace, frontend) on a fresh
+/// frontend.
 SweepResult run_sweep(const trace::DenseTrace& trace,
                       const FrontendSweepConfig& config);
 

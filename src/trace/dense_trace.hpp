@@ -1,9 +1,9 @@
 // Dense document-id remapping.
 //
-// Real traces identify documents by 64-bit URL hashes, so every per-request
-// container in the simulator (object table, LRU index, heap slot index,
-// last-size map) has to be an unordered_map keyed by a sparse id. Replaying
-// a multi-million-request trace then pays a hash probe — and usually a
+// Real traces identify documents by 64-bit URL hashes. Keyed by those,
+// every per-request container in the simulator (object table, LRU index,
+// heap slot index, last-size map) would be an unordered_map, and replaying
+// a multi-million-request trace would pay a hash probe — and usually a
 // cache miss — per request per container.
 //
 // densify() makes one pass over a Trace and renumbers documents into the
@@ -14,9 +14,11 @@
 // request rather than a hash-node chase.
 // Every downstream structure can then be a flat array indexed by document
 // id. Remapping changes nothing observable: document identity is only ever
-// compared for equality, and policies break ties by insertion sequence, so
-// simulation results are bit-identical to the sparse-id path (covered by
-// tests/sim/dense_equivalence_test.cpp).
+// compared for equality, and policies break ties by insertion sequence.
+// The replay APIs in src/sim take a DenseTrace; their `const Trace&` forms
+// densify first. The textbook oracle, which keys a std::map by the
+// original ids, checks the results (tests/sim/oracle_test.cpp,
+// tests/sim/oracle_equivalence_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -30,7 +32,7 @@ namespace webcache::trace {
 /// range [0, document_count()), plus the table to translate back.
 struct DenseTrace {
   /// The remapped trace; safe to pass anywhere a Trace is accepted. The
-  /// dense simulate()/run_sweep() overloads additionally exploit the bound.
+  /// dense simulate()/run_sweep() overloads exploit the bound.
   Trace trace;
 
   /// original_ids[dense_id] = the DocumentId the source trace used.

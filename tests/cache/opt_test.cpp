@@ -113,8 +113,9 @@ TEST(Opt, WorksThroughSimulatorOverload) {
   }
   sim::SimulatorOptions opts;
   opts.warmup_fraction = 0.0;
+  const trace::DenseTrace dense = trace::densify(t);
   const sim::SimResult opt = sim::simulate(
-      t, 20000, std::make_unique<OptPolicy>(t.requests), opts);
+      dense, 20000, std::make_unique<OptPolicy>(dense.trace.requests), opts);
   EXPECT_EQ(opt.policy_name, "OPT");
   const sim::SimResult lru =
       sim::simulate(t, 20000, policy_spec_from_name("LRU"), opts);

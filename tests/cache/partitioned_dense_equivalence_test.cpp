@@ -1,7 +1,8 @@
 // The PartitionedCache dense-id fast path: reserving the dense universe
-// forwards to every per-class partition, results stay bit-identical to the
-// sparse path (simulate and sweep), and misuse — mixing dense and sparse
-// ids, reserving on a non-empty cache — is rejected loudly.
+// forwards to every per-class partition, every access answers as in the
+// hash-map mode, the frontend sweep equals single-frontend replays, and
+// misuse — mixing dense and sparse ids, reserving on a non-empty cache — is
+// rejected loudly.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,6 +14,8 @@
 #include "sim/simulator.hpp"
 #include "sim/sweep.hpp"
 #include "synth/generator.hpp"
+#include "support/access_diff.hpp"
+#include "support/result_eq.hpp"
 #include "synth/profile.hpp"
 #include "trace/dense_trace.hpp"
 
@@ -20,31 +23,6 @@ namespace webcache::cache {
 namespace {
 
 using trace::DocumentClass;
-
-void expect_identical_counters(const sim::HitCounters& a,
-                               const sim::HitCounters& b,
-                               const std::string& label) {
-  EXPECT_EQ(a.requests, b.requests) << label;
-  EXPECT_EQ(a.hits, b.hits) << label;
-  EXPECT_EQ(a.requested_bytes, b.requested_bytes) << label;
-  EXPECT_EQ(a.hit_bytes, b.hit_bytes) << label;
-}
-
-void expect_identical(const sim::SimResult& sparse, const sim::SimResult& dense,
-                      const std::string& label) {
-  EXPECT_EQ(sparse.policy_name, dense.policy_name) << label;
-  EXPECT_EQ(sparse.capacity_bytes, dense.capacity_bytes) << label;
-  expect_identical_counters(sparse.overall, dense.overall, label);
-  for (std::size_t c = 0; c < sparse.per_class.size(); ++c) {
-    expect_identical_counters(sparse.per_class[c], dense.per_class[c],
-                              label + " class " + std::to_string(c));
-  }
-  EXPECT_EQ(sparse.evictions, dense.evictions) << label;
-  EXPECT_EQ(sparse.bypasses, dense.bypasses) << label;
-  EXPECT_EQ(sparse.modification_misses, dense.modification_misses) << label;
-  EXPECT_EQ(sparse.interrupted_transfers, dense.interrupted_transfers)
-      << label;
-}
 
 trace::Trace recorded_trace() {
   synth::GeneratorOptions gen;
@@ -69,9 +47,10 @@ std::array<double, trace::kDocumentClassCount> profile_weights() {
   return weights;
 }
 
+// The partitions in hash-map mode (the trace's own ids) and in flat-array
+// mode (reserved dense universe) answer every access identically.
 TEST(PartitionedDenseEquivalence, UniformSharesMatchSparsePath) {
   const trace::Trace sparse = recorded_trace();
-  const trace::DenseTrace dense = trace::densify(sparse);
   const std::uint64_t capacity = sparse.overall_size_bytes() / 25;
 
   for (const char* name : {"LRU", "LFU-DA", "GDS(1)", "GD*(packet)",
@@ -80,15 +59,14 @@ TEST(PartitionedDenseEquivalence, UniformSharesMatchSparsePath) {
         capacity, policy_spec_from_name(name), uniform_weights());
     PartitionedCache sparse_cache(config);
     PartitionedCache dense_cache(config);
-    const sim::SimResult a = sim::simulate(sparse, sparse_cache, {});
-    const sim::SimResult b = sim::simulate(dense, dense_cache, {});
-    expect_identical(a, b, std::string("uniform ") + name);
+    EXPECT_GT(support::expect_same_accesses(sparse, sparse_cache, dense_cache,
+                                            std::string("uniform ") + name),
+              0u);
   }
 }
 
 TEST(PartitionedDenseEquivalence, ProfileDerivedSharesMatchSparsePath) {
   const trace::Trace sparse = recorded_trace();
-  const trace::DenseTrace dense = trace::densify(sparse);
   const std::uint64_t capacity = sparse.overall_size_bytes() / 12;
 
   for (const char* name : {"GD*(1)", "GDSF(packet)"}) {
@@ -96,13 +74,14 @@ TEST(PartitionedDenseEquivalence, ProfileDerivedSharesMatchSparsePath) {
         capacity, policy_spec_from_name(name), profile_weights());
     PartitionedCache sparse_cache(config);
     PartitionedCache dense_cache(config);
-    const sim::SimResult a = sim::simulate(sparse, sparse_cache, {});
-    const sim::SimResult b = sim::simulate(dense, dense_cache, {});
-    expect_identical(a, b, std::string("profile ") + name);
+    EXPECT_GT(support::expect_same_accesses(sparse, sparse_cache, dense_cache,
+                                            std::string("profile ") + name),
+              0u);
   }
 }
 
-TEST(PartitionedDenseEquivalence, FrontendSweepMatchesSparsePath) {
+TEST(PartitionedDenseEquivalence,
+     FrontendSweepMatchesSingleFrontendSimulate) {
   const trace::Trace sparse = recorded_trace();
   const trace::DenseTrace dense = trace::densify(sparse);
 
@@ -118,8 +97,8 @@ TEST(PartitionedDenseEquivalence, FrontendSweepMatchesSparsePath) {
         });
   }
 
-  // Every dense sweep cell must equal the sparse single-frontend replay of
-  // a fresh frontend from the same factory at the cell's capacity.
+  // Every sweep cell must equal the single-frontend replay of a fresh
+  // frontend from the same factory at the cell's capacity.
   const sim::SweepResult sweep = sim::run_sweep(dense, config);
   EXPECT_EQ(sweep.overall_size_bytes, sparse.overall_size_bytes());
   ASSERT_EQ(sweep.points.size(), config.cache_fractions.size());
@@ -129,9 +108,9 @@ TEST(PartitionedDenseEquivalence, FrontendSweepMatchesSparsePath) {
     for (std::size_t p = 0; p < point.results.size(); ++p) {
       const std::unique_ptr<CacheFrontend> fresh =
           config.frontends[p](point.capacity_bytes);
-      expect_identical(sim::simulate(sparse, *fresh, config.simulator),
-                       point.results[p],
-                       "cell f" + std::to_string(f) + " p" + std::to_string(p));
+      sim::expect_same_result(
+          sim::simulate(dense, *fresh, config.simulator), point.results[p],
+          "cell f" + std::to_string(f) + " p" + std::to_string(p));
     }
   }
 }

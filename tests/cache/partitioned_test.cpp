@@ -120,7 +120,7 @@ TEST(Partitioned, RunsThroughSimulatorFrontend) {
   PartitionedCache cache(PartitionedCacheConfig::uniform_policy(
       t.overall_size_bytes() / 25, policy_spec_from_name("GD*(1)"), weights));
 
-  const sim::SimResult r = sim::simulate(t, cache, {});
+  const sim::SimResult r = sim::simulate(trace::densify(t), cache, {});
   EXPECT_GT(r.overall.hit_rate(), 0.1);
   EXPECT_NE(r.policy_name.find("Partitioned["), std::string::npos);
   // The multimedia partition exists but is tiny; metrics still consistent.
@@ -148,7 +148,8 @@ TEST(Partitioned, GuaranteedMultimediaBudgetRaisesItsByteHitRate) {
   weights[static_cast<std::size_t>(DocumentClass::kOther)] = 0.05;
   PartitionedCache partitioned(PartitionedCacheConfig::uniform_policy(
       capacity, policy_spec_from_name("GD*(1)"), weights));
-  const sim::SimResult split = sim::simulate(t, partitioned, {});
+  const sim::SimResult split =
+      sim::simulate(trace::densify(t), partitioned, {});
 
   EXPECT_GT(split.of(DocumentClass::kMultiMedia).byte_hit_rate(),
             unified.of(DocumentClass::kMultiMedia).byte_hit_rate());

@@ -12,6 +12,8 @@
 #include "cache/factory.hpp"
 #include "cache/opt.hpp"
 #include "sim/simulator.hpp"
+#include "support/access_diff.hpp"
+#include "support/result_eq.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
 #include "trace/dense_trace.hpp"
@@ -79,26 +81,12 @@ const std::vector<trace::DenseTrace>& fuzz_dense_traces() {
   return traces;
 }
 
-void expect_identical_results(const sim::SimResult& sparse,
-                              const sim::SimResult& dense,
-                              const std::string& label) {
-  EXPECT_EQ(sparse.policy_name, dense.policy_name) << label;
-  EXPECT_EQ(sparse.overall.requests, dense.overall.requests) << label;
-  EXPECT_EQ(sparse.overall.hits, dense.overall.hits) << label;
-  EXPECT_EQ(sparse.overall.requested_bytes, dense.overall.requested_bytes)
-      << label;
-  EXPECT_EQ(sparse.overall.hit_bytes, dense.overall.hit_bytes) << label;
-  for (std::size_t c = 0; c < sparse.per_class.size(); ++c) {
-    EXPECT_EQ(sparse.per_class[c].hits, dense.per_class[c].hits)
-        << label << " class " << c;
-    EXPECT_EQ(sparse.per_class[c].hit_bytes, dense.per_class[c].hit_bytes)
-        << label << " class " << c;
-  }
-  EXPECT_EQ(sparse.evictions, dense.evictions) << label;
-  EXPECT_EQ(sparse.bypasses, dense.bypasses) << label;
-  EXPECT_EQ(sparse.modification_misses, dense.modification_misses) << label;
-  EXPECT_EQ(sparse.interrupted_transfers, dense.interrupted_transfers)
-      << label;
+// A bare Cache for `spec`, with LRU-Threshold's admission limit installed
+// as the simulator installs it.
+Cache make_cache(const PolicySpec& spec, std::uint64_t capacity) {
+  Cache cache(capacity, make_policy(spec));
+  cache.set_admission_limit(sim::detail::admission_limit_of(spec));
+  return cache;
 }
 
 TEST_P(PolicyPropertyTest, RandomWorkloadKeepsInvariants) {
@@ -202,17 +190,21 @@ TEST_P(PolicyPropertyTest, HitRateGrowsWithCacheSize) {
 }
 
 TEST_P(PolicyPropertyTest, DenseReplayMatchesSparseOnFuzzedTraces) {
-  // Differential fuzzing of the dense-id representation: for every factory
-  // policy and every synthetic trace mix, the flat-array replay must be
-  // bit-identical to the hash-backed one.
-  const cache::PolicySpec spec = policy_spec_from_name(GetParam());
+  // Differential fuzzing of the cache's two index modes: for every factory
+  // policy and every synthetic trace mix, a Cache keyed by the raw 64-bit
+  // ids (hash-map mode) and one on the reserved dense universe must answer
+  // every access identically and evict equally often.
+  const PolicySpec spec = policy_spec_from_name(GetParam());
   for (std::size_t t = 0; t < fuzz_traces().size(); ++t) {
-    const trace::Trace& sparse = fuzz_traces()[t];
-    const trace::DenseTrace& dense = fuzz_dense_traces()[t];
-    const std::uint64_t capacity = sparse.overall_size_bytes() / 20;
-    expect_identical_results(sim::simulate(sparse, capacity, spec),
-                             sim::simulate(dense, capacity, spec),
-                             GetParam() + " trace " + std::to_string(t));
+    const trace::Trace& trace = fuzz_traces()[t];
+    const std::uint64_t capacity = trace.overall_size_bytes() / 20;
+    Cache sparse = make_cache(spec, capacity);
+    Cache dense = make_cache(spec, capacity);
+    const std::uint64_t evictions = support::expect_same_accesses(
+        trace, sparse, dense, GetParam() + " trace " + std::to_string(t));
+    EXPECT_EQ(sparse.eviction_count(), evictions);
+    EXPECT_EQ(dense.eviction_count(), evictions);
+    EXPECT_EQ(sparse.insertion_count(), dense.insertion_count());
   }
 }
 
@@ -224,10 +216,10 @@ TEST(RandomSeedTest, SameSeedReproducesBitIdenticalResults) {
   for (std::size_t t = 0; t < fuzz_traces().size(); ++t) {
     const trace::Trace& sparse = fuzz_traces()[t];
     const std::uint64_t capacity = sparse.overall_size_bytes() / 20;
-    expect_identical_results(sim::simulate(sparse, capacity, spec),
-                             sim::simulate(sparse, capacity, spec),
-                             "RANDOM rerun trace " + std::to_string(t));
-    expect_identical_results(
+    sim::expect_same_result(sim::simulate(sparse, capacity, spec),
+                            sim::simulate(sparse, capacity, spec),
+                            "RANDOM rerun trace " + std::to_string(t));
+    sim::expect_same_result(
         sim::simulate(fuzz_dense_traces()[t], capacity, spec),
         sim::simulate(fuzz_dense_traces()[t], capacity, spec),
         "RANDOM dense rerun trace " + std::to_string(t));
@@ -258,20 +250,19 @@ TEST(RandomSeedTest, SeedIsNotPartOfTheDisplayName) {
 }
 
 TEST(PolicyPropertyOptTest, DenseReplayMatchesSparseForOpt) {
-  // OPT needs the whole request stream up front, so it goes through the
-  // explicit-policy simulate overload; the clairvoyant schedule must also be
-  // representation-independent. The dense OPT oracle is built from the
-  // renumbered stream so its lookahead keys match the replayed ids.
+  // OPT needs the whole request stream up front: each cache's clairvoyant
+  // schedule is built from the ids that cache sees, and the two index modes
+  // must still answer every access identically.
   for (std::size_t t = 0; t < fuzz_traces().size(); ++t) {
-    const trace::Trace& sparse = fuzz_traces()[t];
-    const trace::DenseTrace& dense = fuzz_dense_traces()[t];
-    const std::uint64_t capacity = sparse.overall_size_bytes() / 20;
-    expect_identical_results(
-        sim::simulate(sparse, capacity,
-                      std::make_unique<OptPolicy>(sparse.requests)),
-        sim::simulate(dense, capacity,
-                      std::make_unique<OptPolicy>(dense.trace.requests)),
-        "OPT trace " + std::to_string(t));
+    const trace::Trace& trace = fuzz_traces()[t];
+    const std::uint64_t capacity = trace.overall_size_bytes() / 20;
+    Cache sparse(capacity, std::make_unique<OptPolicy>(trace.requests));
+    Cache dense(capacity, std::make_unique<OptPolicy>(
+                              fuzz_dense_traces()[t].trace.requests));
+    const std::uint64_t evictions = support::expect_same_accesses(
+        trace, sparse, dense, "OPT trace " + std::to_string(t));
+    EXPECT_GT(evictions, 0u);
+    EXPECT_EQ(dense.eviction_count(), evictions);
   }
 }
 

@@ -10,8 +10,8 @@
 // field-level diff naming the policy and the counter — long before it would
 // show up as a fraction-of-a-percent drift in the paper figures.
 //
-// The dense-id path replays the same cells and must match the golden file
-// too, so the fast path cannot silently diverge from the reference.
+// simulate(const Trace&) densifies first; the dense overload, called
+// directly, must match the golden file too.
 //
 // To regenerate after an *intended* behaviour change:
 //   WEBCACHE_UPDATE_GOLDEN=1 ./webcache_tests --gtest_filter='GoldenTrace.*'
@@ -226,8 +226,8 @@ TEST_F(GoldenTrace, PaperPoliciesMatchGoldenCounters) {
 }
 
 TEST_F(GoldenTrace, DensePathMatchesGoldenCounters) {
-  // The dense-id fast path must reproduce the same golden counters — not
-  // just agree with today's sparse path.
+  // The dense overload, called directly on a densified trace, must
+  // reproduce the same golden counters.
   std::ifstream in(data_path("golden_dfn_expected.tsv"));
   if (!in) GTEST_SKIP() << "golden file not generated yet";
   const std::vector<GoldenRow> expected = read_rows(in);

@@ -271,10 +271,11 @@ TEST_F(PaperClaimsTest, Figure1AdaptabilityShapes) {
   const std::uint64_t window = figure_trace.total_requests() / 8;
   obs::RecordingSink constant(window);
   obs::RecordingSink packet(window);
-  sim::simulate(figure_trace, capacity, cache::policy_spec_from_name("GD*(1)"),
-                {}, constant);
-  sim::simulate(figure_trace, capacity,
-                cache::policy_spec_from_name("GD*(packet)"), {}, packet);
+  const trace::DenseTrace dense = trace::densify(figure_trace);
+  sim::simulate(dense, capacity, cache::policy_spec_from_name("GD*(1)"), {},
+                constant);
+  sim::simulate(dense, capacity, cache::policy_spec_from_name("GD*(packet)"),
+                {}, packet);
 
   const std::vector<obs::WindowSample>& windows1 = constant.series().windows;
   const std::vector<obs::WindowSample>& windows2 = packet.series().windows;

@@ -34,12 +34,12 @@ namespace {
 
 constexpr std::uint64_t kWindow = 1000;
 
-trace::Trace recorded_trace() {
+trace::DenseTrace recorded_trace() {
   synth::TraceGenerator generator(synth::WorkloadProfile::DFN().scaled(0.002));
-  return generator.generate();
+  return trace::densify(generator.generate());
 }
 
-std::uint64_t capacity_of(const trace::Trace& t) {
+std::uint64_t capacity_of(const trace::DenseTrace& t) {
   return t.overall_size_bytes() / 25;  // 4%: eviction-heavy
 }
 
@@ -70,14 +70,14 @@ TEST(RecordingSink, RejectsZeroLengthWindows) {
 }
 
 TEST(RecordingSink, WindowsPartitionTheRequestStream) {
-  const trace::Trace t = recorded_trace();
+  const trace::DenseTrace t = recorded_trace();
   RecordingSink sink(kWindow);
   sim::simulate(t, capacity_of(t), cache::policy_spec_from_name("GD*(1)"),
                 {}, sink);
 
   const MetricsSeries& series = sink.series();
   EXPECT_EQ(series.window_requests, kWindow);
-  EXPECT_EQ(series.total_requests, t.total_requests());
+  EXPECT_EQ(series.total_requests, t.trace.total_requests());
   ASSERT_FALSE(series.windows.empty());
 
   std::uint64_t expected_first = 1;
@@ -91,30 +91,24 @@ TEST(RecordingSink, WindowsPartitionTheRequestStream) {
     }
     expected_first = w.last_request + 1;
   }
-  EXPECT_EQ(series.windows.back().last_request, t.total_requests());
+  EXPECT_EQ(series.windows.back().last_request, t.trace.total_requests());
 }
 
 TEST(RecordingSink, SeriesSumsBackToAggregateExactly) {
-  const trace::Trace t = recorded_trace();
-  const trace::DenseTrace dense = trace::densify(t);
+  const trace::DenseTrace t = recorded_trace();
   // LRU-THOLD exercises the bypass counters, GD*(packet) the modification
   // and eviction paths under the byte-oriented cost model.
   for (const std::string name :
        {"LRU", "GD*(1)", "GD*(packet)", "LRU-THOLD(300000)", "LFU-DA"}) {
     const cache::PolicySpec spec = cache::policy_spec_from_name(name);
     RecordingSink sink(kWindow);
-    const sim::SimResult sparse =
-        sim::simulate(t, capacity_of(t), spec, {}, sink);
-    expect_sums_back(sink.series(), sparse, name + " sparse");
-
-    const sim::SimResult densed =
-        sim::simulate(dense, capacity_of(t), spec, {}, sink);
-    expect_sums_back(sink.series(), densed, name + " dense");
+    const sim::SimResult r = sim::simulate(t, capacity_of(t), spec, {}, sink);
+    expect_sums_back(sink.series(), r, name);
   }
 }
 
 TEST(RecordingSink, PerClassCountersSumToOverallPerWindow) {
-  const trace::Trace t = recorded_trace();
+  const trace::DenseTrace t = recorded_trace();
   RecordingSink sink(kWindow);
   sim::simulate(t, capacity_of(t),
                 cache::policy_spec_from_name("GDS(packet)"), {}, sink);
@@ -132,7 +126,7 @@ TEST(RecordingSink, PerClassCountersSumToOverallPerWindow) {
 }
 
 TEST(RecordingSink, PolicyStateTracesMatchThePolicy) {
-  const trace::Trace t = recorded_trace();
+  const trace::DenseTrace t = recorded_trace();
 
   // GD* exposes the full probe: heap, inflation L, online beta.
   RecordingSink gdstar(kWindow);
@@ -167,7 +161,7 @@ TEST(RecordingSink, PolicyStateTracesMatchThePolicy) {
 }
 
 TEST(RecordingSink, ReusableAcrossRuns) {
-  const trace::Trace t = recorded_trace();
+  const trace::DenseTrace t = recorded_trace();
   const cache::PolicySpec spec = cache::policy_spec_from_name("GDSF(1)");
 
   RecordingSink sink(kWindow);
@@ -179,18 +173,18 @@ TEST(RecordingSink, ReusableAcrossRuns) {
       sim::simulate(t, capacity_of(t), spec, {}, sink);
   EXPECT_EQ(sink.series().windows.size(), first_windows)
       << "begin_run must reset the series";
-  EXPECT_EQ(sink.series().total_requests, t.total_requests());
+  EXPECT_EQ(sink.series().total_requests, t.trace.total_requests());
   EXPECT_EQ(first.overall.hits, second.overall.hits);
   expect_sums_back(sink.series(), second, "second run");
 }
 
 TEST(RecordingSink, HierarchySinkObservesTheOfferedStream) {
-  const trace::DenseTrace t = trace::densify(recorded_trace());
+  const trace::DenseTrace t = recorded_trace();
   sim::HierarchyConfig config;
   config.edge_count = 4;
   config.edge_policy = cache::policy_spec_from_name("LRU");
   config.root_policy = cache::policy_spec_from_name("GD*(packet)");
-  config.root_capacity_bytes = capacity_of(t.trace);
+  config.root_capacity_bytes = capacity_of(t);
   config.edge_capacity_bytes = config.root_capacity_bytes / 4;
 
   RecordingSink sink(kWindow);
@@ -210,7 +204,7 @@ TEST(RecordingSink, HierarchySinkObservesTheOfferedStream) {
 }
 
 TEST(RecordingSink, PartitionedFrontendAggregatesTheProbe) {
-  const trace::Trace t = recorded_trace();
+  const trace::DenseTrace t = recorded_trace();
   std::array<double, trace::kDocumentClassCount> weights{};
   weights.fill(1.0 / trace::kDocumentClassCount);
   const auto config = cache::PartitionedCacheConfig::uniform_policy(

@@ -24,6 +24,7 @@
 #include "sim/reporter.hpp"
 #include "sim/simulator.hpp"
 #include "sim/streaming.hpp"
+#include "support/result_eq.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
 #include "trace/request_stream.hpp"
@@ -32,41 +33,6 @@ namespace webcache::sim {
 namespace {
 
 namespace fs = std::filesystem;
-
-void expect_identical_counters(const HitCounters& a, const HitCounters& b,
-                               const std::string& label) {
-  EXPECT_EQ(a.requests, b.requests) << label;
-  EXPECT_EQ(a.hits, b.hits) << label;
-  EXPECT_EQ(a.requested_bytes, b.requested_bytes) << label;
-  EXPECT_EQ(a.hit_bytes, b.hit_bytes) << label;
-}
-
-void expect_identical(const SimResult& a, const SimResult& b,
-                      const std::string& label) {
-  EXPECT_EQ(a.policy_name, b.policy_name) << label;
-  EXPECT_EQ(a.capacity_bytes, b.capacity_bytes) << label;
-  expect_identical_counters(a.overall, b.overall, label);
-  for (std::size_t c = 0; c < a.per_class.size(); ++c) {
-    expect_identical_counters(a.per_class[c], b.per_class[c],
-                              label + " class " + std::to_string(c));
-  }
-  EXPECT_EQ(a.warmup_requests, b.warmup_requests) << label;
-  EXPECT_EQ(a.measured_requests, b.measured_requests) << label;
-  EXPECT_EQ(a.evictions, b.evictions) << label;
-  EXPECT_EQ(a.bypasses, b.bypasses) << label;
-  // Resume replays the same doubles in the same order, so exact equality is
-  // the correct expectation.
-  EXPECT_EQ(a.miss_latency_ms, b.miss_latency_ms) << label;
-  EXPECT_EQ(a.all_miss_latency_ms, b.all_miss_latency_ms) << label;
-  EXPECT_EQ(a.modification_misses, b.modification_misses) << label;
-  EXPECT_EQ(a.interrupted_transfers, b.interrupted_transfers) << label;
-  EXPECT_EQ(a.faults.events_applied, b.faults.events_applied) << label;
-  EXPECT_EQ(a.faults.failovers, b.faults.failovers) << label;
-  EXPECT_EQ(a.faults.lost_requests, b.faults.lost_requests) << label;
-  EXPECT_EQ(a.faults.lost_bytes, b.faults.lost_bytes) << label;
-  EXPECT_EQ(a.faults.probe_timeouts, b.faults.probe_timeouts) << label;
-  EXPECT_EQ(a.faults.origin_fetches, b.faults.origin_fetches) << label;
-}
 
 trace::Trace recorded_trace() {
   synth::TraceGenerator generator(synth::WorkloadProfile::DFN().scaled(0.002));
@@ -144,7 +110,7 @@ TEST(CheckpointRoundTrip, AllFactoryPoliciesSplitRunMatchesUninterrupted) {
         simulate_stream_checkpointed(s2, capacity, spec, job);
     EXPECT_EQ(done.resumed_from, half) << name;
     EXPECT_TRUE(checkpoint_resume_diagnostics().empty()) << name;
-    expect_identical(baseline, done.result, name);
+    expect_same_result(baseline, done.result, name);
     fs::remove_all(dir);
   }
 }
@@ -195,7 +161,7 @@ TEST(CheckpointRoundTrip, InstrumentedThreeSegmentRun) {
         EXPECT_TRUE(run.stopped_early) << name;
       }
     }
-    expect_identical(baseline, final_result, name + " three segments");
+    expect_same_result(baseline, final_result, name + " three segments");
     EXPECT_EQ(baseline_json.str(), final_json.str())
         << name << ": metrics series diverged across the splits";
     fs::remove_all(dir);
@@ -244,7 +210,7 @@ TEST(CheckpointRoundTrip, FaultScheduleCursorSurvivesTheSplit) {
   cache::SingleCacheFrontend f2 = make_frontend(spec, capacity);
   const CheckpointedRun done = simulate_stream_checkpointed(s2, f2, job);
   EXPECT_EQ(done.resumed_from, half);
-  expect_identical(baseline, done.result, "faulted split");
+  expect_same_result(baseline, done.result, "faulted split");
   fs::remove_all(dir);
 }
 
@@ -271,7 +237,7 @@ TEST(CheckpointRoundTrip, ResumeOnEmptyDirectoryIsAColdStart) {
   const CheckpointedRun run = simulate_stream_checkpointed(s1, f1, job);
   EXPECT_EQ(run.resumed_from, 0u);
   EXPECT_GT(run.checkpoints_written, 0u);
-  expect_identical(baseline, run.result, "cold start");
+  expect_same_result(baseline, run.result, "cold start");
   fs::remove_all(dir);
 }
 
@@ -292,7 +258,7 @@ TEST(CheckpointRoundTrip, NoCheckpointConfigReplaysPlain) {
   const CheckpointedRun run = simulate_stream_checkpointed(s1, f1, job);
   EXPECT_EQ(run.checkpoints_written, 0u);
   EXPECT_EQ(run.resumed_from, 0u);
-  expect_identical(baseline, run.result, "no checkpointing");
+  expect_same_result(baseline, run.result, "no checkpointing");
 }
 
 /// Every fingerprint disagreement between the checkpoint and the resuming
@@ -519,7 +485,7 @@ TEST(CheckpointRoundTrip, ResumeIgnoresTheSpareAndAStaleTempFile) {
       simulate_stream_checkpointed(stream, frontend, job);
   EXPECT_EQ(done.resumed_from, 3000u);
   EXPECT_TRUE(checkpoint_resume_diagnostics().empty());
-  expect_identical(baseline, done.result, "resume past spare and temp");
+  expect_same_result(baseline, done.result, "resume past spare and temp");
   fs::remove_all(dir);
 }
 

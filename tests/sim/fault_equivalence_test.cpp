@@ -1,8 +1,9 @@
 // Empty-FaultSchedule bit-identity: the fault-aware replay loops must be a
 // pure superset of the plain ones. With no events scheduled, every
-// fault-aware entry point — hierarchy and partitioned, sparse and dense,
-// instrumented or not — yields exactly the counters of its plain
-// counterpart, across the policy factory.
+// fault-aware entry point — hierarchy and partitioned, instrumented or
+// not — yields exactly the counters of its plain counterpart, across the
+// policy factory, and a single cache yields the textbook oracle's result
+// for the paper policies.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -16,6 +17,8 @@
 #include "sim/faults.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/simulator.hpp"
+#include "support/oracle.hpp"
+#include "support/result_eq.hpp"
 #include "synth/generator.hpp"
 #include "trace/dense_trace.hpp"
 
@@ -38,14 +41,6 @@ trace::Trace recorded_trace() {
       .generate();
 }
 
-void expect_identical_counters(const HitCounters& a, const HitCounters& b,
-                               const std::string& label) {
-  EXPECT_EQ(a.requests, b.requests) << label;
-  EXPECT_EQ(a.hits, b.hits) << label;
-  EXPECT_EQ(a.requested_bytes, b.requested_bytes) << label;
-  EXPECT_EQ(a.hit_bytes, b.hit_bytes) << label;
-}
-
 void expect_no_fault_stats(const FaultStats& f, const std::string& label) {
   EXPECT_EQ(f.events_applied, 0u) << label;
   EXPECT_EQ(f.failovers, 0u) << label;
@@ -57,35 +52,19 @@ void expect_no_fault_stats(const FaultStats& f, const std::string& label) {
 
 void expect_identical(const HierarchyResult& a, const HierarchyResult& b,
                       const std::string& label) {
-  expect_identical_counters(a.offered, b.offered, label + " offered");
-  expect_identical_counters(a.edge_hits, b.edge_hits, label + " edge");
-  expect_identical_counters(a.sibling_hits, b.sibling_hits,
-                            label + " sibling");
-  expect_identical_counters(a.root_hits, b.root_hits, label + " root");
+  expect_same_counters(a.offered, b.offered, label + " offered");
+  expect_same_counters(a.edge_hits, b.edge_hits, label + " edge");
+  expect_same_counters(a.sibling_hits, b.sibling_hits, label + " sibling");
+  expect_same_counters(a.root_hits, b.root_hits, label + " root");
   for (std::size_t c = 0; c < a.edge_per_class.size(); ++c) {
-    expect_identical_counters(a.edge_per_class[c], b.edge_per_class[c],
-                              label + " edge class " + std::to_string(c));
-    expect_identical_counters(a.root_per_class[c], b.root_per_class[c],
-                              label + " root class " + std::to_string(c));
+    expect_same_counters(a.edge_per_class[c], b.edge_per_class[c],
+                         label + " edge class " + std::to_string(c));
+    expect_same_counters(a.root_per_class[c], b.root_per_class[c],
+                         label + " root class " + std::to_string(c));
   }
   EXPECT_EQ(a.root_requests, b.root_requests) << label;
   EXPECT_EQ(a.edge_evictions, b.edge_evictions) << label;
   EXPECT_EQ(a.root_evictions, b.root_evictions) << label;
-}
-
-void expect_identical(const SimResult& a, const SimResult& b,
-                      const std::string& label) {
-  expect_identical_counters(a.overall, b.overall, label + " overall");
-  for (std::size_t c = 0; c < a.per_class.size(); ++c) {
-    expect_identical_counters(a.per_class[c], b.per_class[c],
-                              label + " class " + std::to_string(c));
-  }
-  EXPECT_EQ(a.evictions, b.evictions) << label;
-  EXPECT_EQ(a.bypasses, b.bypasses) << label;
-  EXPECT_EQ(a.modification_misses, b.modification_misses) << label;
-  EXPECT_EQ(a.interrupted_transfers, b.interrupted_transfers) << label;
-  EXPECT_DOUBLE_EQ(a.miss_latency_ms, b.miss_latency_ms) << label;
-  EXPECT_DOUBLE_EQ(a.all_miss_latency_ms, b.all_miss_latency_ms) << label;
 }
 
 TEST(FaultEquivalence, EmptyScheduleMatchesPlainHierarchy) {
@@ -110,29 +89,33 @@ TEST(FaultEquivalence, EmptyScheduleMatchesPlainHierarchy) {
 }
 
 TEST(FaultEquivalence, EmptyScheduleMatchesPlainPartitioned) {
-  const trace::Trace sparse = recorded_trace();
-  const trace::DenseTrace dense = trace::densify(sparse);
+  const trace::Trace trace = recorded_trace();
+  const trace::DenseTrace dense = trace::densify(trace);
+  const std::uint64_t capacity = trace.overall_size_bytes() / 25;
   const FaultSchedule empty;
   const SimulatorOptions options;
   std::array<double, trace::kDocumentClassCount> weights{};
   weights.fill(1.0);
 
   for (const std::string& name : factory_policies()) {
-    const auto config = cache::PartitionedCacheConfig::uniform_policy(
-        sparse.overall_size_bytes() / 25, cache::policy_spec_from_name(name),
-        weights);
+    const cache::PolicySpec spec = cache::policy_spec_from_name(name);
+    const auto config =
+        cache::PartitionedCacheConfig::uniform_policy(capacity, spec, weights);
 
     cache::PartitionedCache plain_cache(config);
-    const SimResult plain = simulate(sparse, plain_cache, options);
+    const SimResult plain = simulate(dense, plain_cache, options);
     cache::PartitionedCache fault_cache(config);
-    const SimResult faulted = simulate(sparse, fault_cache, options, empty);
-    expect_identical(plain, faulted, name + " sparse");
-    expect_no_fault_stats(faulted.faults, name + " sparse");
+    const SimResult faulted = simulate(dense, fault_cache, options, empty);
+    expect_same_result(plain, faulted, name + " partitioned");
+    expect_no_fault_stats(faulted.faults, name + " partitioned");
 
-    cache::PartitionedCache dense_cache(config);
-    const SimResult faulted_dense = simulate(dense, dense_cache, options, empty);
-    expect_identical(plain, faulted_dense, name + " dense");
-    expect_no_fault_stats(faulted_dense.faults, name + " dense");
+    // A single cache under the empty schedule is the paper's simulator.
+    if (oracle::supports(spec)) {
+      cache::SingleCacheFrontend single(capacity, cache::make_policy(spec));
+      expect_same_result(oracle::replay(trace, capacity, spec, options),
+                         simulate(dense, single, options, empty),
+                         name + " single cache vs oracle");
+    }
   }
 }
 

@@ -156,7 +156,7 @@ TEST(FaultProperty, RandomPartitionedSchedulesConserveRequests) {
             cache::policy_spec_from_name("LRU"), weights));
     obs::RecordingSink sink(1 + rng.below(2000));
     SimulatorOptions options;
-    const SimResult r = simulate(t, cache, options, s, sink);
+    const SimResult r = simulate(trace::densify(t), cache, options, s, sink);
 
     EXPECT_EQ(r.overall.requests, r.measured_requests) << label;
     EXPECT_LE(r.overall.hits + r.faults.lost_requests, r.overall.requests)

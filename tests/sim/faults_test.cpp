@@ -486,13 +486,14 @@ cache::PartitionedCache fresh_partitioned(const trace::Trace& t) {
 
 TEST(PartitionedFaults, DownPartitionLosesItsClassOnly) {
   const trace::Trace t = small_trace();
+  const trace::DenseTrace dense = trace::densify(t);
   SimulatorOptions options;
 
   FaultSchedule s = schedule_of(
       {{1, FaultKind::kEdgeCrash,
         static_cast<std::uint32_t>(trace::DocumentClass::kImage)}});
   cache::PartitionedCache cache = fresh_partitioned(t);
-  const SimResult r = simulate(t, cache, options, s);
+  const SimResult r = simulate(dense, cache, options, s);
 
   const HitCounters& images = r.of(trace::DocumentClass::kImage);
   EXPECT_GT(images.requests, 0u);
@@ -511,6 +512,7 @@ TEST(PartitionedFaults, DownPartitionLosesItsClassOnly) {
 
 TEST(PartitionedFaults, RecoveredPartitionServesAgain) {
   const trace::Trace t = small_trace();
+  const trace::DenseTrace dense = trace::densify(t);
   SimulatorOptions options;
   const std::uint32_t image =
       static_cast<std::uint32_t>(trace::DocumentClass::kImage);
@@ -518,7 +520,7 @@ TEST(PartitionedFaults, RecoveredPartitionServesAgain) {
   FaultSchedule s = schedule_of({{mid, FaultKind::kEdgeCrash, image},
                                  {mid + 200, FaultKind::kEdgeRecover, image}});
   cache::PartitionedCache cache = fresh_partitioned(t);
-  const SimResult r = simulate(t, cache, options, s);
+  const SimResult r = simulate(dense, cache, options, s);
 
   EXPECT_GT(r.faults.lost_requests, 0u);
   // After recovery the partition produces hits again, so it cannot have
@@ -530,12 +532,13 @@ TEST(PartitionedFaults, RecoveredPartitionServesAgain) {
 
 TEST(PartitionedFaults, RootAndProbeEventsRejected) {
   const trace::Trace t = small_trace();
+  const trace::DenseTrace dense = trace::densify(t);
   SimulatorOptions options;
   cache::PartitionedCache cache = fresh_partitioned(t);
-  EXPECT_THROW(simulate(t, cache, options,
+  EXPECT_THROW(simulate(dense, cache, options,
                         schedule_of({{10, FaultKind::kRootOutage, 0}})),
                std::invalid_argument);
-  EXPECT_THROW(simulate(t, cache, options,
+  EXPECT_THROW(simulate(dense, cache, options,
                         schedule_of({{10, FaultKind::kProbeDegrade, 0}})),
                std::invalid_argument);
 }
@@ -544,15 +547,16 @@ TEST(PartitionedFaults, LostRequestsExcludedFromLatency) {
   // Lost requests fetch nothing, so they must not contribute origin-fetch
   // latency: losing a partition can only lower the total incurred latency.
   const trace::Trace t = small_trace();
+  const trace::DenseTrace dense = trace::densify(t);
   SimulatorOptions options;
   cache::PartitionedCache plain_cache = fresh_partitioned(t);
-  const SimResult plain = simulate(t, plain_cache, options);
+  const SimResult plain = simulate(dense, plain_cache, options);
 
   FaultSchedule s = schedule_of(
       {{1, FaultKind::kEdgeCrash,
         static_cast<std::uint32_t>(trace::DocumentClass::kImage)}});
   cache::PartitionedCache faulted_cache = fresh_partitioned(t);
-  const SimResult faulted = simulate(t, faulted_cache, options, s);
+  const SimResult faulted = simulate(dense, faulted_cache, options, s);
   EXPECT_LT(faulted.miss_latency_ms, plain.miss_latency_ms);
   // The all-miss baseline shrinks by exactly the lost class too: a lost
   // request would not have been fetched even by a cacheless proxy.
@@ -561,6 +565,7 @@ TEST(PartitionedFaults, LostRequestsExcludedFromLatency) {
 
 TEST(PartitionedFaults, SinkSeriesConservesAndRollsUp) {
   const trace::Trace t = small_trace();
+  const trace::DenseTrace dense = trace::densify(t);
   SimulatorOptions options;
   const std::uint32_t image =
       static_cast<std::uint32_t>(trace::DocumentClass::kImage);
@@ -570,7 +575,7 @@ TEST(PartitionedFaults, SinkSeriesConservesAndRollsUp) {
 
   obs::RecordingSink sink(500);
   cache::PartitionedCache cache = fresh_partitioned(t);
-  const SimResult r = simulate(t, cache, options, s, sink);
+  const SimResult r = simulate(dense, cache, options, s, sink);
 
   const obs::WindowCounters totals = sink.series().totals();
   EXPECT_EQ(totals.requests, r.overall.requests);

@@ -287,9 +287,9 @@ TEST(Hierarchy, MeshWindowOccupancyPerClassSumsToTotals) {
 // A one-edge mesh without siblings shows the edge the client stream
 // exactly as simulate() shows its one cache; a zero-capacity edge holds
 // nothing, so every request reaches the root, again exactly as simulate()
-// sees it. Both levels must therefore reproduce the sparse single-cache
-// replay (an independent engine: hash-map ids, no mesh) counter for
-// counter, across policies, cache sizes and modification rules.
+// sees it. Both levels must therefore reproduce the single-cache replay
+// (a separate loop with no mesh) counter for counter, across policies,
+// cache sizes and modification rules.
 
 #ifndef WEBCACHE_TEST_DATA_DIR
 #error "WEBCACHE_TEST_DATA_DIR must point at tests/data"
@@ -334,7 +334,7 @@ HierarchyConfig one_edge(std::uint64_t edge_capacity,
 }
 
 // Runs fn(label, capacity, spec, options, single) for every reference cell,
-// where `single` is the sparse single-cache result at that capacity.
+// where `single` is the single-cache result at that capacity.
 template <typename Fn>
 void for_each_reference_cell(Fn&& fn) {
   const trace::Trace& t = golden_trace();

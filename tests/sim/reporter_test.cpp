@@ -57,7 +57,7 @@ TEST(Reporter, OccupancySeriesRendersClassColumns) {
   cache::PolicySpec spec;
   spec.kind = cache::PolicyKind::kGds;
   obs::RecordingSink sink(t.total_requests() / 8);
-  simulate(t, 1 << 20, spec, SimulatorOptions{}, sink);
+  simulate(trace::densify(t), 1 << 20, spec, SimulatorOptions{}, sink);
   std::ostringstream os;
   write_metrics_csv(os, sink.series());
   std::istringstream in(os.str());

@@ -34,6 +34,12 @@ const trace::Trace& reference_trace() {
   return t;
 }
 
+// The sampled engine reads a materialized trace as a stream.
+SampledCurve run_on(const SampledSweep& sweep, const trace::Trace& t) {
+  trace::MemoryRequestStream stream(t);
+  return sweep.run(stream);
+}
+
 std::vector<std::uint64_t> reference_ladder(const trace::Trace& t) {
   const std::uint64_t floor_bytes = StackSweep::max_transfer_size(t);
   std::vector<std::uint64_t> ladder;
@@ -50,9 +56,10 @@ TEST(SampledSweep, RateOneIsExactlyTheOnePassResult) {
   config.capacities = reference_ladder(t);
   config.sample_rate = 1.0;
 
-  const SampledCurve curve = SampledSweep(config).run(t);
+  const SampledCurve curve = run_on(SampledSweep(config), t);
   EXPECT_TRUE(curve.exact);
   EXPECT_EQ(curve.effective_rate, 1.0);
+  EXPECT_EQ(curve.sampled_documents, t.distinct_documents());
 
   const std::vector<SimResult> exact =
       StackSweep(config.capacities, config.simulator).run(t);
@@ -89,7 +96,7 @@ TEST(SampledSweep, ObservedErrorWithinReportedBound) {
          {config.hash_seed, std::uint64_t{1}, std::uint64_t{0xdecafbad}}) {
       config.sample_rate = rate;
       config.hash_seed = seed;
-      const SampledCurve curve = SampledSweep(config).run(t);
+      const SampledCurve curve = run_on(SampledSweep(config), t);
       EXPECT_FALSE(curve.exact);
       EXPECT_GT(curve.sampled_documents, 0u)
           << "rate " << rate << " seed " << seed;
@@ -132,7 +139,7 @@ TEST(SampledSweep, ReportedErrorShrinksAsRateGrows) {
     for (const std::uint64_t seed : seeds) {
       config.sample_rate = rate;
       config.hash_seed = seed;
-      const SampledCurve curve = SampledSweep(config).run(t);
+      const SampledCurve curve = run_on(SampledSweep(config), t);
       for (const SampledPoint& p : curve.points) {
         hit += p.hit_rate_error;
         byte += p.byte_hit_rate_error;
@@ -158,8 +165,8 @@ TEST(SampledSweep, DeterministicForFixedSeedAndChunkInvariant) {
   config.sample_rate = 0.05;
 
   const SampledSweep sweep(config);
-  const SampledCurve a = sweep.run(t);
-  const SampledCurve b = sweep.run(t);
+  const SampledCurve a = run_on(sweep, t);
+  const SampledCurve b = run_on(sweep, t);
   ASSERT_EQ(a.points.size(), b.points.size());
   for (std::size_t i = 0; i < a.points.size(); ++i) {
     EXPECT_EQ(a.points[i].hit_rate, b.points[i].hit_rate);
@@ -191,7 +198,7 @@ TEST(SampledSweep, AdaptiveCapBoundsTheTrackedPopulation) {
   config.sample_rate = 1.0;  // start exact-rate, let the cap drive it down
   config.max_sampled_documents = 256;
 
-  const SampledCurve curve = SampledSweep(config).run(t);
+  const SampledCurve curve = run_on(SampledSweep(config), t);
   EXPECT_FALSE(curve.exact);  // the cap forces the sampled engine
   EXPECT_LE(curve.sampled_documents, 256u);
   EXPECT_LT(curve.effective_rate, 1.0);
@@ -203,7 +210,7 @@ TEST(SampledSweep, AdaptiveCapBoundsTheTrackedPopulation) {
   }
 
   // Deterministic: the eviction order is a pure function of the hashes.
-  const SampledCurve again = SampledSweep(config).run(t);
+  const SampledCurve again = run_on(SampledSweep(config), t);
   for (std::size_t i = 0; i < curve.points.size(); ++i) {
     EXPECT_EQ(curve.points[i].hit_rate, again.points[i].hit_rate);
     EXPECT_EQ(curve.points[i].hit_rate_error,
@@ -305,20 +312,31 @@ TEST(SampledSweep, DenseTraceSamplesByOriginalIdByteForByte) {
   // `webcache sweep --sampling=on` would change its curve when the CLI
   // densifies after loading.
   const trace::Trace& t = reference_trace();
-  SweepConfig config;
-  config.cache_fractions = {0.005, 0.04, 0.4};
-  config.policies = {cache::policy_spec_from_name("LRU"),
-                     cache::policy_spec_from_name("GD*(1)")};
-  config.sampling = SamplingMode::kOn;
+  SampledSweepConfig config;
+  config.capacities = reference_ladder(t);
   config.sample_rate = 0.1;
-  config.threads = 2;
+  const SampledSweep sweep(config);
 
-  std::ostringstream sparse_json;
-  write_sweep_json(sparse_json, run_sweep(t, config));
-  std::ostringstream dense_json;
-  write_sweep_json(dense_json, run_sweep(trace::densify(t), config));
-  EXPECT_NE(sparse_json.str().find("\"hit_rate_error\""), std::string::npos);
-  EXPECT_EQ(sparse_json.str(), dense_json.str());
+  const SampledCurve original = run_on(sweep, t);
+  const SampledCurve dense = sweep.run(trace::densify(t));
+  EXPECT_FALSE(original.exact);
+  EXPECT_EQ(original.sampled_documents, dense.sampled_documents);
+  EXPECT_EQ(original.sampled_requests, dense.sampled_requests);
+  EXPECT_EQ(original.effective_rate, dense.effective_rate);
+  ASSERT_EQ(original.points.size(), dense.points.size());
+  for (std::size_t i = 0; i < original.points.size(); ++i) {
+    const SampledPoint& a = original.points[i];
+    const SampledPoint& b = dense.points[i];
+    EXPECT_EQ(a.hit_rate, b.hit_rate) << i;
+    EXPECT_EQ(a.byte_hit_rate, b.byte_hit_rate) << i;
+    EXPECT_EQ(a.hit_rate_error, b.hit_rate_error) << i;
+    EXPECT_EQ(a.byte_hit_rate_error, b.byte_hit_rate_error) << i;
+    EXPECT_EQ(a.est_hits, b.est_hits) << i;
+    EXPECT_EQ(a.est_hit_bytes, b.est_hit_bytes) << i;
+    EXPECT_EQ(original.results[i].miss_latency_ms,
+              dense.results[i].miss_latency_ms)
+        << i;
+  }
 }
 
 }  // namespace

@@ -2,9 +2,9 @@
 // StackSweep produces must equal per-capacity sim::simulate() with an LRU
 // policy bit-for-bit — overall and per-class, hit and byte-hit counters,
 // evictions, modification misses, even the latency doubles (same additions
-// in the same order) — sparse and dense, on the golden fixture and on
-// fuzzed synthetic mixes across all modification rules. The run_sweep
-// integration is covered too: one-pass on/off/auto yield identical
+// in the same order) — and the textbook oracle's LRU, on the golden fixture
+// and on fuzzed synthetic mixes across all modification rules. The run_sweep
+// integration is covered too: one-pass off/auto yield identical
 // SweepResults with mixed policy sets, including capacities that must fall
 // back to the grid.
 #include <gtest/gtest.h>
@@ -18,6 +18,8 @@
 #include "sim/simulator.hpp"
 #include "sim/stack_sweep.hpp"
 #include "sim/sweep.hpp"
+#include "support/oracle.hpp"
+#include "support/result_eq.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
 #include "trace/binary_trace.hpp"
@@ -25,35 +27,6 @@
 
 namespace webcache::sim {
 namespace {
-
-void expect_identical_counters(const HitCounters& a, const HitCounters& b,
-                               const std::string& label) {
-  EXPECT_EQ(a.requests, b.requests) << label;
-  EXPECT_EQ(a.hits, b.hits) << label;
-  EXPECT_EQ(a.requested_bytes, b.requested_bytes) << label;
-  EXPECT_EQ(a.hit_bytes, b.hit_bytes) << label;
-}
-
-void expect_identical(const SimResult& expected, const SimResult& actual,
-                      const std::string& label) {
-  EXPECT_EQ(expected.policy_name, actual.policy_name) << label;
-  EXPECT_EQ(expected.capacity_bytes, actual.capacity_bytes) << label;
-  expect_identical_counters(expected.overall, actual.overall, label);
-  for (std::size_t c = 0; c < expected.per_class.size(); ++c) {
-    expect_identical_counters(expected.per_class[c], actual.per_class[c],
-                              label + " class " + std::to_string(c));
-  }
-  EXPECT_EQ(expected.warmup_requests, actual.warmup_requests) << label;
-  EXPECT_EQ(expected.measured_requests, actual.measured_requests) << label;
-  EXPECT_EQ(expected.evictions, actual.evictions) << label;
-  EXPECT_EQ(expected.bypasses, actual.bypasses) << label;
-  // Same doubles added in the same order: exact equality is correct.
-  EXPECT_EQ(expected.miss_latency_ms, actual.miss_latency_ms) << label;
-  EXPECT_EQ(expected.all_miss_latency_ms, actual.all_miss_latency_ms) << label;
-  EXPECT_EQ(expected.modification_misses, actual.modification_misses) << label;
-  EXPECT_EQ(expected.interrupted_transfers, actual.interrupted_transfers)
-      << label;
-}
 
 trace::Trace recorded_trace(std::uint64_t seed = 42) {
   synth::GeneratorOptions options;
@@ -77,24 +50,25 @@ std::vector<std::uint64_t> eligible_ladder(const trace::Trace& trace) {
   return capacities;
 }
 
-void expect_matches_simulate(const trace::Trace& sparse,
+// The one-pass results against the textbook oracle's LRU and against the
+// per-capacity dense simulate().
+void expect_matches_simulate(const trace::Trace& trace,
                              const std::vector<std::uint64_t>& capacities,
                              const SimulatorOptions& options,
                              const std::string& label) {
-  const trace::DenseTrace dense = trace::densify(sparse);
-  const StackSweep sweep(capacities, options);
-  const std::vector<SimResult> one_pass_sparse = sweep.run(sparse);
-  const std::vector<SimResult> one_pass_dense = sweep.run(dense);
-  ASSERT_EQ(one_pass_sparse.size(), capacities.size());
-  ASSERT_EQ(one_pass_dense.size(), capacities.size());
+  const trace::DenseTrace dense = trace::densify(trace);
+  const std::vector<SimResult> one_pass =
+      StackSweep(capacities, options).run(dense);
+  ASSERT_EQ(one_pass.size(), capacities.size());
 
   const cache::PolicySpec lru = cache::policy_spec_from_name("LRU");
   for (std::size_t i = 0; i < capacities.size(); ++i) {
-    const SimResult reference = simulate(sparse, capacities[i], lru, options);
     const std::string cell =
         label + " capacity " + std::to_string(capacities[i]);
-    expect_identical(reference, one_pass_sparse[i], cell + " (sparse)");
-    expect_identical(reference, one_pass_dense[i], cell + " (dense)");
+    expect_same_result(oracle::replay(trace, capacities[i], lru, options),
+                       one_pass[i], cell + " (oracle)");
+    expect_same_result(simulate(dense, capacities[i], lru, options),
+                       one_pass[i], cell + " (simulate)");
   }
 }
 
@@ -177,9 +151,9 @@ void expect_identical_sweeps(const SweepResult& a, const SweepResult& b,
     ASSERT_EQ(a.points[f].results.size(), b.points[f].results.size()) << label;
     EXPECT_EQ(a.points[f].capacity_bytes, b.points[f].capacity_bytes) << label;
     for (std::size_t p = 0; p < a.points[f].results.size(); ++p) {
-      expect_identical(a.points[f].results[p], b.points[f].results[p],
-                       label + " cell f" + std::to_string(f) + " p" +
-                           std::to_string(p));
+      expect_same_result(a.points[f].results[p], b.points[f].results[p],
+                         label + " cell f" + std::to_string(f) + " p" +
+                             std::to_string(p));
     }
   }
 }
@@ -188,21 +162,16 @@ TEST(StackSweepIntegration, OnePassModesAgreeOnMixedPolicyGrids) {
   // The default ladder's smallest fractions sit below the largest transfer
   // size on this trace or not — either way the one-pass run must partition
   // correctly and agree with the all-grid run, for LRU and non-LRU columns.
-  const trace::Trace sparse = recorded_trace();
-  const trace::DenseTrace dense = trace::densify(sparse);
+  const trace::DenseTrace dense = trace::densify(recorded_trace());
 
   SweepConfig config;
   config.policies = cache::paper_policy_set(cache::CostModelKind::kPacket);
   config.threads = 2;
 
   config.one_pass = OnePassMode::kOff;
-  const SweepResult grid = run_sweep(sparse, config);
+  const SweepResult grid = run_sweep(dense, config);
   config.one_pass = OnePassMode::kAuto;
-  const SweepResult auto_sparse = run_sweep(sparse, config);
-  const SweepResult auto_dense = run_sweep(dense, config);
-
-  expect_identical_sweeps(grid, auto_sparse, "auto sparse");
-  expect_identical_sweeps(grid, auto_dense, "auto dense");
+  expect_identical_sweeps(grid, run_sweep(dense, config), "auto");
 }
 
 }  // namespace

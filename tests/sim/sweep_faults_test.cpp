@@ -170,7 +170,7 @@ TEST(SweepFaults, FrontendSweepMatchesDirectPartitionedFaultReplay) {
       sweep.points[0].capacity_bytes, cache::policy_spec_from_name("LRU"),
       weights));
   const SimResult expected =
-      simulate(t, direct, config.simulator, config.faults);
+      simulate(trace::densify(t), direct, config.simulator, config.faults);
 
   const SimResult& cell = sweep.points[0].results[0];
   EXPECT_EQ(expected.overall.requests, cell.overall.requests);

@@ -535,7 +535,7 @@ int cmd_simulate(const util::Args& args) {
         "--stream (and --cache-mb)");
   }
   // Densified once, in place: every replay below runs on flat arrays
-  // indexed by dense id, with bit-identical results to the sparse ids.
+  // indexed by dense id.
   const trace::DenseTrace t = trace::densify([&args] {
     if (!args.get_bool("recover", false)) {
       return load_trace(args.positional()[0], args.get_bool("squid", false));
