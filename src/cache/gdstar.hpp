@@ -41,6 +41,9 @@ class GdStarPolicy final : public ReplacementPolicy {
   using ReplacementPolicy::choose_victim;
   ObjectId choose_victim(std::uint64_t incoming_size) override;
   void on_evict(ObjectId id) override;
+  /// A modification or invalidation removes the entry but leaves L alone:
+  /// GreedyDual ages only on replacement.
+  void on_erase(ObjectId id) override { heap_.erase(id); }
   std::string_view name() const override { return name_; }
   void clear() override;
 

@@ -13,12 +13,11 @@ void LfuDaPolicy::on_hit(const CacheObject& obj) {
 ObjectId LfuDaPolicy::choose_victim(std::uint64_t /*incoming_size*/) { return heap_.top().key; }
 
 void LfuDaPolicy::on_evict(ObjectId id) {
-  // The cache age becomes the priority of the departing document, so all
+  // The cache age becomes the priority of the evicted document, so all
   // future insertions start at least as high as anything evicted so far.
-  // Taking the age only on replacement-driven evictions vs all removals is
-  // equivalent here because the age is monotone and erased ids are minimal
-  // only when chosen as victims; we conservatively update on every removal
-  // of the current minimum.
+  // Only replacement ages the cache: a modification that drops the current
+  // minimum goes through on_erase and leaves the age alone, since raising
+  // it there would change later victims.
   if (!heap_.empty() && heap_.top().key == id) {
     cache_age_ = heap_.top().priority;
   }

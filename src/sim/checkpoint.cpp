@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -26,6 +27,7 @@
 #include "sim/replay_core.hpp"
 #include "trace/id_map.hpp"
 #include "trace/request_stream.hpp"
+#include "trace/stream_ids.hpp"
 #include "util/state_io.hpp"
 
 namespace webcache::sim {
@@ -501,9 +503,10 @@ void validate_fingerprint(const CheckpointFingerprint& expected,
   }
 }
 
-void save_ids(util::StateWriter& w, const trace::IdMap& ids) {
-  w.put_u64(ids.size());
-  for (const trace::DocumentId key : ids.keys()) w.put_u64(key);
+void save_ids(util::StateWriter& w,
+              std::span<const trace::DocumentId> keys) {
+  w.put_u64(keys.size());
+  for (const trace::DocumentId key : keys) w.put_u64(key);
 }
 
 void restore_ids(util::StateReader& r, trace::IdMap& ids) {
@@ -670,11 +673,12 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
   constexpr bool kFaulted = !std::is_same_v<Faults, NoFaultReplay>;
 
   const CheckpointConfig& config = job.checkpoint;
-  // Documents are interned as they stream in, and the frontend's dense
-  // universe follows the ids interned so far. Reserving exactly those lets
-  // the id-indexed vectors grow geometrically underneath, so memory tracks
-  // the distinct documents.
-  trace::IdMap ids;
+  // Documents are numbered as they stream in, from the stream's stored
+  // dense ids or by interning, and the frontend's dense universe follows
+  // the ids numbered so far. Reserving exactly those lets the id-indexed
+  // vectors grow geometrically underneath, so memory tracks the distinct
+  // documents.
+  trace::StreamIds ids;
   std::uint64_t reserved = 0;
   const auto reserve_interned = [&] {
     if (ids.size() > reserved) {
@@ -712,8 +716,10 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
       }
       {
         auto r = reader("ids");
-        restore_ids(r, ids);
+        trace::IdMap known;
+        restore_ids(r, known);
         r.expect_end();
+        ids = trace::StreamIds(std::move(known));
         reserve_interned();
       }
       {
@@ -755,7 +761,8 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
         w.put_u64(core.consumed());
         save_sim_result(w, core.result());
       });
-      e.section("ids", [&](util::StateWriter& w) { save_ids(w, ids); });
+      e.section("ids",
+                [&](util::StateWriter& w) { save_ids(w, ids.keys()); });
       e.section("cache",
                 [&](util::StateWriter& w) { frontend.save_state(w); });
       e.section("lastsize",
@@ -777,16 +784,22 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
   }
 
   const std::uint64_t stop = config.stop_after_requests;
-  std::vector<std::uint32_t> batch_ids;
   for (auto chunk = stream.next_chunk(); !chunk.empty();
        chunk = stream.next_chunk()) {
+    // The chunk's stored dense ids (none unless the stream stores them)
+    // are cut into the same batches as the chunk.
+    std::span<const std::uint32_t> stored = stream.dense_ids();
+    const auto advance = [&](std::size_t n) {
+      chunk = chunk.subspan(n);
+      if (!stored.empty()) stored = stored.subspan(n);
+    };
     // Fast-forward after resume: requests up to the checkpoint were
-    // already accounted; they must not touch the restored id map or
+    // already accounted; they must not touch the restored ids or
     // last-size state again.
     const auto skipped =
         static_cast<std::size_t>(std::min<std::uint64_t>(skip, chunk.size()));
     skip -= skipped;
-    chunk = chunk.subspan(skipped);
+    advance(skipped);
     while (!chunk.empty()) {
       // A batch ends at the next checkpoint or stop, so a checkpoint's id
       // map holds exactly the documents replayed so far.
@@ -797,14 +810,12 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
       }
       if (stop > done) n = std::min(n, stop - done);
       const auto batch = chunk.first(static_cast<std::size_t>(n));
-      chunk = chunk.subspan(batch.size());
-
-      // Intern the whole batch before replaying it: the id map's probes
-      // and the cache's then miss in separate tight loops, not in turns.
-      batch_ids.resize(batch.size());
-      for (std::size_t i = 0; i < batch.size(); ++i) {
-        batch_ids[i] = ids.intern(batch[i].document);
-      }
+      // Number the whole batch before replaying it: an interning run's
+      // id-map probes and the cache's then miss in separate tight loops,
+      // not in turns.
+      const std::span<const std::uint32_t> batch_ids = ids.number(
+          batch, stored.empty() ? stored : stored.first(batch.size()));
+      advance(batch.size());
       reserve_interned();
       for (std::size_t i = 0; i < batch.size(); ++i) {
         if (crash_at != 0 && core.consumed() + 1 == crash_at) {

@@ -38,14 +38,16 @@
 //   then per section:
 //     u32 name_len | name bytes | u64 payload_len | u32 crc32(payload) |
 //     payload
-// Sections: "fingerprint", "result", "ids" (the interned document ids' keys
-// in id order; every id in "cache" and "lastsize" must be below their
-// count), "cache", "lastsize", and optionally "metrics" (instrumented
-// runs; each window's snapshot carries per-class occupancy). Version 3;
-// older files are rejected as unsupported.
+// Sections: "fingerprint", "result", "ids" (the original document ids in
+// dense-id order, the same bytes whether the stream's ids were interned or
+// read from a WCT1 v4 file; every id in "cache" and "lastsize" must be
+// below their count), "cache", "lastsize", and optionally "metrics"
+// (instrumented runs; each window's snapshot carries per-class occupancy).
+// Version 3; older files are rejected as unsupported.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -127,11 +129,15 @@ struct StreamCheckpointJob {
   const FaultSchedule* faults = nullptr;   // optional fault scenario
 };
 
-/// The streamed replay. Every request's document is interned through one
-/// trace::IdMap as the chunks are read, and the frontend runs dense
+/// The streamed replay. Every request's document is numbered densely as
+/// the chunks are read (trace::StreamIds): from the stream's stored ids
+/// when it has them (RequestStream::dense_ids, a WCT1 v4 file), else
+/// through one trace::IdMap. The frontend runs dense
 /// (CacheFrontend::reserve_dense_ids, extended as new documents arrive),
-/// so the frontend must start empty. With checkpoint.every == 0 and
-/// checkpoint.resume == false it is simulate_stream. Throws
+/// so the frontend must start empty. A checkpoint of either kind resumes
+/// on the other: both number documents in first-reference order. With
+/// checkpoint.every == 0 and checkpoint.resume == false it is
+/// simulate_stream. Throws
 /// std::runtime_error on unusable checkpoint state (fingerprint mismatch,
 /// an id past the "ids" count, or a resume where every candidate file is
 /// corrupt); structurally invalid files are skipped with a named reason
@@ -192,10 +198,10 @@ void validate_fingerprint(const CheckpointFingerprint& expected,
                           const CheckpointFingerprint& found,
                           const std::string& file);
 
-/// Serialize / restore the "ids" section: the IdMap's keys in id order.
-/// restore_ids re-interns them into an empty map and throws a StateError
-/// on a repeated key or a count the payload cannot hold.
-void save_ids(util::StateWriter& w, const trace::IdMap& ids);
+/// Serialize / restore the "ids" section: the original ids in dense-id
+/// order. restore_ids re-interns them into an empty map and throws a
+/// StateError on a repeated key or a count the payload cannot hold.
+void save_ids(util::StateWriter& w, std::span<const trace::DocumentId> keys);
 void restore_ids(util::StateReader& r, trace::IdMap& ids);
 
 }  // namespace detail

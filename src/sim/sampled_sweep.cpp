@@ -4,13 +4,14 @@
 #include <cmath>
 #include <limits>
 #include <queue>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "sim/faults.hpp"  // detail::mix64
 #include "sim/last_size.hpp"
 #include "sim/stack_sweep.hpp"
-#include "trace/id_map.hpp"
+#include "trace/stream_ids.hpp"
 
 namespace webcache::sim {
 
@@ -121,18 +122,22 @@ SampledCurve SampledSweep::run(
 
   if (config_.sample_rate == 1.0 && config_.max_sampled_documents == 0) {
     // Degenerate exact mode: materialize the stream with its documents
-    // interned to dense ids as they are read, and delegate to the one-pass
-    // engine; every point is the true value with zero error. (With an
-    // adaptive cap the bounded-memory property is the whole point, so that
-    // combination stays on the sampled engine below.)
-    trace::IdMap ids;
+    // numbered densely as they are read (the stream's stored ids, else
+    // interned), and delegate to the one-pass engine; every point is the
+    // true value with zero error. (With an adaptive cap the bounded-memory
+    // property is the whole point, so that combination stays on the
+    // sampled engine below.)
+    trace::StreamIds ids;
     trace::DenseTrace dense;
     dense.trace.requests.reserve(
         static_cast<std::size_t>(stream.total_requests()));
     for (auto chunk = stream.next_chunk(); !chunk.empty();
          chunk = stream.next_chunk()) {
-      for (trace::Request r : chunk) {
-        r.document = ids.intern(r.document);
+      const std::span<const std::uint32_t> numbered =
+          ids.number(chunk, stream.dense_ids());
+      for (std::size_t i = 0; i < chunk.size(); ++i) {
+        trace::Request r = chunk[i];
+        r.document = numbered[i];
         dense.trace.requests.push_back(r);
       }
     }

@@ -111,7 +111,8 @@ class SampledSweep {
   explicit SampledSweep(SampledSweepConfig config);
 
   /// One pass over the stream (consumed; reset() to reuse). At rate 1.0
-  /// the stream is materialized with dense ids and delegated to
+  /// the stream is materialized with dense ids (a WCT1 v4 stream's stored
+  /// ids, else interned; trace::StreamIds) and delegated to
   /// StackSweep — exactness requires the full recency order, so the
   /// bounded-memory property only holds for rate < 1. A materialized
   /// Trace goes through trace::MemoryRequestStream.

@@ -3,16 +3,17 @@
 // simulate_stream() drives the same per-request core as simulate()
 // (sim/replay_core.hpp) chunk by chunk, so its SimResult is bit-identical
 // to materializing the stream into a Trace and calling simulate(). Each
-// document is interned through one trace::IdMap as it is read and the
+// document gets its dense id as it is read (trace::StreamIds: the ids a
+// WCT1 v4 file stores, else one trace::IdMap intern per request) and the
 // frontend runs on flat arrays indexed by the dense id, so memory is
-// O(chunk + distinct documents), not O(trace): the id map, the last-size
+// O(chunk + distinct documents), not O(trace): the id table, the last-size
 // tracker and the frontend's id indices cover every document ever seen,
-// about 54 bytes per document at DFN 1.0 with LRU (peak RSS of a 1 MiB
-// cache run, net of a 30 k-document run), on top of the resident
-// objects. Warm-up boundaries, metrics windows and fault schedules all key
-// off the global request index, so they behave identically when they
-// straddle chunk boundaries (tests/sim/streaming_equivalence_test.cpp pins
-// all of it).
+// about 54 bytes per document at DFN 1.0 with LRU and an interned stream
+// (peak RSS of a 1 MiB cache run, net of a 30 k-document run), on top of
+// the resident objects; a v4 stream needs no id map's slot table. Warm-up
+// boundaries, metrics windows and fault schedules all key off the global
+// request index, so they behave identically when they straddle chunk
+// boundaries (tests/sim/streaming_equivalence_test.cpp pins all of it).
 //
 // Every overload runs the one streamed loop, simulate_stream_checkpointed()
 // (sim/checkpoint.hpp), with checkpoints off. The frontend must start

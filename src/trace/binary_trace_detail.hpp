@@ -24,7 +24,7 @@ namespace webcache::trace::detail {
 inline constexpr std::uint64_t kHeaderBytes = 16;
 
 /// Digest of the record payload, as the trailer of a file of `version`
-/// stores it: the v3 4-lane word hash (see binary_trace.hpp), or byte-wise
+/// stores it: the v3/v4 4-lane word hash (see binary_trace.hpp), or byte-wise
 /// FNV-1a for versions 1 and 2. Split-invariant: feeding the payload in any
 /// pieces gives the one-shot digest (v3 carries at most 31 bytes between
 /// update() calls).
@@ -62,10 +62,12 @@ std::ifstream open_trace_file(const std::string& path);
 /// Damage past the header throws a diagnostic naming the record index and
 /// byte offset — unless `recovery` is given, in which case it is recorded
 /// there instead: a record with an invalid class is skipped, a truncated
-/// tail is dropped, a bad or missing trailer is flagged.
+/// tail is dropped, a bad or missing trailer is flagged. A strict decoder
+/// also holds v4 dense ids to the first-reference rule (no id above the
+/// count of documents seen so far); a recovering one ignores them.
 class RecordDecoder {
  public:
-  /// Caps the read buffer (~40 MB), so neither a huge `chunk_records` nor
+  /// Caps the read buffer (~45 MB), so neither a huge `chunk_records` nor
   /// a corrupt record count can size it.
   static constexpr std::size_t kMaxChunkRecords = std::size_t{1} << 20;
 
@@ -77,10 +79,16 @@ class RecordDecoder {
   std::uint64_t count() const { return count_; }
   std::size_t record_bytes() const { return record_bytes_; }
 
+  /// True when the records carry dense ids (version 4 and later).
+  bool has_dense_ids() const { return version_ >= 4; }
+
   /// Appends the next chunk of decoded records to `out` and returns true;
   /// once every record has been read, checks the checksum trailer (the
-  /// first time) and returns false.
-  bool next(std::vector<Request>& out);
+  /// first time) and returns false. When the records carry dense ids and
+  /// `dense` is given, the chunk's ids are appended to it, one per record
+  /// appended to `out`.
+  bool next(std::vector<Request>& out,
+            std::vector<std::uint32_t>* dense = nullptr);
 
   /// Starts over at the first record; the caller has positioned the stream
   /// just past the header.
@@ -98,9 +106,29 @@ class RecordDecoder {
   /// Records the file holds; below count_ only after a recovered truncation.
   std::uint64_t end_ = 0;
   std::uint64_t next_record_ = 0;
+  /// Distinct documents the dense ids decoded so far have introduced.
+  std::uint64_t documents_ = 0;
   bool trailer_checked_ = false;
   TraceChecksum checksum_;
   std::vector<char> buffer_;
 };
+
+/// Records per read of the materialized loaders: ~688 KB of 43-byte
+/// records, so each chunk is decoded while it is still in L2.
+inline constexpr std::size_t kLoadChunkRecords = std::size_t{1} << 14;
+
+/// Size of the file at `path` in bytes; 0 when unknown (e.g. a pipe).
+std::uint64_t file_size_or_zero(const std::string& path);
+
+/// Records a materialized load may reserve for: the header's count, capped
+/// by what a file of `file_bytes` bytes can hold (0 when the size is
+/// unknown, and the vector grows as it reads). A corrupt count then ends
+/// in the truncation diagnostic, never in a huge allocation.
+std::size_t records_present(const RecordDecoder& decoder,
+                            std::uint64_t file_bytes);
+
+/// Decodes every record `decoder` has left into a Trace (original ids;
+/// dense ids are checked and dropped).
+Trace read_records(RecordDecoder& decoder, std::uint64_t file_bytes);
 
 }  // namespace webcache::trace::detail

@@ -15,6 +15,14 @@
 // Every downstream structure can then be a flat array indexed by document
 // id. Remapping changes nothing observable: document identity is only ever
 // compared for equality, and policies break ties by insertion sequence.
+//
+// A WCT1 v4 file already stores that numbering: its writer interns once,
+// and read_dense_trace_file() takes each record's dense id as is and
+// records the original id at each first reference, with no hash at all.
+// The decoder holds the ids to the first-reference rule, which bounds the
+// id range by the records read; the checksum guards the bytes, but nothing
+// cross-checks a dense id against its original id (the writer guarantees
+// that mapping). Older files load through densify().
 // The replay APIs in src/sim take a DenseTrace; their `const Trace&` forms
 // densify first. The textbook oracle, which keys a std::map by the
 // original ids, checks the results (tests/sim/oracle_test.cpp,
@@ -22,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "trace/request.hpp"
@@ -56,5 +65,13 @@ struct DenseTrace {
 /// source untouched; the rvalue overload renumbers in place.
 DenseTrace densify(const Trace& source);
 DenseTrace densify(Trace&& source);
+
+/// Loads a WCT1 file as a DenseTrace. A v4 file's stored dense ids become
+/// Request::document and its original ids fill `original_ids` at each
+/// first reference; a v1-v3 file is densify(read_binary_trace_file(path)).
+/// Either way the result equals densify(read_binary_trace_file(path))
+/// field by field, and every strict-loader diagnostic is the same
+/// (trace/binary_trace.hpp).
+DenseTrace read_dense_trace_file(const std::string& path);
 
 }  // namespace webcache::trace

@@ -9,6 +9,9 @@
 //     for (const Request& r : chunk) ...
 //
 // The span is valid only until the next call to next_chunk() or reset().
+// A stream whose source already numbers its documents (a WCT1 v4 file)
+// also hands out each chunk's dense ids (dense_ids()), so the replay can
+// skip interning them.
 #pragma once
 
 #include <algorithm>
@@ -33,6 +36,11 @@ class RequestStream {
   /// returned storage is owned by the stream and is invalidated by the next
   /// next_chunk()/reset() call.
   virtual std::span<const Request> next_chunk() = 0;
+
+  /// Dense ids of the last chunk, one per request, in first-reference order
+  /// over the whole stream (0, 1, 2, ... as trace::densify numbers them);
+  /// empty when the stream stores none. Valid as long as that chunk.
+  virtual std::span<const std::uint32_t> dense_ids() const { return {}; }
 
   /// Rewinds to the first request so the stream can be replayed again.
   virtual void reset() = 0;

@@ -12,7 +12,8 @@ StreamingTraceReader::StreamingTraceReader(std::string path,
 
 std::span<const Request> StreamingTraceReader::next_chunk() {
   chunk_.clear();
-  if (!decoder_.next(chunk_)) return {};
+  dense_.clear();
+  if (!decoder_.next(chunk_, &dense_)) return {};
   return {chunk_.data(), chunk_.size()};
 }
 
@@ -22,6 +23,7 @@ void StreamingTraceReader::reset() {
   if (!in_) throw std::runtime_error("binary trace: cannot rewind " + path_);
   decoder_.restart();
   chunk_.clear();
+  dense_.clear();
 }
 
 }  // namespace webcache::trace

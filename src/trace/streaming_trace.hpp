@@ -7,7 +7,9 @@
 // trace/binary_trace_detail.hpp), so a corrupt or truncated file produces
 // the identical diagnostic — same message, same record index, same byte
 // offset — whichever loader hits it. The checksum is accumulated across
-// chunks and checked against the trailer after the final record.
+// chunks and checked against the trailer after the final record. A v4
+// file's dense ids come out through dense_ids(), held to the
+// first-reference rule like every strict loader's.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +37,10 @@ class StreamingTraceReader final : public RequestStream {
 
   std::uint64_t total_requests() const override { return decoder_.count(); }
   std::span<const Request> next_chunk() override;
+  /// The last chunk's stored dense ids; empty for v1-v3 files.
+  std::span<const std::uint32_t> dense_ids() const override {
+    return dense_;
+  }
   void reset() override;
 
   std::uint32_t version() const { return decoder_.version(); }
@@ -45,6 +51,7 @@ class StreamingTraceReader final : public RequestStream {
   std::ifstream in_;
   detail::RecordDecoder decoder_;
   std::vector<Request> chunk_;
+  std::vector<std::uint32_t> dense_;
 };
 
 }  // namespace webcache::trace

@@ -208,6 +208,39 @@ TEST_P(PolicyPropertyTest, DenseReplayMatchesSparseOnFuzzedTraces) {
   }
 }
 
+// GreedyDual raises L only when it evicts: an invalidation or modification
+// that removes the current minimum (on_erase) must leave L where it was,
+// while evicting that same document raises it. The oracle covers LFU-DA,
+// GDS and GD*; this also pins GDSF and GD*C.
+TEST(GreedyDualAging, EraseOfTheMinimumLeavesLAlone) {
+  for (const char* name :
+       {"LFU-DA", "GDS(1)", "GDSF(1)", "GD*(1)", "GD*C(1)", "GD*C(packet)"}) {
+    for (const bool evict : {false, true}) {
+      const std::unique_ptr<ReplacementPolicy> policy =
+          make_policy(policy_spec_from_name(name));
+      policy->reserve_ids(3);
+      for (const ObjectId id : {ObjectId{0}, ObjectId{1}, ObjectId{2}}) {
+        CacheObject obj;
+        obj.id = id;
+        obj.size = 100 * (id + 1);
+        obj.doc_class = trace::DocumentClass::kImage;
+        obj.reference_count = id + 1;
+        obj.last_access = obj.previous_access = obj.insert_index = id;
+        policy->on_insert(obj);
+      }
+      const double before = policy->probe().aging.value_or(-1.0);
+      const ObjectId minimum = policy->choose_victim();
+      if (evict) {
+        policy->on_evict(minimum);
+        EXPECT_GT(policy->probe().aging.value_or(-1.0), before) << name;
+      } else {
+        policy->on_erase(minimum);
+        EXPECT_EQ(policy->probe().aging.value_or(-1.0), before) << name;
+      }
+    }
+  }
+}
+
 TEST(RandomSeedTest, SameSeedReproducesBitIdenticalResults) {
   // The seeded draw stream makes RANDOM a deterministic function of
   // (trace, capacity, seed): two runs with the same seed must agree on

@@ -66,7 +66,7 @@ def check_corrupted_trace(cli, tmp, wct):
     # Truncation mid-record: the record index must be named.
     truncated = os.path.join(tmp, "truncated.wct")
     with open(truncated, "wb") as f:
-        f.write(bytes(data[: 16 + 39 + 10]))
+        f.write(bytes(data[: 16 + 43 + 10]))
     p = run(cli, "simulate", truncated, "--policy=LRU")
     check("truncated trace exits 1", p.returncode == 1, f"rc={p.returncode}")
     check("diagnostic names the record", "record 1" in p.stderr,

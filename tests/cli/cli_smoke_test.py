@@ -10,9 +10,10 @@ aggregate, per-class sums equal the overall counters). The CSV variant
 must agree with the JSON row for row. On the checked-in golden trace,
 `simulate --result-out` must reproduce golden_dfn_expected.tsv's
 constant-cost rows counter for counter, and `convert --recover` upgrades
-it from WCT1 v2 to v3 without changing a record byte or a result byte.
-`replicate` prints a verdict line
-for every policy pair, and OPT is refused, by name, everywhere but `sweep`.
+it from WCT1 v2 to v4 (dense ids stored) without changing a `simulate
+--result-out` or `sweep --curve-out` byte. `replicate` prints a verdict
+line for every policy pair, and OPT is refused, by name, everywhere but
+`sweep`.
 
 Usage: cli_smoke_test.py <path-to-webcache-binary>
 """
@@ -384,12 +385,13 @@ def check_golden_counters(cli, tmp):
               f"expected {expected} got {actual}")
 
 
-def check_v2_to_v3_upgrade(cli, tmp):
-    """`convert --recover` rewrites the v2 golden trace as the current
-    version: only the version field and the checksum trailer change, and a
-    replay of the rewritten file writes the same result bytes."""
+def check_upgrade_to_v4(cli, tmp):
+    """`convert --recover` is the upgrade path for v1-v3 traces: it rewrites
+    the v2 golden trace as v4, which stores each record's dense id after its
+    document id, and replays of the two files write the same result and
+    curve bytes."""
     golden = os.path.join(DATA_DIR, "golden_dfn.wct")
-    upgraded = os.path.join(tmp, "golden_v3.wct")
+    upgraded = os.path.join(tmp, "golden_v4.wct")
     p = run(cli, "convert", "--recover", golden, upgraded)
     check("convert --recover golden", p.returncode == 0,
           p.stderr.strip()[:200])
@@ -399,25 +401,30 @@ def check_v2_to_v3_upgrade(cli, tmp):
         old = f.read()
     with open(upgraded, "rb") as f:
         new = f.read()
+    count = int.from_bytes(old[8:16], "little")
     check("golden is version 2", int.from_bytes(old[4:8], "little") == 2)
-    check("upgraded is version 3", int.from_bytes(new[4:8], "little") == 3,
+    check("upgraded is version 4", int.from_bytes(new[4:8], "little") == 4,
           str(new[4:8]))
-    check("upgrade keeps the magic, count and record bytes",
-          len(new) == len(old) and new[:4] == old[:4]
-          and new[8:-8] == old[8:-8])
+    check("upgrade keeps the magic and count, adds 4 bytes a record",
+          new[:4] == old[:4] and new[8:16] == old[8:16]
+          and len(new) == len(old) + 4 * count)
 
-    results = []
-    for wct in (golden, upgraded):
-        out = os.path.join(tmp, os.path.basename(wct) + ".result.json")
-        p = run(cli, "simulate", wct, "--policy=GD*(1)",
-                f"--cache-fraction={GOLDEN_CACHE_FRACTION}",
-                f"--result-out={out}")
-        check(f"simulate {os.path.basename(wct)}", p.returncode == 0,
-              p.stderr.strip()[:200])
-        with open(out, "rb") as f:
-            results.append(f.read())
-    check("v2 and v3 golden replays write identical results",
-          results[0] == results[1])
+    for job, flags, out_flag in (
+            ("simulate", ("--policy=GD*(1)",
+                          f"--cache-fraction={GOLDEN_CACHE_FRACTION}"),
+             "--result-out"),
+            ("sweep", ("--policies=LRU,GD*(1)", "--fractions=0.005,0.04"),
+             "--curve-out")):
+        outputs = []
+        for wct in (golden, upgraded):
+            out = os.path.join(tmp, f"{os.path.basename(wct)}.{job}.json")
+            p = run(cli, job, wct, *flags, f"{out_flag}={out}")
+            check(f"{job} {os.path.basename(wct)}", p.returncode == 0,
+                  p.stderr.strip()[:200])
+            with open(out, "rb") as f:
+                outputs.append(f.read())
+        check(f"v2 and v4 golden {job} write identical {out_flag}",
+              outputs[0] == outputs[1])
 
 
 def main():
@@ -430,7 +437,7 @@ def main():
         check_round_trip(cli, tmp)
         check_lazy_family(cli, tmp)
         check_golden_counters(cli, tmp)
-        check_v2_to_v3_upgrade(cli, tmp)
+        check_upgrade_to_v4(cli, tmp)
         check_replicate_and_opt(cli, tmp)
     if FAILURES:
         print(f"\n{len(FAILURES)} smoke check(s) failed: {FAILURES}",

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -95,40 +96,40 @@ std::string diagnostic_for(const std::string& data) {
 TEST(BinaryTrace, DiagnosticsNameRecordIndexAndByteOffset) {
   // Regression for the load diagnostics: each corruption mode must name
   // where the file went bad, so multi-gigabyte traces can be triaged with a
-  // hex dump instead of a bisection. sample_trace() has two 39-byte v2
+  // hex dump instead of a bisection. sample_trace() has two 43-byte v4
   // records after the 16-byte header.
   std::stringstream buf;
   write_binary_trace(buf, sample_trace());
   const std::string good = buf.str();
 
   // Truncation inside record 1.
-  std::string cut = good.substr(0, 16 + 39 + 10);
+  std::string cut = good.substr(0, 16 + 43 + 10);
   std::string what = diagnostic_for(cut);
   EXPECT_NE(what.find("truncated"), std::string::npos) << what;
   EXPECT_NE(what.find("record 1 of 2"), std::string::npos) << what;
-  EXPECT_NE(what.find("byte offset 55"), std::string::npos) << what;
+  EXPECT_NE(what.find("byte offset 59"), std::string::npos) << what;
 
-  // Invalid document class in record 1 (class byte at +20 into the record).
+  // Invalid document class in record 1 (class byte at +24 into the record).
   std::string bad_class = good;
-  bad_class[16 + 39 + 20] = 42;
+  bad_class[16 + 43 + 24] = 42;
   what = diagnostic_for(bad_class);
   EXPECT_NE(what.find("invalid document class 42"), std::string::npos) << what;
   EXPECT_NE(what.find("record 1 of 2"), std::string::npos) << what;
-  EXPECT_NE(what.find("byte offset 55"), std::string::npos) << what;
+  EXPECT_NE(what.find("byte offset 59"), std::string::npos) << what;
 
   // Checksum mismatch: flipped payload bit, offset of the trailer named.
   std::string flipped = good;
   flipped[16 + 5] ^= 0x01;
   what = diagnostic_for(flipped);
   EXPECT_NE(what.find("checksum mismatch"), std::string::npos) << what;
-  EXPECT_NE(what.find("byte offset 94"), std::string::npos) << what;
+  EXPECT_NE(what.find("byte offset 102"), std::string::npos) << what;
 
   // Missing checksum trailer.
   std::string no_trailer = good.substr(0, good.size() - 8);
   what = diagnostic_for(no_trailer);
   EXPECT_NE(what.find("truncated checksum trailer"), std::string::npos)
       << what;
-  EXPECT_NE(what.find("byte offset 94"), std::string::npos) << what;
+  EXPECT_NE(what.find("byte offset 102"), std::string::npos) << what;
 
   // Unsupported version names the version it saw.
   std::string future = good;
@@ -143,8 +144,8 @@ TEST(BinaryTrace, InvalidClassRejected) {
   write_binary_trace(buf, t);
   std::string data = buf.str();
   // The class byte of record 0 sits after the 16-byte header plus the
-  // timestamp (8), document (8) and client (4) fields.
-  data[16 + 20] = 17;
+  // timestamp (8), document (8), dense id (4) and client (4) fields.
+  data[16 + 24] = 17;
   std::stringstream corrupted(data);
   EXPECT_THROW(read_binary_trace(corrupted), std::runtime_error);
 }
@@ -223,6 +224,28 @@ TEST(BinaryTrace, FileRoundTrip) {
   std::remove(path.c_str());
 }
 
+TEST(BinaryTrace, RewriteInPlaceLeavesExactlyTheNewTrace) {
+  // The file writer overwrites an existing file in place: a shorter trace
+  // must cut the old tail, a longer one extend the file.
+  const std::string path = testing::TempDir() + "/webcache_trace_rewrite.bin";
+  std::remove(path.c_str());
+  Trace longer = sample_trace();
+  for (int i = 0; i < 50; ++i) longer.requests.push_back(longer.requests[0]);
+  Trace shorter = sample_trace();
+  for (const Trace* t : {&longer, &shorter, &longer}) {
+    write_binary_trace_file(path, *t);
+    std::stringstream expected;
+    write_binary_trace(expected, *t);
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+    EXPECT_EQ(bytes, expected.str()) << t->requests.size() << " requests";
+    EXPECT_EQ(read_binary_trace_file(path).requests.size(),
+              t->requests.size());
+  }
+  std::remove(path.c_str());
+}
+
 TEST(BinaryTrace, FileAndStreamLoadersAgree) {
   // The file loader and the istream loader must produce identical traces
   // from the same bytes.
@@ -274,28 +297,28 @@ TEST(BinaryTrace, FileLoaderPreservesCorruptionDiagnostics) {
   write_binary_trace(buf, sample_trace());
   const std::string good = buf.str();
 
-  std::string what = file_diagnostic_for(good.substr(0, 16 + 39 + 10));
+  std::string what = file_diagnostic_for(good.substr(0, 16 + 43 + 10));
   EXPECT_NE(what.find("truncated"), std::string::npos) << what;
   EXPECT_NE(what.find("record 1 of 2"), std::string::npos) << what;
-  EXPECT_NE(what.find("byte offset 55"), std::string::npos) << what;
+  EXPECT_NE(what.find("byte offset 59"), std::string::npos) << what;
 
   std::string bad_class = good;
-  bad_class[16 + 39 + 20] = 42;
+  bad_class[16 + 43 + 24] = 42;
   what = file_diagnostic_for(bad_class);
   EXPECT_NE(what.find("invalid document class 42"), std::string::npos) << what;
   EXPECT_NE(what.find("record 1 of 2"), std::string::npos) << what;
-  EXPECT_NE(what.find("byte offset 55"), std::string::npos) << what;
+  EXPECT_NE(what.find("byte offset 59"), std::string::npos) << what;
 
   std::string flipped = good;
   flipped[16 + 5] ^= 0x01;
   what = file_diagnostic_for(flipped);
   EXPECT_NE(what.find("checksum mismatch"), std::string::npos) << what;
-  EXPECT_NE(what.find("byte offset 94"), std::string::npos) << what;
+  EXPECT_NE(what.find("byte offset 102"), std::string::npos) << what;
 
   what = file_diagnostic_for(good.substr(0, good.size() - 8));
   EXPECT_NE(what.find("truncated checksum trailer"), std::string::npos)
       << what;
-  EXPECT_NE(what.find("byte offset 94"), std::string::npos) << what;
+  EXPECT_NE(what.find("byte offset 102"), std::string::npos) << what;
 
   std::string future = good;
   future[4] = 9;
@@ -318,7 +341,7 @@ TEST(BinaryTrace, CorruptHugeCountIsATruncationNotAnAllocation) {
   const std::uint64_t claimed = 1000000000000000ULL;
   std::memcpy(data.data() + 8, &claimed, sizeof(claimed));
   const std::string expected =
-      "truncated at record 3 of 1000000000000000 (byte offset 133)";
+      "truncated at record 3 of 1000000000000000 (byte offset 145)";
 
   EXPECT_NE(diagnostic_for(data).find(expected), std::string::npos)
       << diagnostic_for(data);

@@ -155,19 +155,19 @@ std::string file_diagnostic_for(const std::string& data) {
 }
 
 TEST(StreamingTrace, CorruptionDiagnosticsMatchFileLoaderVerbatim) {
-  // sample_trace(2)-equivalent layout: two 39-byte v2 records after the
-  // 16-byte header, then the 8-byte FNV trailer.
+  // sample_trace(2)-equivalent layout: two 43-byte v4 records after the
+  // 16-byte header, then the 8-byte checksum trailer.
   std::stringstream buf;
   write_binary_trace(buf, sample_trace(2));
   const std::string good = buf.str();
-  ASSERT_EQ(good.size(), 16u + 2 * 39 + 8);
+  ASSERT_EQ(good.size(), 16u + 2 * 43 + 8);
 
   struct Case {
     const char* label;
     std::string data;
   };
   const std::vector<Case> cases = {
-      {"truncated mid record 1", good.substr(0, 16 + 39 + 10)},
+      {"truncated mid record 1", good.substr(0, 16 + 43 + 10)},
       {"truncated mid record 0", good.substr(0, 16 + 5)},
       {"missing trailer", good.substr(0, good.size() - 8)},
       {"short trailer", good.substr(0, good.size() - 3)},
@@ -180,7 +180,7 @@ TEST(StreamingTrace, CorruptionDiagnosticsMatchFileLoaderVerbatim) {
        }()},
       {"invalid class", [&] {
          std::string d = good;
-         d[16 + 39 + 20] = 42;
+         d[16 + 43 + 24] = 42;
          return d;
        }()},
       {"checksum flip", [&] {

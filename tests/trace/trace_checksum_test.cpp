@@ -1,8 +1,8 @@
-// The WCT1 trailer checksum: the v3 word-wise 4-lane hash must give the
-// same digest however the payload is split across update() calls (the
-// loaders feed it chunk by chunk, the writer block by block), must catch
-// every single-bit flip through every loader, and must leave v1/v2 files —
-// byte-wise FNV-1a — loadable.
+// The WCT1 trailer checksum: the word-wise 4-lane hash of v3 and v4 must
+// give the same digest however the payload is split across update() calls
+// (the loaders feed it chunk by chunk, the writer block by block), must
+// catch every single-bit flip of a v4 file through every loader, and must
+// leave v1/v2 files (byte-wise FNV-1a) and v3 files loadable.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,8 +14,10 @@
 #include <string>
 #include <vector>
 
+#include "support/wct1.hpp"
 #include "trace/binary_trace.hpp"
 #include "trace/binary_trace_detail.hpp"
+#include "trace/dense_trace.hpp"
 #include "trace/streaming_trace.hpp"
 
 #ifndef WEBCACHE_TEST_DATA_DIR
@@ -27,7 +29,7 @@ namespace {
 
 using detail::TraceChecksum;
 
-constexpr std::size_t kRecordBytes = 39;
+constexpr std::size_t kRecordBytes = wct1::kRecordBytes;
 
 std::string random_payload(std::size_t n, std::uint32_t seed) {
   std::mt19937 rng(seed);
@@ -143,6 +145,9 @@ TEST(TraceChecksum, EverySingleBitFlipIsRejected) {
   write_binary_trace(buf, three_records());
   const std::string good = buf.str();
   ASSERT_EQ(good.size(), detail::kHeaderBytes + 3 * kRecordBytes + 8);
+  std::uint32_t written_version = 0;
+  std::memcpy(&written_version, good.data() + 4, sizeof(written_version));
+  ASSERT_EQ(written_version, 4u);
   const std::string path = testing::TempDir() + "/trace_checksum_flip.wct";
 
   for (std::size_t bit = 0; bit < 8 * good.size(); ++bit) {
@@ -154,6 +159,7 @@ TEST(TraceChecksum, EverySingleBitFlipIsRejected) {
     std::stringstream in(data);
     EXPECT_THROW(read_binary_trace(in), std::runtime_error) << where;
     EXPECT_THROW(read_binary_trace_file(path), std::runtime_error) << where;
+    EXPECT_THROW(read_dense_trace_file(path), std::runtime_error) << where;
     for (const std::size_t chunk :
          {std::size_t{1}, std::size_t{2}, std::size_t{4096}}) {
       EXPECT_THROW(
@@ -234,7 +240,7 @@ TEST(TraceChecksum, VersionOneFileStillLoads) {
   std::remove(path.c_str());
 }
 
-TEST(TraceChecksum, GoldenVersionTwoFileStillLoadsAndRewritesAsV3) {
+TEST(TraceChecksum, GoldenVersionTwoFileStillLoadsAndRewritesAsV4) {
   const std::string golden = std::string(WEBCACHE_TEST_DATA_DIR) +
                              "/golden_dfn.wct";
   const std::string bytes = read_file(golden);
@@ -252,17 +258,58 @@ TEST(TraceChecksum, GoldenVersionTwoFileStillLoadsAndRewritesAsV3) {
   read_binary_trace_file_recovering(golden, report);
   EXPECT_TRUE(report.clean());
 
-  // Rewritten, it is a v3 file with the same record bytes: only the version
-  // field and the trailer differ.
+  // Rewritten, it is a v4 file: the same header count, and each v2 record
+  // with its dense id (first-reference order) after the document id.
   std::stringstream out;
   write_binary_trace(out, loaded);
   const std::string rewritten = out.str();
-  ASSERT_EQ(rewritten.size(), bytes.size());
+  const std::size_t n = loaded.requests.size();
+  ASSERT_EQ(rewritten.size(), detail::kHeaderBytes + n * kRecordBytes + 8);
   std::memcpy(&version, rewritten.data() + 4, sizeof(version));
   EXPECT_EQ(version, kTraceVersion);
-  EXPECT_EQ(rewritten.substr(8, bytes.size() - 16),
-            bytes.substr(8, bytes.size() - 16));
-  EXPECT_NE(rewritten.substr(bytes.size() - 8), bytes.substr(bytes.size() - 8));
+  EXPECT_EQ(rewritten.substr(0, 4), bytes.substr(0, 4));
+  EXPECT_EQ(rewritten.substr(8, 8), bytes.substr(8, 8));
+  const std::vector<std::uint32_t> ids = wct1::first_reference_ids(loaded);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string old_record =
+        bytes.substr(detail::kHeaderBytes + i * wct1::kRecordBytesV3,
+                     wct1::kRecordBytesV3);
+    const std::string new_record = rewritten.substr(
+        detail::kHeaderBytes + i * kRecordBytes, kRecordBytes);
+    std::string dense(4, '\0');
+    std::memcpy(dense.data(), &ids[i], 4);
+    ASSERT_EQ(new_record, old_record.substr(0, wct1::kDenseIdOffset) + dense +
+                              old_record.substr(wct1::kDenseIdOffset))
+        << "record " << i;
+  }
+}
+
+TEST(TraceChecksum, VersionThreeFileStillLoads) {
+  const Trace source = three_records();
+  const std::string path = testing::TempDir() + "/trace_checksum_v3.wct";
+  write_file(path, wct1::encode_v3(source));
+
+  const auto expect_source = [&](const Trace& t, const char* loader) {
+    ASSERT_EQ(t.requests.size(), source.requests.size()) << loader;
+    for (std::size_t i = 0; i < t.requests.size(); ++i) {
+      EXPECT_EQ(t.requests[i].document, source.requests[i].document) << loader;
+      EXPECT_EQ(t.requests[i].client, source.requests[i].client) << loader;
+      EXPECT_EQ(t.requests[i].transfer_size, source.requests[i].transfer_size)
+          << loader;
+    }
+  };
+  expect_source(read_binary_trace_file(path), "file");
+  std::stringstream in(wct1::encode_v3(source));
+  expect_source(read_binary_trace(in), "istream");
+  const DenseTrace dense = read_dense_trace_file(path);
+  EXPECT_EQ(dense.original_ids.size(), 3u);
+  StreamingTraceReader reader(path, 2);
+  EXPECT_EQ(reader.version(), 3u);
+  EXPECT_EQ(drain(reader), 3u);
+  RecoveryReport report;
+  expect_source(read_binary_trace_file_recovering(path, report), "recovering");
+  EXPECT_TRUE(report.clean());
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "support/wct1.hpp"
+
 namespace webcache::trace {
 namespace {
 
@@ -48,11 +50,10 @@ void write_bytes(const std::string& path, const std::vector<char>& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-// v2 record layout: u64 ts | u64 doc | u32 client | u8 class | u16 status |
-// u64 doc_size | u64 transfer_size = 39 bytes, after the 16-byte header.
-constexpr std::size_t kHeaderBytes = 16;
-constexpr std::size_t kRecordBytes = 39;
-constexpr std::size_t kClassOffsetInRecord = 20;
+// The v4 record layout (support/wct1.hpp), after the 16-byte header.
+using wct1::kClassOffset;
+using wct1::kHeaderBytes;
+using wct1::kRecordBytes;
 
 TEST(TraceRecovery, CleanFileMatchesStrictLoader) {
   const std::string path = temp_path("recovery_clean.wct");
@@ -81,7 +82,7 @@ TEST(TraceRecovery, InvalidClassByteSkippedWithIndexAndOffset) {
   const std::size_t rec = 7;
   // Diagnostics point at the start of the damaged record.
   const std::size_t offset = kHeaderBytes + rec * kRecordBytes;
-  bytes[offset + kClassOffsetInRecord] = static_cast<char>(0xFF);
+  bytes[offset + kClassOffset] = static_cast<char>(0xFF);
   write_bytes(path, bytes);
 
   // Strict loader refuses the whole file.
@@ -139,7 +140,7 @@ TEST(TraceRecovery, FlippedPayloadBitIsAChecksumIncidentOnly) {
   std::vector<char> bytes = file_bytes(path);
   // Flip a size byte: the record still decodes (class byte untouched), so
   // only the trailer disagrees.
-  bytes[kHeaderBytes + 3 * kRecordBytes + 25] ^= 0x01;
+  bytes[kHeaderBytes + 3 * kRecordBytes + 29] ^= 0x01;
   write_bytes(path, bytes);
 
   RecoveryReport report;
@@ -173,7 +174,7 @@ TEST(TraceRecovery, ManyDamagedRecordsCapDiagnostics) {
 
   std::vector<char> bytes = file_bytes(path);
   for (std::size_t rec = 0; rec < 20; ++rec) {
-    bytes[kHeaderBytes + rec * kRecordBytes + kClassOffsetInRecord] =
+    bytes[kHeaderBytes + rec * kRecordBytes + kClassOffset] =
         static_cast<char>(0xEE);
   }
   write_bytes(path, bytes);

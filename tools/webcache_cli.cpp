@@ -68,7 +68,10 @@ int usage(std::ostream& os) {
         "           [--recover]   (accepts a damaged IN.wct instead of a\n"
         "           log: undecodable records are skipped, a truncated tail\n"
         "           dropped, and a clean WCT1 file is rewritten; the\n"
-        "           recovery summary names each skipped record and offset)\n"
+        "           recovery summary names each skipped record and offset;\n"
+        "           on a clean v1-v3 file this is the upgrade to v4, whose\n"
+        "           stored dense ids spare simulate/sweep/--stream the\n"
+        "           per-request intern)\n"
         "  export   IN.wct OUT.log\n"
         "  characterize TRACE... [--squid] [--windows=N]\n"
         "           (Table 1 has a column per trace; the other tables are\n"
@@ -159,6 +162,14 @@ trace::Trace load_trace(const std::string& path, bool squid_format,
   return t;
 }
 
+/// The replays' load: a WCT1 v4 file comes back densely numbered as
+/// stored, with no intern pass; older files and squid logs densify.
+trace::DenseTrace load_dense_trace(const std::string& path,
+                                   bool squid_format) {
+  if (!squid_format) return trace::read_dense_trace_file(path);
+  return trace::densify(load_trace(path, /*squid_format=*/true));
+}
+
 void print_recovery_summary(const trace::RecoveryReport& report);
 
 std::vector<std::string> split_list(const std::string& csv) {
@@ -245,7 +256,8 @@ int cmd_convert(const util::Args& args) {
   if (args.get_bool("recover", false)) {
     // Salvage mode: the input is a damaged WCT1 file, not an access log.
     // Decodable records survive, the rest is reported, and the output is a
-    // clean strict-loadable WCT1 file.
+    // clean strict-loadable WCT1 file of the current version, so a clean
+    // v1-v3 input comes out upgraded to v4 with the same requests.
     trace::RecoveryReport report;
     const trace::Trace salvaged =
         trace::read_binary_trace_file_recovering(args.positional()[0], report);
@@ -534,11 +546,13 @@ int cmd_simulate(const util::Args& args) {
         "simulate: checkpoints are a streaming-replay feature — add "
         "--stream (and --cache-mb)");
   }
-  // Densified once, in place: every replay below runs on flat arrays
-  // indexed by dense id.
-  const trace::DenseTrace t = trace::densify([&args] {
+  // Every replay below runs on flat arrays indexed by dense id. The
+  // recovering loader ignores stored dense ids (a skipped record can drop
+  // a first reference), so its trace is densified in place.
+  const trace::DenseTrace t = [&args] {
     if (!args.get_bool("recover", false)) {
-      return load_trace(args.positional()[0], args.get_bool("squid", false));
+      return load_dense_trace(args.positional()[0],
+                              args.get_bool("squid", false));
     }
     if (args.get_bool("squid", false)) {
       throw std::invalid_argument(
@@ -549,8 +563,8 @@ int cmd_simulate(const util::Args& args) {
     trace::Trace recovered =
         trace::read_binary_trace_file_recovering(args.positional()[0], report);
     print_recovery_summary(report);
-    return recovered;
-  }());
+    return trace::densify(std::move(recovered));
+  }();
   const std::string policy = args.get("policy", "GD*(1)");
   const std::uint64_t capacity = capacity_from_args(args, t);
   const std::string metrics_path = args.get("metrics-out", "");
@@ -649,8 +663,8 @@ int cmd_sweep(const util::Args& args) {
     throw std::invalid_argument("sweep: need a trace file");
   }
   if (args.get_bool("stream", false)) return cmd_sweep_stream(args);
-  const trace::DenseTrace t = trace::densify(
-      load_trace(args.positional()[0], args.get_bool("squid", false)));
+  const trace::DenseTrace t =
+      load_dense_trace(args.positional()[0], args.get_bool("squid", false));
 
   sim::SweepConfig config;
   config.simulator = simulator_options(args);
@@ -734,8 +748,8 @@ int cmd_hierarchy(const util::Args& args) {
   if (args.positional().empty()) {
     throw std::invalid_argument("hierarchy: need a trace file");
   }
-  const trace::DenseTrace t = trace::densify(
-      load_trace(args.positional()[0], args.get_bool("squid", false)));
+  const trace::DenseTrace t =
+      load_dense_trace(args.positional()[0], args.get_bool("squid", false));
   const double overall = static_cast<double>(t.overall_size_bytes());
 
   sim::HierarchyConfig config;
