@@ -86,15 +86,14 @@ class Cache {
 
   /// Dense-id fast path: declares that every ObjectId passed to this cache
   /// lies in [0, universe) — true for traces run through trace::densify().
-  /// The object table switches to a flat-indexed slab and the hint is
-  /// forwarded to the policy (ReplacementPolicy::reserve_ids). Results are
-  /// bit-identical to the hash-backed mode. Later calls may extend the
-  /// universe under live objects (a stream interning ids as it reads
-  /// them); a first call on a non-empty cache, or one that would shrink
-  /// the universe, throws std::logic_error.
+  /// The object table's id -> slot index becomes a flat vector (the policy
+  /// is keyed by slots and unaffected). Results are bit-identical to the
+  /// hash-indexed mode. Later calls may extend the universe under live
+  /// objects (a stream interning ids as it reads them); a first call on a
+  /// non-empty cache, or one that would shrink the universe, throws
+  /// std::logic_error.
   void reserve_dense_ids(std::uint64_t universe) {
     objects_.reserve_dense(universe);
-    policy_->reserve_ids(universe);
   }
 
   /// Admission control: objects larger than `bytes` are never stored
@@ -126,7 +125,7 @@ class Cache {
 
     if (found != nullptr) {
       // force_miss: the origin's copy changed; drop the stale version.
-      remove_object(id, /*is_eviction=*/false);
+      remove_object(found->slot, /*is_eviction=*/false);
     }
 
     if (!admitted(size)) {
@@ -163,7 +162,7 @@ class Cache {
   /// A resident copy is replaced. Returns false when the object exceeds
   /// the whole cache capacity (bypass).
   bool put(ObjectId id, std::uint64_t size, trace::DocumentClass doc_class) {
-    if (objects_.contains(id)) remove_object(id, /*is_eviction=*/false);
+    erase(id);
     if (!admitted(size)) return false;
     evict_until_fits(size);
     insert(id, size, doc_class);
@@ -175,7 +174,9 @@ class Cache {
   const CacheObject* find(ObjectId id) const { return objects_.find(id); }
   /// Removes a resident object (invalidation); no-op when absent.
   void erase(ObjectId id) {
-    if (objects_.contains(id)) remove_object(id, /*is_eviction=*/false);
+    if (const CacheObject* found = objects_.find(id)) {
+      remove_object(found->slot, /*is_eviction=*/false);
+    }
   }
 
   // ---- accounting ----
@@ -236,7 +237,7 @@ class Cache {
     class_bytes_.fill(0);
   }
 
-  /// Exhaustive consistency check (byte accounting vs object map); tests.
+  /// Exhaustive consistency check (byte accounting vs object table); tests.
   bool check_invariants() const {
     std::uint64_t bytes = 0;
     std::array<std::uint64_t, trace::kDocumentClassCount> per_class_bytes{};
@@ -256,11 +257,13 @@ class Cache {
   // ---- checkpointing ----
   //
   // save_state serializes the container's accounting, the resident-object
-  // metadata (sorted by id, so the bytes are deterministic regardless of
-  // hash layout), and the policy's semantic state. restore_state is only
-  // legal on an empty cache constructed with the identical capacity,
-  // policy spec and dense-id reservation; sim::checkpoint validates that
-  // through the run fingerprint before calling it.
+  // metadata (sorted by id, so the bytes depend on neither the index mode
+  // nor the slot assignment), and the policy's semantic state, in ids.
+  // restore_state is only legal on an empty cache constructed with the
+  // identical capacity, policy spec and dense-id reservation;
+  // sim::checkpoint validates that through the run fingerprint before
+  // calling it. The restored objects take fresh slots, through which the
+  // policy's restore maps its saved ids.
 
   void save_state(util::StateWriter& w) const {
     w.put_u64(admission_limit_);
@@ -289,7 +292,7 @@ class Cache {
       w.put_u64(obj.insert_index);
     }
 
-    policy_->save_state(w);
+    policy_->save_state(w, objects_);
   }
 
   void restore_state(util::StateReader& r) {
@@ -321,7 +324,7 @@ class Cache {
       objects_.insert(obj);
     }
 
-    policy_->restore_state(r);
+    policy_->restore_state(r, objects_);
   }
 
  private:
@@ -351,34 +354,30 @@ class Cache {
   std::uint64_t evict_until_fits(std::uint64_t incoming_size) {
     std::uint64_t evicted = 0;
     while (used_bytes_ + incoming_size > capacity_bytes_) {
-      const ObjectId victim = policy_->choose_victim(incoming_size);
-      remove_object(victim, /*is_eviction=*/true);
+      // The policy has already dropped the victim; only the table and the
+      // accounting still hold it.
+      remove_object(policy_->evict(incoming_size), /*is_eviction=*/true);
       ++evicted;
     }
     return evicted;
   }
 
-  void remove_object(ObjectId id, bool is_eviction) {
-    const CacheObject* found = objects_.find(id);
-    if (found == nullptr) {
-      throw std::logic_error("Cache: removing absent object");
-    }
-    const CacheObject& obj = *found;
+  void remove_object(std::uint32_t slot, bool is_eviction) {
+    const CacheObject& obj = objects_.at(slot);
     used_bytes_ -= obj.size;
     class_bytes_[class_index(obj.doc_class)] -= obj.size;
     class_objects_[class_index(obj.doc_class)] -= 1;
     if (is_eviction) {
       ++evictions_;
-      policy_->on_evict(id);
     } else {
-      policy_->on_erase(id);
+      policy_->on_erase(obj);
     }
     if (removal_listener_ != nullptr) {
       removal_listener_->on_removal(obj, is_eviction
                                              ? RemovalCause::kEviction
                                              : RemovalCause::kInvalidation);
     }
-    objects_.erase(id);
+    objects_.erase(slot);
   }
 
   bool admitted(std::uint64_t size) const {

@@ -2,10 +2,10 @@
 // counters — the classic lazy-promotion scheme (the hit path touches one
 // counter; the recency structure is only maintained at eviction time).
 //
-// Implementation: an array-backed ring over the object slab
-// (cache::LruIndexList — contiguous nodes, 32-bit links, flat id index
-// after reserve_ids) ordered by insertion, with the clock hand at the cold
-// end. A hit arms the object's reference counter (capped at k); the hand
+// Implementation: an array-backed ring over the object table's slots
+// (cache::LruIndexList — one node per slot, 32-bit links) ordered by
+// insertion, with the clock hand at the cold end, and a counter per slot.
+// A hit arms the object's reference counter (capped at k); the hand
 // walks from the cold end, decrementing armed counters and recycling those
 // objects to the young end (the second chance), and evicts the first
 // object found with counter zero. CLOCK is the k=1 special case (a single
@@ -15,13 +15,11 @@
 // resistant" CLOCK variants).
 //
 // Determinism: no randomness; the ring evolution depends only on the
-// insert/hit/evict sequence, never on id numbering — sparse and dense-id
-// replays are bit-identical.
+// insert/hit/evict sequence, never on id numbering or slot assignment.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/lru_list.hpp"
@@ -32,12 +30,10 @@ namespace webcache::cache {
 /// Shared second-chance machinery; concrete policies fix k and the name.
 class SecondChancePolicy : public ReplacementPolicy {
  public:
-  void reserve_ids(std::uint64_t universe) override;
   void on_insert(const CacheObject& obj) override;
   void on_hit(const CacheObject& obj) override;
-  using ReplacementPolicy::choose_victim;
-  ObjectId choose_victim(std::uint64_t incoming_size) override;
-  void on_evict(ObjectId id) override;
+  std::uint32_t evict(std::uint64_t incoming_size) override;
+  void on_erase(const CacheObject& obj) override { ring_.erase(obj.slot); }
   void clear() override;
 
   PolicyProbe probe() const override {
@@ -46,21 +42,19 @@ class SecondChancePolicy : public ReplacementPolicy {
 
   std::uint32_t counter_max() const { return counter_max_; }
 
-  void save_state(util::StateWriter& w) const override;
-  void restore_state(util::StateReader& r) override;
+  void save_state(util::StateWriter& w,
+                  const ObjectTable& objects) const override;
+  void restore_state(util::StateReader& r,
+                     const ObjectTable& objects) override;
 
  protected:
   explicit SecondChancePolicy(std::uint32_t counter_max);
 
  private:
-  std::uint32_t counter_of(ObjectId id) const;
-  void set_counter(ObjectId id, std::uint32_t value);
-
   std::uint32_t counter_max_;  // k: chances granted by consecutive hits
   LruIndexList ring_;          // front = youngest, back = clock hand
-  bool dense_ = false;
-  std::unordered_map<ObjectId, std::uint32_t> counters_;
-  std::vector<std::uint32_t> dense_counters_;
+  std::vector<std::uint32_t> counters_;  // by slot
+
 };
 
 /// CLOCK: one reference bit (k = 1).

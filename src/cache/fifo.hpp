@@ -4,39 +4,36 @@
 // comparison in Arlitt, Friedrich & Jin (Performance Evaluation 39, 2000)
 // that the paper builds on; included as a floor for the benchmarks.
 //
-// Removal of non-front objects is lazy: a tombstone count per id marks how
-// many stale deque entries exist, and choose_victim() skips them. An id can
-// be erased and re-inserted repeatedly; each stale entry is matched by
-// exactly one tombstone.
+// The insertion order is a slot-keyed LruIndexList that hits never touch:
+// front = newest, back = oldest = victim. An invalidated object leaves the
+// list at once, so the order holds exactly the resident objects.
 #pragma once
 
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
-
+#include "cache/lru_list.hpp"
 #include "cache/policy.hpp"
 
 namespace webcache::cache {
 
 class FifoPolicy final : public ReplacementPolicy {
  public:
-  void on_insert(const CacheObject& obj) override;
+  void on_insert(const CacheObject& obj) override {
+    order_.push_front(obj.slot);
+  }
   void on_hit(const CacheObject& /*obj*/) override {}  // recency is ignored
-  using ReplacementPolicy::choose_victim;
-  ObjectId choose_victim(std::uint64_t incoming_size) override;
-  void on_evict(ObjectId id) override;
+  std::uint32_t evict(std::uint64_t /*incoming_size*/) override {
+    return order_.pop_back();
+  }
+  void on_erase(const CacheObject& obj) override { order_.erase(obj.slot); }
   std::string_view name() const override { return "FIFO"; }
-  void clear() override;
+  void clear() override { order_.clear(); }
 
-  void save_state(util::StateWriter& w) const override;
-  void restore_state(util::StateReader& r) override;
+  void save_state(util::StateWriter& w,
+                  const ObjectTable& objects) const override;
+  void restore_state(util::StateReader& r,
+                     const ObjectTable& objects) override;
 
  private:
-  void skip_tombstones();
-
-  std::deque<ObjectId> order_;  // front = oldest
-  std::unordered_map<ObjectId, std::uint32_t> tombstones_;
-  std::unordered_set<ObjectId> resident_;
+  LruIndexList order_;  // front = newest, back = oldest
 };
 
 }  // namespace webcache::cache

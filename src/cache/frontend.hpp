@@ -19,12 +19,12 @@ class CacheFrontend {
   /// Dense-id fast path hint: every ObjectId subsequently passed to this
   /// frontend lies in [0, universe) — true for traces run through
   /// trace::densify(). Composites forward the reservation to every
-  /// underlying cache so each switches its object table and policy indices
-  /// to flat arrays; results are bit-identical either way. The first call
+  /// underlying cache so each switches its object table's id index to a
+  /// flat array; results are bit-identical either way. The first call
   /// is only legal while the frontend is empty; later calls may extend the
   /// universe, as a stream does when it interns a new document, but never
   /// shrink it (implementations throw std::logic_error). The default
-  /// ignores the hint: a frontend without array-backed state simply stays
+  /// ignores the hint: a frontend without an id index simply stays
   /// sparse.
   virtual void reserve_dense_ids(std::uint64_t /*universe*/) {}
   virtual bool contains(ObjectId id) const = 0;

@@ -17,22 +17,19 @@ double GdsPolicy::value_of(const CacheObject& obj) const {
 }
 
 void GdsPolicy::on_insert(const CacheObject& obj) {
-  heap_.push(obj.id, inflation_ + value_of(obj));
+  heap_.push(obj.slot, inflation_ + value_of(obj));
 }
 
 void GdsPolicy::on_hit(const CacheObject& obj) {
   // Restore the full value on top of the *current* inflation: documents not
   // referenced since their last H assignment decay relative to this one.
-  heap_.update(obj.id, inflation_ + value_of(obj));
+  heap_.update(obj.slot, inflation_ + value_of(obj));
 }
 
-ObjectId GdsPolicy::choose_victim(std::uint64_t /*incoming_size*/) { return heap_.top().key; }
-
-void GdsPolicy::on_evict(ObjectId id) {
-  if (!heap_.empty() && heap_.top().key == id) {
-    inflation_ = heap_.top().priority;
-  }
-  heap_.erase(id);
+std::uint32_t GdsPolicy::evict(std::uint64_t /*incoming_size*/) {
+  const auto victim = heap_.pop();
+  inflation_ = victim.priority;
+  return victim.key;
 }
 
 void GdsPolicy::clear() {

@@ -20,17 +20,13 @@ class GdsPolicy final : public ReplacementPolicy {
  public:
   explicit GdsPolicy(CostModelKind cost_model);
 
-  void reserve_ids(std::uint64_t universe) override {
-    heap_.reserve_dense_keys(universe);
-  }
   void on_insert(const CacheObject& obj) override;
   void on_hit(const CacheObject& obj) override;
-  using ReplacementPolicy::choose_victim;
-  ObjectId choose_victim(std::uint64_t incoming_size) override;
-  void on_evict(ObjectId id) override;
+  /// Pops the minimum; L rises to its priority.
+  std::uint32_t evict(std::uint64_t incoming_size) override;
   /// A modification or invalidation removes the entry but leaves L alone:
   /// GreedyDual ages only on replacement.
-  void on_erase(ObjectId id) override { heap_.erase(id); }
+  void on_erase(const CacheObject& obj) override { heap_.erase(obj.slot); }
   std::string_view name() const override { return name_; }
   void clear() override;
 
@@ -40,13 +36,15 @@ class GdsPolicy final : public ReplacementPolicy {
     return {heap_.size(), inflation_, std::nullopt};
   }
 
-  void save_state(util::StateWriter& w) const override;
-  void restore_state(util::StateReader& r) override;
+  void save_state(util::StateWriter& w,
+                  const ObjectTable& objects) const override;
+  void restore_state(util::StateReader& r,
+                     const ObjectTable& objects) override;
 
  private:
   double value_of(const CacheObject& obj) const;
 
-  IndexedMinHeap<ObjectId, double> heap_;
+  IndexedMinHeap<double> heap_;
   std::unique_ptr<CostModel> cost_model_;
   std::string name_;
   double inflation_ = 0.0;  // the running L

@@ -16,20 +16,17 @@ double GdsfPolicy::value_of(const CacheObject& obj) const {
 }
 
 void GdsfPolicy::on_insert(const CacheObject& obj) {
-  heap_.push(obj.id, inflation_ + value_of(obj));
+  heap_.push(obj.slot, inflation_ + value_of(obj));
 }
 
 void GdsfPolicy::on_hit(const CacheObject& obj) {
-  heap_.update(obj.id, inflation_ + value_of(obj));
+  heap_.update(obj.slot, inflation_ + value_of(obj));
 }
 
-ObjectId GdsfPolicy::choose_victim(std::uint64_t /*incoming_size*/) { return heap_.top().key; }
-
-void GdsfPolicy::on_evict(ObjectId id) {
-  if (!heap_.empty() && heap_.top().key == id) {
-    inflation_ = heap_.top().priority;
-  }
-  heap_.erase(id);
+std::uint32_t GdsfPolicy::evict(std::uint64_t /*incoming_size*/) {
+  const auto victim = heap_.pop();
+  inflation_ = victim.priority;
+  return victim.key;
 }
 
 void GdsfPolicy::clear() {

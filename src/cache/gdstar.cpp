@@ -35,7 +35,7 @@ double GdStarPolicy::value_of(const CacheObject& obj) const {
 }
 
 void GdStarPolicy::on_insert(const CacheObject& obj) {
-  heap_.push(obj.id, inflation_ + value_of(obj));
+  heap_.push(obj.slot, inflation_ + value_of(obj));
 }
 
 void GdStarPolicy::on_hit(const CacheObject& obj) {
@@ -44,16 +44,13 @@ void GdStarPolicy::on_hit(const CacheObject& obj) {
   if (!fixed_beta_ && obj.last_access > obj.previous_access) {
     estimator_.observe_gap(obj.last_access - obj.previous_access);
   }
-  heap_.update(obj.id, inflation_ + value_of(obj));
+  heap_.update(obj.slot, inflation_ + value_of(obj));
 }
 
-ObjectId GdStarPolicy::choose_victim(std::uint64_t /*incoming_size*/) { return heap_.top().key; }
-
-void GdStarPolicy::on_evict(ObjectId id) {
-  if (!heap_.empty() && heap_.top().key == id) {
-    inflation_ = heap_.top().priority;
-  }
-  heap_.erase(id);
+std::uint32_t GdStarPolicy::evict(std::uint64_t /*incoming_size*/) {
+  const auto victim = heap_.pop();
+  inflation_ = victim.priority;
+  return victim.key;
 }
 
 void GdStarPolicy::clear() {

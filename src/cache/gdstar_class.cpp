@@ -40,7 +40,7 @@ double GdStarPerClassPolicy::value_of(const CacheObject& obj) const {
 }
 
 void GdStarPerClassPolicy::on_insert(const CacheObject& obj) {
-  heap_.push(obj.id, inflation_ + value_of(obj));
+  heap_.push(obj.slot, inflation_ + value_of(obj));
 }
 
 void GdStarPerClassPolicy::on_hit(const CacheObject& obj) {
@@ -48,18 +48,13 @@ void GdStarPerClassPolicy::on_hit(const CacheObject& obj) {
     estimators_[static_cast<std::size_t>(obj.doc_class)].observe_gap(
         obj.last_access - obj.previous_access);
   }
-  heap_.update(obj.id, inflation_ + value_of(obj));
+  heap_.update(obj.slot, inflation_ + value_of(obj));
 }
 
-ObjectId GdStarPerClassPolicy::choose_victim(std::uint64_t /*incoming_size*/) {
-  return heap_.top().key;
-}
-
-void GdStarPerClassPolicy::on_evict(ObjectId id) {
-  if (!heap_.empty() && heap_.top().key == id) {
-    inflation_ = heap_.top().priority;
-  }
-  heap_.erase(id);
+std::uint32_t GdStarPerClassPolicy::evict(std::uint64_t /*incoming_size*/) {
+  const auto victim = heap_.pop();
+  inflation_ = victim.priority;
+  return victim.key;
 }
 
 void GdStarPerClassPolicy::clear() {

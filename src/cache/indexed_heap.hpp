@@ -1,33 +1,30 @@
-// Indexed binary min-heap.
+// Indexed binary min-heap over slot keys.
 //
 // The value-based policies (LFU-DA, GDS, GDSF, GD*) must, on every hit,
 // update the priority of an arbitrary resident object and, on eviction, pop
-// the minimum. A binary heap with a key -> slot index gives O(log n) for
-// both, and (unlike std::priority_queue) supports decrease/increase-key and
-// erase-by-key.
+// the minimum. A binary heap with a key -> position index gives O(log n)
+// for both, and (unlike std::priority_queue) supports decrease/increase-key
+// and erase-by-key.
 //
-// Layout. Each array entry is 16 bytes — {priority, u32 handle, u32
-// sequence} for an 8-byte Priority — and the slot index is a flat
-// std::vector<u32> indexed by handle. sift_up and sift_down move a hole
-// rather than swapping, so each level costs one entry write and one slot
-// write. The hole method makes exactly the comparisons the swap method
-// would, so the array layout (and hence for_each_entry's order, which the
-// checkpoint writer serializes) is the swap method's.
+// Keys are u32 object-table slots (CacheObject::slot), so the position
+// index is a flat std::vector<u32> indexed by key, grown to cover the
+// largest key pushed: it follows the table's slot high-water mark, never
+// the document universe.
 //
-// Handles. After reserve_dense_keys(universe) — legal for integral keys in
-// [0, universe), i.e. a densified trace, with universe < 2^32 - 1 — a key
-// is its own handle. Otherwise (map mode: arbitrary keys, e.g. 64-bit URL
-// hashes) each key is mapped to a recycled u32 handle once, when it enters
-// the heap, and unmapped when it leaves. Either way the sift code sees only
-// handles and has a single path.
+// Layout. Each array entry is 16 bytes — {priority, u32 key, u32 sequence}
+// for an 8-byte Priority. sift_up and sift_down move a hole rather than
+// swapping, so each level costs one entry write and one index write. The
+// hole method makes exactly the comparisons the swap method would, so the
+// array layout (and hence for_each_entry's order, which the checkpoint
+// writer serializes) is the swap method's.
 //
 // Ties are broken by insertion sequence (FIFO among equal priorities), which
-// makes every policy fully deterministic and replay-stable; the index mode
-// never affects ordering. Sequences are stored in 32 bits: when the counter
-// would pass 2^32, the live entries are renumbered 0..n-1 in their existing
-// sequence order, as are restored entries whose saved sequences do not fit.
-// Only the relative order of sequences is ever compared, so renumbering
-// cannot change the pop order.
+// makes every policy fully deterministic and replay-stable; keys never
+// affect ordering, so neither does the slot assignment. Sequences are stored
+// in 32 bits: when the counter would pass 2^32, the live entries are
+// renumbered 0..n-1 in their existing sequence order, as are restored
+// entries whose saved sequences do not fit. Only the relative order of
+// sequences is ever compared, so renumbering cannot change the pop order.
 #pragma once
 
 #include <algorithm>
@@ -35,8 +32,6 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/types.hpp"
@@ -48,9 +43,13 @@ class StateReader;
 
 namespace webcache::cache {
 
-template <typename Key, typename Priority>
+class ObjectTable;
+
+template <typename Priority>
 class IndexedMinHeap {
  public:
+  using Key = std::uint32_t;
+
   /// An entry as callers see it; sequence is the tie-breaker (lower =
   /// inserted earlier).
   struct Entry {
@@ -61,33 +60,16 @@ class IndexedMinHeap {
 
   bool empty() const { return heap_.empty(); }
   std::size_t size() const { return heap_.size(); }
-  bool contains(const Key& key) const { return find_slot(key) != kNone; }
+  bool contains(Key key) const { return find_position(key) != kNone; }
 
-  /// Makes every key its own handle, covering keys in [0, universe);
-  /// requires an integral Key and universe < 2^32 - 1. The first call is
-  /// only legal while empty; later calls may extend the universe, never
-  /// shrink it.
-  void reserve_dense_keys(std::uint64_t universe) {
-    static_assert(std::is_integral_v<Key>,
-                  "dense key index requires an integral Key");
-    if (!dense_ && !heap_.empty()) {
-      throw std::logic_error("IndexedMinHeap: reserve_dense_keys on non-empty");
-    }
-    if (universe >= kNone) {
-      throw std::invalid_argument("IndexedMinHeap: dense universe too large");
-    }
-    if (!dense_) clear_handles();
-    extend_dense_index(slots_, universe, kNone, "IndexedMinHeap");
-    dense_ = true;
-  }
-
-  /// Inserts a new key. Throws std::logic_error if the key is present.
-  void push(const Key& key, Priority priority) {
-    const std::uint32_t handle = acquire_handle(key);
+  /// Inserts a new key. Throws std::logic_error if the key is present,
+  /// std::invalid_argument for the reserved key 2^32 - 1.
+  void push(Key key, Priority priority) {
+    acquire(key);
     if (next_sequence_ > kMaxSequence) renumber_sequences();
     const auto sequence = static_cast<std::uint32_t>(next_sequence_++);
     heap_.emplace_back();
-    sift_up(heap_.size() - 1, Node{priority, handle, sequence});
+    sift_up(heap_.size() - 1, Node{priority, key, sequence});
   }
 
   /// The minimum entry. Throws std::logic_error when empty.
@@ -105,8 +87,8 @@ class IndexedMinHeap {
 
   /// Updates the priority of an existing key (any direction). The entry
   /// keeps its original sequence number. Throws if absent.
-  void update(const Key& key, Priority priority) {
-    const std::size_t i = slot_of(key);
+  void update(Key key, Priority priority) {
+    const std::size_t i = position_of(key);
     Node node = heap_[i];
     const Priority old = node.priority;
     node.priority = priority;
@@ -120,20 +102,16 @@ class IndexedMinHeap {
   }
 
   /// Removes an arbitrary key. Throws if absent.
-  void erase(const Key& key) { remove_at(slot_of(key)); }
+  void erase(Key key) { remove_at(position_of(key)); }
 
   /// Priority currently stored for key. Throws if absent.
-  Priority priority_of(const Key& key) const {
-    return heap_[slot_of(key)].priority;
+  Priority priority_of(Key key) const {
+    return heap_[position_of(key)].priority;
   }
 
   void clear() {
     heap_.clear();
-    if (dense_) {
-      slots_.assign(slots_.size(), kNone);
-    } else {
-      clear_handles();
-    }
+    positions_.clear();
     next_sequence_ = 0;
   }
 
@@ -169,10 +147,10 @@ class IndexedMinHeap {
     if (!fits) next_sequence = rank_in_place(sequences);
     heap_.reserve(entries.size());
     for (std::size_t i = 0; i < entries.size(); ++i) {
-      const std::uint32_t handle = acquire_handle(entries[i].key);
+      acquire(entries[i].key);
       heap_.emplace_back();
       sift_up(heap_.size() - 1,
-              Node{entries[i].priority, handle,
+              Node{entries[i].priority, entries[i].key,
                    static_cast<std::uint32_t>(sequences[i])});
     }
     next_sequence_ = next_sequence;
@@ -182,24 +160,15 @@ class IndexedMinHeap {
   /// renumbers the live entries first.
   void set_next_sequence(std::uint64_t next) { next_sequence_ = next; }
 
-  /// Validates the heap property, the slot index and the handle map; test
-  /// support.
+  /// Validates the heap property and the position index; test support.
   bool check_invariants() const {
     std::size_t indexed = 0;
-    if (dense_) {
-      for (const std::uint32_t s : slots_) {
-        if (s != kNone) ++indexed;
-      }
-    } else {
-      for (const auto& [key, handle] : handles_) {
-        if (handle >= keys_.size() || !(keys_[handle] == key)) return false;
-      }
-      indexed = handles_.size();
-      if (handles_.size() + free_handles_.size() != keys_.size()) return false;
+    for (const std::uint32_t s : positions_) {
+      if (s != kNone) ++indexed;
     }
     if (heap_.size() != indexed) return false;
     for (std::size_t i = 0; i < heap_.size(); ++i) {
-      if (find_slot(entry_of(heap_[i]).key) != i) return false;
+      if (find_position(heap_[i].key) != i) return false;
       if (heap_[i].sequence >= next_sequence_) return false;
       if (i > 0 && less(heap_[i], heap_[parent(i)])) return false;
     }
@@ -209,7 +178,7 @@ class IndexedMinHeap {
  private:
   struct Node {
     Priority priority;
-    std::uint32_t handle;
+    Key key;
     std::uint32_t sequence;
   };
   static_assert(sizeof(Priority) != 8 || sizeof(Node) == 16,
@@ -256,84 +225,36 @@ class IndexedMinHeap {
     }
   }
 
-  Entry entry_of(const Node& node) const {
-    if constexpr (std::is_integral_v<Key>) {
-      if (dense_) return Entry{static_cast<Key>(node.handle), node.priority,
-                               node.sequence};
-    }
-    return Entry{keys_[node.handle], node.priority, node.sequence};
+  static Entry entry_of(const Node& node) {
+    return Entry{node.key, node.priority, node.sequence};
   }
 
-  std::uint32_t find_slot(const Key& key) const {
-    if constexpr (std::is_integral_v<Key>) {
-      if (dense_) {
-        const auto k = static_cast<std::size_t>(key);
-        return k < slots_.size() ? slots_[k] : kNone;
-      }
-    }
-    const auto it = handles_.find(key);
-    return it == handles_.end() ? kNone : slots_[it->second];
+  std::uint32_t find_position(Key key) const {
+    return key < positions_.size() ? positions_[key] : kNone;
   }
 
-  std::size_t slot_of(const Key& key) const {
-    const std::uint32_t slot = find_slot(key);
-    if (slot == kNone) {
+  std::size_t position_of(Key key) const {
+    const std::uint32_t position = find_position(key);
+    if (position == kNone) {
       throw std::logic_error("IndexedMinHeap: key not present");
     }
-    return slot;
+    return position;
   }
 
-  // The handle a new key enters the heap under; throws, changing nothing,
-  // if the key is present or outside the dense universe.
-  std::uint32_t acquire_handle(const Key& key) {
-    if constexpr (std::is_integral_v<Key>) {
-      if (dense_) {
-        const auto k = static_cast<std::size_t>(key);
-        if (k >= slots_.size()) {
-          throw std::logic_error("IndexedMinHeap: key outside dense universe");
-        }
-        if (slots_[k] != kNone) {
-          throw std::logic_error("IndexedMinHeap: duplicate key");
-        }
-        return static_cast<std::uint32_t>(k);
-      }
+  // Checks that a new key can enter the heap; throws, changing nothing,
+  // if it is present or reserved.
+  void acquire(Key key) {
+    if (key == kNone) {
+      throw std::invalid_argument("IndexedMinHeap: key 2^32 - 1 is reserved");
     }
-    const auto [it, inserted] = handles_.try_emplace(key, kNone);
-    if (!inserted) throw std::logic_error("IndexedMinHeap: duplicate key");
-    if (free_handles_.empty()) {
-      if (keys_.size() >= kNone) {
-        handles_.erase(it);
-        throw std::length_error("IndexedMinHeap: more than 2^32 - 2 keys");
-      }
-      keys_.push_back(key);
-      slots_.push_back(kNone);
-      it->second = static_cast<std::uint32_t>(keys_.size() - 1);
-    } else {
-      it->second = free_handles_.back();
-      free_handles_.pop_back();
-      keys_[it->second] = key;
+    if (slot_entry(positions_, key, kNone) != kNone) {
+      throw std::logic_error("IndexedMinHeap: duplicate key");
     }
-    return it->second;
-  }
-
-  void release_handle(std::uint32_t handle) {
-    slots_[handle] = kNone;
-    if (!dense_) {
-      handles_.erase(keys_[handle]);
-      free_handles_.push_back(handle);
-    }
-  }
-
-  void clear_handles() {
-    slots_.clear();
-    keys_.clear();
-    handles_.clear();
-    free_handles_.clear();
   }
 
   void place(std::size_t i, const Node& node) {
     heap_[i] = node;
-    slots_[node.handle] = static_cast<std::uint32_t>(i);
+    positions_[node.key] = static_cast<std::uint32_t>(i);
   }
 
   // Moves the hole at i toward the root while `node` beats the parent,
@@ -371,7 +292,7 @@ class IndexedMinHeap {
   }
 
   void remove_at(std::size_t i) {
-    release_handle(heap_[i].handle);
+    positions_[heap_[i].key] = kNone;
     const Node last = heap_.back();
     heap_.pop_back();
     if (i == heap_.size()) return;
@@ -384,23 +305,17 @@ class IndexedMinHeap {
 
   std::vector<Node> heap_;
   std::uint64_t next_sequence_ = 0;
-
-  // Heap position per handle (kNone = not in the heap). In dense mode the
-  // handle is the key; in map mode handles_ and keys_ translate.
-  std::vector<std::uint32_t> slots_;
-  bool dense_ = false;
-  std::unordered_map<Key, std::uint32_t> handles_;
-  std::vector<Key> keys_;
-  std::vector<std::uint32_t> free_handles_;
+  std::vector<std::uint32_t> positions_;  // heap position per key; kNone = absent
 };
 
 /// The policies' heap checkpoint codec (cache/policy_state.cpp): the entry
-/// count, then {u64 key, double priority, u64 sequence} per entry in array
-/// order, then the sequence counter. Keys are read through take_id(), so a
-/// reader's id bound applies.
-void save_heap(util::StateWriter& w,
-               const IndexedMinHeap<ObjectId, double>& heap);
-void restore_heap(util::StateReader& r,
-                  IndexedMinHeap<ObjectId, double>& heap);
+/// count, then {u64 document id, double priority, u64 sequence} per entry
+/// in array order, then the sequence counter. Keys are slots of `objects`:
+/// save writes each slot's id, restore reads ids through take_id() (so a
+/// reader's id bound applies) and keys each entry by the id's slot.
+void save_heap(util::StateWriter& w, const IndexedMinHeap<double>& heap,
+               const ObjectTable& objects);
+void restore_heap(util::StateReader& r, IndexedMinHeap<double>& heap,
+                  const ObjectTable& objects);
 
 }  // namespace webcache::cache

@@ -29,26 +29,21 @@ ProbLruPolicy::ProbLruPolicy(double p, std::uint64_t seed)
   }
 }
 
-void ProbLruPolicy::reserve_ids(std::uint64_t universe) {
-  order_.reserve_ids(universe);
-}
-
 void ProbLruPolicy::on_insert(const CacheObject& obj) {
-  order_.push_front(obj.id);
+  order_.push_front(obj.slot);
 }
 
 void ProbLruPolicy::on_hit(const CacheObject& obj) {
   // One draw per hit, unconditionally: the draw stream then depends only on
-  // the hit sequence, never on the object's current list position, which is
-  // what keeps sparse and dense replays bit-identical.
-  if (rng_.chance(p_)) order_.move_to_front(obj.id);
+  // the hit sequence, never on the object's current list position.
+  if (rng_.chance(p_)) order_.move_to_front(obj.slot);
 }
 
-ObjectId ProbLruPolicy::choose_victim(std::uint64_t /*incoming_size*/) {
-  return order_.back();
+std::uint32_t ProbLruPolicy::evict(std::uint64_t /*incoming_size*/) {
+  return order_.pop_back();
 }
 
-void ProbLruPolicy::on_evict(ObjectId id) { order_.erase(id); }
+void ProbLruPolicy::on_erase(const CacheObject& obj) { order_.erase(obj.slot); }
 
 void ProbLruPolicy::clear() {
   // A reset run must reproduce the original draw sequence.
@@ -66,62 +61,32 @@ DelayLruPolicy::DelayLruPolicy(std::uint64_t k)
   }
 }
 
-void DelayLruPolicy::reserve_ids(std::uint64_t universe) {
-  order_.reserve_ids(universe);
-  extend_dense_index(dense_stamps_, universe, std::uint64_t{0},
-                     "DelayLruPolicy");
-  dense_ = true;
-  stamps_.clear();
-}
-
-std::uint64_t DelayLruPolicy::stamp_of(ObjectId id) const {
-  if (dense_) return dense_stamps_[static_cast<std::size_t>(id)];
-  const auto it = stamps_.find(id);
-  return it == stamps_.end() ? 0 : it->second;
-}
-
-void DelayLruPolicy::set_stamp(ObjectId id, std::uint64_t stamp) {
-  if (dense_) {
-    dense_stamps_[static_cast<std::size_t>(id)] = stamp;
-  } else {
-    stamps_[id] = stamp;
-  }
-}
-
 void DelayLruPolicy::on_insert(const CacheObject& obj) {
-  order_.push_front(obj.id);
+  order_.push_front(obj.slot);
   // Insertion counts as the first promotion: the window opens at the
   // insert clock (CacheObject::last_access == the container clock here).
-  set_stamp(obj.id, obj.last_access);
+  slot_entry(stamps_, obj.slot) = obj.last_access;
 }
 
 void DelayLruPolicy::on_hit(const CacheObject& obj) {
-  if (obj.last_access - stamp_of(obj.id) >= k_) {
-    order_.move_to_front(obj.id);
-    set_stamp(obj.id, obj.last_access);
+  std::uint64_t& stamp = stamps_[obj.slot];
+  if (obj.last_access - stamp >= k_) {
+    order_.move_to_front(obj.slot);
+    stamp = obj.last_access;
   }
 }
 
-ObjectId DelayLruPolicy::choose_victim(std::uint64_t /*incoming_size*/) {
-  return order_.back();
+std::uint32_t DelayLruPolicy::evict(std::uint64_t /*incoming_size*/) {
+  return order_.pop_back();
 }
 
-void DelayLruPolicy::on_evict(ObjectId id) {
-  order_.erase(id);
-  if (dense_) {
-    dense_stamps_[static_cast<std::size_t>(id)] = 0;
-  } else {
-    stamps_.erase(id);
-  }
+void DelayLruPolicy::on_erase(const CacheObject& obj) {
+  order_.erase(obj.slot);
 }
 
 void DelayLruPolicy::clear() {
   order_.clear();
-  if (dense_) {
-    dense_stamps_.assign(dense_stamps_.size(), 0);
-  } else {
-    stamps_.clear();
-  }
+  stamps_.clear();
 }
 
 // ---- batch promotion ------------------------------------------------------
@@ -136,35 +101,38 @@ BatchPromotionPolicy::BatchPromotionPolicy(std::uint64_t batch)
       batch, 1 << 20)));
 }
 
-void BatchPromotionPolicy::reserve_ids(std::uint64_t universe) {
-  order_.reserve_ids(universe);
-}
-
 void BatchPromotionPolicy::on_insert(const CacheObject& obj) {
-  order_.push_front(obj.id);
+  order_.push_front(obj.slot);
 }
 
 void BatchPromotionPolicy::on_hit(const CacheObject& obj) {
-  pending_.push_back(obj.id);
+  pending_.push_back(obj.slot);
   if (pending_.size() >= batch_) flush();
 }
 
 void BatchPromotionPolicy::flush() {
   // Arrival order: the most recently hit object ends up at the MRU end.
   // Duplicates are harmless (a second move is idempotent on the order);
-  // evicted ids were purged by on_evict, so everything queued is resident.
-  for (const ObjectId id : pending_) order_.move_to_front(id);
+  // departed slots were purged by remove(), so everything queued is
+  // resident.
+  for (const std::uint32_t slot : pending_) order_.move_to_front(slot);
   pending_.clear();
 }
 
-ObjectId BatchPromotionPolicy::choose_victim(std::uint64_t /*incoming_size*/) {
-  return order_.back();
+void BatchPromotionPolicy::remove(std::uint32_t slot) {
+  order_.erase(slot);
+  pending_.erase(std::remove(pending_.begin(), pending_.end(), slot),
+                 pending_.end());
 }
 
-void BatchPromotionPolicy::on_evict(ObjectId id) {
-  order_.erase(id);
-  pending_.erase(std::remove(pending_.begin(), pending_.end(), id),
-                 pending_.end());
+std::uint32_t BatchPromotionPolicy::evict(std::uint64_t /*incoming_size*/) {
+  const std::uint32_t victim = order_.back();
+  remove(victim);
+  return victim;
+}
+
+void BatchPromotionPolicy::on_erase(const CacheObject& obj) {
+  remove(obj.slot);
 }
 
 void BatchPromotionPolicy::clear() {

@@ -5,16 +5,14 @@
 // retain most of LRU's hit ratio while removing the per-hit list splice.
 //
 // Determinism: Prob-LRU draws one Bernoulli per hit from a seeded
-// util::Rng (position-independent, so sparse and dense-id replays see the
-// same stream); Delay-LRU keys its promotion window off the container's
-// request clock (CacheObject::last_access); batch promotion flushes at
-// exact hit counts. All three are bit-identical between the hash-backed
-// and flat-array representations.
+// util::Rng (position-independent, so every replay sees the same stream);
+// Delay-LRU keys its promotion window off the container's request clock
+// (CacheObject::last_access); batch promotion flushes at exact hit counts.
+// None depends on id numbering or slot assignment.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/lru_list.hpp"
@@ -33,12 +31,10 @@ class ProbLruPolicy final : public ReplacementPolicy {
   explicit ProbLruPolicy(double p = kDefaultP,
                          std::uint64_t seed = kDefaultSeed);
 
-  void reserve_ids(std::uint64_t universe) override;
   void on_insert(const CacheObject& obj) override;
   void on_hit(const CacheObject& obj) override;
-  using ReplacementPolicy::choose_victim;
-  ObjectId choose_victim(std::uint64_t incoming_size) override;
-  void on_evict(ObjectId id) override;
+  std::uint32_t evict(std::uint64_t incoming_size) override;
+  void on_erase(const CacheObject& obj) override;
   std::string_view name() const override { return name_; }
   void clear() override;
 
@@ -48,8 +44,10 @@ class ProbLruPolicy final : public ReplacementPolicy {
 
   double promote_probability() const { return p_; }
 
-  void save_state(util::StateWriter& w) const override;
-  void restore_state(util::StateReader& r) override;
+  void save_state(util::StateWriter& w,
+                  const ObjectTable& objects) const override;
+  void restore_state(util::StateReader& r,
+                     const ObjectTable& objects) override;
 
  private:
   double p_;
@@ -68,12 +66,10 @@ class DelayLruPolicy final : public ReplacementPolicy {
 
   explicit DelayLruPolicy(std::uint64_t k = kDefaultK);
 
-  void reserve_ids(std::uint64_t universe) override;
   void on_insert(const CacheObject& obj) override;
   void on_hit(const CacheObject& obj) override;
-  using ReplacementPolicy::choose_victim;
-  ObjectId choose_victim(std::uint64_t incoming_size) override;
-  void on_evict(ObjectId id) override;
+  std::uint32_t evict(std::uint64_t incoming_size) override;
+  void on_erase(const CacheObject& obj) override;
   std::string_view name() const override { return name_; }
   void clear() override;
 
@@ -83,39 +79,34 @@ class DelayLruPolicy final : public ReplacementPolicy {
 
   std::uint64_t promote_interval() const { return k_; }
 
-  void save_state(util::StateWriter& w) const override;
-  void restore_state(util::StateReader& r) override;
+  void save_state(util::StateWriter& w,
+                  const ObjectTable& objects) const override;
+  void restore_state(util::StateReader& r,
+                     const ObjectTable& objects) override;
 
  private:
-  std::uint64_t stamp_of(ObjectId id) const;
-  void set_stamp(ObjectId id, std::uint64_t stamp);
-
   std::uint64_t k_;
   std::string name_;
   LruIndexList order_;
-  // id -> request-clock index of the last promotion (insert counts).
-  bool dense_ = false;
-  std::unordered_map<ObjectId, std::uint64_t> stamps_;
-  std::vector<std::uint64_t> dense_stamps_;
+  // Per slot: request-clock index of the last promotion (insert counts).
+  std::vector<std::uint64_t> stamps_;
 };
 
-/// Batch promotion: hits only enqueue the object id; every `batch`
+/// Batch promotion: hits only enqueue the object's slot; every `batch`
 /// queued hits the whole queue is promoted in arrival order (the most
-/// recent hit ends up at the MRU end) and cleared. Eviction purges any
-/// queued entries for the victim so a re-inserted id can never inherit a
-/// stale promotion.
+/// recent hit ends up at the MRU end) and cleared. Removal purges any
+/// queued entries for the departing slot so the next object to take it
+/// can never inherit a stale promotion.
 class BatchPromotionPolicy final : public ReplacementPolicy {
  public:
   static constexpr std::uint64_t kDefaultBatch = 64;
 
   explicit BatchPromotionPolicy(std::uint64_t batch = kDefaultBatch);
 
-  void reserve_ids(std::uint64_t universe) override;
   void on_insert(const CacheObject& obj) override;
   void on_hit(const CacheObject& obj) override;
-  using ReplacementPolicy::choose_victim;
-  ObjectId choose_victim(std::uint64_t incoming_size) override;
-  void on_evict(ObjectId id) override;
+  std::uint32_t evict(std::uint64_t incoming_size) override;
+  void on_erase(const CacheObject& obj) override;
   std::string_view name() const override { return name_; }
   void clear() override;
 
@@ -126,16 +117,19 @@ class BatchPromotionPolicy final : public ReplacementPolicy {
   std::uint64_t batch_size() const { return batch_; }
   std::size_t pending_promotions() const { return pending_.size(); }
 
-  void save_state(util::StateWriter& w) const override;
-  void restore_state(util::StateReader& r) override;
+  void save_state(util::StateWriter& w,
+                  const ObjectTable& objects) const override;
+  void restore_state(util::StateReader& r,
+                     const ObjectTable& objects) override;
 
  private:
   void flush();
+  void remove(std::uint32_t slot);
 
   std::uint64_t batch_;
   std::string name_;
   LruIndexList order_;
-  std::vector<ObjectId> pending_;  // queued hits awaiting the batch flush
+  std::vector<std::uint32_t> pending_;  // queued hits awaiting the flush
 };
 
 }  // namespace webcache::cache

@@ -3,16 +3,16 @@
 namespace webcache::cache {
 
 void LfuPolicy::on_insert(const CacheObject& obj) {
-  heap_.push(obj.id, static_cast<double>(obj.reference_count));
+  heap_.push(obj.slot, static_cast<double>(obj.reference_count));
 }
 
 void LfuPolicy::on_hit(const CacheObject& obj) {
-  heap_.update(obj.id, static_cast<double>(obj.reference_count));
+  heap_.update(obj.slot, static_cast<double>(obj.reference_count));
 }
 
-ObjectId LfuPolicy::choose_victim(std::uint64_t /*incoming_size*/) { return heap_.top().key; }
-
-void LfuPolicy::on_evict(ObjectId id) { heap_.erase(id); }
+std::uint32_t LfuPolicy::evict(std::uint64_t /*incoming_size*/) {
+  return heap_.pop().key;
+}
 
 void LfuPolicy::clear() { heap_.clear(); }
 

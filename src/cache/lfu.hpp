@@ -14,9 +14,8 @@ class LfuPolicy final : public ReplacementPolicy {
  public:
   void on_insert(const CacheObject& obj) override;
   void on_hit(const CacheObject& obj) override;
-  using ReplacementPolicy::choose_victim;
-  ObjectId choose_victim(std::uint64_t incoming_size) override;
-  void on_evict(ObjectId id) override;
+  std::uint32_t evict(std::uint64_t incoming_size) override;
+  void on_erase(const CacheObject& obj) override { heap_.erase(obj.slot); }
   std::string_view name() const override { return "LFU"; }
   void clear() override;
 
@@ -24,11 +23,13 @@ class LfuPolicy final : public ReplacementPolicy {
     return {heap_.size(), std::nullopt, std::nullopt};
   }
 
-  void save_state(util::StateWriter& w) const override;
-  void restore_state(util::StateReader& r) override;
+  void save_state(util::StateWriter& w,
+                  const ObjectTable& objects) const override;
+  void restore_state(util::StateReader& r,
+                     const ObjectTable& objects) override;
 
  private:
-  IndexedMinHeap<ObjectId, double> heap_;  // priority = reference count
+  IndexedMinHeap<double> heap_;  // priority = reference count
 };
 
 }  // namespace webcache::cache

@@ -16,17 +16,13 @@ namespace webcache::cache {
 
 class LfuDaPolicy final : public ReplacementPolicy {
  public:
-  void reserve_ids(std::uint64_t universe) override {
-    heap_.reserve_dense_keys(universe);
-  }
   void on_insert(const CacheObject& obj) override;
   void on_hit(const CacheObject& obj) override;
-  using ReplacementPolicy::choose_victim;
-  ObjectId choose_victim(std::uint64_t incoming_size) override;
-  void on_evict(ObjectId id) override;
+  /// Pops the minimum; L rises to its priority.
+  std::uint32_t evict(std::uint64_t incoming_size) override;
   /// A modification or invalidation removes the entry but leaves L alone:
   /// GreedyDual ages only on replacement.
-  void on_erase(ObjectId id) override { heap_.erase(id); }
+  void on_erase(const CacheObject& obj) override { heap_.erase(obj.slot); }
   std::string_view name() const override { return "LFU-DA"; }
   void clear() override;
 
@@ -37,11 +33,13 @@ class LfuDaPolicy final : public ReplacementPolicy {
     return {heap_.size(), cache_age_, std::nullopt};
   }
 
-  void save_state(util::StateWriter& w) const override;
-  void restore_state(util::StateReader& r) override;
+  void save_state(util::StateWriter& w,
+                  const ObjectTable& objects) const override;
+  void restore_state(util::StateReader& r,
+                     const ObjectTable& objects) override;
 
  private:
-  IndexedMinHeap<ObjectId, double> heap_;  // priority = L_at_access + count
+  IndexedMinHeap<double> heap_;  // priority = L_at_access + count
   double cache_age_ = 0.0;
 };
 

@@ -13,20 +13,16 @@ namespace webcache::cache {
 
 class LruPolicy final : public ReplacementPolicy {
  public:
-  void reserve_ids(std::uint64_t universe) override {
-    order_.reserve_ids(universe);
-  }
   void on_insert(const CacheObject& obj) override {
-    order_.push_front(obj.id);
+    order_.push_front(obj.slot);
   }
   void on_hit(const CacheObject& obj) override {
-    order_.move_to_front(obj.id);
+    order_.move_to_front(obj.slot);
   }
-  using ReplacementPolicy::choose_victim;
-  ObjectId choose_victim(std::uint64_t /*incoming_size*/) override {
-    return order_.back();
+  std::uint32_t evict(std::uint64_t /*incoming_size*/) override {
+    return order_.pop_back();
   }
-  void on_evict(ObjectId id) override { order_.erase(id); }
+  void on_erase(const CacheObject& obj) override { order_.erase(obj.slot); }
   std::string_view name() const override { return "LRU"; }
   void clear() override { order_.clear(); }
 
@@ -34,8 +30,10 @@ class LruPolicy final : public ReplacementPolicy {
     return {order_.size(), std::nullopt, std::nullopt};
   }
 
-  void save_state(util::StateWriter& w) const override;
-  void restore_state(util::StateReader& r) override;
+  void save_state(util::StateWriter& w,
+                  const ObjectTable& objects) const override;
+  void restore_state(util::StateReader& r,
+                     const ObjectTable& objects) override;
 
  private:
   LruIndexList order_;  // front = most recently used, back = LRU victim

@@ -32,28 +32,28 @@ void LruKPolicy::on_insert(const CacheObject& obj) {
   } else {
     priority = one_timer_priority(obj.last_access);
   }
-  heap_.push(obj.id, priority);
-  resident_last_[obj.id] = obj.last_access;
+  heap_.push(obj.slot, priority);
+  slot_entry(resident_, obj.slot) = Resident{obj.id, obj.last_access};
 }
 
 void LruKPolicy::on_hit(const CacheObject& obj) {
   // previous_access is the second-most-recent reference (the container
   // updates it before this hook).
-  heap_.update(obj.id, static_cast<double>(obj.previous_access));
-  resident_last_[obj.id] = obj.last_access;
+  heap_.update(obj.slot, static_cast<double>(obj.previous_access));
+  resident_[obj.slot].last_access = obj.last_access;
 }
 
-ObjectId LruKPolicy::choose_victim(std::uint64_t /*incoming_size*/) {
-  return heap_.top().key;
+std::uint32_t LruKPolicy::evict(std::uint64_t /*incoming_size*/) {
+  const std::uint32_t victim = heap_.top().key;
+  remove(victim);
+  return victim;
 }
 
-void LruKPolicy::on_evict(ObjectId id) {
-  heap_.erase(id);
-  const auto it = resident_last_.find(id);
-  if (it != resident_last_.end()) {
-    remember(id, it->second);
-    resident_last_.erase(it);
-  }
+void LruKPolicy::on_erase(const CacheObject& obj) { remove(obj.slot); }
+
+void LruKPolicy::remove(std::uint32_t slot) {
+  heap_.erase(slot);
+  remember(resident_[slot].id, resident_[slot].last_access);
 }
 
 void LruKPolicy::remember(ObjectId id, std::uint64_t last_access) {
@@ -75,7 +75,7 @@ void LruKPolicy::prune_history() {
 
 void LruKPolicy::clear() {
   heap_.clear();
-  resident_last_.clear();
+  resident_.clear();
   history_.clear();
   history_fifo_.clear();
 }

@@ -15,6 +15,7 @@
 
 #include <deque>
 #include <unordered_map>
+#include <vector>
 
 #include "cache/indexed_heap.hpp"
 #include "cache/policy.hpp"
@@ -29,18 +30,22 @@ class LruKPolicy final : public ReplacementPolicy {
 
   void on_insert(const CacheObject& obj) override;
   void on_hit(const CacheObject& obj) override;
-  using ReplacementPolicy::choose_victim;
-  ObjectId choose_victim(std::uint64_t incoming_size) override;
-  void on_evict(ObjectId id) override;
+  std::uint32_t evict(std::uint64_t incoming_size) override;
+  /// Invalidation also retains the departing object's history.
+  void on_erase(const CacheObject& obj) override;
   std::string_view name() const override { return "LRU-2"; }
   void clear() override;
 
   std::size_t history_size() const { return history_.size(); }
 
-  void save_state(util::StateWriter& w) const override;
-  void restore_state(util::StateReader& r) override;
+  void save_state(util::StateWriter& w,
+                  const ObjectTable& objects) const override;
+  void restore_state(util::StateReader& r,
+                     const ObjectTable& objects) override;
 
  private:
+  /// Drops a resident slot and retains its last access.
+  void remove(std::uint32_t slot);
   void remember(ObjectId id, std::uint64_t last_access);
   void prune_history();
 
@@ -48,13 +53,19 @@ class LruKPolicy final : public ReplacementPolicy {
 
   // Min-heap on the penultimate access clock; objects with no known second
   // access sit in a sub-zero band ordered by their only access.
-  IndexedMinHeap<ObjectId, double> heap_;
+  IndexedMinHeap<double> heap_;
 
-  // Most recent access per resident object (the policy's own copy, needed
-  // when the object departs and only its id is reported).
-  std::unordered_map<ObjectId, std::uint64_t> resident_last_;
+  // Per resident slot: the document and its most recent access (the
+  // policy's own copy, needed when evict() picks the slot as the victim).
+  struct Resident {
+    ObjectId id;
+    std::uint64_t last_access;
+  };
+  std::vector<Resident> resident_;
 
-  // Retained information: last known access of recently evicted objects.
+  // Retained information: last known access of recently departed objects,
+  // by document id — the one id-keyed structure of the policies, because
+  // it outlives the objects' slots.
   std::unordered_map<ObjectId, std::uint64_t> history_;
   std::deque<std::pair<ObjectId, std::uint64_t>> history_fifo_;
 };

@@ -17,65 +17,25 @@ LruThresholdPolicy::LruThresholdPolicy(std::uint64_t threshold_bytes)
   name_ = "LRU-THOLD(" + std::to_string(threshold_bytes) + ")";
 }
 
-void LruThresholdPolicy::reserve_ids(std::uint64_t universe) {
-  order_.reserve_ids(universe);
-}
-
 void LruThresholdPolicy::on_insert(const CacheObject& obj) {
-  order_.push_front(obj.id);
+  order_.push_front(obj.slot);
 }
 
 void LruThresholdPolicy::on_hit(const CacheObject& obj) {
-  order_.move_to_front(obj.id);
+  order_.move_to_front(obj.slot);
 }
 
-ObjectId LruThresholdPolicy::choose_victim(std::uint64_t /*incoming_size*/) {
-  return order_.back();
+std::uint32_t LruThresholdPolicy::evict(std::uint64_t /*incoming_size*/) {
+  return order_.pop_back();
 }
 
-void LruThresholdPolicy::on_evict(ObjectId id) { order_.erase(id); }
+void LruThresholdPolicy::on_erase(const CacheObject& obj) {
+  order_.erase(obj.slot);
+}
 
 void LruThresholdPolicy::clear() { order_.clear(); }
 
 // ------------------------------------------------------------- LRU-MIN
-
-void LruMinPolicy::reserve_ids(std::uint64_t universe) {
-  if (!dense_ && resident_ != 0) {
-    throw std::logic_error("LruMinPolicy: reserve_ids on non-empty policy");
-  }
-  extend_dense_index(dense_where_, universe, kAbsent, "LruMinPolicy");
-  dense_ = true;
-  where_.clear();
-}
-
-std::uint64_t* LruMinPolicy::find_position(ObjectId id) {
-  if (dense_) {
-    const auto i = static_cast<std::size_t>(id);
-    if (i >= dense_where_.size() || dense_where_[i] == kAbsent) return nullptr;
-    return &dense_where_[i];
-  }
-  const auto it = where_.find(id);
-  return it == where_.end() ? nullptr : &it->second;
-}
-
-std::uint64_t& LruMinPolicy::make_position(ObjectId id) {
-  if (dense_) {
-    const auto i = static_cast<std::size_t>(id);
-    if (i >= dense_where_.size()) {
-      throw std::logic_error("LruMinPolicy: id outside reserved universe");
-    }
-    return dense_where_[i];
-  }
-  return where_[id];
-}
-
-void LruMinPolicy::drop_position(ObjectId id) {
-  if (dense_) {
-    dense_where_[static_cast<std::size_t>(id)] = kAbsent;
-  } else {
-    where_.erase(id);
-  }
-}
 
 std::uint64_t LruMinPolicy::max_of_children(std::size_t level,
                                             std::size_t node) const {
@@ -100,7 +60,7 @@ void LruMinPolicy::compact() {
   std::size_t live = 0;
   for (std::size_t pos = 0; pos < next_position_; ++pos) {
     if (tree_[pos] == 0) continue;
-    make_position(entries_[pos].id) = live;
+    position_[entries_[pos].slot] = live;
     tree_[live] = tree_[pos];
     entries_[live++] = entries_[pos];
   }
@@ -130,34 +90,33 @@ void LruMinPolicy::compact() {
   }
 }
 
-void LruMinPolicy::place(ObjectId id, std::uint64_t size,
+void LruMinPolicy::place(std::uint32_t slot, std::uint64_t size,
                          std::uint64_t stamp) {
   if (next_position_ == width_) compact();
   const std::size_t pos = next_position_++;
-  entries_[pos] = Entry{id, stamp};
+  entries_[pos] = Entry{slot, stamp};
   set_leaf(pos, size + 1);
-  make_position(id) = pos;
+  position_[slot] = pos;
 }
 
 void LruMinPolicy::on_insert(const CacheObject& obj) {
-  if (find_position(obj.id) != nullptr) {
+  if (slot_entry(position_, obj.slot, kAbsent) != kAbsent) {
     throw std::logic_error("LruMinPolicy: duplicate insert");
   }
-  place(obj.id, obj.size, next_stamp_++);
+  place(obj.slot, obj.size, next_stamp_++);
   ++resident_;
 }
 
 void LruMinPolicy::on_hit(const CacheObject& obj) {
-  const std::uint64_t* pos = find_position(obj.id);
-  if (pos == nullptr) {
-    throw std::logic_error("LruMinPolicy: hit on absent id");
+  if (obj.slot >= position_.size() || position_[obj.slot] == kAbsent) {
+    throw std::logic_error("LruMinPolicy: hit on absent slot");
   }
   // Moves to the newest position, with the size the container holds now.
-  set_leaf(static_cast<std::size_t>(*pos), 0);
-  place(obj.id, obj.size, next_stamp_++);
+  set_leaf(static_cast<std::size_t>(position_[obj.slot]), 0);
+  place(obj.slot, obj.size, next_stamp_++);
 }
 
-ObjectId LruMinPolicy::choose_victim(std::uint64_t incoming_size) {
+std::uint32_t LruMinPolicy::evict(std::uint64_t incoming_size) {
   if (resident_ == 0) throw std::logic_error("LruMinPolicy: empty");
   // Halve S until some document has size >= S, i.e. a leaf (size + 1)
   // exceeds S. S = 0 accepts anything, so the loop ends.
@@ -172,16 +131,19 @@ ObjectId LruMinPolicy::choose_victim(std::uint64_t incoming_size) {
     while (child[c] <= threshold) ++c;
     pos = kFanout * pos + c;
   }
-  return entries_[pos].id;
+  const std::uint32_t victim = entries_[pos].slot;
+  remove(victim);
+  return victim;
 }
 
-void LruMinPolicy::on_evict(ObjectId id) {
-  const std::uint64_t* pos = find_position(id);
-  if (pos == nullptr) {
-    throw std::logic_error("LruMinPolicy: evict absent id");
+void LruMinPolicy::on_erase(const CacheObject& obj) { remove(obj.slot); }
+
+void LruMinPolicy::remove(std::uint32_t slot) {
+  if (slot >= position_.size() || position_[slot] == kAbsent) {
+    throw std::logic_error("LruMinPolicy: removing absent slot");
   }
-  set_leaf(static_cast<std::size_t>(*pos), 0);
-  drop_position(id);
+  set_leaf(static_cast<std::size_t>(position_[slot]), 0);
+  position_[slot] = kAbsent;
   --resident_;
 }
 
@@ -191,11 +153,7 @@ void LruMinPolicy::clear() {
   entries_.clear();
   width_ = 0;
   next_position_ = 0;
-  if (dense_) {
-    dense_where_.assign(dense_where_.size(), kAbsent);
-  } else {
-    where_.clear();
-  }
+  position_.clear();
   next_stamp_ = 0;
   resident_ = 0;
 }

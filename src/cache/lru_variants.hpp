@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/lru_list.hpp"
@@ -21,19 +20,19 @@ class LruThresholdPolicy final : public ReplacementPolicy {
  public:
   explicit LruThresholdPolicy(std::uint64_t threshold_bytes);
 
-  void reserve_ids(std::uint64_t universe) override;
   void on_insert(const CacheObject& obj) override;
   void on_hit(const CacheObject& obj) override;
-  using ReplacementPolicy::choose_victim;
-  ObjectId choose_victim(std::uint64_t incoming_size) override;
-  void on_evict(ObjectId id) override;
+  std::uint32_t evict(std::uint64_t incoming_size) override;
+  void on_erase(const CacheObject& obj) override;
   std::string_view name() const override { return name_; }
   void clear() override;
 
   std::uint64_t threshold_bytes() const { return threshold_bytes_; }
 
-  void save_state(util::StateWriter& w) const override;
-  void restore_state(util::StateReader& r) override;
+  void save_state(util::StateWriter& w,
+                  const ObjectTable& objects) const override;
+  void restore_state(util::StateReader& r,
+                     const ObjectTable& objects) override;
 
  private:
   std::uint64_t threshold_bytes_;
@@ -56,29 +55,29 @@ class LruThresholdPolicy final : public ReplacementPolicy {
 /// when they run out.
 class LruMinPolicy final : public ReplacementPolicy {
  public:
-  void reserve_ids(std::uint64_t universe) override;
   void on_insert(const CacheObject& obj) override;
   void on_hit(const CacheObject& obj) override;
-  using ReplacementPolicy::choose_victim;
-  ObjectId choose_victim(std::uint64_t incoming_size) override;
-  void on_evict(ObjectId id) override;
+  std::uint32_t evict(std::uint64_t incoming_size) override;
+  void on_erase(const CacheObject& obj) override;
   std::string_view name() const override { return "LRU-MIN"; }
   void clear() override;
 
-  void save_state(util::StateWriter& w) const override;
-  void restore_state(util::StateReader& r) override;
+  void save_state(util::StateWriter& w,
+                  const ObjectTable& objects) const override;
+  void restore_state(util::StateReader& r,
+                     const ObjectTable& objects) override;
 
  private:
   static constexpr std::uint64_t kAbsent = ~std::uint64_t{0};
   static constexpr std::size_t kFanout = 8;
 
   struct Entry {
-    ObjectId id;
+    std::uint32_t slot;
     std::uint64_t stamp;  // global recency, checkpointed: larger = newer
   };
 
-  /// Gives `id` the next recency position, compacting first when full.
-  void place(ObjectId id, std::uint64_t size, std::uint64_t stamp);
+  /// Gives `slot` the next recency position, compacting first when full.
+  void place(std::uint32_t slot, std::uint64_t size, std::uint64_t stamp);
   /// Sets position `pos`'s leaf (size + 1; 0 = vacant) and its ancestors.
   void set_leaf(std::size_t pos, std::uint64_t value);
   /// The largest of the kFanout children of `node` at `level` (>= 1).
@@ -86,10 +85,8 @@ class LruMinPolicy final : public ReplacementPolicy {
   /// Renumbers the resident documents to positions 0.. in recency order,
   /// into a tree twice their count.
   void compact();
-
-  std::uint64_t* find_position(ObjectId id);
-  std::uint64_t& make_position(ObjectId id);
-  void drop_position(ObjectId id);
+  /// Vacates the position of a resident slot.
+  void remove(std::uint32_t slot);
 
   // Every level of the tree, leaves (one per position) first; level l
   // starts at tree_[level_start_[l]] and the last level is the root.
@@ -100,11 +97,7 @@ class LruMinPolicy final : public ReplacementPolicy {
   std::size_t next_position_ = 0;
   std::uint64_t next_stamp_ = 0;
   std::size_t resident_ = 0;
-
-  // id -> position, hash-backed by default, flat after reserve_ids().
-  bool dense_ = false;
-  std::unordered_map<ObjectId, std::uint64_t> where_;
-  std::vector<std::uint64_t> dense_where_;
+  std::vector<std::uint64_t> position_;  // slot -> position; kAbsent = none
 };
 
 }  // namespace webcache::cache

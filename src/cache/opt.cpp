@@ -44,16 +44,16 @@ double OptPolicy::priority_for(const CacheObject& obj) const {
 }
 
 void OptPolicy::on_insert(const CacheObject& obj) {
-  heap_.push(obj.id, priority_for(obj));
+  heap_.push(obj.slot, priority_for(obj));
 }
 
 void OptPolicy::on_hit(const CacheObject& obj) {
-  heap_.update(obj.id, priority_for(obj));
+  heap_.update(obj.slot, priority_for(obj));
 }
 
-ObjectId OptPolicy::choose_victim(std::uint64_t /*incoming_size*/) { return heap_.top().key; }
-
-void OptPolicy::on_evict(ObjectId id) { heap_.erase(id); }
+std::uint32_t OptPolicy::evict(std::uint64_t /*incoming_size*/) {
+  return heap_.pop().key;
+}
 
 void OptPolicy::clear() { heap_.clear(); }
 

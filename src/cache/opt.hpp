@@ -31,14 +31,10 @@ class OptPolicy final : public ReplacementPolicy {
   /// clock i + 1. Throws std::length_error for 2^32 or more requests.
   explicit OptPolicy(const std::vector<trace::Request>& requests);
 
-  void reserve_ids(std::uint64_t universe) override {
-    heap_.reserve_dense_keys(universe);
-  }
   void on_insert(const CacheObject& obj) override;
   void on_hit(const CacheObject& obj) override;
-  using ReplacementPolicy::choose_victim;
-  ObjectId choose_victim(std::uint64_t incoming_size) override;
-  void on_evict(ObjectId id) override;
+  std::uint32_t evict(std::uint64_t incoming_size) override;
+  void on_erase(const CacheObject& obj) override { heap_.erase(obj.slot); }
   std::string_view name() const override { return "OPT"; }
   void clear() override;
 
@@ -50,7 +46,7 @@ class OptPolicy final : public ReplacementPolicy {
   /// next_[i]: the clock of the next request for request i's document; 0
   /// when there is none.
   std::vector<std::uint32_t> next_;
-  IndexedMinHeap<ObjectId, double> heap_;
+  IndexedMinHeap<double> heap_;
 };
 
 }  // namespace webcache::cache

@@ -1,17 +1,25 @@
 // Replacement-policy interface.
 //
 // The Cache container owns object storage and accounting; a policy only
-// maintains the eviction order. The container guarantees the call protocol:
+// maintains the eviction order over the resident objects, keyed by each
+// object's stable slot in the container's ObjectTable (CacheObject::slot).
+// Slots are dense whatever the document ids are, so every policy keeps
+// flat arrays sized by the most objects ever resident at once, and none
+// keeps an id index. The container guarantees the call protocol:
 //   - on_insert(obj)   once per resident object, before any on_hit
 //   - on_hit(obj)      obj is resident; obj.reference_count already bumped
-//   - choose_victim(incoming_size)
-//                      cache non-empty; returns a resident object id and
-//                      must not remove it. incoming_size is the size of the
-//                      object being admitted (0 when unknown); most
-//                      policies ignore it, size-class policies like LRU-MIN
-//                      use it to pick their victim pool
-//   - on_evict(id)/on_erase(id)  removal bookkeeping (eviction vs explicit
-//                      invalidation; most policies treat them identically)
+//   - evict(incoming_size)
+//                      cache non-empty; removes the victim from the
+//                      policy's structures and returns its slot (the
+//                      container then drops the object). incoming_size is
+//                      the size of the object being admitted (0 when
+//                      unknown); most policies ignore it, size-class
+//                      policies like LRU-MIN use it to pick their victim
+//                      pool. The GreedyDual family ages here: L becomes
+//                      the victim's priority
+//   - on_erase(obj)    obj leaves without being a victim (invalidation,
+//                      modification); no aging
+// A slot freed by evict/on_erase may be handed to the next on_insert.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +37,8 @@ class StateReader;
 }  // namespace webcache::util
 
 namespace webcache::cache {
+
+class ObjectTable;
 
 /// Observability snapshot of a policy's internal state, sampled by the
 /// instrumentation layer at window boundaries (never on the hot path).
@@ -49,23 +59,10 @@ class ReplacementPolicy {
  public:
   virtual ~ReplacementPolicy() = default;
 
-  /// Hint that every ObjectId this policy will ever see lies in
-  /// [0, universe) — true after trace::densify(). Array-backed policies
-  /// switch their key -> position indices from hash maps to flat vectors;
-  /// the eviction order is unaffected. The first call is only legal before
-  /// any on_insert (or right after clear()); later calls may extend the
-  /// universe under live entries, never shrink it. Default: ignored.
-  virtual void reserve_ids(std::uint64_t /*universe*/) {}
-
   virtual void on_insert(const CacheObject& obj) = 0;
   virtual void on_hit(const CacheObject& obj) = 0;
-  virtual ObjectId choose_victim(std::uint64_t incoming_size) = 0;
-  /// Convenience for callers without an incoming object.
-  ObjectId choose_victim() { return choose_victim(0); }
-  virtual void on_evict(ObjectId id) = 0;
-  /// Removal not caused by replacement (invalidation / modification).
-  /// Default: same bookkeeping as eviction.
-  virtual void on_erase(ObjectId id) { on_evict(id); }
+  virtual std::uint32_t evict(std::uint64_t incoming_size) = 0;
+  virtual void on_erase(const CacheObject& obj) = 0;
 
   virtual std::string_view name() const = 0;
 
@@ -80,22 +77,26 @@ class ReplacementPolicy {
   // ---- checkpointing ----
   //
   // save_state serializes the policy's *semantic* state: everything a
-  // future eviction decision can depend on, nothing it can't. A policy
-  // restored through restore_state must make bit-identical decisions to
-  // the original from that point on — heap array layouts and free-list
-  // orders are not semantic and deliberately not preserved.
+  // future eviction decision can depend on, nothing it can't, with
+  // document ids in place of slots (looked up in `objects`, the owning
+  // cache's table). Slots are never written, and what is written (heap
+  // arrays, list orders, RANDOM's positions) depends only on priorities,
+  // tie-break sequences and recency, so the bytes do not depend on the
+  // slot assignment. A policy restored through restore_state must make
+  // bit-identical decisions to the original from that point on.
   //
   // restore_state is only ever called on a freshly constructed policy of
-  // the identical spec (and with reserve_ids already applied when the run
-  // is dense); sim::checkpoint validates that before restoring. Policies
-  // that carry out-of-band state (e.g. the clairvoyant OPT bound) keep
-  // the throwing defaults.
+  // the identical spec, after the cache restored its resident objects into
+  // `objects`: each saved id maps to the slot the table assigned it, and
+  // an id that is not resident fails the reader. sim::checkpoint validates
+  // the spec before restoring. Policies that carry out-of-band state
+  // (e.g. the clairvoyant OPT bound) keep the throwing defaults.
 
-  virtual void save_state(util::StateWriter&) const {
+  virtual void save_state(util::StateWriter&, const ObjectTable&) const {
     throw std::logic_error("policy '" + std::string(name()) +
                            "' does not support checkpointing");
   }
-  virtual void restore_state(util::StateReader&) {
+  virtual void restore_state(util::StateReader&, const ObjectTable&) {
     throw std::logic_error("policy '" + std::string(name()) +
                            "' does not support checkpointing");
   }

@@ -3,15 +3,19 @@
 // One translation unit on purpose: the save/restore pair for each policy
 // must stay in lockstep, and the conventions they share (LRU lists as
 // MRU-to-LRU id sequences rebuilt by reverse push_front, heaps as
-// {key, priority, sequence} entry sets plus the tie-break counter, hash
-// maps sorted by id for deterministic bytes, mt19937_64 via its exact
+// {id, priority, sequence} entry sets plus the tie-break counter, per-id
+// values sorted by id for deterministic bytes, mt19937_64 via its exact
 // stream representation) are easiest to audit side by side.
 //
+// Policies key their state by object-table slot; the bytes carry document
+// ids. Saving looks each slot's id up in the cache's ObjectTable, and
+// restoring maps each id to the slot the table assigned it when the cache
+// restored its objects (an id that is not resident fails the reader).
+//
 // Only *semantic* state is serialized — anything a future eviction
-// decision can depend on. Free-list layouts, heap array order and hash
-// bucket counts are representation, deliberately rebuilt rather than
-// preserved; the restored policy is bit-identical in behavior, not in
-// memory image.
+// decision can depend on. Slots, free lists and hash bucket counts are
+// representation, deliberately rebuilt rather than preserved; the restored
+// policy is bit-identical in behavior, not in memory image.
 
 #include <algorithm>
 #include <array>
@@ -19,6 +23,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -35,6 +40,7 @@
 #include "cache/lru.hpp"
 #include "cache/lru_k.hpp"
 #include "cache/lru_variants.hpp"
+#include "cache/object_table.hpp"
 #include "cache/random.hpp"
 #include "cache/size_policy.hpp"
 #include "util/rng.hpp"
@@ -44,22 +50,39 @@ namespace webcache::cache {
 
 namespace {
 
-void save_list(util::StateWriter& w, const LruIndexList& list) {
+std::uint64_t id_of(const ObjectTable& objects, std::uint32_t slot) {
+  return objects.at(slot).id;
+}
+
+// The slot of a saved id, which must be resident.
+std::uint32_t take_slot(util::StateReader& r, const ObjectTable& objects) {
+  const CacheObject* obj = objects.find(r.take_id());
+  if (obj == nullptr) r.fail("policy state names a non-resident document");
+  return obj->slot;
+}
+
+void save_list(util::StateWriter& w, const LruIndexList& list,
+               const ObjectTable& objects) {
   w.put_u64(list.size());
-  list.for_each_front_to_back([&](ObjectId id) { w.put_u64(id); });
+  list.for_each_front_to_back(
+      [&](std::uint32_t slot) { w.put_u64(id_of(objects, slot)); });
 }
 
-std::vector<ObjectId> take_id_run(util::StateReader& r) {
+std::vector<std::uint32_t> take_slot_run(util::StateReader& r,
+                                         const ObjectTable& objects) {
   const std::uint64_t n = r.take_count(8, "id run");
-  std::vector<ObjectId> ids;
-  ids.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) ids.push_back(r.take_id());
-  return ids;
+  std::vector<std::uint32_t> slots;
+  slots.reserve(static_cast<std::size_t>(n));
+  for (std::uint64_t i = 0; i < n; ++i) slots.push_back(take_slot(r, objects));
+  return slots;
 }
 
-void restore_list(util::StateReader& r, LruIndexList& list) {
-  const std::vector<ObjectId> ids = take_id_run(r);
-  for (auto it = ids.rbegin(); it != ids.rend(); ++it) list.push_front(*it);
+void restore_list(util::StateReader& r, LruIndexList& list,
+                  const ObjectTable& objects) {
+  const std::vector<std::uint32_t> slots = take_slot_run(r, objects);
+  for (auto it = slots.rbegin(); it != slots.rend(); ++it) {
+    list.push_front(*it);
+  }
 }
 
 void save_rng(util::StateWriter& w, const util::Rng& rng) {
@@ -74,48 +97,37 @@ void restore_rng(util::StateReader& r, util::Rng& rng) {
   if (is.fail()) r.fail("malformed mt19937_64 state");
 }
 
-template <typename Map>
-void save_sorted_map(util::StateWriter& w, const Map& map) {
-  std::vector<std::pair<ObjectId, typename Map::mapped_type>> items(
-      map.begin(), map.end());
+void save_sorted(util::StateWriter& w,
+                 std::vector<std::pair<ObjectId, std::uint64_t>> items) {
   std::sort(items.begin(), items.end());
   w.put_u64(items.size());
   for (const auto& [id, value] : items) {
     w.put_u64(id);
-    w.put_u64(static_cast<std::uint64_t>(value));
-  }
-}
-
-template <typename Map>
-void restore_map(util::StateReader& r, Map& map) {
-  const std::uint64_t n = r.take_u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const ObjectId id = r.take_id();
-    map[id] = static_cast<typename Map::mapped_type>(r.take_u64());
+    w.put_u64(value);
   }
 }
 
 }  // namespace
 
-void save_heap(util::StateWriter& w,
-               const IndexedMinHeap<ObjectId, double>& heap) {
+void save_heap(util::StateWriter& w, const IndexedMinHeap<double>& heap,
+               const ObjectTable& objects) {
   w.put_u64(heap.size());
-  heap.for_each_entry([&](const IndexedMinHeap<ObjectId, double>::Entry& e) {
-    w.put_u64(e.key);
+  heap.for_each_entry([&](const IndexedMinHeap<double>::Entry& e) {
+    w.put_u64(id_of(objects, e.key));
     w.put_double(e.priority);
     w.put_u64(e.sequence);
   });
   w.put_u64(heap.next_sequence());
 }
 
-void restore_heap(util::StateReader& r,
-                  IndexedMinHeap<ObjectId, double>& heap) {
-  using Entry = IndexedMinHeap<ObjectId, double>::Entry;
+void restore_heap(util::StateReader& r, IndexedMinHeap<double>& heap,
+                  const ObjectTable& objects) {
+  using Entry = IndexedMinHeap<double>::Entry;
   const std::uint64_t n = r.take_count(24, "heap entry");
   std::vector<Entry> entries;
   entries.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
-    const ObjectId key = r.take_id();
+    const std::uint32_t key = take_slot(r, objects);
     const double priority = r.take_double();
     const std::uint64_t sequence = r.take_u64();
     entries.push_back(Entry{key, priority, sequence});
@@ -125,99 +137,159 @@ void restore_heap(util::StateReader& r,
 
 // ---- LRU family ------------------------------------------------------------
 
-void LruPolicy::save_state(util::StateWriter& w) const { save_list(w, order_); }
-void LruPolicy::restore_state(util::StateReader& r) { restore_list(r, order_); }
-
-void LruThresholdPolicy::save_state(util::StateWriter& w) const {
-  save_list(w, order_);
+void LruPolicy::save_state(util::StateWriter& w,
+                           const ObjectTable& objects) const {
+  save_list(w, order_, objects);
 }
-void LruThresholdPolicy::restore_state(util::StateReader& r) {
-  restore_list(r, order_);
+void LruPolicy::restore_state(util::StateReader& r,
+                              const ObjectTable& objects) {
+  restore_list(r, order_, objects);
+}
+
+void LruThresholdPolicy::save_state(util::StateWriter& w,
+                                    const ObjectTable& objects) const {
+  save_list(w, order_, objects);
+}
+void LruThresholdPolicy::restore_state(util::StateReader& r,
+                                       const ObjectTable& objects) {
+  restore_list(r, order_, objects);
 }
 
 // ---- FIFO ------------------------------------------------------------------
 
-void FifoPolicy::save_state(util::StateWriter& w) const {
-  w.put_u64(order_.size());
-  for (const ObjectId id : order_) w.put_u64(id);
-  save_sorted_map(w, tombstones_);
-  std::vector<ObjectId> resident(resident_.begin(), resident_.end());
-  std::sort(resident.begin(), resident.end());
-  w.put_u64(resident.size());
-  for (const ObjectId id : resident) w.put_u64(id);
+// The layout is the insertion order oldest first, a tombstone count per id
+// (stale order entries the oldest occurrences of an id stand for; always
+// empty when written now, but honored on restore) and the sorted resident
+// ids.
+void FifoPolicy::save_state(util::StateWriter& w,
+                            const ObjectTable& objects) const {
+  std::vector<ObjectId> order;
+  order_.for_each_front_to_back(
+      [&](std::uint32_t slot) { order.push_back(id_of(objects, slot)); });
+  w.put_u64(order.size());
+  for (auto it = order.rbegin(); it != order.rend(); ++it) w.put_u64(*it);
+  w.put_u64(0);  // no tombstones
+  std::sort(order.begin(), order.end());
+  w.put_u64(order.size());
+  for (const ObjectId id : order) w.put_u64(id);
 }
 
-void FifoPolicy::restore_state(util::StateReader& r) {
+void FifoPolicy::restore_state(util::StateReader& r,
+                               const ObjectTable& objects) {
   const std::uint64_t n = r.take_u64();
-  for (std::uint64_t i = 0; i < n; ++i) order_.push_back(r.take_id());
-  restore_map(r, tombstones_);
-  const std::uint64_t m = r.take_u64();
-  for (std::uint64_t i = 0; i < m; ++i) resident_.insert(r.take_id());
+  std::vector<ObjectId> order;
+  for (std::uint64_t i = 0; i < n; ++i) order.push_back(r.take_id());
+  std::unordered_map<ObjectId, std::uint64_t> tombstones;
+  const std::uint64_t t = r.take_u64();
+  for (std::uint64_t i = 0; i < t; ++i) {
+    const ObjectId id = r.take_id();
+    tombstones[id] = r.take_u64();
+  }
+  for (const ObjectId id : order) {
+    const auto stale = tombstones.find(id);
+    if (stale != tombstones.end() && stale->second > 0) {
+      --stale->second;
+      continue;
+    }
+    const CacheObject* obj = objects.find(id);
+    if (obj == nullptr) r.fail("policy state names a non-resident document");
+    order_.push_front(obj->slot);
+  }
+  if (take_slot_run(r, objects).size() != order_.size()) {
+    r.fail("FIFO resident set does not match its order");
+  }
 }
 
 // ---- heap-ordered family ---------------------------------------------------
 
-void SizePolicy::save_state(util::StateWriter& w) const { save_heap(w, heap_); }
-void SizePolicy::restore_state(util::StateReader& r) { restore_heap(r, heap_); }
+void SizePolicy::save_state(util::StateWriter& w,
+                            const ObjectTable& objects) const {
+  save_heap(w, heap_, objects);
+}
+void SizePolicy::restore_state(util::StateReader& r,
+                               const ObjectTable& objects) {
+  restore_heap(r, heap_, objects);
+}
 
-void LfuPolicy::save_state(util::StateWriter& w) const { save_heap(w, heap_); }
-void LfuPolicy::restore_state(util::StateReader& r) { restore_heap(r, heap_); }
+void LfuPolicy::save_state(util::StateWriter& w,
+                           const ObjectTable& objects) const {
+  save_heap(w, heap_, objects);
+}
+void LfuPolicy::restore_state(util::StateReader& r,
+                              const ObjectTable& objects) {
+  restore_heap(r, heap_, objects);
+}
 
-void LfuDaPolicy::save_state(util::StateWriter& w) const {
-  save_heap(w, heap_);
+void LfuDaPolicy::save_state(util::StateWriter& w,
+                             const ObjectTable& objects) const {
+  save_heap(w, heap_, objects);
   w.put_double(cache_age_);
 }
-void LfuDaPolicy::restore_state(util::StateReader& r) {
-  restore_heap(r, heap_);
+void LfuDaPolicy::restore_state(util::StateReader& r,
+                                const ObjectTable& objects) {
+  restore_heap(r, heap_, objects);
   cache_age_ = r.take_double();
 }
 
-void GdsPolicy::save_state(util::StateWriter& w) const {
-  save_heap(w, heap_);
+void GdsPolicy::save_state(util::StateWriter& w,
+                           const ObjectTable& objects) const {
+  save_heap(w, heap_, objects);
   w.put_double(inflation_);
 }
-void GdsPolicy::restore_state(util::StateReader& r) {
-  restore_heap(r, heap_);
+void GdsPolicy::restore_state(util::StateReader& r,
+                              const ObjectTable& objects) {
+  restore_heap(r, heap_, objects);
   inflation_ = r.take_double();
 }
 
-void GdsfPolicy::save_state(util::StateWriter& w) const {
-  save_heap(w, heap_);
+void GdsfPolicy::save_state(util::StateWriter& w,
+                            const ObjectTable& objects) const {
+  save_heap(w, heap_, objects);
   w.put_double(inflation_);
 }
-void GdsfPolicy::restore_state(util::StateReader& r) {
-  restore_heap(r, heap_);
+void GdsfPolicy::restore_state(util::StateReader& r,
+                               const ObjectTable& objects) {
+  restore_heap(r, heap_, objects);
   inflation_ = r.take_double();
 }
 
-void GdStarPolicy::save_state(util::StateWriter& w) const {
-  save_heap(w, heap_);
+void GdStarPolicy::save_state(util::StateWriter& w,
+                              const ObjectTable& objects) const {
+  save_heap(w, heap_, objects);
   w.put_double(inflation_);
   estimator_.save_state(w);
 }
-void GdStarPolicy::restore_state(util::StateReader& r) {
-  restore_heap(r, heap_);
+void GdStarPolicy::restore_state(util::StateReader& r,
+                                 const ObjectTable& objects) {
+  restore_heap(r, heap_, objects);
   inflation_ = r.take_double();
   estimator_.restore_state(r);
 }
 
-void GdStarPerClassPolicy::save_state(util::StateWriter& w) const {
-  save_heap(w, heap_);
+void GdStarPerClassPolicy::save_state(util::StateWriter& w,
+                                      const ObjectTable& objects) const {
+  save_heap(w, heap_, objects);
   w.put_double(inflation_);
   for (const BetaEstimator& e : estimators_) e.save_state(w);
 }
-void GdStarPerClassPolicy::restore_state(util::StateReader& r) {
-  restore_heap(r, heap_);
+void GdStarPerClassPolicy::restore_state(util::StateReader& r,
+                                         const ObjectTable& objects) {
+  restore_heap(r, heap_, objects);
   inflation_ = r.take_double();
   for (BetaEstimator& e : estimators_) e.restore_state(r);
 }
 
 // ---- LRU-2 -----------------------------------------------------------------
 
-void LruKPolicy::save_state(util::StateWriter& w) const {
-  save_heap(w, heap_);
-  save_sorted_map(w, resident_last_);
-  save_sorted_map(w, history_);
+void LruKPolicy::save_state(util::StateWriter& w,
+                            const ObjectTable& objects) const {
+  save_heap(w, heap_, objects);
+  std::vector<std::pair<ObjectId, std::uint64_t>> resident;
+  heap_.for_each_entry([&](const IndexedMinHeap<double>::Entry& e) {
+    resident.emplace_back(resident_[e.key].id, resident_[e.key].last_access);
+  });
+  save_sorted(w, std::move(resident));
+  save_sorted(w, {history_.begin(), history_.end()});
   w.put_u64(history_fifo_.size());
   for (const auto& [id, stamp] : history_fifo_) {
     w.put_u64(id);
@@ -225,10 +297,19 @@ void LruKPolicy::save_state(util::StateWriter& w) const {
   }
 }
 
-void LruKPolicy::restore_state(util::StateReader& r) {
-  restore_heap(r, heap_);
-  restore_map(r, resident_last_);
-  restore_map(r, history_);
+void LruKPolicy::restore_state(util::StateReader& r,
+                               const ObjectTable& objects) {
+  restore_heap(r, heap_, objects);
+  const std::uint64_t resident = r.take_u64();
+  for (std::uint64_t i = 0; i < resident; ++i) {
+    const std::uint32_t slot = take_slot(r, objects);
+    slot_entry(resident_, slot) = Resident{objects.at(slot).id, r.take_u64()};
+  }
+  const std::uint64_t retained = r.take_u64();
+  for (std::uint64_t i = 0; i < retained; ++i) {
+    const ObjectId id = r.take_id();
+    history_[id] = r.take_u64();
+  }
   const std::uint64_t n = r.take_u64();
   for (std::uint64_t i = 0; i < n; ++i) {
     const ObjectId id = r.take_id();
@@ -241,7 +322,8 @@ void LruKPolicy::restore_state(util::StateReader& r) {
 
 // The layout groups residents by power-of-two size class (64 classes, size
 // 0 with size 1), newest first within a class, each as {id, size, stamp}.
-void LruMinPolicy::save_state(util::StateWriter& w) const {
+void LruMinPolicy::save_state(util::StateWriter& w,
+                              const ObjectTable& objects) const {
   std::array<std::vector<std::size_t>, 64> classes;
   for (std::size_t pos = next_position_; pos-- > 0;) {
     const std::uint64_t leaf = tree_[pos];
@@ -253,125 +335,134 @@ void LruMinPolicy::save_state(util::StateWriter& w) const {
   for (const auto& positions : classes) {
     w.put_u64(positions.size());
     for (const std::size_t pos : positions) {
-      w.put_u64(entries_[pos].id);
+      w.put_u64(id_of(objects, entries_[pos].slot));
       w.put_u64(tree_[pos] - 1);
       w.put_u64(entries_[pos].stamp);
     }
   }
 }
 
-void LruMinPolicy::restore_state(util::StateReader& r) {
+void LruMinPolicy::restore_state(util::StateReader& r,
+                                 const ObjectTable& objects) {
   next_stamp_ = r.take_u64();
-  std::vector<std::tuple<std::uint64_t, ObjectId, std::uint64_t>> saved;
+  std::vector<std::tuple<std::uint64_t, std::uint32_t, std::uint64_t>> saved;
   for (std::size_t c = 0; c < 64; ++c) {
     const std::uint64_t n = r.take_u64();
     for (std::uint64_t i = 0; i < n; ++i) {
-      const ObjectId id = r.take_id();
+      const std::uint32_t slot = take_slot(r, objects);
       const std::uint64_t size = r.take_u64();
-      saved.emplace_back(r.take_u64(), id, size);
+      saved.emplace_back(r.take_u64(), slot, size);
     }
   }
   std::sort(saved.begin(), saved.end());  // by stamp: oldest first
-  for (const auto& [stamp, id, size] : saved) {
-    if (find_position(id) != nullptr) {
+  for (const auto& [stamp, slot, size] : saved) {
+    if (slot_entry(position_, slot, kAbsent) != kAbsent) {
       throw std::logic_error("LruMinPolicy: duplicate id in saved state");
     }
-    place(id, size, stamp);
+    place(slot, size, stamp);
     ++resident_;
   }
 }
 
 // ---- RANDOM ----------------------------------------------------------------
 
-void RandomPolicy::save_state(util::StateWriter& w) const {
+void RandomPolicy::save_state(util::StateWriter& w,
+                              const ObjectTable& objects) const {
   // The resident vector's order (shaped by swap-remove evictions) and the
   // draw stream position are both semantic: together they decide every
   // future victim.
   save_rng(w, rng_);
-  w.put_u64(ids_.size());
-  for (const ObjectId id : ids_) w.put_u64(id);
+  w.put_u64(slots_.size());
+  for (const std::uint32_t slot : slots_) w.put_u64(id_of(objects, slot));
 }
 
-void RandomPolicy::restore_state(util::StateReader& r) {
+void RandomPolicy::restore_state(util::StateReader& r,
+                                 const ObjectTable& objects) {
   restore_rng(r, rng_);
   const std::uint64_t n = r.take_u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const ObjectId id = r.take_id();
-    set_position(id, static_cast<std::uint32_t>(ids_.size()));
-    ids_.push_back(id);
-  }
+  for (std::uint64_t i = 0; i < n; ++i) add(take_slot(r, objects));
 }
 
 // ---- CLOCK / DELAY-CLOCK ---------------------------------------------------
 
-void SecondChancePolicy::save_state(util::StateWriter& w) const {
+void SecondChancePolicy::save_state(util::StateWriter& w,
+                                    const ObjectTable& objects) const {
   w.put_u64(ring_.size());
-  ring_.for_each_front_to_back([&](ObjectId id) {
-    w.put_u64(id);
-    w.put_u32(counter_of(id));
+  ring_.for_each_front_to_back([&](std::uint32_t slot) {
+    w.put_u64(id_of(objects, slot));
+    w.put_u32(counters_[slot]);
   });
 }
 
-void SecondChancePolicy::restore_state(util::StateReader& r) {
+void SecondChancePolicy::restore_state(util::StateReader& r,
+                                       const ObjectTable& objects) {
   const std::uint64_t n = r.take_count(8 + 4, "ring entry");
-  std::vector<std::pair<ObjectId, std::uint32_t>> entries;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> entries;
   entries.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
-    const ObjectId id = r.take_id();
+    const std::uint32_t slot = take_slot(r, objects);
     const std::uint32_t counter = r.take_u32();
-    entries.emplace_back(id, counter);
+    entries.emplace_back(slot, counter);
   }
   for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
     ring_.push_front(it->first);
-    set_counter(it->first, it->second);
+    slot_entry(counters_, it->first) = it->second;
   }
 }
 
 // ---- lazy-promotion LRU variants -------------------------------------------
 
-void ProbLruPolicy::save_state(util::StateWriter& w) const {
+void ProbLruPolicy::save_state(util::StateWriter& w,
+                               const ObjectTable& objects) const {
   save_rng(w, rng_);
-  save_list(w, order_);
+  save_list(w, order_, objects);
 }
 
-void ProbLruPolicy::restore_state(util::StateReader& r) {
+void ProbLruPolicy::restore_state(util::StateReader& r,
+                                  const ObjectTable& objects) {
   restore_rng(r, rng_);
-  restore_list(r, order_);
+  restore_list(r, order_, objects);
 }
 
-void DelayLruPolicy::save_state(util::StateWriter& w) const {
+void DelayLruPolicy::save_state(util::StateWriter& w,
+                                const ObjectTable& objects) const {
   w.put_u64(order_.size());
-  order_.for_each_front_to_back([&](ObjectId id) {
-    w.put_u64(id);
-    w.put_u64(stamp_of(id));
+  order_.for_each_front_to_back([&](std::uint32_t slot) {
+    w.put_u64(id_of(objects, slot));
+    w.put_u64(stamps_[slot]);
   });
 }
 
-void DelayLruPolicy::restore_state(util::StateReader& r) {
+void DelayLruPolicy::restore_state(util::StateReader& r,
+                                   const ObjectTable& objects) {
   const std::uint64_t n = r.take_count(8 + 8, "delay entry");
-  std::vector<std::pair<ObjectId, std::uint64_t>> entries;
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> entries;
   entries.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
-    const ObjectId id = r.take_id();
+    const std::uint32_t slot = take_slot(r, objects);
     const std::uint64_t stamp = r.take_u64();
-    entries.emplace_back(id, stamp);
+    entries.emplace_back(slot, stamp);
   }
   for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
     order_.push_front(it->first);
-    set_stamp(it->first, it->second);
+    slot_entry(stamps_, it->first) = it->second;
   }
 }
 
-void BatchPromotionPolicy::save_state(util::StateWriter& w) const {
-  save_list(w, order_);
+void BatchPromotionPolicy::save_state(util::StateWriter& w,
+                                      const ObjectTable& objects) const {
+  save_list(w, order_, objects);
   w.put_u64(pending_.size());
-  for (const ObjectId id : pending_) w.put_u64(id);
+  for (const std::uint32_t slot : pending_) w.put_u64(id_of(objects, slot));
 }
 
-void BatchPromotionPolicy::restore_state(util::StateReader& r) {
-  restore_list(r, order_);
+void BatchPromotionPolicy::restore_state(util::StateReader& r,
+                                         const ObjectTable& objects) {
+  restore_list(r, order_, objects);
   const std::uint64_t n = r.take_u64();
-  for (std::uint64_t i = 0; i < n; ++i) pending_.push_back(r.take_id());
+  for (std::uint64_t i = 0; i < n; ++i) {
+    pending_.push_back(take_slot(r, objects));
+  }
 }
 
 // ---- beta estimator --------------------------------------------------------

@@ -14,12 +14,11 @@
 // Determinism: every draw comes from one util::Rng constructed from the
 // seed in the PolicySpec, and victims are chosen by position in a dense
 // resident vector maintained with swap-remove. The vector's evolution
-// depends only on the insert/erase sequence — never on the id numbering —
-// so sparse and dense-id replays are bit-identical.
+// depends only on the insert/erase sequence — never on the id numbering or
+// the slot assignment — so every replay of a trace draws the same victims.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/policy.hpp"
@@ -33,39 +32,34 @@ class RandomPolicy final : public ReplacementPolicy {
 
   explicit RandomPolicy(std::uint64_t seed = kDefaultSeed);
 
-  void reserve_ids(std::uint64_t universe) override;
   void on_insert(const CacheObject& obj) override;
   void on_hit(const CacheObject& /*obj*/) override {}  // lazy: no promotion
-  using ReplacementPolicy::choose_victim;
-  ObjectId choose_victim(std::uint64_t incoming_size) override;
-  void on_evict(ObjectId id) override;
+  std::uint32_t evict(std::uint64_t incoming_size) override;
+  void on_erase(const CacheObject& obj) override;
   std::string_view name() const override { return "RANDOM"; }
   void clear() override;
 
   PolicyProbe probe() const override {
-    return {ids_.size(), std::nullopt, std::nullopt};
+    return {slots_.size(), std::nullopt, std::nullopt};
   }
 
   std::uint64_t seed() const { return seed_; }
 
-  void save_state(util::StateWriter& w) const override;
-  void restore_state(util::StateReader& r) override;
+  void save_state(util::StateWriter& w,
+                  const ObjectTable& objects) const override;
+  void restore_state(util::StateReader& r,
+                     const ObjectTable& objects) override;
 
  private:
   static constexpr std::uint32_t kAbsent = 0xffffffffu;
 
-  std::uint32_t find_position(ObjectId id) const;
-  void set_position(ObjectId id, std::uint32_t pos);
-  void drop_position(ObjectId id);
+  void add(std::uint32_t slot);
+  void remove(std::uint32_t slot);
 
   std::uint64_t seed_;
   util::Rng rng_;
-  std::vector<ObjectId> ids_;  // resident objects, swap-remove order
-
-  // id -> position in ids_, hash-backed by default, flat after reserve_ids.
-  bool dense_ = false;
-  std::unordered_map<ObjectId, std::uint32_t> where_;
-  std::vector<std::uint32_t> dense_where_;
+  std::vector<std::uint32_t> slots_;     // resident slots, swap-remove order
+  std::vector<std::uint32_t> position_;  // slot -> index in slots_
 };
 
 }  // namespace webcache::cache

@@ -3,12 +3,12 @@
 namespace webcache::cache {
 
 void SizePolicy::on_insert(const CacheObject& obj) {
-  heap_.push(obj.id, -static_cast<double>(obj.size));
+  heap_.push(obj.slot, -static_cast<double>(obj.size));
 }
 
-ObjectId SizePolicy::choose_victim(std::uint64_t /*incoming_size*/) { return heap_.top().key; }
-
-void SizePolicy::on_evict(ObjectId id) { heap_.erase(id); }
+std::uint32_t SizePolicy::evict(std::uint64_t /*incoming_size*/) {
+  return heap_.pop().key;
+}
 
 void SizePolicy::clear() { heap_.clear(); }
 

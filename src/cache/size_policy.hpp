@@ -13,18 +13,19 @@ class SizePolicy final : public ReplacementPolicy {
  public:
   void on_insert(const CacheObject& obj) override;
   void on_hit(const CacheObject& /*obj*/) override {}  // size never changes
-  using ReplacementPolicy::choose_victim;
-  ObjectId choose_victim(std::uint64_t incoming_size) override;
-  void on_evict(ObjectId id) override;
+  std::uint32_t evict(std::uint64_t incoming_size) override;
+  void on_erase(const CacheObject& obj) override { heap_.erase(obj.slot); }
   std::string_view name() const override { return "SIZE"; }
   void clear() override;
 
-  void save_state(util::StateWriter& w) const override;
-  void restore_state(util::StateReader& r) override;
+  void save_state(util::StateWriter& w,
+                  const ObjectTable& objects) const override;
+  void restore_state(util::StateReader& r,
+                     const ObjectTable& objects) override;
 
  private:
   // Min-heap over negated size = max-heap over size.
-  IndexedMinHeap<ObjectId, double> heap_;
+  IndexedMinHeap<double> heap_;
 };
 
 }  // namespace webcache::cache

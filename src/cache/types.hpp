@@ -2,8 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "trace/document_class.hpp"
@@ -23,6 +21,11 @@ struct CacheObject {
   ObjectId id = 0;
   std::uint64_t size = 0;            // bytes occupied in the cache
   trace::DocumentClass doc_class = trace::DocumentClass::kOther;
+  /// The object table's stable slot for this object (ObjectTable::insert
+  /// assigns it; it never changes while the object is resident). Policies
+  /// key their structures by it, so their arrays follow the number of
+  /// resident objects, not the document universe.
+  std::uint32_t slot = 0;
   /// References while resident (1 on insert, incremented on each hit).
   /// This is the f(p) of GD* and GDSF: in-cache frequency.
   std::uint64_t reference_count = 1;
@@ -33,19 +36,16 @@ struct CacheObject {
   std::uint64_t previous_access = 0;
   std::uint64_t insert_index = 0;    // request index of insertion
 };
+static_assert(sizeof(CacheObject) == 56,
+              "the slot must fit the padding after doc_class");
 
-/// Grows a flat id-indexed vector to cover [0, universe), filling the new
-/// entries with `unset`; existing entries keep their values. The dense
-/// structures' reserve calls share it: a universe may extend while ids are
-/// live, but never shrink (std::logic_error naming `owner`).
+/// The entry for `slot` in a slot-indexed policy array, growing the array
+/// (new entries = `fill`) to cover it first. Slots stay below the table's
+/// high-water mark of resident objects, so the arrays do too.
 template <typename T>
-void extend_dense_index(std::vector<T>& index, std::uint64_t universe,
-                        const T& unset, const char* owner) {
-  if (universe < index.size()) {
-    throw std::logic_error(std::string(owner) +
-                           ": dense universe cannot shrink");
-  }
-  index.resize(static_cast<std::size_t>(universe), unset);
+T& slot_entry(std::vector<T>& array, std::uint32_t slot, const T& fill = T{}) {
+  if (slot >= array.size()) array.resize(std::size_t{slot} + 1, fill);
+  return array[slot];
 }
 
 }  // namespace webcache::cache

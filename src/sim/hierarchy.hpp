@@ -103,9 +103,9 @@ struct HierarchyResult {
 };
 
 /// Replays a densified trace (trace::densify()) through the mesh. Every
-/// edge cache and the root reserve the trace's dense universe, so object
-/// tables, policy indices and the last-size tracker are flat arrays indexed
-/// by dense id. densify() leaves client ids untouched, so requests attach
+/// edge cache and the root reserve the trace's dense universe, so the
+/// object tables' id indices and the last-size tracker are flat arrays
+/// indexed by dense id. densify() leaves client ids untouched, so requests attach
 /// to the same edges as the source trace's. Each cache is set up exactly as
 /// the single-cache simulate() sets up its one cache (LRU-Threshold specs
 /// install their admission limit): a one-edge mesh without siblings gives

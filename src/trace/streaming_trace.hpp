@@ -45,6 +45,12 @@ class StreamingTraceReader final : public RequestStream {
 
   std::uint32_t version() const { return decoder_.version(); }
   const std::string& path() const { return path_; }
+  /// The digest the file's checksum trailer stores, read through a second
+  /// handle with one seek past the records the header declares (the replay
+  /// still checks it against the records at the end). With version() and
+  /// total_requests() it identifies the trace by content, whatever its
+  /// path. Throws std::runtime_error when the file ends before the trailer.
+  std::uint64_t stored_digest() const;
 
  private:
   std::string path_;

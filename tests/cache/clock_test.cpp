@@ -72,9 +72,8 @@ TEST(DelayClock, CounterGrantsMultipleChances) {
 
 TEST(Clock, DenseAndSparseCountersAgree) {
   auto run = [](bool dense) {
-    auto policy = std::make_unique<ClockPolicy>();
-    if (dense) policy->reserve_ids(128);
-    Cache cache(32, std::move(policy));
+    Cache cache(32, std::make_unique<ClockPolicy>());
+    if (dense) cache.reserve_dense_ids(128);
     util::Rng rng(21);
     std::uint64_t hits = 0;
     for (int step = 0; step < 20000; ++step) {

@@ -32,9 +32,9 @@ TEST(Fifo, EraseOutOfOrderThenEvict) {
   access(cache, 1);
   access(cache, 2);
   access(cache, 3);
-  cache.erase(2);  // tombstone in the middle of the queue
+  cache.erase(2);  // leaves the middle of the queue
   access(cache, 4);
-  access(cache, 5);  // must evict 1 (oldest), skipping the tombstone
+  access(cache, 5);  // must evict 1 (oldest)
   EXPECT_FALSE(cache.contains(1));
   EXPECT_TRUE(cache.contains(3));
   EXPECT_TRUE(cache.contains(4));
@@ -56,9 +56,15 @@ TEST(Fifo, ProtocolViolations) {
   FifoPolicy policy;
   CacheObject obj;
   obj.id = 1;
+  obj.slot = 1;
   policy.on_insert(obj);
   EXPECT_THROW(policy.on_insert(obj), std::logic_error);
-  EXPECT_THROW(policy.on_evict(99), std::logic_error);
+  CacheObject absent;
+  absent.id = 99;
+  absent.slot = 99;
+  EXPECT_THROW(policy.on_erase(absent), std::logic_error);
+  EXPECT_EQ(policy.evict(0), 1u);
+  EXPECT_THROW(policy.evict(0), std::logic_error);
 }
 
 // --------------------------------------------------------------- SIZE

@@ -42,10 +42,11 @@ TEST(Gdsf, InflationFromEvictedVictim) {
   GdsfPolicy policy(CostModelKind::kConstant);
   CacheObject a;
   a.id = 1;
+  a.slot = 1;
   a.size = 10;
   a.reference_count = 5;
   policy.on_insert(a);  // H = 0.5
-  policy.on_evict(1);
+  EXPECT_EQ(policy.evict(0), 1u);
   EXPECT_DOUBLE_EQ(policy.inflation(), 0.5);
 }
 
@@ -53,9 +54,10 @@ TEST(Gdsf, ResetClearsState) {
   GdsfPolicy policy(CostModelKind::kConstant);
   CacheObject a;
   a.id = 1;
+  a.slot = 1;
   a.size = 1;
   policy.on_insert(a);
-  policy.on_evict(1);
+  EXPECT_EQ(policy.evict(0), 1u);
   policy.clear();
   EXPECT_EQ(policy.inflation(), 0.0);
 }

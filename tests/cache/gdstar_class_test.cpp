@@ -68,10 +68,10 @@ TEST(GdStarClass, InflationMechanicsMatchGdStar) {
   GdStarPerClassPolicy policy(CostModelKind::kConstant);
   CacheObject a;
   a.id = 1;
+  a.slot = 1;
   a.size = 4;  // utility 0.25, beta 1 -> H = 0.25
   policy.on_insert(a);
-  EXPECT_EQ(policy.choose_victim(), 1u);
-  policy.on_evict(1);
+  EXPECT_EQ(policy.evict(0), 1u);
   EXPECT_DOUBLE_EQ(policy.inflation(), 0.25);
   policy.clear();
   EXPECT_EQ(policy.inflation(), 0.0);

@@ -64,16 +64,17 @@ TEST(GdStar, SmallBetaAmplifiesFrequency) {
   GdStarPolicy half(CostModelKind::kConstant, 0.5);
   CacheObject a;
   a.id = 1;
+  a.slot = 1;
   a.size = 4;
   a.reference_count = 1;  // utility 0.25 -> H = 0.0625
   CacheObject b;
   b.id = 2;
+  b.slot = 2;
   b.size = 3;
   b.reference_count = 1;  // utility 0.333 -> H = 0.111
   half.on_insert(a);
   half.on_insert(b);
-  EXPECT_EQ(half.choose_victim(), 1u);
-  half.on_evict(1);
+  EXPECT_EQ(half.evict(0), 1u);
   // Inflation L = 0.0625: a fresh doc with utility u enters at L + u^2.
   EXPECT_DOUBLE_EQ(half.inflation(), 0.0625);
 }
@@ -85,14 +86,15 @@ TEST(GdStar, LargeBetaCompressesUtilitySpread) {
   GdStarPolicy two(CostModelKind::kConstant, 2.0);
   CacheObject a;
   a.id = 1;
+  a.slot = 1;
   a.size = 16;  // utility 1/16 -> sqrt = 0.25
   CacheObject b;
   b.id = 2;
+  b.slot = 2;
   b.size = 4;  // utility 1/4 -> sqrt = 0.5
   two.on_insert(a);
   two.on_insert(b);
-  EXPECT_EQ(two.choose_victim(), 1u);
-  two.on_evict(1);
+  EXPECT_EQ(two.evict(0), 1u);
   EXPECT_DOUBLE_EQ(two.inflation(), 0.25);
 }
 
@@ -145,9 +147,10 @@ TEST(GdStar, ZeroSizeObjectHandled) {
   GdStarPolicy policy(CostModelKind::kConstant, 0.5);
   CacheObject zero;
   zero.id = 1;
+  zero.slot = 1;
   zero.size = 0;
   policy.on_insert(zero);
-  EXPECT_EQ(policy.choose_victim(), 1u);
+  EXPECT_EQ(policy.evict(0), 1u);
 }
 
 TEST(GdStarProperty, InflationMonotoneUnderRandomWorkload) {
@@ -169,9 +172,10 @@ TEST(GdStar, ClearResetsEverything) {
   GdStarPolicy policy(CostModelKind::kConstant);
   CacheObject a;
   a.id = 1;
+  a.slot = 1;
   a.size = 1;
   policy.on_insert(a);
-  policy.on_evict(1);
+  EXPECT_EQ(policy.evict(0), 1u);
   EXPECT_GT(policy.inflation(), 0.0);
   policy.clear();
   EXPECT_EQ(policy.inflation(), 0.0);

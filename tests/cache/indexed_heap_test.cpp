@@ -11,13 +11,15 @@
 #include <utility>
 #include <vector>
 
+#include "cache/object_table.hpp"
 #include "util/rng.hpp"
 #include "util/state_io.hpp"
 
 namespace webcache::cache {
 namespace {
 
-using Heap = IndexedMinHeap<std::uint64_t, double>;
+using Heap = IndexedMinHeap<double>;
+using Key = Heap::Key;
 
 TEST(IndexedHeap, EmptyBehaviour) {
   Heap h;
@@ -120,8 +122,8 @@ TEST(IndexedHeap, ClearEmpties) {
 TEST(IndexedHeapProperty, RandomizedOperationsKeepInvariantsAndOrder) {
   util::Rng rng(99);
   Heap h;
-  std::vector<std::uint64_t> live;
-  std::uint64_t next_key = 0;
+  std::vector<Key> live;
+  Key next_key = 0;
 
   for (int step = 0; step < 5000; ++step) {
     const double dice = rng.uniform();
@@ -155,8 +157,8 @@ TEST(IndexedHeapProperty, RandomizedOperationsKeepInvariantsAndOrder) {
 TEST(IndexedHeapProperty, MatchesSortReference) {
   util::Rng rng(7);
   Heap h;
-  std::vector<std::pair<double, std::uint64_t>> reference;
-  for (std::uint64_t k = 0; k < 300; ++k) {
+  std::vector<std::pair<double, Key>> reference;
+  for (Key k = 0; k < 300; ++k) {
     const double p = rng.uniform(0, 10);
     h.push(k, p);
     reference.emplace_back(p, k);
@@ -211,7 +213,6 @@ class ReferenceHeap {
 struct DifferentialRun {
   std::uint64_t seed = 1;
   int steps = 20000;
-  bool dense = true;
 };
 
 // Few distinct priorities, so equal priorities (the sequence tie-break) are
@@ -223,18 +224,11 @@ double draw_priority(util::Rng& rng) {
 // Drives `h` and the reference through one random mix of push, update,
 // erase and pop, comparing every observable result.
 void run_differential(Heap& h, const DifferentialRun& run) {
-  constexpr std::uint64_t kUniverse = 512;
+  constexpr Key kUniverse = 512;
   util::Rng rng(run.seed);
   ReferenceHeap ref;
-  std::vector<std::uint64_t> live;
-  // Map mode draws keys across the whole 64-bit range (re-used after an
-  // erase or pop); dense mode draws them from the reserved universe.
-  std::vector<std::uint64_t> key_pool;
-  for (std::uint64_t i = 0; i < kUniverse; ++i) {
-    key_pool.push_back(run.dense ? i
-                                 : rng.next_u64() | (std::uint64_t{1} << 63));
-  }
-  const auto remove_live = [&](std::uint64_t key) {
+  std::vector<Key> live;
+  const auto remove_live = [&](Key key) {
     const auto it = std::find(live.begin(), live.end(), key);
     ASSERT_NE(it, live.end());
     *it = live.back();
@@ -244,7 +238,7 @@ void run_differential(Heap& h, const DifferentialRun& run) {
   for (int step = 0; step < run.steps; ++step) {
     const double dice = rng.uniform();
     if (live.empty() || dice < 0.4) {
-      const std::uint64_t key = key_pool[rng.below(key_pool.size())];
+      const auto key = static_cast<Key>(rng.below(kUniverse));
       const double priority = draw_priority(rng);
       if (ref.contains(key)) {
         EXPECT_THROW(h.push(key, priority), std::logic_error);
@@ -254,7 +248,7 @@ void run_differential(Heap& h, const DifferentialRun& run) {
       ref.push(key, priority);
       live.push_back(key);
     } else if (dice < 0.7) {
-      const std::uint64_t key = live[rng.below(live.size())];
+      const Key key = live[rng.below(live.size())];
       const double old = ref.priority_of(key);
       const double third = rng.uniform();
       const double priority = third < 0.25   ? old
@@ -264,7 +258,7 @@ void run_differential(Heap& h, const DifferentialRun& run) {
       h.update(key, priority);
       ref.update(key, priority);
     } else if (dice < 0.85) {
-      const std::uint64_t key = live[rng.below(live.size())];
+      const Key key = live[rng.below(live.size())];
       h.erase(key);
       ref.erase(key);
       remove_live(key);
@@ -292,99 +286,95 @@ void run_differential(Heap& h, const DifferentialRun& run) {
   EXPECT_TRUE(h.empty());
 }
 
-Heap make_heap(bool dense) {
-  Heap h;
-  if (dense) h.reserve_dense_keys(512);
-  return h;
-}
-
 TEST(IndexedHeapDifferential, DenseModeMatchesReference) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    Heap h = make_heap(true);
-    run_differential(h, {seed, 20000, true});
-  }
-}
-
-TEST(IndexedHeapDifferential, MapModeWith64BitKeysMatchesReference) {
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    Heap h = make_heap(false);
-    run_differential(h, {seed, 20000, false});
+    Heap h;
+    run_differential(h, {seed, 20000});
   }
 }
 
 constexpr std::uint64_t kSequenceWrap = std::uint64_t{1} << 32;
 
 TEST(IndexedHeapDifferential, CrossesSequenceRenumbering) {
-  for (const bool dense : {true, false}) {
-    Heap h = make_heap(dense);
-    h.set_next_sequence(kSequenceWrap - 8);
-    run_differential(h, {11, 5000, dense});
-    EXPECT_LT(h.next_sequence(), kSequenceWrap);
-  }
+  Heap h;
+  h.set_next_sequence(kSequenceWrap - 8);
+  run_differential(h, {11, 5000});
+  EXPECT_LT(h.next_sequence(), kSequenceWrap);
 }
 
 TEST(IndexedHeapDifferential, RenumberingKeepsFifoTies) {
   // Sixteen equal priorities: eight pushed with the last eight 32-bit
   // sequences, eight after the renumbering. Pops must stay FIFO.
-  for (const bool dense : {true, false}) {
-    Heap h = make_heap(dense);
-    h.set_next_sequence(kSequenceWrap - 8);
-    for (std::uint64_t k = 0; k < 16; ++k) h.push(k, 1.0);
-    ASSERT_TRUE(h.check_invariants());
-    EXPECT_EQ(h.next_sequence(), 16u);
-    for (std::uint64_t k = 0; k < 16; ++k) EXPECT_EQ(h.pop().key, k);
-  }
+  Heap h;
+  h.set_next_sequence(kSequenceWrap - 8);
+  for (Key k = 0; k < 16; ++k) h.push(k, 1.0);
+  ASSERT_TRUE(h.check_invariants());
+  EXPECT_EQ(h.next_sequence(), 16u);
+  for (Key k = 0; k < 16; ++k) EXPECT_EQ(h.pop().key, k);
+}
+
+// The checkpoint codec writes document ids, not slots: slot k of this
+// table holds document 1000 + k.
+const ObjectTable& id_table() {
+  static const ObjectTable table = [] {
+    ObjectTable t;
+    for (ObjectId id = 1000; id < 1200; ++id) {
+      CacheObject obj;
+      obj.id = id;
+      t.insert(obj);
+    }
+    return t;
+  }();
+  return table;
 }
 
 std::vector<std::uint8_t> saved(const Heap& h) {
   util::StateWriter w;
-  save_heap(w, h);
+  save_heap(w, h, id_table());
   return w.take();
 }
 
-Heap restored(const std::vector<std::uint8_t>& bytes, bool dense) {
-  Heap h = make_heap(dense);
+Heap restored(const std::vector<std::uint8_t>& bytes) {
+  Heap h;
   util::StateReader r(bytes.data(), bytes.size(), "heap");
-  restore_heap(r, h);
+  restore_heap(r, h, id_table());
   r.expect_end();
   return h;
 }
 
 TEST(IndexedHeapDifferential, SaveRestoreRoundTripAcrossRenumbering) {
-  for (const bool dense : {true, false}) {
-    util::Rng rng(21);
-    Heap a = make_heap(dense);
-    a.set_next_sequence(kSequenceWrap - 8);
-    for (std::uint64_t k = 0; k < 6; ++k) a.push(k * 7, draw_priority(rng));
-    a.update(7, 100.0);
+  util::Rng rng(21);
+  Heap a;
+  a.set_next_sequence(kSequenceWrap - 8);
+  for (Key k = 0; k < 6; ++k) a.push(k * 7, draw_priority(rng));
+  a.update(7, 100.0);
 
-    // A restored copy rebuilds the very same array, so it saves the same
-    // bytes; both then cross the renumbering in step.
-    const std::vector<std::uint8_t> before = saved(a);
-    Heap b = restored(before, dense);
-    ASSERT_TRUE(b.check_invariants());
-    EXPECT_EQ(saved(b), before);
-    for (std::uint64_t k = 100; k < 140; ++k) {
-      const double priority = draw_priority(rng);
-      a.push(k, priority);
-      b.push(k, priority);
-    }
-    ASSERT_TRUE(a.check_invariants());
-    EXPECT_LT(a.next_sequence(), kSequenceWrap);
-
-    // The renumbered heap round-trips too, and pops in the same order.
-    const std::vector<std::uint8_t> after = saved(a);
-    EXPECT_EQ(saved(b), after);
-    Heap c = restored(after, dense);
-    EXPECT_EQ(saved(c), after);
-    while (!a.empty()) {
-      const auto want = a.pop();
-      EXPECT_EQ(b.pop().key, want.key);
-      EXPECT_EQ(c.pop().key, want.key);
-    }
-    EXPECT_TRUE(b.empty());
-    EXPECT_TRUE(c.empty());
+  // A restored copy rebuilds the very same array, so it saves the same
+  // bytes; both then cross the renumbering in step.
+  const std::vector<std::uint8_t> before = saved(a);
+  Heap b = restored(before);
+  ASSERT_TRUE(b.check_invariants());
+  EXPECT_EQ(saved(b), before);
+  for (Key k = 100; k < 140; ++k) {
+    const double priority = draw_priority(rng);
+    a.push(k, priority);
+    b.push(k, priority);
   }
+  ASSERT_TRUE(a.check_invariants());
+  EXPECT_LT(a.next_sequence(), kSequenceWrap);
+
+  // The renumbered heap round-trips too, and pops in the same order.
+  const std::vector<std::uint8_t> after = saved(a);
+  EXPECT_EQ(saved(b), after);
+  Heap c = restored(after);
+  EXPECT_EQ(saved(c), after);
+  while (!a.empty()) {
+    const auto want = a.pop();
+    EXPECT_EQ(b.pop().key, want.key);
+    EXPECT_EQ(c.pop().key, want.key);
+  }
+  EXPECT_TRUE(b.empty());
+  EXPECT_TRUE(c.empty());
 }
 
 TEST(IndexedHeapDifferential, RestoresSequencesBeyond32Bits) {
@@ -395,31 +385,28 @@ TEST(IndexedHeapDifferential, RestoresSequencesBeyond32Bits) {
       {1.0, kSequenceWrap}, {0.5, kSequenceWrap + 9}};
   util::StateWriter w;
   w.put_u64(saved_entries.size());
-  for (std::size_t i = 0; i < saved_entries.size(); ++i) {
-    w.put_u64(i);
+  for (std::uint32_t i = 0; i < saved_entries.size(); ++i) {
+    w.put_u64(id_table().at(i).id);
     w.put_double(saved_entries[i].first);
     w.put_u64(saved_entries[i].second);
   }
   w.put_u64(kSequenceWrap * 3 + 1);
   const std::vector<std::uint8_t> bytes = w.take();
 
-  for (const bool dense : {true, false}) {
-    Heap h = restored(bytes, dense);
-    ASSERT_TRUE(h.check_invariants());
-    EXPECT_EQ(h.next_sequence(), saved_entries.size());
-    h.push(9, 1.0);  // after every restored 1.0 entry
-    for (const std::uint64_t key : {4u, 1u, 3u, 0u, 9u, 2u}) {
-      EXPECT_EQ(h.pop().key, key);
-    }
+  Heap h = restored(bytes);
+  ASSERT_TRUE(h.check_invariants());
+  EXPECT_EQ(h.next_sequence(), saved_entries.size());
+  h.push(9, 1.0);  // after every restored 1.0 entry
+  for (const Key key : {4u, 1u, 3u, 0u, 9u, 2u}) {
+    EXPECT_EQ(h.pop().key, key);
   }
 }
 
 TEST(IndexedHeap, DenseUniverseBound) {
+  // Keys are slots below 2^32 - 1; that value marks absent positions.
   Heap h;
-  EXPECT_THROW(h.reserve_dense_keys(std::numeric_limits<std::uint32_t>::max()),
+  EXPECT_THROW(h.push(std::numeric_limits<Key>::max(), 1.0),
                std::invalid_argument);
-  h.reserve_dense_keys(4);
-  EXPECT_THROW(h.push(4, 1.0), std::logic_error);
   EXPECT_TRUE(h.empty());
   EXPECT_TRUE(h.check_invariants());
 }

@@ -120,15 +120,17 @@ TEST(BatchLru, FlushPromotesInArrivalOrder) {
 TEST(BatchLru, EvictionPurgesPendingEntries) {
   BatchPromotionPolicy policy(8);
   CacheObject obj;
-  for (ObjectId id = 1; id <= 3; ++id) {
-    obj.id = id;
+  for (const std::uint32_t slot : {2u, 1u, 3u}) {
+    obj.id = slot;
+    obj.slot = slot;
     policy.on_insert(obj);
   }
   obj.id = 2;
+  obj.slot = 2;
   policy.on_hit(obj);
   policy.on_hit(obj);
   EXPECT_EQ(policy.pending_promotions(), 2u);
-  policy.on_evict(2);
+  EXPECT_EQ(policy.evict(0), 2u);  // still the LRU: its hits are queued
   EXPECT_EQ(policy.pending_promotions(), 0u);
 }
 

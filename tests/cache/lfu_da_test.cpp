@@ -28,11 +28,10 @@ TEST(LfuDa, CacheAgeStartsAtZeroAndRises) {
   EXPECT_EQ(policy.cache_age(), 0.0);
   CacheObject a;
   a.id = 1;
+  a.slot = 1;
   a.reference_count = 3;
   policy.on_insert(a);
-  const ObjectId victim = policy.choose_victim();
-  EXPECT_EQ(victim, 1u);
-  policy.on_evict(victim);
+  EXPECT_EQ(policy.evict(0), 1u);
   EXPECT_EQ(policy.cache_age(), 3.0);  // age := priority of the evictee
 }
 
@@ -60,19 +59,22 @@ TEST(LfuDa, NewcomerEntersAboveAge) {
   LfuDaPolicy policy;
   CacheObject stale;
   stale.id = 1;
+  stale.slot = 1;
   stale.reference_count = 10;
   policy.on_insert(stale);
-  policy.on_evict(policy.choose_victim());  // age becomes 10
+  policy.evict(0);  // age becomes 10
 
   CacheObject fresh;
   fresh.id = 2;
+  fresh.slot = 2;
   fresh.reference_count = 1;
   policy.on_insert(fresh);  // priority 11
   CacheObject fresh2;
   fresh2.id = 3;
+  fresh2.slot = 3;
   fresh2.reference_count = 1;
   policy.on_insert(fresh2);  // priority 11, later sequence
-  EXPECT_EQ(policy.choose_victim(), 2u);
+  EXPECT_EQ(policy.evict(0), 2u);
 }
 
 TEST(LfuDa, HitRestoresPriorityOnTopOfCurrentAge) {
@@ -93,9 +95,10 @@ TEST(LfuDa, ClearResetsAge) {
   LfuDaPolicy policy;
   CacheObject a;
   a.id = 1;
+  a.slot = 1;
   a.reference_count = 7;
   policy.on_insert(a);
-  policy.on_evict(1);
+  policy.evict(0);
   EXPECT_GT(policy.cache_age(), 0.0);
   policy.clear();
   EXPECT_EQ(policy.cache_age(), 0.0);

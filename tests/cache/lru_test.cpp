@@ -59,25 +59,29 @@ TEST(Lru, PolicyRejectsProtocolViolations) {
   LruPolicy policy;
   CacheObject obj;
   obj.id = 1;
+  obj.slot = 1;
   policy.on_insert(obj);
   EXPECT_THROW(policy.on_insert(obj), std::logic_error);
   CacheObject absent;
   absent.id = 2;
+  absent.slot = 2;
   EXPECT_THROW(policy.on_hit(absent), std::logic_error);
-  EXPECT_THROW(policy.on_evict(2), std::logic_error);
-  policy.on_evict(1);
-  EXPECT_THROW(policy.choose_victim(), std::logic_error);
+  EXPECT_THROW(policy.on_erase(absent), std::logic_error);
+  EXPECT_EQ(policy.evict(0), 1u);
+  EXPECT_THROW(policy.evict(0), std::logic_error);
+  EXPECT_THROW(policy.on_erase(obj), std::logic_error);
 }
 
 TEST(Lru, ClearResetsState) {
   LruPolicy policy;
   CacheObject obj;
   obj.id = 5;
+  obj.slot = 5;
   policy.on_insert(obj);
   policy.clear();
-  EXPECT_THROW(policy.choose_victim(), std::logic_error);
+  EXPECT_THROW(policy.evict(0), std::logic_error);
   policy.on_insert(obj);  // reusable
-  EXPECT_EQ(policy.choose_victim(), 5u);
+  EXPECT_EQ(policy.evict(0), 5u);
 }
 
 TEST(Lru, Name) { EXPECT_EQ(LruPolicy().name(), "LRU"); }

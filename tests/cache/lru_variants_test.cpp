@@ -139,13 +139,17 @@ TEST(LruMin, ProtocolViolations) {
   LruMinPolicy policy;
   CacheObject obj;
   obj.id = 1;
+  obj.slot = 1;
   obj.size = 10;
   policy.on_insert(obj);
   EXPECT_THROW(policy.on_insert(obj), std::logic_error);
   CacheObject absent;
   absent.id = 2;
+  absent.slot = 2;
   EXPECT_THROW(policy.on_hit(absent), std::logic_error);
-  EXPECT_THROW(policy.on_evict(2), std::logic_error);
+  EXPECT_THROW(policy.on_erase(absent), std::logic_error);
+  EXPECT_EQ(policy.evict(0), 1u);
+  EXPECT_THROW(policy.evict(0), std::logic_error);
 }
 
 }  // namespace

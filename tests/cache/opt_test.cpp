@@ -76,16 +76,18 @@ TEST(Opt, AmongDeadObjectsEvictsLargestFirst) {
   OptPolicy policy({req(10, 5), req(11, 50)});
   CacheObject small;
   small.id = 10;
+  small.slot = 0;
   small.size = 5;
   small.last_access = 1;
   CacheObject big;
   big.id = 11;
+  big.slot = 1;
   big.size = 50;
   big.last_access = 2;
   policy.on_insert(small);
   policy.on_insert(big);
   // Neither recurs after its access -> both dead; the larger goes first.
-  EXPECT_EQ(policy.choose_victim(), 11u);
+  EXPECT_EQ(policy.evict(0), big.slot);
 }
 
 TEST(Opt, DominatesEveryOnlinePolicyOnUnitObjects) {

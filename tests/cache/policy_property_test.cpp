@@ -216,25 +216,30 @@ TEST(GreedyDualAging, EraseOfTheMinimumLeavesLAlone) {
   for (const char* name :
        {"LFU-DA", "GDS(1)", "GDSF(1)", "GD*(1)", "GD*C(1)", "GD*C(packet)"}) {
     for (const bool evict : {false, true}) {
+      // The twin receives the same inserts; its eviction names the minimum.
       const std::unique_ptr<ReplacementPolicy> policy =
           make_policy(policy_spec_from_name(name));
-      policy->reserve_ids(3);
-      for (const ObjectId id : {ObjectId{0}, ObjectId{1}, ObjectId{2}}) {
-        CacheObject obj;
-        obj.id = id;
-        obj.size = 100 * (id + 1);
+      const std::unique_ptr<ReplacementPolicy> twin =
+          make_policy(policy_spec_from_name(name));
+      std::vector<CacheObject> objects(3);
+      for (std::uint32_t slot = 0; slot < 3; ++slot) {
+        CacheObject& obj = objects[slot];
+        obj.id = slot;
+        obj.slot = slot;
+        obj.size = 100 * (slot + 1);
         obj.doc_class = trace::DocumentClass::kImage;
-        obj.reference_count = id + 1;
-        obj.last_access = obj.previous_access = obj.insert_index = id;
+        obj.reference_count = slot + 1;
+        obj.last_access = obj.previous_access = obj.insert_index = slot;
         policy->on_insert(obj);
+        twin->on_insert(obj);
       }
       const double before = policy->probe().aging.value_or(-1.0);
-      const ObjectId minimum = policy->choose_victim();
+      const std::uint32_t minimum = twin->evict(0);
       if (evict) {
-        policy->on_evict(minimum);
+        EXPECT_EQ(policy->evict(0), minimum) << name;
         EXPECT_GT(policy->probe().aging.value_or(-1.0), before) << name;
       } else {
-        policy->on_erase(minimum);
+        policy->on_erase(objects[minimum]);
         EXPECT_EQ(policy->probe().aging.value_or(-1.0), before) << name;
       }
     }

@@ -42,17 +42,14 @@ TEST(Random, ClearRestartsTheDrawStream) {
   // clear() re-seeds, so a reset run replays the exact victim sequence.
   RandomPolicy policy(77);
   auto drive = [&] {
-    std::vector<ObjectId> victims;
-    for (ObjectId id = 0; id < 16; ++id) {
+    std::vector<std::uint32_t> victims;
+    for (std::uint32_t slot = 0; slot < 16; ++slot) {
       CacheObject obj;
-      obj.id = id;
+      obj.id = slot;
+      obj.slot = slot;
       policy.on_insert(obj);
     }
-    for (int i = 0; i < 8; ++i) {
-      const ObjectId v = policy.choose_victim();
-      victims.push_back(v);
-      policy.on_evict(v);
-    }
+    for (int i = 0; i < 8; ++i) victims.push_back(policy.evict(0));
     policy.clear();
     return victims;
   };
@@ -60,51 +57,44 @@ TEST(Random, ClearRestartsTheDrawStream) {
 }
 
 TEST(Random, DenseAndSparseIndicesAgree) {
-  // Same seed, same call sequence: the flat-array index must yield the
-  // same victims as the hash-backed one (the draw picks a position in the
-  // shared swap-remove vector, which evolves identically).
-  RandomPolicy sparse(3);
-  RandomPolicy dense(3);
-  dense.reserve_ids(64);
-  util::Rng rng(8);
-  std::vector<ObjectId> live;
-  for (int step = 0; step < 2000; ++step) {
-    if (live.size() < 40 && (live.empty() || rng.chance(0.6))) {
-      ObjectId id = rng.below(64);
-      bool resident = false;
-      for (const ObjectId l : live) resident |= (l == id);
-      if (resident) continue;
-      CacheObject obj;
-      obj.id = id;
-      sparse.on_insert(obj);
-      dense.on_insert(obj);
-      live.push_back(id);
-    } else {
-      const ObjectId vs = sparse.choose_victim();
-      const ObjectId vd = dense.choose_victim();
-      ASSERT_EQ(vs, vd) << "step " << step;
-      sparse.on_evict(vs);
-      dense.on_evict(vd);
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        if (live[i] == vs) {
-          live[i] = live.back();
-          live.pop_back();
-          break;
-        }
-      }
+  // Same seed, same accesses: a cache whose object table indexes ids with a
+  // flat array and one that hashes them assign the same slots, so RANDOM
+  // (which sees only slots) draws the same victims.
+  struct Victims final : RemovalListener {
+    std::vector<ObjectId> ids;
+    void on_removal(const CacheObject& obj, RemovalCause) override {
+      ids.push_back(obj.id);
     }
+  };
+  Cache sparse = unit_cache(std::make_unique<RandomPolicy>(3), 40);
+  Cache dense = unit_cache(std::make_unique<RandomPolicy>(3), 40);
+  dense.reserve_dense_ids(64);
+  Victims sparse_victims;
+  Victims dense_victims;
+  sparse.set_removal_listener(&sparse_victims);
+  dense.set_removal_listener(&dense_victims);
+  util::Rng rng(8);
+  for (int step = 0; step < 2000; ++step) {
+    const ObjectId id = rng.below(64);
+    ASSERT_EQ(access(sparse, id), access(dense, id)) << "step " << step;
   }
+  EXPECT_GT(sparse_victims.ids.size(), 100u);
+  EXPECT_EQ(sparse_victims.ids, dense_victims.ids);
 }
 
 TEST(Random, PolicyRejectsProtocolViolations) {
   RandomPolicy policy;
   CacheObject obj;
   obj.id = 1;
+  obj.slot = 1;
   policy.on_insert(obj);
   EXPECT_THROW(policy.on_insert(obj), std::logic_error);
-  EXPECT_THROW(policy.on_evict(2), std::logic_error);
-  policy.on_evict(1);
-  EXPECT_THROW(policy.choose_victim(), std::logic_error);
+  CacheObject absent;
+  absent.id = 2;
+  absent.slot = 2;
+  EXPECT_THROW(policy.on_erase(absent), std::logic_error);
+  EXPECT_EQ(policy.evict(0), 1u);
+  EXPECT_THROW(policy.evict(0), std::logic_error);
 }
 
 TEST(Random, ProbeReportsResidentCount) {

@@ -140,6 +140,54 @@ def crash_chain(cli, wct, tmp, policy, tag, kill_points, torn_write,
           read(base_metrics) == read(final_metrics))
 
 
+def trace_identity_checks(cli, wct, tmp):
+    """Checkpoints name the trace by content (WCT1 version, record count,
+    trailer digest), not by the path as typed: a resume through another
+    spelling of the path or from a moved copy continues, and a different
+    trace of the same length is refused with the field named."""
+    ckpt = os.path.join(tmp, "ckpt_identity")
+    flags = ["--policy=LRU", "--cache-mb=4", "--stream",
+             f"--checkpoint-dir={ckpt}", f"--checkpoint-every={CHECKPOINT_EVERY}"]
+    p = run(cli, "simulate", wct, *flags)
+    check("identity: checkpointed run", p.returncode == 0,
+          p.stderr.strip()[:200])
+
+    def resume(trace, cwd=None):
+        return subprocess.run([cli, "simulate", trace, *flags, "--resume"],
+                              capture_output=True, text=True, timeout=240,
+                              cwd=cwd)
+
+    p = resume(os.path.join(".", os.path.basename(wct)), cwd=tmp)
+    check("identity: resume through another spelling of the path",
+          p.returncode == 0 and "resumed after request" in p.stderr,
+          f"rc={p.returncode} stderr={p.stderr.strip()[:300]}")
+
+    moved_dir = os.path.join(tmp, "moved")
+    os.makedirs(moved_dir)
+    moved = os.path.join(moved_dir, "renamed.wct")
+    os.rename(wct, moved)
+    try:
+        p = resume(moved)
+        check("identity: resume from a moved copy",
+              p.returncode == 0 and "resumed after request" in p.stderr,
+              f"rc={p.returncode} stderr={p.stderr.strip()[:300]}")
+    finally:
+        os.rename(moved, wct)
+
+    other = os.path.join(tmp, "other.wct")
+    p = run(cli, "generate", "--profile=DFN", "--scale=0.002", "--seed=8",
+            f"--out={other}")
+    check("identity: generate a second trace of the same length",
+          p.returncode == 0
+          and f"{TOTAL_REQUESTS} requests" in p.stdout + p.stderr,
+          (p.stdout + p.stderr).strip()[:200])
+    p = resume(other)
+    check("identity: a different trace of the same length is refused",
+          p.returncode == 1 and "fingerprint mismatch" in p.stderr
+          and "trace_source" in p.stderr,
+          f"rc={p.returncode} stderr={p.stderr.strip()[:300]}")
+
+
 def main():
     if len(sys.argv) != 2:
         print("usage: cli_crash_test.py <webcache-binary>", file=sys.stderr)
@@ -199,6 +247,8 @@ def main():
               p.returncode == 1 and "fingerprint mismatch" in p.stderr
               and "policy" in p.stderr,
               f"rc={p.returncode} stderr={p.stderr.strip()[:300]}")
+
+        trace_identity_checks(cli, wct, tmp)
 
         # Checkpoint flags require the streaming path.
         p = run(cli, "simulate", wct, "--policy=LRU", "--cache-mb=4",

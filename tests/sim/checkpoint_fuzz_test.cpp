@@ -137,7 +137,7 @@ TEST(CheckpointFuzz, HugeCountsRejectedByNameBeforeAllocating) {
     const std::vector<std::uint8_t> bytes = with_count({}, kHuge);
     expect_named_rejection("id run", [&] {
       util::StateReader r(bytes.data(), bytes.size(), "cache");
-      cache::LruPolicy().restore_state(r);
+      cache::LruPolicy().restore_state(r, cache::ObjectTable{});
     });
   }
   {
@@ -313,7 +313,39 @@ TEST(CheckpointFuzz, IdsPastTheIdsCountRejectedByName) {
   const std::vector<std::uint8_t> run = w.take();
   util::StateReader r(run.data(), run.size(), "cache");
   r.bound_ids(10);
-  EXPECT_THROW(cache::LruPolicy().restore_state(r), util::StateError);
+  EXPECT_THROW(cache::LruPolicy().restore_state(r, cache::ObjectTable{}),
+               util::StateError);
+}
+
+TEST(CheckpointFuzz, PolicyIdsMustBeResident) {
+  // Policies keep slots and restore maps each saved id to the slot the
+  // cache's table gave it; an id the table does not hold is rejected, for
+  // list and heap codecs alike, never restored under a made-up slot.
+  cache::ObjectTable objects;
+  cache::CacheObject obj;
+  obj.id = 4;
+  objects.insert(obj);
+  util::StateWriter list;
+  list.put_u64(2);
+  list.put_u64(4);
+  list.put_u64(5);
+  const std::vector<std::uint8_t> list_bytes = list.take();
+  expect_named_rejection("non-resident", [&] {
+    util::StateReader r(list_bytes.data(), list_bytes.size(), "cache");
+    cache::LruPolicy().restore_state(r, objects);
+  });
+  util::StateWriter heap;
+  heap.put_u64(1);
+  heap.put_u64(7);
+  heap.put_double(1.0);
+  heap.put_u64(0);
+  heap.put_u64(1);
+  heap.put_double(0.0);
+  const std::vector<std::uint8_t> heap_bytes = heap.take();
+  expect_named_rejection("non-resident", [&] {
+    util::StateReader r(heap_bytes.data(), heap_bytes.size(), "cache");
+    cache::make_policy("GDS(1)")->restore_state(r, objects);
+  });
 }
 
 TEST(CheckpointFuzz, VersionOneImageRejected) {

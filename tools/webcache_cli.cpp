@@ -453,6 +453,17 @@ void write_metrics_file(const std::string& path, const sim::SimResult& r,
             << " windows of " << sink.window_requests() << " requests)\n";
 }
 
+/// The stream checkpoints' trace tag: the WCT1 version, the header's record
+/// count and the trailer digest, so a resume accepts the same trace under
+/// any spelling or location of its path and refuses a different one.
+std::string trace_identity(const trace::StreamingTraceReader& stream) {
+  std::ostringstream tag;
+  tag << "WCT1 v" << stream.version() << ", " << stream.total_requests()
+      << " records, digest " << std::hex << std::setw(16) << std::setfill('0')
+      << stream.stored_digest();
+  return tag.str();
+}
+
 /// simulate --stream: chunked replay straight off the binary file. Results
 /// are bit-identical to the materialized path; memory is O(chunk + distinct
 /// documents).
@@ -504,7 +515,7 @@ int cmd_simulate_stream(const util::Args& args) {
     job.checkpoint.every = args.get_uint("checkpoint-every", 1'000'000);
     job.checkpoint.keep = args.get_uint("checkpoint-keep", 3);
     job.checkpoint.resume = args.get_bool("resume", false);
-    job.checkpoint.trace_source = args.positional()[0];
+    job.checkpoint.trace_source = trace_identity(stream);
   }
   if (!metrics_path.empty()) job.sink = &sink;
   sim::FaultSchedule schedule;
