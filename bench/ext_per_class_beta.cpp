@@ -5,7 +5,9 @@
 // temporal-correlation slope being "dominated by the slope of image
 // documents", mis-aging HTML, multi media and application documents whose
 // per-type betas are much larger. GD*C replaces the single online beta
-// with one estimator per document class (cache/gdstar_class.hpp).
+// with one estimator per document class. It is the same GreedyDualPolicy
+// as GD* (cache/greedy_dual.hpp) with another value function, so the two
+// differ in nothing but the exponent each document's utility takes.
 //
 // If the diagnosis is right, GD*C(packet) should recover byte hit rate on
 // the RTP-like workload relative to GD*(packet), with little or no cost on
@@ -16,7 +18,7 @@
 #include <iostream>
 
 #include "cache/factory.hpp"
-#include "cache/gdstar_class.hpp"
+#include "cache/greedy_dual.hpp"
 #include "common.hpp"
 #include "util/format.hpp"
 

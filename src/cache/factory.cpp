@@ -9,13 +9,9 @@
 
 #include "cache/clock.hpp"
 #include "cache/fifo.hpp"
-#include "cache/gds.hpp"
-#include "cache/gdsf.hpp"
-#include "cache/gdstar.hpp"
-#include "cache/gdstar_class.hpp"
+#include "cache/greedy_dual.hpp"
 #include "cache/lazy_lru.hpp"
 #include "cache/lfu.hpp"
-#include "cache/lfu_da.hpp"
 #include "cache/lru.hpp"
 #include "cache/lru_k.hpp"
 #include "cache/lru_variants.hpp"

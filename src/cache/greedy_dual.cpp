@@ -1,0 +1,75 @@
+#include "cache/greedy_dual.hpp"
+
+#include <algorithm>
+#include <stdexcept>
+
+#include "util/state_io.hpp"
+
+namespace webcache::cache {
+
+CostValue::CostValue(std::string_view scheme, CostModelKind cost_model)
+    : cost_model_(make_cost_model(cost_model)),
+      name_(std::string(scheme) + "(" +
+            std::string(cost_model_suffix(cost_model)) + ")") {}
+
+GdStarValue::GdStarValue(CostModelKind cost_model,
+                         std::optional<double> fixed_beta,
+                         BetaEstimator::Options estimator_options)
+    : CostValue("GD*", cost_model),
+      fixed_beta_(fixed_beta),
+      fixed_exponent_(fixed_beta ? 1.0 / *fixed_beta : 0.0),
+      estimator_(estimator_options) {
+  if (fixed_beta && *fixed_beta <= 0.0) {
+    throw std::invalid_argument("GdStarPolicy: fixed beta must be > 0");
+  }
+  if (fixed_beta) name_ += " [beta=" + std::to_string(*fixed_beta) + "]";
+}
+
+namespace {
+
+std::array<BetaEstimator, trace::kDocumentClassCount> make_estimators(
+    const BetaEstimator::Options& options) {
+  // Per-class gap volumes are far smaller than the global stream's, so the
+  // estimators refit more eagerly than the global GD* default.
+  BetaEstimator::Options per_class = options;
+  per_class.refit_interval = std::max<std::uint64_t>(
+      256, options.refit_interval / trace::kDocumentClassCount);
+  per_class.min_samples =
+      std::max<std::uint64_t>(64, options.min_samples / 2);
+  return {BetaEstimator(per_class), BetaEstimator(per_class),
+          BetaEstimator(per_class), BetaEstimator(per_class),
+          BetaEstimator(per_class)};
+}
+
+}  // namespace
+
+GdStarPerClassValue::GdStarPerClassValue(
+    CostModelKind cost_model, BetaEstimator::Options estimator_options)
+    : CostValue("GD*C", cost_model),
+      estimators_(make_estimators(estimator_options)) {}
+
+template <class Value>
+void GreedyDualPolicy<Value>::save_state(util::StateWriter& w,
+                                         const ObjectTable& objects) const {
+  save_heap(w, heap_, objects);
+  w.put_double(inflation_);
+  value_.save_state(w);
+}
+
+template <class Value>
+void GreedyDualPolicy<Value>::restore_state(util::StateReader& r,
+                                            const ObjectTable& objects) {
+  restore_heap(r, heap_, objects);
+  inflation_ = r.take_double();
+  value_.restore_state(r);
+}
+
+// One instantiation per scheme, so each value function's hooks are
+// inlined into its policy's heap updates.
+template class GreedyDualPolicy<LfuDaValue>;
+template class GreedyDualPolicy<GdsValue>;
+template class GreedyDualPolicy<GdsfValue>;
+template class GreedyDualPolicy<GdStarValue>;
+template class GreedyDualPolicy<GdStarPerClassValue>;
+
+}  // namespace webcache::cache

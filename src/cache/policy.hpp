@@ -43,15 +43,16 @@ class ObjectTable;
 /// Observability snapshot of a policy's internal state, sampled by the
 /// instrumentation layer at window boundaries (never on the hot path).
 /// Fields are optional because not every scheme has the notion: only the
-/// GreedyDual family and LFU-DA carry an aging term, only GD* estimates
-/// beta.
+/// GreedyDual family (greedy_dual.hpp, LFU-DA included) carries an aging
+/// term, only GD* reports a beta.
 struct PolicyProbe {
   /// Entries in the policy's index structure (heap or recency list).
   std::uint64_t heap_entries = 0;
-  /// Current aging/inflation term L (GDS/GDSF/GD*: the inflation value;
-  /// LFU-DA: the cache age).
+  /// Current aging/inflation term L (GDS/GDSF/GD*/GD*C: the inflation
+  /// value; LFU-DA: the cache age).
   std::optional<double> aging;
-  /// GD*'s online estimate of the temporal-correlation exponent beta.
+  /// GD*'s temporal-correlation exponent beta: its online estimate, or the
+  /// fixed value.
   std::optional<double> beta;
 };
 

@@ -1,4 +1,6 @@
-// Checkpoint serialization for every factory-constructible policy.
+// Checkpoint serialization for every factory-constructible policy. The
+// GreedyDual family's one save/restore pair sits with its class template
+// in greedy_dual.cpp and writes its heap through save_heap below.
 //
 // One translation unit on purpose: the save/restore pair for each policy
 // must stay in lockstep, and the conventions they share (LRU lists as
@@ -30,13 +32,8 @@
 #include "cache/beta_estimator.hpp"
 #include "cache/clock.hpp"
 #include "cache/fifo.hpp"
-#include "cache/gds.hpp"
-#include "cache/gdsf.hpp"
-#include "cache/gdstar.hpp"
-#include "cache/gdstar_class.hpp"
 #include "cache/lazy_lru.hpp"
 #include "cache/lfu.hpp"
-#include "cache/lfu_da.hpp"
 #include "cache/lru.hpp"
 #include "cache/lru_k.hpp"
 #include "cache/lru_variants.hpp"
@@ -218,65 +215,6 @@ void LfuPolicy::save_state(util::StateWriter& w,
 void LfuPolicy::restore_state(util::StateReader& r,
                               const ObjectTable& objects) {
   restore_heap(r, heap_, objects);
-}
-
-void LfuDaPolicy::save_state(util::StateWriter& w,
-                             const ObjectTable& objects) const {
-  save_heap(w, heap_, objects);
-  w.put_double(cache_age_);
-}
-void LfuDaPolicy::restore_state(util::StateReader& r,
-                                const ObjectTable& objects) {
-  restore_heap(r, heap_, objects);
-  cache_age_ = r.take_double();
-}
-
-void GdsPolicy::save_state(util::StateWriter& w,
-                           const ObjectTable& objects) const {
-  save_heap(w, heap_, objects);
-  w.put_double(inflation_);
-}
-void GdsPolicy::restore_state(util::StateReader& r,
-                              const ObjectTable& objects) {
-  restore_heap(r, heap_, objects);
-  inflation_ = r.take_double();
-}
-
-void GdsfPolicy::save_state(util::StateWriter& w,
-                            const ObjectTable& objects) const {
-  save_heap(w, heap_, objects);
-  w.put_double(inflation_);
-}
-void GdsfPolicy::restore_state(util::StateReader& r,
-                               const ObjectTable& objects) {
-  restore_heap(r, heap_, objects);
-  inflation_ = r.take_double();
-}
-
-void GdStarPolicy::save_state(util::StateWriter& w,
-                              const ObjectTable& objects) const {
-  save_heap(w, heap_, objects);
-  w.put_double(inflation_);
-  estimator_.save_state(w);
-}
-void GdStarPolicy::restore_state(util::StateReader& r,
-                                 const ObjectTable& objects) {
-  restore_heap(r, heap_, objects);
-  inflation_ = r.take_double();
-  estimator_.restore_state(r);
-}
-
-void GdStarPerClassPolicy::save_state(util::StateWriter& w,
-                                      const ObjectTable& objects) const {
-  save_heap(w, heap_, objects);
-  w.put_double(inflation_);
-  for (const BetaEstimator& e : estimators_) e.save_state(w);
-}
-void GdStarPerClassPolicy::restore_state(util::StateReader& r,
-                                         const ObjectTable& objects) {
-  restore_heap(r, heap_, objects);
-  inflation_ = r.take_double();
-  for (BetaEstimator& e : estimators_) e.restore_state(r);
 }
 
 // ---- LRU-2 -----------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 
+#include "cache/frontend.hpp"
 #include "cache/opt.hpp"
 #include "sim/sampled_sweep.hpp"
 #include "sim/stack_sweep.hpp"
@@ -202,28 +204,6 @@ void validate_policies(const SweepConfig& config) {
   }
 }
 
-void validate_frontends(const FrontendSweepConfig& config) {
-  if (config.frontends.empty()) {
-    throw std::invalid_argument("run_sweep: no frontends configured");
-  }
-  for (const FrontendFactory& factory : config.frontends) {
-    if (!factory) {
-      throw std::invalid_argument("run_sweep: null frontend factory");
-    }
-  }
-}
-
-std::unique_ptr<cache::CacheFrontend> build_frontend(
-    const FrontendSweepConfig& config, std::size_t column,
-    std::uint64_t capacity) {
-  std::unique_ptr<cache::CacheFrontend> frontend =
-      config.frontends[column](capacity);
-  if (!frontend) {
-    throw std::invalid_argument("run_sweep: frontend factory returned null");
-  }
-  return frontend;
-}
-
 }  // namespace
 
 SweepResult run_sweep(const trace::DenseTrace& trace,
@@ -288,26 +268,6 @@ SweepResult run_sweep(const trace::DenseTrace& trace,
 
 SweepResult run_sweep(const trace::Trace& trace, const SweepConfig& config) {
   return run_sweep(trace::densify(trace), config);
-}
-
-SweepResult run_sweep(const trace::DenseTrace& trace,
-                      const FrontendSweepConfig& config) {
-  validate_frontends(config);
-  SweepResult sweep = layout_grid(trace.overall_size_bytes(),
-                                  config.cache_fractions,
-                                  config.frontends.size());
-  fill_grid(sweep, config.frontends.size(), config.threads,
-            pending_cells(sweep.points.size(), config.frontends.size(), {},
-                          {}),
-            [&](std::uint64_t capacity, std::size_t p) {
-              const auto frontend = build_frontend(config, p, capacity);
-              if (!config.faults.empty()) {
-                return simulate(trace, *frontend, config.simulator,
-                                config.faults);
-              }
-              return simulate(trace, *frontend, config.simulator);
-            });
-  return sweep;
 }
 
 }  // namespace webcache::sim

@@ -5,12 +5,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "cache/factory.hpp"
-#include "cache/frontend.hpp"
 #include "sim/faults.hpp"
 #include "sim/simulator.hpp"
 #include "trace/request.hpp"
@@ -110,36 +107,5 @@ SweepResult run_sweep(const trace::DenseTrace& trace,
 /// It stays because the benchmark harness (perfbench/wcbench.cpp) and many
 /// tests sweep a loaded or generated Trace directly.
 SweepResult run_sweep(const trace::Trace& trace, const SweepConfig& config);
-
-/// Builds a cold composite cache for one grid cell. Called once per
-/// (fraction x variant) cell with that cell's capacity in bytes; the sweep
-/// replays the trace against the returned frontend from empty.
-using FrontendFactory =
-    std::function<std::unique_ptr<cache::CacheFrontend>(std::uint64_t)>;
-
-/// Sweep over composite caches (e.g. cache::PartitionedCache shares) that a
-/// PolicySpec cannot describe: the grid is (cache fraction x frontend
-/// variant) instead of (cache fraction x policy).
-struct FrontendSweepConfig {
-  std::vector<double> cache_fractions = {0.005, 0.01, 0.02, 0.04,
-                                         0.08,  0.16, 0.40};
-  /// One column per composite-cache variant, in presentation order.
-  std::vector<FrontendFactory> frontends;
-  SimulatorOptions simulator;
-  /// Worker threads for the grid; 0 = std::thread::hardware_concurrency().
-  std::uint32_t threads = 1;
-  /// Fault schedule applied to every grid cell; node i is fault domain i
-  /// of the cell's frontend (a PartitionedCache exposes one domain per
-  /// document class). An empty schedule is bit-identical to not passing
-  /// one.
-  FaultSchedule faults;
-};
-
-/// Each cell's frontend reserves the trace's dense universe
-/// (CacheFrontend::reserve_dense_ids) before replay. Bit-identical for any
-/// thread count, and cell for cell to simulate(trace, frontend) on a fresh
-/// frontend.
-SweepResult run_sweep(const trace::DenseTrace& trace,
-                      const FrontendSweepConfig& config);
 
 }  // namespace webcache::sim

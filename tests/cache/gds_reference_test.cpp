@@ -9,7 +9,7 @@
 #include <unordered_map>
 
 #include "cache/cache.hpp"
-#include "cache/gds.hpp"
+#include "cache/greedy_dual.hpp"
 #include "util/rng.hpp"
 
 namespace webcache::cache {

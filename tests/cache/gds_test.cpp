@@ -1,9 +1,8 @@
-#include "cache/gds.hpp"
+#include "cache/greedy_dual.hpp"
 
 #include <gtest/gtest.h>
 
 #include "policy_test_util.hpp"
-#include "util/rng.hpp"
 
 namespace webcache::cache {
 namespace {
@@ -140,46 +139,6 @@ TEST(GdsPacket, SmallDocsStillPreferredUnderPacketCost) {
   EXPECT_FALSE(cache.contains(1));
   EXPECT_TRUE(cache.contains(2));
   EXPECT_TRUE(cache.contains(3));
-}
-
-TEST(Gds, ZeroSizeObjectHandled) {
-  GdsPolicy policy(CostModelKind::kConstant);
-  CacheObject zero;
-  zero.id = 1;
-  zero.slot = 1;
-  zero.size = 0;
-  policy.on_insert(zero);  // must not divide by zero
-  EXPECT_EQ(policy.evict(0), 1u);
-}
-
-TEST(GdsProperty, InflationMonotoneUnderRandomWorkload) {
-  // The Greedy-Dual correctness hinge: L only ever rises (it tracks the
-  // priority of successive victims, which the heap guarantees are minimal).
-  auto policy = std::make_unique<GdsPolicy>(CostModelKind::kPacket);
-  GdsPolicy* raw = policy.get();
-  Cache cache(5000, std::move(policy));
-  util::Rng rng(71);
-  double last = 0.0;
-  for (int step = 0; step < 20000; ++step) {
-    cache.access(rng.below(300), 1 + rng.below(400),
-                 trace::DocumentClass::kOther);
-    ASSERT_GE(raw->inflation(), last) << "step " << step;
-    last = raw->inflation();
-  }
-  EXPECT_GT(last, 0.0);
-}
-
-TEST(Gds, ClearResetsInflation) {
-  GdsPolicy policy(CostModelKind::kConstant);
-  CacheObject a;
-  a.id = 1;
-  a.slot = 1;
-  a.size = 1;
-  policy.on_insert(a);
-  EXPECT_EQ(policy.evict(0), 1u);
-  EXPECT_GT(policy.inflation(), 0.0);
-  policy.clear();
-  EXPECT_EQ(policy.inflation(), 0.0);
 }
 
 }  // namespace

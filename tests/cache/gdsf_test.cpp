@@ -1,4 +1,4 @@
-#include "cache/gdsf.hpp"
+#include "cache/greedy_dual.hpp"
 
 #include <gtest/gtest.h>
 
@@ -48,18 +48,6 @@ TEST(Gdsf, InflationFromEvictedVictim) {
   policy.on_insert(a);  // H = 0.5
   EXPECT_EQ(policy.evict(0), 1u);
   EXPECT_DOUBLE_EQ(policy.inflation(), 0.5);
-}
-
-TEST(Gdsf, ResetClearsState) {
-  GdsfPolicy policy(CostModelKind::kConstant);
-  CacheObject a;
-  a.id = 1;
-  a.slot = 1;
-  a.size = 1;
-  policy.on_insert(a);
-  EXPECT_EQ(policy.evict(0), 1u);
-  policy.clear();
-  EXPECT_EQ(policy.inflation(), 0.0);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "cache/gdstar_class.hpp"
+#include "cache/greedy_dual.hpp"
 
 #include <gtest/gtest.h>
 
@@ -62,19 +62,6 @@ TEST(GdStarClass, EstimatorsAreIndependent) {
   EXPECT_DOUBLE_EQ(raw->beta(DocumentClass::kMultiMedia), 1.0);
   EXPECT_NE(raw->beta(DocumentClass::kImage),
             raw->beta(DocumentClass::kHtml));
-}
-
-TEST(GdStarClass, InflationMechanicsMatchGdStar) {
-  GdStarPerClassPolicy policy(CostModelKind::kConstant);
-  CacheObject a;
-  a.id = 1;
-  a.slot = 1;
-  a.size = 4;  // utility 0.25, beta 1 -> H = 0.25
-  policy.on_insert(a);
-  EXPECT_EQ(policy.evict(0), 1u);
-  EXPECT_DOUBLE_EQ(policy.inflation(), 0.25);
-  policy.clear();
-  EXPECT_EQ(policy.inflation(), 0.0);
 }
 
 TEST(GdStarClass, ImprovesNonImageByteHitRateOnRtp) {

@@ -1,10 +1,9 @@
-#include "cache/gdstar.hpp"
+#include "cache/greedy_dual.hpp"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
-#include "cache/gdsf.hpp"
 #include "policy_test_util.hpp"
 #include "util/distributions.hpp"
 #include "util/rng.hpp"
@@ -141,44 +140,6 @@ TEST(GdStar, OnlineBetaLearnsFromHits) {
   EXPECT_NE(policy_ptr->beta(), 1.0);
   EXPECT_GT(policy_ptr->beta(), 0.1);
   EXPECT_LE(policy_ptr->beta(), 2.0);
-}
-
-TEST(GdStar, ZeroSizeObjectHandled) {
-  GdStarPolicy policy(CostModelKind::kConstant, 0.5);
-  CacheObject zero;
-  zero.id = 1;
-  zero.slot = 1;
-  zero.size = 0;
-  policy.on_insert(zero);
-  EXPECT_EQ(policy.evict(0), 1u);
-}
-
-TEST(GdStarProperty, InflationMonotoneUnderRandomWorkload) {
-  auto policy = std::make_unique<GdStarPolicy>(CostModelKind::kPacket);
-  GdStarPolicy* raw = policy.get();
-  Cache cache(5000, std::move(policy));
-  util::Rng rng(73);
-  double last = 0.0;
-  for (int step = 0; step < 20000; ++step) {
-    cache.access(rng.below(300), 1 + rng.below(400),
-                 trace::DocumentClass::kOther);
-    ASSERT_GE(raw->inflation(), last) << "step " << step;
-    last = raw->inflation();
-  }
-  EXPECT_GT(last, 0.0);
-}
-
-TEST(GdStar, ClearResetsEverything) {
-  GdStarPolicy policy(CostModelKind::kConstant);
-  CacheObject a;
-  a.id = 1;
-  a.slot = 1;
-  a.size = 1;
-  policy.on_insert(a);
-  EXPECT_EQ(policy.evict(0), 1u);
-  EXPECT_GT(policy.inflation(), 0.0);
-  policy.clear();
-  EXPECT_EQ(policy.inflation(), 0.0);
 }
 
 }  // namespace

@@ -1,23 +1,18 @@
 // The PartitionedCache dense-id fast path: reserving the dense universe
 // forwards to every per-class partition, every access answers as in the
-// hash-map mode, the frontend sweep equals single-frontend replays, and
-// misuse — mixing dense and sparse ids, reserving on a non-empty cache — is
-// rejected loudly.
+// hash-map mode, and misuse — mixing dense and sparse ids, reserving on a
+// non-empty cache — is rejected loudly.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <array>
 #include <stdexcept>
 #include <string>
 
 #include "cache/factory.hpp"
 #include "cache/partitioned.hpp"
-#include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
 #include "synth/generator.hpp"
 #include "support/access_diff.hpp"
-#include "support/result_eq.hpp"
 #include "synth/profile.hpp"
-#include "trace/dense_trace.hpp"
 
 namespace webcache::cache {
 namespace {
@@ -78,49 +73,6 @@ TEST(PartitionedDenseEquivalence, ProfileDerivedSharesMatchSparsePath) {
                                             std::string("profile ") + name),
               0u);
   }
-}
-
-TEST(PartitionedDenseEquivalence,
-     FrontendSweepMatchesSingleFrontendSimulate) {
-  const trace::Trace sparse = recorded_trace();
-  const trace::DenseTrace dense = trace::densify(sparse);
-
-  sim::FrontendSweepConfig config;
-  config.cache_fractions = {0.02, 0.08};
-  config.threads = 2;
-  for (const auto& weights : {uniform_weights(), profile_weights()}) {
-    config.frontends.push_back(
-        [weights](std::uint64_t capacity) -> std::unique_ptr<CacheFrontend> {
-          return std::make_unique<PartitionedCache>(
-              PartitionedCacheConfig::uniform_policy(
-                  capacity, policy_spec_from_name("GD*(1)"), weights));
-        });
-  }
-
-  // Every sweep cell must equal the single-frontend replay of a fresh
-  // frontend from the same factory at the cell's capacity.
-  const sim::SweepResult sweep = sim::run_sweep(dense, config);
-  EXPECT_EQ(sweep.overall_size_bytes, sparse.overall_size_bytes());
-  ASSERT_EQ(sweep.points.size(), config.cache_fractions.size());
-  for (std::size_t f = 0; f < sweep.points.size(); ++f) {
-    const sim::SweepPoint& point = sweep.points[f];
-    ASSERT_EQ(point.results.size(), config.frontends.size());
-    for (std::size_t p = 0; p < point.results.size(); ++p) {
-      const std::unique_ptr<CacheFrontend> fresh =
-          config.frontends[p](point.capacity_bytes);
-      sim::expect_same_result(
-          sim::simulate(dense, *fresh, config.simulator), point.results[p],
-          "cell f" + std::to_string(f) + " p" + std::to_string(p));
-    }
-  }
-}
-
-TEST(PartitionedDenseEquivalence, FrontendSweepRejectsBadConfig) {
-  const trace::DenseTrace t = trace::densify(recorded_trace());
-  sim::FrontendSweepConfig config;  // no frontends
-  EXPECT_THROW(sim::run_sweep(t, config), std::invalid_argument);
-  config.frontends.push_back(sim::FrontendFactory{});  // null factory
-  EXPECT_THROW(sim::run_sweep(t, config), std::invalid_argument);
 }
 
 TEST(PartitionedDenseEquivalence, ReserveForwardsToEveryPartition) {

@@ -208,44 +208,6 @@ TEST_P(PolicyPropertyTest, DenseReplayMatchesSparseOnFuzzedTraces) {
   }
 }
 
-// GreedyDual raises L only when it evicts: an invalidation or modification
-// that removes the current minimum (on_erase) must leave L where it was,
-// while evicting that same document raises it. The oracle covers LFU-DA,
-// GDS and GD*; this also pins GDSF and GD*C.
-TEST(GreedyDualAging, EraseOfTheMinimumLeavesLAlone) {
-  for (const char* name :
-       {"LFU-DA", "GDS(1)", "GDSF(1)", "GD*(1)", "GD*C(1)", "GD*C(packet)"}) {
-    for (const bool evict : {false, true}) {
-      // The twin receives the same inserts; its eviction names the minimum.
-      const std::unique_ptr<ReplacementPolicy> policy =
-          make_policy(policy_spec_from_name(name));
-      const std::unique_ptr<ReplacementPolicy> twin =
-          make_policy(policy_spec_from_name(name));
-      std::vector<CacheObject> objects(3);
-      for (std::uint32_t slot = 0; slot < 3; ++slot) {
-        CacheObject& obj = objects[slot];
-        obj.id = slot;
-        obj.slot = slot;
-        obj.size = 100 * (slot + 1);
-        obj.doc_class = trace::DocumentClass::kImage;
-        obj.reference_count = slot + 1;
-        obj.last_access = obj.previous_access = obj.insert_index = slot;
-        policy->on_insert(obj);
-        twin->on_insert(obj);
-      }
-      const double before = policy->probe().aging.value_or(-1.0);
-      const std::uint32_t minimum = twin->evict(0);
-      if (evict) {
-        EXPECT_EQ(policy->evict(0), minimum) << name;
-        EXPECT_GT(policy->probe().aging.value_or(-1.0), before) << name;
-      } else {
-        policy->on_erase(objects[minimum]);
-        EXPECT_EQ(policy->probe().aging.value_or(-1.0), before) << name;
-      }
-    }
-  }
-}
-
 TEST(RandomSeedTest, SameSeedReproducesBitIdenticalResults) {
   // The seeded draw stream makes RANDOM a deterministic function of
   // (trace, capacity, seed): two runs with the same seed must agree on

@@ -20,7 +20,9 @@ TEST(Random, VictimIsAlwaysResident) {
   for (int step = 0; step < 5000; ++step) {
     access(cache, rng.below(64));
     ASSERT_LE(cache.object_count(), 4u);
-    if (step % 500 == 0) ASSERT_TRUE(cache.check_invariants());
+    if (step % 500 == 0) {
+      ASSERT_TRUE(cache.check_invariants());
+    }
   }
 }
 

@@ -6,18 +6,14 @@
 // nodes) must be rejected.
 #include <gtest/gtest.h>
 
-#include <array>
-#include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "cache/factory.hpp"
-#include "cache/partitioned.hpp"
 #include "sim/faults.hpp"
 #include "sim/sweep.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
-#include "trace/dense_trace.hpp"
 
 namespace webcache::sim {
 namespace {
@@ -139,55 +135,6 @@ TEST(SweepFaults, RejectsEventsTheFrontendCannotExpress) {
   out_of_range.faults.events.push_back(
       FaultEvent{100, FaultKind::kEdgeCrash, 3});  // single-domain cells
   EXPECT_THROW(run_sweep(t, out_of_range), std::invalid_argument);
-}
-
-FrontendSweepConfig partitioned_config() {
-  FrontendSweepConfig config;
-  config.cache_fractions = {0.04};
-  config.frontends.push_back([](std::uint64_t capacity) {
-    std::array<double, trace::kDocumentClassCount> weights{};
-    weights.fill(1.0);
-    return std::make_unique<cache::PartitionedCache>(
-        cache::PartitionedCacheConfig::uniform_policy(
-            capacity, cache::policy_spec_from_name("LRU"), weights));
-  });
-  return config;
-}
-
-TEST(SweepFaults, FrontendSweepMatchesDirectPartitionedFaultReplay) {
-  // The frontend sweep's fault cells must be the same replay as calling
-  // the fault-aware simulate() on an identically built PartitionedCache:
-  // node i is the partition of document class i.
-  const trace::Trace t = recorded_trace();
-  FrontendSweepConfig config = partitioned_config();
-  config.faults.events.push_back(
-      FaultEvent{t.requests.size() / 4, FaultKind::kEdgeCrash, 1});
-  const SweepResult sweep = run_sweep(trace::densify(t), config);
-
-  std::array<double, trace::kDocumentClassCount> weights{};
-  weights.fill(1.0);
-  cache::PartitionedCache direct(cache::PartitionedCacheConfig::uniform_policy(
-      sweep.points[0].capacity_bytes, cache::policy_spec_from_name("LRU"),
-      weights));
-  const SimResult expected =
-      simulate(trace::densify(t), direct, config.simulator, config.faults);
-
-  const SimResult& cell = sweep.points[0].results[0];
-  EXPECT_EQ(expected.overall.requests, cell.overall.requests);
-  EXPECT_EQ(expected.overall.hits, cell.overall.hits);
-  EXPECT_EQ(expected.evictions, cell.evictions);
-  EXPECT_EQ(expected.faults.lost_requests, cell.faults.lost_requests);
-  EXPECT_EQ(expected.faults.events_applied, cell.faults.events_applied);
-  EXPECT_GT(cell.faults.lost_requests, 0u);
-}
-
-TEST(SweepFaults, FrontendSweepEmptyScheduleMatchesPlainDriver) {
-  const trace::DenseTrace t = trace::densify(recorded_trace());
-  const FrontendSweepConfig plain = partitioned_config();
-  FrontendSweepConfig with_empty = partitioned_config();
-  EXPECT_TRUE(with_empty.faults.empty());
-  expect_identical_cells(run_sweep(t, plain), run_sweep(t, with_empty),
-                         "frontend empty schedule");
 }
 
 }  // namespace
