@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
     const auto mm_share =
         [&] {
           std::uint64_t mm = 0, total = 0;
-          for (const auto& r : t.trace.requests) {
+          for (const auto& r : t.records) {
             total += r.transfer_size;
             if (r.doc_class == trace::DocumentClass::kMultiMedia ||
                 r.doc_class == trace::DocumentClass::kApplication) {

@@ -17,7 +17,6 @@
 #include "cache/partitioned.hpp"
 #include "common.hpp"
 #include "util/format.hpp"
-#include "workload/breakdown.hpp"
 
 int main(int argc, char** argv) {
   using namespace webcache;
@@ -32,14 +31,24 @@ int main(int argc, char** argv) {
   const trace::DenseTrace t = ctx.make_trace(synth::WorkloadProfile::DFN());
   const auto capacity = static_cast<std::uint64_t>(
       static_cast<double>(t.overall_size_bytes()) * cache_fraction);
-  const workload::Breakdown bd = workload::compute_breakdown(t.trace);
-
+  // Each class's share of the requests and of the requested bytes.
+  std::array<std::uint64_t, trace::kDocumentClassCount> requests{};
+  std::array<std::uint64_t, trace::kDocumentClassCount> bytes{};
+  std::uint64_t total_bytes = 0;
+  for (const trace::ReplayRecord& r : t.records) {
+    requests[static_cast<std::size_t>(r.doc_class)] += 1;
+    bytes[static_cast<std::size_t>(r.doc_class)] += r.transfer_size;
+    total_bytes += r.transfer_size;
+  }
+  const auto ratio = [](std::uint64_t part, std::uint64_t whole) {
+    return whole == 0 ? 0.0
+                      : static_cast<double>(part) / static_cast<double>(whole);
+  };
   std::array<double, trace::kDocumentClassCount> request_mix{};
   std::array<double, trace::kDocumentClassCount> byte_mix{};
-  for (const auto cls : trace::kAllDocumentClasses) {
-    request_mix[static_cast<std::size_t>(cls)] = bd.request_fraction(cls);
-    byte_mix[static_cast<std::size_t>(cls)] =
-        bd.requested_bytes_fraction(cls);
+  for (std::size_t c = 0; c < trace::kDocumentClassCount; ++c) {
+    request_mix[c] = ratio(requests[c], t.total_requests());
+    byte_mix[c] = ratio(bytes[c], total_bytes);
   }
 
   struct Variant {

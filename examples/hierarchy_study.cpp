@@ -25,7 +25,8 @@ int main(int argc, char** argv) {
   gen.seed = args.get_uint("seed", 42);
   const trace::DenseTrace t = trace::densify(
       synth::TraceGenerator(synth::WorkloadProfile::DFN().scaled(scale), gen)
-          .generate());
+          .generate(),
+      trace::ClientColumn::kLoad);
   const double overall = static_cast<double>(t.overall_size_bytes());
   const double total_budget = overall * 0.10;  // 10% of trace bytes, total
 

@@ -2,28 +2,27 @@
 
 #include <stdexcept>
 #include <string>
-
-#include "trace/id_map.hpp"
+#include <vector>
 
 namespace webcache::cache {
 
-OptPolicy::OptPolicy(const std::vector<trace::Request>& requests) {
-  if (requests.size() >= (std::uint64_t{1} << 32)) {
+OptPolicy::OptPolicy(const trace::DenseTrace& trace) {
+  const std::vector<trace::ReplayRecord>& records = trace.records;
+  if (records.size() >= (std::uint64_t{1} << 32)) {
     throw std::length_error(
-        "OptPolicy: " + std::to_string(requests.size()) +
+        "OptPolicy: " + std::to_string(records.size()) +
         " requests; the next-reference oracle holds 32-bit clocks, so a "
         "trace must have fewer than 2^32 requests");
   }
-  next_.resize(requests.size());
+  next_.resize(records.size());
   // Backward pass: upcoming[d] is the clock of the nearest later request
-  // for document d, under ids numbered by IdMap from the end.
-  trace::IdMap ids;
-  std::vector<std::uint32_t> upcoming;
-  for (std::size_t i = requests.size(); i-- > 0;) {
-    const std::uint32_t d = ids.intern(requests[i].document);
-    if (d == upcoming.size()) upcoming.push_back(0);
-    next_[i] = upcoming[d];
-    upcoming[d] = static_cast<std::uint32_t>(i + 1);
+  // for document d (0 while there is none).
+  std::vector<std::uint32_t> upcoming(
+      static_cast<std::size_t>(trace.document_count()), 0);
+  for (std::size_t i = records.size(); i-- > 0;) {
+    std::uint32_t& later = upcoming[records[i].document];
+    next_[i] = later;
+    later = static_cast<std::uint32_t>(i + 1);
   }
 }
 

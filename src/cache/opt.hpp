@@ -20,16 +20,18 @@
 
 #include "cache/indexed_heap.hpp"
 #include "cache/policy.hpp"
-#include "trace/request.hpp"
+#include "trace/dense_trace.hpp"
 
 namespace webcache::cache {
 
 class OptPolicy final : public ReplacementPolicy {
  public:
-  /// Builds the next-reference oracle from the full request sequence, in
-  /// trace order, in one backward pass. Request i corresponds to container
-  /// clock i + 1. Throws std::length_error for 2^32 or more requests.
-  explicit OptPolicy(const std::vector<trace::Request>& requests);
+  /// Builds the next-reference oracle from the trace's records in one
+  /// backward pass over a flat array of document_count() entries (the ids
+  /// are already dense, so nothing is interned). Request i corresponds to
+  /// container clock i + 1. Throws std::length_error for 2^32 or more
+  /// requests.
+  explicit OptPolicy(const trace::DenseTrace& trace);
 
   void on_insert(const CacheObject& obj) override;
   void on_hit(const CacheObject& obj) override;

@@ -821,9 +821,7 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
         if (crash_at != 0 && core.consumed() + 1 == crash_at) {
           std::raise(SIGKILL);
         }
-        trace::Request dense = batch[i];
-        dense.document = batch_ids[i];
-        core.step(dense);
+        core.step({batch[i].transfer_size, batch_ids[i], batch[i].doc_class});
       }
 
       const std::uint64_t now = core.consumed();

@@ -31,10 +31,15 @@ void count(HitCounters& counters, std::uint64_t bytes, bool hit) {
   }
 }
 
-void validate_config(const HierarchyConfig& config) {
+void validate(const trace::DenseTrace& trace, const HierarchyConfig& config) {
   detail::validate_options(config.simulator);
   if (config.edge_count == 0) {
     throw std::invalid_argument("simulate_hierarchy: need at least one edge");
+  }
+  if (trace.clients.size() != trace.records.size()) {
+    throw std::invalid_argument(
+        "simulate_hierarchy: the trace has no client column (build it "
+        "with trace::ClientColumn::kLoad)");
   }
 }
 
@@ -57,7 +62,7 @@ struct NoFaults {
 // does not time out. The caller decides about replication at the client's
 // own edge.
 template <typename F, obs::StatsSink Sink>
-bool probe_siblings(const trace::Request& r, std::uint64_t index,
+bool probe_siblings(const trace::ReplayRecord& r, std::uint64_t index,
                     const HierarchyConfig& config, std::uint32_t edge_index,
                     std::vector<std::unique_ptr<cache::Cache>>& edges,
                     F& faults, Sink& sink, FaultStats& stats) {
@@ -98,13 +103,14 @@ HierarchyResult hierarchy_loop(const trace::DenseTrace& trace,
                                std::vector<std::unique_ptr<cache::Cache>>& edges,
                                cache::Cache& root, F& faults, Sink& sink) {
   HierarchyResult result;
-  const std::uint64_t total = trace.trace.requests.size();
+  const std::uint64_t total = trace.total_requests();
   const auto warmup = static_cast<std::uint64_t>(std::floor(
       static_cast<double>(total) * config.simulator.warmup_fraction));
   detail::DenseLastSize last_size(trace.document_count());
 
   std::uint64_t index = 0;
-  for (const trace::Request& r : trace.trace.requests) {
+  for (const trace::ReplayRecord& r : trace.records) {
+    const std::uint32_t client = trace.clients[index];
     ++index;
     const bool measured = index > warmup;
     const std::uint64_t size = r.transfer_size;
@@ -134,8 +140,8 @@ HierarchyResult hierarchy_loop(const trace::DenseTrace& trace,
     }
 
     const std::uint32_t edge_index =
-        r.client != 0 ? edge_for_client(r.client, config.edge_count)
-                      : edge_for_request(index, config.edge_count);
+        client != 0 ? edge_for_client(client, config.edge_count)
+                    : edge_for_request(index, config.edge_count);
     cache::Cache& edge = *edges[edge_index];
     const bool edge_up = faults.node_up(edge_index);
     const bool root_up = faults.root_up();
@@ -419,7 +425,7 @@ HierarchyResult run_hierarchy(const trace::DenseTrace& trace,
                               const FaultSchedule* schedule = nullptr) {
   constexpr bool kRecording =
       std::is_same_v<std::remove_cvref_t<Sink>, obs::RecordingSink>;
-  validate_config(config);
+  validate(trace, config);
   F faults = [&] {
     if constexpr (F::kEnabled) {
       return FaultRun(*schedule, config.edge_count, /*has_root=*/true);

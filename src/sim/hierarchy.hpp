@@ -102,11 +102,14 @@ struct HierarchyResult {
   double latency_savings() const;
 };
 
-/// Replays a densified trace (trace::densify()) through the mesh. Every
-/// edge cache and the root reserve the trace's dense universe, so the
-/// object tables' id indices and the last-size tracker are flat arrays
-/// indexed by dense id. densify() leaves client ids untouched, so requests attach
-/// to the same edges as the source trace's. Each cache is set up exactly as
+/// Replays a densified trace through the mesh. Every edge cache and the
+/// root reserve the trace's dense universe, so the object tables' id
+/// indices and the last-size tracker are flat arrays indexed by dense id.
+/// The trace must carry its client column (trace::densify or
+/// trace::read_dense_trace_file with trace::ClientColumn::kLoad), which
+/// keeps the source's client ids, so requests attach to the same edges as
+/// the source trace's; without it the call throws
+/// std::invalid_argument. Each cache is set up exactly as
 /// the single-cache simulate() sets up its one cache (LRU-Threshold specs
 /// install their admission limit): a one-edge mesh without siblings gives
 /// the edge the counters of simulate() at the edge capacity, and with a

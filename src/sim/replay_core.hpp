@@ -62,7 +62,7 @@ class ReplayCore {
     result_.measured_requests = total_requests - warmup_;
   }
 
-  void step(const trace::Request& r) {
+  void step(const trace::ReplayRecord& r) {
     ++index_;
     const bool measured = index_ > warmup_;
     // The paper's simulator sees only the size recorded in the trace.
@@ -135,7 +135,7 @@ class ReplayCore {
   }
 
  private:
-  void account(const trace::Request& r, std::uint64_t size,
+  void account(const trace::ReplayRecord& r, std::uint64_t size,
                const SizeChange& change, const cache::AccessOutcome& outcome,
                bool measured) {
     sink_.on_access(r.doc_class, size, outcome.kind, measured);
@@ -194,15 +194,15 @@ SimResult replay_trace(const trace::DenseTrace& trace,
                        Faults faults = {}) {
   using SinkT = std::remove_cvref_t<Sink>;
   validate_options(options);
-  const std::vector<trace::Request>& requests = trace.trace.requests;
+  const std::vector<trace::ReplayRecord>& records = trace.records;
   frontend.reserve_dense_ids(trace.document_count());
   DenseLastSize last_size(trace.document_count());
   if constexpr (std::is_same_v<SinkT, obs::RecordingSink>) {
     sink.begin_run(frontend);
   }
   ReplayCore<DenseLastSize, SinkT, Faults> core(
-      frontend, options, last_size, sink, requests.size(), &faults);
-  for (const trace::Request& r : requests) core.step(r);
+      frontend, options, last_size, sink, records.size(), &faults);
+  for (const trace::ReplayRecord& r : records) core.step(r);
   if constexpr (std::is_same_v<SinkT, obs::RecordingSink>) sink.end_run();
   return core.finish();
 }

@@ -99,70 +99,90 @@ SampledSweep::SampledSweep(SampledSweepConfig config)
   detail::validate_options(config_.simulator);
 }
 
-SampledCurve SampledSweep::run(const trace::DenseTrace& trace) const {
-  trace::MemoryRequestStream stream(trace.trace);
-  return run(stream, &trace.original_ids);
+bool SampledSweep::exact() const {
+  // With an adaptive cap the bounded-memory property is the whole point,
+  // so rate 1.0 with a cap stays on the sampled engine.
+  return config_.sample_rate == 1.0 && config_.max_sampled_documents == 0;
 }
 
-SampledCurve SampledSweep::run(trace::RequestStream& stream) const {
-  return run(stream, nullptr);
-}
-
-SampledCurve SampledSweep::run(
-    trace::RequestStream& stream,
-    const std::vector<trace::DocumentId>* original) const {
-  const std::size_t k = config_.capacities.size();
+SampledCurve SampledSweep::blank_curve(std::uint64_t total_requests) const {
   SampledCurve curve;
   curve.configured_rate = config_.sample_rate;
   curve.hash_seed = config_.hash_seed;
-  curve.total_requests = stream.total_requests();
+  curve.total_requests = total_requests;
   curve.warmup_requests = static_cast<std::uint64_t>(
-      std::floor(static_cast<double>(curve.total_requests) *
+      std::floor(static_cast<double>(total_requests) *
                  config_.simulator.warmup_fraction));
+  return curve;
+}
 
-  if (config_.sample_rate == 1.0 && config_.max_sampled_documents == 0) {
-    // Degenerate exact mode: materialize the stream with its documents
-    // numbered densely as they are read (the stream's stored ids, else
-    // interned), and delegate to the one-pass engine; every point is the
-    // true value with zero error. (With an adaptive cap the bounded-memory
-    // property is the whole point, so that combination stays on the
-    // sampled engine below.)
-    trace::StreamIds ids;
-    trace::DenseTrace dense;
-    dense.trace.requests.reserve(
-        static_cast<std::size_t>(stream.total_requests()));
-    for (auto chunk = stream.next_chunk(); !chunk.empty();
-         chunk = stream.next_chunk()) {
-      const std::span<const std::uint32_t> numbered =
-          ids.number(chunk, stream.dense_ids());
-      for (std::size_t i = 0; i < chunk.size(); ++i) {
-        trace::Request r = chunk[i];
-        r.document = numbered[i];
-        dense.trace.requests.push_back(r);
-      }
-    }
-    curve.sampled_documents = ids.size();
-    dense.original_ids = ids.release_keys();
-    StackSweep exact(config_.capacities, config_.simulator);
-    curve.results = exact.run(dense);
-    curve.points.reserve(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      const SimResult& r = curve.results[i];
-      SampledPoint p;
-      p.capacity_bytes = config_.capacities[i];
-      p.hit_rate = r.overall.hit_rate();
-      p.byte_hit_rate = r.overall.byte_hit_rate();
-      p.est_requests = static_cast<double>(r.overall.requests);
-      p.est_hits = static_cast<double>(r.overall.hits);
-      p.est_requested_bytes = static_cast<double>(r.overall.requested_bytes);
-      p.est_hit_bytes = static_cast<double>(r.overall.hit_bytes);
-      curve.points.push_back(p);
-    }
-    curve.effective_rate = 1.0;
-    curve.exact = true;
-    curve.sampled_requests = curve.total_requests;
-    return curve;
+SampledCurve SampledSweep::exact_curve(const trace::DenseTrace& trace) const {
+  // Degenerate exact mode: the one-pass engine's results, every point the
+  // true value with zero error.
+  SampledCurve curve = blank_curve(trace.total_requests());
+  curve.sampled_documents = trace.document_count();
+  curve.results = StackSweep(config_.capacities, config_.simulator).run(trace);
+  curve.points.reserve(curve.results.size());
+  for (std::size_t i = 0; i < curve.results.size(); ++i) {
+    const SimResult& r = curve.results[i];
+    SampledPoint p;
+    p.capacity_bytes = config_.capacities[i];
+    p.hit_rate = r.overall.hit_rate();
+    p.byte_hit_rate = r.overall.byte_hit_rate();
+    p.est_requests = static_cast<double>(r.overall.requests);
+    p.est_hits = static_cast<double>(r.overall.hits);
+    p.est_requested_bytes = static_cast<double>(r.overall.requested_bytes);
+    p.est_hit_bytes = static_cast<double>(r.overall.hit_bytes);
+    curve.points.push_back(p);
   }
+  curve.effective_rate = 1.0;
+  curve.exact = true;
+  curve.sampled_requests = curve.total_requests;
+  return curve;
+}
+
+SampledCurve SampledSweep::run(const trace::DenseTrace& trace) const {
+  if (exact()) return exact_curve(trace);
+  bool fed = false;
+  return estimate(
+      trace.total_requests(),
+      [&] {
+        std::span<const trace::ReplayRecord> all;
+        if (!fed) all = trace.records;
+        fed = true;
+        return all;
+      },
+      &trace.original_ids);
+}
+
+SampledCurve SampledSweep::run(trace::RequestStream& stream) const {
+  if (!exact()) {
+    return estimate(
+        stream.total_requests(), [&] { return stream.next_chunk(); },
+        nullptr);
+  }
+  // Materialize the stream with its documents numbered densely as they
+  // are read (the stream's stored ids, else interned).
+  trace::StreamIds ids;
+  trace::DenseTraceBuilder dense;
+  dense.reserve(static_cast<std::size_t>(stream.total_requests()));
+  for (auto chunk = stream.next_chunk(); !chunk.empty();
+       chunk = stream.next_chunk()) {
+    const std::span<const std::uint32_t> numbered =
+        ids.number(chunk, stream.dense_ids());
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      dense.add(chunk[i], numbered[i]);
+    }
+  }
+  return exact_curve(dense.finish());
+}
+
+template <typename NextChunk>
+SampledCurve SampledSweep::estimate(
+    std::uint64_t total_requests, NextChunk next_chunk,
+    const std::vector<trace::DocumentId>* original) const {
+  const std::size_t k = config_.capacities.size();
+  SampledCurve curve = blank_curve(total_requests);
 
   // ---- sampled one-pass estimator ----
   std::uint64_t threshold;
@@ -242,9 +262,8 @@ SampledCurve SampledSweep::run(
   std::uint64_t sampled_refs = 0;
   std::uint64_t peak_tracked = 0;
 
-  for (auto chunk = stream.next_chunk(); !chunk.empty();
-       chunk = stream.next_chunk()) {
-    for (const trace::Request& r : chunk) {
+  for (auto chunk = next_chunk(); !chunk.empty(); chunk = next_chunk()) {
+    for (const auto& r : chunk) {
       ++index;
       const bool measured = index > warmup;
       const std::uint64_t size = r.transfer_size;

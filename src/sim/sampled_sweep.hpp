@@ -118,18 +118,24 @@ class SampledSweep {
   /// Trace goes through trace::MemoryRequestStream.
   SampledCurve run(trace::RequestStream& stream) const;
 
-  /// Over a densified trace: documents are sampled and tracked by their
-  /// original ids, so the curve is bit-identical to run() on the source
-  /// trace.
+  /// Over a densified trace's records: documents are sampled and tracked
+  /// by their original ids, so the curve is bit-identical to run() on the
+  /// source trace. At rate 1.0 the trace goes to StackSweep as it is.
   SampledCurve run(const trace::DenseTrace& trace) const;
 
   const SampledSweepConfig& config() const { return config_; }
 
  private:
-  // `original` (when set) maps each request's dense document id back to
-  // the id that is hashed and tracked.
-  SampledCurve run(trace::RequestStream& stream,
-                   const std::vector<trace::DocumentId>* original) const;
+  /// Rate 1.0 without an adaptive cap: the exact one-pass engine runs.
+  bool exact() const;
+  SampledCurve blank_curve(std::uint64_t total_requests) const;
+  SampledCurve exact_curve(const trace::DenseTrace& trace) const;
+  // The sampled estimator over every chunk next_chunk() returns, until an
+  // empty one; `original` (when set) maps each record's dense document id
+  // back to the id that is hashed and tracked.
+  template <typename NextChunk>
+  SampledCurve estimate(std::uint64_t total_requests, NextChunk next_chunk,
+                        const std::vector<trace::DocumentId>* original) const;
 
   SampledSweepConfig config_;
 };

@@ -94,7 +94,7 @@ SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
 /// out-of-band state, e.g. the clairvoyant OPT bound built from the trace:
 ///
 ///   simulate(dense, capacity,
-///            std::make_unique<cache::OptPolicy>(dense.trace.requests),
+///            std::make_unique<cache::OptPolicy>(dense),
 ///            options);
 ///
 /// admission_limit_bytes > 0 installs Cache::set_admission_limit.

@@ -127,13 +127,12 @@ class DenseDocTable {
 std::vector<SimResult> run_stack(const trace::DenseTrace& dense,
                                  const std::vector<std::uint64_t>& capacities,
                                  const SimulatorOptions& options) {
-  const trace::Trace& trace = dense.trace;
-  const std::uint64_t total = trace.requests.size();
+  const std::uint64_t total = dense.total_requests();
   if (total >= std::numeric_limits<Slot>::max() - 1) {
     throw std::invalid_argument(
         "stack_sweep: trace exceeds the 2^32 - 2 request slot limit");
   }
-  const std::uint64_t largest = StackSweep::max_transfer_size(trace);
+  const std::uint64_t largest = dense.max_transfer_size();
   for (const std::uint64_t capacity : capacities) {
     if (capacity < largest) {
       throw std::invalid_argument(
@@ -163,7 +162,7 @@ std::vector<SimResult> run_stack(const trace::DenseTrace& dense,
   Fenwick counts(slots);
 
   std::uint64_t index = 0;
-  for (const trace::Request& r : trace.requests) {
+  for (const trace::ReplayRecord& r : dense.records) {
     ++index;
     const bool measured = index > warmup;
     const std::uint64_t size = r.transfer_size;

@@ -56,7 +56,8 @@ class StackSweep {
 
   const std::vector<std::uint64_t>& capacities() const { return capacities_; }
 
-  /// The smallest capacity run() accepts for this trace.
+  /// The smallest capacity run() accepts for this trace (a DenseTrace
+  /// carries it: DenseTrace::max_transfer_size()).
   static std::uint64_t max_transfer_size(const trace::Trace& trace);
 
  private:

@@ -125,8 +125,7 @@ OnePassPlan plan_one_pass(const trace::DenseTrace& trace,
   const std::vector<std::size_t> lru_columns = lru_columns_of(config);
   if (lru_columns.empty()) return plan;
 
-  const std::uint64_t largest =
-      StackSweep::max_transfer_size(trace.trace);
+  const std::uint64_t largest = trace.max_transfer_size();
   std::vector<std::uint64_t> capacities;
   std::vector<std::size_t> rows;
   for (std::size_t f = 0; f < sweep.points.size(); ++f) {
@@ -256,8 +255,7 @@ SweepResult run_sweep(const trace::DenseTrace& trace,
               if (spec.kind == cache::PolicyKind::kOpt) {
                 // OPT's oracle is the future of this very trace.
                 return simulate(trace, capacity,
-                                std::make_unique<cache::OptPolicy>(
-                                    trace.trace.requests),
+                                std::make_unique<cache::OptPolicy>(trace),
                                 config.simulator);
               }
               return simulate(trace, capacity, spec, config.simulator);

@@ -69,12 +69,6 @@ void encode(char*& p, T value) {
   p += sizeof(T);
 }
 
-template <typename T>
-void decode(const char*& p, T& value) {
-  std::memcpy(&value, p, sizeof(T));
-  p += sizeof(T);
-}
-
 void encode_record(char*& p, const Request& r, std::uint32_t dense_id) {
   encode(p, r.timestamp_ms);
   encode(p, r.document);
@@ -84,22 +78,6 @@ void encode_record(char*& p, const Request& r, std::uint32_t dense_id) {
   encode(p, r.status);
   encode(p, r.document_size);
   encode(p, r.transfer_size);
-}
-
-// Decodes one record's fields (`dense_id` only from v4 on); returns the raw
-// class byte for the caller to validate.
-inline std::uint8_t decode_record(const char* p, std::uint32_t version,
-                                  Request& r, std::uint32_t& dense_id) {
-  std::uint8_t cls = 0;
-  decode(p, r.timestamp_ms);
-  decode(p, r.document);
-  if (version >= 4) decode(p, dense_id);
-  if (version >= 2) decode(p, r.client);
-  decode(p, cls);
-  decode(p, r.status);
-  decode(p, r.document_size);
-  decode(p, r.transfer_size);
-  return cls;
 }
 
 std::string at_offset(const std::string& what, std::uint64_t offset) {
@@ -196,17 +174,20 @@ RecordDecoder::RecordDecoder(std::istream& in, std::size_t chunk_records,
   end_ = count_;
 }
 
-bool RecordDecoder::next(std::vector<Request>& out,
-                         std::vector<std::uint32_t>* dense) {
+std::size_t RecordDecoder::pending_records() const {
+  // The buffer holds at most kMaxChunkRecords records, whatever the header
+  // or the caller asks for: a corrupt count ends in the truncation
+  // diagnostic of read_chunk, not in an allocation failure.
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>(chunk_records_, end_ - next_record_));
+}
+
+bool RecordDecoder::read_chunk(std::size_t& n) {
   if (next_record_ >= end_) {
     if (!trailer_checked_) check_trailer();
     return false;
   }
-  // The buffer holds at most kMaxChunkRecords records, whatever the header
-  // or the caller asks for: a corrupt count ends in the truncation
-  // diagnostic below, not in an allocation failure.
-  std::size_t n = static_cast<std::size_t>(
-      std::min<std::uint64_t>(chunk_records_, end_ - next_record_));
+  n = pending_records();
   buffer_.resize(n * record_bytes_);
   in_.read(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
   if (!in_) {
@@ -230,55 +211,46 @@ bool RecordDecoder::next(std::vector<Request>& out,
     trailer_checked_ = true;
   }
   checksum_.update(buffer_.data(), n * record_bytes_);
+  return true;
+}
 
+void RecordDecoder::reject_class(std::size_t i, std::uint8_t cls) {
+  const std::uint64_t at = next_record_ + i;
+  const std::uint64_t offset = kHeaderBytes + at * record_bytes_;
+  const std::string what = "invalid document class " + std::to_string(cls);
+  if (recovery_ == nullptr) {
+    read_fail(what + " at " + record_of(at, count_), offset);
+  }
+  ++recovery_->skipped;
+  if (recovery_->first_errors.size() < RecoveryReport::kMaxErrors) {
+    recovery_->first_errors.push_back(
+        at_offset("skipped " + record_of(at, count_) + ": " + what, offset));
+  }
+}
+
+void RecordDecoder::reject_dense_id(std::size_t i, std::uint32_t id) const {
+  const std::uint64_t at = next_record_ + i;
+  read_fail("dense id " + std::to_string(id) +
+                " out of first-reference order at " + record_of(at, count_),
+            kHeaderBytes + at * record_bytes_);
+}
+
+bool RecordDecoder::next(std::vector<Request>& out,
+                         std::vector<std::uint32_t>* dense) {
   // Room for the whole chunk up front: a stream's window is allocated once
   // at its final size, while a vector filled chunk by chunk still grows
   // geometrically.
+  const std::size_t n = pending_records();
   if (out.capacity() - out.size() < n) {
     out.reserve(std::max(out.size() + n, 2 * out.capacity()));
   }
-  // A recovering decoder neither checks nor hands out dense ids: a skipped
-  // record can drop a first reference, so its caller renumbers.
-  const bool check_dense = has_dense_ids() && recovery_ == nullptr;
-  std::vector<std::uint32_t>* ids = check_dense ? dense : nullptr;
-  const char* p = buffer_.data();
-  for (std::size_t i = 0; i < n; ++i, p += record_bytes_) {
-    Request r;
-    std::uint32_t id = 0;
-    const std::uint8_t cls = decode_record(p, version_, r, id);
-    if (cls >= kDocumentClassCount) [[unlikely]] {
-      const std::uint64_t at = next_record_ + i;
-      const std::uint64_t offset = kHeaderBytes + at * record_bytes_;
-      const std::string what = "invalid document class " + std::to_string(cls);
-      if (recovery_ == nullptr) {
-        read_fail(what + " at " + record_of(at, count_), offset);
-      }
-      ++recovery_->skipped;
-      if (recovery_->first_errors.size() < RecoveryReport::kMaxErrors) {
-        recovery_->first_errors.push_back(at_offset(
-            "skipped " + record_of(at, count_) + ": " + what, offset));
-      }
-      continue;
-    }
-    if (check_dense) {
-      // An id is either one already seen or the next new one; anything
-      // higher would size the replay's id-indexed arrays past the records
-      // read.
-      if (id > documents_) [[unlikely]] {
-        const std::uint64_t at = next_record_ + i;
-        read_fail("dense id " + std::to_string(id) +
-                      " out of first-reference order at " +
-                      record_of(at, count_),
-                  kHeaderBytes + at * record_bytes_);
-      }
-      documents_ += id == documents_ ? 1 : 0;
-      if (ids != nullptr) ids->push_back(id);
-    }
-    r.doc_class = static_cast<DocumentClass>(cls);
-    out.push_back(r);
+  if (dense == nullptr || !hands_out_dense_ids()) {
+    return next([&](const Request& r, std::uint32_t) { out.push_back(r); });
   }
-  next_record_ += n;
-  return true;
+  return next([&](const Request& r, std::uint32_t id) {
+    out.push_back(r);
+    dense->push_back(id);
+  });
 }
 
 void RecordDecoder::check_trailer() {

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <string>
@@ -82,9 +83,18 @@ class RecordDecoder {
   /// True when the records carry dense ids (version 4 and later).
   bool has_dense_ids() const { return version_ >= 4; }
 
-  /// Appends the next chunk of decoded records to `out` and returns true;
-  /// once every record has been read, checks the checksum trailer (the
-  /// first time) and returns false. When the records carry dense ids and
+  /// Decodes the next chunk and hands each of its valid records to
+  /// `emit(const Request& r, std::uint32_t dense_id)`, in file order, then
+  /// returns true; once every record has been read, checks the checksum
+  /// trailer (the first time) and returns false. `dense_id` is the
+  /// record's stored id, held to the first-reference rule, when the
+  /// records carry dense ids and the decoder is strict; else 0. Every
+  /// loader decodes through this one loop, so the records land straight in
+  /// the caller's own layout.
+  template <typename Emit>
+  bool next(Emit&& emit);
+
+  /// next() appending to `out`; when the records carry dense ids and
   /// `dense` is given, the chunk's ids are appended to it, one per record
   /// appended to `out`.
   bool next(std::vector<Request>& out,
@@ -95,6 +105,24 @@ class RecordDecoder {
   void restart();
 
  private:
+  /// True when next() hands out checked dense ids: the records carry them
+  /// and the decoder is strict. A recovering decoder neither checks nor
+  /// hands them out, because a skipped record can drop a first reference,
+  /// so its caller renumbers.
+  bool hands_out_dense_ids() const {
+    return has_dense_ids() && recovery_ == nullptr;
+  }
+
+  /// Reads the next chunk into the buffer and feeds it to the checksum;
+  /// sets `n` to the whole records it holds (a recovered truncation can
+  /// leave 0). Returns false once every record has been read.
+  bool read_chunk(std::size_t& n);
+  /// Records the next read_chunk() asks for.
+  std::size_t pending_records() const;
+  /// Record `i` of the current chunk has class byte `cls`, which names no
+  /// class: throws, or counts the skip when recovering.
+  void reject_class(std::size_t i, std::uint8_t cls);
+  [[noreturn]] void reject_dense_id(std::size_t i, std::uint32_t id) const;
   void check_trailer();
 
   std::istream& in_;
@@ -112,6 +140,58 @@ class RecordDecoder {
   TraceChecksum checksum_;
   std::vector<char> buffer_;
 };
+
+template <typename T>
+inline void decode_field(const char*& p, T& value) {
+  std::memcpy(&value, p, sizeof(T));
+  p += sizeof(T);
+}
+
+/// Decodes one record's fields (`dense_id` only from v4 on); returns the
+/// raw class byte for the caller to validate.
+inline std::uint8_t decode_record(const char* p, std::uint32_t version,
+                                  Request& r, std::uint32_t& dense_id) {
+  std::uint8_t cls = 0;
+  decode_field(p, r.timestamp_ms);
+  decode_field(p, r.document);
+  if (version >= 4) decode_field(p, dense_id);
+  if (version >= 2) decode_field(p, r.client);
+  decode_field(p, cls);
+  decode_field(p, r.status);
+  decode_field(p, r.document_size);
+  decode_field(p, r.transfer_size);
+  return cls;
+}
+
+template <typename Emit>
+bool RecordDecoder::next(Emit&& emit) {
+  std::size_t n = 0;
+  if (!read_chunk(n)) return false;
+  const bool check_dense = hands_out_dense_ids();
+  const char* p = buffer_.data();
+  for (std::size_t i = 0; i < n; ++i, p += record_bytes_) {
+    Request r;
+    std::uint32_t id = 0;
+    const std::uint8_t cls = decode_record(p, version_, r, id);
+    if (cls >= kDocumentClassCount) [[unlikely]] {
+      reject_class(i, cls);
+      continue;
+    }
+    if (check_dense) {
+      // An id is either one already seen or the next new one; anything
+      // higher would size the replay's id-indexed arrays past the records
+      // read.
+      if (id > documents_) [[unlikely]] reject_dense_id(i, id);
+      documents_ += id == documents_ ? 1 : 0;
+    } else {
+      id = 0;
+    }
+    r.doc_class = static_cast<DocumentClass>(cls);
+    emit(static_cast<const Request&>(r), id);
+  }
+  next_record_ += n;
+  return true;
+}
 
 /// Records per read of the materialized loaders: ~688 KB of 43-byte
 /// records, so each chunk is decoded while it is still in L2.

@@ -9,62 +9,52 @@
 
 namespace webcache::trace {
 
-namespace {
+void DenseTraceBuilder::reserve(std::size_t requests) {
+  trace_.records.reserve(requests);
+  if (clients_) trace_.clients.reserve(requests);
+  trace_.original_ids.reserve(requests);
+  last_size_.reserve(requests);
+}
 
-DenseTrace densify_in_place(Trace&& source) {
+DenseTrace DenseTraceBuilder::finish() {
+  trace_.overall_size = std::accumulate(last_size_.begin(), last_size_.end(),
+                                        std::uint64_t{0});
+  last_size_ = {};
+  return std::exchange(trace_, {});
+}
+
+DenseTrace densify(const Trace& source, ClientColumn clients) {
+  DenseTraceBuilder builder(clients);
+  builder.reserve(source.requests.size());
   IdMap ids;
-  for (Request& r : source.requests) r.document = ids.intern(r.document);
-  DenseTrace dense;
-  dense.trace = std::move(source);
-  dense.original_ids = ids.release_keys();
-  return dense;
+  for (const Request& r : source.requests) {
+    builder.add(r, ids.intern(r.document));
+  }
+  return builder.finish();
 }
 
-}  // namespace
-
-DenseTrace densify(const Trace& source) {
-  Trace copy = source;
-  return densify_in_place(std::move(copy));
-}
-
-DenseTrace densify(Trace&& source) {
-  return densify_in_place(std::move(source));
-}
-
-DenseTrace read_dense_trace_file(const std::string& path) {
+DenseTrace read_dense_trace_file(const std::string& path,
+                                 ClientColumn clients) {
   std::ifstream in = detail::open_trace_file(path);
   detail::RecordDecoder decoder(in, detail::kLoadChunkRecords);
-  const std::uint64_t file_bytes = detail::file_size_or_zero(path);
-  if (!decoder.has_dense_ids()) {
-    return densify(detail::read_records(decoder, file_bytes));
-  }
-  DenseTrace dense;
-  std::vector<Request>& requests = dense.trace.requests;
-  requests.reserve(detail::records_present(decoder, file_bytes));
-  std::vector<std::uint32_t> ids;
-  std::size_t first = 0;
-  while (decoder.next(requests, &ids)) {
-    // The decoder admits an id only if it is one already seen or the next
-    // new one, so a new id is always original_ids.size().
-    for (std::size_t i = 0; i < ids.size(); ++i) {
-      Request& r = requests[first + i];
-      if (ids[i] == dense.original_ids.size()) {
-        dense.original_ids.push_back(r.document);
-      }
-      r.document = ids[i];
+  DenseTraceBuilder builder(clients);
+  builder.reserve(
+      detail::records_present(decoder, detail::file_size_or_zero(path)));
+  if (decoder.has_dense_ids()) {
+    // The strict decoder admits an id only if it is one already seen or
+    // the next new one, which is exactly what the builder requires.
+    while (decoder.next([&](const Request& r, std::uint32_t id) {
+      builder.add(r, id);
+    })) {
     }
-    first = requests.size();
-    ids.clear();
+  } else {
+    IdMap ids;
+    while (decoder.next([&](const Request& r, std::uint32_t) {
+      builder.add(r, ids.intern(r.document));
+    })) {
+    }
   }
-  return dense;
-}
-
-std::uint64_t DenseTrace::overall_size_bytes() const {
-  std::vector<std::uint64_t> last_size(original_ids.size(), 0);
-  for (const Request& r : trace.requests) {
-    last_size[static_cast<std::size_t>(r.document)] = r.document_size;
-  }
-  return std::accumulate(last_size.begin(), last_size.end(), std::uint64_t{0});
+  return builder.finish();
 }
 
 }  // namespace webcache::trace

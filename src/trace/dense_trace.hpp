@@ -1,4 +1,4 @@
-// Dense document-id remapping.
+// Dense document-id remapping, stored as replay records.
 //
 // Real traces identify documents by 64-bit URL hashes. Keyed by those,
 // every per-request container in the simulator (object table, LRU index,
@@ -16,19 +16,32 @@
 // id. Remapping changes nothing observable: document identity is only ever
 // compared for equality, and policies break ties by insertion sequence.
 //
-// A WCT1 v4 file already stores that numbering: its writer interns once,
+// A DenseTrace is not a Trace: it keeps, per request, only what the replay
+// engines in src/sim read — a 16-byte ReplayRecord of transfer size, dense
+// id and class, the fixed-record idiom of libCacheSim's oracleGeneral
+// traces. Timestamp, status and document size are dropped; the client id
+// is a side column that only the hierarchy asks for (ClientColumn::kLoad).
+// The paper's Overall Size and the largest transfer are computed once,
+// while the records are built, so neither costs a pass later. Consumers
+// that want the full requests (characterize, export, the textbook oracle)
+// read a Trace instead.
+//
+// A WCT1 v4 file already stores the numbering: its writer interns once,
 // and read_dense_trace_file() takes each record's dense id as is and
 // records the original id at each first reference, with no hash at all.
 // The decoder holds the ids to the first-reference rule, which bounds the
 // id range by the records read; the checksum guards the bytes, but nothing
 // cross-checks a dense id against its original id (the writer guarantees
-// that mapping). Older files load through densify().
+// that mapping). Older files intern as they decode. Either way each chunk
+// is decoded straight into the records by the one WCT1 chunk loop
+// (trace/binary_trace_detail.hpp), and no whole-trace Trace is staged.
 // The replay APIs in src/sim take a DenseTrace; their `const Trace&` forms
 // densify first. The textbook oracle, which keys a std::map by the
 // original ids, checks the results (tests/sim/oracle_test.cpp,
 // tests/sim/oracle_equivalence_test.cpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -37,41 +50,112 @@
 
 namespace webcache::trace {
 
-/// A Trace whose Request::document fields have been renumbered to the dense
-/// range [0, document_count()), plus the table to translate back.
+/// One request as the replay reads it.
+struct ReplayRecord {
+  /// Bytes transferred to the client (Request::transfer_size), the size
+  /// the simulator caches and counts.
+  std::uint64_t transfer_size = 0;
+  /// Dense document id, in [0, DenseTrace::document_count()).
+  std::uint32_t document = 0;
+  DocumentClass doc_class = DocumentClass::kOther;
+};
+static_assert(sizeof(ReplayRecord) == 16,
+              "a replay record is 16 bytes: 8 size + 4 id + class + padding");
+
+/// Whether a DenseTrace keeps each request's client id. Only the
+/// hierarchy simulator reads it, to attach requests to edge proxies.
+enum class ClientColumn { kSkip, kLoad };
+
+/// A trace renumbered to dense document ids, as replay records, plus the
+/// table to translate the ids back. Built by densify() and
+/// read_dense_trace_file() (or DenseTraceBuilder), which also fill the
+/// summary fields.
 struct DenseTrace {
-  /// The remapped trace; safe to pass anywhere a Trace is accepted. The
-  /// dense simulate()/run_sweep() overloads exploit the bound.
-  Trace trace;
+  /// One record per request, in trace order.
+  std::vector<ReplayRecord> records;
 
   /// original_ids[dense_id] = the DocumentId the source trace used.
   std::vector<DocumentId> original_ids;
 
+  /// clients[i] = Request::client of request i when built with
+  /// ClientColumn::kLoad; empty otherwise.
+  std::vector<std::uint32_t> clients;
+
+  /// The paper's "Overall Size": each document's last document_size,
+  /// summed. Equals Trace::overall_size_bytes() of the source trace.
+  std::uint64_t overall_size = 0;
+
+  /// The largest transfer size of any request (0 for an empty trace).
+  std::uint64_t max_transfer = 0;
+
+  std::uint64_t total_requests() const { return records.size(); }
+
   /// Number of distinct documents == the exclusive upper bound on every
-  /// Request::document in `trace`.
+  /// ReplayRecord::document.
   std::uint64_t document_count() const { return original_ids.size(); }
 
   DocumentId original_id(DocumentId dense_id) const {
     return original_ids[dense_id];
   }
 
-  /// The paper's "Overall Size": each document's last document_size,
-  /// summed. Equals Trace::overall_size_bytes() of the source trace, but
-  /// tracks last sizes in a flat vector indexed by dense id, not a hash map.
-  std::uint64_t overall_size_bytes() const;
+  std::uint64_t overall_size_bytes() const { return overall_size; }
+  std::uint64_t max_transfer_size() const { return max_transfer; }
 };
 
-/// One-pass remap (first appearance order). The copying overload leaves the
-/// source untouched; the rvalue overload renumbers in place.
-DenseTrace densify(const Trace& source);
-DenseTrace densify(Trace&& source);
+/// Builds a DenseTrace request by request, tracking each document's last
+/// document size for the Overall Size. Sized up front with reserve(), no
+/// vector reallocates while requests are added.
+class DenseTraceBuilder {
+ public:
+  explicit DenseTraceBuilder(ClientColumn clients = ClientColumn::kSkip)
+      : clients_(clients == ClientColumn::kLoad) {}
 
-/// Loads a WCT1 file as a DenseTrace. A v4 file's stored dense ids become
-/// Request::document and its original ids fill `original_ids` at each
-/// first reference; a v1-v3 file is densify(read_binary_trace_file(path)).
-/// Either way the result equals densify(read_binary_trace_file(path))
-/// field by field, and every strict-loader diagnostic is the same
+  /// Room for `requests` requests: the records exactly, the per-document
+  /// arrays for as many documents (untouched capacity costs address
+  /// space, not memory).
+  void reserve(std::size_t requests);
+
+  /// Appends `r`, whose document has dense id `id`: a document already
+  /// added, or the next new one (document_count()), which records
+  /// r.document as its original id.
+  void add(const Request& r, std::uint32_t id) {
+    trace_.records.push_back({r.transfer_size, id, r.doc_class});
+    if (clients_) trace_.clients.push_back(r.client);
+    if (id == last_size_.size()) {
+      trace_.original_ids.push_back(r.document);
+      last_size_.push_back(r.document_size);
+    } else {
+      last_size_[id] = r.document_size;
+    }
+    if (r.transfer_size > trace_.max_transfer) {
+      trace_.max_transfer = r.transfer_size;
+    }
+  }
+
+  std::uint64_t document_count() const { return last_size_.size(); }
+
+  /// Sums the Overall Size and hands the trace over; the builder is left
+  /// empty.
+  DenseTrace finish();
+
+ private:
+  DenseTrace trace_;
+  std::vector<std::uint64_t> last_size_;
+  bool clients_;
+};
+
+/// One-pass remap (first appearance order); the source is left untouched.
+DenseTrace densify(const Trace& source,
+                   ClientColumn clients = ClientColumn::kSkip);
+
+/// Loads a WCT1 file as a DenseTrace. A v4 file's stored dense ids are
+/// taken as they are and its original ids fill `original_ids` at each
+/// first reference; a v1-v3 file interns each record as it is decoded.
+/// Either way the result equals densify(read_binary_trace_file(path),
+/// clients) field by field, the record vector is allocated once at its
+/// final size, and every strict-loader diagnostic is the same
 /// (trace/binary_trace.hpp).
-DenseTrace read_dense_trace_file(const std::string& path);
+DenseTrace read_dense_trace_file(const std::string& path,
+                                 ClientColumn clients = ClientColumn::kSkip);
 
 }  // namespace webcache::trace

@@ -74,12 +74,6 @@ class StreamIds {
     return source_ == Source::kStored ? keys_ : map_.keys();
   }
 
-  /// Moves the id -> original id table out; the numbering is left empty.
-  std::vector<DocumentId> release_keys() {
-    return source_ == Source::kStored ? std::exchange(keys_, {})
-                                      : map_.release_keys();
-  }
-
  private:
   enum class Source { kUndecided, kInterned, kStored };
 

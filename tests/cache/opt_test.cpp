@@ -27,7 +27,7 @@ Request req(trace::DocumentId doc, std::uint64_t size = 1) {
 
 /// Replays the trace through a Cache wired to OPT; returns the hit count.
 std::uint64_t replay_opt(const Trace& t, std::uint64_t capacity) {
-  Cache cache(capacity, std::make_unique<OptPolicy>(t.requests));
+  Cache cache(capacity, std::make_unique<OptPolicy>(trace::densify(t)));
   std::uint64_t hits = 0;
   for (const Request& r : t.requests) {
     if (cache.access(r.document, r.transfer_size, r.doc_class).kind ==
@@ -73,7 +73,9 @@ TEST(Opt, EvictsNeverReferencedAgainFirst) {
 }
 
 TEST(Opt, AmongDeadObjectsEvictsLargestFirst) {
-  OptPolicy policy({req(10, 5), req(11, 50)});
+  Trace t;
+  t.requests = {req(10, 5), req(11, 50)};
+  OptPolicy policy(trace::densify(t));
   CacheObject small;
   small.id = 10;
   small.slot = 0;
@@ -117,7 +119,7 @@ TEST(Opt, WorksThroughSimulatorOverload) {
   opts.warmup_fraction = 0.0;
   const trace::DenseTrace dense = trace::densify(t);
   const sim::SimResult opt = sim::simulate(
-      dense, 20000, std::make_unique<OptPolicy>(dense.trace.requests), opts);
+      dense, 20000, std::make_unique<OptPolicy>(dense), opts);
   EXPECT_EQ(opt.policy_name, "OPT");
   const sim::SimResult lru =
       sim::simulate(t, 20000, policy_spec_from_name("LRU"), opts);
@@ -148,7 +150,7 @@ TEST(Opt, SweepCellMatchesDenseSimulateOnGoldenTrace) {
   for (const sim::SweepPoint& point : sweep.points) {
     const sim::SimResult expected =
         sim::simulate(t, point.capacity_bytes,
-                      std::make_unique<OptPolicy>(t.trace.requests),
+                      std::make_unique<OptPolicy>(t),
                       config.simulator);
     const sim::SimResult& cell = point.results[0];
     EXPECT_EQ(cell.policy_name, "OPT");

@@ -250,15 +250,16 @@ TEST(RandomSeedTest, SeedIsNotPartOfTheDisplayName) {
 }
 
 TEST(PolicyPropertyOptTest, DenseReplayMatchesSparseForOpt) {
-  // OPT needs the whole request stream up front: each cache's clairvoyant
-  // schedule is built from the ids that cache sees, and the two index modes
-  // must still answer every access identically.
+  // OPT needs the whole request stream up front: its clairvoyant schedule
+  // is keyed by request index, so one built from the densified trace serves
+  // the cache fed raw ids too, and the two index modes must still answer
+  // every access identically.
   for (std::size_t t = 0; t < fuzz_traces().size(); ++t) {
     const trace::Trace& trace = fuzz_traces()[t];
     const std::uint64_t capacity = trace.overall_size_bytes() / 20;
-    Cache sparse(capacity, std::make_unique<OptPolicy>(trace.requests));
-    Cache dense(capacity, std::make_unique<OptPolicy>(
-                              fuzz_dense_traces()[t].trace.requests));
+    const trace::DenseTrace& ids = fuzz_dense_traces()[t];
+    Cache sparse(capacity, std::make_unique<OptPolicy>(ids));
+    Cache dense(capacity, std::make_unique<OptPolicy>(ids));
     const std::uint64_t evictions = support::expect_same_accesses(
         trace, sparse, dense, "OPT trace " + std::to_string(t));
     EXPECT_GT(evictions, 0u);

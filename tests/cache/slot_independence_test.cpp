@@ -157,8 +157,9 @@ TEST(SlotIndependenceOpt, SameOutcomesAndEvictionOrderUnderScrambledSlots) {
   for (std::size_t t = 0; t < traces().size(); ++t) {
     const trace::Trace& trace = traces()[t];
     const std::uint64_t capacity = trace.overall_size_bytes() / 20;
-    Cache fresh(capacity, std::make_unique<OptPolicy>(trace.requests));
-    Cache scrambled(capacity, std::make_unique<OptPolicy>(trace.requests));
+    const trace::DenseTrace ids = trace::densify(trace);
+    Cache fresh(capacity, std::make_unique<OptPolicy>(ids));
+    Cache scrambled(capacity, std::make_unique<OptPolicy>(ids));
     scramble_free_slots(scrambled);
     expect_slot_independent(trace, fresh, scrambled,
                             "OPT trace " + std::to_string(t));

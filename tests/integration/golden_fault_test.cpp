@@ -111,8 +111,9 @@ void expect_matches_golden(const std::map<std::string, std::uint64_t>& expected,
 
 TEST(GoldenFault, ScheduleReplayMatchesGoldenCounters) {
   const trace::DenseTrace t = trace::densify(
-      trace::read_binary_trace_file(data_path("golden_dfn.wct")));
-  ASSERT_EQ(t.trace.total_requests(), 6718u);
+      trace::read_binary_trace_file(data_path("golden_dfn.wct")),
+      trace::ClientColumn::kLoad);
+  ASSERT_EQ(t.total_requests(), 6718u);
   const sim::FaultSchedule schedule =
       sim::load_fault_schedule_file(data_path("golden_faults.schedule"));
   ASSERT_FALSE(schedule.empty());
@@ -155,14 +156,15 @@ TEST(GoldenFault, DensePathMatchesGoldenCounters) {
   ASSERT_TRUE(in) << "missing golden file; run with WEBCACHE_UPDATE_GOLDEN=1";
 
   const trace::DenseTrace t = trace::densify(
-      trace::read_binary_trace_file(data_path("golden_dfn.wct")));
+      trace::read_binary_trace_file(data_path("golden_dfn.wct")),
+      trace::ClientColumn::kLoad);
   const sim::FaultSchedule schedule =
       sim::load_fault_schedule_file(data_path("golden_faults.schedule"));
   obs::RecordingSink sink(500);
   const sim::HierarchyResult r =
       sim::simulate_hierarchy(t, golden_config(t), schedule, sink);
   expect_matches_golden(read_golden(in), flatten(r), "instrumented");
-  EXPECT_EQ(sink.series().total_requests, t.trace.total_requests());
+  EXPECT_EQ(sink.series().total_requests, t.total_requests());
   EXPECT_EQ(sink.series().fault_nodes, 4u);  // 3 edges + the root
 }
 

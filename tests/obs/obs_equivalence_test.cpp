@@ -90,18 +90,19 @@ TEST(ObsEquivalence, OptBoundIsUnchangedByInstrumentation) {
   const sim::SimulatorOptions options;
 
   cache::SingleCacheFrontend plain(
-      capacity, std::make_unique<cache::OptPolicy>(dense.trace.requests));
+      capacity, std::make_unique<cache::OptPolicy>(dense));
   const sim::SimResult a = sim::simulate(dense, plain, options);
 
   RecordingSink sink(500);
   cache::SingleCacheFrontend instrumented(
-      capacity, std::make_unique<cache::OptPolicy>(dense.trace.requests));
+      capacity, std::make_unique<cache::OptPolicy>(dense));
   const sim::SimResult b = sim::simulate(dense, instrumented, options, sink);
   expect_same_result(a, b, "OPT");
 }
 
 TEST(ObsEquivalence, HierarchyIsUnchangedByInstrumentation) {
-  const trace::DenseTrace dense = trace::densify(recorded_trace());
+  const trace::DenseTrace dense =
+      trace::densify(recorded_trace(), trace::ClientColumn::kLoad);
 
   sim::HierarchyConfig config;
   config.edge_count = 4;

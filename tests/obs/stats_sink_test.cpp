@@ -36,7 +36,7 @@ constexpr std::uint64_t kWindow = 1000;
 
 trace::DenseTrace recorded_trace() {
   synth::TraceGenerator generator(synth::WorkloadProfile::DFN().scaled(0.002));
-  return trace::densify(generator.generate());
+  return trace::densify(generator.generate(), trace::ClientColumn::kLoad);
 }
 
 std::uint64_t capacity_of(const trace::DenseTrace& t) {
@@ -77,7 +77,7 @@ TEST(RecordingSink, WindowsPartitionTheRequestStream) {
 
   const MetricsSeries& series = sink.series();
   EXPECT_EQ(series.window_requests, kWindow);
-  EXPECT_EQ(series.total_requests, t.trace.total_requests());
+  EXPECT_EQ(series.total_requests, t.total_requests());
   ASSERT_FALSE(series.windows.empty());
 
   std::uint64_t expected_first = 1;
@@ -91,7 +91,7 @@ TEST(RecordingSink, WindowsPartitionTheRequestStream) {
     }
     expected_first = w.last_request + 1;
   }
-  EXPECT_EQ(series.windows.back().last_request, t.trace.total_requests());
+  EXPECT_EQ(series.windows.back().last_request, t.total_requests());
 }
 
 TEST(RecordingSink, SeriesSumsBackToAggregateExactly) {
@@ -173,7 +173,7 @@ TEST(RecordingSink, ReusableAcrossRuns) {
       sim::simulate(t, capacity_of(t), spec, {}, sink);
   EXPECT_EQ(sink.series().windows.size(), first_windows)
       << "begin_run must reset the series";
-  EXPECT_EQ(sink.series().total_requests, t.trace.total_requests());
+  EXPECT_EQ(sink.series().total_requests, t.total_requests());
   EXPECT_EQ(first.overall.hits, second.overall.hits);
   expect_sums_back(sink.series(), second, "second run");
 }

@@ -68,7 +68,8 @@ void expect_identical(const HierarchyResult& a, const HierarchyResult& b,
 }
 
 TEST(FaultEquivalence, EmptyScheduleMatchesPlainHierarchy) {
-  const trace::DenseTrace dense = trace::densify(recorded_trace());
+  const trace::DenseTrace dense =
+      trace::densify(recorded_trace(), trace::ClientColumn::kLoad);
   const FaultSchedule empty;
 
   for (const std::string& name : factory_policies()) {
@@ -123,7 +124,8 @@ TEST(FaultEquivalence, InstrumentedEmptyScheduleMatchesPlainSeries) {
   // The fault-aware instrumented loop must report the same flow series as
   // the plain instrumented loop with an empty schedule — the fault feed
   // only adds the availability samples (every node up, every window).
-  const trace::DenseTrace t = trace::densify(recorded_trace());
+  const trace::DenseTrace t =
+      trace::densify(recorded_trace(), trace::ClientColumn::kLoad);
   HierarchyConfig config;
   config.edge_count = 3;
   config.edge_capacity_bytes = t.overall_size_bytes() / 150;

@@ -81,7 +81,8 @@ void expect_window_conserved(const obs::WindowSample& w,
 TEST(FaultProperty, RandomHierarchySchedulesConserveRequests) {
   util::Rng rng(20260807);
   for (int round = 0; round < 8; ++round) {
-    const trace::DenseTrace t = trace::densify(random_trace(rng));
+    const trace::DenseTrace t =
+        trace::densify(random_trace(rng), trace::ClientColumn::kLoad);
     HierarchyConfig config;
     config.edge_count = 1 + static_cast<std::uint32_t>(rng.below(4));
     config.edge_capacity_bytes =
@@ -92,7 +93,7 @@ TEST(FaultProperty, RandomHierarchySchedulesConserveRequests) {
     config.sibling_cooperation = rng.below(2) == 0;
 
     const FaultSchedule s = random_schedule(
-        rng, t.trace.total_requests(), config.edge_count, /*with_root=*/true);
+        rng, t.total_requests(), config.edge_count, /*with_root=*/true);
     const std::string label = "round " + std::to_string(round) + " (" +
                               std::to_string(s.events.size()) + " events)";
 
@@ -187,7 +188,8 @@ TEST(FaultProperty, ResultsAreReproducible) {
   // Same trace + same schedule -> identical counters, twice over (fresh
   // caches each time): the determinism the 1-based indexing exists for.
   util::Rng rng(777);
-  const trace::DenseTrace t = trace::densify(random_trace(rng));
+  const trace::DenseTrace t =
+      trace::densify(random_trace(rng), trace::ClientColumn::kLoad);
   HierarchyConfig config;
   config.edge_count = 4;
   config.edge_capacity_bytes = t.overall_size_bytes() / 200;
@@ -196,7 +198,7 @@ TEST(FaultProperty, ResultsAreReproducible) {
   config.root_policy = cache::policy_spec_from_name("GD*(packet)");
   config.sibling_cooperation = true;
   const FaultSchedule s =
-      random_schedule(rng, t.trace.total_requests(), 4, /*with_root=*/true);
+      random_schedule(rng, t.total_requests(), 4, /*with_root=*/true);
 
   const HierarchyResult a = simulate_hierarchy(t, config, s);
   const HierarchyResult b = simulate_hierarchy(t, config, s);

@@ -185,7 +185,9 @@ trace::Trace small_trace() {
       .generate();
 }
 
-trace::DenseTrace small_dense_trace() { return trace::densify(small_trace()); }
+trace::DenseTrace small_dense_trace() {
+  return trace::densify(small_trace(), trace::ClientColumn::kLoad);
+}
 
 HierarchyConfig basic_config(const trace::DenseTrace& t) {
   HierarchyConfig config;
@@ -203,7 +205,7 @@ TEST(HierarchyFaults, EdgeCrashFailsOverToRoot) {
   const HierarchyResult baseline = simulate_hierarchy(t, config);
 
   FaultSchedule s =
-      schedule_of({{t.trace.total_requests() / 2, FaultKind::kEdgeCrash, 0}});
+      schedule_of({{t.total_requests() / 2, FaultKind::kEdgeCrash, 0}});
   const HierarchyResult r = simulate_hierarchy(t, config, s);
 
   EXPECT_EQ(r.faults.events_applied, 1u);
@@ -222,7 +224,7 @@ TEST(HierarchyFaults, RootOutageServesFromOriginAndWarmsEdges) {
   const HierarchyConfig config = basic_config(t);
 
   FaultSchedule s =
-      schedule_of({{t.trace.total_requests() / 2, FaultKind::kRootOutage, 0}});
+      schedule_of({{t.total_requests() / 2, FaultKind::kRootOutage, 0}});
   const HierarchyResult r = simulate_hierarchy(t, config, s);
 
   EXPECT_GT(r.faults.origin_fetches, 0u);
@@ -240,7 +242,7 @@ TEST(HierarchyFaults, DoubleFaultLosesRequests) {
   // to go (no mesh), so their requests are lost; everyone else is served.
   const trace::DenseTrace t = small_dense_trace();
   const HierarchyConfig config = basic_config(t);
-  const std::uint64_t mid = t.trace.total_requests() / 2;
+  const std::uint64_t mid = t.total_requests() / 2;
   FaultSchedule s = schedule_of({{mid, FaultKind::kEdgeCrash, 0},
                                  {mid, FaultKind::kRootOutage, 0}});
   const HierarchyResult r = simulate_hierarchy(t, config, s);
@@ -314,7 +316,7 @@ TEST(HierarchyFaults, CrashAndRecoveryInSameWindowRestartsCold) {
   // fault-free run and no requests are lost or failed over.
   const trace::DenseTrace t = small_dense_trace();
   const HierarchyConfig config = basic_config(t);
-  const std::uint64_t mid = t.trace.total_requests() / 2;
+  const std::uint64_t mid = t.total_requests() / 2;
   FaultSchedule s = schedule_of({{mid, FaultKind::kEdgeCrash, 0},
                                  {mid, FaultKind::kEdgeRecover, 0}});
   const HierarchyResult r = simulate_hierarchy(t, config, s);
@@ -330,7 +332,7 @@ TEST(HierarchyFaults, MeshFailoverPrefersSiblingsOverRoot) {
   const trace::DenseTrace t = small_dense_trace();
   HierarchyConfig mesh = basic_config(t);
   mesh.sibling_cooperation = true;
-  const std::uint64_t mid = t.trace.total_requests() / 2;
+  const std::uint64_t mid = t.total_requests() / 2;
   const FaultSchedule s = schedule_of({{mid, FaultKind::kEdgeCrash, 0}});
 
   const HierarchyResult with_mesh = simulate_hierarchy(t, mesh, s);
@@ -373,7 +375,7 @@ TEST(HierarchyFaults, InstrumentedRunMatchesUninstrumented) {
   const trace::DenseTrace t = small_dense_trace();
   HierarchyConfig config = basic_config(t);
   config.sibling_cooperation = true;
-  const std::uint64_t mid = t.trace.total_requests() / 2;
+  const std::uint64_t mid = t.total_requests() / 2;
   FaultSchedule s = schedule_of({{mid, FaultKind::kEdgeCrash, 0},
                                  {mid + 50, FaultKind::kRootOutage, 0},
                                  {mid + 200, FaultKind::kEdgeRecover, 0},
@@ -396,7 +398,7 @@ TEST(HierarchyFaults, InstrumentedRunMatchesUninstrumented) {
 TEST(HierarchyFaults, SinkRecordsAvailabilityLossesAndWarmup) {
   const trace::DenseTrace t = small_dense_trace();
   const HierarchyConfig config = basic_config(t);
-  const std::uint64_t mid = t.trace.total_requests() / 2;
+  const std::uint64_t mid = t.total_requests() / 2;
   FaultSchedule s = schedule_of({{mid, FaultKind::kEdgeCrash, 0},
                                  {mid, FaultKind::kRootOutage, 0},
                                  {mid + 500, FaultKind::kEdgeRecover, 0},
@@ -457,7 +459,7 @@ TEST(HierarchyFaults, WarmupCurveShowsColdStartTransient) {
   // the cold-start transient the curves exist to show.
   const trace::DenseTrace t = small_dense_trace();
   const HierarchyConfig config = basic_config(t);
-  const std::uint64_t early = t.trace.total_requests() / 4;
+  const std::uint64_t early = t.total_requests() / 4;
   FaultSchedule s = schedule_of({{early, FaultKind::kEdgeCrash, 0},
                                  {early + 1, FaultKind::kEdgeRecover, 0}});
   obs::RecordingSink sink(200);

@@ -20,7 +20,7 @@ namespace {
 
 trace::DenseTrace recorded_trace() {
   synth::TraceGenerator generator(synth::WorkloadProfile::DFN().scaled(0.002));
-  return trace::densify(generator.generate());
+  return trace::densify(generator.generate(), trace::ClientColumn::kLoad);
 }
 
 HierarchyConfig base_config(const trace::DenseTrace& t) {
@@ -97,7 +97,7 @@ TEST(HierarchyLatency, TimedOutProbesChargeExactlyRttEach) {
   // Only probe degradation — all nodes stay up, so no request is ever lost
   // and probe_timeouts counts exactly the charged attempts.
   FaultSchedule schedule;
-  const std::uint64_t mid = t.trace.total_requests() / 2;
+  const std::uint64_t mid = t.total_requests() / 2;
   schedule.events = {{1, FaultKind::kProbeDegrade, 1},
                      {mid, FaultKind::kProbeRestore, 1}};
   schedule.probe_timeout_rate = 1.0;  // degraded probes always time out

@@ -23,7 +23,9 @@ trace::Trace small_sparse_trace() {
       .generate();
 }
 
-trace::DenseTrace small_trace() { return trace::densify(small_sparse_trace()); }
+trace::DenseTrace small_trace() {
+  return trace::densify(small_sparse_trace(), trace::ClientColumn::kLoad);
+}
 
 HierarchyConfig basic_config(const trace::DenseTrace& t) {
   HierarchyConfig config;
@@ -80,21 +82,27 @@ TEST(HierarchyDenseEquivalence, DenseOverloadValidatesConfig) {
 }
 
 TEST(Hierarchy, DenseTraceRoundTripsForClientAttachment) {
-  // densify() renumbers documents but must leave client ids untouched and
-  // keep the original-id table exact, so a dense replay attaches every
-  // request to the same edge and results can be mapped back to URL hashes.
+  // densify() renumbers documents but must keep the client ids in its
+  // client column and the original-id table exact, so a dense replay
+  // attaches every request to the same edge and results can be mapped
+  // back to URL hashes.
   const trace::Trace sparse = small_sparse_trace();
-  const trace::DenseTrace dense = trace::densify(sparse);
+  const trace::DenseTrace dense =
+      trace::densify(sparse, trace::ClientColumn::kLoad);
 
-  ASSERT_EQ(sparse.requests.size(), dense.trace.requests.size());
+  ASSERT_EQ(sparse.requests.size(), dense.records.size());
+  ASSERT_EQ(sparse.requests.size(), dense.clients.size());
   for (std::size_t i = 0; i < sparse.requests.size(); ++i) {
     const trace::Request& s = sparse.requests[i];
-    const trace::Request& d = dense.trace.requests[i];
-    ASSERT_EQ(s.client, d.client) << "request " << i;
-    ASSERT_EQ(s.document, dense.original_id(d.document)) << "request " << i;
-    ASSERT_EQ(edge_for_client(s.client, 4), edge_for_client(d.client, 4))
+    ASSERT_EQ(s.client, dense.clients[i]) << "request " << i;
+    ASSERT_EQ(s.document, dense.original_id(dense.records[i].document))
         << "request " << i;
   }
+}
+
+TEST(Hierarchy, RejectsATraceWithoutItsClientColumn) {
+  const trace::DenseTrace t = trace::densify(small_sparse_trace());
+  EXPECT_THROW(simulate_hierarchy(t, basic_config(t)), std::invalid_argument);
 }
 
 TEST(Hierarchy, ClientsStickToTheirEdge) {
@@ -113,10 +121,10 @@ TEST(Hierarchy, ClientRoutingChangesEdgeLoads) {
   const trace::DenseTrace t = small_trace();
   std::array<std::uint64_t, 4> per_edge{};
   std::uint64_t index = 0;
-  for (const auto& r : t.trace.requests) {
+  for (const std::uint32_t client : t.clients) {
     ++index;
-    ASSERT_NE(r.client, 0u);
-    ++per_edge[edge_for_client(r.client, 4)];
+    ASSERT_NE(client, 0u);
+    ++per_edge[edge_for_client(client, 4)];
   }
   std::uint64_t max_load = 0, min_load = ~0ULL;
   for (const auto c : per_edge) {
@@ -255,9 +263,9 @@ TEST(Hierarchy, WarmupExcluded) {
   HierarchyConfig config = basic_config(t);
   config.simulator.warmup_fraction = 0.5;
   const HierarchyResult r = simulate_hierarchy(t, config);
-  EXPECT_EQ(r.offered.requests, t.trace.total_requests() -
+  EXPECT_EQ(r.offered.requests, t.total_requests() -
                                     static_cast<std::uint64_t>(
-                                        t.trace.total_requests() * 0.5));
+                                        t.total_requests() * 0.5));
 }
 
 TEST(Hierarchy, MeshWindowOccupancyPerClassSumsToTotals) {
@@ -265,7 +273,7 @@ TEST(Hierarchy, MeshWindowOccupancyPerClassSumsToTotals) {
   const trace::DenseTrace t = small_trace();
   HierarchyConfig config = basic_config(t);
   config.sibling_cooperation = true;
-  obs::RecordingSink sink(t.trace.total_requests() / 20);
+  obs::RecordingSink sink(t.total_requests() / 20);
   simulate_hierarchy(t, config, sink);
   ASSERT_GE(sink.series().windows.size(), 20u);
   for (const obs::WindowSample& w : sink.series().windows) {
@@ -357,7 +365,8 @@ void for_each_reference_cell(Fn&& fn) {
 }
 
 TEST(HierarchyReference, EdgeMatchesSingleCacheSimulate) {
-  const trace::DenseTrace dense = trace::densify(golden_trace());
+  const trace::DenseTrace dense =
+      trace::densify(golden_trace(), trace::ClientColumn::kLoad);
   for_each_reference_cell([&](const std::string& label,
                               std::uint64_t capacity,
                               const cache::PolicySpec& spec,
@@ -378,7 +387,8 @@ TEST(HierarchyReference, EdgeMatchesSingleCacheSimulate) {
 }
 
 TEST(HierarchyReference, RootMatchesSingleCacheSimulate) {
-  const trace::DenseTrace dense = trace::densify(golden_trace());
+  const trace::DenseTrace dense =
+      trace::densify(golden_trace(), trace::ClientColumn::kLoad);
   for_each_reference_cell([&](const std::string& label,
                               std::uint64_t capacity,
                               const cache::PolicySpec& spec,

@@ -60,7 +60,7 @@ TEST(SweepParallel, DenseStackPassInPoolMatchesSerialGrid) {
   config.cache_fractions = {0.01, 0.04, 0.2, 0.4};
   config.policies.push_back(cache::policy_spec_from_name("LRU"));
 
-  const std::uint64_t largest = StackSweep::max_transfer_size(t.trace);
+  const std::uint64_t largest = t.max_transfer_size();
   std::size_t stack_rows = 0;
   for (const double fraction : config.cache_fractions) {
     if (static_cast<double>(t.overall_size_bytes()) * fraction >=

@@ -35,7 +35,7 @@ std::uint64_t expect_same_accesses(const trace::Trace& trace, CacheT& sparse,
     last->second = r.transfer_size;
     const auto a = sparse.access(r.document, r.transfer_size, r.doc_class,
                                  changed);
-    const auto b = dense.access(ids.trace.requests[i].document,
+    const auto b = dense.access(ids.records[i].document,
                                 r.transfer_size, r.doc_class, changed);
     if (a.kind != b.kind || a.evictions != b.evictions ||
         a.was_resident != b.was_resident) {

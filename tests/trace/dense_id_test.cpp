@@ -152,16 +152,15 @@ TEST(DenseIdDecoder, StreamHandsOutTheStoredIds) {
 void expect_same_dense(const DenseTrace& a, const DenseTrace& b,
                        const std::string& label) {
   EXPECT_EQ(a.original_ids, b.original_ids) << label;
-  ASSERT_EQ(a.trace.requests.size(), b.trace.requests.size()) << label;
-  for (std::size_t i = 0; i < a.trace.requests.size(); ++i) {
-    const Request& x = a.trace.requests[i];
-    const Request& y = b.trace.requests[i];
-    ASSERT_EQ(x.timestamp_ms, y.timestamp_ms) << label << " record " << i;
+  EXPECT_EQ(a.clients, b.clients) << label;
+  EXPECT_EQ(a.overall_size_bytes(), b.overall_size_bytes()) << label;
+  EXPECT_EQ(a.max_transfer_size(), b.max_transfer_size()) << label;
+  ASSERT_EQ(a.records.size(), b.records.size()) << label;
+  for (std::size_t i = 0; i < a.records.size(); ++i) {
+    const ReplayRecord& x = a.records[i];
+    const ReplayRecord& y = b.records[i];
     ASSERT_EQ(x.document, y.document) << label << " record " << i;
-    ASSERT_EQ(x.client, y.client) << label << " record " << i;
     ASSERT_EQ(x.doc_class, y.doc_class) << label << " record " << i;
-    ASSERT_EQ(x.status, y.status) << label << " record " << i;
-    ASSERT_EQ(x.document_size, y.document_size) << label << " record " << i;
     ASSERT_EQ(x.transfer_size, y.transfer_size) << label << " record " << i;
   }
 }
@@ -187,6 +186,11 @@ TEST(DenseTraceFile, VersionThreeAndFourEncodingsMatchDensify) {
   expect_same_dense(read_dense_trace_file(v4), expected, "v4");
   expect_same_dense(densify(read_binary_trace_file(v4)), expected,
                     "v4 through densify");
+  const DenseTrace with_clients = densify(source, ClientColumn::kLoad);
+  expect_same_dense(read_dense_trace_file(v3, ClientColumn::kLoad),
+                    with_clients, "v3 with clients");
+  expect_same_dense(read_dense_trace_file(v4, ClientColumn::kLoad),
+                    with_clients, "v4 with clients");
   std::remove(v3.c_str());
   std::remove(v4.c_str());
 }
@@ -195,7 +199,7 @@ TEST(DenseTraceFile, EmptyTrace) {
   const std::string path = testing::TempDir() + "/dense_file_empty.wct";
   write_binary_trace_file(path, Trace{});
   const DenseTrace dense = read_dense_trace_file(path);
-  EXPECT_TRUE(dense.trace.requests.empty());
+  EXPECT_TRUE(dense.records.empty());
   EXPECT_TRUE(dense.original_ids.empty());
   std::remove(path.c_str());
 }

@@ -25,65 +25,60 @@ Trace tiny_trace() {
 TEST(DenseTrace, RenumbersInFirstAppearanceOrder) {
   const DenseTrace dense = densify(tiny_trace());
   ASSERT_EQ(dense.document_count(), 3u);
-  EXPECT_EQ(dense.trace.requests[0].document, 0u);
-  EXPECT_EQ(dense.trace.requests[1].document, 1u);
-  EXPECT_EQ(dense.trace.requests[2].document, 0u);
-  EXPECT_EQ(dense.trace.requests[3].document, 2u);
-  EXPECT_EQ(dense.trace.requests[4].document, 1u);
+  EXPECT_EQ(dense.records[0].document, 0u);
+  EXPECT_EQ(dense.records[1].document, 1u);
+  EXPECT_EQ(dense.records[2].document, 0u);
+  EXPECT_EQ(dense.records[3].document, 2u);
+  EXPECT_EQ(dense.records[4].document, 1u);
   EXPECT_EQ(dense.original_id(0), 900u);
   EXPECT_EQ(dense.original_id(1), 77u);
   EXPECT_EQ(dense.original_id(2), 5u);
 }
 
 TEST(DenseTrace, PreservesEveryOtherRequestField) {
-  const Trace source = tiny_trace();
-  const DenseTrace dense = densify(source);
-  ASSERT_EQ(dense.trace.requests.size(), source.requests.size());
+  Trace source = tiny_trace();
+  for (std::size_t i = 0; i < source.requests.size(); ++i) {
+    source.requests[i].client = static_cast<std::uint32_t>(i % 2);
+    source.requests[i].doc_class = static_cast<DocumentClass>(i % 5);
+  }
+  const DenseTrace dense = densify(source, ClientColumn::kLoad);
+  ASSERT_EQ(dense.records.size(), source.requests.size());
+  ASSERT_EQ(dense.clients.size(), source.requests.size());
   for (std::size_t i = 0; i < source.requests.size(); ++i) {
     const Request& a = source.requests[i];
-    const Request& b = dense.trace.requests[i];
+    const ReplayRecord& b = dense.records[i];
     EXPECT_EQ(dense.original_id(b.document), a.document);
-    EXPECT_EQ(b.timestamp_ms, a.timestamp_ms);
-    EXPECT_EQ(b.client, a.client);
     EXPECT_EQ(b.doc_class, a.doc_class);
-    EXPECT_EQ(b.status, a.status);
-    EXPECT_EQ(b.document_size, a.document_size);
     EXPECT_EQ(b.transfer_size, a.transfer_size);
+    EXPECT_EQ(dense.clients[i], a.client);
   }
-}
-
-TEST(DenseTrace, MoveOverloadMatchesCopyOverload) {
-  Trace source = tiny_trace();
-  const DenseTrace copied = densify(source);
-  const DenseTrace moved = densify(std::move(source));
-  ASSERT_EQ(copied.document_count(), moved.document_count());
-  ASSERT_EQ(copied.trace.requests.size(), moved.trace.requests.size());
-  for (std::size_t i = 0; i < copied.trace.requests.size(); ++i) {
-    EXPECT_EQ(copied.trace.requests[i].document,
-              moved.trace.requests[i].document);
-  }
+  // Without the client column, no client is kept.
+  EXPECT_TRUE(densify(source).clients.empty());
 }
 
 TEST(DenseTrace, SyntheticTraceIdsStayInBounds) {
-  synth::TraceGenerator generator(synth::WorkloadProfile::DFN().scaled(0.002));
-  const DenseTrace dense = densify(generator.generate());
-  EXPECT_GT(dense.document_count(), 0u);
-  for (const Request& r : dense.trace.requests) {
-    ASSERT_LT(r.document, dense.document_count());
-  }
-  // Aggregate trace properties are invariant under renumbering.
   const Trace original =
       synth::TraceGenerator(synth::WorkloadProfile::DFN().scaled(0.002))
           .generate();
-  EXPECT_EQ(dense.trace.distinct_documents(), original.distinct_documents());
-  EXPECT_EQ(dense.trace.requested_bytes(), original.requested_bytes());
-  EXPECT_EQ(dense.trace.overall_size_bytes(), original.overall_size_bytes());
+  const DenseTrace dense = densify(original);
+  EXPECT_GT(dense.document_count(), 0u);
+  std::uint64_t requested = 0;
+  for (const ReplayRecord& r : dense.records) {
+    ASSERT_LT(r.document, dense.document_count());
+    requested += r.transfer_size;
+  }
+  // Aggregate trace properties are invariant under renumbering.
+  EXPECT_EQ(dense.document_count(), original.distinct_documents());
+  EXPECT_EQ(requested, original.requested_bytes());
+  EXPECT_EQ(dense.overall_size_bytes(), original.overall_size_bytes());
 }
 
 TEST(DenseTrace, EmptyTrace) {
   const DenseTrace dense = densify(Trace{});
   EXPECT_EQ(dense.document_count(), 0u);
-  EXPECT_TRUE(dense.trace.requests.empty());
+  EXPECT_TRUE(dense.records.empty());
+  EXPECT_EQ(dense.overall_size_bytes(), 0u);
+  EXPECT_EQ(dense.max_transfer_size(), 0u);
 }
 
 }  // namespace

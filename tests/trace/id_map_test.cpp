@@ -105,9 +105,9 @@ TEST(IdMap, DensifyMatchesAnUnorderedMapReferenceOnTheGoldenTrace) {
   }
 
   const DenseTrace dense = densify(source);
-  ASSERT_EQ(dense.trace.requests.size(), reference_ids.size());
+  ASSERT_EQ(dense.records.size(), reference_ids.size());
   for (std::size_t i = 0; i < reference_ids.size(); ++i) {
-    ASSERT_EQ(dense.trace.requests[i].document, reference_ids[i])
+    ASSERT_EQ(dense.records[i].document, reference_ids[i])
         << "request " << i;
   }
   EXPECT_EQ(dense.original_ids, reference_originals);

@@ -111,7 +111,7 @@ TEST(Preprocessor, ClientHashedStableAndNonZero) {
 TEST(Preprocessor, MissingClientIsZero) {
   Preprocessor pre;
   LogEntry e = entry("GET", "http://a/b.gif", 200);
-  e.client = "-";
+  e.client.assign(1, '-');
   const auto r = pre.process(e);
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->client, 0u);

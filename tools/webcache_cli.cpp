@@ -163,11 +163,13 @@ trace::Trace load_trace(const std::string& path, bool squid_format,
 }
 
 /// The replays' load: a WCT1 v4 file comes back densely numbered as
-/// stored, with no intern pass; older files and squid logs densify.
-trace::DenseTrace load_dense_trace(const std::string& path,
-                                   bool squid_format) {
-  if (!squid_format) return trace::read_dense_trace_file(path);
-  return trace::densify(load_trace(path, /*squid_format=*/true));
+/// stored, with no intern pass; older files intern as they decode, and
+/// squid logs densify. Only the hierarchy asks for the client column.
+trace::DenseTrace load_dense_trace(
+    const std::string& path, bool squid_format,
+    trace::ClientColumn clients = trace::ClientColumn::kSkip) {
+  if (!squid_format) return trace::read_dense_trace_file(path, clients);
+  return trace::densify(load_trace(path, /*squid_format=*/true), clients);
 }
 
 void print_recovery_summary(const trace::RecoveryReport& report);
@@ -559,7 +561,7 @@ int cmd_simulate(const util::Args& args) {
   }
   // Every replay below runs on flat arrays indexed by dense id. The
   // recovering loader ignores stored dense ids (a skipped record can drop
-  // a first reference), so its trace is densified in place.
+  // a first reference), so its trace is densified.
   const trace::DenseTrace t = [&args] {
     if (!args.get_bool("recover", false)) {
       return load_dense_trace(args.positional()[0],
@@ -574,7 +576,7 @@ int cmd_simulate(const util::Args& args) {
     trace::Trace recovered =
         trace::read_binary_trace_file_recovering(args.positional()[0], report);
     print_recovery_summary(report);
-    return trace::densify(std::move(recovered));
+    return trace::densify(recovered);
   }();
   const std::string policy = args.get("policy", "GD*(1)");
   const std::uint64_t capacity = capacity_from_args(args, t);
@@ -587,7 +589,7 @@ int cmd_simulate(const util::Args& args) {
   } else {
     // Instrumented replay: identical results, plus the windowed series.
     const std::uint64_t default_window =
-        std::max<std::uint64_t>(1, t.trace.total_requests() / 100);
+        std::max<std::uint64_t>(1, t.total_requests() / 100);
     obs::RecordingSink sink(args.get_uint("metrics-window", default_window));
     r = sim::simulate(t, capacity, spec, simulator_options(args), sink);
     write_metrics_file(metrics_path, r, sink);
@@ -760,7 +762,8 @@ int cmd_hierarchy(const util::Args& args) {
     throw std::invalid_argument("hierarchy: need a trace file");
   }
   const trace::DenseTrace t =
-      load_dense_trace(args.positional()[0], args.get_bool("squid", false));
+      load_dense_trace(args.positional()[0], args.get_bool("squid", false),
+                       trace::ClientColumn::kLoad);
   const double overall = static_cast<double>(t.overall_size_bytes());
 
   sim::HierarchyConfig config;
@@ -794,7 +797,7 @@ int cmd_hierarchy(const util::Args& args) {
     // Instrumented replay: identical results, plus the windowed series
     // (with per-window availability and warm-up curves under --faults).
     const std::uint64_t default_window =
-        std::max<std::uint64_t>(1, t.trace.total_requests() / 100);
+        std::max<std::uint64_t>(1, t.total_requests() / 100);
     obs::RecordingSink sink(args.get_uint("metrics-window", default_window));
     r = have_faults ? sim::simulate_hierarchy(t, config, schedule, sink)
                     : sim::simulate_hierarchy(t, config, sink);
