@@ -58,13 +58,13 @@ int main(int argc, char** argv) {
     }
     ctx.emit(table, "ext_per_class_beta_" + profile.name);
 
-    // The learned per-class exponents, for the record. The frontend owns
-    // the policy, so it must outlive the beta readout below.
+    // The learned per-class exponents, for the record. The cache owns the
+    // policy, so it must outlive the beta readout below.
     auto policy = std::make_unique<cache::GdStarPerClassPolicy>(
         cache::CostModelKind::kPacket);
     const cache::GdStarPerClassPolicy* probe = policy.get();
-    cache::SingleCacheFrontend frontend(capacity, std::move(policy));
-    sim::simulate(t, frontend, ctx.simulator_options());
+    cache::Cache cache(capacity, std::move(policy));
+    sim::simulate(t, cache, ctx.simulator_options());
     util::Table betas(profile.name + ": learned per-class beta (GD*C)");
     std::vector<std::string> header = {""};
     std::vector<std::string> row = {"beta"};

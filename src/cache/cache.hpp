@@ -1,6 +1,8 @@
 // The cache container: capacity accounting, object metadata, per-class
 // occupancy, and the eviction loop. Replacement order is delegated to a
 // ReplacementPolicy chosen at run time; its hooks dispatch virtually.
+// CacheFrontend is the surface the replay loops drive; Cache is its
+// single-box implementation, composites (cache/partitioned.hpp) the others.
 #pragma once
 
 #include <algorithm>
@@ -8,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "cache/object_table.hpp"
@@ -71,17 +74,91 @@ struct AccessOutcome {
   bool was_resident = false;
 };
 
-class Cache {
+/// The minimal surface the simulator needs from a cache, so a composite
+/// organization (a class-partitioned cache) is driven by the same trace
+/// loop as a single Cache, which implements it directly.
+class CacheFrontend {
+ public:
+  virtual ~CacheFrontend() = default;
+
+  virtual AccessOutcome access(ObjectId id, std::uint64_t size,
+                               trace::DocumentClass doc_class,
+                               bool force_miss) = 0;
+  /// Dense-id fast path: every ObjectId subsequently passed to this
+  /// frontend lies in [0, universe) — true for traces run through
+  /// trace::densify(). Composites forward the reservation to every
+  /// underlying cache so each switches its object table's id index to a
+  /// flat array; results are bit-identical either way. The first call
+  /// is only legal while the frontend is empty; later calls may extend the
+  /// universe, as a stream does when it interns a new document, but never
+  /// shrink it (implementations throw std::logic_error).
+  virtual void reserve_dense_ids(std::uint64_t universe) = 0;
+  virtual bool contains(ObjectId id) const = 0;
+  virtual Occupancy occupancy() const = 0;
+  virtual std::uint64_t eviction_count() const = 0;
+  virtual std::uint64_t capacity_bytes() const = 0;
+  /// Human-readable identity for reports (policy name or composite label).
+  virtual std::string description() const = 0;
+
+  /// Installs (nullptr: removes) a removal listener on every underlying
+  /// cache — the instrumentation layer's eviction feed. The listener is not
+  /// owned.
+  virtual void set_removal_listener(RemovalListener* listener) = 0;
+
+  /// Observability snapshot of the underlying replacement state, sampled
+  /// per metrics window. Composites aggregate what aggregates (heap
+  /// entries) and drop what doesn't (a partitioned cache has one aging term
+  /// per partition, not one overall).
+  virtual PolicyProbe policy_probe() const = 0;
+
+  // ---- fault-injection seams (sim/faults.hpp) ----
+  //
+  // The fault-aware replay loops model a frontend as a set of independent
+  // fault domains: a schedule's edge-crash/recover events address domains,
+  // a request whose domain is down is LOST (a single box has no failover
+  // path), and a crash drops the domain's contents cold. A plain Cache is
+  // one domain; a class-partitioned cache is one domain per document
+  // class.
+
+  /// Number of independent fault domains (schedule node indices must be
+  /// smaller). Default: the whole frontend is one domain.
+  virtual std::uint32_t fault_domains() const { return 1; }
+
+  /// Which domain serves requests of this document class.
+  virtual std::uint32_t fault_domain_of(trace::DocumentClass /*cls*/) const {
+    return 0;
+  }
+
+  /// Drops the domain's contents and restarts its replacement state cold
+  /// (Cache::crash semantics: lifetime counters keep running, the removal
+  /// listener is not notified — the objects were lost, not evicted).
+  virtual void crash_domain(std::uint32_t domain) = 0;
+
+  // ---- checkpointing (sim/checkpoint.hpp) ----
+  //
+  // Serializes every underlying cache (accounting, resident objects,
+  // policy state). restore_state is only legal on an empty frontend built
+  // from the identical configuration — the checkpoint fingerprint
+  // enforces that before this is called.
+
+  virtual void save_state(util::StateWriter& w) const = 0;
+  virtual void restore_state(util::StateReader& r) = 0;
+};
+
+class Cache final : public CacheFrontend {
  public:
   // Compatibility aliases: call sites spell these Cache::AccessKind etc.
   using AccessKind = cache::AccessKind;
   using AccessOutcome = cache::AccessOutcome;
 
   /// capacity_bytes == 0 disables storage entirely (everything bypasses).
+  /// The policy's admission limit (ReplacementPolicy::admission_limit;
+  /// LRU-Threshold's size threshold) becomes the cache's.
   Cache(std::uint64_t capacity_bytes,
         std::unique_ptr<ReplacementPolicy> policy)
       : capacity_bytes_(capacity_bytes), policy_(std::move(policy)) {
     if (!policy_) throw std::invalid_argument("Cache: null policy");
+    admission_limit_ = policy_->admission_limit();
   }
 
   /// Dense-id fast path: declares that every ObjectId passed to this cache
@@ -92,13 +169,12 @@ class Cache {
   /// objects (a stream interning ids as it reads them); a first call on a
   /// non-empty cache, or one that would shrink the universe, throws
   /// std::logic_error.
-  void reserve_dense_ids(std::uint64_t universe) {
+  void reserve_dense_ids(std::uint64_t universe) override {
     objects_.reserve_dense(universe);
   }
 
-  /// Admission control: objects larger than `bytes` are never stored
-  /// (kBypass), as in the LRU-Threshold scheme. 0 = unlimited (default).
-  void set_admission_limit(std::uint64_t bytes) { admission_limit_ = bytes; }
+  /// Admission control: objects larger than this are never stored
+  /// (kBypass), as in the LRU-Threshold scheme. 0 = unlimited.
   std::uint64_t admission_limit() const { return admission_limit_; }
 
   /// The one-call protocol used by the simulator: advances the request
@@ -107,7 +183,7 @@ class Cache {
   /// access counts as a miss (the paper's document-modification rule).
   AccessOutcome access(ObjectId id, std::uint64_t size,
                        trace::DocumentClass doc_class,
-                       bool force_miss = false) {
+                       bool force_miss = false) override {
     ++clock_;
     AccessOutcome outcome;
 
@@ -169,7 +245,7 @@ class Cache {
     return true;
   }
 
-  bool contains(ObjectId id) const { return objects_.contains(id); }
+  bool contains(ObjectId id) const override { return objects_.contains(id); }
   /// Metadata of a resident object, or nullptr.
   const CacheObject* find(ObjectId id) const { return objects_.find(id); }
   /// Removes a resident object (invalidation); no-op when absent.
@@ -181,15 +257,15 @@ class Cache {
 
   // ---- accounting ----
 
-  std::uint64_t capacity_bytes() const { return capacity_bytes_; }
+  std::uint64_t capacity_bytes() const override { return capacity_bytes_; }
   std::uint64_t used_bytes() const { return used_bytes_; }
   std::uint64_t object_count() const { return objects_.size(); }
-  std::uint64_t eviction_count() const { return evictions_; }
+  std::uint64_t eviction_count() const override { return evictions_; }
   std::uint64_t insertion_count() const { return insertions_; }
   /// Logical clock: number of access() calls so far.
   std::uint64_t clock() const { return clock_; }
 
-  Occupancy occupancy() const {
+  Occupancy occupancy() const override {
     Occupancy occ;
     occ.objects = class_objects_;
     occ.bytes = class_bytes_;
@@ -199,14 +275,18 @@ class Cache {
   }
 
   const ReplacementPolicy& policy() const { return *policy_; }
+  /// The policy's name, e.g. "GD*(1)" (checkpoint fingerprints carry it).
+  std::string description() const override {
+    return std::string(policy_->name());
+  }
 
   /// Observability snapshot of the policy's internal state (heap size,
   /// aging term, beta estimate); sampled per metrics window.
-  PolicyProbe policy_probe() const { return policy_->probe(); }
+  PolicyProbe policy_probe() const override { return policy_->probe(); }
 
   /// Installs (or, with nullptr, removes) the removal notification hook.
   /// The listener is not owned and must outlive the cache or be detached.
-  void set_removal_listener(RemovalListener* listener) {
+  void set_removal_listener(RemovalListener* listener) override {
     removal_listener_ = listener;
   }
 
@@ -235,6 +315,11 @@ class Cache {
     used_bytes_ = 0;
     class_objects_.fill(0);
     class_bytes_.fill(0);
+  }
+  /// A single box is one fault domain.
+  void crash_domain(std::uint32_t domain) override {
+    if (domain != 0) throw std::logic_error("Cache: only fault domain 0");
+    crash();
   }
 
   /// Exhaustive consistency check (byte accounting vs object table); tests.
@@ -265,7 +350,7 @@ class Cache {
   // calling it. The restored objects take fresh slots, through which the
   // policy's restore maps its saved ids.
 
-  void save_state(util::StateWriter& w) const {
+  void save_state(util::StateWriter& w) const override {
     w.put_u64(admission_limit_);
     w.put_u64(used_bytes_);
     w.put_u64(clock_);
@@ -295,7 +380,7 @@ class Cache {
     policy_->save_state(w, objects_);
   }
 
-  void restore_state(util::StateReader& r) {
+  void restore_state(util::StateReader& r) override {
     if (!objects_.empty()) {
       throw std::logic_error("Cache: restore_state on non-empty cache");
     }

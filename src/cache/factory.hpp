@@ -43,7 +43,8 @@ struct PolicySpec {
   /// `:beta=<x>` key).
   std::optional<double> fixed_beta;
   /// LRU-Threshold only: the admission threshold in bytes (> 0). The
-  /// simulator applies it via Cache::set_admission_limit.
+  /// policy carries it as its admission_limit(), so every Cache built from
+  /// the spec enforces it.
   std::uint64_t admission_threshold_bytes = 512 * 1024;
   /// RANDOM / PROB-LRU: seed for the policy's private draw stream. Not
   /// part of the display name, so two seeds of the same policy report the

@@ -13,9 +13,8 @@
 namespace webcache::cache {
 
 /// LRU-Threshold: plain LRU eviction; documents larger than the threshold
-/// are never admitted. The admission part is enforced by the container
-/// (Cache::set_admission_limit) — this class only carries the name and the
-/// threshold so the factory and reports stay self-describing.
+/// are never admitted. The policy reports the threshold as its
+/// admission_limit(), which the owning Cache installs and enforces.
 class LruThresholdPolicy final : public ReplacementPolicy {
  public:
   explicit LruThresholdPolicy(std::uint64_t threshold_bytes);
@@ -25,6 +24,7 @@ class LruThresholdPolicy final : public ReplacementPolicy {
   std::uint32_t evict(std::uint64_t incoming_size) override;
   void on_erase(const CacheObject& obj) override;
   std::string_view name() const override { return name_; }
+  std::uint64_t admission_limit() const override { return threshold_bytes_; }
   void clear() override;
 
   std::uint64_t threshold_bytes() const { return threshold_bytes_; }

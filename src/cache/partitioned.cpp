@@ -45,10 +45,6 @@ PartitionedCache::PartitionedCache(const PartitionedCacheConfig& config)
         static_cast<double>(config.capacity_bytes) * config.shares[c]);
     partitions_[c] =
         std::make_unique<Cache>(bytes, make_policy(config.policies[c]));
-    if (config.policies[c].kind == PolicyKind::kLruThreshold) {
-      partitions_[c]->set_admission_limit(
-          config.policies[c].admission_threshold_bytes);
-    }
   }
 }
 

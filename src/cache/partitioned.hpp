@@ -16,8 +16,8 @@
 #include <memory>
 #include <string>
 
+#include "cache/cache.hpp"
 #include "cache/factory.hpp"
-#include "cache/frontend.hpp"
 
 namespace webcache::cache {
 

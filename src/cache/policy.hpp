@@ -67,6 +67,11 @@ class ReplacementPolicy {
 
   virtual std::string_view name() const = 0;
 
+  /// Admission control the policy brings with it: the owning Cache never
+  /// stores an object larger than this (0 = unlimited). Read once, by the
+  /// Cache constructor.
+  virtual std::uint64_t admission_limit() const { return 0; }
+
   /// Observability hook: a snapshot of the policy's aging/estimator state,
   /// sampled once per metrics window by obs::RecordingSink. Cold path only;
   /// the default reports nothing.

@@ -17,7 +17,7 @@
 //   * request outcomes arrive from the replay loop (StatsSink::on_access);
 //   * evictions/invalidations arrive through the cache's RemovalListener
 //     seam (RecordingSink implements it; attach via
-//     CacheFrontend::set_removal_listener or Cache::set_removal_listener);
+//     CacheFrontend::set_removal_listener);
 //   * window-boundary snapshots pull from a SnapshotFn — a frontend's
 //     occupancy() + policy_probe() by default, or a caller-provided
 //     closure for composites (the hierarchy sums edges + root).
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "cache/cache.hpp"
-#include "cache/frontend.hpp"
 #include "trace/document_class.hpp"
 
 namespace webcache::obs {

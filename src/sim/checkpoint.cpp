@@ -17,7 +17,6 @@
 #include <stdexcept>
 #include <string>
 #include <system_error>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -667,30 +666,30 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
                                  cache::CacheFrontend& frontend,
                                  const StreamCheckpointJob& job,
                                  const CheckpointFingerprint& fp, Sink& sink,
-                                 Faults* faults) {
+                                 Faults& faults) {
   namespace fs = std::filesystem;
-  constexpr bool kRecording = std::is_same_v<Sink, obs::RecordingSink>;
-  constexpr bool kFaulted = !std::is_same_v<Faults, NoFaultReplay>;
+  constexpr bool kRecording = kRecordingSink<Sink>;
 
   const CheckpointConfig& config = job.checkpoint;
   // Documents are numbered as they stream in, from the stream's stored
-  // dense ids or by interning, and the frontend's dense universe follows
-  // the ids numbered so far. Reserving exactly those lets the id-indexed
-  // vectors grow geometrically underneath, so memory tracks the distinct
-  // documents.
+  // dense ids or by interning, and the frontend's dense universe and the
+  // last-size tracker follow the ids numbered so far. Reserving exactly
+  // those lets the id-indexed vectors grow geometrically underneath, so
+  // memory tracks the distinct documents.
   trace::StreamIds ids;
+  DenseLastSize last_size;
   std::uint64_t reserved = 0;
   const auto reserve_interned = [&] {
     if (ids.size() > reserved) {
       reserved = ids.size();
       frontend.reserve_dense_ids(reserved);
+      last_size.grow(reserved);
     }
   };
-  GrowingDenseLastSize last_size;
 
   if constexpr (kRecording) sink.begin_run(frontend);
-  ReplayCore<GrowingDenseLastSize, Sink, Faults> core(
-      frontend, job.options, last_size, sink, stream.total_requests(), faults);
+  ReplayCore core(frontend, job.options, last_size, sink,
+                  stream.total_requests(), faults);
 
   CheckpointedRun out;
   std::uint64_t skip = 0;
@@ -733,17 +732,18 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
         r.bound_ids(ids.size());
         last_size.restore_state(r);
         r.expect_end();
+        last_size.grow(ids.size());
       }
       if constexpr (kRecording) {
         auto r = reader("metrics");
         sink.restore_state(r);
         r.expect_end();
       }
-      if constexpr (kFaulted) {
+      if constexpr (Faults::kEnabled) {
         // The schedule prefix is pure state: replay it without side effects
         // (the crashed-cache contents and the sink's event counters were
         // already restored above).
-        faults->advance(consumed, [](std::uint32_t, obs::FaultEventKind) {});
+        faults.advance(consumed, [](std::uint32_t, obs::FaultEventKind) {});
       }
       skip = consumed;
       out.resumed_from = consumed;
@@ -842,20 +842,6 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
   return out;
 }
 
-template <typename Sink>
-CheckpointedRun dispatch_faults(trace::RequestStream& stream,
-                                cache::CacheFrontend& frontend,
-                                const StreamCheckpointJob& job,
-                                const CheckpointFingerprint& fp, Sink& sink) {
-  if (job.faults != nullptr) {
-    FaultRun run(*job.faults, frontend.fault_domains(), /*has_root=*/false);
-    return run_checkpointed<Sink, FaultRun>(stream, frontend, job, fp, sink,
-                                            &run);
-  }
-  return run_checkpointed<Sink, NoFaultReplay>(stream, frontend, job, fp,
-                                               sink, nullptr);
-}
-
 }  // namespace
 
 }  // namespace detail
@@ -871,21 +857,20 @@ CheckpointedRun simulate_stream_checkpointed(trace::RequestStream& stream,
   }
   const CheckpointFingerprint fp =
       detail::make_stream_fingerprint(frontend, stream, job);
-  if (job.sink != nullptr) {
-    return detail::dispatch_faults(stream, frontend, job, fp, *job.sink);
-  }
-  obs::NullSink null;
-  return detail::dispatch_faults(stream, frontend, job, fp, null);
+  return detail::dispatch_replay(
+      job.sink, job.faults, frontend.fault_domains(), /*has_root=*/false,
+      [&](auto& sink, auto& faults) {
+        return detail::run_checkpointed(stream, frontend, job, fp, sink,
+                                        faults);
+      });
 }
 
 CheckpointedRun simulate_stream_checkpointed(trace::RequestStream& stream,
                                              std::uint64_t capacity_bytes,
                                              const cache::PolicySpec& policy,
                                              const StreamCheckpointJob& job) {
-  cache::SingleCacheFrontend frontend(capacity_bytes,
-                                     cache::make_policy(policy),
-                                     detail::admission_limit_of(policy));
-  return simulate_stream_checkpointed(stream, frontend, job);
+  cache::Cache cache(capacity_bytes, cache::make_policy(policy));
+  return simulate_stream_checkpointed(stream, cache, job);
 }
 
 }  // namespace webcache::sim

@@ -51,7 +51,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/frontend.hpp"
+#include "cache/cache.hpp"
 #include "obs/stats_sink.hpp"
 #include "sim/faults.hpp"
 #include "sim/simulator.hpp"
@@ -120,7 +120,9 @@ struct CheckpointedRun {
   bool stopped_early = false;
 };
 
-/// Optional collaborators for the streamed replay. The plain
+/// Optional collaborators for the streamed replay, passed the way every
+/// engine takes them (simulate, simulate_hierarchy): a null sink or
+/// schedule runs the uninstrumented or fault-free instantiation. The plain
 /// simulate_stream overloads fill in the same job with no checkpoints.
 struct StreamCheckpointJob {
   SimulatorOptions options{};
@@ -147,8 +149,8 @@ CheckpointedRun simulate_stream_checkpointed(trace::RequestStream& stream,
                                              cache::CacheFrontend& frontend,
                                              const StreamCheckpointJob& job);
 
-/// PolicySpec-taking form: builds a SingleCacheFrontend (LRU-Threshold
-/// specs install their admission limit) and runs the overload above.
+/// PolicySpec-taking form: runs the overload above on a fresh
+/// cache::Cache(capacity_bytes, make_policy(policy)).
 CheckpointedRun simulate_stream_checkpointed(trace::RequestStream& stream,
                                              std::uint64_t capacity_bytes,
                                              const cache::PolicySpec& policy,

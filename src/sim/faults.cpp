@@ -8,8 +8,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "sim/replay_core.hpp"
-
 namespace webcache::sim {
 
 const char* to_string(FaultKind kind) {
@@ -224,37 +222,6 @@ FaultRun::FaultRun(const FaultSchedule& schedule, std::uint32_t node_count,
                    [](const FaultEvent& a, const FaultEvent& b) {
                      return a.at_request < b.at_request;
                    });
-}
-
-namespace {
-
-// The fault-aware overloads run the one materialized loop
-// (detail::replay_trace) with a FaultRun compiled in: a down domain loses
-// the request before the cache is consulted at all. Domains come from the
-// frontend's fault seams (one for a plain cache, one per class partition
-// for a PartitionedCache). The empty-schedule equivalence test in
-// tests/sim/fault_equivalence_test.cpp holds this against the plain loop.
-FaultRun make_frontend_run(const cache::CacheFrontend& frontend,
-                           const FaultSchedule& faults) {
-  return FaultRun(faults, frontend.fault_domains(), /*has_root=*/false);
-}
-
-}  // namespace
-
-SimResult simulate(const trace::DenseTrace& trace,
-                   cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options,
-                   const FaultSchedule& faults) {
-  return detail::replay_trace(trace, frontend, options, obs::NullSink{},
-                              make_frontend_run(frontend, faults));
-}
-
-SimResult simulate(const trace::DenseTrace& trace,
-                   cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options, const FaultSchedule& faults,
-                   obs::RecordingSink& sink) {
-  return detail::replay_trace(trace, frontend, options, sink,
-                              make_frontend_run(frontend, faults));
 }
 
 }  // namespace webcache::sim

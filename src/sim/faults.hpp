@@ -24,8 +24,17 @@
 // sibling is skipped only after 1 + max_probe_retries attempts all time
 // out.
 //
-// With an empty schedule every fault-aware entry point is bit-identical to
-// its plain counterpart (tests/sim/fault_equivalence_test.cpp).
+// A single frontend (simulate, simulate_stream_checkpointed) is a set of
+// fault domains (CacheFrontend::fault_domains): one for a plain Cache, one
+// per document-class partition for a PartitionedCache, so node i is the
+// partition of class i. A crash drops the domain's contents; while down,
+// its requests are lost (a single box has no failover path) and excluded
+// from the latency model. Root and probe events are rejected there.
+//
+// Each engine takes an optional schedule (the trailing `const
+// FaultSchedule*` of simulate and simulate_hierarchy,
+// StreamCheckpointJob::faults); with an empty schedule the run is
+// bit-identical to one without (tests/sim/fault_equivalence_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -33,12 +42,7 @@
 #include <string>
 #include <vector>
 
-#include "cache/frontend.hpp"
 #include "obs/stats_sink.hpp"
-#include "sim/metrics.hpp"
-#include "sim/simulator.hpp"
-#include "trace/dense_trace.hpp"
-#include "trace/request.hpp"
 
 namespace webcache::sim {
 
@@ -111,6 +115,19 @@ inline std::uint64_t mix64(std::uint64_t x) {
 }
 
 }  // namespace detail
+
+/// Stand-in for FaultRun on runs without a schedule: kEnabled folds every
+/// fault branch away under `if constexpr`, and the constant node queries
+/// let shared conditions ("edge_up && ...") optimize out. A loop
+/// instantiated with NoFaults therefore IS the pre-fault loop, bit-identical
+/// by construction (tests/sim/fault_equivalence_test.cpp then pins the
+/// FaultRun instantiation with an empty schedule to the same output).
+struct NoFaults {
+  static constexpr bool kEnabled = false;
+  static constexpr bool node_up(std::uint32_t) { return true; }
+  static constexpr bool root_up() { return true; }
+  static constexpr bool degraded(std::uint32_t) { return false; }
+};
 
 /// The runtime state machine a fault-aware replay loop drives: the sorted
 /// schedule plus per-node up/degraded state. Construction validates the
@@ -220,29 +237,5 @@ class FaultRun {
   std::vector<std::uint8_t> node_up_;
   std::vector<std::uint8_t> degraded_;
 };
-
-// ---- fault-aware single-frontend replay ----
-//
-// Node i is fault domain i of the frontend (CacheFrontend::fault_domains):
-// one domain for a plain cache, one per document-class partition for a
-// PartitionedCache — so for partitioned caches node i is the partition of
-// class i. A crash drops the domain's contents
-// (CacheFrontend::crash_domain); while down, the domain's requests are
-// lost — a single box has no failover path. Root and probe events are
-// rejected at construction. With an empty schedule the result is
-// bit-identical to the plain simulate() overloads
-// (tests/sim/fault_equivalence_test.cpp). Lost requests are excluded from
-// the latency model (nothing was fetched for them). A PartitionedCache
-// binds to these CacheFrontend& overloads directly.
-
-SimResult simulate(const trace::DenseTrace& trace,
-                   cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options,
-                   const FaultSchedule& faults);
-
-SimResult simulate(const trace::DenseTrace& trace,
-                   cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options, const FaultSchedule& faults,
-                   obs::RecordingSink& sink);
 
 }  // namespace webcache::sim

@@ -3,12 +3,12 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
-#include <type_traits>
 #include <vector>
 
 #include "cache/cache.hpp"
 #include "obs/stats_sink.hpp"
 #include "sim/last_size.hpp"
+#include "sim/replay_core.hpp"
 
 namespace webcache::sim {
 
@@ -42,19 +42,6 @@ void validate(const trace::DenseTrace& trace, const HierarchyConfig& config) {
         "with trace::ClientColumn::kLoad)");
   }
 }
-
-// Stand-in for FaultRun on plain (no-schedule) runs: kEnabled folds every
-// fault branch away under `if constexpr`, and the constant-true node
-// queries let the shared conditions ("edge_up && ...") optimize out. The
-// NoFaults instantiation therefore IS the pre-fault loop — bit-identical
-// results by construction (tests/sim/fault_equivalence_test.cpp then pins
-// the FaultRun instantiation with an empty schedule to the same output).
-struct NoFaults {
-  static constexpr bool kEnabled = false;
-  static constexpr bool node_up(std::uint32_t) { return true; }
-  static constexpr bool root_up() { return true; }
-  static constexpr bool degraded(std::uint32_t) { return false; }
-};
 
 // ICP sibling probe: scans the other edges and serves from the first one
 // holding the document. Under faults, down siblings are skipped and a
@@ -300,15 +287,14 @@ HierarchyResult hierarchy_loop(const trace::DenseTrace& trace,
   return result;
 }
 
-// One cache of the mesh, on the trace's dense universe. LRU-Threshold specs
-// install their admission limit, exactly as the single-cache simulate()
-// does (HierarchyReference.* pins both levels to it).
+// One cache of the mesh, on the trace's dense universe, built exactly as
+// the single-cache simulate() builds its one cache (HierarchyReference.*
+// pins both levels to it).
 std::unique_ptr<cache::Cache> make_cache(std::uint64_t capacity_bytes,
                                          const cache::PolicySpec& spec,
                                          std::uint64_t universe) {
   auto c = std::make_unique<cache::Cache>(capacity_bytes,
                                           cache::make_policy(spec));
-  c->set_admission_limit(detail::admission_limit_of(spec));
   c->reserve_dense_ids(universe);
   return c;
 }
@@ -416,59 +402,30 @@ void attach_sink(obs::RecordingSink& sink,
   root.set_removal_listener(&sink);
 }
 
-// Every simulate_hierarchy overload: validate, build the mesh on the
-// trace's dense universe (each cache sees a subset of it, so every one
-// reserves the full bound), attach a recording sink, and replay.
-template <typename F, typename Sink>
-HierarchyResult run_hierarchy(const trace::DenseTrace& trace,
-                              const HierarchyConfig& config, Sink&& sink,
-                              const FaultSchedule* schedule = nullptr) {
-  constexpr bool kRecording =
-      std::is_same_v<std::remove_cvref_t<Sink>, obs::RecordingSink>;
-  validate(trace, config);
-  F faults = [&] {
-    if constexpr (F::kEnabled) {
-      return FaultRun(*schedule, config.edge_count, /*has_root=*/true);
-    } else {
-      return NoFaults{};
-    }
-  }();
-  const std::uint64_t universe = trace.document_count();
-  std::vector<std::unique_ptr<cache::Cache>> edges =
-      make_edges(config, universe);
-  const std::unique_ptr<cache::Cache> root =
-      make_cache(config.root_capacity_bytes, config.root_policy, universe);
-  if constexpr (kRecording) attach_sink(sink, edges, *root);
-  HierarchyResult result =
-      hierarchy_loop(trace, config, edges, *root, faults, sink);
-  if constexpr (kRecording) sink.end_run();
-  return result;
-}
-
 }  // namespace
 
 HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
-                                   const HierarchyConfig& config) {
-  return run_hierarchy<NoFaults>(trace, config, obs::NullSink{});
-}
-
-HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
                                    const HierarchyConfig& config,
-                                   obs::RecordingSink& sink) {
-  return run_hierarchy<NoFaults>(trace, config, sink);
-}
-
-HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
-                                   const HierarchyConfig& config,
-                                   const FaultSchedule& faults) {
-  return run_hierarchy<FaultRun>(trace, config, obs::NullSink{}, &faults);
-}
-
-HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
-                                   const HierarchyConfig& config,
-                                   const FaultSchedule& faults,
-                                   obs::RecordingSink& sink) {
-  return run_hierarchy<FaultRun>(trace, config, sink, &faults);
+                                   obs::RecordingSink* sink,
+                                   const FaultSchedule* faults) {
+  validate(trace, config);
+  return detail::dispatch_replay(
+      sink, faults, config.edge_count, /*has_root=*/true,
+      [&](auto& s, auto& f) {
+        constexpr bool kRecording = detail::kRecordingSink<decltype(s)>;
+        // Each cache sees a subset of the trace's dense universe, so every
+        // one reserves the full bound.
+        const std::uint64_t universe = trace.document_count();
+        std::vector<std::unique_ptr<cache::Cache>> edges =
+            make_edges(config, universe);
+        const std::unique_ptr<cache::Cache> root = make_cache(
+            config.root_capacity_bytes, config.root_policy, universe);
+        if constexpr (kRecording) attach_sink(s, edges, *root);
+        HierarchyResult result =
+            hierarchy_loop(trace, config, edges, *root, f, s);
+        if constexpr (kRecording) s.end_run();
+        return result;
+      });
 }
 
 }  // namespace webcache::sim

@@ -109,46 +109,33 @@ struct HierarchyResult {
 /// trace::read_dense_trace_file with trace::ClientColumn::kLoad), which
 /// keeps the source's client ids, so requests attach to the same edges as
 /// the source trace's; without it the call throws
-/// std::invalid_argument. Each cache is set up exactly as
-/// the single-cache simulate() sets up its one cache (LRU-Threshold specs
-/// install their admission limit): a one-edge mesh without siblings gives
+/// std::invalid_argument. Each cache is built exactly as the single-cache
+/// simulate() builds its one cache: a one-edge mesh without siblings gives
 /// the edge the counters of simulate() at the edge capacity, and with a
 /// zero-capacity edge the root gets those of simulate() at the root
 /// capacity (tests/sim/hierarchy_test.cpp, HierarchyReference.*). Config
 /// errors — no edges, or simulator options that simulate() rejects — throw
 /// std::invalid_argument.
-HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
-                                   const HierarchyConfig& config);
-
-/// Instrumented runs: the sink observes the client-offered stream (a "hit"
-/// is service by any level), evictions from every cache in the mesh, and
+///
+/// `sink` (optional) observes the client-offered stream (a "hit" is
+/// service by any level), evictions from every cache in the mesh, and
 /// per-window snapshots of mesh-wide per-class occupancy and heap size with
-/// the *root's* aging/beta trace. Results are bit-identical to the
-/// uninstrumented overload.
+/// the *root's* aging/beta trace; results are bit-identical without it.
+///
+/// `faults` (optional) replays a schedule: edge crashes lose the edge's
+/// contents and divert its clients to the siblings (when cooperation is on;
+/// down siblings are skipped, degraded ones may time out with bounded
+/// retry) and then to the root; during a root outage edge misses are
+/// served from the origin and still warm the edge; an edge-down/root-down
+/// double fault loses the request (counted in offered.requests, never as a
+/// hit). With an empty schedule the result is bit-identical to a run
+/// without one (tests/sim/fault_equivalence_test.cpp). With a sink, the
+/// sink's fault hooks see per-window availability, failovers, losses, and
+/// post-recovery warm-up curves.
 HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
                                    const HierarchyConfig& config,
-                                   obs::RecordingSink& sink);
-
-// ---- fault-aware runs (sim/faults.hpp) ----
-//
-// Same replay under a FaultSchedule: edge crashes lose the edge's contents
-// and divert its clients to the siblings (when cooperation is on; down
-// siblings are skipped, degraded ones may time out with bounded retry) and
-// then to the root; during a root outage edge misses are served from the
-// origin and still warm the edge; an edge-down/root-down double fault
-// loses the request (counted in offered.requests, never as a hit). With an
-// empty schedule the result is bit-identical to the plain overloads
-// (tests/sim/fault_equivalence_test.cpp). The instrumented form
-// additionally feeds the sink's fault hooks: per-window availability,
-// failovers, losses, and post-recovery warm-up curves.
-
-HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
-                                   const HierarchyConfig& config,
-                                   const FaultSchedule& faults);
-HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
-                                   const HierarchyConfig& config,
-                                   const FaultSchedule& faults,
-                                   obs::RecordingSink& sink);
+                                   obs::RecordingSink* sink = nullptr,
+                                   const FaultSchedule* faults = nullptr);
 
 /// The deterministic request -> edge assignment (exposed for tests):
 /// by client id when present, by request index otherwise.

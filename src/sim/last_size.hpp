@@ -1,12 +1,12 @@
-// Per-document size tracking shared by the trace-replay loops (single-cache
-// simulator and hierarchy simulator).
+// Per-document size tracking shared by the replay loops (materialized,
+// streamed and hierarchy).
 //
 // The paper's document-modification rule needs the previously recorded
 // transfer size of every document, across the whole run (warm-up included).
-// Both trackers are flat vectors indexed by dense id: one sized to a
-// densified trace's universe, one growing with a stream. lookup() returns
-// the stored previous size (for the caller to inspect and overwrite), or
-// nullptr on the document's first appearance, which it records.
+// DenseLastSize keeps it in a flat vector indexed by dense id. lookup()
+// returns the stored previous size (for the caller to inspect and
+// overwrite), or nullptr on the document's first appearance, which it
+// records.
 #pragma once
 
 #include <algorithm>
@@ -52,10 +52,22 @@ inline SizeChange classify_size_change(std::uint64_t previous,
   return change;
 }
 
+/// Flat vector of each document's last transfer size, indexed by dense id.
+/// A materialized replay sizes it once to the trace's universe; a stream
+/// grows it per batch to the ids numbered so far, so at every checkpoint
+/// its length is the count of documents seen.
 class DenseLastSize {
  public:
-  explicit DenseLastSize(std::uint64_t universe)
+  explicit DenseLastSize(std::uint64_t universe = 0)
       : last_(static_cast<std::size_t>(universe), kUnseen) {}
+
+  /// Extends the universe to `universe` ids; never shrinks.
+  void grow(std::uint64_t universe) {
+    if (universe > last_.size()) {
+      last_.resize(static_cast<std::size_t>(universe), kUnseen);
+    }
+  }
+
   std::uint64_t* lookup(trace::DocumentId document, std::uint64_t size) {
     std::uint64_t& slot = last_[static_cast<std::size_t>(document)];
     if (slot == kUnseen) {
@@ -65,33 +77,9 @@ class DenseLastSize {
     return &slot;
   }
 
- private:
-  // No real transfer size reaches 2^64 - 1 bytes, so the sentinel is safe.
-  static constexpr std::uint64_t kUnseen =
-      std::numeric_limits<std::uint64_t>::max();
-  std::vector<std::uint64_t> last_;
-};
-
-/// Flat-vector tracker for streamed replays: the id universe is not known
-/// up front, but trace::IdMap hands out ids sequentially, so the vector
-/// grows amortized-O(1) as new documents appear. Identical lookup semantics
-/// to DenseLastSize.
-class GrowingDenseLastSize {
- public:
-  std::uint64_t* lookup(trace::DocumentId document, std::uint64_t size) {
-    const auto idx = static_cast<std::size_t>(document);
-    if (idx >= last_.size()) last_.resize(idx + 1, kUnseen);
-    std::uint64_t& slot = last_[idx];
-    if (slot == kUnseen) {
-      slot = size;
-      return nullptr;
-    }
-    return &slot;
-  }
-
   /// Checkpointing: the raw vector, sentinels included (the length is the
-  /// high-water dense id and part of the state). Entry i belongs to id i,
-  /// so restore rejects more entries than the reader's id bound.
+  /// count of ids numbered so far and part of the state). Entry i belongs
+  /// to id i, so restore rejects more entries than the reader's id bound.
   void save_state(util::StateWriter& w) const {
     w.put_u64(last_.size());
     for (const std::uint64_t v : last_) w.put_u64(v);
@@ -108,6 +96,7 @@ class GrowingDenseLastSize {
   }
 
  private:
+  // No real transfer size reaches 2^64 - 1 bytes, so the sentinel is safe.
   static constexpr std::uint64_t kUnseen =
       std::numeric_limits<std::uint64_t>::max();
   std::vector<std::uint64_t> last_;

@@ -1,54 +1,78 @@
 // Step-wise core of the replay loops.
 //
-// simulate() (simulator.cpp), the fault-aware simulate() overloads
-// (faults.cpp) and the streaming entry points (streaming.cpp) all advance a
-// cache frontend one request at a time and account the identical SimResult
+// simulate() over a DenseTrace (simulator.cpp) and the streamed replay
+// (simulate_stream_checkpointed, checkpoint.cpp) both advance a cache
+// frontend one request at a time and account the identical SimResult
 // fields. ReplayCore is that per-request body factored into begin/step/
 // finish form, so a chunked stream drives exactly the same instructions as
 // a materialized for-loop — the streamed results are bit-identical by
 // construction, not by parallel maintenance of two loops (the
 // streaming-equivalence suite then checks the construction, and the
-// textbook oracle in tests/support checks the results). Exactly two loops
-// step it: replay_trace() below for densified traces, and run_checkpointed
-// (checkpoint.cpp) for streams.
+// textbook oracle in tests/support checks the results).
 //
-// The Faults parameter follows the sink pattern: the NoFaultReplay
+// The Faults parameter follows the sink pattern: the NoFaults
 // instantiation compiles the fault-domain checks away entirely, so the
-// plain replay is still the pre-fault code path.
+// plain replay is still the pre-fault code path. dispatch_replay() below
+// picks the instantiations from an entry point's optional sink and
+// schedule.
 #pragma once
 
 #include <cmath>
 #include <cstdint>
 #include <type_traits>
-#include <vector>
 
-#include "cache/frontend.hpp"
+#include "cache/cache.hpp"
 #include "obs/stats_sink.hpp"
+#include "sim/faults.hpp"
 #include "sim/last_size.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
 #include "trace/dense_trace.hpp"
-#include "trace/request.hpp"
 
 namespace webcache::sim::detail {
 
-/// Tag selecting the fault-free replay (no per-request fault bookkeeping is
-/// even compiled in).
-struct NoFaultReplay {};
+/// Whether a replay loop instantiated with `Sink` records a series (and so
+/// brackets the run with begin_run/end_run).
+template <typename Sink>
+inline constexpr bool kRecordingSink =
+    std::is_same_v<std::remove_cvref_t<Sink>, obs::RecordingSink>;
 
-template <typename LastSize, obs::StatsSink Sink,
-          typename Faults = NoFaultReplay>
+/// Runs `run(sink, faults)` once, with the instantiations an entry point's
+/// optional collaborators select: obs::NullSink for a null sink (its hooks
+/// compile away), NoFaults for a null schedule (the fault checks compile
+/// away), else the RecordingSink and a FaultRun over `fault_nodes` nodes
+/// (`has_root`: a hierarchy, whose root and sibling probes the schedule may
+/// address).
+template <typename Run>
+auto dispatch_replay(obs::RecordingSink* sink, const FaultSchedule* schedule,
+                     std::uint32_t fault_nodes, bool has_root, Run&& run) {
+  const auto with_faults = [&](auto& s) {
+    if (schedule == nullptr) {
+      NoFaults none;
+      return run(s, none);
+    }
+    FaultRun faults(*schedule, fault_nodes, has_root);
+    return run(s, faults);
+  };
+  if (sink == nullptr) {
+    obs::NullSink null;
+    return with_faults(null);
+  }
+  return with_faults(*sink);
+}
+
+template <obs::StatsSink Sink, typename Faults>
 class ReplayCore {
-  static constexpr bool kFaulted = !std::is_same_v<Faults, NoFaultReplay>;
+  static constexpr bool kFaulted = Faults::kEnabled;
 
  public:
   /// `total_requests` must be the whole run's length (streams know it up
   /// front) — it places the warm-up boundary exactly where a materialized
-  /// replay would. `faults` must outlive the core and is ignored by the
-  /// NoFaultReplay instantiation.
+  /// replay would. `last_size` must cover every id stepped; it and
+  /// `faults` must outlive the core.
   ReplayCore(cache::CacheFrontend& cache, const SimulatorOptions& options,
-             LastSize& last_size, Sink& sink, std::uint64_t total_requests,
-             Faults* faults = nullptr)
+             DenseLastSize& last_size, Sink& sink,
+             std::uint64_t total_requests, Faults& faults)
       : cache_(cache),
         options_(options),
         last_size_(last_size),
@@ -69,7 +93,7 @@ class ReplayCore {
     const std::uint64_t size = r.transfer_size;
 
     if constexpr (kFaulted) {
-      faults_->advance(index_,
+      faults_.advance(index_,
                        [&](std::uint32_t node, obs::FaultEventKind kind) {
                          if (kind == obs::FaultEventKind::kCrash) {
                            cache_.crash_domain(node);
@@ -77,7 +101,7 @@ class ReplayCore {
                          sink_.on_fault_event(node, kind);
                          ++result_.faults.events_applied;
                        });
-      sink_.on_node_state(faults_->up_nodes(), faults_->total_nodes());
+      sink_.on_node_state(faults_.up_nodes(), faults_.total_nodes());
     }
 
     SizeChange change;
@@ -88,7 +112,7 @@ class ReplayCore {
 
     if constexpr (kFaulted) {
       const std::uint32_t node = cache_.fault_domain_of(r.doc_class);
-      if (!faults_->node_up(node)) {
+      if (!faults_.node_up(node)) {
         sink_.on_request_lost(r.doc_class, size, measured);
         if (measured) {
           HitCounters& cls =
@@ -173,38 +197,12 @@ class ReplayCore {
 
   cache::CacheFrontend& cache_;
   const SimulatorOptions& options_;
-  LastSize& last_size_;
+  DenseLastSize& last_size_;
   Sink& sink_;
-  Faults* faults_;
+  Faults& faults_;
   SimResult result_;
   std::uint64_t warmup_ = 0;
   std::uint64_t index_ = 0;
 };
-
-/// The one materialized replay: every simulate() overload over a whole
-/// trace (plain, instrumented or fault-aware) is one call to this. It
-/// validates the options, reserves the trace's dense universe on the
-/// frontend and tracks last sizes in a flat vector. A RecordingSink is
-/// bracketed by begin_run/end_run; a NullSink compiles to nothing.
-/// `faults` is a FaultRun for fault-aware runs.
-template <typename Sink, typename Faults = NoFaultReplay>
-SimResult replay_trace(const trace::DenseTrace& trace,
-                       cache::CacheFrontend& frontend,
-                       const SimulatorOptions& options, Sink&& sink,
-                       Faults faults = {}) {
-  using SinkT = std::remove_cvref_t<Sink>;
-  validate_options(options);
-  const std::vector<trace::ReplayRecord>& records = trace.records;
-  frontend.reserve_dense_ids(trace.document_count());
-  DenseLastSize last_size(trace.document_count());
-  if constexpr (std::is_same_v<SinkT, obs::RecordingSink>) {
-    sink.begin_run(frontend);
-  }
-  ReplayCore<DenseLastSize, SinkT, Faults> core(
-      frontend, options, last_size, sink, records.size(), &faults);
-  for (const trace::ReplayRecord& r : records) core.step(r);
-  if constexpr (std::is_same_v<SinkT, obs::RecordingSink>) sink.end_run();
-  return core.finish();
-}
 
 }  // namespace webcache::sim::detail

@@ -5,57 +5,45 @@
 
 namespace webcache::sim {
 
-// Every dense overload is one detail::replay_trace call
-// (sim/replay_core.hpp); the Trace& one densifies first. Its NullSink
-// instantiation *is* the pre-obs loop: the empty inline hooks compile away
-// and results stay bit-identical (ObsEquivalence*,
-// RecordingSink.SeriesSumsBackToAggregateExactly; perfbench's
-// obs.recording_ns_per_req prices the recording loop).
-
-using detail::admission_limit_of;
-using detail::replay_trace;
-
-SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
-                   const cache::PolicySpec& policy,
-                   const SimulatorOptions& options) {
-  return simulate(trace, capacity_bytes, cache::make_policy(policy), options,
-                  admission_limit_of(policy));
-}
-
-SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
-                   std::unique_ptr<cache::ReplacementPolicy> policy,
-                   const SimulatorOptions& options,
-                   std::uint64_t admission_limit_bytes) {
-  cache::SingleCacheFrontend frontend(capacity_bytes, std::move(policy),
-                                      admission_limit_bytes);
-  return replay_trace(trace, frontend, options, obs::NullSink{});
-}
+// Every materialized replay is one call to the frontend form: one loop over
+// the trace's records stepping the shared ReplayCore. Its NullSink/NoFaults
+// instantiation *is* the pre-obs, pre-fault loop: the empty inline hooks
+// compile away and results stay bit-identical (ObsEquivalence*,
+// FaultEquivalence*, RecordingSink.SeriesSumsBackToAggregateExactly;
+// perfbench's obs.recording_ns_per_req prices the recording loop).
 
 SimResult simulate(const trace::DenseTrace& trace,
                    cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options) {
-  return replay_trace(trace, frontend, options, obs::NullSink{});
+                   const SimulatorOptions& options, obs::RecordingSink* sink,
+                   const FaultSchedule* faults) {
+  detail::validate_options(options);
+  return detail::dispatch_replay(
+      sink, faults, frontend.fault_domains(), /*has_root=*/false,
+      [&](auto& s, auto& f) {
+        constexpr bool kRecording = detail::kRecordingSink<decltype(s)>;
+        frontend.reserve_dense_ids(trace.document_count());
+        detail::DenseLastSize last_size(trace.document_count());
+        if constexpr (kRecording) s.begin_run(frontend);
+        detail::ReplayCore core(frontend, options, last_size, s,
+                                trace.records.size(), f);
+        for (const trace::ReplayRecord& r : trace.records) core.step(r);
+        if constexpr (kRecording) s.end_run();
+        return core.finish();
+      });
+}
+
+SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
+                   const cache::PolicySpec& policy,
+                   const SimulatorOptions& options, obs::RecordingSink* sink,
+                   const FaultSchedule* faults) {
+  cache::Cache cache(capacity_bytes, cache::make_policy(policy));
+  return simulate(trace, cache, options, sink, faults);
 }
 
 SimResult simulate(const trace::Trace& trace, std::uint64_t capacity_bytes,
                    const cache::PolicySpec& policy,
                    const SimulatorOptions& options) {
   return simulate(trace::densify(trace), capacity_bytes, policy, options);
-}
-
-SimResult simulate(const trace::DenseTrace& trace,
-                   cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options, obs::RecordingSink& sink) {
-  return replay_trace(trace, frontend, options, sink);
-}
-
-SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
-                   const cache::PolicySpec& policy,
-                   const SimulatorOptions& options, obs::RecordingSink& sink) {
-  cache::SingleCacheFrontend frontend(capacity_bytes,
-                                      cache::make_policy(policy),
-                                      admission_limit_of(policy));
-  return replay_trace(trace, frontend, options, sink);
 }
 
 }  // namespace webcache::sim

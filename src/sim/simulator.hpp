@@ -15,11 +15,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 
+#include "cache/cache.hpp"
 #include "cache/factory.hpp"
-#include "cache/frontend.hpp"
 #include "obs/stats_sink.hpp"
 #include "sim/metrics.hpp"
 #include "trace/dense_trace.hpp"
@@ -71,46 +70,41 @@ inline void validate_options(const SimulatorOptions& options) {
   }
 }
 
-/// The admission limit a PolicySpec installs on its cache: LRU-Threshold's
-/// size threshold, 0 (unlimited) for every other policy.
-inline std::uint64_t admission_limit_of(const cache::PolicySpec& policy) {
-  return policy.kind == cache::PolicyKind::kLruThreshold
-             ? policy.admission_threshold_bytes
-             : 0;
-}
-
 }  // namespace detail
 
-/// Runs one policy at one cache size over a densified trace
-/// (trace::densify): the cache's object table, the policy's index
-/// structures and the last-size tracker are flat arrays indexed by dense
-/// id. LRU-Threshold specs additionally install their admission limit on
-/// the cache.
-SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
-                   const cache::PolicySpec& policy,
-                   const SimulatorOptions& options = {});
+struct FaultSchedule;  // sim/faults.hpp
 
-/// Same, with a caller-constructed policy — the path for policies that need
-/// out-of-band state, e.g. the clairvoyant OPT bound built from the trace:
+/// The materialized replay: drives any CacheFrontend (a cache::Cache, or a
+/// composite such as cache::PartitionedCache) over a densified trace
+/// (trace::densify). The frontend reserves the trace's dense universe, so
+/// pass an empty one (CacheFrontend::reserve_dense_ids throws
+/// std::logic_error on a non-empty frontend holding sparse ids); its
+/// object table, its policy's index structures and the last-size tracker
+/// are then flat arrays indexed by dense id. A policy that needs
+/// out-of-band state, e.g. the clairvoyant OPT bound built from the trace,
+/// rides in a caller-built Cache:
 ///
-///   simulate(dense, capacity,
-///            std::make_unique<cache::OptPolicy>(dense),
-///            options);
+///   cache::Cache opt(capacity, std::make_unique<cache::OptPolicy>(dense));
+///   simulate(dense, opt, options);
 ///
-/// admission_limit_bytes > 0 installs Cache::set_admission_limit.
-SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
-                   std::unique_ptr<cache::ReplacementPolicy> policy,
-                   const SimulatorOptions& options = {},
-                   std::uint64_t admission_limit_bytes = 0);
-
-/// The most general form: drives any CacheFrontend (a composite cache such
-/// as cache::PartitionedCache, or an adapted plain Cache) over the trace.
-/// The frontend reserves the trace's dense universe, so pass an empty one
-/// (CacheFrontend::reserve_dense_ids throws std::logic_error on a non-empty
-/// frontend holding sparse ids).
+/// `sink` (optional) collects the windowed time series
+/// (obs/stats_sink.hpp); the SimResult is bit-identical without it, and
+/// the sink's series() is valid after return (sinks are reusable:
+/// begin_run resets). `faults` (optional) replays a schedule against the
+/// frontend's fault domains (sim/faults.hpp).
 SimResult simulate(const trace::DenseTrace& trace,
                    cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options = {});
+                   const SimulatorOptions& options = {},
+                   obs::RecordingSink* sink = nullptr,
+                   const FaultSchedule* faults = nullptr);
+
+/// One policy at one cache size: the frontend form above on a fresh
+/// cache::Cache(capacity_bytes, make_policy(policy)).
+SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
+                   const cache::PolicySpec& policy,
+                   const SimulatorOptions& options = {},
+                   obs::RecordingSink* sink = nullptr,
+                   const FaultSchedule* faults = nullptr);
 
 /// A trace with arbitrary (e.g. URL-hash) document ids: densify, then the
 /// dense overload above. It stays because the benchmark harness
@@ -119,20 +113,5 @@ SimResult simulate(const trace::DenseTrace& trace,
 SimResult simulate(const trace::Trace& trace, std::uint64_t capacity_bytes,
                    const cache::PolicySpec& policy,
                    const SimulatorOptions& options = {});
-
-// ---- instrumented runs (obs layer) ----
-//
-// Same replay, with a RecordingSink collecting the windowed time series
-// (obs/stats_sink.hpp). The final SimResult is bit-identical to the
-// uninstrumented overloads — the sink only observes. The sink's series()
-// is valid after return; sinks are reusable (begin_run resets).
-
-SimResult simulate(const trace::DenseTrace& trace,
-                   cache::CacheFrontend& frontend,
-                   const SimulatorOptions& options, obs::RecordingSink& sink);
-
-SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
-                   const cache::PolicySpec& policy,
-                   const SimulatorOptions& options, obs::RecordingSink& sink);
 
 }  // namespace webcache::sim

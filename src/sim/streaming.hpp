@@ -15,72 +15,34 @@
 // request index, so they behave identically when they straddle chunk
 // boundaries (tests/sim/streaming_equivalence_test.cpp pins all of it).
 //
-// Every overload runs the one streamed loop, simulate_stream_checkpointed()
-// (sim/checkpoint.hpp), with checkpoints off. The frontend must start
-// empty.
+// Both overloads run the one streamed loop, simulate_stream_checkpointed()
+// (sim/checkpoint.hpp), with checkpoints off; that function is also the
+// entry point for a caller-built frontend and for fault schedules.
 #pragma once
 
 #include <cstdint>
 
 #include "cache/factory.hpp"
-#include "cache/frontend.hpp"
 #include "obs/stats_sink.hpp"
-#include "sim/faults.hpp"
 #include "sim/simulator.hpp"
 #include "trace/request_stream.hpp"
 
 namespace webcache::sim {
 
-/// Streams the requests through the frontend; the stream is consumed (call
-/// stream.reset() to replay it again).
-SimResult simulate_stream(trace::RequestStream& stream,
-                          cache::CacheFrontend& frontend,
-                          const SimulatorOptions& options = {});
-
-/// Convenience form mirroring simulate(trace, capacity, policy): builds a
-/// SingleCacheFrontend (LRU-Threshold specs install their admission limit).
+/// Streams the requests through a fresh cache::Cache(capacity_bytes,
+/// make_policy(policy)); the stream is consumed (call stream.reset() to
+/// replay it again).
 SimResult simulate_stream(trace::RequestStream& stream,
                           std::uint64_t capacity_bytes,
                           const cache::PolicySpec& policy,
                           const SimulatorOptions& options = {});
-
-SimResult simulate_stream(trace::RequestStream& stream,
-                          std::uint64_t capacity_bytes,
-                          const cache::PolicySpec& policy,
-                          const SimulatorOptions& options,
-                          obs::RecordingSink& sink);
-
-SimResult simulate_stream(trace::RequestStream& stream,
-                          std::uint64_t capacity_bytes,
-                          const cache::PolicySpec& policy,
-                          const SimulatorOptions& options,
-                          const FaultSchedule& faults);
-
-SimResult simulate_stream(trace::RequestStream& stream,
-                          std::uint64_t capacity_bytes,
-                          const cache::PolicySpec& policy,
-                          const SimulatorOptions& options,
-                          const FaultSchedule& faults,
-                          obs::RecordingSink& sink);
 
 /// Instrumented run: the RecordingSink collects the same windowed series a
 /// materialized instrumented simulate() would.
 SimResult simulate_stream(trace::RequestStream& stream,
-                          cache::CacheFrontend& frontend,
+                          std::uint64_t capacity_bytes,
+                          const cache::PolicySpec& policy,
                           const SimulatorOptions& options,
-                          obs::RecordingSink& sink);
-
-/// Fault-aware run: events key off the global 1-based request index, so a
-/// schedule is applied identically however the stream is chunked.
-SimResult simulate_stream(trace::RequestStream& stream,
-                          cache::CacheFrontend& frontend,
-                          const SimulatorOptions& options,
-                          const FaultSchedule& faults);
-
-SimResult simulate_stream(trace::RequestStream& stream,
-                          cache::CacheFrontend& frontend,
-                          const SimulatorOptions& options,
-                          const FaultSchedule& faults,
                           obs::RecordingSink& sink);
 
 }  // namespace webcache::sim

@@ -5,7 +5,7 @@
 #include <memory>
 #include <stdexcept>
 
-#include "cache/frontend.hpp"
+#include "cache/cache.hpp"
 #include "cache/opt.hpp"
 #include "sim/sampled_sweep.hpp"
 #include "sim/stack_sweep.hpp"
@@ -213,9 +213,9 @@ SweepResult run_sweep(const trace::DenseTrace& trace,
                                   config.cache_fractions, columns);
 
   // Fault-aware sweep: every cell replays the schedule against a fresh
-  // single-cache frontend (node 0 = the whole cache). Fault replay is
-  // strictly sequential, so the one-pass fast path is off; the grid itself
-  // still parallelizes across cells.
+  // cache (node 0 = the whole cache). Fault replay is strictly sequential,
+  // so the one-pass fast path is off; the grid itself still parallelizes
+  // across cells.
   if (!config.faults.empty()) {
     for (const cache::PolicySpec& spec : config.policies) {
       if (spec.kind == cache::PolicyKind::kOpt) {
@@ -228,12 +228,10 @@ SweepResult run_sweep(const trace::DenseTrace& trace,
               pending_cells(sweep.points.size(), columns, {},
                             lru_columns_of(config)),
               [&](std::uint64_t capacity, std::size_t p) {
-                const cache::PolicySpec& spec = config.policies[p];
-                cache::SingleCacheFrontend frontend(
-                    capacity, cache::make_policy(spec),
-                    detail::admission_limit_of(spec));
-                return simulate(trace, frontend, config.simulator,
-                                config.faults);
+                cache::Cache cache(capacity,
+                                   cache::make_policy(config.policies[p]));
+                return simulate(trace, cache, config.simulator, nullptr,
+                                &config.faults);
               });
     return sweep;
   }
@@ -254,9 +252,9 @@ SweepResult run_sweep(const trace::DenseTrace& trace,
               const cache::PolicySpec& spec = config.policies[p];
               if (spec.kind == cache::PolicyKind::kOpt) {
                 // OPT's oracle is the future of this very trace.
-                return simulate(trace, capacity,
-                                std::make_unique<cache::OptPolicy>(trace),
-                                config.simulator);
+                cache::Cache opt(capacity,
+                                 std::make_unique<cache::OptPolicy>(trace));
+                return simulate(trace, opt, config.simulator);
               }
               return simulate(trace, capacity, spec, config.simulator);
             },

@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 
+#include "cache/factory.hpp"
 #include "cache/lru.hpp"
 #include "policy_test_util.hpp"
 
@@ -252,6 +253,24 @@ TEST(Cache, ResetClearsEverything) {
   // Still usable after reset.
   EXPECT_EQ(access_sized(cache, 1, 5).kind, Cache::AccessKind::kMiss);
   ASSERT_TRUE(cache.check_invariants());
+}
+
+TEST(Cache, IsItsOwnFrontend) {
+  // The replay loops drive a Cache through the CacheFrontend interface:
+  // one fault domain, reported under the policy's name.
+  Cache cache(100, make_policy("GDS(1)"));
+  CacheFrontend& frontend = cache;
+  EXPECT_EQ(frontend.description(), "GDS(1)");
+  EXPECT_EQ(frontend.capacity_bytes(), 100u);
+  EXPECT_EQ(frontend.access(1, 40, DocumentClass::kImage, false).kind,
+            AccessKind::kMiss);
+  EXPECT_TRUE(frontend.contains(1));
+  EXPECT_EQ(frontend.occupancy().total_bytes, 40u);
+  EXPECT_EQ(frontend.fault_domains(), 1u);
+  EXPECT_THROW(frontend.crash_domain(1), std::logic_error);
+  frontend.crash_domain(0);
+  EXPECT_FALSE(frontend.contains(1));
+  EXPECT_EQ(frontend.occupancy().total_bytes, 0u);
 }
 
 TEST(Cache, ClockCountsAccesses) {

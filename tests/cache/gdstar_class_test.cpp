@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/cache.hpp"
 #include "cache/factory.hpp"
-#include "cache/frontend.hpp"
 #include "sim/simulator.hpp"
 #include "synth/generator.hpp"
 

@@ -36,8 +36,8 @@ TEST(LruThreshold, EvictionOrderIsLru) {
 }
 
 TEST(LruThreshold, CacheAdmissionLimitBypassesLargeObjects) {
+  // The policy's threshold is the cache's admission limit; no setup call.
   Cache cache(1000, std::make_unique<LruThresholdPolicy>(100));
-  cache.set_admission_limit(100);
   EXPECT_EQ(access_sized(cache, 1, 101).kind, Cache::AccessKind::kBypass);
   EXPECT_EQ(access_sized(cache, 2, 100).kind, Cache::AccessKind::kMiss);
   EXPECT_TRUE(cache.contains(2));

@@ -118,8 +118,8 @@ TEST(Opt, WorksThroughSimulatorOverload) {
   sim::SimulatorOptions opts;
   opts.warmup_fraction = 0.0;
   const trace::DenseTrace dense = trace::densify(t);
-  const sim::SimResult opt = sim::simulate(
-      dense, 20000, std::make_unique<OptPolicy>(dense), opts);
+  Cache oracle(20000, std::make_unique<OptPolicy>(dense));
+  const sim::SimResult opt = sim::simulate(dense, oracle, opts);
   EXPECT_EQ(opt.policy_name, "OPT");
   const sim::SimResult lru =
       sim::simulate(t, 20000, policy_spec_from_name("LRU"), opts);
@@ -148,10 +148,9 @@ TEST(Opt, SweepCellMatchesDenseSimulateOnGoldenTrace) {
   config.threads = 2;
   const sim::SweepResult sweep = sim::run_sweep(t, config);
   for (const sim::SweepPoint& point : sweep.points) {
+    Cache oracle(point.capacity_bytes, std::make_unique<OptPolicy>(t));
     const sim::SimResult expected =
-        sim::simulate(t, point.capacity_bytes,
-                      std::make_unique<OptPolicy>(t),
-                      config.simulator);
+        sim::simulate(t, oracle, config.simulator);
     const sim::SimResult& cell = point.results[0];
     EXPECT_EQ(cell.policy_name, "OPT");
     EXPECT_EQ(cell.evictions, expected.evictions);

@@ -81,14 +81,6 @@ const std::vector<trace::DenseTrace>& fuzz_dense_traces() {
   return traces;
 }
 
-// A bare Cache for `spec`, with LRU-Threshold's admission limit installed
-// as the simulator installs it.
-Cache make_cache(const PolicySpec& spec, std::uint64_t capacity) {
-  Cache cache(capacity, make_policy(spec));
-  cache.set_admission_limit(sim::detail::admission_limit_of(spec));
-  return cache;
-}
-
 TEST_P(PolicyPropertyTest, RandomWorkloadKeepsInvariants) {
   Cache cache(10000, make_policy(GetParam()));
   util::Rng rng(2024);
@@ -198,8 +190,8 @@ TEST_P(PolicyPropertyTest, DenseReplayMatchesSparseOnFuzzedTraces) {
   for (std::size_t t = 0; t < fuzz_traces().size(); ++t) {
     const trace::Trace& trace = fuzz_traces()[t];
     const std::uint64_t capacity = trace.overall_size_bytes() / 20;
-    Cache sparse = make_cache(spec, capacity);
-    Cache dense = make_cache(spec, capacity);
+    Cache sparse(capacity, make_policy(spec));
+    Cache dense(capacity, make_policy(spec));
     const std::uint64_t evictions = support::expect_same_accesses(
         trace, sparse, dense, GetParam() + " trace " + std::to_string(t));
     EXPECT_EQ(sparse.eviction_count(), evictions);

@@ -18,7 +18,6 @@
 #include "cache/cache.hpp"
 #include "cache/factory.hpp"
 #include "cache/opt.hpp"
-#include "sim/simulator.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
 #include "util/rng.hpp"
@@ -131,9 +130,6 @@ TEST_P(SlotIndependence, SameOutcomesAndEvictionOrderUnderScrambledSlots) {
     const std::uint64_t capacity = trace.overall_size_bytes() / 20;
     Cache fresh(capacity, make_policy(spec));
     Cache scrambled(capacity, make_policy(spec));
-    for (Cache* c : {&fresh, &scrambled}) {
-      c->set_admission_limit(sim::detail::admission_limit_of(spec));
-    }
     scramble_free_slots(scrambled);
     expect_slot_independent(trace, fresh, scrambled,
                             GetParam() + " trace " + std::to_string(t));

@@ -119,7 +119,7 @@ TEST(GoldenFault, ScheduleReplayMatchesGoldenCounters) {
   ASSERT_FALSE(schedule.empty());
 
   const sim::HierarchyResult r =
-      sim::simulate_hierarchy(t, golden_config(t), schedule);
+      sim::simulate_hierarchy(t, golden_config(t), nullptr, &schedule);
   const auto actual = flatten(r);
 
   // The scenario must actually exercise every degraded-routing path —
@@ -162,7 +162,7 @@ TEST(GoldenFault, DensePathMatchesGoldenCounters) {
       sim::load_fault_schedule_file(data_path("golden_faults.schedule"));
   obs::RecordingSink sink(500);
   const sim::HierarchyResult r =
-      sim::simulate_hierarchy(t, golden_config(t), schedule, sink);
+      sim::simulate_hierarchy(t, golden_config(t), &sink, &schedule);
   expect_matches_golden(read_golden(in), flatten(r), "instrumented");
   EXPECT_EQ(sink.series().total_requests, t.total_requests());
   EXPECT_EQ(sink.series().fault_nodes, 4u);  // 3 edges + the root

@@ -273,9 +273,9 @@ TEST_F(PaperClaimsTest, Figure1AdaptabilityShapes) {
   obs::RecordingSink packet(window);
   const trace::DenseTrace dense = trace::densify(figure_trace);
   sim::simulate(dense, capacity, cache::policy_spec_from_name("GD*(1)"), {},
-                constant);
+                &constant);
   sim::simulate(dense, capacity, cache::policy_spec_from_name("GD*(packet)"),
-                {}, packet);
+                {}, &packet);
 
   const std::vector<obs::WindowSample>& windows1 = constant.series().windows;
   const std::vector<obs::WindowSample>& windows2 = packet.series().windows;

@@ -13,8 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "cache/cache.hpp"
 #include "cache/factory.hpp"
-#include "cache/frontend.hpp"
 #include "cache/opt.hpp"
 #include "obs/stats_sink.hpp"
 #include "sim/hierarchy.hpp"
@@ -62,7 +62,7 @@ TEST_P(ObsEquivalenceTest, RecordingSinkIsAPureObserver) {
   RecordingSink sink(500);
   const sim::SimResult plain = sim::simulate(dense, capacity, spec, options);
   const sim::SimResult instrumented =
-      sim::simulate(dense, capacity, spec, options, sink);
+      sim::simulate(dense, capacity, spec, options, &sink);
   expect_same_result(plain, instrumented, GetParam());
   if (oracle::supports(spec)) {
     expect_same_result(oracle::replay(trace, capacity, spec, options),
@@ -84,19 +84,18 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, ObsEquivalenceTest,
 
 TEST(ObsEquivalence, OptBoundIsUnchangedByInstrumentation) {
   // OPT needs out-of-band state (the future-reference oracle), so it runs
-  // through the frontend overloads rather than a PolicySpec.
+  // in a caller-built Cache rather than from a PolicySpec.
   const trace::DenseTrace dense = trace::densify(recorded_trace());
   const std::uint64_t capacity = dense.overall_size_bytes() / 25;
   const sim::SimulatorOptions options;
 
-  cache::SingleCacheFrontend plain(
-      capacity, std::make_unique<cache::OptPolicy>(dense));
+  cache::Cache plain(capacity, std::make_unique<cache::OptPolicy>(dense));
   const sim::SimResult a = sim::simulate(dense, plain, options);
 
   RecordingSink sink(500);
-  cache::SingleCacheFrontend instrumented(
-      capacity, std::make_unique<cache::OptPolicy>(dense));
-  const sim::SimResult b = sim::simulate(dense, instrumented, options, sink);
+  cache::Cache instrumented(capacity,
+                            std::make_unique<cache::OptPolicy>(dense));
+  const sim::SimResult b = sim::simulate(dense, instrumented, options, &sink);
   expect_same_result(a, b, "OPT");
 }
 
@@ -114,7 +113,7 @@ TEST(ObsEquivalence, HierarchyIsUnchangedByInstrumentation) {
 
   const sim::HierarchyResult a = sim::simulate_hierarchy(dense, config);
   RecordingSink sink(500);
-  const sim::HierarchyResult b = sim::simulate_hierarchy(dense, config, sink);
+  const sim::HierarchyResult b = sim::simulate_hierarchy(dense, config, &sink);
 
   expect_same_counters(a.offered, b.offered, "offered");
   expect_same_counters(a.edge_hits, b.edge_hits, "edge");

@@ -73,7 +73,7 @@ TEST(RecordingSink, WindowsPartitionTheRequestStream) {
   const trace::DenseTrace t = recorded_trace();
   RecordingSink sink(kWindow);
   sim::simulate(t, capacity_of(t), cache::policy_spec_from_name("GD*(1)"),
-                {}, sink);
+                {}, &sink);
 
   const MetricsSeries& series = sink.series();
   EXPECT_EQ(series.window_requests, kWindow);
@@ -102,7 +102,7 @@ TEST(RecordingSink, SeriesSumsBackToAggregateExactly) {
        {"LRU", "GD*(1)", "GD*(packet)", "LRU-THOLD(300000)", "LFU-DA"}) {
     const cache::PolicySpec spec = cache::policy_spec_from_name(name);
     RecordingSink sink(kWindow);
-    const sim::SimResult r = sim::simulate(t, capacity_of(t), spec, {}, sink);
+    const sim::SimResult r = sim::simulate(t, capacity_of(t), spec, {}, &sink);
     expect_sums_back(sink.series(), r, name);
   }
 }
@@ -111,7 +111,7 @@ TEST(RecordingSink, PerClassCountersSumToOverallPerWindow) {
   const trace::DenseTrace t = recorded_trace();
   RecordingSink sink(kWindow);
   sim::simulate(t, capacity_of(t),
-                cache::policy_spec_from_name("GDS(packet)"), {}, sink);
+                cache::policy_spec_from_name("GDS(packet)"), {}, &sink);
 
   for (const WindowSample& w : sink.series().windows) {
     WindowCounters sum;
@@ -131,7 +131,7 @@ TEST(RecordingSink, PolicyStateTracesMatchThePolicy) {
   // GD* exposes the full probe: heap, inflation L, online beta.
   RecordingSink gdstar(kWindow);
   sim::simulate(t, capacity_of(t), cache::policy_spec_from_name("GD*(1)"),
-                {}, gdstar);
+                {}, &gdstar);
   for (const WindowSample& w : gdstar.series().windows) {
     EXPECT_TRUE(w.state.aging.has_value());
     EXPECT_TRUE(w.state.beta.has_value());
@@ -143,7 +143,7 @@ TEST(RecordingSink, PolicyStateTracesMatchThePolicy) {
   // LFU-DA has an aging term (the cache age) but no beta.
   RecordingSink lfuda(kWindow);
   sim::simulate(t, capacity_of(t), cache::policy_spec_from_name("LFU-DA"),
-                {}, lfuda);
+                {}, &lfuda);
   for (const WindowSample& w : lfuda.series().windows) {
     EXPECT_TRUE(w.state.aging.has_value());
     EXPECT_FALSE(w.state.beta.has_value());
@@ -152,7 +152,7 @@ TEST(RecordingSink, PolicyStateTracesMatchThePolicy) {
   // LRU has neither; the capacity bound must hold in every snapshot.
   RecordingSink lru(kWindow);
   const sim::SimResult r = sim::simulate(
-      t, capacity_of(t), cache::policy_spec_from_name("LRU"), {}, lru);
+      t, capacity_of(t), cache::policy_spec_from_name("LRU"), {}, &lru);
   for (const WindowSample& w : lru.series().windows) {
     EXPECT_FALSE(w.state.aging.has_value());
     EXPECT_FALSE(w.state.beta.has_value());
@@ -166,11 +166,11 @@ TEST(RecordingSink, ReusableAcrossRuns) {
 
   RecordingSink sink(kWindow);
   const sim::SimResult first =
-      sim::simulate(t, capacity_of(t), spec, {}, sink);
+      sim::simulate(t, capacity_of(t), spec, {}, &sink);
   const std::size_t first_windows = sink.series().windows.size();
 
   const sim::SimResult second =
-      sim::simulate(t, capacity_of(t), spec, {}, sink);
+      sim::simulate(t, capacity_of(t), spec, {}, &sink);
   EXPECT_EQ(sink.series().windows.size(), first_windows)
       << "begin_run must reset the series";
   EXPECT_EQ(sink.series().total_requests, t.total_requests());
@@ -188,7 +188,7 @@ TEST(RecordingSink, HierarchySinkObservesTheOfferedStream) {
   config.edge_capacity_bytes = config.root_capacity_bytes / 4;
 
   RecordingSink sink(kWindow);
-  const sim::HierarchyResult r = sim::simulate_hierarchy(t, config, sink);
+  const sim::HierarchyResult r = sim::simulate_hierarchy(t, config, &sink);
 
   const WindowCounters totals = sink.series().totals();
   // The sink sees the client-offered stream: a hit is service by any level.
@@ -212,7 +212,7 @@ TEST(RecordingSink, PartitionedFrontendAggregatesTheProbe) {
 
   cache::PartitionedCache cache(config);
   RecordingSink sink(kWindow);
-  const sim::SimResult r = sim::simulate(t, cache, {}, sink);
+  const sim::SimResult r = sim::simulate(t, cache, {}, &sink);
   expect_sums_back(sink.series(), r, "partitioned");
 
   for (const WindowSample& w : sink.series().windows) {

@@ -14,8 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "cache/cache.hpp"
 #include "cache/factory.hpp"
-#include "cache/frontend.hpp"
 #include "cache/lru.hpp"
 #include "obs/stats_sink.hpp"
 #include "sim/checkpoint.hpp"
@@ -155,7 +155,7 @@ TEST(CheckpointFuzz, HugeCountsRejectedByNameBeforeAllocating) {
     const std::vector<std::uint8_t> bytes = with_count({}, kHuge);
     expect_named_rejection("last-size entry", [&] {
       util::StateReader r(bytes.data(), bytes.size(), "lastsize");
-      detail::GrowingDenseLastSize().restore_state(r);
+      detail::DenseLastSize().restore_state(r);
     });
   }
   {
@@ -186,7 +186,7 @@ class NewestCheckpoint {
     job_.checkpoint.stop_after_requests = 6000;
     {
       trace::MemoryRequestStream stream(t_, 4096);
-      cache::SingleCacheFrontend frontend(capacity_, cache::make_policy(spec_));
+      cache::Cache frontend(capacity_, cache::make_policy(spec_));
       EXPECT_TRUE(
           simulate_stream_checkpointed(stream, frontend, job_).stopped_early);
     }
@@ -226,7 +226,7 @@ class NewestCheckpoint {
     job_.checkpoint.stop_after_requests = 0;
     job_.checkpoint.resume = true;
     trace::MemoryRequestStream stream(t_, 4096);
-    cache::SingleCacheFrontend frontend(capacity_, cache::make_policy(spec_));
+    cache::Cache frontend(capacity_, cache::make_policy(spec_));
     try {
       simulate_stream_checkpointed(stream, frontend, job_);
     } catch (const std::runtime_error& e) {

@@ -16,8 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "cache/cache.hpp"
 #include "cache/factory.hpp"
-#include "cache/frontend.hpp"
 #include "obs/stats_sink.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/faults.hpp"
@@ -39,14 +39,16 @@ trace::Trace recorded_trace() {
   return generator.generate();
 }
 
-cache::SingleCacheFrontend make_frontend(const cache::PolicySpec& spec,
-                                         std::uint64_t capacity) {
-  const std::uint64_t admission_limit =
-      spec.kind == cache::PolicyKind::kLruThreshold
-          ? spec.admission_threshold_bytes
-          : 0;
-  return cache::SingleCacheFrontend(capacity, cache::make_policy(spec),
-                                    admission_limit);
+cache::Cache make_frontend(const cache::PolicySpec& spec,
+                           std::uint64_t capacity) {
+  return cache::Cache(capacity, cache::make_policy(spec));
+}
+
+/// The checkpoint-free streamed replay, as simulate_stream runs it.
+SimResult plain_stream(trace::RequestStream& stream,
+                       cache::CacheFrontend& frontend,
+                       const StreamCheckpointJob& job) {
+  return simulate_stream_checkpointed(stream, frontend, job).result;
 }
 
 /// A fresh, empty checkpoint directory under the test temp root.
@@ -83,8 +85,8 @@ TEST(CheckpointRoundTrip, AllFactoryPoliciesSplitRunMatchesUninterrupted) {
     const cache::PolicySpec spec = cache::policy_spec_from_name(name);
 
     trace::MemoryRequestStream s0(t, 4096);
-    cache::SingleCacheFrontend f0 = make_frontend(spec, capacity);
-    const SimResult baseline = simulate_stream(s0, f0, options);
+    cache::Cache f0 = make_frontend(spec, capacity);
+    const SimResult baseline = plain_stream(s0, f0, {.options = options});
 
     const std::string dir = fresh_dir("policy_" + std::to_string(index++));
     StreamCheckpointJob job;
@@ -96,7 +98,7 @@ TEST(CheckpointRoundTrip, AllFactoryPoliciesSplitRunMatchesUninterrupted) {
     job.checkpoint.stop_after_requests = half;
 
     trace::MemoryRequestStream s1(t, 4096);
-    cache::SingleCacheFrontend f1 = make_frontend(spec, capacity);
+    cache::Cache f1 = make_frontend(spec, capacity);
     const CheckpointedRun phase1 = simulate_stream_checkpointed(s1, f1, job);
     EXPECT_TRUE(phase1.stopped_early) << name;
     EXPECT_GT(phase1.checkpoints_written, 0u) << name;
@@ -128,9 +130,9 @@ TEST(CheckpointRoundTrip, InstrumentedThreeSegmentRun) {
 
     obs::RecordingSink baseline_sink(113);
     trace::MemoryRequestStream s0(t, 4096);
-    cache::SingleCacheFrontend f0 = make_frontend(spec, capacity);
+    cache::Cache f0 = make_frontend(spec, capacity);
     const SimResult baseline =
-        simulate_stream(s0, f0, options, baseline_sink);
+        plain_stream(s0, f0, {.options = options, .sink = &baseline_sink});
     std::ostringstream baseline_json;
     write_metrics_json(baseline_json, baseline, baseline_sink.series());
 
@@ -149,7 +151,7 @@ TEST(CheckpointRoundTrip, InstrumentedThreeSegmentRun) {
       obs::RecordingSink sink(113);
       job.sink = &sink;
       trace::MemoryRequestStream stream(t, 4096);
-      cache::SingleCacheFrontend frontend = make_frontend(spec, capacity);
+      cache::Cache frontend = make_frontend(spec, capacity);
       const CheckpointedRun run =
           simulate_stream_checkpointed(stream, frontend, job);
       job.checkpoint.resume = true;  // every later segment resumes
@@ -187,8 +189,9 @@ TEST(CheckpointRoundTrip, FaultScheduleCursorSurvivesTheSplit) {
   schedule.seed = 17;
 
   trace::MemoryRequestStream s0(t, 4096);
-  cache::SingleCacheFrontend f0 = make_frontend(spec, capacity);
-  const SimResult baseline = simulate_stream(s0, f0, options, schedule);
+  cache::Cache f0 = make_frontend(spec, capacity);
+  const SimResult baseline =
+      plain_stream(s0, f0, {.options = options, .faults = &schedule});
 
   const std::string dir = fresh_dir("faults");
   StreamCheckpointJob job;
@@ -200,14 +203,14 @@ TEST(CheckpointRoundTrip, FaultScheduleCursorSurvivesTheSplit) {
   job.faults = &schedule;
 
   trace::MemoryRequestStream s1(t, 4096);
-  cache::SingleCacheFrontend f1 = make_frontend(spec, capacity);
+  cache::Cache f1 = make_frontend(spec, capacity);
   const CheckpointedRun phase1 = simulate_stream_checkpointed(s1, f1, job);
   EXPECT_TRUE(phase1.stopped_early);
 
   job.checkpoint.stop_after_requests = 0;
   job.checkpoint.resume = true;
   trace::MemoryRequestStream s2(t, 4096);
-  cache::SingleCacheFrontend f2 = make_frontend(spec, capacity);
+  cache::Cache f2 = make_frontend(spec, capacity);
   const CheckpointedRun done = simulate_stream_checkpointed(s2, f2, job);
   EXPECT_EQ(done.resumed_from, half);
   expect_same_result(baseline, done.result, "faulted split");
@@ -221,8 +224,8 @@ TEST(CheckpointRoundTrip, ResumeOnEmptyDirectoryIsAColdStart) {
   const cache::PolicySpec spec = cache::policy_spec_from_name("GDSF(1)");
 
   trace::MemoryRequestStream s0(t, 4096);
-  cache::SingleCacheFrontend f0 = make_frontend(spec, capacity);
-  const SimResult baseline = simulate_stream(s0, f0, options);
+  cache::Cache f0 = make_frontend(spec, capacity);
+  const SimResult baseline = plain_stream(s0, f0, {.options = options});
 
   const std::string dir = fresh_dir("cold");
   StreamCheckpointJob job;
@@ -233,7 +236,7 @@ TEST(CheckpointRoundTrip, ResumeOnEmptyDirectoryIsAColdStart) {
   job.checkpoint.trace_source = "synthetic-dfn-0.002";
 
   trace::MemoryRequestStream s1(t, 4096);
-  cache::SingleCacheFrontend f1 = make_frontend(spec, capacity);
+  cache::Cache f1 = make_frontend(spec, capacity);
   const CheckpointedRun run = simulate_stream_checkpointed(s1, f1, job);
   EXPECT_EQ(run.resumed_from, 0u);
   EXPECT_GT(run.checkpoints_written, 0u);
@@ -248,13 +251,13 @@ TEST(CheckpointRoundTrip, NoCheckpointConfigReplaysPlain) {
   const cache::PolicySpec spec = cache::policy_spec_from_name("LFU-DA");
 
   trace::MemoryRequestStream s0(t, 4096);
-  cache::SingleCacheFrontend f0 = make_frontend(spec, capacity);
-  const SimResult baseline = simulate_stream(s0, f0, options);
+  cache::Cache f0 = make_frontend(spec, capacity);
+  const SimResult baseline = plain_stream(s0, f0, {.options = options});
 
   StreamCheckpointJob job;  // every == 0, resume == false: no dir needed
   job.options = options;
   trace::MemoryRequestStream s1(t, 4096);
-  cache::SingleCacheFrontend f1 = make_frontend(spec, capacity);
+  cache::Cache f1 = make_frontend(spec, capacity);
   const CheckpointedRun run = simulate_stream_checkpointed(s1, f1, job);
   EXPECT_EQ(run.checkpoints_written, 0u);
   EXPECT_EQ(run.resumed_from, 0u);
@@ -280,7 +283,7 @@ TEST(CheckpointRoundTrip, MismatchedResumeConfigurationsRejectedByName) {
 
   const cache::PolicySpec lru = cache::policy_spec_from_name("LRU");
   trace::MemoryRequestStream s1(t, 4096);
-  cache::SingleCacheFrontend f1 = make_frontend(lru, capacity);
+  cache::Cache f1 = make_frontend(lru, capacity);
   ASSERT_TRUE(simulate_stream_checkpointed(s1, f1, job).stopped_early);
 
   job.checkpoint.stop_after_requests = 0;
@@ -291,7 +294,7 @@ TEST(CheckpointRoundTrip, MismatchedResumeConfigurationsRejectedByName) {
                                    std::uint64_t cap,
                                    const std::string& field) {
     trace::MemoryRequestStream stream(t, 4096);
-    cache::SingleCacheFrontend frontend = make_frontend(spec, cap);
+    cache::Cache frontend = make_frontend(spec, cap);
     try {
       simulate_stream_checkpointed(stream, frontend, bad);
       FAIL() << "resume accepted a mismatched " << field;
@@ -333,7 +336,7 @@ TEST(CheckpointRoundTrip, MismatchedResumeConfigurationsRejectedByName) {
 
   // The matching configuration still resumes fine afterwards.
   trace::MemoryRequestStream s2(t, 4096);
-  cache::SingleCacheFrontend f2 = make_frontend(lru, capacity);
+  cache::Cache f2 = make_frontend(lru, capacity);
   EXPECT_EQ(simulate_stream_checkpointed(s2, f2, job).resumed_from, half);
   fs::remove_all(dir);
 }
@@ -352,7 +355,7 @@ TEST(CheckpointRoundTrip, RetentionKeepsOnlyNewestFiles) {
   job.checkpoint.trace_source = "synthetic-dfn-0.002";
 
   trace::MemoryRequestStream stream(t, 4096);
-  cache::SingleCacheFrontend frontend =
+  cache::Cache frontend =
       make_frontend(cache::policy_spec_from_name("LRU"), capacity);
   const CheckpointedRun run = simulate_stream_checkpointed(stream, frontend, job);
   EXPECT_GT(run.checkpoints_written, 2u);
@@ -401,7 +404,7 @@ TEST(CheckpointRoundTrip, RecycledFilesEqualFreshOnes) {
   job.checkpoint.keep = 100;
   {
     trace::MemoryRequestStream stream(t, 4096);
-    cache::SingleCacheFrontend frontend = make_frontend(spec, capacity);
+    cache::Cache frontend = make_frontend(spec, capacity);
     simulate_stream_checkpointed(stream, frontend, job);
   }
 
@@ -423,7 +426,7 @@ TEST(CheckpointRoundTrip, RecycledFilesEqualFreshOnes) {
     job.checkpoint.stop_after_requests = stop;
     job.checkpoint.resume = stop > kEvery;
     trace::MemoryRequestStream stream(t, 4096);
-    cache::SingleCacheFrontend frontend = make_frontend(spec, capacity);
+    cache::Cache frontend = make_frontend(spec, capacity);
     ASSERT_TRUE(simulate_stream_checkpointed(stream, frontend, job)
                     .stopped_early);
     std::vector<fs::path> files;
@@ -452,8 +455,8 @@ TEST(CheckpointRoundTrip, ResumeIgnoresTheSpareAndAStaleTempFile) {
   const SimulatorOptions options;
 
   trace::MemoryRequestStream s0(t, 4096);
-  cache::SingleCacheFrontend f0 = make_frontend(spec, capacity);
-  const SimResult baseline = simulate_stream(s0, f0, options);
+  cache::Cache f0 = make_frontend(spec, capacity);
+  const SimResult baseline = plain_stream(s0, f0, {.options = options});
 
   const std::string dir = fresh_dir("resume_ignores");
   StreamCheckpointJob job;
@@ -465,7 +468,7 @@ TEST(CheckpointRoundTrip, ResumeIgnoresTheSpareAndAStaleTempFile) {
   job.checkpoint.stop_after_requests = 3000;
   {
     trace::MemoryRequestStream stream(t, 4096);
-    cache::SingleCacheFrontend frontend = make_frontend(spec, capacity);
+    cache::Cache frontend = make_frontend(spec, capacity);
     ASSERT_TRUE(
         simulate_stream_checkpointed(stream, frontend, job).stopped_early);
   }
@@ -480,7 +483,7 @@ TEST(CheckpointRoundTrip, ResumeIgnoresTheSpareAndAStaleTempFile) {
   job.checkpoint.stop_after_requests = 0;
   job.checkpoint.resume = true;
   trace::MemoryRequestStream stream(t, 4096);
-  cache::SingleCacheFrontend frontend = make_frontend(spec, capacity);
+  cache::Cache frontend = make_frontend(spec, capacity);
   const CheckpointedRun done =
       simulate_stream_checkpointed(stream, frontend, job);
   EXPECT_EQ(done.resumed_from, 3000u);

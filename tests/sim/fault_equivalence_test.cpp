@@ -83,7 +83,8 @@ TEST(FaultEquivalence, EmptyScheduleMatchesPlainHierarchy) {
     config.sibling_cooperation = true;
 
     const HierarchyResult plain = simulate_hierarchy(dense, config);
-    const HierarchyResult faulted = simulate_hierarchy(dense, config, empty);
+    const HierarchyResult faulted =
+        simulate_hierarchy(dense, config, nullptr, &empty);
     expect_identical(plain, faulted, name);
     expect_no_fault_stats(faulted.faults, name);
   }
@@ -106,15 +107,16 @@ TEST(FaultEquivalence, EmptyScheduleMatchesPlainPartitioned) {
     cache::PartitionedCache plain_cache(config);
     const SimResult plain = simulate(dense, plain_cache, options);
     cache::PartitionedCache fault_cache(config);
-    const SimResult faulted = simulate(dense, fault_cache, options, empty);
+    const SimResult faulted =
+        simulate(dense, fault_cache, options, nullptr, &empty);
     expect_same_result(plain, faulted, name + " partitioned");
     expect_no_fault_stats(faulted.faults, name + " partitioned");
 
     // A single cache under the empty schedule is the paper's simulator.
     if (oracle::supports(spec)) {
-      cache::SingleCacheFrontend single(capacity, cache::make_policy(spec));
+      cache::Cache single(capacity, cache::make_policy(spec));
       expect_same_result(oracle::replay(trace, capacity, spec, options),
-                         simulate(dense, single, options, empty),
+                         simulate(dense, single, options, nullptr, &empty),
                          name + " single cache vs oracle");
     }
   }
@@ -135,11 +137,11 @@ TEST(FaultEquivalence, InstrumentedEmptyScheduleMatchesPlainSeries) {
   config.sibling_cooperation = true;
 
   obs::RecordingSink plain_sink(500);
-  const HierarchyResult plain = simulate_hierarchy(t, config, plain_sink);
+  const HierarchyResult plain = simulate_hierarchy(t, config, &plain_sink);
   obs::RecordingSink fault_sink(500);
   const FaultSchedule empty;
   const HierarchyResult faulted =
-      simulate_hierarchy(t, config, empty, fault_sink);
+      simulate_hierarchy(t, config, &fault_sink, &empty);
 
   expect_identical(plain, faulted, "instrumented");
   const obs::MetricsSeries& a = plain_sink.series();

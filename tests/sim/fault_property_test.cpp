@@ -98,7 +98,7 @@ TEST(FaultProperty, RandomHierarchySchedulesConserveRequests) {
                               std::to_string(s.events.size()) + " events)";
 
     obs::RecordingSink sink(1 + rng.below(2000));
-    const HierarchyResult r = simulate_hierarchy(t, config, s, sink);
+    const HierarchyResult r = simulate_hierarchy(t, config, &sink, &s);
 
     // Overall conservation: lost requests are offered, never hits; every
     // hit happened at exactly one level (no double counting).
@@ -132,7 +132,7 @@ TEST(FaultProperty, RandomHierarchySchedulesConserveRequests) {
     EXPECT_EQ(totals.lost, r.faults.lost_requests) << label;
 
     // The instrumented run is a pure observation of the uninstrumented one.
-    const HierarchyResult bare = simulate_hierarchy(t, config, s);
+    const HierarchyResult bare = simulate_hierarchy(t, config, nullptr, &s);
     EXPECT_EQ(bare.offered.hits, r.offered.hits) << label;
     EXPECT_EQ(bare.faults.lost_requests, r.faults.lost_requests) << label;
     EXPECT_EQ(bare.faults.probe_timeouts, r.faults.probe_timeouts) << label;
@@ -157,7 +157,7 @@ TEST(FaultProperty, RandomPartitionedSchedulesConserveRequests) {
             cache::policy_spec_from_name("LRU"), weights));
     obs::RecordingSink sink(1 + rng.below(2000));
     SimulatorOptions options;
-    const SimResult r = simulate(trace::densify(t), cache, options, s, sink);
+    const SimResult r = simulate(trace::densify(t), cache, options, &sink, &s);
 
     EXPECT_EQ(r.overall.requests, r.measured_requests) << label;
     EXPECT_LE(r.overall.hits + r.faults.lost_requests, r.overall.requests)
@@ -200,8 +200,8 @@ TEST(FaultProperty, ResultsAreReproducible) {
   const FaultSchedule s =
       random_schedule(rng, t.total_requests(), 4, /*with_root=*/true);
 
-  const HierarchyResult a = simulate_hierarchy(t, config, s);
-  const HierarchyResult b = simulate_hierarchy(t, config, s);
+  const HierarchyResult a = simulate_hierarchy(t, config, nullptr, &s);
+  const HierarchyResult b = simulate_hierarchy(t, config, nullptr, &s);
   EXPECT_EQ(a.offered.hits, b.offered.hits);
   EXPECT_EQ(a.faults.lost_requests, b.faults.lost_requests);
   EXPECT_EQ(a.faults.probe_timeouts, b.faults.probe_timeouts);

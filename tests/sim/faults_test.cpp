@@ -206,7 +206,7 @@ TEST(HierarchyFaults, EdgeCrashFailsOverToRoot) {
 
   FaultSchedule s =
       schedule_of({{t.total_requests() / 2, FaultKind::kEdgeCrash, 0}});
-  const HierarchyResult r = simulate_hierarchy(t, config, s);
+  const HierarchyResult r = simulate_hierarchy(t, config, nullptr, &s);
 
   EXPECT_EQ(r.faults.events_applied, 1u);
   EXPECT_GT(r.faults.failovers, 0u);
@@ -225,7 +225,7 @@ TEST(HierarchyFaults, RootOutageServesFromOriginAndWarmsEdges) {
 
   FaultSchedule s =
       schedule_of({{t.total_requests() / 2, FaultKind::kRootOutage, 0}});
-  const HierarchyResult r = simulate_hierarchy(t, config, s);
+  const HierarchyResult r = simulate_hierarchy(t, config, nullptr, &s);
 
   EXPECT_GT(r.faults.origin_fetches, 0u);
   EXPECT_EQ(r.faults.lost_requests, 0u);  // edges all up
@@ -245,7 +245,7 @@ TEST(HierarchyFaults, DoubleFaultLosesRequests) {
   const std::uint64_t mid = t.total_requests() / 2;
   FaultSchedule s = schedule_of({{mid, FaultKind::kEdgeCrash, 0},
                                  {mid, FaultKind::kRootOutage, 0}});
-  const HierarchyResult r = simulate_hierarchy(t, config, s);
+  const HierarchyResult r = simulate_hierarchy(t, config, nullptr, &s);
 
   EXPECT_GT(r.faults.lost_requests, 0u);
   EXPECT_GT(r.faults.lost_bytes, 0u);
@@ -265,7 +265,7 @@ TEST(HierarchyFaults, AllEdgesDownRoutesEverythingToRoot) {
                                  {1, FaultKind::kEdgeCrash, 1},
                                  {1, FaultKind::kEdgeCrash, 2},
                                  {1, FaultKind::kEdgeCrash, 3}});
-  const HierarchyResult r = simulate_hierarchy(t, config, s);
+  const HierarchyResult r = simulate_hierarchy(t, config, nullptr, &s);
   EXPECT_EQ(r.faults.lost_requests, 0u);
   EXPECT_EQ(r.faults.failovers, r.offered.requests);
   EXPECT_EQ(r.edge_hits.hits, 0u);
@@ -282,7 +282,7 @@ TEST(HierarchyFaults, TotalOutageLosesEveryRequest) {
                                  {1, FaultKind::kEdgeCrash, 2},
                                  {1, FaultKind::kEdgeCrash, 3},
                                  {1, FaultKind::kRootOutage, 0}});
-  const HierarchyResult r = simulate_hierarchy(t, config, s);
+  const HierarchyResult r = simulate_hierarchy(t, config, nullptr, &s);
   EXPECT_EQ(r.faults.lost_requests, r.offered.requests);
   EXPECT_EQ(r.offered.hits, 0u);
   EXPECT_EQ(r.edge_hits.hits + r.sibling_hits.hits + r.root_hits.hits, 0u);
@@ -299,14 +299,14 @@ TEST(HierarchyFaults, SingleEdgeHierarchyFailsOverStraightToRoot) {
   config.sibling_cooperation = true;  // cooperation with no siblings
 
   FaultSchedule s = schedule_of({{1, FaultKind::kEdgeCrash, 0}});
-  const HierarchyResult r = simulate_hierarchy(t, config, s);
+  const HierarchyResult r = simulate_hierarchy(t, config, nullptr, &s);
   EXPECT_EQ(r.faults.lost_requests, 0u);
   EXPECT_EQ(r.edge_hits.hits, 0u);
   EXPECT_EQ(r.sibling_hits.hits, 0u);
   EXPECT_EQ(r.root_requests, r.offered.requests);
 
   s.events.push_back({1, FaultKind::kRootOutage, 0});
-  const HierarchyResult dark = simulate_hierarchy(t, config, s);
+  const HierarchyResult dark = simulate_hierarchy(t, config, nullptr, &s);
   EXPECT_EQ(dark.faults.lost_requests, dark.offered.requests);
 }
 
@@ -319,7 +319,7 @@ TEST(HierarchyFaults, CrashAndRecoveryInSameWindowRestartsCold) {
   const std::uint64_t mid = t.total_requests() / 2;
   FaultSchedule s = schedule_of({{mid, FaultKind::kEdgeCrash, 0},
                                  {mid, FaultKind::kEdgeRecover, 0}});
-  const HierarchyResult r = simulate_hierarchy(t, config, s);
+  const HierarchyResult r = simulate_hierarchy(t, config, nullptr, &s);
   const HierarchyResult baseline = simulate_hierarchy(t, config);
   EXPECT_EQ(r.faults.events_applied, 2u);
   EXPECT_EQ(r.faults.failovers, 0u);
@@ -335,10 +335,10 @@ TEST(HierarchyFaults, MeshFailoverPrefersSiblingsOverRoot) {
   const std::uint64_t mid = t.total_requests() / 2;
   const FaultSchedule s = schedule_of({{mid, FaultKind::kEdgeCrash, 0}});
 
-  const HierarchyResult with_mesh = simulate_hierarchy(t, mesh, s);
+  const HierarchyResult with_mesh = simulate_hierarchy(t, mesh, nullptr, &s);
   HierarchyConfig solo = mesh;
   solo.sibling_cooperation = false;
-  const HierarchyResult without = simulate_hierarchy(t, solo, s);
+  const HierarchyResult without = simulate_hierarchy(t, solo, nullptr, &s);
 
   // A sibling copy serves some of the dead edge's requests, keeping them
   // away from the root.
@@ -357,7 +357,7 @@ TEST(HierarchyFaults, DegradedSiblingTimesOutWithBoundedRetry) {
   FaultSchedule s = schedule_of({{1, FaultKind::kProbeDegrade, 1}});
   s.probe_timeout_rate = 1.0;
   s.max_probe_retries = 2;
-  const HierarchyResult r = simulate_hierarchy(t, mesh, s);
+  const HierarchyResult r = simulate_hierarchy(t, mesh, nullptr, &s);
   EXPECT_GT(r.faults.probe_timeouts, 0u);
   EXPECT_EQ(r.faults.probe_timeouts % 3, 0u);  // 3 attempts per probe
 
@@ -365,7 +365,7 @@ TEST(HierarchyFaults, DegradedSiblingTimesOutWithBoundedRetry) {
   // can still time out (its sibling caches are empty anyway), and the
   // sibling-hit stream matches the fault-free mesh exactly.
   s.events.push_back({2, FaultKind::kProbeRestore, 1});
-  const HierarchyResult healed = simulate_hierarchy(t, mesh, s);
+  const HierarchyResult healed = simulate_hierarchy(t, mesh, nullptr, &s);
   const HierarchyResult baseline = simulate_hierarchy(t, mesh);
   EXPECT_LE(healed.faults.probe_timeouts, 3u);
   EXPECT_EQ(healed.sibling_hits.hits, baseline.sibling_hits.hits);
@@ -381,9 +381,9 @@ TEST(HierarchyFaults, InstrumentedRunMatchesUninstrumented) {
                                  {mid + 200, FaultKind::kEdgeRecover, 0},
                                  {mid + 400, FaultKind::kRootRecover, 0}});
 
-  const HierarchyResult plain = simulate_hierarchy(t, config, s);
+  const HierarchyResult plain = simulate_hierarchy(t, config, nullptr, &s);
   obs::RecordingSink sink(500);
-  const HierarchyResult observed = simulate_hierarchy(t, config, s, sink);
+  const HierarchyResult observed = simulate_hierarchy(t, config, &sink, &s);
 
   EXPECT_EQ(plain.offered.requests, observed.offered.requests);
   EXPECT_EQ(plain.offered.hits, observed.offered.hits);
@@ -405,7 +405,7 @@ TEST(HierarchyFaults, SinkRecordsAvailabilityLossesAndWarmup) {
                                  {mid + 500, FaultKind::kRootRecover, 0}});
 
   obs::RecordingSink sink(400);
-  const HierarchyResult r = simulate_hierarchy(t, config, s, sink);
+  const HierarchyResult r = simulate_hierarchy(t, config, &sink, &s);
   const obs::MetricsSeries& series = sink.series();
 
   // Mesh shape: 4 edges + root.
@@ -463,7 +463,7 @@ TEST(HierarchyFaults, WarmupCurveShowsColdStartTransient) {
   FaultSchedule s = schedule_of({{early, FaultKind::kEdgeCrash, 0},
                                  {early + 1, FaultKind::kEdgeRecover, 0}});
   obs::RecordingSink sink(200);
-  simulate_hierarchy(t, config, s, sink);
+  simulate_hierarchy(t, config, &sink, &s);
   const auto& curves = sink.series().warmup_curves;
   ASSERT_EQ(curves.size(), 1u);
   ASSERT_GE(curves[0].windows.size(), 2u);
@@ -495,7 +495,7 @@ TEST(PartitionedFaults, DownPartitionLosesItsClassOnly) {
       {{1, FaultKind::kEdgeCrash,
         static_cast<std::uint32_t>(trace::DocumentClass::kImage)}});
   cache::PartitionedCache cache = fresh_partitioned(t);
-  const SimResult r = simulate(dense, cache, options, s);
+  const SimResult r = simulate(dense, cache, options, nullptr, &s);
 
   const HitCounters& images = r.of(trace::DocumentClass::kImage);
   EXPECT_GT(images.requests, 0u);
@@ -522,7 +522,7 @@ TEST(PartitionedFaults, RecoveredPartitionServesAgain) {
   FaultSchedule s = schedule_of({{mid, FaultKind::kEdgeCrash, image},
                                  {mid + 200, FaultKind::kEdgeRecover, image}});
   cache::PartitionedCache cache = fresh_partitioned(t);
-  const SimResult r = simulate(dense, cache, options, s);
+  const SimResult r = simulate(dense, cache, options, nullptr, &s);
 
   EXPECT_GT(r.faults.lost_requests, 0u);
   // After recovery the partition produces hits again, so it cannot have
@@ -537,11 +537,12 @@ TEST(PartitionedFaults, RootAndProbeEventsRejected) {
   const trace::DenseTrace dense = trace::densify(t);
   SimulatorOptions options;
   cache::PartitionedCache cache = fresh_partitioned(t);
-  EXPECT_THROW(simulate(dense, cache, options,
-                        schedule_of({{10, FaultKind::kRootOutage, 0}})),
+  const FaultSchedule root = schedule_of({{10, FaultKind::kRootOutage, 0}});
+  EXPECT_THROW(simulate(dense, cache, options, nullptr, &root),
                std::invalid_argument);
-  EXPECT_THROW(simulate(dense, cache, options,
-                        schedule_of({{10, FaultKind::kProbeDegrade, 0}})),
+  const FaultSchedule probe =
+      schedule_of({{10, FaultKind::kProbeDegrade, 0}});
+  EXPECT_THROW(simulate(dense, cache, options, nullptr, &probe),
                std::invalid_argument);
 }
 
@@ -558,7 +559,8 @@ TEST(PartitionedFaults, LostRequestsExcludedFromLatency) {
       {{1, FaultKind::kEdgeCrash,
         static_cast<std::uint32_t>(trace::DocumentClass::kImage)}});
   cache::PartitionedCache faulted_cache = fresh_partitioned(t);
-  const SimResult faulted = simulate(dense, faulted_cache, options, s);
+  const SimResult faulted =
+      simulate(dense, faulted_cache, options, nullptr, &s);
   EXPECT_LT(faulted.miss_latency_ms, plain.miss_latency_ms);
   // The all-miss baseline shrinks by exactly the lost class too: a lost
   // request would not have been fetched even by a cacheless proxy.
@@ -577,7 +579,7 @@ TEST(PartitionedFaults, SinkSeriesConservesAndRollsUp) {
 
   obs::RecordingSink sink(500);
   cache::PartitionedCache cache = fresh_partitioned(t);
-  const SimResult r = simulate(dense, cache, options, s, sink);
+  const SimResult r = simulate(dense, cache, options, &sink, &s);
 
   const obs::WindowCounters totals = sink.series().totals();
   EXPECT_EQ(totals.requests, r.overall.requests);

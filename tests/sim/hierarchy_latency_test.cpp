@@ -76,11 +76,13 @@ TEST(HierarchyLatency, ZeroTimeoutScheduleIsBitIdenticalAcrossRtt) {
   schedule.probe_timeout_rate = 0.0;
   schedule.seed = 11;
 
-  const HierarchyResult baseline = simulate_hierarchy(t, config, schedule);
+  const HierarchyResult baseline =
+      simulate_hierarchy(t, config, nullptr, &schedule);
   EXPECT_EQ(baseline.faults.probe_timeouts, 0u);
 
   config.probe_rtt_ms = 9.5;
-  const HierarchyResult charged = simulate_hierarchy(t, config, schedule);
+  const HierarchyResult charged =
+      simulate_hierarchy(t, config, nullptr, &schedule);
   EXPECT_EQ(baseline.miss_latency_ms, charged.miss_latency_ms);
   EXPECT_EQ(baseline.all_miss_latency_ms, charged.all_miss_latency_ms);
   EXPECT_EQ(baseline.combined_hit_rate(), charged.combined_hit_rate());
@@ -104,12 +106,14 @@ TEST(HierarchyLatency, TimedOutProbesChargeExactlyRttEach) {
   schedule.max_probe_retries = 2;
   schedule.seed = 3;
 
-  const HierarchyResult uncharged = simulate_hierarchy(t, config, schedule);
+  const HierarchyResult uncharged =
+      simulate_hierarchy(t, config, nullptr, &schedule);
   ASSERT_GT(uncharged.faults.probe_timeouts, 0u);
 
   const double rtt = 5.0;
   config.probe_rtt_ms = rtt;
-  const HierarchyResult charged = simulate_hierarchy(t, config, schedule);
+  const HierarchyResult charged =
+      simulate_hierarchy(t, config, nullptr, &schedule);
 
   // Routing is independent of the RTT charge: same probes, same hits.
   EXPECT_EQ(charged.faults.probe_timeouts, uncharged.faults.probe_timeouts);

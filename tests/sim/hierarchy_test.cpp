@@ -56,8 +56,8 @@ TEST(Hierarchy, RejectsInvalidConfig) {
 }
 
 TEST(HierarchyDenseEquivalence, DenseOverloadValidatesConfig) {
-  // All four DenseTrace overloads — plain, instrumented, fault-aware and
-  // both — validate before replaying, so none of them runs a bad config.
+  // Every instantiation — plain, instrumented, fault-aware and both —
+  // validates before replaying, so none of them runs a bad config.
   const trace::DenseTrace t = small_trace();
   const FaultSchedule no_faults;
   const auto expect_every_overload_throws = [&](const HierarchyConfig& c,
@@ -65,11 +65,12 @@ TEST(HierarchyDenseEquivalence, DenseOverloadValidatesConfig) {
     obs::RecordingSink sink(500);
     obs::RecordingSink fault_sink(500);
     EXPECT_THROW(simulate_hierarchy(t, c), std::invalid_argument) << what;
-    EXPECT_THROW(simulate_hierarchy(t, c, sink), std::invalid_argument)
+    EXPECT_THROW(simulate_hierarchy(t, c, &sink), std::invalid_argument)
         << what;
-    EXPECT_THROW(simulate_hierarchy(t, c, no_faults), std::invalid_argument)
+    EXPECT_THROW(simulate_hierarchy(t, c, nullptr, &no_faults),
+                 std::invalid_argument)
         << what;
-    EXPECT_THROW(simulate_hierarchy(t, c, no_faults, fault_sink),
+    EXPECT_THROW(simulate_hierarchy(t, c, &fault_sink, &no_faults),
                  std::invalid_argument)
         << what;
   };
@@ -274,7 +275,7 @@ TEST(Hierarchy, MeshWindowOccupancyPerClassSumsToTotals) {
   HierarchyConfig config = basic_config(t);
   config.sibling_cooperation = true;
   obs::RecordingSink sink(t.total_requests() / 20);
-  simulate_hierarchy(t, config, sink);
+  simulate_hierarchy(t, config, &sink);
   ASSERT_GE(sink.series().windows.size(), 20u);
   for (const obs::WindowSample& w : sink.series().windows) {
     const cache::Occupancy& occ = w.state.occupancy;

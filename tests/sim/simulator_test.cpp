@@ -190,7 +190,7 @@ TEST(Simulator, OccupancySeriesRecorded) {
     t.requests.push_back(req(i, 10, DocumentClass::kImage));
   }
   obs::RecordingSink sink(10);
-  simulate(trace::densify(t), 10000, lru(), no_warmup(), sink);
+  simulate(trace::densify(t), 10000, lru(), no_warmup(), &sink);
   const std::vector<obs::WindowSample>& windows = sink.series().windows;
   ASSERT_EQ(windows.size(), 10u);
   EXPECT_EQ(windows.front().last_request, 10u);

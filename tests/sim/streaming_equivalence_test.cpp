@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "cache/factory.hpp"
-#include "cache/frontend.hpp"
 #include "obs/stats_sink.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/faults.hpp"
 #include "sim/reporter.hpp"
 #include "sim/simulator.hpp"
@@ -97,7 +97,7 @@ TEST(StreamingEquivalence, MetricsWindowsStraddleChunkBoundaries) {
   // every window closes mid-chunk; compare the full serialized series.
   obs::RecordingSink baseline_sink(113);
   const SimResult baseline =
-      simulate(trace::densify(t), capacity, spec, options, baseline_sink);
+      simulate(trace::densify(t), capacity, spec, options, &baseline_sink);
   expect_same_result(reference(t, capacity, spec, options), baseline,
                      "instrumented vs oracle");
   std::ostringstream baseline_json;
@@ -105,27 +105,15 @@ TEST(StreamingEquivalence, MetricsWindowsStraddleChunkBoundaries) {
 
   for (const std::size_t chunk : kChunkings) {
     trace::MemoryRequestStream stream(t, chunk);
-    cache::SingleCacheFrontend frontend(capacity, cache::make_policy(spec));
     obs::RecordingSink sink(113);
-    const SimResult streamed = simulate_stream(stream, frontend, options, sink);
+    const SimResult streamed =
+        simulate_stream(stream, capacity, spec, options, sink);
     expect_same_result(baseline, streamed,
                        "metrics chunk=" + std::to_string(chunk));
     std::ostringstream json;
     write_metrics_json(json, streamed, sink.series());
     EXPECT_EQ(baseline_json.str(), json.str())
         << "metrics JSON diverged at chunk=" << chunk;
-
-    // The PolicySpec-taking overload builds its own frontend.
-    trace::MemoryRequestStream spec_stream(t, chunk);
-    obs::RecordingSink spec_sink(113);
-    const SimResult by_spec =
-        simulate_stream(spec_stream, capacity, spec, options, spec_sink);
-    expect_same_result(baseline, by_spec,
-                       "metrics by spec chunk=" + std::to_string(chunk));
-    std::ostringstream spec_json;
-    write_metrics_json(spec_json, by_spec, spec_sink.series());
-    EXPECT_EQ(baseline_json.str(), spec_json.str())
-        << "metrics JSON by spec diverged at chunk=" << chunk;
   }
 }
 
@@ -146,53 +134,41 @@ TEST(StreamingEquivalence, FaultSchedulesStraddleChunkBoundaries) {
                      {5000, FaultKind::kEdgeRecover, 0}};
   schedule.seed = 17;
 
-  cache::SingleCacheFrontend base_frontend(capacity, cache::make_policy(spec));
   const trace::DenseTrace dense = trace::densify(t);
-  const SimResult baseline = simulate(dense, base_frontend, options, schedule);
+  const SimResult baseline =
+      simulate(dense, capacity, spec, options, nullptr, &schedule);
 
   for (const std::size_t chunk : kChunkings) {
     trace::MemoryRequestStream stream(t, chunk);
-    cache::SingleCacheFrontend frontend(capacity, cache::make_policy(spec));
     const SimResult streamed =
-        simulate_stream(stream, frontend, options, schedule);
+        simulate_stream_checkpointed(
+            stream, capacity, spec,
+            {.options = options, .faults = &schedule})
+            .result;
     expect_same_result(baseline, streamed,
                        "faults chunk=" + std::to_string(chunk));
-
-    trace::MemoryRequestStream spec_stream(t, chunk);
-    const SimResult by_spec =
-        simulate_stream(spec_stream, capacity, spec, options, schedule);
-    expect_same_result(baseline, by_spec,
-                       "faults by spec chunk=" + std::to_string(chunk));
   }
 
   // Instrumented fault replay: series must also match exactly.
   obs::RecordingSink baseline_sink(113);
-  cache::SingleCacheFrontend bf2(capacity, cache::make_policy(spec));
   const SimResult base2 =
-      simulate(dense, bf2, options, schedule, baseline_sink);
+      simulate(dense, capacity, spec, options, &baseline_sink, &schedule);
   std::ostringstream baseline_json;
   write_metrics_json(baseline_json, base2, baseline_sink.series());
   for (const std::size_t chunk : kChunkings) {
     trace::MemoryRequestStream stream(t, chunk);
-    cache::SingleCacheFrontend frontend(capacity, cache::make_policy(spec));
     obs::RecordingSink sink(113);
     const SimResult streamed =
-        simulate_stream(stream, frontend, options, schedule, sink);
+        simulate_stream_checkpointed(
+            stream, capacity, spec,
+            {.options = options, .sink = &sink, .faults = &schedule})
+            .result;
     expect_same_result(base2, streamed,
                        "faulted metrics chunk=" + std::to_string(chunk));
     std::ostringstream json;
     write_metrics_json(json, streamed, sink.series());
     EXPECT_EQ(baseline_json.str(), json.str())
         << "faulted metrics JSON diverged at chunk=" << chunk;
-
-    trace::MemoryRequestStream spec_stream(t, chunk);
-    obs::RecordingSink spec_sink(113);
-    const SimResult by_spec = simulate_stream(spec_stream, capacity, spec,
-                                              options, schedule, spec_sink);
-    std::ostringstream spec_json;
-    write_metrics_json(spec_json, by_spec, spec_sink.series());
-    EXPECT_EQ(baseline_json.str(), spec_json.str())
-        << "faulted metrics JSON by spec diverged at chunk=" << chunk;
   }
 }
 

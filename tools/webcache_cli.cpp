@@ -21,8 +21,10 @@
 #include <iomanip>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/factory.hpp"
@@ -440,6 +442,23 @@ void write_result_json(const std::string& path, const sim::SimResult& r) {
   if (!out.good()) throw std::runtime_error("cannot write " + path);
 }
 
+/// --metrics-window, by default about 1 % of the trace's requests.
+std::uint64_t metrics_window(const util::Args& args,
+                             std::uint64_t total_requests) {
+  return args.get_uint("metrics-window",
+                       std::max<std::uint64_t>(1, total_requests / 100));
+}
+
+/// The --faults schedule, its seed overridden by --fault-seed; none without
+/// --faults.
+std::optional<sim::FaultSchedule> fault_schedule(const util::Args& args) {
+  if (!args.has("faults")) return std::nullopt;
+  sim::FaultSchedule schedule =
+      sim::load_fault_schedule_file(args.get("faults", ""));
+  if (args.has("fault-seed")) schedule.seed = args.get_uint("fault-seed", 0);
+  return schedule;
+}
+
 void write_metrics_file(const std::string& path, const sim::SimResult& r,
                         const obs::RecordingSink& sink) {
   std::ofstream out(path);
@@ -495,9 +514,7 @@ int cmd_simulate_stream(const util::Args& args) {
       cache::policy_spec_from_name(args.get("policy", "GD*(1)"));
 
   const std::string metrics_path = args.get("metrics-out", "");
-  const std::uint64_t default_window =
-      std::max<std::uint64_t>(1, stream.total_requests() / 100);
-  obs::RecordingSink sink(args.get_uint("metrics-window", default_window));
+  obs::RecordingSink sink(metrics_window(args, stream.total_requests()));
 
   // Without a checkpoint flag the job writes no checkpoints: the same
   // streamed replay, with no per-checkpoint work.
@@ -520,14 +537,8 @@ int cmd_simulate_stream(const util::Args& args) {
     job.checkpoint.trace_source = trace_identity(stream);
   }
   if (!metrics_path.empty()) job.sink = &sink;
-  sim::FaultSchedule schedule;
-  if (args.has("faults")) {
-    schedule = sim::load_fault_schedule_file(args.get("faults", ""));
-    if (args.has("fault-seed")) {
-      schedule.seed = args.get_uint("fault-seed", 0);
-    }
-    job.faults = &schedule;
-  }
+  const std::optional<sim::FaultSchedule> schedule = fault_schedule(args);
+  if (schedule) job.faults = &*schedule;
   const sim::CheckpointedRun run =
       sim::simulate_stream_checkpointed(stream, capacity, spec, job);
   const sim::SimResult& r = run.result;
@@ -582,18 +593,15 @@ int cmd_simulate(const util::Args& args) {
   const std::uint64_t capacity = capacity_from_args(args, t);
   const std::string metrics_path = args.get("metrics-out", "");
 
-  const auto spec = cache::policy_spec_from_name(policy);
-  sim::SimResult r;
-  if (metrics_path.empty()) {
-    r = sim::simulate(t, capacity, spec, simulator_options(args));
-  } else {
-    // Instrumented replay: identical results, plus the windowed series.
-    const std::uint64_t default_window =
-        std::max<std::uint64_t>(1, t.total_requests() / 100);
-    obs::RecordingSink sink(args.get_uint("metrics-window", default_window));
-    r = sim::simulate(t, capacity, spec, simulator_options(args), sink);
-    write_metrics_file(metrics_path, r, sink);
+  // Instrumented replay: identical results, plus the windowed series.
+  std::optional<obs::RecordingSink> sink;
+  if (!metrics_path.empty()) {
+    sink.emplace(metrics_window(args, t.total_requests()));
   }
+  const sim::SimResult r =
+      sim::simulate(t, capacity, cache::policy_spec_from_name(policy),
+                    simulator_options(args), sink ? &*sink : nullptr);
+  if (sink) write_metrics_file(metrics_path, r, *sink);
 
   if (args.has("result-out")) write_result_json(args.get("result-out", ""), r);
   print_simulate_report(r, capacity);
@@ -694,11 +702,8 @@ int cmd_sweep(const util::Args& args) {
     }
   }
   config.threads = static_cast<std::uint32_t>(args.get_uint("threads", 0));
-  if (args.has("faults")) {
-    config.faults = sim::load_fault_schedule_file(args.get("faults", ""));
-    if (args.has("fault-seed")) {
-      config.faults.seed = args.get_uint("fault-seed", 0);
-    }
+  if (auto schedule = fault_schedule(args)) {
+    config.faults = std::move(*schedule);
   }
   const std::string one_pass = args.get("one-pass", "auto");
   if (one_pass == "auto") {
@@ -779,41 +784,32 @@ int cmd_hierarchy(const util::Args& args) {
   config.simulator = simulator_options(args);
   config.sibling_cooperation = args.get_bool("mesh", false);
 
-  const bool have_faults = args.has("faults");
-  sim::FaultSchedule schedule;
-  if (have_faults) {
-    schedule = sim::load_fault_schedule_file(args.get("faults", ""));
-    if (args.has("fault-seed")) {
-      schedule.seed = args.get_uint("fault-seed", 0);
-    }
-  }
+  const std::optional<sim::FaultSchedule> schedule = fault_schedule(args);
 
+  // Instrumented replay: identical results, plus the windowed series (with
+  // per-window availability and warm-up curves under --faults).
   const std::string metrics_path = args.get("metrics-out", "");
-  sim::HierarchyResult r;
-  if (metrics_path.empty()) {
-    r = have_faults ? sim::simulate_hierarchy(t, config, schedule)
-                    : sim::simulate_hierarchy(t, config);
-  } else {
-    // Instrumented replay: identical results, plus the windowed series
-    // (with per-window availability and warm-up curves under --faults).
-    const std::uint64_t default_window =
-        std::max<std::uint64_t>(1, t.total_requests() / 100);
-    obs::RecordingSink sink(args.get_uint("metrics-window", default_window));
-    r = have_faults ? sim::simulate_hierarchy(t, config, schedule, sink)
-                    : sim::simulate_hierarchy(t, config, sink);
+  std::optional<obs::RecordingSink> sink;
+  if (!metrics_path.empty()) {
+    sink.emplace(metrics_window(args, t.total_requests()));
+  }
+  const sim::HierarchyResult r =
+      sim::simulate_hierarchy(t, config, sink ? &*sink : nullptr,
+                              schedule ? &*schedule : nullptr);
+  if (sink) {
     std::ofstream out(metrics_path);
     if (!out) throw std::runtime_error("cannot open " + metrics_path);
     const bool csv = metrics_path.size() >= 4 &&
                      metrics_path.compare(metrics_path.size() - 4, 4,
                                           ".csv") == 0;
     if (csv) {
-      sim::write_metrics_csv(out, sink.series());
+      sim::write_metrics_csv(out, sink->series());
     } else {
-      sim::write_hierarchy_metrics_json(out, r, sink.series());
+      sim::write_hierarchy_metrics_json(out, r, sink->series());
     }
     std::cerr << "wrote " << metrics_path << " ("
-              << sink.series().windows.size() << " windows of "
-              << sink.window_requests() << " requests)\n";
+              << sink->series().windows.size() << " windows of "
+              << sink->window_requests() << " requests)\n";
   }
 
   util::Table table(std::to_string(config.edge_count) + " edges (" +
@@ -837,7 +833,7 @@ int cmd_hierarchy(const util::Args& args) {
   if (config.sibling_cooperation) {
     table.add_row({"Sibling hits", util::fmt_count(r.sibling_hits.hits)});
   }
-  if (have_faults) {
+  if (schedule) {
     table.add_row({"Fault events applied",
                    util::fmt_count(r.faults.events_applied)});
     table.add_row({"Failovers", util::fmt_count(r.faults.failovers)});
