@@ -13,9 +13,19 @@
 // array load per lookup. Slot assignment depends only on the insert/erase
 // sequence, never on the index mode.
 //
+// A dense table holds at most one object per id, so its slab never needs
+// more slots than the universe. The first reserve_dense reserves exactly
+// that many: untouched capacity costs address space, not memory, and a
+// replay that knows its universe up front (a materialized trace) never
+// copies the slab. A later, larger reservation (a stream numbering ids as
+// they arrive) does not reserve again; the slab then grows by doubling.
+//
 // Pointer validity contract: a pointer returned by find()/insert()/at()
-// stays valid until the object is erased or the next insert() (which may
-// grow the slab). Erasing one object never moves another.
+// stays valid until the object is erased. After the first reserve_dense on
+// an empty table, an insert() never moves an object while the table holds
+// no more objects than that reservation's universe; otherwise an insert()
+// may grow the slab and move every object. Erasing one object never moves
+// another.
 #pragma once
 
 #include <cstdint>
@@ -41,9 +51,10 @@ class ObjectTable {
     return static_cast<std::uint32_t>(slab_.size());
   }
 
-  /// Switches the id index to a flat vector for ids in [0, universe). The
-  /// first call is only legal while empty; later calls may extend the
-  /// universe under live objects, never shrink it.
+  /// Switches the id index to a flat vector for ids in [0, universe), and
+  /// on the first call reserves the slab for `universe` objects. The first
+  /// call is only legal while empty; later calls may extend the universe
+  /// under live objects, never shrink it.
   void reserve_dense(std::uint64_t universe) {
     if (!dense_ && !empty()) {
       throw std::logic_error("ObjectTable: reserve_dense on non-empty table");
@@ -55,6 +66,7 @@ class ObjectTable {
       throw std::logic_error("ObjectTable: dense universe cannot shrink");
     }
     index_.resize(static_cast<std::size_t>(universe), kNoSlot);
+    if (!dense_) slab_.reserve(static_cast<std::size_t>(universe));
     dense_ = true;
     map_.clear();
   }

@@ -93,7 +93,7 @@ HierarchyResult hierarchy_loop(const trace::DenseTrace& trace,
   const std::uint64_t total = trace.total_requests();
   const auto warmup = static_cast<std::uint64_t>(std::floor(
       static_cast<double>(total) * config.simulator.warmup_fraction));
-  detail::DenseLastSize last_size(trace.document_count());
+  trace::PreviousSizeCursor previous(trace);
 
   std::uint64_t index = 0;
   for (const trace::ReplayRecord& r : trace.records) {
@@ -118,12 +118,12 @@ HierarchyResult hierarchy_loop(const trace::DenseTrace& trace,
       sink.on_node_state(faults.up_nodes(), faults.total_nodes());
     }
 
-    // The last-size tracker follows the trace, not the caches: it records
-    // what the origin served, so faults never change its view.
+    // Size changes follow the trace, not the caches: they record what the
+    // origin served, so faults never change them.
     detail::SizeChange change;
-    if (std::uint64_t* previous = last_size.lookup(r.document, size)) {
-      change = detail::classify_size_change(*previous, size, config.simulator);
-      *previous = size;
+    if (r.size_changed) {
+      change = detail::classify_size_change(previous.take(r), size,
+                                            config.simulator);
     }
 
     const std::uint32_t edge_index =
@@ -282,6 +282,7 @@ HierarchyResult hierarchy_loop(const trace::DenseTrace& trace,
     // either: FaultStats::origin_fetches counts them.
   }
 
+  previous.expect_end();
   result.root_evictions = root.eviction_count();
   for (const auto& e : edges) result.edge_evictions += e->eviction_count();
   return result;

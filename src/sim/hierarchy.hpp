@@ -104,7 +104,8 @@ struct HierarchyResult {
 
 /// Replays a densified trace through the mesh. Every edge cache and the
 /// root reserve the trace's dense universe, so the object tables' id
-/// indices and the last-size tracker are flat arrays indexed by dense id.
+/// indices are flat arrays indexed by dense id, and size changes come from
+/// the trace's previous_sizes column.
 /// The trace must carry its client column (trace::densify or
 /// trace::read_dense_trace_file with trace::ClientColumn::kLoad), which
 /// keeps the source's client ids, so requests attach to the same edges as

@@ -1,12 +1,15 @@
-// Per-document size tracking shared by the replay loops (materialized,
-// streamed and hierarchy).
+// The paper's modification rule (§4.1) and the stream's last-size tracker.
 //
-// The paper's document-modification rule needs the previously recorded
-// transfer size of every document, across the whole run (warm-up included).
-// DenseLastSize keeps it in a flat vector indexed by dense id. lookup()
-// returns the stored previous size (for the caller to inspect and
-// overwrite), or nullptr on the document's first appearance, which it
-// records.
+// classify_size_change() applies the rule to a document's previous and
+// current transfer sizes. A materialized trace flags the requests whose
+// size changed and stores their previous sizes once, at load
+// (trace/dense_trace.hpp), so its replays keep no per-document state.
+//
+// A stream never holds the whole trace, so its batch layer
+// (simulate_stream_checkpointed, checkpoint.cpp) derives the same flag and
+// previous size as it goes: DenseLastSize keeps each document's last
+// transfer size in a flat vector indexed by dense id, grown per batch to
+// the ids numbered so far, and checkpointed as the "lastsize" section.
 #pragma once
 
 #include <algorithm>
@@ -17,6 +20,7 @@
 #include <vector>
 
 #include "sim/simulator.hpp"
+#include "trace/dense_trace.hpp"
 #include "trace/request.hpp"
 #include "util/state_io.hpp"
 
@@ -53,14 +57,10 @@ inline SizeChange classify_size_change(std::uint64_t previous,
 }
 
 /// Flat vector of each document's last transfer size, indexed by dense id.
-/// A materialized replay sizes it once to the trace's universe; a stream
-/// grows it per batch to the ids numbered so far, so at every checkpoint
-/// its length is the count of documents seen.
+/// A stream grows it per batch to the ids numbered so far, so at every
+/// checkpoint its length is the count of documents seen.
 class DenseLastSize {
  public:
-  explicit DenseLastSize(std::uint64_t universe = 0)
-      : last_(static_cast<std::size_t>(universe), kUnseen) {}
-
   /// Extends the universe to `universe` ids; never shrinks.
   void grow(std::uint64_t universe) {
     if (universe > last_.size()) {
@@ -68,13 +68,16 @@ class DenseLastSize {
     }
   }
 
-  std::uint64_t* lookup(trace::DocumentId document, std::uint64_t size) {
-    std::uint64_t& slot = last_[static_cast<std::size_t>(document)];
-    if (slot == kUnseen) {
-      slot = size;
-      return nullptr;
-    }
-    return &slot;
+  /// Records r's transfer size as its document's last one and sets
+  /// r.size_changed when it differs from a previous one. Returns the
+  /// previous size, which is what a DenseTrace stores for a flagged r
+  /// (trace/dense_trace.hpp); for an unflagged r it means nothing.
+  std::uint64_t mark(trace::ReplayRecord& r) {
+    std::uint64_t& last = last_[r.document];
+    const std::uint64_t previous = last;
+    last = r.transfer_size;
+    r.size_changed = previous != kUnseen && previous != r.transfer_size;
+    return previous;
   }
 
   /// Checkpointing: the raw vector, sentinels included (the length is the

@@ -10,6 +10,12 @@
 // streaming-equivalence suite then checks the construction, and the
 // textbook oracle in tests/support checks the results).
 //
+// The core keeps no per-document state. The caller hands step() each
+// record with its document's previous transfer size: a materialized replay
+// walks the trace's previous_sizes column (trace::PreviousSizeCursor), and
+// a stream's batch layer derives the pair from its DenseLastSize
+// (last_size.hpp).
+//
 // The Faults parameter follows the sink pattern: the NoFaults
 // instantiation compiles the fault-domain checks away entirely, so the
 // plain replay is still the pre-fault code path. dispatch_replay() below
@@ -68,14 +74,11 @@ class ReplayCore {
  public:
   /// `total_requests` must be the whole run's length (streams know it up
   /// front) — it places the warm-up boundary exactly where a materialized
-  /// replay would. `last_size` must cover every id stepped; it and
-  /// `faults` must outlive the core.
+  /// replay would. `faults` must outlive the core.
   ReplayCore(cache::CacheFrontend& cache, const SimulatorOptions& options,
-             DenseLastSize& last_size, Sink& sink,
-             std::uint64_t total_requests, Faults& faults)
+             Sink& sink, std::uint64_t total_requests, Faults& faults)
       : cache_(cache),
         options_(options),
-        last_size_(last_size),
         sink_(sink),
         faults_(faults) {
     result_.policy_name = cache.description();
@@ -86,7 +89,9 @@ class ReplayCore {
     result_.measured_requests = total_requests - warmup_;
   }
 
-  void step(const trace::ReplayRecord& r) {
+  /// Replays `r`. `previous_size` is the transfer size of the previous
+  /// request for r's document; it is read only when r.size_changed.
+  void step(const trace::ReplayRecord& r, std::uint64_t previous_size) {
     ++index_;
     const bool measured = index_ > warmup_;
     // The paper's simulator sees only the size recorded in the trace.
@@ -105,9 +110,8 @@ class ReplayCore {
     }
 
     SizeChange change;
-    if (std::uint64_t* previous = last_size_.lookup(r.document, size)) {
-      change = classify_size_change(*previous, size, options_);
-      *previous = size;
+    if (r.size_changed) {
+      change = classify_size_change(previous_size, size, options_);
     }
 
     if constexpr (kFaulted) {
@@ -197,7 +201,6 @@ class ReplayCore {
 
   cache::CacheFrontend& cache_;
   const SimulatorOptions& options_;
-  DenseLastSize& last_size_;
   Sink& sink_;
   Faults& faults_;
   SimResult result_;

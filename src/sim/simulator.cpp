@@ -22,11 +22,13 @@ SimResult simulate(const trace::DenseTrace& trace,
       [&](auto& s, auto& f) {
         constexpr bool kRecording = detail::kRecordingSink<decltype(s)>;
         frontend.reserve_dense_ids(trace.document_count());
-        detail::DenseLastSize last_size(trace.document_count());
         if constexpr (kRecording) s.begin_run(frontend);
-        detail::ReplayCore core(frontend, options, last_size, s,
-                                trace.records.size(), f);
-        for (const trace::ReplayRecord& r : trace.records) core.step(r);
+        detail::ReplayCore core(frontend, options, s, trace.records.size(), f);
+        trace::PreviousSizeCursor previous(trace);
+        for (const trace::ReplayRecord& r : trace.records) {
+          core.step(r, previous.take(r));
+        }
+        previous.expect_end();
         if constexpr (kRecording) s.end_run();
         return core.finish();
       });

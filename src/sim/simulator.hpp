@@ -79,10 +79,11 @@ struct FaultSchedule;  // sim/faults.hpp
 /// (trace::densify). The frontend reserves the trace's dense universe, so
 /// pass an empty one (CacheFrontend::reserve_dense_ids throws
 /// std::logic_error on a non-empty frontend holding sparse ids); its
-/// object table, its policy's index structures and the last-size tracker
-/// are then flat arrays indexed by dense id. A policy that needs
-/// out-of-band state, e.g. the clairvoyant OPT bound built from the trace,
-/// rides in a caller-built Cache:
+/// object table and its policy's index structures are then flat arrays,
+/// and size changes come from the trace's previous_sizes column (a
+/// std::logic_error if it does not match the records' flags). A policy
+/// that needs out-of-band state, e.g. the clairvoyant OPT bound built from
+/// the trace, rides in a caller-built Cache:
 ///
 ///   cache::Cache opt(capacity, std::make_unique<cache::OptPolicy>(dense));
 ///   simulate(dense, opt, options);

@@ -1,7 +1,6 @@
 #include "trace/dense_trace.hpp"
 
 #include <fstream>
-#include <numeric>
 #include <utility>
 
 #include "trace/binary_trace_detail.hpp"
@@ -13,13 +12,15 @@ void DenseTraceBuilder::reserve(std::size_t requests) {
   trace_.records.reserve(requests);
   if (clients_) trace_.clients.reserve(requests);
   trace_.original_ids.reserve(requests);
-  last_size_.reserve(requests);
+  last_.reserve(requests);
 }
 
 DenseTrace DenseTraceBuilder::finish() {
-  trace_.overall_size = std::accumulate(last_size_.begin(), last_size_.end(),
-                                        std::uint64_t{0});
-  last_size_ = {};
+  std::uint64_t overall = 0;
+  for (const LastSizes& last : last_) overall += last.document;
+  trace_.overall_size = overall;
+  trace_.previous_sizes.shrink_to_fit();
+  last_ = {};
   return std::exchange(trace_, {});
 }
 

@@ -18,13 +18,22 @@
 //
 // A DenseTrace is not a Trace: it keeps, per request, only what the replay
 // engines in src/sim read — a 16-byte ReplayRecord of transfer size, dense
-// id and class, the fixed-record idiom of libCacheSim's oracleGeneral
-// traces. Timestamp, status and document size are dropped; the client id
-// is a side column that only the hierarchy asks for (ClientColumn::kLoad).
-// The paper's Overall Size and the largest transfer are computed once,
-// while the records are built, so neither costs a pass later. Consumers
-// that want the full requests (characterize, export, the textbook oracle)
-// read a Trace instead.
+// id, class and a size-changed flag, the fixed-record idiom of
+// libCacheSim's oracleGeneral traces. Timestamp, status and document size
+// are dropped; the client id is a side column that only the hierarchy asks
+// for (ClientColumn::kLoad). The paper's Overall Size and the largest
+// transfer are computed once, while the records are built, so neither
+// costs a pass later. Consumers that want the full requests (characterize,
+// export, the textbook oracle) read a Trace instead.
+//
+// The paper's modification rule (§4.1) compares each request's transfer
+// size with the previous one for the same document. That comparison is a
+// property of the trace, so the builder makes it once: a record whose size
+// differs from its document's previous one carries size_changed, and the
+// previous size is the next entry of the sparse previous_sizes column, in
+// trace order. A replay walks a PreviousSizeCursor over that column and
+// classifies only the flagged records, for whatever rule and threshold it
+// runs, with no per-document array of its own.
 //
 // A WCT1 v4 file already stores the numbering: its writer interns once,
 // and read_dense_trace_file() takes each record's dense id as is and
@@ -43,6 +52,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -58,9 +68,14 @@ struct ReplayRecord {
   /// Dense document id, in [0, DenseTrace::document_count()).
   std::uint32_t document = 0;
   DocumentClass doc_class = DocumentClass::kOther;
+  /// Whether transfer_size differs from the previous request for the same
+  /// document (never set on a document's first request). The previous size
+  /// is the record's entry in DenseTrace::previous_sizes.
+  bool size_changed = false;
 };
 static_assert(sizeof(ReplayRecord) == 16,
-              "a replay record is 16 bytes: 8 size + 4 id + class + padding");
+              "a replay record is 16 bytes: 8 size + 4 id + class + flag + "
+              "padding");
 
 /// Whether a DenseTrace keeps each request's client id. Only the
 /// hierarchy simulator reads it, to attach requests to edge proxies.
@@ -80,6 +95,10 @@ struct DenseTrace {
   /// clients[i] = Request::client of request i when built with
   /// ClientColumn::kLoad; empty otherwise.
   std::vector<std::uint32_t> clients;
+
+  /// One entry per record with size_changed, in trace order: the transfer
+  /// size of the previous request for that record's document.
+  std::vector<std::uint64_t> previous_sizes;
 
   /// The paper's "Overall Size": each document's last document_size,
   /// summed. Equals Trace::overall_size_bytes() of the source trace.
@@ -102,9 +121,48 @@ struct DenseTrace {
   std::uint64_t max_transfer_size() const { return max_transfer; }
 };
 
-/// Builds a DenseTrace request by request, tracking each document's last
-/// document size for the Overall Size. Sized up front with reserve(), no
-/// vector reallocates while requests are added.
+/// Walks DenseTrace::previous_sizes alongside the records: take() hands
+/// out a flagged record's previous size, and expect_end() checks that the
+/// column held exactly one entry per flagged record. Either mismatch is a
+/// std::logic_error naming the column; a builder-made trace never has one.
+class PreviousSizeCursor {
+ public:
+  explicit PreviousSizeCursor(const DenseTrace& trace)
+      : next_(trace.previous_sizes.data()),
+        end_(next_ + trace.previous_sizes.size()) {}
+
+  /// The previous transfer size of `r`'s document when `r` is flagged
+  /// size_changed; `r.transfer_size` otherwise.
+  std::uint64_t take(const ReplayRecord& r) {
+    if (!r.size_changed) return r.transfer_size;
+    if (next_ == end_) {
+      throw std::logic_error(
+          "DenseTrace: previous_sizes ends before the last size-changed "
+          "record");
+    }
+    return *next_++;
+  }
+
+  /// Throws unless every entry was taken.
+  void expect_end() const {
+    if (next_ != end_) {
+      throw std::logic_error(
+          "DenseTrace: previous_sizes has more entries than size-changed "
+          "records (" +
+          std::to_string(end_ - next_) + " left)");
+    }
+  }
+
+ private:
+  const std::uint64_t* next_;
+  const std::uint64_t* end_;
+};
+
+/// Builds a DenseTrace request by request. It tracks each document's last
+/// document size, for the Overall Size, and last transfer size, for the
+/// size-changed flags and previous_sizes; finish() frees both. Sized up
+/// front with reserve(), no per-request or per-document vector reallocates
+/// while requests are added.
 class DenseTraceBuilder {
  public:
   explicit DenseTraceBuilder(ClientColumn clients = ClientColumn::kSkip)
@@ -119,28 +177,41 @@ class DenseTraceBuilder {
   /// added, or the next new one (document_count()), which records
   /// r.document as its original id.
   void add(const Request& r, std::uint32_t id) {
-    trace_.records.push_back({r.transfer_size, id, r.doc_class});
-    if (clients_) trace_.clients.push_back(r.client);
-    if (id == last_size_.size()) {
+    bool changed = false;
+    if (id == last_.size()) {
       trace_.original_ids.push_back(r.document);
-      last_size_.push_back(r.document_size);
+      last_.push_back({r.document_size, r.transfer_size});
     } else {
-      last_size_[id] = r.document_size;
+      LastSizes& last = last_[id];
+      last.document = r.document_size;
+      if (last.transfer != r.transfer_size) {
+        changed = true;
+        trace_.previous_sizes.push_back(last.transfer);
+        last.transfer = r.transfer_size;
+      }
     }
+    trace_.records.push_back({r.transfer_size, id, r.doc_class, changed});
+    if (clients_) trace_.clients.push_back(r.client);
     if (r.transfer_size > trace_.max_transfer) {
       trace_.max_transfer = r.transfer_size;
     }
   }
 
-  std::uint64_t document_count() const { return last_size_.size(); }
+  std::uint64_t document_count() const { return last_.size(); }
 
   /// Sums the Overall Size and hands the trace over; the builder is left
   /// empty.
   DenseTrace finish();
 
  private:
+  // One entry per document, so a request's two updates share a cache line.
+  struct LastSizes {
+    std::uint64_t document = 0;  // last Request::document_size
+    std::uint64_t transfer = 0;  // last Request::transfer_size
+  };
+
   DenseTrace trace_;
-  std::vector<std::uint64_t> last_size_;
+  std::vector<LastSizes> last_;
   bool clients_;
 };
 

@@ -98,6 +98,38 @@ TEST(ObjectTable, FlatAndMapIndexModesAssignTheSameSlots) {
   EXPECT_EQ(resident_ids(flat), resident_ids(map));
 }
 
+TEST(ObjectTable, ReservedSlabNeverMoves) {
+  // The first dense reservation reserves the slab for the whole universe,
+  // so filling the table to it, with erasures and reuse along the way,
+  // never moves a resident object.
+  constexpr ObjectId kUniverse = 500;
+  ObjectTable table;
+  table.reserve_dense(kUniverse);
+  std::vector<const CacheObject*> where(kUniverse, nullptr);  // by slot
+  util::Rng rng(27);
+  const auto expect_unmoved = [&](int step) {
+    for (std::uint32_t s = 0; s < table.slot_count(); ++s) {
+      if (where[s] != nullptr) {
+        ASSERT_EQ(&table.at(s), where[s]) << "slot " << s << " step " << step;
+      }
+    }
+  };
+  for (int step = 0; table.size() < kUniverse; ++step) {
+    const ObjectId id = rng.below(kUniverse);
+    if (const CacheObject* found = table.find(id)) {
+      if (step < 2000 && rng.chance(0.2)) {  // then fill up
+        where[found->slot] = nullptr;
+        table.erase(found->slot);
+      }
+      continue;
+    }
+    const CacheObject& stored = table.insert(object(id));
+    where[stored.slot] = &stored;
+    expect_unmoved(step);
+  }
+  EXPECT_EQ(table.slot_count(), kUniverse);
+}
+
 TEST(ObjectTable, ClearKeepsTheUniverse) {
   ObjectTable table;
   table.reserve_dense(16);

@@ -271,7 +271,10 @@ TEST(BinaryTrace, FileAndStreamLoadersAgree) {
 }
 
 std::string file_diagnostic_for(const std::string& data) {
-  const std::string path = testing::TempDir() + "/webcache_trace_diag.bin";
+  // Per test: CTest runs the tests that share this helper side by side.
+  const std::string path =
+      testing::TempDir() + "/webcache_trace_diag_" +
+      testing::UnitTest::GetInstance()->current_test_info()->name() + ".bin";
   {
     // Removed first, so the rewrite starts a new file: truncating one in
     // place has cost milliseconds a call (ext4 mounted with `discard`).
