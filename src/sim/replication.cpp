@@ -27,9 +27,9 @@ std::vector<ReplicatedResult> run_replicated(
   if (policies.empty()) {
     throw std::invalid_argument("run_replicated: no policies");
   }
-  if (config.cache_fraction <= 0.0) {
-    throw std::invalid_argument("run_replicated: cache fraction must be > 0");
-  }
+  // Checked before the first replica is generated; each replica's overall
+  // size is checked again below.
+  fraction_bytes("run_replicated: cache fraction", config.cache_fraction, 0);
 
   std::vector<ReplicatedResult> results(policies.size());
 
@@ -39,8 +39,8 @@ std::vector<ReplicatedResult> run_replicated(
     const trace::DenseTrace replica =
         trace::densify(synth::TraceGenerator(profile, gen).generate());
     const auto capacity = static_cast<std::uint64_t>(
-        static_cast<double>(replica.overall_size_bytes()) *
-        config.cache_fraction);
+        fraction_bytes("run_replicated: cache fraction", config.cache_fraction,
+                       replica.overall_size_bytes()));
 
     for (std::size_t p = 0; p < policies.size(); ++p) {
       const SimResult run =

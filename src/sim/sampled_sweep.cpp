@@ -10,7 +10,6 @@
 
 #include "sim/faults.hpp"  // detail::mix64
 #include "sim/last_size.hpp"
-#include "sim/stack_sweep.hpp"
 #include "trace/stream_ids.hpp"
 
 namespace webcache::sim {
@@ -117,14 +116,15 @@ SampledCurve SampledSweep::blank_curve(std::uint64_t total_requests) const {
 }
 
 SampledCurve SampledSweep::exact_curve(const trace::DenseTrace& trace) const {
-  // Degenerate exact mode: the one-pass engine's results, every point the
+  // Degenerate exact mode: one LRU replay per capacity, every point the
   // true value with zero error.
   SampledCurve curve = blank_curve(trace.total_requests());
   curve.sampled_documents = trace.document_count();
-  curve.results = StackSweep(config_.capacities, config_.simulator).run(trace);
-  curve.points.reserve(curve.results.size());
-  for (std::size_t i = 0; i < curve.results.size(); ++i) {
-    const SimResult& r = curve.results[i];
+  curve.points.reserve(config_.capacities.size());
+  const cache::PolicySpec lru = cache::policy_spec_from_name("LRU");
+  for (std::size_t i = 0; i < config_.capacities.size(); ++i) {
+    const SimResult& r = curve.results.emplace_back(
+        simulate(trace, config_.capacities[i], lru, config_.simulator));
     SampledPoint p;
     p.capacity_bytes = config_.capacities[i];
     p.hit_rate = r.overall.hit_rate();

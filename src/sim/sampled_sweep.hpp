@@ -1,8 +1,8 @@
 // SHARDS-style spatially sampled miss-ratio curves.
 //
-// StackSweep answers a whole LRU capacity ladder exactly in one pass, but
-// its recency structures grow with the trace. SampledSweep trades exactness
-// for bounded memory: a document is tracked iff
+// The exact route to an LRU capacity ladder is one replay per capacity on a
+// materialized trace (run_sweep's grid). SampledSweep trades exactness for
+// one pass at bounded memory: a document is tracked iff
 //
 //     hash(document) < rate * 2^64
 //
@@ -23,8 +23,9 @@
 // cardinality. References are weighted by the rate in force when they were
 // processed.
 //
-// rate == 1.0 degenerates to the exact one-pass engine: run() delegates to
-// StackSweep and the points carry zero error — unless max_sampled_documents
+// rate == 1.0 degenerates to the exact route: run() replays one LRU
+// simulate() cell per capacity on the materialized trace, any capacity
+// allowed, and the points carry zero error — unless max_sampled_documents
 // is set, in which case the cap keeps the sampled engine engaged (bounded
 // memory is the point of the cap).
 #pragma once
@@ -49,7 +50,7 @@ struct SampledSweepConfig {
   SimulatorOptions simulator;
 
   /// Fraction of the document space tracked, in (0, 1]. 1.0 = exact
-  /// (delegates to StackSweep).
+  /// (one LRU simulate() cell per capacity).
   double sample_rate = 0.01;
 
   /// Seed mixed into the sampling hash. Fixed seed => bit-reproducible
@@ -112,21 +113,22 @@ class SampledSweep {
 
   /// One pass over the stream (consumed; reset() to reuse). At rate 1.0
   /// the stream is materialized with dense ids (a WCT1 v4 stream's stored
-  /// ids, else interned; trace::StreamIds) and delegated to
-  /// StackSweep — exactness requires the full recency order, so the
-  /// bounded-memory property only holds for rate < 1. A materialized
+  /// ids, else interned; trace::StreamIds) and each capacity replays one
+  /// LRU simulate() cell on it — exactness requires the whole trace, so
+  /// the bounded-memory property only holds for rate < 1. A materialized
   /// Trace goes through trace::MemoryRequestStream.
   SampledCurve run(trace::RequestStream& stream) const;
 
   /// Over a densified trace's records: documents are sampled and tracked
   /// by their original ids, so the curve is bit-identical to run() on the
-  /// source trace. At rate 1.0 the trace goes to StackSweep as it is.
+  /// source trace. At rate 1.0 each capacity replays one LRU simulate()
+  /// cell on the trace as it is.
   SampledCurve run(const trace::DenseTrace& trace) const;
 
   const SampledSweepConfig& config() const { return config_; }
 
  private:
-  /// Rate 1.0 without an adaptive cap: the exact one-pass engine runs.
+  /// Rate 1.0 without an adaptive cap: the exact simulate() cells run.
   bool exact() const;
   SampledCurve blank_curve(std::uint64_t total_requests) const;
   SampledCurve exact_curve(const trace::DenseTrace& trace) const;

@@ -1,5 +1,8 @@
 #include "sim/simulator.hpp"
 
+#include <cmath>
+#include <sstream>
+
 #include "obs/stats_sink.hpp"
 #include "sim/replay_core.hpp"
 
@@ -46,6 +49,22 @@ SimResult simulate(const trace::Trace& trace, std::uint64_t capacity_bytes,
                    const cache::PolicySpec& policy,
                    const SimulatorOptions& options) {
   return simulate(trace::densify(trace), capacity_bytes, policy, options);
+}
+
+double fraction_bytes(const std::string& what, double fraction,
+                      std::uint64_t total_bytes) {
+  const double bytes = static_cast<double>(total_bytes) * fraction;
+  const bool positive = std::isfinite(fraction) && fraction > 0.0;
+  if (positive && bytes < 0x1p64) return bytes;
+  std::ostringstream message;
+  message << what;
+  if (positive) {
+    message << " of " << total_bytes << " bytes overflows 64-bit bytes";
+  } else {
+    message << " must be a finite number > 0";
+  }
+  message << " (got " << fraction << ")";
+  throw std::invalid_argument(message.str());
 }
 
 }  // namespace webcache::sim

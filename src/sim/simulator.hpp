@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "cache/cache.hpp"
 #include "cache/factory.hpp"
@@ -58,19 +59,28 @@ struct SimulatorOptions {
 
 namespace detail {
 
-/// Shared option validation for every replay entry point.
+/// Shared option validation for every replay entry point. Written so that
+/// a NaN fails each check.
 inline void validate_options(const SimulatorOptions& options) {
-  if (options.warmup_fraction < 0.0 || options.warmup_fraction >= 1.0) {
+  if (!(options.warmup_fraction >= 0.0 && options.warmup_fraction < 1.0)) {
     throw std::invalid_argument("simulate: warmup_fraction out of [0, 1)");
   }
-  if (options.modification_threshold <= 0.0 ||
-      options.modification_threshold >= 1.0) {
+  if (!(options.modification_threshold > 0.0 &&
+        options.modification_threshold < 1.0)) {
     throw std::invalid_argument(
         "simulate: modification_threshold out of (0, 1)");
   }
 }
 
 }  // namespace detail
+
+/// `fraction` of `total_bytes`, unrounded: the cache size a fraction of a
+/// trace's overall size stands for. Throws std::invalid_argument naming
+/// `what` unless the fraction is finite and > 0 and the product is below
+/// 2^64, so the caller's rounding to std::uint64_t is defined (the sweep
+/// rounds to nearest, the single-capacity commands truncate).
+double fraction_bytes(const std::string& what, double fraction,
+                      std::uint64_t total_bytes);
 
 struct FaultSchedule;  // sim/faults.hpp
 

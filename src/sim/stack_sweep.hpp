@@ -11,16 +11,22 @@
 // SimResults bit-identical to per-capacity sim::simulate() with an LRU
 // policy, for a whole capacity ladder in one trace traversal.
 //
-// Exactness preconditions (enforced; see also run_sweep's automatic
-// fallback):
+// Reference only: no sweep, command or example runs it. run_sweep's grid is
+// the one exact route (one simulate() cell per capacity); at the paper's
+// ladder it is faster, on one thread too, and uses less memory. The
+// benchmark harness (perfbench/wcbench.cpp) keeps it as the independent
+// engine of its `reference` LRU digests and times it in its
+// sim.stack_sweep probe, so it stays until that harness moves to the grid;
+// then this engine and its tests go.
+//
+// Exactness preconditions (enforced):
 //  * the replacement policy is plain LRU (no admission limit, no cost
 //    model) — callers select LRU columns before invoking this;
 //  * all modification rules and warm-up fractions are supported;
 //  * every capacity is at least the trace's largest transfer size.
 //    A document larger than the cache bypasses (is never stored), which
 //    breaks the stack inclusion property across capacities; run() throws
-//    std::invalid_argument so callers fall back to the per-cell grid for
-//    such capacities.
+//    std::invalid_argument for such capacities.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,9 @@
 // Cache-size sweep driver: runs a set of policies over a ladder of cache
 // sizes expressed as fractions of the trace's overall size — exactly how
 // the paper's Figures 2/3 parameterize the x-axis ("Cache sizes are chosen
-// from about 0.5% to about 40% of overall trace size").
+// from about 0.5% to about 40% of overall trace size"). Every exact cell,
+// LRU included, is one simulate() replay of the grid; the cells run on one
+// worker pool.
 #pragma once
 
 #include <cstdint>
@@ -14,29 +16,21 @@
 
 namespace webcache::sim {
 
-/// Whether run_sweep may route LRU columns through the one-pass
-/// stack-analysis engine (sim/stack_sweep.hpp) instead of one grid cell per
-/// capacity. The fast path is exact — results are bit-identical to the
-/// grid. kAuto: every stack-eligible (capacity x LRU) cell takes the
-/// one-pass engine and everything else (non-LRU policies, capacities
-/// smaller than the largest transfer) falls back to the per-cell grid. The
-/// stack pass is one task of the grid's worker pool: the pool starts it
-/// first, then the non-LRU cells, then the per-cell LRU cells, so no serial
-/// pass precedes the grid. kOff forces the grid everywhere (the
-/// differential baseline).
+/// A single-value enum with nothing left to select: every exact cell is a
+/// grid cell. Kept only because the benchmark harness
+/// (perfbench/wcbench.cpp) still assigns OnePassMode::kOff.
 enum class OnePassMode {
-  kAuto,
   kOff,
 };
 
 /// Whether run_sweep routes LRU columns through the SHARDS-sampled one-pass
-/// engine (sim/sampled_sweep.hpp) instead of the exact one. Unlike the
-/// one-pass toggle, sampling is an *approximation* — cells carry error
-/// estimates — so it is off unless asked for:
+/// engine (sim/sampled_sweep.hpp) instead of the exact grid. Sampling is
+/// an *approximation* — cells carry error estimates — so it is off unless
+/// asked for:
 ///  * kOff: never sample (the default).
 ///  * kOn: sample LRU columns at sample_rate.
 /// Non-LRU columns, fault schedules, and sample_rate == 1.0 always take
-/// the exact paths.
+/// the exact grid.
 enum class SamplingMode {
   kOff,
   kOn,
@@ -55,13 +49,13 @@ struct SweepConfig {
   /// independent simulation, so results are bit-identical for any thread
   /// count; 0 = std::thread::hardware_concurrency().
   std::uint32_t threads = 1;
-  /// One-pass LRU fast path (see OnePassMode). Never changes results.
-  OnePassMode one_pass = OnePassMode::kAuto;
+  /// Fixed at kOff and read by nothing in the library; it exists so the
+  /// benchmark harness, which assigns it, keeps compiling.
+  OnePassMode one_pass = OnePassMode::kOff;
   /// Fault schedule applied to every grid cell (each cell runs the
   /// fault-aware replay against a fresh single-cache frontend; node 0 is
-  /// the whole cache). Non-empty schedules disable the one-pass fast path
-  /// — fault replay is strictly sequential. An empty schedule is
-  /// bit-identical to not passing one.
+  /// the whole cache). Non-empty schedules disable sampling and reject an
+  /// OPT column. An empty schedule is bit-identical to not passing one.
   FaultSchedule faults;
   /// SHARDS sampling of LRU columns (see SamplingMode).
   SamplingMode sampling = SamplingMode::kOff;
@@ -98,8 +92,11 @@ struct SweepResult {
   std::uint64_t sample_seed = 0;
 };
 
-/// Every grid cell runs the dense simulate() overload. Bit-identical for
-/// any thread count.
+/// Every exact cell runs the dense simulate() overload on the grid's pool.
+/// Bit-identical for any thread count. Throws std::invalid_argument on no
+/// policies, no fractions, a fraction that is not finite and > 0 or whose
+/// capacity overflows 64-bit bytes, or an OPT column under a fault
+/// schedule.
 SweepResult run_sweep(const trace::DenseTrace& trace,
                       const SweepConfig& config);
 

@@ -13,7 +13,8 @@ constant-cost rows counter for counter, and `convert --recover` upgrades
 it from WCT1 v2 to v4 (dense ids stored) without changing a `simulate
 --result-out` or `sweep --curve-out` byte. `replicate` prints a verdict
 line for every policy pair, and OPT is refused, by name, everywhere but
-`sweep`.
+`sweep`. NaN, infinite, negative and overflowing cache fractions and
+warm-up shares exit 1 with a diagnostic that names the flag.
 
 Usage: cli_smoke_test.py <path-to-webcache-binary>
 """
@@ -216,6 +217,25 @@ def check_round_trip(cli, tmp):
         check(f"{name} rejected", p.returncode != 0, f"rc={p.returncode}")
         check(f"{name} error names {flag}", flag in p.stderr,
               p.stderr.strip()[:200])
+
+    # Cache fractions and the warm-up share reject NaN, infinity, negative
+    # and overflowing values by name (a NaN passes `<` and `>=` checks, and
+    # a huge fraction overflows the 64-bit capacity).
+    for command, flag, extra in (
+        ("sweep", "--fractions", ("--policies=LRU",)),
+        ("simulate", "--cache-fraction", ("--policy=LRU",)),
+        ("hierarchy", "--edge-fraction", ()),
+        ("hierarchy", "--root-fraction", ()),
+        ("simulate", "--warmup", ("--policy=LRU",)),
+        ("sweep", "--warmup", ("--policies=LRU",)),
+    ):
+        for value in ("nan", "inf", "-1", "1e30"):
+            if flag == "--fractions":
+                value = "0.04," + value
+            p = run(cli, command, wct, *extra, f"{flag}={value}")
+            check(f"{command} {flag}={value} exits 1 naming the flag",
+                  p.returncode == 1 and flag in p.stderr,
+                  f"rc={p.returncode} stderr={p.stderr.strip()[:200]}")
 
     # Sampling is either on or off; the removed auto mode is an error.
     p = run(cli, "sweep", wct, "--policies=LRU", "--sampling=auto")

@@ -1,20 +1,21 @@
 // Statistical contract of the SHARDS-sampled sweep: every sampled point
-// must land within its own reported error bound of the exact one-pass
-// result, the reported error must shrink as the rate grows, fixed seeds
-// must reproduce bit-identical curves, and rate == 1.0 must degenerate to
-// the exact engine. Plus the run_sweep routing: sampled cells are annotated
-// and never silently replace exact ones.
+// must land within its own reported error bound of the exact LRU result,
+// the reported error must shrink as the rate grows, fixed seeds must
+// reproduce bit-identical curves, and rate == 1.0 must degenerate to exact
+// simulate() cells at any capacity. Plus the run_sweep routing: sampled
+// cells are annotated and never silently replace exact ones.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "cache/factory.hpp"
 #include "sim/reporter.hpp"
 #include "sim/sampled_sweep.hpp"
-#include "sim/stack_sweep.hpp"
 #include "sim/sweep.hpp"
+#include "support/result_eq.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
 #include "trace/dense_trace.hpp"
@@ -40,8 +41,23 @@ SampledCurve run_on(const SampledSweep& sweep, const trace::Trace& t) {
   return sweep.run(stream);
 }
 
+// The exact LRU result at each capacity: one simulate() cell each.
+std::vector<SimResult> exact_cells(const trace::Trace& t,
+                                   const SampledSweepConfig& config) {
+  const trace::DenseTrace dense = trace::densify(t);
+  std::vector<SimResult> cells;
+  for (const std::uint64_t capacity : config.capacities) {
+    cells.push_back(simulate(dense, capacity,
+                             cache::policy_spec_from_name("LRU"),
+                             config.simulator));
+  }
+  return cells;
+}
+
+// Capacities that hold the largest transfer, where the sampled engine's
+// stack-inclusion model applies.
 std::vector<std::uint64_t> reference_ladder(const trace::Trace& t) {
-  const std::uint64_t floor_bytes = StackSweep::max_transfer_size(t);
+  const std::uint64_t floor_bytes = trace::densify(t).max_transfer_size();
   std::vector<std::uint64_t> ladder;
   for (const std::uint64_t div : {200, 50, 12, 3}) {
     ladder.push_back(
@@ -50,7 +66,7 @@ std::vector<std::uint64_t> reference_ladder(const trace::Trace& t) {
   return ladder;
 }
 
-TEST(SampledSweep, RateOneIsExactlyTheOnePassResult) {
+TEST(SampledSweep, RateOneIsExactlyTheSimulateResult) {
   const trace::Trace& t = reference_trace();
   SampledSweepConfig config;
   config.capacities = reference_ladder(t);
@@ -61,8 +77,7 @@ TEST(SampledSweep, RateOneIsExactlyTheOnePassResult) {
   EXPECT_EQ(curve.effective_rate, 1.0);
   EXPECT_EQ(curve.sampled_documents, t.distinct_documents());
 
-  const std::vector<SimResult> exact =
-      StackSweep(config.capacities, config.simulator).run(t);
+  const std::vector<SimResult> exact = exact_cells(t, config);
   ASSERT_EQ(curve.results.size(), exact.size());
   ASSERT_EQ(curve.points.size(), exact.size());
   for (std::size_t i = 0; i < exact.size(); ++i) {
@@ -80,12 +95,37 @@ TEST(SampledSweep, RateOneIsExactlyTheOnePassResult) {
   }
 }
 
+TEST(SampledSweep, RateOneAcceptsCapacitiesBelowTheLargestTransfer) {
+  // Below the largest transfer LRU bypasses documents, so no stack model
+  // applies; the exact cells replay it like any other capacity, on a
+  // stream and on a densified trace alike.
+  const trace::Trace& t = reference_trace();
+  const std::uint64_t largest = trace::densify(t).max_transfer_size();
+  SampledSweepConfig config;
+  config.capacities = {largest / 4, largest - 1, largest};
+  config.sample_rate = 1.0;
+  const SampledSweep sweep(config);
+
+  const std::vector<SimResult> exact = exact_cells(t, config);
+  EXPECT_GT(exact[0].bypasses, 0u);
+  const SampledCurve streamed = run_on(sweep, t);
+  const SampledCurve dense = sweep.run(trace::densify(t));
+  for (const SampledCurve* curve : {&streamed, &dense}) {
+    EXPECT_TRUE(curve->exact);
+    ASSERT_EQ(curve->results.size(), exact.size());
+    for (std::size_t i = 0; i < exact.size(); ++i) {
+      expect_same_result(curve->results[i], exact[i],
+                         "capacity " + std::to_string(config.capacities[i]));
+      EXPECT_EQ(curve->points[i].hit_rate, exact[i].overall.hit_rate());
+    }
+  }
+}
+
 TEST(SampledSweep, ObservedErrorWithinReportedBound) {
   const trace::Trace& t = reference_trace();
   SampledSweepConfig config;
   config.capacities = reference_ladder(t);
-  const std::vector<SimResult> exact =
-      StackSweep(config.capacities, config.simulator).run(t);
+  const std::vector<SimResult> exact = exact_cells(t, config);
 
   for (const double rate : {0.1, 0.01, 0.001}) {
     // Several independent replicates: the bound is a 99% bound, but it also

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "obs/stats_sink.hpp"
@@ -45,6 +48,49 @@ TEST(Simulator, RejectsBadOptions) {
   bad = SimulatorOptions{};
   bad.modification_threshold = 0.0;
   EXPECT_THROW(simulate(t, 100, lru(), bad), std::invalid_argument);
+}
+
+TEST(Simulator, ValidateOptionsRejectsNanAndOutOfRangeValues) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double warmup : {kNan, kInf, -kInf, -0.1, 1.0}) {
+    SimulatorOptions bad;
+    bad.warmup_fraction = warmup;
+    EXPECT_THROW(detail::validate_options(bad), std::invalid_argument)
+        << "warmup " << warmup;
+  }
+  for (const double threshold : {kNan, kInf, 0.0, 1.0, -0.5}) {
+    SimulatorOptions bad;
+    bad.modification_threshold = threshold;
+    EXPECT_THROW(detail::validate_options(bad), std::invalid_argument)
+        << "threshold " << threshold;
+  }
+  for (const double warmup : {0.0, 0.1, 0.999}) {
+    SimulatorOptions good;
+    good.warmup_fraction = warmup;
+    EXPECT_NO_THROW(detail::validate_options(good)) << "warmup " << warmup;
+  }
+}
+
+TEST(Simulator, FractionBytesRejectsNonFiniteNonPositiveAndOverflow) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double fraction : {kNan, kInf, -kInf, 0.0, -1.0, 1e30}) {
+    try {
+      fraction_bytes("--cache-fraction", fraction, 1'000'000'000);
+      ADD_FAILURE() << "fraction " << fraction << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--cache-fraction"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Just below and at 2^64 bytes.
+  EXPECT_EQ(fraction_bytes("f", 0.5, 1ULL << 63), std::ldexp(1.0, 62));
+  EXPECT_THROW(fraction_bytes("f", 2.0, 1ULL << 63), std::invalid_argument);
+  // The product is unrounded; callers round.
+  EXPECT_EQ(fraction_bytes("f", 0.04, 1000), 0.04 * 1000.0);
+  EXPECT_EQ(fraction_bytes("f", 0.5, 0), 0.0);
 }
 
 TEST(Simulator, BasicHitAccounting) {

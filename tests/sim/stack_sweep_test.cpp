@@ -3,10 +3,8 @@
 // policy bit-for-bit — overall and per-class, hit and byte-hit counters,
 // evictions, modification misses, even the latency doubles (same additions
 // in the same order) — and the textbook oracle's LRU, on the golden fixture
-// and on fuzzed synthetic mixes across all modification rules. The run_sweep
-// integration is covered too: one-pass off/auto yield identical
-// SweepResults with mixed policy sets, including capacities that must fall
-// back to the grid.
+// and on fuzzed synthetic mixes across all modification rules. The engine
+// is the benchmark harness's independent LRU reference; no sweep runs it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -17,7 +15,6 @@
 #include "cache/factory.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stack_sweep.hpp"
-#include "sim/sweep.hpp"
 #include "support/oracle.hpp"
 #include "support/result_eq.hpp"
 #include "synth/generator.hpp"
@@ -139,39 +136,6 @@ TEST(StackSweep, RejectsInvalidOptions) {
     EXPECT_THROW(StackSweep({1 << 20}, mod), std::invalid_argument)
         << threshold;
   }
-}
-
-// ---- run_sweep integration ----
-
-void expect_identical_sweeps(const SweepResult& a, const SweepResult& b,
-                             const std::string& label) {
-  ASSERT_EQ(a.points.size(), b.points.size()) << label;
-  EXPECT_EQ(a.overall_size_bytes, b.overall_size_bytes) << label;
-  for (std::size_t f = 0; f < a.points.size(); ++f) {
-    ASSERT_EQ(a.points[f].results.size(), b.points[f].results.size()) << label;
-    EXPECT_EQ(a.points[f].capacity_bytes, b.points[f].capacity_bytes) << label;
-    for (std::size_t p = 0; p < a.points[f].results.size(); ++p) {
-      expect_same_result(a.points[f].results[p], b.points[f].results[p],
-                         label + " cell f" + std::to_string(f) + " p" +
-                             std::to_string(p));
-    }
-  }
-}
-
-TEST(StackSweepIntegration, OnePassModesAgreeOnMixedPolicyGrids) {
-  // The default ladder's smallest fractions sit below the largest transfer
-  // size on this trace or not — either way the one-pass run must partition
-  // correctly and agree with the all-grid run, for LRU and non-LRU columns.
-  const trace::DenseTrace dense = trace::densify(recorded_trace());
-
-  SweepConfig config;
-  config.policies = cache::paper_policy_set(cache::CostModelKind::kPacket);
-  config.threads = 2;
-
-  config.one_pass = OnePassMode::kOff;
-  const SweepResult grid = run_sweep(dense, config);
-  config.one_pass = OnePassMode::kAuto;
-  expect_identical_sweeps(grid, run_sweep(dense, config), "auto");
 }
 
 }  // namespace

@@ -62,8 +62,7 @@ TEST(SweepFaults, NeverFiringScheduleIsBitIdenticalToPlainSweep) {
   // the fault-aware cell loop end to end without ever changing state — the
   // strongest equivalence the fault layer promises.
   const trace::Trace t = recorded_trace();
-  SweepConfig plain = policy_config();
-  plain.one_pass = OnePassMode::kOff;  // same per-cell path on both sides
+  const SweepConfig plain = policy_config();
   const SweepResult baseline = run_sweep(t, plain);
 
   SweepConfig faulty = plain;

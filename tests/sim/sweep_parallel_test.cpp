@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "sim/stack_sweep.hpp"
 #include "sim/sweep.hpp"
 #include "support/result_eq.hpp"
 #include "synth/generator.hpp"
@@ -51,31 +50,29 @@ TEST(SweepParallel, MatchesSerialBitForBit) {
   }
 }
 
-TEST(SweepParallel, DenseStackPassInPoolMatchesSerialGrid) {
-  // Two LRU columns beside the heap policies. The small rows sit below the
-  // largest transfer, so their LRU cells stay on the per-cell grid, while
-  // the large rows come from the in-pool StackSweep task.
+TEST(SweepParallel, MixedLruAndHeapGridIsThreadCountInvariant) {
+  // Two LRU columns beside the heap policies. The pool starts the heap
+  // cells before the LRU cells; the small rows sit below the largest
+  // transfer (LRU bypasses it there) and the large rows hold it.
   const trace::DenseTrace t = trace::densify(small_trace());
   SweepConfig config = grid_config();
   config.cache_fractions = {0.01, 0.04, 0.2, 0.4};
   config.policies.push_back(cache::policy_spec_from_name("LRU"));
 
-  const std::uint64_t largest = t.max_transfer_size();
-  std::size_t stack_rows = 0;
+  std::size_t rows_holding_largest = 0;
   for (const double fraction : config.cache_fractions) {
     if (static_cast<double>(t.overall_size_bytes()) * fraction >=
-        static_cast<double>(largest)) {
-      ++stack_rows;
+        static_cast<double>(t.max_transfer_size())) {
+      ++rows_holding_largest;
     }
   }
-  ASSERT_EQ(stack_rows, 2u);
+  ASSERT_EQ(rows_holding_largest, 2u);
 
   SweepConfig serial = config;
   serial.threads = 1;
-  serial.one_pass = OnePassMode::kOff;
   const SweepResult baseline = run_sweep(t, serial);
 
-  // The comparison must cover every counter the stack pass reproduces.
+  // The comparison must cover every counter a cell carries.
   std::uint64_t modification_misses = 0;
   std::uint64_t interrupted = 0;
   std::uint64_t bypasses = 0;
@@ -90,23 +87,20 @@ TEST(SweepParallel, DenseStackPassInPoolMatchesSerialGrid) {
   EXPECT_GT(interrupted, 0u);
   EXPECT_GT(bypasses, 0u);
 
-  for (const std::uint32_t threads : {1u, 2u, 4u}) {
-    for (const OnePassMode mode : {OnePassMode::kAuto, OnePassMode::kOff}) {
-      SweepConfig run = config;
-      run.threads = threads;
-      run.one_pass = mode;
-      const SweepResult sweep = run_sweep(t, run);
-      ASSERT_EQ(sweep.points.size(), baseline.points.size());
-      for (std::size_t f = 0; f < sweep.points.size(); ++f) {
-        ASSERT_EQ(sweep.points[f].results.size(),
-                  baseline.points[f].results.size());
-        for (std::size_t p = 0; p < sweep.points[f].results.size(); ++p) {
-          expect_same_result(
-              sweep.points[f].results[p], baseline.points[f].results[p],
-              "threads " + std::to_string(threads) + " one-pass " +
-                  (mode == OnePassMode::kAuto ? "auto" : "off") + " row " +
-                  std::to_string(f) + " column " + std::to_string(p));
-        }
+  for (const std::uint32_t threads : {2u, 3u, 4u}) {
+    SweepConfig run = config;
+    run.threads = threads;
+    const SweepResult sweep = run_sweep(t, run);
+    ASSERT_EQ(sweep.points.size(), baseline.points.size());
+    for (std::size_t f = 0; f < sweep.points.size(); ++f) {
+      ASSERT_EQ(sweep.points[f].results.size(),
+                baseline.points[f].results.size());
+      for (std::size_t p = 0; p < sweep.points[f].results.size(); ++p) {
+        expect_same_result(sweep.points[f].results[p],
+                           baseline.points[f].results[p],
+                           "threads " + std::to_string(threads) + " row " +
+                               std::to_string(f) + " column " +
+                               std::to_string(p));
       }
     }
   }

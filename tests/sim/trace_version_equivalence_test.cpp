@@ -19,12 +19,12 @@
 #include "cache/factory.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/sampled_sweep.hpp"
-#include "sim/stack_sweep.hpp"
 #include "support/result_eq.hpp"
 #include "support/wct1.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
 #include "trace/binary_trace.hpp"
+#include "trace/dense_trace.hpp"
 #include "trace/streaming_trace.hpp"
 
 namespace webcache::sim {
@@ -159,8 +159,7 @@ TEST_F(TraceVersions, ResumeOnAnotherTraceWithStoredIdsIsRejected) {
 
 TEST_F(TraceVersions, ExactSampledSweepMatches) {
   SampledSweepConfig config;
-  // The exact engine needs every capacity to hold the largest transfer.
-  const std::uint64_t largest = StackSweep::max_transfer_size(source_);
+  const std::uint64_t largest = trace::densify(source_).max_transfer_size();
   config.capacities = {largest, 2 * largest, 4 * largest};
   config.sample_rate = 1.0;
   const SampledSweep sweep(config);

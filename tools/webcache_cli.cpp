@@ -106,16 +106,14 @@ int usage(std::ostream& os) {
         "            replay only, strict loading stays the default)\n"
         "  sweep    TRACE [--policies=A,B,...] [--fractions=F1,F2,...]\n"
         "           [--warmup=0.1] [--threads=0] [--squid]\n"
-        "           [--one-pass=auto|off] [--curve-out=FILE.json]\n"
-        "           [--panels-out=PREFIX] [--faults=FILE] [--fault-seed=N]\n"
+        "           [--curve-out=FILE.json] [--panels-out=PREFIX]\n"
+        "           [--faults=FILE] [--fault-seed=N]\n"
         "           (prints hit-rate and byte-hit-rate panels, overall and\n"
         "            per document class — Figures 2-3 and Section 4.4;\n"
         "            --panels-out also writes each as\n"
         "            PREFIX_{hr,bhr}_{<class>,overall}.csv.\n"
-        "            --one-pass routes LRU columns through the exact\n"
-        "            single-pass stack-analysis engine; auto falls back\n"
-        "            to the per-cell grid where ineligible, off forces the\n"
-        "            grid. --curve-out exports webcache.sweep.v1 JSON.\n"
+        "            Every cell is one replay on a thread pool.\n"
+        "            --curve-out exports webcache.sweep.v1 JSON.\n"
         "            --faults replays a fault schedule in every cell)\n"
         "           [--sampling=off|on] [--sample-rate=0.01]\n"
         "           [--sample-seed=N]\n"
@@ -189,6 +187,10 @@ std::vector<std::string> split_list(const std::string& csv) {
 sim::SimulatorOptions simulator_options(const util::Args& args) {
   sim::SimulatorOptions opts;
   opts.warmup_fraction = args.get_double("warmup", 0.10);
+  if (!(opts.warmup_fraction >= 0.0 && opts.warmup_fraction < 1.0)) {
+    throw std::invalid_argument("--warmup must be in [0, 1) (got '" +
+                                args.get("warmup", "") + "')");
+  }
   const std::string rule = args.get("mod-rule", "threshold");
   if (rule == "threshold") {
     opts.modification_rule = sim::ModificationRule::kThreshold;
@@ -361,9 +363,10 @@ void write_curve_out(const util::Args& args, const sim::SweepResult& sweep) {
 std::uint64_t capacity_from_args(const util::Args& args,
                                  const trace::DenseTrace& t) {
   if (args.has("cache-mb")) return mib_arg(args, "cache-mb", 64);
-  const double fraction = args.get_double("cache-fraction", 0.04);
   return static_cast<std::uint64_t>(
-      static_cast<double>(t.overall_size_bytes()) * fraction);
+      sim::fraction_bytes("--cache-fraction",
+                          args.get_double("cache-fraction", 0.04),
+                          t.overall_size_bytes()));
 }
 
 void print_simulate_report(const sim::SimResult& r, std::uint64_t capacity) {
@@ -699,20 +702,13 @@ int cmd_sweep(const util::Args& args) {
     config.cache_fractions.clear();
     for (const std::string& f : split_list(args.get("fractions", ""))) {
       config.cache_fractions.push_back(util::parse_double("fractions", f));
+      sim::fraction_bytes("--fractions", config.cache_fractions.back(),
+                          t.overall_size_bytes());
     }
   }
   config.threads = static_cast<std::uint32_t>(args.get_uint("threads", 0));
   if (auto schedule = fault_schedule(args)) {
     config.faults = std::move(*schedule);
-  }
-  const std::string one_pass = args.get("one-pass", "auto");
-  if (one_pass == "auto") {
-    config.one_pass = sim::OnePassMode::kAuto;
-  } else if (one_pass == "off") {
-    config.one_pass = sim::OnePassMode::kOff;
-  } else {
-    throw std::invalid_argument(
-        "sweep: --one-pass must be auto or off (got '" + one_pass + "')");
   }
   const std::string sampling = args.get("sampling", "off");
   if (sampling == "off") {
@@ -769,18 +765,21 @@ int cmd_hierarchy(const util::Args& args) {
   const trace::DenseTrace t =
       load_dense_trace(args.positional()[0], args.get_bool("squid", false),
                        trace::ClientColumn::kLoad);
-  const double overall = static_cast<double>(t.overall_size_bytes());
 
   sim::HierarchyConfig config;
   config.edge_count = static_cast<std::uint32_t>(args.get_uint("edges", 4));
   config.edge_policy =
       cache::policy_spec_from_name(args.get("edge-policy", "GD*(1)"));
   config.edge_capacity_bytes = static_cast<std::uint64_t>(
-      overall * args.get_double("edge-fraction", 0.005));
+      sim::fraction_bytes("--edge-fraction",
+                          args.get_double("edge-fraction", 0.005),
+                          t.overall_size_bytes()));
   config.root_policy =
       cache::policy_spec_from_name(args.get("root-policy", "GD*(packet)"));
   config.root_capacity_bytes = static_cast<std::uint64_t>(
-      overall * args.get_double("root-fraction", 0.08));
+      sim::fraction_bytes("--root-fraction",
+                          args.get_double("root-fraction", 0.08),
+                          t.overall_size_bytes()));
   config.simulator = simulator_options(args);
   config.sibling_cooperation = args.get_bool("mesh", false);
 
