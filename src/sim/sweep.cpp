@@ -3,6 +3,7 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "cache/cache.hpp"
 #include "cache/opt.hpp"
@@ -114,9 +115,18 @@ std::vector<char> apply_sampling(const trace::DenseTrace& trace,
   return skip;
 }
 
-void validate_policies(const SweepConfig& config) {
+void validate_config(const SweepConfig& config) {
   if (config.policies.empty()) {
     throw std::invalid_argument("run_sweep: no policies configured");
+  }
+  // Checked whenever sampling is on, not only where the sampled engine
+  // runs: a NaN or a rate above 1 would otherwise fall through to the exact
+  // grid unnoticed.
+  if (config.sampling == SamplingMode::kOn &&
+      !(config.sample_rate > 0.0 && config.sample_rate <= 1.0)) {
+    throw std::invalid_argument(
+        "run_sweep: --sample-rate must be in (0, 1] with sampling on (got " +
+        std::to_string(config.sample_rate) + ")");
   }
 }
 
@@ -124,7 +134,7 @@ void validate_policies(const SweepConfig& config) {
 
 SweepResult run_sweep(const trace::DenseTrace& trace,
                       const SweepConfig& config) {
-  validate_policies(config);
+  validate_config(config);
   const std::size_t columns = config.policies.size();
   SweepResult sweep = layout_grid(trace.overall_size_bytes(),
                                   config.cache_fractions, columns);

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "util/distributions.hpp"
-#include "util/fenwick.hpp"
+#include "util/count_tree.hpp"
 
 namespace webcache::synth {
 
@@ -17,13 +17,15 @@ namespace {
 
 /// Mutable per-class generation state.
 struct ClassState {
-  ClassPopulation population;
   const ClassProfile* profile = nullptr;
 
-  std::vector<std::uint32_t> remaining;    // per-doc unused reference budget
-  std::vector<std::uint64_t> current_size; // mutates on modification
+  // Per-doc unused reference budget: the population's reference counts,
+  // moved in. The popularity source draws from it. Engaged iff the class
+  // has documents.
+  std::optional<util::CountTree> remaining;
+  std::vector<std::uint64_t> current_size; // population sizes; mutate on
+                                           // modification
   std::vector<bool> seen;                  // first request vs re-reference
-  std::unique_ptr<util::FenwickTree> weights;
   std::unique_ptr<util::PowerLawGapDistribution> gap_dist;
 
   // History ring of recently emitted document indices.
@@ -31,19 +33,19 @@ struct ClassState {
   std::size_t history_head = 0;   // next write slot
   std::uint64_t emitted = 0;      // total class requests emitted
 
-  bool empty() const { return population.document_count() == 0; }
+  bool empty() const { return !remaining; }
+  std::uint64_t requests_left() const {
+    return remaining ? remaining->total() : 0;
+  }
 
-  void init(std::size_t history_capacity) {
+  /// Takes over the population's arrays; an empty population leaves the
+  /// state empty.
+  void init(ClassPopulation population, std::size_t history_capacity) {
     const std::size_t n = population.document_count();
-    remaining.assign(population.reference_counts.begin(),
-                     population.reference_counts.end());
-    current_size = population.sizes;
+    if (n == 0) return;
+    remaining.emplace(std::move(population.reference_counts));
+    current_size = std::move(population.sizes);
     seen.assign(n, false);
-    std::vector<double> w(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      w[i] = static_cast<double>(remaining[i]);
-    }
-    weights = std::make_unique<util::FenwickTree>(w);
     const std::size_t cap = std::min<std::size_t>(history_capacity, n * 4 + 16);
     history.assign(cap, 0);
     gap_dist = std::make_unique<util::PowerLawGapDistribution>(
@@ -75,14 +77,18 @@ struct ClassState {
       std::uint64_t gap = gap_dist->sample(rng);
       gap = std::min<std::uint64_t>(gap, history_length());
       const std::uint32_t candidate = history_at_gap(gap);
-      if (remaining[candidate] > 0) chosen = candidate;
+      if (remaining->count(candidate) > 0) chosen = candidate;
     }
     if (!chosen) {
-      const double u = rng.uniform() * weights->total();
-      chosen = static_cast<std::uint32_t>(weights->find(u));
+      // The budgets are integers, so a prefix sum is <= u exactly when it
+      // is <= floor(u): the draw picks the document whose cumulative range
+      // holds u.
+      const double u =
+          rng.uniform() * static_cast<double>(remaining->total());
+      chosen = static_cast<std::uint32_t>(
+          remaining->find(static_cast<std::uint64_t>(u)));
     }
-    --remaining[*chosen];
-    weights->add(*chosen, -1.0);
+    remaining->decrement(*chosen);
     push_history(*chosen);
     return *chosen;
   }
@@ -116,7 +122,7 @@ trace::Request next_request(ClassState& st, double mean_interarrival_ms,
 
   trace::Request r;
   r.timestamp_ms = static_cast<std::uint64_t>(clock_ms);
-  r.document = st.population.document_id(doc);
+  r.document = document_id(cp.doc_class, doc);
   r.client = static_cast<std::uint32_t>(client_dist.sample(rng_clients));
   r.doc_class = cp.doc_class;
   r.status = 200;
@@ -201,10 +207,9 @@ class GeneratorStream final : public trace::RequestStream {
       docs_assigned += docs;
       reqs_assigned += reqs;
       if (docs > 0 && reqs < docs) reqs = docs;
-      states_[ci].population = build_population(cp, docs, reqs, rng_population);
-      if (!states_[ci].empty()) states_[ci].init(options_.history_capacity);
-      remaining_reqs_[ci] =
-          states_[ci].empty() ? 0 : states_[ci].population.request_count();
+      states_[ci].init(build_population(cp, docs, reqs, rng_population),
+                       options_.history_capacity);
+      remaining_reqs_[ci] = states_[ci].requests_left();
       total_ += remaining_reqs_[ci];
     }
     total_remaining_ = total_;
@@ -311,18 +316,16 @@ trace::Trace TraceGenerator::generate() {
     docs_assigned += docs;
     reqs_assigned += reqs;
     if (docs > 0 && reqs < docs) reqs = docs;  // generator invariant
-    states[ci].population = build_population(cp, docs, reqs, rng_population);
-    if (!states[ci].empty()) states[ci].init(options_.history_capacity);
+    states[ci].init(build_population(cp, docs, reqs, rng_population),
+                    options_.history_capacity);
   }
 
   // ---- exact class interleaving: one token per request, shuffled ----
   std::vector<std::uint8_t> tokens;
   tokens.reserve(reqs_assigned);
   for (std::size_t ci = 0; ci < trace::kDocumentClassCount; ++ci) {
-    const std::uint64_t reqs = states[ci].empty()
-                                   ? 0
-                                   : states[ci].population.request_count();
-    tokens.insert(tokens.end(), reqs, static_cast<std::uint8_t>(ci));
+    tokens.insert(tokens.end(), states[ci].requests_left(),
+                  static_cast<std::uint8_t>(ci));
   }
   std::shuffle(tokens.begin(), tokens.end(), rng_tokens.engine());
 

@@ -13,7 +13,7 @@
 //       document's reference budget is exhausted)
 //     otherwise:
 //       draw a document proportionally to its remaining Zipf reference
-//       count (weighted sampling without replacement via a Fenwick tree)
+//       count (weighted sampling without replacement via util::CountTree)
 //
 // Class interleaving uses an exact token shuffle, so the per-class request
 // counts match the profile exactly. Document modifications (< 5% size

@@ -9,19 +9,13 @@
 
 namespace webcache::synth {
 
-std::uint64_t ClassPopulation::request_count() const {
-  std::uint64_t total = 0;
-  for (std::uint32_t c : reference_counts) total += c;
-  return total;
-}
-
 std::uint64_t ClassPopulation::total_bytes() const {
   std::uint64_t total = 0;
   for (std::uint64_t s : sizes) total += s;
   return total;
 }
 
-trace::DocumentId ClassPopulation::document_id(std::uint64_t i) const {
+trace::DocumentId document_id(trace::DocumentClass doc_class, std::uint64_t i) {
   // Top byte tags the class so ids are globally unique across classes; the
   // +1 keeps id 0 unused.
   return (static_cast<std::uint64_t>(static_cast<std::uint8_t>(doc_class)) + 1)
@@ -38,11 +32,15 @@ std::vector<std::uint32_t> zipf_reference_counts(std::uint64_t documents,
         "zipf_reference_counts: need at least one request per document");
   }
 
+  // The Zipf shape rank^-alpha, computed once: the 60 bisection steps and
+  // the final rounding all read it.
+  std::vector<double> shape(documents);
+  for (std::uint64_t i = 0; i < documents; ++i) {
+    shape[i] = std::pow(static_cast<double>(i + 1), -alpha);
+  }
   const auto sum_for = [&](double scale) -> double {
     double total = 0.0;
-    for (std::uint64_t i = 1; i <= documents; ++i) {
-      total += std::max(1.0, scale * std::pow(static_cast<double>(i), -alpha));
-    }
+    for (const double s : shape) total += std::max(1.0, scale * s);
     return total;
   };
 
@@ -64,8 +62,7 @@ std::vector<std::uint32_t> zipf_reference_counts(std::uint64_t documents,
   std::vector<std::uint32_t> counts(documents);
   std::uint64_t assigned = 0;
   for (std::uint64_t i = 0; i < documents; ++i) {
-    const double raw =
-        std::max(1.0, scale * std::pow(static_cast<double>(i + 1), -alpha));
+    const double raw = std::max(1.0, scale * shape[i]);
     const auto c = static_cast<std::uint32_t>(std::llround(raw));
     counts[i] = std::max<std::uint32_t>(1, c);
     assigned += counts[i];
@@ -125,9 +122,12 @@ ClassPopulation build_population(const ClassProfile& profile,
   ClassPopulation pop;
   pop.doc_class = profile.doc_class;
   if (class_documents == 0) return pop;
+  // Sizes first: zipf_reference_counts draws no random numbers, so the
+  // order changes no output; with glibc it keeps the counts' freed scratch
+  // array from raising a generate's peak RSS.
+  pop.sizes = draw_sizes(profile, class_documents, rng);
   pop.reference_counts =
       zipf_reference_counts(class_documents, class_requests, profile.alpha);
-  pop.sizes = draw_sizes(profile, class_documents, rng);
   return pop;
 }
 

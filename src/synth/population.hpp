@@ -30,12 +30,12 @@ struct ClassPopulation {
   std::vector<std::uint64_t> sizes;
 
   std::uint64_t document_count() const { return reference_counts.size(); }
-  std::uint64_t request_count() const;
   std::uint64_t total_bytes() const;
-
-  /// Globally unique DocumentId for rank index i (class tag in the top byte).
-  trace::DocumentId document_id(std::uint64_t i) const;
 };
+
+/// Globally unique DocumentId for rank index i of a class (class tag in the
+/// top byte).
+trace::DocumentId document_id(trace::DocumentClass doc_class, std::uint64_t i);
 
 /// Solves for the Zipf scale C such that sum_i max(1, C * i^-alpha) equals
 /// `requests` over `documents` ranks (within rounding), then materializes

@@ -2,18 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 
 namespace webcache::util {
 
 namespace {
-
-// Binary search for the first CDF entry >= u; returns its index.
-std::size_t cdf_lookup(const std::vector<double>& cdf, double u) {
-  const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-  if (it == cdf.end()) return cdf.size() - 1;
-  return static_cast<std::size_t>(it - cdf.begin());
-}
 
 std::vector<double> power_law_cdf(std::uint64_t n, double exponent) {
   std::vector<double> cdf(n);
@@ -29,17 +24,59 @@ std::vector<double> power_law_cdf(std::uint64_t n, double exponent) {
 
 }  // namespace
 
+// ----------------------------------------------------------- GuidedCdf
+
+GuidedCdf::GuidedCdf(std::vector<double> cdf)
+    : cdf_(std::move(cdf)), guide_(kBuckets + 1) {
+  if (cdf_.empty() || cdf_.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("GuidedCdf: size must be in [1, 2^32)");
+  }
+  // guide_[b] = first index with cdf >= b / kBuckets (exact: kBuckets is a
+  // power of two). The last bucket's bound is the end, so lookups of
+  // u >= 1 still scan every trailing entry.
+  std::size_t i = 0;
+  for (std::size_t b = 0; b < kBuckets; ++b) {
+    const double edge = static_cast<double>(b) / kBuckets;
+    while (i < cdf_.size() && cdf_[i] < edge) ++i;
+    guide_[b] = static_cast<std::uint32_t>(i);
+  }
+  guide_[kBuckets] = static_cast<std::uint32_t>(cdf_.size());
+}
+
+std::size_t GuidedCdf::lookup(double u) const {
+  // Bucket b = floor(u * kBuckets) has b / kBuckets <= u < (b + 1) /
+  // kBuckets, so the answer lies in [guide_[b], guide_[b + 1]]. Every
+  // entry before guide_[b] is < u; the entry at guide_[b + 1] (if any) is
+  // >= u. NaN and u <= 0 take bucket 0, u >= 1 the last bucket.
+  std::size_t b = 0;
+  if (u >= 1.0) {
+    b = kBuckets - 1;
+  } else if (u > 0.0) {
+    b = static_cast<std::size_t>(u * kBuckets);
+  }
+  const double* first = cdf_.data() + guide_[b];
+  const double* last = cdf_.data() + guide_[b + 1];
+  const double* it = first;
+  if (last - first > 8) {
+    it = std::lower_bound(first, last, u);
+  } else {
+    while (it != last && *it < u) ++it;
+  }
+  const auto index = static_cast<std::size_t>(it - cdf_.data());
+  return std::min(index, cdf_.size() - 1);
+}
+
 // ---------------------------------------------------------------- Zipf
 
 ZipfDistribution::ZipfDistribution(std::uint64_t n, double alpha)
     : n_(n), alpha_(alpha) {
   if (n == 0) throw std::invalid_argument("ZipfDistribution: n must be > 0");
   if (alpha < 0.0) throw std::invalid_argument("ZipfDistribution: alpha must be >= 0");
-  cdf_ = power_law_cdf(n, alpha);
+  cdf_ = GuidedCdf(power_law_cdf(n, alpha));
 }
 
 std::uint64_t ZipfDistribution::sample(Rng& rng) const {
-  return cdf_lookup(cdf_, rng.uniform()) + 1;
+  return cdf_.lookup(rng.uniform()) + 1;
 }
 
 double ZipfDistribution::pmf(std::uint64_t rank) const {
@@ -119,11 +156,11 @@ PowerLawGapDistribution::PowerLawGapDistribution(std::uint64_t max_gap,
   if (beta < 0.0) {
     throw std::invalid_argument("PowerLawGapDistribution: beta must be >= 0");
   }
-  cdf_ = power_law_cdf(max_gap, beta);
+  cdf_ = GuidedCdf(power_law_cdf(max_gap, beta));
 }
 
 std::uint64_t PowerLawGapDistribution::sample(Rng& rng) const {
-  return cdf_lookup(cdf_, rng.uniform()) + 1;
+  return cdf_.lookup(rng.uniform()) + 1;
 }
 
 double PowerLawGapDistribution::pmf(std::uint64_t gap) const {
@@ -149,18 +186,19 @@ DiscreteDistribution::DiscreteDistribution(std::vector<double> weights)
   if (total <= 0.0) {
     throw std::invalid_argument("DiscreteDistribution: all weights zero");
   }
-  cdf_.resize(weights_.size());
+  std::vector<double> cdf(weights_.size());
   double acc = 0.0;
   for (std::size_t i = 0; i < weights_.size(); ++i) {
     weights_[i] /= total;
     acc += weights_[i];
-    cdf_[i] = acc;
+    cdf[i] = acc;
   }
-  cdf_.back() = 1.0;
+  cdf.back() = 1.0;
+  cdf_ = GuidedCdf(std::move(cdf));
 }
 
 std::size_t DiscreteDistribution::sample(Rng& rng) const {
-  return cdf_lookup(cdf_, rng.uniform());
+  return cdf_.lookup(rng.uniform());
 }
 
 double DiscreteDistribution::probability(std::size_t index) const {

@@ -14,12 +14,38 @@
 
 namespace webcache::util {
 
+/// Inverse-CDF lookup table over a non-decreasing CDF of values >= 0 (the
+/// cumulative weights of a distribution). A guide table of
+/// kBuckets + 1 entries holds, for each bucket b, the first index whose CDF
+/// value is >= b / kBuckets; a lookup jumps to its bucket and searches only
+/// the entries up to the next bucket's first index (one or two for the
+/// distributions here; a binary search when the range is long), instead of
+/// binary-searching the whole CDF.
+class GuidedCdf {
+ public:
+  static constexpr std::size_t kBuckets = 4096;
+
+  GuidedCdf() = default;  // empty: lookup() needs a built table
+  explicit GuidedCdf(std::vector<double> cdf);
+
+  /// The first index i with cdf[i] >= u, or the last index when there is
+  /// none: exactly std::lower_bound's answer, clamped to the last entry.
+  std::size_t lookup(double u) const;
+
+  double operator[](std::size_t i) const { return cdf_[i]; }
+
+ private:
+  std::vector<double> cdf_;
+  std::vector<std::uint32_t> guide_;
+};
+
 /// Zipf-like distribution over ranks 1..n: P(rank = r) proportional to
 /// r^-alpha. Supports alpha in [0, ~2]; alpha = 0 degenerates to uniform.
 ///
-/// Sampling uses inverted CDF lookup over precomputed cumulative weights
-/// (O(log n) per draw, O(n) memory). For the population sizes used here
-/// (<= a few million) this is both exact and fast.
+/// Sampling uses a guided inverse-CDF lookup over precomputed cumulative
+/// weights (GuidedCdf: O(1) expected per draw, O(n) memory). For the
+/// population sizes used here (<= a few million) this is both exact and
+/// fast.
 class ZipfDistribution {
  public:
   ZipfDistribution(std::uint64_t n, double alpha);
@@ -36,7 +62,7 @@ class ZipfDistribution {
  private:
   std::uint64_t n_;
   double alpha_;
-  std::vector<double> cdf_;  // cdf_[i] = P(rank <= i + 1), cdf_.back() == 1
+  GuidedCdf cdf_;  // cdf_[i] = P(rank <= i + 1), cdf_[n - 1] == 1
 };
 
 /// Lognormal distribution parameterized the way workload tables report
@@ -99,7 +125,7 @@ class PowerLawGapDistribution {
  private:
   std::uint64_t max_gap_;
   double beta_;
-  std::vector<double> cdf_;
+  GuidedCdf cdf_;
 };
 
 /// General discrete distribution over indices 0..k-1 given non-negative
@@ -114,7 +140,7 @@ class DiscreteDistribution {
 
  private:
   std::vector<double> weights_;  // normalized
-  std::vector<double> cdf_;
+  GuidedCdf cdf_;
 };
 
 }  // namespace webcache::util

@@ -1,11 +1,10 @@
-// Fenwick (binary indexed) tree over non-negative weights with prefix-sum
-// sampling. The synthetic generator uses it to draw documents proportionally
-// to their *remaining* reference counts — weighted sampling without
-// replacement over millions of documents at O(log n) per draw/update.
+// Fenwick (binary indexed) tree over weights: O(log n) point updates and
+// prefix sums. The stack-distance profile uses it to count the distinct
+// documents touched between two references. (The generator's weighted
+// draws use util::CountTree.)
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
 namespace webcache::util {
@@ -40,28 +39,6 @@ class FenwickTree {
   /// Weight of a single index.
   double weight(std::size_t i) const {
     return prefix_sum(i + 1) - prefix_sum(i);
-  }
-
-  /// Largest index such that prefix_sum(index) <= target, i.e. the index
-  /// selected by a cumulative draw with value `target` in [0, total()).
-  /// Requires total() > 0.
-  std::size_t find(double target) const {
-    if (total() <= 0.0) {
-      throw std::logic_error("FenwickTree: sampling from empty tree");
-    }
-    std::size_t pos = 0;
-    // Highest power of two <= size_.
-    std::size_t step = 1;
-    while ((step << 1) <= size_) step <<= 1;
-    for (; step > 0; step >>= 1) {
-      const std::size_t next = pos + step;
-      if (next <= size_ && tree_[next] <= target) {
-        target -= tree_[next];
-        pos = next;
-      }
-    }
-    // pos is the count of complete prefix; clamp for fp edge cases.
-    return pos < size_ ? pos : size_ - 1;
   }
 
  private:

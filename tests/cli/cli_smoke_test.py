@@ -237,6 +237,16 @@ def check_round_trip(cli, tmp):
                   p.returncode == 1 and flag in p.stderr,
                   f"rc={p.returncode} stderr={p.stderr.strip()[:200]}")
 
+    # With sampling on, a rate outside (0, 1] exits 1 naming the flag, also
+    # where no sampled engine would run (NaN and 1.5 used to fall through to
+    # the exact grid).
+    for value in ("nan", "inf", "1.5", "0"):
+        p = run(cli, "sweep", wct, "--policies=LRU", "--fractions=0.04",
+                "--sampling=on", f"--sample-rate={value}")
+        check(f"sweep --sampling=on --sample-rate={value} exits 1 naming "
+              "the flag", p.returncode == 1 and "--sample-rate" in p.stderr,
+              f"rc={p.returncode} stderr={p.stderr.strip()[:200]}")
+
     # Sampling is either on or off; the removed auto mode is an error.
     p = run(cli, "sweep", wct, "--policies=LRU", "--sampling=auto")
     check("sweep --sampling=auto rejected", p.returncode != 0,

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -319,6 +320,36 @@ TEST(SampledSweep, RunSweepAnnotatesSampledLruCells) {
     }
     break;  // the exact cross-check only needs to run once
   }
+}
+
+TEST(SampledSweep, RunSweepRejectsRatesOutsideTheUnitInterval) {
+  // With sampling on, a rate outside (0, 1] is an error even where the
+  // sampled engine would not run (a NaN or a rate above 1 used to fall
+  // through to the exact grid); the message names the CLI flag.
+  const trace::Trace& t = reference_trace();
+  SweepConfig config;
+  config.cache_fractions = {0.04};
+  config.policies = {cache::policy_spec_from_name("LRU")};
+  config.sampling = SamplingMode::kOn;
+  for (const double rate : {std::nan(""), HUGE_VAL, 1.5, 0.0, -0.2}) {
+    config.sample_rate = rate;
+    try {
+      static_cast<void>(run_sweep(t, config));
+      ADD_FAILURE() << "rate " << rate << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--sample-rate"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Off, the rate is never read.
+  config.sampling = SamplingMode::kOff;
+  config.sample_rate = std::nan("");
+  EXPECT_FALSE(run_sweep(t, config).sampled);
+  // 1 is in range: it runs the exact grid.
+  config.sampling = SamplingMode::kOn;
+  config.sample_rate = 1.0;
+  EXPECT_FALSE(run_sweep(t, config).sampled);
 }
 
 TEST(SampledSweep, SweepJsonCarriesErrorBars) {

@@ -67,6 +67,70 @@ TEST(ZipfCounts, EmptyPopulation) {
   EXPECT_TRUE(zipf_reference_counts(0, 0, 0.8).empty());
 }
 
+// zipf_reference_counts as it was before it cached the Zipf shape: every
+// bisection step recomputed pow(i, -alpha). The cached form must produce
+// identical counts (the generator's bytes depend on them).
+std::vector<std::uint32_t> per_step_pow_counts(std::uint64_t documents,
+                                               std::uint64_t requests,
+                                               double alpha) {
+  const auto sum_for = [&](double scale) -> double {
+    double total = 0.0;
+    for (std::uint64_t i = 1; i <= documents; ++i) {
+      total += std::max(1.0, scale * std::pow(static_cast<double>(i), -alpha));
+    }
+    return total;
+  };
+  const double target = static_cast<double>(requests);
+  double lo = 0.0;
+  double hi = target;
+  for (int iter = 0; iter < 60; ++iter) {
+    const double mid = (lo + hi) / 2.0;
+    if (sum_for(mid) < target) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  const double scale = (lo + hi) / 2.0;
+  std::vector<std::uint32_t> counts(documents);
+  std::uint64_t assigned = 0;
+  for (std::uint64_t i = 0; i < documents; ++i) {
+    const double raw =
+        std::max(1.0, scale * std::pow(static_cast<double>(i + 1), -alpha));
+    counts[i] = std::max<std::uint32_t>(
+        1, static_cast<std::uint32_t>(std::llround(raw)));
+    assigned += counts[i];
+  }
+  if (assigned < requests) {
+    for (std::uint64_t i = 0; assigned < requests; ++i, ++assigned) {
+      ++counts[i % documents];
+    }
+  } else {
+    std::uint64_t surplus = assigned - requests;
+    for (std::uint64_t i = 0; surplus > 0 && i < documents;) {
+      if (counts[i] > 1) {
+        --counts[i];
+        --surplus;
+      } else {
+        ++i;
+      }
+    }
+  }
+  return counts;
+}
+
+TEST(ZipfCounts, MatchesPerStepPowForm) {
+  for (const std::uint64_t docs : {1ull, 2ull, 17ull, 100000ull}) {
+    for (const std::uint64_t reqs : {docs, docs * 37 + 5}) {
+      for (const double alpha : {0.0, 0.6, 1.0, 1.9}) {
+        EXPECT_EQ(zipf_reference_counts(docs, reqs, alpha),
+                  per_step_pow_counts(docs, reqs, alpha))
+            << docs << " docs, " << reqs << " reqs, alpha " << alpha;
+      }
+    }
+  }
+}
+
 TEST(ZipfCounts, AlphaZeroSpreadsEvenly) {
   const auto counts = zipf_reference_counts(100, 300, 0.0);
   for (const auto c : counts) {
@@ -134,9 +198,11 @@ TEST(Population, DocumentIdsGloballyUnique) {
   util::Rng rng(7);
   const ClassPopulation a = build_population(img, 100, 250, rng);
   const ClassPopulation b = build_population(app, 100, 250, rng);
-  EXPECT_NE(a.document_id(0), b.document_id(0));
-  EXPECT_NE(a.document_id(0), a.document_id(1));
-  EXPECT_EQ(a.request_count(), 250u);
+  EXPECT_NE(document_id(a.doc_class, 0), document_id(b.doc_class, 0));
+  EXPECT_NE(document_id(a.doc_class, 0), document_id(a.doc_class, 1));
+  EXPECT_EQ(std::accumulate(a.reference_counts.begin(),
+                            a.reference_counts.end(), std::uint64_t{0}),
+            250u);
   EXPECT_EQ(a.document_count(), 100u);
   EXPECT_GT(a.total_bytes(), 0u);
 }
@@ -146,7 +212,7 @@ TEST(Population, EmptyClass) {
   util::Rng rng(9);
   const ClassPopulation pop = build_population(p, 0, 0, rng);
   EXPECT_EQ(pop.document_count(), 0u);
-  EXPECT_EQ(pop.request_count(), 0u);
+  EXPECT_TRUE(pop.sizes.empty());
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <stdexcept>
 #include <vector>
@@ -252,6 +254,107 @@ TEST(Discrete, FrequenciesMatchWeights) {
   EXPECT_NEAR(static_cast<double>(counts[0]) / n, 0.7, 0.01);
   EXPECT_NEAR(static_cast<double>(counts[1]) / n, 0.2, 0.01);
   EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.1, 0.01);
+}
+
+// ------------------------------------------------------------- GuidedCdf
+
+// The answer GuidedCdf must reproduce: std::lower_bound's first index with
+// cdf[i] >= u, clamped to the last entry.
+std::size_t lower_bound_index(const std::vector<double>& cdf, double u) {
+  const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+  return std::min<std::size_t>(static_cast<std::size_t>(it - cdf.begin()),
+                               cdf.size() - 1);
+}
+
+std::vector<double> power_cdf(std::size_t n, double exponent) {
+  std::vector<double> cdf(n);
+  double total = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    total += std::pow(static_cast<double>(i + 1), -exponent);
+    cdf[i] = total;
+  }
+  for (double& v : cdf) v /= total;
+  cdf.back() = 1.0;
+  return cdf;
+}
+
+// Every entry, one ulp either side of it, the bucket edges, 0, -0, 1, past
+// 1, NaN and random u all give lower_bound's index.
+void expect_guided_matches_lower_bound(const std::vector<double>& cdf) {
+  const GuidedCdf guided(cdf);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> probes = {0.0, -0.0, -1.0, 1.0, 1.5, inf,
+                                std::numeric_limits<double>::min()};
+  for (const double v : cdf) {
+    probes.push_back(v);
+    probes.push_back(std::nextafter(v, -inf));
+    probes.push_back(std::nextafter(v, inf));
+  }
+  for (std::size_t b = 0; b <= GuidedCdf::kBuckets; ++b) {
+    const double edge = static_cast<double>(b) / GuidedCdf::kBuckets;
+    probes.push_back(edge);
+    probes.push_back(std::nextafter(edge, -inf));
+  }
+  Rng rng(61);
+  for (int i = 0; i < 20000; ++i) probes.push_back(rng.uniform());
+  for (const double u : probes) {
+    ASSERT_EQ(guided.lookup(u), lower_bound_index(cdf, u)) << "u = " << u;
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(guided.lookup(nan), lower_bound_index(cdf, nan));
+}
+
+TEST(GuidedCdf, MatchesLowerBoundOnPowerLaws) {
+  for (const std::size_t n : {1u, 2u, 7u, 100u, 5000u, 32768u}) {
+    for (const double exponent : {0.0, 0.6, 1.0, 1.9}) {
+      SCOPED_TRACE(testing::Message()
+                   << "n " << n << " exponent " << exponent);
+      expect_guided_matches_lower_bound(power_cdf(n, exponent));
+    }
+  }
+}
+
+TEST(GuidedCdf, MatchesLowerBoundWithTiesAndBucketEdges) {
+  // Zero weights repeat an entry (several indices share a value, including
+  // the final 1.0), and entries sitting exactly on bucket edges are where
+  // an off-by-one in the guide would show.
+  const double edge = 1.0 / GuidedCdf::kBuckets;
+  expect_guided_matches_lower_bound({0.25, 0.25, 0.5, 1.0, 1.0, 1.0});
+  expect_guided_matches_lower_bound({0.0, 0.0, edge, edge, 3 * edge, 0.5,
+                                     1.0 - edge, 1.0});
+  expect_guided_matches_lower_bound({1e-300, 1e-12, edge / 2, 1.0});
+  // A CDF that never reaches 1 (lookups past its last entry clamp).
+  expect_guided_matches_lower_bound({0.1, 0.2, 0.3});
+}
+
+TEST(GuidedCdf, DistributionsDrawTheLowerBoundIndex) {
+  // The three distributions draw through the guide; the same uniforms
+  // through lower_bound over CDFs built the way their constructors build
+  // them pick the same index.
+  const ZipfDistribution zipf(3000, 1.0);
+  const PowerLawGapDistribution gap(32768, 0.4);
+  const std::vector<double> weights = {0.5, 0.0, 0.3, 0.2, 0.0};
+  const DiscreteDistribution discrete(weights);
+  const std::vector<double> zipf_cdf = power_cdf(3000, 1.0);
+  const std::vector<double> gap_cdf = power_cdf(32768, 0.4);
+  std::vector<double> discrete_cdf;
+  double acc = 0.0;
+  for (const double w : weights) discrete_cdf.push_back(acc += w);  // sum 1
+  discrete_cdf.back() = 1.0;
+  Rng draws(67);
+  Rng uniforms(67);
+  for (int i = 0; i < 20000; ++i) {
+    ASSERT_EQ(zipf.sample(draws),
+              lower_bound_index(zipf_cdf, uniforms.uniform()) + 1);
+    ASSERT_EQ(gap.sample(draws),
+              lower_bound_index(gap_cdf, uniforms.uniform()) + 1);
+    ASSERT_EQ(discrete.sample(draws),
+              lower_bound_index(discrete_cdf, uniforms.uniform()));
+  }
+}
+
+TEST(GuidedCdf, RejectsEmptyCdf) {
+  EXPECT_THROW(GuidedCdf(std::vector<double>{}), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -44,61 +43,6 @@ TEST(Fenwick, AddUpdatesSums) {
   EXPECT_DOUBLE_EQ(t.total(), 5.0);
 }
 
-TEST(Fenwick, FindSelectsByCumulativeWeight) {
-  FenwickTree t(std::vector<double>{1.0, 0.0, 2.0, 3.0});
-  // Cumulative boundaries: [0,1) -> 0, [1,3) -> 2, [3,6) -> 3.
-  EXPECT_EQ(t.find(0.0), 0u);
-  EXPECT_EQ(t.find(0.99), 0u);
-  EXPECT_EQ(t.find(1.0), 2u);
-  EXPECT_EQ(t.find(2.5), 2u);
-  EXPECT_EQ(t.find(3.0), 3u);
-  EXPECT_EQ(t.find(5.99), 3u);
-}
-
-TEST(Fenwick, FindNeverReturnsZeroWeightIndex) {
-  FenwickTree t(std::vector<double>{0.0, 5.0, 0.0, 5.0, 0.0});
-  Rng rng(5);
-  for (int i = 0; i < 5000; ++i) {
-    const std::size_t idx = t.find(rng.uniform() * t.total());
-    EXPECT_TRUE(idx == 1 || idx == 3) << idx;
-  }
-}
-
-TEST(Fenwick, FindOnEmptyThrows) {
-  FenwickTree t(4);
-  EXPECT_THROW(t.find(0.0), std::logic_error);
-}
-
-TEST(Fenwick, SamplingFrequenciesMatchWeights) {
-  FenwickTree t(std::vector<double>{7.0, 2.0, 1.0});
-  Rng rng(9);
-  std::vector<int> counts(3, 0);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[t.find(rng.uniform() * t.total())];
-  EXPECT_NEAR(static_cast<double>(counts[0]) / n, 0.7, 0.01);
-  EXPECT_NEAR(static_cast<double>(counts[1]) / n, 0.2, 0.01);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / n, 0.1, 0.01);
-}
-
-TEST(Fenwick, SamplingWithoutReplacementDrainsExactly) {
-  // The generator's core loop: draw, decrement, repeat until empty.
-  const std::vector<double> initial = {3.0, 1.0, 4.0, 1.0, 5.0};
-  FenwickTree t(initial);
-  std::vector<int> drawn(initial.size(), 0);
-  Rng rng(11);
-  double remaining = t.total();
-  while (remaining > 0.5) {
-    const std::size_t idx = t.find(rng.uniform() * remaining);
-    ASSERT_GT(t.weight(idx), 0.5);
-    ++drawn[idx];
-    t.add(idx, -1.0);
-    remaining = t.total();
-  }
-  for (std::size_t i = 0; i < initial.size(); ++i) {
-    EXPECT_EQ(drawn[i], static_cast<int>(initial[i])) << "index " << i;
-  }
-}
-
 TEST(Fenwick, LargeTreeRandomizedConsistency) {
   Rng rng(13);
   const std::size_t n = 1000;
@@ -126,8 +70,8 @@ TEST(Fenwick, NonPowerOfTwoSizes) {
     std::vector<double> weights(n, 1.0);
     FenwickTree t(weights);
     EXPECT_DOUBLE_EQ(t.total(), static_cast<double>(n));
-    EXPECT_EQ(t.find(static_cast<double>(n) - 0.5), n - 1);
-    EXPECT_EQ(t.find(0.0), 0u);
+    EXPECT_DOUBLE_EQ(t.prefix_sum(n - 1), static_cast<double>(n - 1));
+    EXPECT_DOUBLE_EQ(t.weight(n - 1), 1.0);
   }
 }
 
