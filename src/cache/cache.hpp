@@ -106,9 +106,8 @@ class CacheFrontend {
   virtual void set_removal_listener(RemovalListener* listener) = 0;
 
   /// Observability snapshot of the underlying replacement state, sampled
-  /// per metrics window. Composites aggregate what aggregates (heap
-  /// entries) and drop what doesn't (a partitioned cache has one aging term
-  /// per partition, not one overall).
+  /// per metrics window. A composite reports nothing: a partitioned cache
+  /// has one aging term per partition, not one overall.
   virtual PolicyProbe policy_probe() const = 0;
 
   // ---- fault-injection seams (sim/faults.hpp) ----
@@ -280,8 +279,8 @@ class Cache final : public CacheFrontend {
     return std::string(policy_->name());
   }
 
-  /// Observability snapshot of the policy's internal state (heap size,
-  /// aging term, beta estimate); sampled per metrics window.
+  /// Observability snapshot of the policy's internal state (aging term,
+  /// beta estimate); sampled per metrics window.
   PolicyProbe policy_probe() const override { return policy_->probe(); }
 
   /// Installs (or, with nullptr, removes) the removal notification hook.

@@ -36,9 +36,6 @@ class SecondChancePolicy : public ReplacementPolicy {
   void on_erase(const CacheObject& obj) override { ring_.erase(obj.slot); }
   void clear() override;
 
-  PolicyProbe probe() const override {
-    return {ring_.size(), std::nullopt, std::nullopt};
-  }
 
   std::uint32_t counter_max() const { return counter_max_; }
 

@@ -8,11 +8,9 @@
 #include <vector>
 
 #include "cache/clock.hpp"
-#include "cache/fifo.hpp"
 #include "cache/greedy_dual.hpp"
-#include "cache/lazy_lru.hpp"
 #include "cache/lfu.hpp"
-#include "cache/lru.hpp"
+#include "cache/list_policy.hpp"
 #include "cache/lru_k.hpp"
 #include "cache/lru_variants.hpp"
 #include "cache/random.hpp"
@@ -40,7 +38,7 @@ std::unique_ptr<ReplacementPolicy> make_policy(const PolicySpec& spec) {
       return std::make_unique<GdStarPolicy>(spec.cost_model, spec.fixed_beta);
     case PolicyKind::kLruThreshold:
       return std::make_unique<LruThresholdPolicy>(
-          spec.admission_threshold_bytes);
+          AdmissionLimit{spec.admission_threshold_bytes});
     case PolicyKind::kLruMin:
       return std::make_unique<LruMinPolicy>();
     case PolicyKind::kLruK:

@@ -77,7 +77,7 @@ class GreedyDualPolicy final : public ReplacementPolicy {
   }
 
   PolicyProbe probe() const override {
-    return {heap_.size(), inflation_, value_.probe_beta()};
+    return {inflation_, value_.probe_beta()};
   }
 
   /// The heap, then L, then the value function's state.

@@ -19,9 +19,6 @@ class LfuPolicy final : public ReplacementPolicy {
   std::string_view name() const override { return "LFU"; }
   void clear() override;
 
-  PolicyProbe probe() const override {
-    return {heap_.size(), std::nullopt, std::nullopt};
-  }
 
   void save_state(util::StateWriter& w,
                   const ObjectTable& objects) const override;

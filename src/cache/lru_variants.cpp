@@ -3,37 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
-#include <string>
 
 namespace webcache::cache {
-
-// ------------------------------------------------------- LRU-Threshold
-
-LruThresholdPolicy::LruThresholdPolicy(std::uint64_t threshold_bytes)
-    : threshold_bytes_(threshold_bytes) {
-  if (threshold_bytes == 0) {
-    throw std::invalid_argument("LruThresholdPolicy: threshold must be > 0");
-  }
-  name_ = "LRU-THOLD(" + std::to_string(threshold_bytes) + ")";
-}
-
-void LruThresholdPolicy::on_insert(const CacheObject& obj) {
-  order_.push_front(obj.slot);
-}
-
-void LruThresholdPolicy::on_hit(const CacheObject& obj) {
-  order_.move_to_front(obj.slot);
-}
-
-std::uint32_t LruThresholdPolicy::evict(std::uint64_t /*incoming_size*/) {
-  return order_.pop_back();
-}
-
-void LruThresholdPolicy::on_erase(const CacheObject& obj) {
-  order_.erase(obj.slot);
-}
-
-void LruThresholdPolicy::clear() { order_.clear(); }
 
 // ------------------------------------------------------------- LRU-MIN
 

@@ -1,44 +1,16 @@
-// Size-aware LRU variants from the pre-GreedyDual literature (Abrams,
-// Standridge, Abdulla, Williams & Fox, "Caching proxies: limitations and
-// potentials", WWW 1995/1996) — the baselines GDS was designed to beat.
-// Included for the extended comparison benchmarks.
+// LRU-MIN, a size-aware LRU variant from the pre-GreedyDual literature
+// (Abrams, Standridge, Abdulla, Williams & Fox, "Caching proxies:
+// limitations and potentials", WWW 1995/1996) — one of the baselines GDS
+// was designed to beat. Included for the extended comparison benchmarks;
+// its sibling LRU-THOLD is a ListPolicy (list_policy.hpp).
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "cache/lru_list.hpp"
 #include "cache/policy.hpp"
 
 namespace webcache::cache {
-
-/// LRU-Threshold: plain LRU eviction; documents larger than the threshold
-/// are never admitted. The policy reports the threshold as its
-/// admission_limit(), which the owning Cache installs and enforces.
-class LruThresholdPolicy final : public ReplacementPolicy {
- public:
-  explicit LruThresholdPolicy(std::uint64_t threshold_bytes);
-
-  void on_insert(const CacheObject& obj) override;
-  void on_hit(const CacheObject& obj) override;
-  std::uint32_t evict(std::uint64_t incoming_size) override;
-  void on_erase(const CacheObject& obj) override;
-  std::string_view name() const override { return name_; }
-  std::uint64_t admission_limit() const override { return threshold_bytes_; }
-  void clear() override;
-
-  std::uint64_t threshold_bytes() const { return threshold_bytes_; }
-
-  void save_state(util::StateWriter& w,
-                  const ObjectTable& objects) const override;
-  void restore_state(util::StateReader& r,
-                     const ObjectTable& objects) override;
-
- private:
-  std::uint64_t threshold_bytes_;
-  std::string name_;
-  LruIndexList order_;  // front = MRU
-};
 
 /// LRU-MIN: prefer evicting documents at least as large as the incoming
 /// one. Let S be the incoming size; evict the least recently used document

@@ -110,14 +110,6 @@ void PartitionedCache::set_removal_listener(RemovalListener* listener) {
   }
 }
 
-PolicyProbe PartitionedCache::policy_probe() const {
-  PolicyProbe probe;
-  for (const auto& partition : partitions_) {
-    probe.heap_entries += partition->policy_probe().heap_entries;
-  }
-  return probe;
-}
-
 std::string PartitionedCache::description() const {
   std::ostringstream os;
   os << "Partitioned[";

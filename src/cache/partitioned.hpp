@@ -61,10 +61,9 @@ class PartitionedCache final : public CacheFrontend {
   /// Installs the listener on every partition, so the instrumentation layer
   /// sees evictions from all classes in one stream.
   void set_removal_listener(RemovalListener* listener) override;
-  /// Aggregate probe: heap entries summed over partitions. Aging and beta
-  /// stay unset — each partition runs its own policy instance; probe the
-  /// per-class state via partition(c).policy_probe().
-  PolicyProbe policy_probe() const override;
+  /// Aging and beta stay unset — each partition runs its own policy
+  /// instance; probe the per-class state via partition(c).policy_probe().
+  PolicyProbe policy_probe() const override { return {}; }
 
   const Cache& partition(trace::DocumentClass c) const {
     return *partitions_[static_cast<std::size_t>(c)];

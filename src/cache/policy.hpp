@@ -44,10 +44,9 @@ class ObjectTable;
 /// instrumentation layer at window boundaries (never on the hot path).
 /// Fields are optional because not every scheme has the notion: only the
 /// GreedyDual family (greedy_dual.hpp, LFU-DA included) carries an aging
-/// term, only GD* reports a beta.
+/// term, only GD* reports a beta. (Every policy indexes each resident
+/// object exactly once, so the index size is the occupancy's object count.)
 struct PolicyProbe {
-  /// Entries in the policy's index structure (heap or recency list).
-  std::uint64_t heap_entries = 0;
   /// Current aging/inflation term L (GDS/GDSF/GD*/GD*C: the inflation
   /// value; LFU-DA: the cache age).
   std::optional<double> aging;

@@ -1,6 +1,8 @@
 // Checkpoint serialization for every factory-constructible policy. The
 // GreedyDual family's one save/restore pair sits with its class template
-// in greedy_dual.cpp and writes its heap through save_heap below.
+// in greedy_dual.cpp and writes its heap through save_heap below; the
+// recency-list family (list_policy.hpp) has one pair here, which writes
+// the list and then its promotion rule's state.
 //
 // One translation unit on purpose: the save/restore pair for each policy
 // must stay in lockstep, and the conventions they share (LRU lists as
@@ -25,16 +27,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "cache/beta_estimator.hpp"
 #include "cache/clock.hpp"
-#include "cache/fifo.hpp"
-#include "cache/lazy_lru.hpp"
 #include "cache/lfu.hpp"
-#include "cache/lru.hpp"
+#include "cache/list_policy.hpp"
 #include "cache/lru_k.hpp"
 #include "cache/lru_variants.hpp"
 #include "cache/object_table.hpp"
@@ -58,13 +57,6 @@ std::uint32_t take_slot(util::StateReader& r, const ObjectTable& objects) {
   return obj->slot;
 }
 
-void save_list(util::StateWriter& w, const LruIndexList& list,
-               const ObjectTable& objects) {
-  w.put_u64(list.size());
-  list.for_each_front_to_back(
-      [&](std::uint32_t slot) { w.put_u64(id_of(objects, slot)); });
-}
-
 std::vector<std::uint32_t> take_slot_run(util::StateReader& r,
                                          const ObjectTable& objects) {
   const std::uint64_t n = r.take_count(8, "id run");
@@ -72,14 +64,6 @@ std::vector<std::uint32_t> take_slot_run(util::StateReader& r,
   slots.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) slots.push_back(take_slot(r, objects));
   return slots;
-}
-
-void restore_list(util::StateReader& r, LruIndexList& list,
-                  const ObjectTable& objects) {
-  const std::vector<std::uint32_t> slots = take_slot_run(r, objects);
-  for (auto it = slots.rbegin(); it != slots.rend(); ++it) {
-    list.push_front(*it);
-  }
 }
 
 void save_rng(util::StateWriter& w, const util::Rng& rng) {
@@ -132,70 +116,68 @@ void restore_heap(util::StateReader& r, IndexedMinHeap<double>& heap,
   heap.restore(entries, r.take_u64());
 }
 
-// ---- LRU family ------------------------------------------------------------
+// ---- recency-list family ---------------------------------------------------
 
-void LruPolicy::save_state(util::StateWriter& w,
-                           const ObjectTable& objects) const {
-  save_list(w, order_, objects);
-}
-void LruPolicy::restore_state(util::StateReader& r,
-                              const ObjectTable& objects) {
-  restore_list(r, order_, objects);
-}
-
-void LruThresholdPolicy::save_state(util::StateWriter& w,
-                                    const ObjectTable& objects) const {
-  save_list(w, order_, objects);
-}
-void LruThresholdPolicy::restore_state(util::StateReader& r,
-                                       const ObjectTable& objects) {
-  restore_list(r, order_, objects);
-}
-
-// ---- FIFO ------------------------------------------------------------------
-
-// The layout is the insertion order oldest first, a tombstone count per id
-// (stale order entries the oldest occurrences of an id stand for; always
-// empty when written now, but honored on restore) and the sorted resident
-// ids.
-void FifoPolicy::save_state(util::StateWriter& w,
-                            const ObjectTable& objects) const {
-  std::vector<ObjectId> order;
+template <class Promotion>
+void ListPolicy<Promotion>::save_state(util::StateWriter& w,
+                                       const ObjectTable& objects) const {
+  w.put_u64(order_.size());
   order_.for_each_front_to_back(
-      [&](std::uint32_t slot) { order.push_back(id_of(objects, slot)); });
-  w.put_u64(order.size());
-  for (auto it = order.rbegin(); it != order.rend(); ++it) w.put_u64(*it);
-  w.put_u64(0);  // no tombstones
-  std::sort(order.begin(), order.end());
-  w.put_u64(order.size());
-  for (const ObjectId id : order) w.put_u64(id);
+      [&](std::uint32_t slot) { w.put_u64(id_of(objects, slot)); });
+  rule_.save_state(w, order_, objects);
 }
 
-void FifoPolicy::restore_state(util::StateReader& r,
-                               const ObjectTable& objects) {
-  const std::uint64_t n = r.take_u64();
-  std::vector<ObjectId> order;
-  for (std::uint64_t i = 0; i < n; ++i) order.push_back(r.take_id());
-  std::unordered_map<ObjectId, std::uint64_t> tombstones;
-  const std::uint64_t t = r.take_u64();
-  for (std::uint64_t i = 0; i < t; ++i) {
-    const ObjectId id = r.take_id();
-    tombstones[id] = r.take_u64();
+template <class Promotion>
+void ListPolicy<Promotion>::restore_state(util::StateReader& r,
+                                          const ObjectTable& objects) {
+  const std::vector<std::uint32_t> slots = take_slot_run(r, objects);
+  for (auto it = slots.rbegin(); it != slots.rend(); ++it) {
+    order_.push_front(*it);
   }
-  for (const ObjectId id : order) {
-    const auto stale = tombstones.find(id);
-    if (stale != tombstones.end() && stale->second > 0) {
-      --stale->second;
-      continue;
-    }
-    const CacheObject* obj = objects.find(id);
-    if (obj == nullptr) r.fail("policy state names a non-resident document");
-    order_.push_front(obj->slot);
-  }
-  if (take_slot_run(r, objects).size() != order_.size()) {
-    r.fail("FIFO resident set does not match its order");
-  }
+  rule_.restore_state(r, order_, objects);
 }
+
+void ProbPromotion::save_state(util::StateWriter& w, const LruIndexList&,
+                               const ObjectTable&) const {
+  save_rng(w, rng_);
+}
+
+void ProbPromotion::restore_state(util::StateReader& r, const LruIndexList&,
+                                  const ObjectTable&) {
+  restore_rng(r, rng_);
+}
+
+void DelayPromotion::save_state(util::StateWriter& w,
+                                const LruIndexList& order,
+                                const ObjectTable&) const {
+  order.for_each_front_to_back(
+      [&](std::uint32_t slot) { w.put_u64(stamps_[slot]); });
+}
+
+void DelayPromotion::restore_state(util::StateReader& r,
+                                   const LruIndexList& order,
+                                   const ObjectTable&) {
+  order.for_each_front_to_back(
+      [&](std::uint32_t slot) { slot_entry(stamps_, slot) = r.take_u64(); });
+}
+
+void BatchPromotion::save_state(util::StateWriter& w, const LruIndexList&,
+                                const ObjectTable& objects) const {
+  w.put_u64(pending_.size());
+  for (const std::uint32_t slot : pending_) w.put_u64(id_of(objects, slot));
+}
+
+void BatchPromotion::restore_state(util::StateReader& r, const LruIndexList&,
+                                   const ObjectTable& objects) {
+  pending_ = take_slot_run(r, objects);
+}
+
+// One instantiation per rule, so each hit rule is inlined into its policy.
+template class ListPolicy<AlwaysPromote>;
+template class ListPolicy<NeverPromote>;
+template class ListPolicy<ProbPromotion>;
+template class ListPolicy<DelayPromotion>;
+template class ListPolicy<BatchPromotion>;
 
 // ---- heap-ordered family ---------------------------------------------------
 
@@ -345,61 +327,6 @@ void SecondChancePolicy::restore_state(util::StateReader& r,
   for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
     ring_.push_front(it->first);
     slot_entry(counters_, it->first) = it->second;
-  }
-}
-
-// ---- lazy-promotion LRU variants -------------------------------------------
-
-void ProbLruPolicy::save_state(util::StateWriter& w,
-                               const ObjectTable& objects) const {
-  save_rng(w, rng_);
-  save_list(w, order_, objects);
-}
-
-void ProbLruPolicy::restore_state(util::StateReader& r,
-                                  const ObjectTable& objects) {
-  restore_rng(r, rng_);
-  restore_list(r, order_, objects);
-}
-
-void DelayLruPolicy::save_state(util::StateWriter& w,
-                                const ObjectTable& objects) const {
-  w.put_u64(order_.size());
-  order_.for_each_front_to_back([&](std::uint32_t slot) {
-    w.put_u64(id_of(objects, slot));
-    w.put_u64(stamps_[slot]);
-  });
-}
-
-void DelayLruPolicy::restore_state(util::StateReader& r,
-                                   const ObjectTable& objects) {
-  const std::uint64_t n = r.take_count(8 + 8, "delay entry");
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> entries;
-  entries.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint32_t slot = take_slot(r, objects);
-    const std::uint64_t stamp = r.take_u64();
-    entries.emplace_back(slot, stamp);
-  }
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-    order_.push_front(it->first);
-    slot_entry(stamps_, it->first) = it->second;
-  }
-}
-
-void BatchPromotionPolicy::save_state(util::StateWriter& w,
-                                      const ObjectTable& objects) const {
-  save_list(w, order_, objects);
-  w.put_u64(pending_.size());
-  for (const std::uint32_t slot : pending_) w.put_u64(id_of(objects, slot));
-}
-
-void BatchPromotionPolicy::restore_state(util::StateReader& r,
-                                         const ObjectTable& objects) {
-  restore_list(r, order_, objects);
-  const std::uint64_t n = r.take_u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    pending_.push_back(take_slot(r, objects));
   }
 }
 

@@ -39,9 +39,6 @@ class RandomPolicy final : public ReplacementPolicy {
   std::string_view name() const override { return "RANDOM"; }
   void clear() override;
 
-  PolicyProbe probe() const override {
-    return {slots_.size(), std::nullopt, std::nullopt};
-  }
 
   std::uint64_t seed() const { return seed_; }
 

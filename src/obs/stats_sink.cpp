@@ -11,8 +11,8 @@ SnapshotFn snapshot_from(const cache::CacheFrontend& frontend) {
   return [&frontend] {
     Snapshot snap;
     snap.occupancy = frontend.occupancy();
+    snap.heap_entries = snap.occupancy.total_objects;
     const cache::PolicyProbe probe = frontend.policy_probe();
-    snap.heap_entries = probe.heap_entries;
     snap.aging = probe.aging;
     snap.beta = probe.beta;
     return snap;

@@ -38,6 +38,8 @@ namespace webcache::obs {
 /// paper's Figure 1) plus the policy probe.
 struct Snapshot {
   cache::Occupancy occupancy;
+  /// Policy index entries: one per resident object in every policy, so
+  /// occupancy.total_objects.
   std::uint64_t heap_entries = 0;
   std::optional<double> aging;  // L (GDS family inflation, LFU-DA cache age)
   std::optional<double> beta;   // GD*'s online estimate

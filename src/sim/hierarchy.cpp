@@ -7,20 +7,13 @@
 
 #include "cache/cache.hpp"
 #include "obs/stats_sink.hpp"
+#include "sim/faults.hpp"
 #include "sim/last_size.hpp"
 #include "sim/replay_core.hpp"
 
 namespace webcache::sim {
 
 namespace {
-
-// SplitMix64 finalizer: decorrelates consecutive request indices.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 void count(HitCounters& counters, std::uint64_t bytes, bool hit) {
   counters.requests += 1;
@@ -315,11 +308,13 @@ std::vector<std::unique_ptr<cache::Cache>> make_edges(
 
 std::uint32_t edge_for_request(std::uint64_t request_index,
                                std::uint32_t edge_count) {
-  return static_cast<std::uint32_t>(mix(request_index) % edge_count);
+  // SplitMix64 decorrelates consecutive request indices.
+  return static_cast<std::uint32_t>(detail::mix64(request_index) %
+                                    edge_count);
 }
 
 std::uint32_t edge_for_client(std::uint32_t client, std::uint32_t edge_count) {
-  return static_cast<std::uint32_t>(mix(client) % edge_count);
+  return static_cast<std::uint32_t>(detail::mix64(client) % edge_count);
 }
 
 double HierarchyResult::edge_hit_rate() const {
@@ -389,11 +384,8 @@ void attach_sink(obs::RecordingSink& sink,
   sink.begin_run([&edges, &root] {
     obs::Snapshot snap;
     snap.occupancy = root.occupancy();
-    snap.heap_entries = root.policy_probe().heap_entries;
-    for (const auto& edge : edges) {
-      snap.occupancy.add(edge->occupancy());
-      snap.heap_entries += edge->policy_probe().heap_entries;
-    }
+    for (const auto& edge : edges) snap.occupancy.add(edge->occupancy());
+    snap.heap_entries = snap.occupancy.total_objects;
     const cache::PolicyProbe probe = root.policy_probe();
     snap.aging = probe.aging;
     snap.beta = probe.beta;

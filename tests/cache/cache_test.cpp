@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "cache/factory.hpp"
-#include "cache/lru.hpp"
+#include "cache/list_policy.hpp"
 #include "policy_test_util.hpp"
 
 namespace webcache::cache {

@@ -2,8 +2,8 @@
 
 #include <stdexcept>
 
-#include "cache/fifo.hpp"
 #include "cache/lfu.hpp"
+#include "cache/list_policy.hpp"
 #include "cache/size_policy.hpp"
 #include "policy_test_util.hpp"
 

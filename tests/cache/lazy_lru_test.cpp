@@ -2,14 +2,13 @@
 // differential: at their degenerate parameter settings (p = 1, k = 1,
 // batch = 1) all three collapse to plain LRU, and the fuzzed hit sequences
 // must match LruPolicy exactly.
-#include "cache/lazy_lru.hpp"
+#include "cache/list_policy.hpp"
 
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 #include <vector>
 
-#include "cache/lru.hpp"
 #include "policy_test_util.hpp"
 #include "util/rng.hpp"
 
@@ -129,9 +128,9 @@ TEST(BatchLru, EvictionPurgesPendingEntries) {
   obj.slot = 2;
   policy.on_hit(obj);
   policy.on_hit(obj);
-  EXPECT_EQ(policy.pending_promotions(), 2u);
+  EXPECT_EQ(policy.rule().pending_promotions(), 2u);
   EXPECT_EQ(policy.evict(0), 2u);  // still the LRU: its hits are queued
-  EXPECT_EQ(policy.pending_promotions(), 0u);
+  EXPECT_EQ(policy.rule().pending_promotions(), 0u);
 }
 
 TEST(LazyLru, ParameterValidation) {
@@ -145,9 +144,9 @@ TEST(LazyLru, NamesAndAccessors) {
   EXPECT_EQ(ProbLruPolicy(0.25).name(), "PROB-LRU:p=0.25");
   EXPECT_EQ(DelayLruPolicy(8).name(), "DELAY-LRU:k=8");
   EXPECT_EQ(BatchPromotionPolicy(32).name(), "BATCH-LRU:batch=32");
-  EXPECT_DOUBLE_EQ(ProbLruPolicy(0.25).promote_probability(), 0.25);
-  EXPECT_EQ(DelayLruPolicy(8).promote_interval(), 8u);
-  EXPECT_EQ(BatchPromotionPolicy(32).batch_size(), 32u);
+  EXPECT_DOUBLE_EQ(ProbLruPolicy(0.25).rule().promote_probability(), 0.25);
+  EXPECT_EQ(DelayLruPolicy(8).rule().promote_interval(), 8u);
+  EXPECT_EQ(BatchPromotionPolicy(32).rule().batch_size(), 32u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "cache/lru.hpp"
+#include "cache/list_policy.hpp"
 
 #include <gtest/gtest.h>
 

@@ -1,10 +1,10 @@
-#include "cache/lru_variants.hpp"
-
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
 #include "cache/factory.hpp"
+#include "cache/list_policy.hpp"
+#include "cache/lru_variants.hpp"
 #include "policy_test_util.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -17,15 +17,15 @@ using testutil::access_sized;
 // ------------------------------------------------------- LRU-Threshold
 
 TEST(LruThreshold, RejectsZeroThreshold) {
-  EXPECT_THROW(LruThresholdPolicy(0), std::invalid_argument);
+  EXPECT_THROW(LruThresholdPolicy(AdmissionLimit{0}), std::invalid_argument);
 }
 
 TEST(LruThreshold, NameCarriesThreshold) {
-  EXPECT_EQ(LruThresholdPolicy(1024).name(), "LRU-THOLD(1024)");
+  EXPECT_EQ(LruThresholdPolicy(AdmissionLimit{1024}).name(), "LRU-THOLD(1024)");
 }
 
 TEST(LruThreshold, EvictionOrderIsLru) {
-  Cache cache(3, std::make_unique<LruThresholdPolicy>(100));
+  Cache cache(3, std::make_unique<LruThresholdPolicy>(AdmissionLimit{100}));
   access_sized(cache, 1, 1);
   access_sized(cache, 2, 1);
   access_sized(cache, 1, 1);  // refresh 1
@@ -37,7 +37,7 @@ TEST(LruThreshold, EvictionOrderIsLru) {
 
 TEST(LruThreshold, CacheAdmissionLimitBypassesLargeObjects) {
   // The policy's threshold is the cache's admission limit; no setup call.
-  Cache cache(1000, std::make_unique<LruThresholdPolicy>(100));
+  Cache cache(1000, std::make_unique<LruThresholdPolicy>(AdmissionLimit{100}));
   EXPECT_EQ(access_sized(cache, 1, 101).kind, Cache::AccessKind::kBypass);
   EXPECT_EQ(access_sized(cache, 2, 100).kind, Cache::AccessKind::kMiss);
   EXPECT_TRUE(cache.contains(2));

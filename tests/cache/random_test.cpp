@@ -99,15 +99,6 @@ TEST(Random, PolicyRejectsProtocolViolations) {
   EXPECT_THROW(policy.evict(0), std::logic_error);
 }
 
-TEST(Random, ProbeReportsResidentCount) {
-  RandomPolicy policy;
-  EXPECT_EQ(policy.probe().heap_entries, 0u);
-  CacheObject obj;
-  obj.id = 9;
-  policy.on_insert(obj);
-  EXPECT_EQ(policy.probe().heap_entries, 1u);
-}
-
 TEST(Random, NameAndSeedAccessor) {
   EXPECT_EQ(RandomPolicy().name(), "RANDOM");
   EXPECT_EQ(RandomPolicy(123).seed(), 123u);

@@ -246,6 +246,14 @@ def check_round_trip(cli, tmp):
         check(f"sweep --sampling=on --sample-rate={value} exits 1 naming "
               "the flag", p.returncode == 1 and "--sample-rate" in p.stderr,
               f"rc={p.returncode} stderr={p.stderr.strip()[:200]}")
+        # The streamed sweep names the flag and echoes the value too.
+        p = run(cli, "sweep", wct, "--stream", "--capacities-mb=1",
+                f"--sample-rate={value}")
+        check(f"sweep --stream --sample-rate={value} exits 1 naming the "
+              "flag and the value",
+              p.returncode == 1 and "--sample-rate" in p.stderr
+              and f"(got {value})" in p.stderr,
+              f"rc={p.returncode} stderr={p.stderr.strip()[:200]}")
 
     # Sampling is either on or off; the removed auto mode is an error.
     p = run(cli, "sweep", wct, "--policies=LRU", "--sampling=auto")

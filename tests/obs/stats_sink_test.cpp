@@ -158,6 +158,22 @@ TEST(RecordingSink, PolicyStateTracesMatchThePolicy) {
     EXPECT_FALSE(w.state.beta.has_value());
     EXPECT_LE(w.state.occupancy.total_bytes, r.capacity_bytes);
   }
+
+  // Every policy indexes each resident object once, whatever its index.
+  for (const char* name :
+       {"LRU", "FIFO", "SIZE", "LFU", "LFU-DA", "GDS(1)", "GDSF(packet)",
+        "GD*(latency)", "GD*C(1)", "LRU-THOLD(300000)", "LRU-MIN", "LRU-2",
+        "RANDOM", "CLOCK", "DELAY-CLOCK:k=3", "PROB-LRU:p=0.25",
+        "DELAY-LRU:k=8", "BATCH-LRU:batch=16"}) {
+    RecordingSink sink(kWindow);
+    sim::simulate(t, capacity_of(t), cache::policy_spec_from_name(name), {},
+                  &sink);
+    ASSERT_FALSE(sink.series().windows.empty()) << name;
+    for (const WindowSample& w : sink.series().windows) {
+      EXPECT_EQ(w.state.heap_entries, w.state.occupancy.total_objects)
+          << name;
+    }
+  }
 }
 
 TEST(RecordingSink, ReusableAcrossRuns) {

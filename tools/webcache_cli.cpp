@@ -462,8 +462,13 @@ std::optional<sim::FaultSchedule> fault_schedule(const util::Args& args) {
   return schedule;
 }
 
-void write_metrics_file(const std::string& path, const sim::SimResult& r,
-                        const obs::RecordingSink& sink) {
+/// Writes the sink's windows to `path`: CSV for a .csv name, else the
+/// JSON `write_json` renders with the run's result.
+template <class Result>
+void write_metrics_file(const std::string& path, const Result& r,
+                        const obs::RecordingSink& sink,
+                        void (*write_json)(std::ostream&, const Result&,
+                                           const obs::MetricsSeries&)) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("cannot open " + path);
   const bool csv =
@@ -471,7 +476,7 @@ void write_metrics_file(const std::string& path, const sim::SimResult& r,
   if (csv) {
     sim::write_metrics_csv(out, sink.series());
   } else {
-    sim::write_metrics_json(out, r, sink.series());
+    write_json(out, r, sink.series());
   }
   std::cerr << "wrote " << path << " (" << sink.series().windows.size()
             << " windows of " << sink.window_requests() << " requests)\n";
@@ -556,7 +561,9 @@ int cmd_simulate_stream(const util::Args& args) {
     std::cerr << "checkpoint: wrote " << run.checkpoints_written
               << " checkpoint(s) to " << job.checkpoint.dir << "\n";
   }
-  if (!metrics_path.empty()) write_metrics_file(metrics_path, r, sink);
+  if (!metrics_path.empty()) {
+    write_metrics_file(metrics_path, r, sink, sim::write_metrics_json);
+  }
   if (args.has("result-out")) write_result_json(args.get("result-out", ""), r);
   print_simulate_report(r, capacity);
   return 0;
@@ -604,7 +611,9 @@ int cmd_simulate(const util::Args& args) {
   const sim::SimResult r =
       sim::simulate(t, capacity, cache::policy_spec_from_name(policy),
                     simulator_options(args), sink ? &*sink : nullptr);
-  if (sink) write_metrics_file(metrics_path, r, *sink);
+  if (sink) {
+    write_metrics_file(metrics_path, r, *sink, sim::write_metrics_json);
+  }
 
   if (args.has("result-out")) write_result_json(args.get("result-out", ""), r);
   print_simulate_report(r, capacity);
@@ -632,6 +641,11 @@ int cmd_sweep_stream(const util::Args& args) {
         mib_bytes("capacities-mb", util::parse_uint("capacities-mb", mb)));
   }
   config.sample_rate = args.get_double("sample-rate", 0.01);
+  if (!(config.sample_rate > 0.0 && config.sample_rate <= 1.0)) {
+    throw std::invalid_argument(
+        "sweep: --sample-rate must be in (0, 1] with --stream (got " +
+        args.get("sample-rate", "") + ")");
+  }
   if (args.has("sample-seed")) {
     config.hash_seed = args.get_uint("sample-seed", config.hash_seed);
   }
@@ -796,19 +810,8 @@ int cmd_hierarchy(const util::Args& args) {
       sim::simulate_hierarchy(t, config, sink ? &*sink : nullptr,
                               schedule ? &*schedule : nullptr);
   if (sink) {
-    std::ofstream out(metrics_path);
-    if (!out) throw std::runtime_error("cannot open " + metrics_path);
-    const bool csv = metrics_path.size() >= 4 &&
-                     metrics_path.compare(metrics_path.size() - 4, 4,
-                                          ".csv") == 0;
-    if (csv) {
-      sim::write_metrics_csv(out, sink->series());
-    } else {
-      sim::write_hierarchy_metrics_json(out, r, sink->series());
-    }
-    std::cerr << "wrote " << metrics_path << " ("
-              << sink->series().windows.size() << " windows of "
-              << sink->window_requests() << " requests)\n";
+    write_metrics_file(metrics_path, r, *sink,
+                       sim::write_hierarchy_metrics_json);
   }
 
   util::Table table(std::to_string(config.edge_count) + " edges (" +
