@@ -9,12 +9,10 @@
 
 #include "cache/clock.hpp"
 #include "cache/greedy_dual.hpp"
-#include "cache/lfu.hpp"
 #include "cache/list_policy.hpp"
 #include "cache/lru_k.hpp"
 #include "cache/lru_variants.hpp"
 #include "cache/random.hpp"
-#include "cache/size_policy.hpp"
 
 namespace webcache::cache {
 

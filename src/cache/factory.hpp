@@ -30,8 +30,9 @@ enum class PolicyKind {
   kProbLru,
   kDelayLru,
   kBatchPromotion,
-  /// The clairvoyant bound (cache/opt.hpp). Its oracle is built from the
-  /// trace, so only run_sweep constructs it; make_policy rejects it.
+  /// The clairvoyant bound (OptPolicy, cache/greedy_dual.hpp). Its oracle
+  /// is built from the trace, so only run_sweep constructs it; make_policy
+  /// rejects it.
   kOpt,
 };
 

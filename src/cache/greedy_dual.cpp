@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "trace/dense_trace.hpp"
 #include "util/state_io.hpp"
 
 namespace webcache::cache {
@@ -48,11 +51,39 @@ GdStarPerClassValue::GdStarPerClassValue(
     : CostValue("GD*C", cost_model),
       estimators_(make_estimators(estimator_options)) {}
 
+OptValue::OptValue(const trace::DenseTrace& trace) {
+  const std::vector<trace::ReplayRecord>& records = trace.records;
+  if (records.size() >= (std::uint64_t{1} << 32)) {
+    throw std::length_error(
+        "OptPolicy: " + std::to_string(records.size()) +
+        " requests; the next-reference oracle holds 32-bit clocks, so a "
+        "trace must have fewer than 2^32 requests");
+  }
+  next_.resize(records.size());
+  // Backward pass: upcoming[d] is the clock of the nearest later request
+  // for document d (0 while there is none).
+  std::vector<std::uint32_t> upcoming(
+      static_cast<std::size_t>(trace.document_count()), 0);
+  for (std::size_t i = records.size(); i-- > 0;) {
+    std::uint32_t& later = upcoming[records[i].document];
+    next_[i] = later;
+    later = static_cast<std::uint32_t>(i + 1);
+  }
+}
+
+void OptValue::save_state(util::StateWriter&) const {
+  throw std::logic_error("policy 'OPT' does not support checkpointing");
+}
+
+void OptValue::restore_state(util::StateReader&) {
+  throw std::logic_error("policy 'OPT' does not support checkpointing");
+}
+
 template <class Value>
 void GreedyDualPolicy<Value>::save_state(util::StateWriter& w,
                                          const ObjectTable& objects) const {
   save_heap(w, heap_, objects);
-  w.put_double(inflation_);
+  if constexpr (Value::kAges) w.put_double(inflation_);
   value_.save_state(w);
 }
 
@@ -60,7 +91,7 @@ template <class Value>
 void GreedyDualPolicy<Value>::restore_state(util::StateReader& r,
                                             const ObjectTable& objects) {
   restore_heap(r, heap_, objects);
-  inflation_ = r.take_double();
+  if constexpr (Value::kAges) inflation_ = r.take_double();
   value_.restore_state(r);
 }
 
@@ -71,5 +102,8 @@ template class GreedyDualPolicy<GdsValue>;
 template class GreedyDualPolicy<GdsfValue>;
 template class GreedyDualPolicy<GdStarValue>;
 template class GreedyDualPolicy<GdStarPerClassValue>;
+template class GreedyDualPolicy<LfuValue>;
+template class GreedyDualPolicy<SizeValue>;
+template class GreedyDualPolicy<OptValue>;
 
 }  // namespace webcache::cache

@@ -15,13 +15,20 @@
 //   GDSF    f(p) * c(p) / s(p)                  Squid's GDSF
 //   GD*     (f(p) * c(p) / s(p))^(1/beta)       one online (or fixed) beta
 //   GD*C    (f(p) * c(p) / s(p))^(1/beta_cls)   one beta per document class
+//   LFU     f(p)                                no aging
+//   SIZE    -s(p)                               no aging: largest first
+//   OPT     -(clock of the next reference)      no aging: clairvoyant
 //
 // f(p) is the in-cache reference count, c(p) the cost model's retrieval
 // cost and s(p) the size, a size-0 document (e.g. a 304 body) counting as
-// one byte so the value stays finite. A Value type supplies value(p) as
-// `of(obj)`, its name, and the hooks of ValueHooks it needs: a hit hook
-// that feeds an estimator before the heap update, the beta the probe
-// reports, and the state a checkpoint carries after the heap and L.
+// one byte in the cost-based values so they stay finite. A Value type
+// supplies value(p) as `of(obj)`, its name, whether it ages, and the hooks
+// of ValueHooks it needs: a hit hook that feeds an estimator before the
+// heap update, the beta the probe reports, and the state a checkpoint
+// carries after the heap and L. A value that does not age (kAges false)
+// is the classic baseline its aging sibling improves on: L stays 0, the
+// heap holds value(p) itself, and neither the checkpoint nor the probe
+// carries an L. Ties (equal H) break FIFO throughout.
 #pragma once
 
 #include <algorithm>
@@ -31,11 +38,16 @@
 #include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "cache/beta_estimator.hpp"
 #include "cache/cost_model.hpp"
 #include "cache/indexed_heap.hpp"
 #include "cache/policy.hpp"
+
+namespace webcache::trace {
+struct DenseTrace;
+}  // namespace webcache::trace
 
 namespace webcache::cache {
 
@@ -47,16 +59,16 @@ class GreedyDualPolicy final : public ReplacementPolicy {
       : value_(std::forward<Args>(args)...) {}
 
   void on_insert(const CacheObject& obj) override {
-    heap_.push(obj.slot, inflation_ + value_.of(obj));
+    heap_.push(obj.slot, priority(obj));
   }
   void on_hit(const CacheObject& obj) override {
     value_.on_hit(obj);
-    heap_.update(obj.slot, inflation_ + value_.of(obj));
+    heap_.update(obj.slot, priority(obj));
   }
-  /// Pops the minimum; L rises to its priority.
+  /// Pops the minimum; for an aging value, L rises to its priority.
   std::uint32_t evict(std::uint64_t /*incoming_size*/) override {
     const auto victim = heap_.pop();
-    inflation_ = victim.priority;
+    if constexpr (Value::kAges) inflation_ = victim.priority;
     return victim.key;
   }
   void on_erase(const CacheObject& obj) override { heap_.erase(obj.slot); }
@@ -68,7 +80,7 @@ class GreedyDualPolicy final : public ReplacementPolicy {
   }
 
   /// The inflation L (LFU-DA's cache age): 0 at the start, then the
-  /// priority of the last victim.
+  /// priority of the last victim; always 0 for a value that does not age.
   double inflation() const { return inflation_; }
   /// The value function's estimate: GD*'s beta(), GD*C's beta(cls).
   template <class... Class>
@@ -77,23 +89,35 @@ class GreedyDualPolicy final : public ReplacementPolicy {
   }
 
   PolicyProbe probe() const override {
-    return {inflation_, value_.probe_beta()};
+    if constexpr (Value::kAges) return {inflation_, value_.probe_beta()};
+    return {std::nullopt, value_.probe_beta()};
   }
 
-  /// The heap, then L, then the value function's state.
+  /// The heap, then L (for an aging value), then the value function's
+  /// state.
   void save_state(util::StateWriter& w,
                   const ObjectTable& objects) const override;
   void restore_state(util::StateReader& r,
                      const ObjectTable& objects) override;
 
  private:
-  IndexedMinHeap<double> heap_;
+  // H(p). A non-aging value's own double goes in unchanged: SIZE gives a
+  // size-0 document -0.0, which 0.0 + -0.0 would turn into +0.0 in the
+  // checkpoint bytes.
+  double priority(const CacheObject& obj) const {
+    if constexpr (Value::kAges) return inflation_ + value_.of(obj);
+    return value_.of(obj);
+  }
+
+  IndexedMinHeap heap_;
   Value value_;
   double inflation_ = 0.0;
 };
 
-/// The hooks of a value function with no state of its own.
+/// The hooks of a value function with no state of its own, and one that
+/// ages.
 struct ValueHooks {
+  static constexpr bool kAges = true;
   void on_hit(const CacheObject&) {}
   std::optional<double> probe_beta() const { return std::nullopt; }
   void clear() {}
@@ -239,16 +263,99 @@ class GdStarPerClassValue : public CostValue {
   std::array<BetaEstimator, trace::kDocumentClassCount> estimators_;
 };
 
+/// Plain Least Frequently Used: the in-cache reference count, no aging.
+/// Kept as the baseline that motivates LFU-DA: without aging, documents
+/// that were popular long ago pollute the cache ("cache pollution",
+/// Section 3).
+struct LfuValue : ValueHooks {
+  static constexpr bool kAges = false;
+  double of(const CacheObject& obj) const {
+    return static_cast<double>(obj.reference_count);
+  }
+  std::string_view name() const { return "LFU"; }
+};
+
+/// SIZE (Williams et al., 1996): evict the largest resident document. The
+/// classic size-aware baseline that GDS generalizes; the negated size makes
+/// the min-heap a max-heap over sizes.
+struct SizeValue : ValueHooks {
+  static constexpr bool kAges = false;
+  double of(const CacheObject& obj) const {
+    return -static_cast<double>(obj.size);
+  }
+  std::string_view name() const { return "SIZE"; }
+};
+
+/// Clairvoyant replacement bound (Belady's MIN generalized to variable-size
+/// objects by the standard furthest-next-reference greedy).
+///
+/// Not part of the paper's scheme set: an *upper bound* harness feature.
+/// The value is built from the full future request sequence, and on
+/// replacement the resident object whose next reference is furthest in the
+/// future goes first (never-referenced-again objects before everything,
+/// largest first among those). For unit-size objects this is Belady's
+/// optimal MIN; for variable sizes the offline optimum is NP-hard and this
+/// greedy is the customary reference bound (e.g. in Cao & Irani's
+/// evaluation).
+///
+/// The container's logical clock must advance exactly once per trace
+/// request (which the simulator guarantees), because next-reference lookups
+/// are keyed by request index: the oracle is one 32-bit entry per request,
+/// the clock of the next request for the same document. The oracle is the
+/// future of one trace, which a checkpoint cannot carry, so the checkpoint
+/// hooks throw.
+class OptValue : public ValueHooks {
+ public:
+  static constexpr bool kAges = false;
+
+  /// Builds the next-reference oracle from the trace's records in one
+  /// backward pass over a flat array of document_count() entries (the ids
+  /// are already dense, so nothing is interned). Request i corresponds to
+  /// container clock i + 1. Throws std::length_error for 2^32 or more
+  /// requests.
+  explicit OptValue(const trace::DenseTrace& trace);
+
+  /// -(next reference clock), so a further next reference is evicted
+  /// earlier; a dead object sorts below every live one, biggest first.
+  double of(const CacheObject& obj) const {
+    // obj.last_access is the clock of the request being served.
+    const std::uint64_t now = obj.last_access;
+    const std::uint64_t next =
+        now == 0 || now > next_.size() ? 0 : next_[now - 1];
+    if (next == 0) {
+      // The base is far beyond any clock value yet small enough that adding
+      // the size is not absorbed by floating-point rounding.
+      constexpr double kDeadBase = 1e15;
+      return -(kDeadBase + static_cast<double>(obj.size));
+    }
+    return -static_cast<double>(next);
+  }
+  std::string_view name() const { return "OPT"; }
+  [[noreturn]] void save_state(util::StateWriter&) const;
+  [[noreturn]] void restore_state(util::StateReader&);
+
+ private:
+  /// next_[i]: the clock of the next request for request i's document; 0
+  /// when there is none.
+  std::vector<std::uint32_t> next_;
+};
+
 using LfuDaPolicy = GreedyDualPolicy<LfuDaValue>;
 using GdsPolicy = GreedyDualPolicy<GdsValue>;
 using GdsfPolicy = GreedyDualPolicy<GdsfValue>;
 using GdStarPolicy = GreedyDualPolicy<GdStarValue>;
 using GdStarPerClassPolicy = GreedyDualPolicy<GdStarPerClassValue>;
+using LfuPolicy = GreedyDualPolicy<LfuValue>;
+using SizePolicy = GreedyDualPolicy<SizeValue>;
+using OptPolicy = GreedyDualPolicy<OptValue>;
 
 extern template class GreedyDualPolicy<LfuDaValue>;
 extern template class GreedyDualPolicy<GdsValue>;
 extern template class GreedyDualPolicy<GdsfValue>;
 extern template class GreedyDualPolicy<GdStarValue>;
 extern template class GreedyDualPolicy<GdStarPerClassValue>;
+extern template class GreedyDualPolicy<LfuValue>;
+extern template class GreedyDualPolicy<SizeValue>;
+extern template class GreedyDualPolicy<OptValue>;
 
 }  // namespace webcache::cache

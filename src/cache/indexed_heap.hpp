@@ -1,22 +1,22 @@
 // Indexed binary min-heap over slot keys.
 //
-// The value-based policies (LFU-DA, GDS, GDSF, GD*) must, on every hit,
-// update the priority of an arbitrary resident object and, on eviction, pop
-// the minimum. A binary heap with a key -> position index gives O(log n)
-// for both, and (unlike std::priority_queue) supports decrease/increase-key
-// and erase-by-key.
+// The value-based policies (the GreedyDual family, LRU-2) must, on every
+// hit, update the priority of an arbitrary resident object and, on
+// eviction, pop the minimum. A binary heap with a key -> position index
+// gives O(log n) for both, and (unlike std::priority_queue) supports
+// decrease/increase-key and erase-by-key.
 //
 // Keys are u32 object-table slots (CacheObject::slot), so the position
 // index is a flat std::vector<u32> indexed by key, grown to cover the
 // largest key pushed: it follows the table's slot high-water mark, never
 // the document universe.
 //
-// Layout. Each array entry is 16 bytes — {priority, u32 key, u32 sequence}
-// for an 8-byte Priority. sift_up and sift_down move a hole rather than
-// swapping, so each level costs one entry write and one index write. The
-// hole method makes exactly the comparisons the swap method would, so the
-// array layout (and hence for_each_entry's order, which the checkpoint
-// writer serializes) is the swap method's.
+// Layout. Each array entry is 16 bytes — {double priority, u32 key, u32
+// sequence}. sift_up and sift_down move a hole rather than swapping, so
+// each level costs one entry write and one index write. The hole method
+// makes exactly the comparisons the swap method would, so the array layout
+// (and hence for_each_entry's order, which the checkpoint writer
+// serializes) is the swap method's.
 //
 // Ties are broken by insertion sequence (FIFO among equal priorities), which
 // makes every policy fully deterministic and replay-stable; keys never
@@ -45,7 +45,6 @@ namespace webcache::cache {
 
 class ObjectTable;
 
-template <typename Priority>
 class IndexedMinHeap {
  public:
   using Key = std::uint32_t;
@@ -54,7 +53,7 @@ class IndexedMinHeap {
   /// inserted earlier).
   struct Entry {
     Key key;
-    Priority priority;
+    double priority;
     std::uint64_t sequence;
   };
 
@@ -64,7 +63,7 @@ class IndexedMinHeap {
 
   /// Inserts a new key. Throws std::logic_error if the key is present,
   /// std::invalid_argument for the reserved key 2^32 - 1.
-  void push(Key key, Priority priority) {
+  void push(Key key, double priority) {
     acquire(key);
     if (next_sequence_ > kMaxSequence) renumber_sequences();
     const auto sequence = static_cast<std::uint32_t>(next_sequence_++);
@@ -87,10 +86,10 @@ class IndexedMinHeap {
 
   /// Updates the priority of an existing key (any direction). The entry
   /// keeps its original sequence number. Throws if absent.
-  void update(Key key, Priority priority) {
+  void update(Key key, double priority) {
     const std::size_t i = position_of(key);
     Node node = heap_[i];
-    const Priority old = node.priority;
+    const double old = node.priority;
     node.priority = priority;
     if (i > 0 && less(node, heap_[parent(i)])) {
       sift_up(i, node);
@@ -105,7 +104,7 @@ class IndexedMinHeap {
   void erase(Key key) { remove_at(position_of(key)); }
 
   /// Priority currently stored for key. Throws if absent.
-  Priority priority_of(Key key) const {
+  double priority_of(Key key) const {
     return heap_[position_of(key)].priority;
   }
 
@@ -177,12 +176,11 @@ class IndexedMinHeap {
 
  private:
   struct Node {
-    Priority priority;
+    double priority;
     Key key;
     std::uint32_t sequence;
   };
-  static_assert(sizeof(Priority) != 8 || sizeof(Node) == 16,
-                "an 8-byte priority must give 16-byte heap entries");
+  static_assert(sizeof(Node) == 16, "heap entries must be 16 bytes");
 
   static constexpr std::uint32_t kNone =
       std::numeric_limits<std::uint32_t>::max();
@@ -313,9 +311,9 @@ class IndexedMinHeap {
 /// in array order, then the sequence counter. Keys are slots of `objects`:
 /// save writes each slot's id, restore reads ids through take_id() (so a
 /// reader's id bound applies) and keys each entry by the id's slot.
-void save_heap(util::StateWriter& w, const IndexedMinHeap<double>& heap,
+void save_heap(util::StateWriter& w, const IndexedMinHeap& heap,
                const ObjectTable& objects);
-void restore_heap(util::StateReader& r, IndexedMinHeap<double>& heap,
+void restore_heap(util::StateReader& r, IndexedMinHeap& heap,
                   const ObjectTable& objects);
 
 }  // namespace webcache::cache

@@ -53,7 +53,7 @@ class LruKPolicy final : public ReplacementPolicy {
 
   // Min-heap on the penultimate access clock; objects with no known second
   // access sit in a sub-zero band ordered by their only access.
-  IndexedMinHeap<double> heap_;
+  IndexedMinHeap heap_;
 
   // Per resident slot: the document and its most recent access (the
   // policy's own copy, needed when evict() picks the slot as the victim).

@@ -15,8 +15,9 @@
 //                      the size of the object being admitted (0 when
 //                      unknown); most policies ignore it, size-class
 //                      policies like LRU-MIN use it to pick their victim
-//                      pool. The GreedyDual family ages here: L becomes
-//                      the victim's priority
+//                      pool. A GreedyDual value that ages (LFU-DA, GDS,
+//                      GDSF, GD*, GD*C) ages here: L becomes the victim's
+//                      priority. LFU, SIZE and OPT never age
 //   - on_erase(obj)    obj leaves without being a victim (invalidation,
 //                      modification); no aging
 // A slot freed by evict/on_erase may be handed to the next on_insert.
@@ -43,8 +44,8 @@ class ObjectTable;
 /// Observability snapshot of a policy's internal state, sampled by the
 /// instrumentation layer at window boundaries (never on the hot path).
 /// Fields are optional because not every scheme has the notion: only the
-/// GreedyDual family (greedy_dual.hpp, LFU-DA included) carries an aging
-/// term, only GD* reports a beta. (Every policy indexes each resident
+/// GreedyDual values that age (greedy_dual.hpp, LFU-DA included) carry an
+/// aging term, only GD* reports a beta. (Every policy indexes each resident
 /// object exactly once, so the index size is the occupancy's object count.)
 struct PolicyProbe {
   /// Current aging/inflation term L (GDS/GDSF/GD*/GD*C: the inflation
@@ -94,8 +95,10 @@ class ReplacementPolicy {
   // the identical spec, after the cache restored its resident objects into
   // `objects`: each saved id maps to the slot the table assigned it, and
   // an id that is not resident fails the reader. sim::checkpoint validates
-  // the spec before restoring. Policies that carry out-of-band state
-  // (e.g. the clairvoyant OPT bound) keep the throwing defaults.
+  // the spec before restoring. A policy whose state cannot be written
+  // keeps the throwing defaults; the clairvoyant OPT bound, whose oracle is
+  // the future of one trace, throws the same error from its value's
+  // checkpoint hooks (greedy_dual.hpp).
 
   virtual void save_state(util::StateWriter&, const ObjectTable&) const {
     throw std::logic_error("policy '" + std::string(name()) +

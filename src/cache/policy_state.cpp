@@ -1,8 +1,8 @@
 // Checkpoint serialization for every factory-constructible policy. The
-// GreedyDual family's one save/restore pair sits with its class template
-// in greedy_dual.cpp and writes its heap through save_heap below; the
-// recency-list family (list_policy.hpp) has one pair here, which writes
-// the list and then its promotion rule's state.
+// GreedyDual family's one save/restore pair (LFU and SIZE included) sits
+// with its class template in greedy_dual.cpp and writes its heap through
+// save_heap below; the recency-list family (list_policy.hpp) has one pair
+// here, which writes the list and then its promotion rule's state.
 //
 // One translation unit on purpose: the save/restore pair for each policy
 // must stay in lockstep, and the conventions they share (LRU lists as
@@ -32,13 +32,11 @@
 
 #include "cache/beta_estimator.hpp"
 #include "cache/clock.hpp"
-#include "cache/lfu.hpp"
 #include "cache/list_policy.hpp"
 #include "cache/lru_k.hpp"
 #include "cache/lru_variants.hpp"
 #include "cache/object_table.hpp"
 #include "cache/random.hpp"
-#include "cache/size_policy.hpp"
 #include "util/rng.hpp"
 #include "util/state_io.hpp"
 
@@ -90,10 +88,10 @@ void save_sorted(util::StateWriter& w,
 
 }  // namespace
 
-void save_heap(util::StateWriter& w, const IndexedMinHeap<double>& heap,
+void save_heap(util::StateWriter& w, const IndexedMinHeap& heap,
                const ObjectTable& objects) {
   w.put_u64(heap.size());
-  heap.for_each_entry([&](const IndexedMinHeap<double>::Entry& e) {
+  heap.for_each_entry([&](const IndexedMinHeap::Entry& e) {
     w.put_u64(id_of(objects, e.key));
     w.put_double(e.priority);
     w.put_u64(e.sequence);
@@ -101,9 +99,9 @@ void save_heap(util::StateWriter& w, const IndexedMinHeap<double>& heap,
   w.put_u64(heap.next_sequence());
 }
 
-void restore_heap(util::StateReader& r, IndexedMinHeap<double>& heap,
+void restore_heap(util::StateReader& r, IndexedMinHeap& heap,
                   const ObjectTable& objects) {
-  using Entry = IndexedMinHeap<double>::Entry;
+  using Entry = IndexedMinHeap::Entry;
   const std::uint64_t n = r.take_count(24, "heap entry");
   std::vector<Entry> entries;
   entries.reserve(static_cast<std::size_t>(n));
@@ -179,33 +177,13 @@ template class ListPolicy<ProbPromotion>;
 template class ListPolicy<DelayPromotion>;
 template class ListPolicy<BatchPromotion>;
 
-// ---- heap-ordered family ---------------------------------------------------
-
-void SizePolicy::save_state(util::StateWriter& w,
-                            const ObjectTable& objects) const {
-  save_heap(w, heap_, objects);
-}
-void SizePolicy::restore_state(util::StateReader& r,
-                               const ObjectTable& objects) {
-  restore_heap(r, heap_, objects);
-}
-
-void LfuPolicy::save_state(util::StateWriter& w,
-                           const ObjectTable& objects) const {
-  save_heap(w, heap_, objects);
-}
-void LfuPolicy::restore_state(util::StateReader& r,
-                              const ObjectTable& objects) {
-  restore_heap(r, heap_, objects);
-}
-
 // ---- LRU-2 -----------------------------------------------------------------
 
 void LruKPolicy::save_state(util::StateWriter& w,
                             const ObjectTable& objects) const {
   save_heap(w, heap_, objects);
   std::vector<std::pair<ObjectId, std::uint64_t>> resident;
-  heap_.for_each_entry([&](const IndexedMinHeap<double>::Entry& e) {
+  heap_.for_each_entry([&](const IndexedMinHeap::Entry& e) {
     resident.emplace_back(resident_[e.key].id, resident_[e.key].last_access);
   });
   save_sorted(w, std::move(resident));

@@ -11,6 +11,7 @@
 #include "sim/faults.hpp"  // detail::mix64
 #include "sim/last_size.hpp"
 #include "trace/stream_ids.hpp"
+#include "util/fenwick.hpp"
 
 namespace webcache::sim {
 
@@ -21,33 +22,6 @@ constexpr double kTwoPow64 = 18446744073709551616.0;
 std::uint64_t sampling_hash(std::uint64_t seed, trace::DocumentId doc) {
   return detail::mix64(seed ^ detail::mix64(doc));
 }
-
-// Byte sums over recency slots; smaller slot = more recent (slots are
-// allocated counting down). Negative updates ride on unsigned wraparound —
-// sums of live weights always fit.
-class ByteFenwick {
- public:
-  explicit ByteFenwick(std::uint64_t slots) : tree_(slots + 1, 0) {}
-
-  void add(std::uint64_t slot, std::uint64_t delta) {
-    for (; slot < tree_.size(); slot += slot & (~slot + 1)) {
-      tree_[slot] += delta;
-    }
-  }
-  void sub(std::uint64_t slot, std::uint64_t bytes) {
-    add(slot, std::uint64_t{0} - bytes);
-  }
-
-  /// Sum of bytes over slots [1, slot].
-  std::uint64_t prefix(std::uint64_t slot) const {
-    std::uint64_t sum = 0;
-    for (; slot > 0; slot &= slot - 1) sum += tree_[slot];
-    return sum;
-  }
-
- private:
-  std::vector<std::uint64_t> tree_;
-};
 
 struct DocState {
   std::uint64_t slot = 0;
@@ -202,9 +176,12 @@ SampledCurve SampledSweep::estimate(
   using HeapEntry = std::pair<std::uint64_t, trace::DocumentId>;
   std::priority_queue<HeapEntry> by_hash;
 
+  // Byte sums indexed by recency slot (1..slot_space; index 0 stays
+  // empty). A smaller slot is more recent: slots are allocated counting
+  // down.
   std::uint64_t slot_space = 1 << 16;
   std::uint64_t cursor = slot_space;  // next slot = cursor--, 0 => renumber
-  ByteFenwick fen(slot_space);
+  util::FenwickTree fen(slot_space + 1);
 
   const auto renumber = [&]() {
     // Gather live docs most-recent-first (ascending slot), regrow the slot
@@ -215,7 +192,7 @@ SampledCurve SampledSweep::estimate(
     std::sort(live.begin(), live.end());
     const std::uint64_t n = live.size();
     slot_space = std::max<std::uint64_t>(1 << 16, 4 * n + 1024);
-    fen = ByteFenwick(slot_space);
+    fen = util::FenwickTree(slot_space + 1);
     std::uint64_t next = slot_space - n + 1;
     for (const auto& [old_slot, id] : live) {
       DocState& st = docs[id];
@@ -293,7 +270,7 @@ SampledCurve SampledSweep::estimate(
         st.last_size = size;
         // Bytes of strictly more recently used sampled documents, scaled
         // up by the sampling rate to estimate the full-trace distance.
-        const std::uint64_t below = fen.prefix(st.slot) - st.stored;
+        const std::uint64_t below = fen.prefix_sum(st.slot + 1) - st.stored;
         eff_dist = static_cast<double>(below) / rate_now;
         resident_proxy = true;
         // Move to front with the new size.

@@ -6,7 +6,7 @@
 #include <string>
 
 #include "cache/cache.hpp"
-#include "cache/opt.hpp"
+#include "cache/greedy_dual.hpp"
 #include "sim/sampled_sweep.hpp"
 #include "util/parallel.hpp"
 

@@ -59,16 +59,15 @@ StackDistanceProfile compute_stack_distances(const trace::Trace& trace) {
     } else {
       const std::uint64_t prev = it->second;
       // Distinct documents touched since prev = marks in (prev, position).
-      const double between = marks.prefix_sum(position) -
-                             marks.prefix_sum(prev + 1);
-      const auto distance = static_cast<std::uint64_t>(between + 0.5);
+      const std::uint64_t distance =
+          marks.prefix_sum(position) - marks.prefix_sum(prev + 1);
       if (profile.histogram.size() <= distance) {
         profile.histogram.resize(distance + 1, 0);
       }
       ++profile.histogram[distance];
-      marks.add(prev, -1.0);  // the old position no longer marks the doc
+      marks.sub(prev, 1);  // the old position no longer marks the doc
     }
-    marks.add(position, 1.0);
+    marks.add(position, 1);
     last_position[r.document] = position;
     ++position;
   }

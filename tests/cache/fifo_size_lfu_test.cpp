@@ -1,11 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <initializer_list>
 #include <stdexcept>
+#include <string>
 
-#include "cache/lfu.hpp"
+#include "cache/factory.hpp"
+#include "cache/greedy_dual.hpp"
 #include "cache/list_policy.hpp"
-#include "cache/size_policy.hpp"
 #include "policy_test_util.hpp"
+#include "sim/simulator.hpp"
+#include "trace/binary_trace.hpp"
+#include "util/state_io.hpp"
 
 namespace webcache::cache {
 namespace {
@@ -13,6 +21,36 @@ namespace {
 using testutil::access;
 using testutil::access_sized;
 using testutil::unit_cache;
+
+#ifndef WEBCACHE_TEST_DATA_DIR
+#error "WEBCACHE_TEST_DATA_DIR must point at tests/data"
+#endif
+
+struct PinnedRun {
+  std::uint64_t capacity_bytes;
+  std::uint64_t hits;
+  std::uint64_t hit_bytes;
+  std::uint64_t evictions;
+};
+
+// Replays golden_dfn.wct through sim::simulate with default options and
+// compares the overall counters with values pinned across builds: any
+// change to a single eviction decision moves them.
+void expect_golden_runs(const char* policy,
+                        std::initializer_list<PinnedRun> pinned) {
+  const trace::Trace trace = trace::read_binary_trace_file(
+      std::string(WEBCACHE_TEST_DATA_DIR) + "/golden_dfn.wct");
+  for (const PinnedRun& run : pinned) {
+    const sim::SimResult r = sim::simulate(trace, run.capacity_bytes,
+                                           policy_spec_from_name(policy));
+    EXPECT_EQ(r.overall.hits, run.hits)
+        << policy << " @ " << run.capacity_bytes;
+    EXPECT_EQ(r.overall.hit_bytes, run.hit_bytes)
+        << policy << " @ " << run.capacity_bytes;
+    EXPECT_EQ(r.evictions, run.evictions)
+        << policy << " @ " << run.capacity_bytes;
+  }
+}
 
 // --------------------------------------------------------------- FIFO
 
@@ -113,6 +151,28 @@ TEST(Size, HitsDoNotChangeOrder) {
   EXPECT_TRUE(cache.contains(2));
 }
 
+TEST(Size, ZeroSizeDocumentCheckpointsANegativeZero) {
+  // SIZE's priority is -size, so a size-0 document (e.g. a 304 body) sits
+  // in the heap at -0.0, and the checkpoint writes the double's bits: the
+  // little-endian sign bit alone, which no other field here produces.
+  Cache cache(100, std::make_unique<SizePolicy>());
+  access_sized(cache, 1, 0);
+  access_sized(cache, 2, 10);
+  util::StateWriter w;
+  cache.save_state(w);
+  const auto bytes = w.bytes();
+  const std::array<std::uint8_t, 8> negative_zero = {0, 0, 0, 0,
+                                                     0, 0, 0, 0x80};
+  EXPECT_NE(std::search(bytes.begin(), bytes.end(), negative_zero.begin(),
+                        negative_zero.end()),
+            bytes.end());
+}
+
+TEST(Size, GoldenTraceDecisionsArePinned) {
+  expect_golden_runs("SIZE", {{1 << 20, 1902, 5605362, 3858},
+                              {8 << 20, 3153, 16511440, 1433}});
+}
+
 // ---------------------------------------------------------------- LFU
 
 TEST(Lfu, EvictsLeastFrequentlyUsed) {
@@ -155,6 +215,11 @@ TEST(Lfu, CachePollution) {
   }
   EXPECT_EQ(new_phase_hits, 0);
   EXPECT_TRUE(cache.contains(2));
+}
+
+TEST(Lfu, GoldenTraceDecisionsArePinned) {
+  expect_golden_runs("LFU", {{1 << 20, 1671, 9150305, 4703},
+                             {8 << 20, 2753, 22604928, 3183}});
 }
 
 }  // namespace

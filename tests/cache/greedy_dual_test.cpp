@@ -192,10 +192,11 @@ struct PinnedState {
 };
 
 // The checkpoint bytes of a Cache (its accounting, its resident objects,
-// then the policy's heap, L and estimator state) after the first 4,000
-// requests of the golden trace at a 64 KB capacity, pinned across builds:
-// any change to the WCKP layout or to a single eviction decision moves
-// them. The round-trip suites compare bytes only within one build.
+// then the policy's heap, L and estimator state; LFU and SIZE, which do
+// not age, write no L) after the first 4,000 requests of the golden trace
+// at a 64 KB capacity, pinned across builds: any change to the WCKP layout
+// or to a single eviction decision moves them. The round-trip suites
+// compare bytes only within one build.
 TEST(CheckpointFormat, GreedyDualPolicyBytesAreStable) {
   const trace::Trace trace = trace::read_binary_trace_file(
       std::string(WEBCACHE_TEST_DATA_DIR) + "/golden_dfn.wct");
@@ -207,6 +208,8 @@ TEST(CheckpointFormat, GreedyDualPolicyBytesAreStable) {
            PinnedState{"GD*(1)", 3200, 3306277756u},
            PinnedState{"GD*(1):beta=0.5", 4353, 3264755222u},
            PinnedState{"GD*C(packet)", 1810, 3945319147u},
+           PinnedState{"LFU", 1312, 3624805758u},
+           PinnedState{"SIZE", 5619, 954968512u},
        }) {
     Cache cache(64 << 10, make_policy(policy_spec_from_name(pinned.policy)));
     for (std::size_t i = 0; i < 4000; ++i) {

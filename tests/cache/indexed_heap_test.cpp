@@ -18,7 +18,7 @@
 namespace webcache::cache {
 namespace {
 
-using Heap = IndexedMinHeap<double>;
+using Heap = IndexedMinHeap;
 using Key = Heap::Key;
 
 TEST(IndexedHeap, EmptyBehaviour) {

@@ -1,6 +1,9 @@
-#include "cache/opt.hpp"
+#include "cache/greedy_dual.hpp"
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
 
 #include "cache/cache.hpp"
 #include "cache/factory.hpp"
@@ -9,6 +12,7 @@
 #include "trace/binary_trace.hpp"
 #include "trace/dense_trace.hpp"
 #include "util/rng.hpp"
+#include "util/state_io.hpp"
 
 namespace webcache::cache {
 namespace {
@@ -125,6 +129,24 @@ TEST(Opt, WorksThroughSimulatorOverload) {
       sim::simulate(t, 20000, policy_spec_from_name("LRU"), opts);
   EXPECT_GE(opt.overall.hit_rate(), lru.overall.hit_rate());
   EXPECT_GT(opt.overall.hit_rate(), 0.0);
+}
+
+TEST(Opt, CheckpointIsRefusedByName) {
+  // The oracle is the future of one trace, which no checkpoint carries.
+  Trace t;
+  for (const trace::DocumentId d : {1, 2, 1, 3}) t.requests.push_back(req(d));
+  Cache cache(2, std::make_unique<OptPolicy>(trace::densify(t)));
+  for (const Request& r : t.requests) {
+    cache.access(r.document, r.transfer_size, r.doc_class);
+  }
+  util::StateWriter w;
+  try {
+    cache.save_state(w);
+    FAIL() << "an OPT cache saved its state";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'OPT'"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Opt, ClearAndReplayIsDeterministic) {

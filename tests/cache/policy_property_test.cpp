@@ -10,7 +10,7 @@
 
 #include "cache/cache.hpp"
 #include "cache/factory.hpp"
-#include "cache/opt.hpp"
+#include "cache/greedy_dual.hpp"
 #include "sim/simulator.hpp"
 #include "support/access_diff.hpp"
 #include "support/result_eq.hpp"

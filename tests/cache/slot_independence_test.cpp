@@ -17,9 +17,10 @@
 
 #include "cache/cache.hpp"
 #include "cache/factory.hpp"
-#include "cache/opt.hpp"
+#include "cache/greedy_dual.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
+#include "trace/dense_trace.hpp"
 #include "util/rng.hpp"
 
 namespace webcache::cache {

@@ -13,7 +13,8 @@ constant-cost rows counter for counter, and `convert --recover` upgrades
 it from WCT1 v2 to v4 (dense ids stored) without changing a `simulate
 --result-out` or `sweep --curve-out` byte. `replicate` prints a verdict
 line for every policy pair, and OPT is refused, by name, everywhere but
-`sweep`. NaN, infinite, negative and overflowing cache fractions and
+`sweep`. Every text output written to a full device exits 1 naming its
+path. NaN, infinite, negative and overflowing cache fractions and
 warm-up shares exit 1 with a diagnostic that names the flag.
 
 Usage: cli_smoke_test.py <path-to-webcache-binary>
@@ -423,6 +424,43 @@ def check_golden_counters(cli, tmp):
               f"expected {expected} got {actual}")
 
 
+def check_full_device(cli, tmp):
+    """Every text output fails by name when its device is full: a write
+    that only fails as the stream is flushed at close must not exit 0.
+    Symlinks to /dev/full give the paths the CSV names the commands
+    choose by."""
+    if not os.path.exists("/dev/full"):
+        print("[skip] text outputs to /dev/full: no such device")
+        return
+    wct = os.path.join(DATA_DIR, "golden_dfn.wct")
+    full_csv = os.path.join(tmp, "full.csv")
+    os.symlink("/dev/full", full_csv)
+    panels = os.path.join(tmp, "panels")
+    os.symlink("/dev/full", panels + "_hr_overall.csv")
+    for name, path, args in (
+        ("simulate --result-out", "/dev/full",
+         ("simulate", wct, "--result-out=/dev/full")),
+        ("simulate --metrics-out json", "/dev/full",
+         ("simulate", wct, "--metrics-out=/dev/full")),
+        ("simulate --metrics-out csv", full_csv,
+         ("simulate", wct, f"--metrics-out={full_csv}")),
+        ("sweep --curve-out", "/dev/full",
+         ("sweep", wct, "--policies=LRU", "--fractions=0.04",
+          "--curve-out=/dev/full")),
+        ("sweep --panels-out", panels + "_hr_overall.csv",
+         ("sweep", wct, "--policies=LRU", "--fractions=0.04",
+          f"--panels-out={panels}")),
+        ("export", "/dev/full", ("export", wct, "/dev/full")),
+        ("generate --format=squid", "/dev/full",
+         ("generate", "--profile=DFN", "--scale=0.001", "--format=squid",
+          "--out=/dev/full")),
+    ):
+        p = run(cli, *args)
+        check(f"{name} to a full device exits 1 naming {path}",
+              p.returncode == 1 and f"cannot write {path}" in p.stderr,
+              f"rc={p.returncode} stderr={p.stderr.strip()[-200:]}")
+
+
 def check_upgrade_to_v4(cli, tmp):
     """`convert --recover` is the upgrade path for v1-v3 traces: it rewrites
     the v2 golden trace as v4, which stores each record's dense id after its
@@ -477,6 +515,7 @@ def main():
         check_golden_counters(cli, tmp)
         check_upgrade_to_v4(cli, tmp)
         check_replicate_and_opt(cli, tmp)
+        check_full_device(cli, tmp)
     if FAILURES:
         print(f"\n{len(FAILURES)} smoke check(s) failed: {FAILURES}",
               file=sys.stderr)

@@ -15,7 +15,7 @@
 
 #include "cache/cache.hpp"
 #include "cache/factory.hpp"
-#include "cache/opt.hpp"
+#include "cache/greedy_dual.hpp"
 #include "obs/stats_sink.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/simulator.hpp"

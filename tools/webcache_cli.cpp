@@ -210,6 +210,18 @@ synth::WorkloadProfile profile_by_name(const std::string& name) {
   throw std::invalid_argument("--profile must be DFN or RTP");
 }
 
+/// Creates `path` and lets `write` fill it; a path that cannot be opened,
+/// written or flushed (a full disk shows only at close) fails the command
+/// by name.
+template <typename Write>
+void write_file(const std::string& path, const Write& write) {
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error("cannot open " + path);
+  write(out);
+  out.close();
+  if (!out) throw std::runtime_error("cannot write " + path);
+}
+
 int cmd_generate(const util::Args& args) {
   const std::string out_path = args.get("out", "");
   if (out_path.empty()) throw std::invalid_argument("generate: --out required");
@@ -232,9 +244,8 @@ int cmd_generate(const util::Args& args) {
   if (format == "binary") {
     trace::write_binary_trace_file(out_path, t);
   } else if (format == "squid") {
-    std::ofstream out(out_path);
-    if (!out) throw std::runtime_error("cannot open " + out_path);
-    trace::write_squid_log(out, t);
+    write_file(out_path,
+               [&](std::ostream& out) { trace::write_squid_log(out, t); });
   } else {
     throw std::invalid_argument("--format must be binary or squid");
   }
@@ -286,9 +297,10 @@ int cmd_export(const util::Args& args) {
     throw std::invalid_argument("export: need IN.wct and OUT.log");
   }
   const trace::Trace t = load_trace(args.positional()[0], /*squid=*/false);
-  std::ofstream out(args.positional()[1]);
-  if (!out) throw std::runtime_error("cannot open " + args.positional()[1]);
-  const std::uint64_t lines = trace::write_squid_log(out, t);
+  std::uint64_t lines = 0;
+  write_file(args.positional()[1], [&](std::ostream& out) {
+    lines = trace::write_squid_log(out, t);
+  });
   std::cerr << "wrote " << lines << " log lines\n";
   return 0;
 }
@@ -339,16 +351,6 @@ std::uint64_t mib_bytes(const std::string& key, std::uint64_t mb) {
 std::uint64_t mib_arg(const util::Args& args, const std::string& key,
                       std::uint64_t fallback_mb) {
   return mib_bytes(key, args.get_uint(key, fallback_mb));
-}
-
-/// Creates `path` and lets `write` fill it; a path that cannot be opened
-/// or written fails the command by name.
-template <typename Write>
-void write_file(const std::string& path, const Write& write) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open " + path);
-  write(out);
-  if (!out.good()) throw std::runtime_error("cannot write " + path);
 }
 
 /// sweep --curve-out: the webcache.sweep.v1 JSON of the whole sweep.
@@ -412,9 +414,7 @@ void print_recovery_summary(const trace::RecoveryReport& report) {
 /// Full-precision result dump: doubles carry max_digits10 significant
 /// digits, so two runs produce byte-identical files exactly when their
 /// results are bit-identical — the crash-injection harness diffs these.
-void write_result_json(const std::string& path, const sim::SimResult& r) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open " + path);
+void write_result(std::ostream& out, const sim::SimResult& r) {
   out << std::setprecision(std::numeric_limits<double>::max_digits10);
   const auto hits = [&out](const sim::HitCounters& h) {
     out << "{\"requests\":" << h.requests << ",\"hits\":" << h.hits
@@ -442,7 +442,10 @@ void write_result_json(const std::string& path, const sim::SimResult& r) {
       << ",\"lost_bytes\":" << r.faults.lost_bytes
       << ",\"probe_timeouts\":" << r.faults.probe_timeouts
       << ",\"origin_fetches\":" << r.faults.origin_fetches << "}}\n";
-  if (!out.good()) throw std::runtime_error("cannot write " + path);
+}
+
+void write_result_json(const std::string& path, const sim::SimResult& r) {
+  write_file(path, [&](std::ostream& out) { write_result(out, r); });
 }
 
 /// --metrics-window, by default about 1 % of the trace's requests.
@@ -469,15 +472,15 @@ void write_metrics_file(const std::string& path, const Result& r,
                         const obs::RecordingSink& sink,
                         void (*write_json)(std::ostream&, const Result&,
                                            const obs::MetricsSeries&)) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open " + path);
   const bool csv =
       path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  if (csv) {
-    sim::write_metrics_csv(out, sink.series());
-  } else {
-    write_json(out, r, sink.series());
-  }
+  write_file(path, [&](std::ostream& out) {
+    if (csv) {
+      sim::write_metrics_csv(out, sink.series());
+    } else {
+      write_json(out, r, sink.series());
+    }
+  });
   std::cerr << "wrote " << path << " (" << sink.series().windows.size()
             << " windows of " << sink.window_requests() << " requests)\n";
 }
