@@ -7,10 +7,8 @@
 #include <utility>
 #include <vector>
 
-#include "cache/clock.hpp"
 #include "cache/greedy_dual.hpp"
 #include "cache/list_policy.hpp"
-#include "cache/lru_k.hpp"
 #include "cache/lru_variants.hpp"
 #include "cache/random.hpp"
 

@@ -71,12 +71,39 @@ OptValue::OptValue(const trace::DenseTrace& trace) {
   }
 }
 
-void OptValue::save_state(util::StateWriter&) const {
+void OptValue::save_state(util::StateWriter&, const IndexedMinHeap&,
+                          const ObjectTable&) const {
   throw std::logic_error("policy 'OPT' does not support checkpointing");
 }
 
-void OptValue::restore_state(util::StateReader&) {
+void OptValue::restore_state(util::StateReader&, const IndexedMinHeap&,
+                             const ObjectTable&) {
   throw std::logic_error("policy 'OPT' does not support checkpointing");
+}
+
+LruKValue::LruKValue(std::size_t history_limit)
+    : history_limit_(history_limit) {
+  if (history_limit == 0) {
+    throw std::invalid_argument("LruKPolicy: history_limit must be > 0");
+  }
+}
+
+void LruKValue::on_remove(std::uint32_t slot) {
+  const Resident& departed = resident_[slot];
+  history_[departed.id] = departed.last_access;
+  history_fifo_.emplace_back(departed.id, departed.last_access);
+  while (history_.size() > history_limit_ && !history_fifo_.empty()) {
+    const auto& [id, stamp] = history_fifo_.front();
+    const auto it = history_.find(id);
+    if (it != history_.end() && it->second == stamp) history_.erase(it);
+    history_fifo_.pop_front();
+  }
+}
+
+void LruKValue::clear() {
+  resident_.clear();
+  history_.clear();
+  history_fifo_.clear();
 }
 
 template <class Value>
@@ -84,7 +111,7 @@ void GreedyDualPolicy<Value>::save_state(util::StateWriter& w,
                                          const ObjectTable& objects) const {
   save_heap(w, heap_, objects);
   if constexpr (Value::kAges) w.put_double(inflation_);
-  value_.save_state(w);
+  value_.save_state(w, heap_, objects);
 }
 
 template <class Value>
@@ -92,7 +119,7 @@ void GreedyDualPolicy<Value>::restore_state(util::StateReader& r,
                                             const ObjectTable& objects) {
   restore_heap(r, heap_, objects);
   if constexpr (Value::kAges) inflation_ = r.take_double();
-  value_.restore_state(r);
+  value_.restore_state(r, heap_, objects);
 }
 
 // One instantiation per scheme, so each value function's hooks are
@@ -105,5 +132,6 @@ template class GreedyDualPolicy<GdStarPerClassValue>;
 template class GreedyDualPolicy<LfuValue>;
 template class GreedyDualPolicy<SizeValue>;
 template class GreedyDualPolicy<OptValue>;
+template class GreedyDualPolicy<LruKValue>;
 
 }  // namespace webcache::cache

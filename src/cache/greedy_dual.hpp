@@ -18,25 +18,29 @@
 //   LFU     f(p)                                no aging
 //   SIZE    -s(p)                               no aging: largest first
 //   OPT     -(clock of the next reference)      no aging: clairvoyant
+//   LRU-2   clock of the penultimate access     no aging: retained history
 //
 // f(p) is the in-cache reference count, c(p) the cost model's retrieval
 // cost and s(p) the size, a size-0 document (e.g. a 304 body) counting as
 // one byte in the cost-based values so they stay finite. A Value type
 // supplies value(p) as `of(obj)`, its name, whether it ages, and the hooks
 // of ValueHooks it needs: a hit hook that feeds an estimator before the
-// heap update, the beta the probe reports, and the state a checkpoint
-// carries after the heap and L. A value that does not age (kAges false)
-// is the classic baseline its aging sibling improves on: L stays 0, the
-// heap holds value(p) itself, and neither the checkpoint nor the probe
-// carries an L. Ties (equal H) break FIFO throughout.
+// heap update, an insert hook after the push, a remove hook for a popped
+// victim or an erased entry, the beta the probe reports, and the state a
+// checkpoint carries after the heap and L. A value that does not age
+// (kAges false) is the classic baseline its aging sibling improves on: L
+// stays 0, the heap holds value(p) itself, and neither the checkpoint nor
+// the probe carries an L. Ties (equal H) break FIFO throughout.
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -60,6 +64,7 @@ class GreedyDualPolicy final : public ReplacementPolicy {
 
   void on_insert(const CacheObject& obj) override {
     heap_.push(obj.slot, priority(obj));
+    value_.on_insert(obj);
   }
   void on_hit(const CacheObject& obj) override {
     value_.on_hit(obj);
@@ -68,10 +73,14 @@ class GreedyDualPolicy final : public ReplacementPolicy {
   /// Pops the minimum; for an aging value, L rises to its priority.
   std::uint32_t evict(std::uint64_t /*incoming_size*/) override {
     const auto victim = heap_.pop();
+    value_.on_remove(victim.key);
     if constexpr (Value::kAges) inflation_ = victim.priority;
     return victim.key;
   }
-  void on_erase(const CacheObject& obj) override { heap_.erase(obj.slot); }
+  void on_erase(const CacheObject& obj) override {
+    heap_.erase(obj.slot);
+    value_.on_remove(obj.slot);
+  }
   std::string_view name() const override { return value_.name(); }
   void clear() override {
     heap_.clear();
@@ -82,6 +91,8 @@ class GreedyDualPolicy final : public ReplacementPolicy {
   /// The inflation L (LFU-DA's cache age): 0 at the start, then the
   /// priority of the last victim; always 0 for a value that does not age.
   double inflation() const { return inflation_; }
+  /// The value function, for its parameters.
+  const Value& value() const { return value_; }
   /// The value function's estimate: GD*'s beta(), GD*C's beta(cls).
   template <class... Class>
   double beta(Class... cls) const {
@@ -118,11 +129,15 @@ class GreedyDualPolicy final : public ReplacementPolicy {
 /// ages.
 struct ValueHooks {
   static constexpr bool kAges = true;
+  void on_insert(const CacheObject&) {}
   void on_hit(const CacheObject&) {}
+  void on_remove(std::uint32_t /*slot*/) {}
   std::optional<double> probe_beta() const { return std::nullopt; }
   void clear() {}
-  void save_state(util::StateWriter&) const {}
-  void restore_state(util::StateReader&) {}
+  void save_state(util::StateWriter&, const IndexedMinHeap&,
+                  const ObjectTable&) const {}
+  void restore_state(util::StateReader&, const IndexedMinHeap&,
+                     const ObjectTable&) {}
 };
 
 /// LFU with Dynamic Aging (Arlitt/Cherkasova, as in Squid): "LFU-DA keeps a
@@ -211,8 +226,14 @@ class GdStarValue : public CostValue {
   std::optional<double> probe_beta() const { return beta(); }
   void clear() { estimator_.clear(); }
   /// The estimator is written even when beta is fixed.
-  void save_state(util::StateWriter& w) const { estimator_.save_state(w); }
-  void restore_state(util::StateReader& r) { estimator_.restore_state(r); }
+  void save_state(util::StateWriter& w, const IndexedMinHeap&,
+                  const ObjectTable&) const {
+    estimator_.save_state(w);
+  }
+  void restore_state(util::StateReader& r, const IndexedMinHeap&,
+                     const ObjectTable&) {
+    estimator_.restore_state(r);
+  }
 
  private:
   std::optional<double> fixed_beta_;
@@ -248,10 +269,12 @@ class GdStarPerClassValue : public CostValue {
   void clear() {
     for (BetaEstimator& e : estimators_) e.clear();
   }
-  void save_state(util::StateWriter& w) const {
+  void save_state(util::StateWriter& w, const IndexedMinHeap&,
+                  const ObjectTable&) const {
     for (const BetaEstimator& e : estimators_) e.save_state(w);
   }
-  void restore_state(util::StateReader& r) {
+  void restore_state(util::StateReader& r, const IndexedMinHeap&,
+                     const ObjectTable&) {
     for (BetaEstimator& e : estimators_) e.restore_state(r);
   }
 
@@ -331,13 +354,91 @@ class OptValue : public ValueHooks {
     return -static_cast<double>(next);
   }
   std::string_view name() const { return "OPT"; }
-  [[noreturn]] void save_state(util::StateWriter&) const;
-  [[noreturn]] void restore_state(util::StateReader&);
+  [[noreturn]] void save_state(util::StateWriter&, const IndexedMinHeap&,
+                               const ObjectTable&) const;
+  [[noreturn]] void restore_state(util::StateReader&, const IndexedMinHeap&,
+                                  const ObjectTable&);
 
  private:
   /// next_[i]: the clock of the next request for request i's document; 0
   /// when there is none.
   std::vector<std::uint32_t> next_;
+};
+
+/// LRU-K for K = 2 (O'Neil, O'Neil & Weikum, SIGMOD 1993): evict the
+/// document whose second-most-recent access is oldest (the largest backward
+/// 2-distance). A document with one known access has an infinite backward
+/// 2-distance and goes first, in a sub-zero band ordered by that access,
+/// which on web workloads with ~50 % one-timer requests acts as a scan
+/// filter.
+///
+/// Faithful to the paper, the last access of a departed document is
+/// *retained* (the Retained Information Period): re-inserting a document
+/// whose previous access is still on record gives it a finite backward
+/// 2-distance at once. Without this, a scan can evict a working set before
+/// it earns its second reference and LRU-K degenerates. The history keeps
+/// the latest `history_limit` departures (FIFO), so its memory follows the
+/// limit. It is the one id-keyed structure of the policies, because it
+/// outlives the documents' slots.
+class LruKValue : public ValueHooks {
+ public:
+  static constexpr bool kAges = false;
+
+  /// history_limit (> 0) bounds the number of departed documents whose
+  /// last access is retained.
+  explicit LruKValue(std::size_t history_limit = 16384);
+
+  /// The penultimate access: a hit's previous access. An insert (the only
+  /// access with reference count 1) takes the retained access, or the
+  /// one-timer band without one. Clocks stay far below 2^52, so the band
+  /// is collision-free in double.
+  double of(const CacheObject& obj) const {
+    if (obj.reference_count > 1) {
+      return static_cast<double>(obj.previous_access);
+    }
+    const auto it = history_.find(obj.id);
+    if (it != history_.end()) return static_cast<double>(it->second);
+    return -1.0e15 + static_cast<double>(obj.last_access);
+  }
+  /// A retained access that of() just took leaves the history.
+  void on_insert(const CacheObject& obj) {
+    history_.erase(obj.id);
+    slot_entry(resident_, obj.slot) = Resident{obj.id, obj.last_access};
+  }
+  void on_hit(const CacheObject& obj) {
+    resident_[obj.slot].last_access = obj.last_access;
+  }
+  /// A victim or an erased document: its last access is retained.
+  void on_remove(std::uint32_t slot);
+  std::string_view name() const { return "LRU-2"; }
+  void clear();
+
+  std::size_t history_limit() const { return history_limit_; }
+  std::size_t history_size() const { return history_.size(); }
+
+  /// The residents' last accesses and the history, each sorted by id, then
+  /// the history's FIFO.
+  void save_state(util::StateWriter& w, const IndexedMinHeap& heap,
+                  const ObjectTable& objects) const;
+  void restore_state(util::StateReader& r, const IndexedMinHeap& heap,
+                     const ObjectTable& objects);
+
+ private:
+  std::size_t history_limit_;
+
+  // Per resident slot: the document and its last access, which on_remove
+  // retains (a victim's slot is all the heap hands back).
+  struct Resident {
+    ObjectId id;
+    std::uint64_t last_access;
+  };
+  std::vector<Resident> resident_;
+
+  // The last access of recently departed documents, by id, and the
+  // departures in order; an entry whose document departed again since is
+  // stale and skipped when pruned.
+  std::unordered_map<ObjectId, std::uint64_t> history_;
+  std::deque<std::pair<ObjectId, std::uint64_t>> history_fifo_;
 };
 
 using LfuDaPolicy = GreedyDualPolicy<LfuDaValue>;
@@ -348,6 +449,7 @@ using GdStarPerClassPolicy = GreedyDualPolicy<GdStarPerClassValue>;
 using LfuPolicy = GreedyDualPolicy<LfuValue>;
 using SizePolicy = GreedyDualPolicy<SizeValue>;
 using OptPolicy = GreedyDualPolicy<OptValue>;
+using LruKPolicy = GreedyDualPolicy<LruKValue>;
 
 extern template class GreedyDualPolicy<LfuDaValue>;
 extern template class GreedyDualPolicy<GdsValue>;
@@ -357,5 +459,6 @@ extern template class GreedyDualPolicy<GdStarPerClassValue>;
 extern template class GreedyDualPolicy<LfuValue>;
 extern template class GreedyDualPolicy<SizeValue>;
 extern template class GreedyDualPolicy<OptValue>;
+extern template class GreedyDualPolicy<LruKValue>;
 
 }  // namespace webcache::cache

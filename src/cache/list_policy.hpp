@@ -1,5 +1,5 @@
-// The recency-list schemes: LRU (paper, Section 3), LRU-THOLD, FIFO and
-// the lazy-promotion variants PROB-LRU, DELAY-LRU and BATCH-LRU.
+// The recency-list schemes: LRU (paper, Section 3), LRU-THOLD, FIFO, the
+// lazy-promotion variants PROB-LRU, DELAY-LRU and BATCH-LRU, and CLOCK.
 //
 // "LRU is based on the assumption that a recently referenced document will
 //  be referenced again in near future. Therefore, on replacement LRU removes
@@ -17,6 +17,9 @@
 //   PROB-LRU        ProbPromotion   with probability p (one draw per hit)
 //   DELAY-LRU       DelayPromotion  at most once per k requests per object
 //   BATCH-LRU       BatchPromotion  queue hits, move them every N hits
+//   CLOCK,          SecondChance    at eviction: a hit arms a counter, and
+//   DELAY-CLOCK                     the evict hook moves armed objects
+//                                   from the back to the front
 //
 // FIFO is not one of the paper's four schemes but a member of the
 // six-policy comparison in Arlitt, Friedrich & Jin (Performance Evaluation
@@ -26,13 +29,16 @@
 // larger document. The lazy variants keep LRU's eviction order but promote
 // less often or in batches; the FIFO-family lazy-promotion studies (see
 // PAPERS.md / SNIPPETS.md: the libCacheSim-based artifact) show they retain
-// most of LRU's hit ratio while removing the per-hit list splice.
+// most of LRU's hit ratio while removing the per-hit list splice. The
+// same studies describe CLOCK as FIFO-Reinsertion: a FIFO queue whose
+// eviction step reinserts referenced objects, which is what the CLOCK rules
+// do with the list.
 //
 // Determinism: PROB-LRU draws from a seeded util::Rng on every hit, so the
 // draw stream depends only on the hit sequence; DELAY-LRU keys its window
 // off the container's request clock (CacheObject::last_access); BATCH-LRU
-// flushes at exact hit counts. None depends on id numbering or slot
-// assignment.
+// flushes at exact hit counts; CLOCK's walk depends only on the counters.
+// None depends on id numbering or slot assignment.
 #pragma once
 
 #include <algorithm>
@@ -51,10 +57,12 @@ namespace webcache::cache {
 
 /// The hooks of a promotion rule that keeps no state beside the list. A
 /// rule supplies `on_hit(order, obj)` and `name()` and overrides what it
-/// needs: on_insert, on_remove (the slot left the list as a victim or by
-/// on_erase), clear, and the state a checkpoint carries after the list.
+/// needs: on_insert, on_evict (may reorder the list before its back is
+/// popped as the victim), on_remove (the slot left the list as a victim or
+/// by on_erase), clear, and the state a checkpoint carries after the list.
 struct PromotionHooks {
   void on_insert(const CacheObject&) {}
+  void on_evict(LruIndexList&) {}
   void on_remove(std::uint32_t /*slot*/) {}
   void clear() {}
   void save_state(util::StateWriter&, const LruIndexList&,
@@ -91,6 +99,7 @@ class ListPolicy final : public ReplacementPolicy {
   }
   void on_hit(const CacheObject& obj) override { rule_.on_hit(order_, obj); }
   std::uint32_t evict(std::uint64_t /*incoming_size*/) override {
+    rule_.on_evict(order_);
     const std::uint32_t victim = order_.pop_back();
     rule_.on_remove(victim);
     return victim;
@@ -267,6 +276,68 @@ class BatchPromotion : public PromotionHooks {
   std::vector<std::uint32_t> pending_;  // queued hits awaiting the flush
 };
 
+/// CLOCK with a reference counter capped at k (Corbató's multi-bit CLOCK).
+/// An insert enters unarmed and a hit raises the counter up to k; nothing
+/// moves on a hit. At eviction the hand at the back of the list strips one
+/// chance from each armed object and moves it to the front, until the back
+/// object is unarmed: that is the victim, so a one-timer goes on the
+/// first pass unless a hit arms it first.
+class SecondChance : public PromotionHooks {
+ public:
+  void on_insert(const CacheObject& obj) {
+    slot_entry(counters_, obj.slot) = 0;
+  }
+  void on_hit(LruIndexList&, const CacheObject& obj) {
+    std::uint32_t& c = counters_[obj.slot];
+    if (c < k_) ++c;
+  }
+  void on_evict(LruIndexList& order) {
+    // Counters only fall along the walk, so it ends within k revolutions.
+    for (std::uint32_t hand = order.back(); counters_[hand] != 0;
+         hand = order.back()) {
+      --counters_[hand];
+      order.move_to_front(hand);
+    }
+  }
+  void clear() { counters_.clear(); }
+
+  std::uint32_t counter_max() const { return k_; }
+
+  /// Each resident's counter, in list order.
+  void save_state(util::StateWriter& w, const LruIndexList& order,
+                  const ObjectTable& objects) const;
+  void restore_state(util::StateReader& r, const LruIndexList& order,
+                     const ObjectTable& objects);
+
+ protected:
+  explicit SecondChance(std::uint32_t k) : k_(k) {
+    if (k == 0) {
+      throw std::invalid_argument("DELAY-CLOCK: counter max must be >= 1");
+    }
+  }
+
+ private:
+  std::uint32_t k_;
+  std::vector<std::uint32_t> counters_;  // by slot: chances left
+};
+
+/// CLOCK: one reference bit (k = 1).
+struct ClockPromotion : SecondChance {
+  ClockPromotion() : SecondChance(1) {}
+  std::string name() const { return "CLOCK"; }
+};
+
+/// DELAY-CLOCK: k chances (k = 1 decides like CLOCK).
+struct DelayClockPromotion : SecondChance {
+  static constexpr std::uint32_t kDefaultK = 2;
+
+  explicit DelayClockPromotion(std::uint32_t k = kDefaultK)
+      : SecondChance(k) {}
+  std::string name() const {
+    return "DELAY-CLOCK:k=" + std::to_string(counter_max());
+  }
+};
+
 using LruPolicy = ListPolicy<AlwaysPromote>;
 /// Build with AdmissionLimit{bytes}.
 using LruThresholdPolicy = ListPolicy<AlwaysPromote>;
@@ -274,11 +345,15 @@ using FifoPolicy = ListPolicy<NeverPromote>;
 using ProbLruPolicy = ListPolicy<ProbPromotion>;
 using DelayLruPolicy = ListPolicy<DelayPromotion>;
 using BatchPromotionPolicy = ListPolicy<BatchPromotion>;
+using ClockPolicy = ListPolicy<ClockPromotion>;
+using DelayClockPolicy = ListPolicy<DelayClockPromotion>;
 
 extern template class ListPolicy<AlwaysPromote>;
 extern template class ListPolicy<NeverPromote>;
 extern template class ListPolicy<ProbPromotion>;
 extern template class ListPolicy<DelayPromotion>;
 extern template class ListPolicy<BatchPromotion>;
+extern template class ListPolicy<ClockPromotion>;
+extern template class ListPolicy<DelayClockPromotion>;
 
 }  // namespace webcache::cache

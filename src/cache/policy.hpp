@@ -5,7 +5,9 @@
 // object's stable slot in the container's ObjectTable (CacheObject::slot).
 // Slots are dense whatever the document ids are, so every policy keeps
 // flat arrays sized by the most objects ever resident at once, and none
-// keeps an id index. The container guarantees the call protocol:
+// keeps an id index of its residents (LRU-2's bounded history of departed
+// documents is the one id-keyed map). The container guarantees the call
+// protocol:
 //   - on_insert(obj)   once per resident object, before any on_hit
 //   - on_hit(obj)      obj is resident; obj.reference_count already bumped
 //   - evict(incoming_size)
@@ -17,7 +19,7 @@
 //                      policies like LRU-MIN use it to pick their victim
 //                      pool. A GreedyDual value that ages (LFU-DA, GDS,
 //                      GDSF, GD*, GD*C) ages here: L becomes the victim's
-//                      priority. LFU, SIZE and OPT never age
+//                      priority. LFU, SIZE, OPT and LRU-2 never age
 //   - on_erase(obj)    obj leaves without being a victim (invalidation,
 //                      modification); no aging
 // A slot freed by evict/on_erase may be handed to the next on_insert.

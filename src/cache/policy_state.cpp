@@ -1,8 +1,11 @@
-// Checkpoint serialization for every factory-constructible policy. The
-// GreedyDual family's one save/restore pair (LFU and SIZE included) sits
-// with its class template in greedy_dual.cpp and writes its heap through
-// save_heap below; the recency-list family (list_policy.hpp) has one pair
-// here, which writes the list and then its promotion rule's state.
+// Checkpoint serialization for every factory-constructible policy. Two
+// class templates own every list and heap policy. The GreedyDual family's
+// one save/restore pair (LFU, SIZE and LRU-2 included) sits with its class
+// template in greedy_dual.cpp and writes its heap through save_heap below,
+// then its value's state (LRU-2's and the beta estimators' are here); the
+// recency-list family (list_policy.hpp, CLOCK included) has one pair here,
+// which writes the list and then its promotion rule's state. LRU-MIN and
+// RANDOM, which own neither structure, follow.
 //
 // One translation unit on purpose: the save/restore pair for each policy
 // must stay in lockstep, and the conventions they share (LRU lists as
@@ -31,9 +34,8 @@
 #include <vector>
 
 #include "cache/beta_estimator.hpp"
-#include "cache/clock.hpp"
+#include "cache/greedy_dual.hpp"
 #include "cache/list_policy.hpp"
-#include "cache/lru_k.hpp"
 #include "cache/lru_variants.hpp"
 #include "cache/object_table.hpp"
 #include "cache/random.hpp"
@@ -170,51 +172,31 @@ void BatchPromotion::restore_state(util::StateReader& r, const LruIndexList&,
   pending_ = take_slot_run(r, objects);
 }
 
+void SecondChance::save_state(util::StateWriter& w, const LruIndexList& order,
+                              const ObjectTable&) const {
+  order.for_each_front_to_back(
+      [&](std::uint32_t slot) { w.put_u32(counters_[slot]); });
+}
+
+void SecondChance::restore_state(util::StateReader& r,
+                                 const LruIndexList& order,
+                                 const ObjectTable&) {
+  order.for_each_front_to_back([&](std::uint32_t slot) {
+    const std::uint32_t counter = r.take_u32();
+    // A counter above k would stretch the hand's walk past k revolutions.
+    if (counter > k_) r.fail("CLOCK counter above its cap");
+    slot_entry(counters_, slot) = counter;
+  });
+}
+
 // One instantiation per rule, so each hit rule is inlined into its policy.
 template class ListPolicy<AlwaysPromote>;
 template class ListPolicy<NeverPromote>;
 template class ListPolicy<ProbPromotion>;
 template class ListPolicy<DelayPromotion>;
 template class ListPolicy<BatchPromotion>;
-
-// ---- LRU-2 -----------------------------------------------------------------
-
-void LruKPolicy::save_state(util::StateWriter& w,
-                            const ObjectTable& objects) const {
-  save_heap(w, heap_, objects);
-  std::vector<std::pair<ObjectId, std::uint64_t>> resident;
-  heap_.for_each_entry([&](const IndexedMinHeap::Entry& e) {
-    resident.emplace_back(resident_[e.key].id, resident_[e.key].last_access);
-  });
-  save_sorted(w, std::move(resident));
-  save_sorted(w, {history_.begin(), history_.end()});
-  w.put_u64(history_fifo_.size());
-  for (const auto& [id, stamp] : history_fifo_) {
-    w.put_u64(id);
-    w.put_u64(stamp);
-  }
-}
-
-void LruKPolicy::restore_state(util::StateReader& r,
-                               const ObjectTable& objects) {
-  restore_heap(r, heap_, objects);
-  const std::uint64_t resident = r.take_u64();
-  for (std::uint64_t i = 0; i < resident; ++i) {
-    const std::uint32_t slot = take_slot(r, objects);
-    slot_entry(resident_, slot) = Resident{objects.at(slot).id, r.take_u64()};
-  }
-  const std::uint64_t retained = r.take_u64();
-  for (std::uint64_t i = 0; i < retained; ++i) {
-    const ObjectId id = r.take_id();
-    history_[id] = r.take_u64();
-  }
-  const std::uint64_t n = r.take_u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const ObjectId id = r.take_id();
-    const std::uint64_t stamp = r.take_u64();
-    history_fifo_.emplace_back(id, stamp);
-  }
-}
+template class ListPolicy<ClockPromotion>;
+template class ListPolicy<DelayClockPromotion>;
 
 // ---- LRU-MIN ---------------------------------------------------------------
 
@@ -281,30 +263,40 @@ void RandomPolicy::restore_state(util::StateReader& r,
   for (std::uint64_t i = 0; i < n; ++i) add(take_slot(r, objects));
 }
 
-// ---- CLOCK / DELAY-CLOCK ---------------------------------------------------
+// ---- GreedyDual value state -----------------------------------------------
 
-void SecondChancePolicy::save_state(util::StateWriter& w,
-                                    const ObjectTable& objects) const {
-  w.put_u64(ring_.size());
-  ring_.for_each_front_to_back([&](std::uint32_t slot) {
-    w.put_u64(id_of(objects, slot));
-    w.put_u32(counters_[slot]);
+void LruKValue::save_state(util::StateWriter& w, const IndexedMinHeap& heap,
+                           const ObjectTable&) const {
+  std::vector<std::pair<ObjectId, std::uint64_t>> resident;
+  heap.for_each_entry([&](const IndexedMinHeap::Entry& e) {
+    resident.emplace_back(resident_[e.key].id, resident_[e.key].last_access);
   });
+  save_sorted(w, std::move(resident));
+  save_sorted(w, {history_.begin(), history_.end()});
+  w.put_u64(history_fifo_.size());
+  for (const auto& [id, stamp] : history_fifo_) {
+    w.put_u64(id);
+    w.put_u64(stamp);
+  }
 }
 
-void SecondChancePolicy::restore_state(util::StateReader& r,
-                                       const ObjectTable& objects) {
-  const std::uint64_t n = r.take_count(8 + 4, "ring entry");
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> entries;
-  entries.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
+void LruKValue::restore_state(util::StateReader& r, const IndexedMinHeap&,
+                              const ObjectTable& objects) {
+  const std::uint64_t resident = r.take_u64();
+  for (std::uint64_t i = 0; i < resident; ++i) {
     const std::uint32_t slot = take_slot(r, objects);
-    const std::uint32_t counter = r.take_u32();
-    entries.emplace_back(slot, counter);
+    slot_entry(resident_, slot) = Resident{objects.at(slot).id, r.take_u64()};
   }
-  for (auto it = entries.rbegin(); it != entries.rend(); ++it) {
-    ring_.push_front(it->first);
-    slot_entry(counters_, it->first) = it->second;
+  const std::uint64_t retained = r.take_u64();
+  for (std::uint64_t i = 0; i < retained; ++i) {
+    const ObjectId id = r.take_id();
+    history_[id] = r.take_u64();
+  }
+  const std::uint64_t n = r.take_u64();
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const ObjectId id = r.take_id();
+    const std::uint64_t stamp = r.take_u64();
+    history_fifo_.emplace_back(id, stamp);
   }
 }
 

@@ -36,7 +36,7 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kMagic[4] = {'W', 'C', 'K', 'P'};
-constexpr std::uint32_t kVersion = 4;
+constexpr std::uint32_t kVersion = 5;
 constexpr const char* kFileSuffix = ".wckp";
 
 thread_local std::vector<std::string> g_resume_diagnostics;

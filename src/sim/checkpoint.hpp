@@ -43,8 +43,9 @@
 // read from a WCT1 v4 file; every id in "cache" and "lastsize" must be
 // below their count), "cache", "lastsize", and optionally "metrics"
 // (instrumented runs; each window's snapshot carries per-class occupancy).
-// Version 4 (one recency-list layout: the ids MRU to LRU, then the
-// promotion rule's state); older files are rejected as unsupported.
+// Version 5 (one recency-list layout, CLOCK included: the ids MRU to LRU,
+// then the promotion rule's state); older files are rejected as
+// unsupported.
 #pragma once
 
 #include <cstdint>

@@ -1,4 +1,4 @@
-#include "cache/clock.hpp"
+#include "cache/list_policy.hpp"
 
 #include <gtest/gtest.h>
 
@@ -91,8 +91,8 @@ TEST(Clock, RejectsZeroCounterMax) {
 TEST(Clock, Names) {
   EXPECT_EQ(ClockPolicy().name(), "CLOCK");
   EXPECT_EQ(DelayClockPolicy(8).name(), "DELAY-CLOCK:k=8");
-  EXPECT_EQ(ClockPolicy().counter_max(), 1u);
-  EXPECT_EQ(DelayClockPolicy(8).counter_max(), 8u);
+  EXPECT_EQ(ClockPolicy().rule().counter_max(), 1u);
+  EXPECT_EQ(DelayClockPolicy(8).rule().counter_max(), 8u);
 }
 
 }  // namespace

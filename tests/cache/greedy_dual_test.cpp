@@ -192,8 +192,9 @@ struct PinnedState {
 };
 
 // The checkpoint bytes of a Cache (its accounting, its resident objects,
-// then the policy's heap, L and estimator state; LFU and SIZE, which do
-// not age, write no L) after the first 4,000 requests of the golden trace
+// then the policy's heap, L and estimator state; LFU, SIZE and LRU-2,
+// which do not age, write no L, and LRU-2 writes what its stand-alone
+// version-4 class wrote) after the first 4,000 requests of the golden trace
 // at a 64 KB capacity, pinned across builds: any change to the WCKP layout
 // or to a single eviction decision moves them. The round-trip suites
 // compare bytes only within one build.
@@ -210,6 +211,7 @@ TEST(CheckpointFormat, GreedyDualPolicyBytesAreStable) {
            PinnedState{"GD*C(packet)", 1810, 3945319147u},
            PinnedState{"LFU", 1312, 3624805758u},
            PinnedState{"SIZE", 5619, 954968512u},
+           PinnedState{"LRU-2", 87407, 2382940708u},
        }) {
     Cache cache(64 << 10, make_policy(policy_spec_from_name(pinned.policy)));
     for (std::size_t i = 0; i < 4000; ++i) {

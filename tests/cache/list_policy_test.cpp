@@ -1,6 +1,6 @@
 // Pins the recency-list policies (list_policy.hpp) across builds: their
-// replay counters on the golden trace, recorded from the six separate
-// classes the template replaced, and the bytes of their checkpoints. The
+// replay counters on the golden trace, recorded from the separate classes
+// the template replaced, and the bytes of their checkpoints. The
 // golden TSV and the oracle cover LRU, LRU-THOLD and the lazy variants at
 // one setting each; these cells hold FIFO and every promotion rule at a
 // second parameter and two capacities.
@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "cache/factory.hpp"
 #include "sim/simulator.hpp"
@@ -57,6 +58,14 @@ TEST(ListPolicy, DecisionsMatchRecordedCounters) {
            PinnedCounters{"DELAY-LRU:k=64", 8 << 20, 2505, 20630366, 3592},
            PinnedCounters{"BATCH-LRU:batch=8", 1 << 20, 1168, 6476257, 5251},
            PinnedCounters{"BATCH-LRU:batch=8", 8 << 20, 2510, 20672974, 3587},
+           PinnedCounters{"CLOCK", 1 << 20, 1250, 6917362, 5164},
+           PinnedCounters{"CLOCK", 8 << 20, 2583, 21279894, 3536},
+           PinnedCounters{"DELAY-CLOCK:k=3", 1 << 20, 1325, 7232491, 5086},
+           PinnedCounters{"DELAY-CLOCK:k=3", 8 << 20, 2654, 21635323,
+                          3450},
+           PinnedCounters{"DELAY-CLOCK:k=8", 1 << 20, 1339, 7314996, 5071},
+           PinnedCounters{"DELAY-CLOCK:k=8", 8 << 20, 2650, 21561252,
+                          3453},
        }) {
     const sim::SimResult r = sim::simulate(trace, p.capacity,
                                            policy_spec_from_name(p.policy));
@@ -88,7 +97,9 @@ struct PinnedState {
 // requests of the golden trace at a 64 KB capacity, pinned across builds
 // like CheckpointFormat.GreedyDualPolicyBytesAreStable. LRU, LRU-THOLD and
 // BATCH-LRU write what the version-3 classes wrote; FIFO, PROB-LRU and
-// DELAY-LRU moved to the one list layout with version 4.
+// DELAY-LRU moved to the one list layout with version 4, and CLOCK and
+// DELAY-CLOCK with version 5 (their counters follow the ids, where the
+// version-4 class wrote each id with its counter).
 TEST(CheckpointFormat, ListPolicyBytesAreStable) {
   const trace::Trace trace = golden_trace();
   ASSERT_GE(trace.requests.size(), 4000u);
@@ -99,6 +110,8 @@ TEST(CheckpointFormat, ListPolicyBytesAreStable) {
            PinnedState{"PROB-LRU:p=0.1,seed=3", 7307, 2053072414u},
            PinnedState{"DELAY-LRU:k=4", 1046, 4195933226u},
            PinnedState{"BATCH-LRU:batch=8", 950, 758777169u},
+           PinnedState{"CLOCK", 990, 3873789271u},
+           PinnedState{"DELAY-CLOCK:k=3", 990, 3911632074u},
        }) {
     Cache cache(64 << 10, make_policy(policy_spec_from_name(pinned.policy)));
     for (std::size_t i = 0; i < 4000; ++i) {
@@ -111,6 +124,35 @@ TEST(CheckpointFormat, ListPolicyBytesAreStable) {
     EXPECT_EQ(bytes.size(), pinned.bytes) << pinned.policy;
     EXPECT_EQ(util::crc32(bytes.data(), bytes.size()), pinned.crc)
         << pinned.policy;
+  }
+}
+
+// The hand's walk ends within k revolutions only while every counter is at
+// most k, so a checkpoint that holds a larger one is refused by name.
+TEST(ListPolicy, ClockRestoreRefusesACounterAboveItsCap) {
+  Cache cache(4, make_policy("CLOCK"));
+  for (const ObjectId id : {1, 2, 3}) {
+    cache.access(id, 1, trace::DocumentClass::kOther);
+  }
+  util::StateWriter w;
+  cache.save_state(w);
+  std::vector<std::uint8_t> bytes = w.take();
+  const auto restore = [&] {
+    Cache restored(4, make_policy("CLOCK"));
+    util::StateReader r(bytes.data(), bytes.size(), "cache");
+    restored.restore_state(r);
+  };
+  EXPECT_NO_THROW(restore());
+  // The policy's state comes last; its last field is the counter of the
+  // object at the back of the list, a little-endian u32.
+  bytes[bytes.size() - 4] = 2;
+  try {
+    restore();
+    FAIL() << "a CLOCK counter of 2 was restored";
+  } catch (const util::StateError& e) {
+    EXPECT_NE(std::string(e.what()).find("CLOCK counter above its cap"),
+              std::string::npos)
+        << e.what();
   }
 }
 

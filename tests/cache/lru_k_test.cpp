@@ -1,11 +1,15 @@
-#include "cache/lru_k.hpp"
+#include "cache/greedy_dual.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "cache/factory.hpp"
 #include "policy_test_util.hpp"
+#include "sim/simulator.hpp"
+#include "trace/dense_trace.hpp"
 
 namespace webcache::cache {
 namespace {
@@ -92,8 +96,9 @@ TEST(LruK, HistoryIsBounded) {
   LruKPolicy* raw = policy.get();
   Cache cache(2, std::move(policy));
   for (ObjectId id = 0; id < 500; ++id) access(cache, id);
-  EXPECT_LE(raw->history_size(), 8u);
-  EXPECT_GT(raw->history_size(), 0u);
+  EXPECT_EQ(raw->value().history_limit(), 8u);
+  EXPECT_LE(raw->value().history_size(), 8u);
+  EXPECT_GT(raw->value().history_size(), 0u);
 }
 
 TEST(LruK, RetainedHistorySurvivesReinsertion) {
@@ -117,9 +122,50 @@ TEST(LruK, ClearDropsHistory) {
     Cache cache(1, std::move(policy));
     access(cache, 1);
     access(cache, 2);  // evicts 1 -> history
-    EXPECT_EQ(raw->history_size(), 1u);
+    EXPECT_EQ(raw->value().history_size(), 1u);
     cache.reset();
-    EXPECT_EQ(raw->history_size(), 0u);
+    EXPECT_EQ(raw->value().history_size(), 0u);
+  }
+}
+
+#ifndef WEBCACHE_TEST_DATA_DIR
+#error "WEBCACHE_TEST_DATA_DIR must point at tests/data"
+#endif
+
+struct PinnedRun {
+  std::uint64_t capacity;
+  std::uint64_t hits;
+  std::uint64_t hit_bytes;
+  std::uint64_t evictions;
+};
+
+void expect_pinned(const trace::DenseTrace& trace, const PinnedRun& p,
+                   const std::string& label,
+                   std::unique_ptr<ReplacementPolicy> policy) {
+  const std::string cell =
+      label + " at " + std::to_string(p.capacity >> 20) + " MiB";
+  Cache cache(p.capacity, std::move(policy));
+  const sim::SimResult r = sim::simulate(trace, cache);
+  EXPECT_EQ(r.overall.hits, p.hits) << cell;
+  EXPECT_EQ(r.overall.hit_bytes, p.hit_bytes) << cell;
+  EXPECT_EQ(r.evictions, p.evictions) << cell;
+}
+
+// Replays golden_dfn.wct with default options and compares the overall
+// counters with values recorded from the stand-alone LRU-2 class the
+// GreedyDual value replaced. The factory's LRU-2 retains 16,384 departed
+// documents, more than these runs ever evict; a limit of 8 prunes on
+// nearly every eviction, so there the FIFO bound decides.
+TEST(LruK, GoldenTraceDecisionsArePinned) {
+  const trace::DenseTrace trace = trace::read_dense_trace_file(
+      std::string(WEBCACHE_TEST_DATA_DIR) + "/golden_dfn.wct");
+  for (const PinnedRun& p : {PinnedRun{1 << 20, 1771, 10584843, 4611},
+                             PinnedRun{8 << 20, 2778, 22219848, 3171}}) {
+    expect_pinned(trace, p, "LRU-2", make_policy("LRU-2"));
+  }
+  for (const PinnedRun& p : {PinnedRun{1 << 20, 1682, 9662347, 4690},
+                             PinnedRun{8 << 20, 2744, 22546027, 3257}}) {
+    expect_pinned(trace, p, "LruKPolicy(8)", std::make_unique<LruKPolicy>(8));
   }
 }
 

@@ -425,8 +425,9 @@ def check_golden_counters(cli, tmp):
 
 
 def check_full_device(cli, tmp):
-    """Every text output fails by name when its device is full: a write
-    that only fails as the stream is flushed at close must not exit 0.
+    """Every text output, stdout included, fails by name when its device is
+    full: a write that only fails as the stream is flushed at close must not
+    exit 0.
     Symlinks to /dev/full give the paths the CSV names the commands
     choose by."""
     if not os.path.exists("/dev/full"):
@@ -458,6 +459,15 @@ def check_full_device(cli, tmp):
         p = run(cli, *args)
         check(f"{name} to a full device exits 1 naming {path}",
               p.returncode == 1 and f"cannot write {path}" in p.stderr,
+              f"rc={p.returncode} stderr={p.stderr.strip()[-200:]}")
+    # The reports that only go to stdout.
+    for args in (("stackdist", wct), ("characterize", wct), ("profile",)):
+        with open("/dev/full", "w") as full:
+            p = subprocess.run([cli, *args], stdout=full,
+                               stderr=subprocess.PIPE, text=True,
+                               timeout=120)
+        check(f"{args[0]} > /dev/full exits 1 naming stdout",
+              p.returncode == 1 and "cannot write stdout" in p.stderr,
               f"rc={p.returncode} stderr={p.stderr.strip()[-200:]}")
 
 

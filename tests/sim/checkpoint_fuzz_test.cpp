@@ -123,11 +123,11 @@ TEST(CheckpointFuzz, HugeCountsRejectedByNameBeforeAllocating) {
   constexpr std::uint64_t kHuge = std::uint64_t{1} << 62;
 
   {
-    // WCKP container (current version 4): the u32 section count is the
+    // WCKP container (current version 5): the u32 section count is the
     // largest it can be.
     util::StateWriter w;
     w.put_bytes("WCKP", 4);
-    w.put_u32(4);
+    w.put_u32(5);
     w.put_u32(0xFFFFFFFFu);
     const std::vector<std::uint8_t> bytes = w.take();
     expect_named_rejection("section count",
@@ -350,9 +350,10 @@ TEST(CheckpointFuzz, PolicyIdsMustBeResident) {
 
 TEST(CheckpointFuzz, VersionOneImageRejected) {
   // Every older format is rejected by number: version 1 (the densifier
-  // section), version 2 (window snapshots without per-class occupancy) and
-  // version 3 (FIFO and the lazy LRU variants in per-class layouts).
-  for (const std::uint8_t version : {1, 2, 3}) {
+  // section), version 2 (window snapshots without per-class occupancy),
+  // version 3 (FIFO and the lazy LRU variants in per-class layouts) and
+  // version 4 (CLOCK's counters interleaved with its ring's ids).
+  for (const std::uint8_t version : {1, 2, 3, 4}) {
     std::vector<std::uint8_t> bytes =
         detail::encode_checkpoint(sample_sections());
     bytes[4] = version;  // the u32 version follows the 4-byte magic

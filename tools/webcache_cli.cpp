@@ -23,6 +23,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -932,6 +933,22 @@ int cmd_stackdist(const util::Args& args) {
   return 0;
 }
 
+int run_command(const std::string& command, const util::Args& args) {
+  if (command == "generate") return cmd_generate(args);
+  if (command == "profile") return cmd_profile(args);
+  if (command == "convert") return cmd_convert(args);
+  if (command == "export") return cmd_export(args);
+  if (command == "characterize") return cmd_characterize(args);
+  if (command == "simulate") return cmd_simulate(args);
+  if (command == "sweep") return cmd_sweep(args);
+  if (command == "hierarchy") return cmd_hierarchy(args);
+  if (command == "replicate") return cmd_replicate(args);
+  if (command == "stackdist") return cmd_stackdist(args);
+  if (command == "help" || command == "--help") return usage(std::cout), 0;
+  std::cerr << "webcache: unknown command '" << command << "'\n";
+  return usage(std::cerr);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -939,21 +956,14 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   const util::Args args(argc - 1, argv + 1);
   try {
-    if (command == "generate") return cmd_generate(args);
-    if (command == "profile") return cmd_profile(args);
-    if (command == "convert") return cmd_convert(args);
-    if (command == "export") return cmd_export(args);
-    if (command == "characterize") return cmd_characterize(args);
-    if (command == "simulate") return cmd_simulate(args);
-    if (command == "sweep") return cmd_sweep(args);
-    if (command == "hierarchy") return cmd_hierarchy(args);
-    if (command == "replicate") return cmd_replicate(args);
-    if (command == "stackdist") return cmd_stackdist(args);
-    if (command == "help" || command == "--help") return usage(std::cout), 0;
+    const int status = run_command(command, args);
+    // A report redirected to a full disk must not read as success.
+    if (status == 0 && !std::cout.flush()) {
+      throw std::runtime_error("cannot write stdout");
+    }
+    return status;
   } catch (const std::exception& e) {
     std::cerr << "webcache " << command << ": " << e.what() << "\n";
     return 1;
   }
-  std::cerr << "webcache: unknown command '" << command << "'\n";
-  return usage(std::cerr);
 }
