@@ -110,29 +110,6 @@ class CacheFrontend {
   /// has one aging term per partition, not one overall.
   virtual PolicyProbe policy_probe() const = 0;
 
-  // ---- fault-injection seams (sim/faults.hpp) ----
-  //
-  // The fault-aware replay loops model a frontend as a set of independent
-  // fault domains: a schedule's edge-crash/recover events address domains,
-  // a request whose domain is down is LOST (a single box has no failover
-  // path), and a crash drops the domain's contents cold. A plain Cache is
-  // one domain; a class-partitioned cache is one domain per document
-  // class.
-
-  /// Number of independent fault domains (schedule node indices must be
-  /// smaller). Default: the whole frontend is one domain.
-  virtual std::uint32_t fault_domains() const { return 1; }
-
-  /// Which domain serves requests of this document class.
-  virtual std::uint32_t fault_domain_of(trace::DocumentClass /*cls*/) const {
-    return 0;
-  }
-
-  /// Drops the domain's contents and restarts its replacement state cold
-  /// (Cache::crash semantics: lifetime counters keep running, the removal
-  /// listener is not notified — the objects were lost, not evicted).
-  virtual void crash_domain(std::uint32_t domain) = 0;
-
   // ---- checkpointing (sim/checkpoint.hpp) ----
   //
   // Serializes every underlying cache (accounting, resident objects,
@@ -301,24 +278,20 @@ class Cache final : public CacheFrontend {
     class_bytes_.fill(0);
   }
 
-  /// Simulates a node failure (fault injection): every resident object is
-  /// dropped and the replacement policy restarts cold, but the request clock
-  /// and the cumulative eviction/insertion counters keep running — they
-  /// describe the node's lifetime across restarts, and the fault metrics
-  /// must not conflate crash losses with evictions. For the same reason the
-  /// removal listener is NOT notified: the objects were lost with the
-  /// process, not evicted or invalidated. Dense-id mode is preserved.
+  /// Simulates a node failure (a hierarchy edge or root crash): every
+  /// resident object is dropped and the replacement policy restarts cold,
+  /// but the request clock and the cumulative eviction/insertion counters
+  /// keep running — they describe the node's lifetime across restarts, and
+  /// the fault metrics must not conflate crash losses with evictions. For
+  /// the same reason the removal listener is NOT notified: the objects were
+  /// lost with the process, not evicted or invalidated. Dense-id mode is
+  /// preserved.
   void crash() {
     objects_.clear();
     policy_->clear();
     used_bytes_ = 0;
     class_objects_.fill(0);
     class_bytes_.fill(0);
-  }
-  /// A single box is one fault domain.
-  void crash_domain(std::uint32_t domain) override {
-    if (domain != 0) throw std::logic_error("Cache: only fault domain 0");
-    crash();
   }
 
   /// Exhaustive consistency check (byte accounting vs object table); tests.

@@ -69,26 +69,6 @@ class PartitionedCache final : public CacheFrontend {
     return *partitions_[static_cast<std::size_t>(c)];
   }
 
-  /// Fault injection: drops the partition's contents and restarts its policy
-  /// cold (Cache::crash). Up/down routing state lives in the fault-aware
-  /// replay loop, not here — a crashed partition keeps accepting accesses
-  /// the moment the schedule marks it recovered.
-  void crash_partition(trace::DocumentClass c) {
-    partitions_[static_cast<std::size_t>(c)]->crash();
-  }
-
-  /// Fault domains: one per document-class partition, so schedule node i
-  /// addresses the partition of class i (the PR-4 partitioned semantics).
-  std::uint32_t fault_domains() const override {
-    return static_cast<std::uint32_t>(trace::kDocumentClassCount);
-  }
-  std::uint32_t fault_domain_of(trace::DocumentClass c) const override {
-    return static_cast<std::uint32_t>(c);
-  }
-  void crash_domain(std::uint32_t domain) override {
-    crash_partition(static_cast<trace::DocumentClass>(domain));
-  }
-
   /// Checkpointing: every partition in class order.
   void save_state(util::StateWriter& w) const override;
   void restore_state(util::StateReader& r) override;

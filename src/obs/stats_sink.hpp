@@ -152,8 +152,8 @@ struct MetricsSeries {
   std::uint64_t total_requests = 0;   // requests observed (incl. warm-up)
   std::vector<WindowSample> windows;
 
-  /// Fault-injection series: mesh node count (edges + root, or partitions;
-  /// 0 for uninstrumented runs) and the post-recovery warm-up curves.
+  /// Fault-injection series: mesh node count (edges + root; 0 for
+  /// uninstrumented runs) and the post-recovery warm-up curves.
   std::uint64_t fault_nodes = 0;
   std::vector<WarmupCurve> warmup_curves;
 
@@ -168,8 +168,8 @@ struct MetricsSeries {
 
 /// The hooks a replay loop invokes. NullSink's are empty and inline — the
 /// compiler removes them, keeping the uninstrumented build at zero cost.
-/// The fault hooks are invoked only by the fault-aware loops (sim/faults);
-/// plain replays never call them.
+/// The fault hooks are invoked only by the hierarchy's fault-aware loop
+/// (sim/faults.hpp); plain replays never call them.
 template <typename S>
 concept StatsSink = requires(S sink, trace::DocumentClass cls,
                              std::uint64_t size,

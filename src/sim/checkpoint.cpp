@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "obs/stats_sink.hpp"
-#include "sim/faults.hpp"
 #include "sim/last_size.hpp"
 #include "sim/replay_core.hpp"
 #include "trace/id_map.hpp"
@@ -36,7 +35,7 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kMagic[4] = {'W', 'C', 'K', 'P'};
-constexpr std::uint32_t kVersion = 5;
+constexpr std::uint32_t kVersion = 6;
 constexpr const char* kFileSuffix = ".wckp";
 
 thread_local std::vector<std::string> g_resume_diagnostics;
@@ -265,25 +264,6 @@ class CheckpointEncoder {
 
 }  // namespace
 
-std::uint64_t fault_schedule_hash(const FaultSchedule& schedule) {
-  util::StateWriter w;
-  w.put_u64(schedule.events.size());
-  for (const FaultEvent& e : schedule.events) {
-    w.put_u64(e.at_request);
-    w.put_u8(static_cast<std::uint8_t>(e.kind));
-    w.put_u32(e.node);
-  }
-  w.put_u32(schedule.max_probe_retries);
-  w.put_double(schedule.probe_timeout_rate);
-  w.put_u64(schedule.seed);
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
-  for (const std::uint8_t b : w.bytes()) {
-    h ^= b;
-    h *= 1099511628211ULL;
-  }
-  return h == 0 ? 1 : h;  // 0 is reserved for "no schedule"
-}
-
 const std::vector<std::string>& checkpoint_resume_diagnostics() {
   return g_resume_diagnostics;
 }
@@ -418,7 +398,6 @@ void save_fingerprint(util::StateWriter& w, const CheckpointFingerprint& fp) {
   w.put_double(fp.latency_setup_ms);
   w.put_double(fp.latency_bytes_per_ms);
   w.put_u64(fp.window_requests);
-  w.put_u64(fp.fault_hash);
   w.put_string(fp.trace_source);
   w.put_u64(fp.total_requests);
   w.put_u64(fp.seed);
@@ -434,7 +413,6 @@ CheckpointFingerprint restore_fingerprint(util::StateReader& r) {
   fp.latency_setup_ms = r.take_double();
   fp.latency_bytes_per_ms = r.take_double();
   fp.window_requests = r.take_u64();
-  fp.fault_hash = r.take_u64();
   fp.trace_source = r.take_string();
   fp.total_requests = r.take_u64();
   fp.seed = r.take_u64();
@@ -484,10 +462,6 @@ void validate_fingerprint(const CheckpointFingerprint& expected,
   if (found.window_requests != expected.window_requests) {
     mismatch("window_requests", num(found.window_requests),
              num(expected.window_requests));
-  }
-  if (found.fault_hash != expected.fault_hash) {
-    mismatch("fault_schedule", num(found.fault_hash),
-             num(expected.fault_hash));
   }
   if (found.trace_source != expected.trace_source) {
     mismatch("trace_source", "'" + found.trace_source + "'",
@@ -654,19 +628,17 @@ CheckpointFingerprint make_stream_fingerprint(
   fp.latency_setup_ms = job.options.latency_setup_ms;
   fp.latency_bytes_per_ms = job.options.latency_bytes_per_ms;
   fp.window_requests = job.sink != nullptr ? job.sink->window_requests() : 0;
-  fp.fault_hash = job.faults != nullptr ? fault_schedule_hash(*job.faults) : 0;
   fp.trace_source = job.checkpoint.trace_source;
   fp.total_requests = stream.total_requests();
   fp.seed = job.checkpoint.seed;
   return fp;
 }
 
-template <typename Sink, typename Faults>
+template <typename Sink>
 CheckpointedRun run_checkpointed(trace::RequestStream& stream,
                                  cache::CacheFrontend& frontend,
                                  const StreamCheckpointJob& job,
-                                 const CheckpointFingerprint& fp, Sink& sink,
-                                 Faults& faults) {
+                                 const CheckpointFingerprint& fp, Sink& sink) {
   namespace fs = std::filesystem;
   constexpr bool kRecording = kRecordingSink<Sink>;
 
@@ -691,8 +663,7 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
   };
 
   if constexpr (kRecording) sink.begin_run(frontend);
-  ReplayCore core(frontend, job.options, sink, stream.total_requests(),
-                  faults);
+  ReplayCore core(frontend, job.options, sink, stream.total_requests());
 
   CheckpointedRun out;
   std::uint64_t skip = 0;
@@ -741,12 +712,6 @@ CheckpointedRun run_checkpointed(trace::RequestStream& stream,
         auto r = reader("metrics");
         sink.restore_state(r);
         r.expect_end();
-      }
-      if constexpr (Faults::kEnabled) {
-        // The schedule prefix is pure state: replay it without side effects
-        // (the crashed-cache contents and the sink's event counters were
-        // already restored above).
-        faults.advance(consumed, [](std::uint32_t, obs::FaultEventKind) {});
       }
       skip = consumed;
       out.resumed_from = consumed;
@@ -863,12 +828,9 @@ CheckpointedRun simulate_stream_checkpointed(trace::RequestStream& stream,
   }
   const CheckpointFingerprint fp =
       detail::make_stream_fingerprint(frontend, stream, job);
-  return detail::dispatch_replay(
-      job.sink, job.faults, frontend.fault_domains(), /*has_root=*/false,
-      [&](auto& sink, auto& faults) {
-        return detail::run_checkpointed(stream, frontend, job, fp, sink,
-                                        faults);
-      });
+  return detail::dispatch_replay(job.sink, [&](auto& sink) {
+    return detail::run_checkpointed(stream, frontend, job, fp, sink);
+  });
 }
 
 CheckpointedRun simulate_stream_checkpointed(trace::RequestStream& stream,

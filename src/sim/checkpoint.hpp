@@ -1,13 +1,13 @@
 // Crash-safe checkpoint/resume for the streaming replay pipeline.
 //
 // A long replay is a deterministic state machine: (trace, frontend config,
-// options, schedule, seed) fully determine every counter. simulate_stream_
+// options, seed) fully determine every counter. simulate_stream_
 // checkpointed() is the one streamed replay loop (simulate_stream() runs it
 // with no checkpoints), and every `every` requests it serializes the
 // complete run state — policy and object table (CacheFrontend::save_state),
 // last-size tracker, the stream's document-id map, metrics windows,
-// accumulated SimResult, fault-schedule cursor position — into a
-// versioned, per-section-CRC'd checkpoint file, written
+// accumulated SimResult — into a versioned, per-section-CRC'd checkpoint
+// file, written
 // atomically (temp file + fsync + rename + directory fsync). A run killed
 // at any instant — including mid-checkpoint-write — resumes from the newest
 // valid checkpoint and finishes with counters, latency doubles and
@@ -43,9 +43,8 @@
 // read from a WCT1 v4 file; every id in "cache" and "lastsize" must be
 // below their count), "cache", "lastsize", and optionally "metrics"
 // (instrumented runs; each window's snapshot carries per-class occupancy).
-// Version 5 (one recency-list layout, CLOCK included: the ids MRU to LRU,
-// then the promotion rule's state); older files are rejected as
-// unsupported.
+// Version 6 (the fingerprint carries no fault-schedule hash: a streamed
+// replay takes no schedule); older files are rejected as unsupported.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +54,6 @@
 
 #include "cache/cache.hpp"
 #include "obs/stats_sink.hpp"
-#include "sim/faults.hpp"
 #include "sim/simulator.hpp"
 #include "trace/id_map.hpp"
 #include "trace/request_stream.hpp"
@@ -74,16 +72,10 @@ struct CheckpointFingerprint {
   double latency_setup_ms = 0.0;
   double latency_bytes_per_ms = 0.0;
   std::uint64_t window_requests = 0;  // 0 = uninstrumented run
-  std::uint64_t fault_hash = 0;       // 0 = no fault schedule
   std::string trace_source;           // caller-chosen trace identity tag
   std::uint64_t total_requests = 0;
   std::uint64_t seed = 0;  // workload seed (0 when not applicable)
 };
-
-/// FNV-1a hash over the schedule's events and probe parameters; folded into
-/// the fingerprint so a checkpoint can never resume under a different fault
-/// scenario.
-std::uint64_t fault_schedule_hash(const FaultSchedule& schedule);
 
 struct CheckpointConfig {
   /// Directory holding the checkpoint ring; created if absent.
@@ -122,15 +114,13 @@ struct CheckpointedRun {
   bool stopped_early = false;
 };
 
-/// Optional collaborators for the streamed replay, passed the way every
-/// engine takes them (simulate, simulate_hierarchy): a null sink or
-/// schedule runs the uninstrumented or fault-free instantiation. The plain
+/// Optional collaborators for the streamed replay, passed the way simulate
+/// takes them: a null sink runs the uninstrumented instantiation. The plain
 /// simulate_stream overloads fill in the same job with no checkpoints.
 struct StreamCheckpointJob {
   SimulatorOptions options{};
   CheckpointConfig checkpoint{};
-  obs::RecordingSink* sink = nullptr;      // optional instrumentation
-  const FaultSchedule* faults = nullptr;   // optional fault scenario
+  obs::RecordingSink* sink = nullptr;  // optional instrumentation
 };
 
 /// The streamed replay. Every request's document is numbered densely as

@@ -143,8 +143,10 @@ FaultSchedule parse_fault_schedule(std::istream& in) {
     }
     if (first == "max-probe-retries") {
       const std::uint64_t v = parse_u64(value, line_number, first.c_str());
-      if (v > 0xffffffffULL) {
-        parse_fail(line_number, "max-probe-retries out of range");
+      if (v > kMaxProbeRetries) {
+        parse_fail(line_number, "max-probe-retries must be at most " +
+                                    std::to_string(kMaxProbeRetries) +
+                                    ", got " + value);
       }
       schedule.max_probe_retries = static_cast<std::uint32_t>(v);
     } else if (first == "probe-timeout-rate") {
@@ -178,11 +180,9 @@ FaultSchedule load_fault_schedule_file(const std::string& path) {
   return parse_fault_schedule(in);
 }
 
-FaultRun::FaultRun(const FaultSchedule& schedule, std::uint32_t node_count,
-                   bool has_root)
+FaultRun::FaultRun(const FaultSchedule& schedule, std::uint32_t node_count)
     : events_(schedule.events),
       node_count_(node_count),
-      has_root_(has_root),
       up_count_(node_count),
       max_probe_retries_(schedule.max_probe_retries),
       probe_timeout_rate_(schedule.probe_timeout_rate),
@@ -196,6 +196,10 @@ FaultRun::FaultRun(const FaultSchedule& schedule, std::uint32_t node_count,
         schedule.probe_timeout_rate <= 1.0)) {
     throw std::invalid_argument("FaultRun: probe_timeout_rate out of [0, 1]");
   }
+  if (schedule.max_probe_retries > kMaxProbeRetries) {
+    throw std::invalid_argument("FaultRun: max_probe_retries above " +
+                                std::to_string(kMaxProbeRetries));
+  }
   for (const FaultEvent& ev : events_) {
     if (ev.at_request == 0) {
       throw std::invalid_argument(
@@ -203,13 +207,6 @@ FaultRun::FaultRun(const FaultSchedule& schedule, std::uint32_t node_count,
     }
     const bool root_event = ev.kind == FaultKind::kRootOutage ||
                             ev.kind == FaultKind::kRootRecover;
-    const bool probe_event = ev.kind == FaultKind::kProbeDegrade ||
-                             ev.kind == FaultKind::kProbeRestore;
-    if ((root_event || probe_event) && !has_root_) {
-      throw std::invalid_argument(
-          std::string("FaultRun: ") + to_string(ev.kind) +
-          " event in a run without a root/sibling mesh (partitioned cache)");
-    }
     if (!root_event && ev.node >= node_count_) {
       throw std::invalid_argument(
           std::string("FaultRun: ") + to_string(ev.kind) + " node " +

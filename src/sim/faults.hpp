@@ -16,25 +16,17 @@
 //    origin and still warm the edge cache;
 //  * edge AND root down    -> the request is LOST (counted in the request
 //    totals, never as a hit).
-// A partitioned cache maps node i to document-class partition i; a down
-// partition has no failover path inside one box, so its requests are lost.
 //
 // Probe timeouts are deterministic: a hash of (seed, request index,
 // sibling, attempt) against probe_timeout_rate decides each attempt, and a
 // sibling is skipped only after 1 + max_probe_retries attempts all time
 // out.
 //
-// A single frontend (simulate, simulate_stream_checkpointed) is a set of
-// fault domains (CacheFrontend::fault_domains): one for a plain Cache, one
-// per document-class partition for a PartitionedCache, so node i is the
-// partition of class i. A crash drops the domain's contents; while down,
-// its requests are lost (a single box has no failover path) and excluded
-// from the latency model. Root and probe events are rejected there.
-//
-// Each engine takes an optional schedule (the trailing `const
-// FaultSchedule*` of simulate and simulate_hierarchy,
-// StreamCheckpointJob::faults); with an empty schedule the run is
-// bit-identical to one without (tests/sim/fault_equivalence_test.cpp).
+// Only the hierarchy replays a schedule (the trailing `const
+// FaultSchedule*` of simulate_hierarchy): a single cache is one fault
+// domain, so a schedule could only empty it or drop every request. With an
+// empty schedule the run is bit-identical to one without
+// (tests/sim/fault_equivalence_test.cpp).
 #pragma once
 
 #include <cstdint>
@@ -63,17 +55,22 @@ struct FaultEvent {
   /// this request. Indices past the end of the trace simply never fire.
   std::uint64_t at_request = 0;
   FaultKind kind = FaultKind::kEdgeCrash;
-  /// Edge index (or partition/document-class index); ignored by root
-  /// events.
+  /// Edge index; ignored by root events.
   std::uint32_t node = 0;
 };
+
+/// Largest accepted max_probe_retries. Past it a degraded sibling's
+/// attempt count stops meaning a retry budget: the attempts are counted in
+/// 32 bits, and each one costs a hash on every request that probes it.
+inline constexpr std::uint32_t kMaxProbeRetries = 100;
 
 /// A complete fault scenario. Events need not be pre-sorted; FaultRun
 /// orders them (stably, so same-index events keep file order).
 struct FaultSchedule {
   std::vector<FaultEvent> events;
   /// Retries after the first timed-out probe attempt: a degraded sibling
-  /// is given 1 + max_probe_retries attempts per request.
+  /// is given 1 + max_probe_retries attempts per request (at most
+  /// kMaxProbeRetries).
   std::uint32_t max_probe_retries = 1;
   /// Probability that one probe attempt to a degraded sibling times out
   /// (1.0 = degraded siblings are unreachable; must be in [0, 1]).
@@ -129,18 +126,17 @@ struct NoFaults {
   static constexpr bool degraded(std::uint32_t) { return false; }
 };
 
-/// The runtime state machine a fault-aware replay loop drives: the sorted
-/// schedule plus per-node up/degraded state. Construction validates the
-/// schedule against the mesh shape (node indices in range; root and probe
-/// events only where a root exists — a partitioned run has neither root
-/// nor siblings) and throws std::invalid_argument otherwise.
+/// The runtime state machine the hierarchy's fault-aware loop drives: the
+/// sorted schedule plus per-node up/degraded state. Construction validates
+/// the schedule against the mesh shape (1-based indices, edge indices in
+/// range) and throws std::invalid_argument otherwise.
 class FaultRun {
  public:
   /// Replay loops select fault handling with `if constexpr` on this.
   static constexpr bool kEnabled = true;
 
-  FaultRun(const FaultSchedule& schedule, std::uint32_t node_count,
-           bool has_root);
+  /// A mesh of `node_count` edges and one root.
+  FaultRun(const FaultSchedule& schedule, std::uint32_t node_count);
 
   /// Applies every event scheduled at or before request `index` (1-based).
   /// No-op events (crashing a down node, recovering an up one, degrading a
@@ -159,14 +155,10 @@ class FaultRun {
   bool root_up() const { return root_up_; }
   bool degraded(std::uint32_t node) const { return degraded_[node] != 0; }
 
-  /// Mesh nodes currently up / in total (root included when present);
-  /// feeds the availability metric.
-  std::uint32_t up_nodes() const {
-    return up_count_ + ((has_root_ && root_up_) ? 1u : 0u);
-  }
-  std::uint32_t total_nodes() const {
-    return node_count_ + (has_root_ ? 1u : 0u);
-  }
+  /// Mesh nodes currently up / in total (root included); feeds the
+  /// availability metric.
+  std::uint32_t up_nodes() const { return up_count_ + (root_up_ ? 1u : 0u); }
+  std::uint32_t total_nodes() const { return node_count_ + 1u; }
 
   /// Probe attempts a degraded sibling is given per request.
   std::uint32_t max_probe_attempts() const { return 1 + max_probe_retries_; }
@@ -227,7 +219,6 @@ class FaultRun {
   std::vector<FaultEvent> events_;  // sorted by at_request (stable)
   std::size_t cursor_ = 0;
   std::uint32_t node_count_;
-  bool has_root_;
   bool root_up_ = true;
   std::uint32_t up_count_;
   std::uint32_t max_probe_retries_;

@@ -395,6 +395,27 @@ void attach_sink(obs::RecordingSink& sink,
   root.set_removal_listener(&sink);
 }
 
+/// One mesh replay: fresh caches, the sink attached when it records, and
+/// the loop instantiated with `faults` (NoFaults for a null schedule).
+template <typename F, obs::StatsSink Sink>
+HierarchyResult run_mesh(const trace::DenseTrace& trace,
+                         const HierarchyConfig& config, F& faults,
+                         Sink& sink) {
+  constexpr bool kRecording = detail::kRecordingSink<Sink>;
+  // Each cache sees a subset of the trace's dense universe, so every one
+  // reserves the full bound.
+  const std::uint64_t universe = trace.document_count();
+  std::vector<std::unique_ptr<cache::Cache>> edges =
+      make_edges(config, universe);
+  const std::unique_ptr<cache::Cache> root =
+      make_cache(config.root_capacity_bytes, config.root_policy, universe);
+  if constexpr (kRecording) attach_sink(sink, edges, *root);
+  HierarchyResult result =
+      hierarchy_loop(trace, config, edges, *root, faults, sink);
+  if constexpr (kRecording) sink.end_run();
+  return result;
+}
+
 }  // namespace
 
 HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
@@ -402,23 +423,14 @@ HierarchyResult simulate_hierarchy(const trace::DenseTrace& trace,
                                    obs::RecordingSink* sink,
                                    const FaultSchedule* faults) {
   validate(trace, config);
-  return detail::dispatch_replay(
-      sink, faults, config.edge_count, /*has_root=*/true,
-      [&](auto& s, auto& f) {
-        constexpr bool kRecording = detail::kRecordingSink<decltype(s)>;
-        // Each cache sees a subset of the trace's dense universe, so every
-        // one reserves the full bound.
-        const std::uint64_t universe = trace.document_count();
-        std::vector<std::unique_ptr<cache::Cache>> edges =
-            make_edges(config, universe);
-        const std::unique_ptr<cache::Cache> root = make_cache(
-            config.root_capacity_bytes, config.root_policy, universe);
-        if constexpr (kRecording) attach_sink(s, edges, *root);
-        HierarchyResult result =
-            hierarchy_loop(trace, config, edges, *root, f, s);
-        if constexpr (kRecording) s.end_run();
-        return result;
-      });
+  return detail::dispatch_replay(sink, [&](auto& s) {
+    if (faults == nullptr) {
+      NoFaults none;
+      return run_mesh(trace, config, none, s);
+    }
+    FaultRun fault_run(*faults, config.edge_count);
+    return run_mesh(trace, config, fault_run, s);
+  });
 }
 
 }  // namespace webcache::sim

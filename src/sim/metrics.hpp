@@ -36,8 +36,8 @@ struct FaultStats {
   /// Requests whose designated node was down and that were routed around it
   /// (sibling / root / origin), successfully or not.
   std::uint64_t failovers = 0;
-  /// Requests lost to double faults: designated edge down AND root down (or
-  /// partition down, where there is no failover path) and no sibling copy.
+  /// Requests lost to double faults: designated edge down AND root down and
+  /// no sibling copy.
   std::uint64_t lost_requests = 0;
   std::uint64_t lost_bytes = 0;
   /// Timed-out sibling-probe attempts (each bounded retry counts once).
@@ -76,10 +76,9 @@ struct SimResult {
   /// Requests whose size change was classified as an interrupted transfer.
   std::uint64_t interrupted_transfers = 0;
 
-  /// Fault-injection counters; all zero unless the run carried a
-  /// FaultSchedule (sim/faults.hpp). Lost requests are counted in
-  /// overall.requests but never in hits, so
-  /// hits + (requests - hits - lost) + lost == requests by construction.
+  /// Fault-injection counters. Always zero: a single cache replays no
+  /// FaultSchedule (only the hierarchy does, into HierarchyResult::faults);
+  /// the field stays while the result and metrics schemas carry it.
   FaultStats faults;
 
   const HitCounters& of(trace::DocumentClass c) const {

@@ -16,11 +16,10 @@
 // a stream's batch layer derives the pair from its DenseLastSize
 // (last_size.hpp).
 //
-// The Faults parameter follows the sink pattern: the NoFaults
-// instantiation compiles the fault-domain checks away entirely, so the
-// plain replay is still the pre-fault code path. dispatch_replay() below
-// picks the instantiations from an entry point's optional sink and
-// schedule.
+// A single cache replays without faults: fault schedules drive only the
+// hierarchy (sim/hierarchy.cpp), which runs its own loop.
+// dispatch_replay() below picks the sink instantiation from an entry
+// point's optional sink.
 #pragma once
 
 #include <cmath>
@@ -29,7 +28,6 @@
 
 #include "cache/cache.hpp"
 #include "obs/stats_sink.hpp"
-#include "sim/faults.hpp"
 #include "sim/last_size.hpp"
 #include "sim/metrics.hpp"
 #include "sim/simulator.hpp"
@@ -43,44 +41,27 @@ template <typename Sink>
 inline constexpr bool kRecordingSink =
     std::is_same_v<std::remove_cvref_t<Sink>, obs::RecordingSink>;
 
-/// Runs `run(sink, faults)` once, with the instantiations an entry point's
-/// optional collaborators select: obs::NullSink for a null sink (its hooks
-/// compile away), NoFaults for a null schedule (the fault checks compile
-/// away), else the RecordingSink and a FaultRun over `fault_nodes` nodes
-/// (`has_root`: a hierarchy, whose root and sibling probes the schedule may
-/// address).
+/// Runs `run(sink)` once, with the instantiation an entry point's optional
+/// sink selects: obs::NullSink for a null sink (its hooks compile away),
+/// else the RecordingSink.
 template <typename Run>
-auto dispatch_replay(obs::RecordingSink* sink, const FaultSchedule* schedule,
-                     std::uint32_t fault_nodes, bool has_root, Run&& run) {
-  const auto with_faults = [&](auto& s) {
-    if (schedule == nullptr) {
-      NoFaults none;
-      return run(s, none);
-    }
-    FaultRun faults(*schedule, fault_nodes, has_root);
-    return run(s, faults);
-  };
+auto dispatch_replay(obs::RecordingSink* sink, Run&& run) {
   if (sink == nullptr) {
     obs::NullSink null;
-    return with_faults(null);
+    return run(null);
   }
-  return with_faults(*sink);
+  return run(*sink);
 }
 
-template <obs::StatsSink Sink, typename Faults>
+template <obs::StatsSink Sink>
 class ReplayCore {
-  static constexpr bool kFaulted = Faults::kEnabled;
-
  public:
   /// `total_requests` must be the whole run's length (streams know it up
   /// front) — it places the warm-up boundary exactly where a materialized
-  /// replay would. `faults` must outlive the core.
+  /// replay would.
   ReplayCore(cache::CacheFrontend& cache, const SimulatorOptions& options,
-             Sink& sink, std::uint64_t total_requests, Faults& faults)
-      : cache_(cache),
-        options_(options),
-        sink_(sink),
-        faults_(faults) {
+             Sink& sink, std::uint64_t total_requests)
+      : cache_(cache), options_(options), sink_(sink) {
     result_.policy_name = cache.description();
     result_.capacity_bytes = cache.capacity_bytes();
     warmup_ = static_cast<std::uint64_t>(std::floor(
@@ -97,54 +78,15 @@ class ReplayCore {
     // The paper's simulator sees only the size recorded in the trace.
     const std::uint64_t size = r.transfer_size;
 
-    if constexpr (kFaulted) {
-      faults_.advance(index_,
-                       [&](std::uint32_t node, obs::FaultEventKind kind) {
-                         if (kind == obs::FaultEventKind::kCrash) {
-                           cache_.crash_domain(node);
-                         }
-                         sink_.on_fault_event(node, kind);
-                         ++result_.faults.events_applied;
-                       });
-      sink_.on_node_state(faults_.up_nodes(), faults_.total_nodes());
-    }
-
     SizeChange change;
     if (r.size_changed) {
       change = classify_size_change(previous_size, size, options_);
     }
 
-    if constexpr (kFaulted) {
-      const std::uint32_t node = cache_.fault_domain_of(r.doc_class);
-      if (!faults_.node_up(node)) {
-        sink_.on_request_lost(r.doc_class, size, measured);
-        if (measured) {
-          HitCounters& cls =
-              result_.per_class[static_cast<std::size_t>(r.doc_class)];
-          cls.requests += 1;
-          cls.requested_bytes += size;
-          result_.overall.requests += 1;
-          result_.overall.requested_bytes += size;
-          ++result_.faults.lost_requests;
-          result_.faults.lost_bytes += size;
-          // Trace-side stat; a crashed partition is empty, so the resident-
-          // copy modification counter cannot apply.
-          if (change.interrupted) result_.interrupted_transfers += 1;
-        }
-        return;
-      }
-      const auto outcome =
-          cache_.access(r.document, size, r.doc_class, change.modified);
-      result_.evictions += outcome.evictions;
-      sink_.on_node_access(node, r.doc_class, size,
-                           outcome.kind == cache::AccessKind::kHit, measured);
-      account(r, size, change, outcome, measured);
-    } else {
-      const auto outcome =
-          cache_.access(r.document, size, r.doc_class, change.modified);
-      result_.evictions += outcome.evictions;
-      account(r, size, change, outcome, measured);
-    }
+    const auto outcome =
+        cache_.access(r.document, size, r.doc_class, change.modified);
+    result_.evictions += outcome.evictions;
+    account(r, size, change, outcome, measured);
   }
 
   SimResult finish() { return std::move(result_); }
@@ -202,7 +144,6 @@ class ReplayCore {
   cache::CacheFrontend& cache_;
   const SimulatorOptions& options_;
   Sink& sink_;
-  Faults& faults_;
   SimResult result_;
   std::uint64_t warmup_ = 0;
   std::uint64_t index_ = 0;

@@ -82,8 +82,6 @@ inline void validate_options(const SimulatorOptions& options) {
 double fraction_bytes(const std::string& what, double fraction,
                       std::uint64_t total_bytes);
 
-struct FaultSchedule;  // sim/faults.hpp
-
 /// The materialized replay: drives any CacheFrontend (a cache::Cache, or a
 /// composite such as cache::PartitionedCache) over a densified trace
 /// (trace::densify). The frontend reserves the trace's dense universe, so
@@ -101,21 +99,18 @@ struct FaultSchedule;  // sim/faults.hpp
 /// `sink` (optional) collects the windowed time series
 /// (obs/stats_sink.hpp); the SimResult is bit-identical without it, and
 /// the sink's series() is valid after return (sinks are reusable:
-/// begin_run resets). `faults` (optional) replays a schedule against the
-/// frontend's fault domains (sim/faults.hpp).
+/// begin_run resets).
 SimResult simulate(const trace::DenseTrace& trace,
                    cache::CacheFrontend& frontend,
                    const SimulatorOptions& options = {},
-                   obs::RecordingSink* sink = nullptr,
-                   const FaultSchedule* faults = nullptr);
+                   obs::RecordingSink* sink = nullptr);
 
 /// One policy at one cache size: the frontend form above on a fresh
 /// cache::Cache(capacity_bytes, make_policy(policy)).
 SimResult simulate(const trace::DenseTrace& trace, std::uint64_t capacity_bytes,
                    const cache::PolicySpec& policy,
                    const SimulatorOptions& options = {},
-                   obs::RecordingSink* sink = nullptr,
-                   const FaultSchedule* faults = nullptr);
+                   obs::RecordingSink* sink = nullptr);
 
 /// A trace with arbitrary (e.g. URL-hash) document ids: densify, then the
 /// dense overload above. It stays because the benchmark harness

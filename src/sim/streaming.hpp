@@ -11,13 +11,13 @@
 // about 54 bytes per document at DFN 1.0 with LRU and an interned stream
 // (peak RSS of a 1 MiB cache run, net of a 30 k-document run), on top of
 // the resident objects; a v4 stream needs no id map's slot table. Warm-up
-// boundaries, metrics windows and fault schedules all key off the global
-// request index, so they behave identically when they straddle chunk
-// boundaries (tests/sim/streaming_equivalence_test.cpp pins all of it).
+// boundaries and metrics windows both key off the global request index, so
+// they behave identically when they straddle chunk boundaries
+// (tests/sim/streaming_equivalence_test.cpp pins all of it).
 //
 // Both overloads run the one streamed loop, simulate_stream_checkpointed()
 // (sim/checkpoint.hpp), with checkpoints off; that function is also the
-// entry point for a caller-built frontend and for fault schedules.
+// entry point for a caller-built frontend.
 #pragma once
 
 #include <cstdint>

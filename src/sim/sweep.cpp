@@ -72,8 +72,7 @@ std::vector<std::size_t> lru_columns_of(const SweepConfig& config) {
 // Whether this sweep routes its LRU columns through the SHARDS-sampled
 // engine instead of the exact grid (see SamplingMode).
 bool sampling_engaged(const SweepConfig& config) {
-  return config.sampling == SamplingMode::kOn && config.sample_rate < 1.0 &&
-         config.faults.empty();
+  return config.sampling == SamplingMode::kOn && config.sample_rate < 1.0;
 }
 
 // SHARDS-sampled fill of every (capacity x LRU) cell in one pass; returns
@@ -139,20 +138,6 @@ SweepResult run_sweep(const trace::DenseTrace& trace,
   SweepResult sweep = layout_grid(trace.overall_size_bytes(),
                                   config.cache_fractions, columns);
 
-  // Under a fault schedule every cell replays it against a fresh cache
-  // (node 0 = the whole cache); an empty schedule is the plain replay.
-  const FaultSchedule* faults =
-      config.faults.empty() ? nullptr : &config.faults;
-  if (faults) {
-    for (const cache::PolicySpec& spec : config.policies) {
-      if (spec.kind == cache::PolicyKind::kOpt) {
-        throw std::invalid_argument(
-            "run_sweep: OPT cannot replay a fault schedule (its oracle "
-            "assumes every request reaches the cache)");
-      }
-    }
-  }
-
   // Sampled LRU cells are filled before the grid runs. The grid runs each
   // remaining cell on one worker pool that starts the other policies' cells
   // first, then the exact LRU cells. Each task writes only its own cell and
@@ -173,8 +158,7 @@ SweepResult run_sweep(const trace::DenseTrace& trace,
                        std::make_unique<cache::OptPolicy>(trace));
       cell = simulate(trace, opt, config.simulator);
     } else {
-      cell = simulate(trace, point.capacity_bytes, spec, config.simulator,
-                      nullptr, faults);
+      cell = simulate(trace, point.capacity_bytes, spec, config.simulator);
     }
   });
   return sweep;

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "cache/factory.hpp"
-#include "sim/faults.hpp"
 #include "sim/simulator.hpp"
 #include "trace/request.hpp"
 
@@ -29,8 +28,7 @@ enum class OnePassMode {
 /// asked for:
 ///  * kOff: never sample (the default).
 ///  * kOn: sample LRU columns at sample_rate.
-/// Non-LRU columns, fault schedules, and sample_rate == 1.0 always take
-/// the exact grid.
+/// Non-LRU columns and sample_rate == 1.0 always take the exact grid.
 enum class SamplingMode {
   kOff,
   kOn,
@@ -42,7 +40,7 @@ struct SweepConfig {
   std::vector<double> cache_fractions = {0.005, 0.01, 0.02, 0.04,
                                          0.08,  0.16, 0.40};
   /// A PolicyKind::kOpt column builds the clairvoyant OPT bound from the
-  /// trace for each cell (not under a fault schedule).
+  /// trace for each cell.
   std::vector<cache::PolicySpec> policies;
   SimulatorOptions simulator;
   /// Worker threads for the (fraction x policy) grid. Every cell is an
@@ -52,11 +50,6 @@ struct SweepConfig {
   /// Fixed at kOff and read by nothing in the library; it exists so the
   /// benchmark harness, which assigns it, keeps compiling.
   OnePassMode one_pass = OnePassMode::kOff;
-  /// Fault schedule applied to every grid cell (each cell runs the
-  /// fault-aware replay against a fresh single-cache frontend; node 0 is
-  /// the whole cache). Non-empty schedules disable sampling and reject an
-  /// OPT column. An empty schedule is bit-identical to not passing one.
-  FaultSchedule faults;
   /// SHARDS sampling of LRU columns (see SamplingMode).
   SamplingMode sampling = SamplingMode::kOff;
   /// Sampled fraction of the document space, in (0, 1]. 1.0 is exact and
@@ -94,9 +87,8 @@ struct SweepResult {
 
 /// Every exact cell runs the dense simulate() overload on the grid's pool.
 /// Bit-identical for any thread count. Throws std::invalid_argument on no
-/// policies, no fractions, a fraction that is not finite and > 0 or whose
-/// capacity overflows 64-bit bytes, or an OPT column under a fault
-/// schedule.
+/// policies, no fractions, or a fraction that is not finite and > 0 or
+/// whose capacity overflows 64-bit bytes.
 SweepResult run_sweep(const trace::DenseTrace& trace,
                       const SweepConfig& config);
 

@@ -513,6 +513,30 @@ def check_upgrade_to_v4(cli, tmp):
               outputs[0] == outputs[1])
 
 
+def check_fault_flags_are_hierarchy_only(cli, tmp):
+    # Fault schedules drive only `hierarchy`. Elsewhere the flags exit 1 by
+    # name instead of running fault-free (unknown flags are otherwise
+    # accepted silently).
+    wct = os.path.join(tmp, "smoke.wct")
+    schedule = os.path.join(tmp, "smoke.schedule")
+    with open(schedule, "w") as f:
+        f.write("100 edge-crash 0\n200 edge-recover 0\n")
+    stream = ("--stream", "--cache-mb=1",
+              f"--checkpoint-dir={os.path.join(tmp, 'fault_ckpt')}")
+    for label, command, extra in (
+        ("sweep", "sweep", ("--policies=LRU", "--fractions=0.04")),
+        ("simulate", "simulate", ("--policy=LRU", "--cache-fraction=0.04")),
+        ("simulate --stream", "simulate", ("--policy=LRU",) + stream),
+    ):
+        for flag in (f"--faults={schedule}", "--fault-seed=3"):
+            name = flag.split("=")[0]
+            p = run(cli, command, wct, *extra, flag)
+            check(f"{label} {name} exits 1 as hierarchy-only",
+                  p.returncode == 1 and name in p.stderr
+                  and "hierarchy-only" in p.stderr,
+                  f"rc={p.returncode} stderr={p.stderr.strip()[:200]}")
+
+
 def main():
     if len(sys.argv) != 2:
         print("usage: cli_smoke_test.py <webcache-binary>", file=sys.stderr)
@@ -521,6 +545,7 @@ def main():
     check_exit_codes(cli)
     with tempfile.TemporaryDirectory(prefix="webcache_cli_smoke.") as tmp:
         check_round_trip(cli, tmp)
+        check_fault_flags_are_hierarchy_only(cli, tmp)
         check_lazy_family(cli, tmp)
         check_golden_counters(cli, tmp)
         check_upgrade_to_v4(cli, tmp)

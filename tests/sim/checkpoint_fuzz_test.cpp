@@ -123,11 +123,11 @@ TEST(CheckpointFuzz, HugeCountsRejectedByNameBeforeAllocating) {
   constexpr std::uint64_t kHuge = std::uint64_t{1} << 62;
 
   {
-    // WCKP container (current version 5): the u32 section count is the
+    // WCKP container (current version 6): the u32 section count is the
     // largest it can be.
     util::StateWriter w;
     w.put_bytes("WCKP", 4);
-    w.put_u32(5);
+    w.put_u32(6);
     w.put_u32(0xFFFFFFFFu);
     const std::vector<std::uint8_t> bytes = w.take();
     expect_named_rejection("section count",
@@ -351,9 +351,10 @@ TEST(CheckpointFuzz, PolicyIdsMustBeResident) {
 TEST(CheckpointFuzz, VersionOneImageRejected) {
   // Every older format is rejected by number: version 1 (the densifier
   // section), version 2 (window snapshots without per-class occupancy),
-  // version 3 (FIFO and the lazy LRU variants in per-class layouts) and
-  // version 4 (CLOCK's counters interleaved with its ring's ids).
-  for (const std::uint8_t version : {1, 2, 3, 4}) {
+  // version 3 (FIFO and the lazy LRU variants in per-class layouts),
+  // version 4 (CLOCK's counters interleaved with its ring's ids) and
+  // version 5 (a fault-schedule hash in the fingerprint).
+  for (const std::uint8_t version : {1, 2, 3, 4, 5}) {
     std::vector<std::uint8_t> bytes =
         detail::encode_checkpoint(sample_sections());
     bytes[4] = version;  // the u32 version follows the 4-byte magic
@@ -379,7 +380,6 @@ TEST(CheckpointFuzz, FingerprintValidationNamesEveryField) {
   base.latency_setup_ms = 2.0;
   base.latency_bytes_per_ms = 4000.0;
   base.window_requests = 113;
-  base.fault_hash = 7;
   base.trace_source = "trace.wct";
   base.total_requests = 5000;
   base.seed = 42;
@@ -411,7 +411,6 @@ TEST(CheckpointFuzz, FingerprintValidationNamesEveryField) {
        [](CheckpointFingerprint& f) { f.latency_bytes_per_ms = 1.0; }},
       {"window_requests",
        [](CheckpointFingerprint& f) { f.window_requests = 0; }},
-      {"fault_schedule", [](CheckpointFingerprint& f) { f.fault_hash = 8; }},
       {"trace_source",
        [](CheckpointFingerprint& f) { f.trace_source = "other.wct"; }},
       {"total_requests",
@@ -473,30 +472,6 @@ TEST(CheckpointFuzz, SimResultStateRoundTrip) {
   EXPECT_EQ(restored.miss_latency_ms, result.miss_latency_ms);
   EXPECT_EQ(restored.all_miss_latency_ms, result.all_miss_latency_ms);
   EXPECT_EQ(restored.faults.probe_timeouts, 11u);
-}
-
-TEST(CheckpointFuzz, FaultScheduleHashSeparatesScenarios) {
-  FaultSchedule a;
-  a.events = {{100, FaultKind::kEdgeCrash, 0}};
-  a.seed = 1;
-  FaultSchedule b = a;
-
-  EXPECT_NE(fault_schedule_hash(a), 0u);  // 0 is reserved for "no schedule"
-  EXPECT_EQ(fault_schedule_hash(a), fault_schedule_hash(b));
-
-  b.seed = 2;
-  EXPECT_NE(fault_schedule_hash(a), fault_schedule_hash(b));
-  b = a;
-  b.events[0].at_request = 101;
-  EXPECT_NE(fault_schedule_hash(a), fault_schedule_hash(b));
-  b = a;
-  b.events.push_back({200, FaultKind::kEdgeRecover, 0});
-  EXPECT_NE(fault_schedule_hash(a), fault_schedule_hash(b));
-  b = a;
-  b.probe_timeout_rate = 0.5;
-  EXPECT_NE(fault_schedule_hash(a), fault_schedule_hash(b));
-
-  EXPECT_NE(fault_schedule_hash(FaultSchedule{}), 0u);
 }
 
 }  // namespace

@@ -2,10 +2,9 @@
 // arbitrary request, serializing the complete run state to disk, and
 // resuming in a fresh process image has to yield bit-identical SimResults
 // (and metrics series) to the uninterrupted run — for every factory policy,
-// instrumented or not, with or without a fault schedule, with the stream's
-// id map carried across every split. A checkpoint whose fingerprint
-// disagrees with the resuming run must be rejected by name, never silently
-// restored.
+// instrumented or not, with the stream's id map carried across every split.
+// A checkpoint whose fingerprint disagrees with the resuming run must be
+// rejected by name, never silently restored.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -20,7 +19,6 @@
 #include "cache/factory.hpp"
 #include "obs/stats_sink.hpp"
 #include "sim/checkpoint.hpp"
-#include "sim/faults.hpp"
 #include "sim/reporter.hpp"
 #include "sim/simulator.hpp"
 #include "sim/streaming.hpp"
@@ -170,53 +168,6 @@ TEST(CheckpointRoundTrip, InstrumentedThreeSegmentRun) {
   }
 }
 
-TEST(CheckpointRoundTrip, FaultScheduleCursorSurvivesTheSplit) {
-  const trace::Trace t = recorded_trace();
-  const std::uint64_t capacity = t.overall_size_bytes() / 25;
-  const std::uint64_t half = t.total_requests() / 2;
-  const SimulatorOptions options;
-  const cache::PolicySpec spec = cache::policy_spec_from_name("LRU");
-
-  // Events on both sides of the split, including one exactly at the resume
-  // point (half + 1 fires on the first replayed request).
-  FaultSchedule schedule;
-  schedule.events = {{100, FaultKind::kEdgeCrash, 0},
-                     {101, FaultKind::kEdgeRecover, 0},
-                     {half, FaultKind::kEdgeCrash, 0},
-                     {half + 1, FaultKind::kEdgeRecover, 0},
-                     {half + 500, FaultKind::kEdgeCrash, 0},
-                     {half + 600, FaultKind::kEdgeRecover, 0}};
-  schedule.seed = 17;
-
-  trace::MemoryRequestStream s0(t, 4096);
-  cache::Cache f0 = make_frontend(spec, capacity);
-  const SimResult baseline =
-      plain_stream(s0, f0, {.options = options, .faults = &schedule});
-
-  const std::string dir = fresh_dir("faults");
-  StreamCheckpointJob job;
-  job.options = options;
-  job.checkpoint.dir = dir;
-  job.checkpoint.every = 919;
-  job.checkpoint.trace_source = "synthetic-dfn-0.002";
-  job.checkpoint.stop_after_requests = half;
-  job.faults = &schedule;
-
-  trace::MemoryRequestStream s1(t, 4096);
-  cache::Cache f1 = make_frontend(spec, capacity);
-  const CheckpointedRun phase1 = simulate_stream_checkpointed(s1, f1, job);
-  EXPECT_TRUE(phase1.stopped_early);
-
-  job.checkpoint.stop_after_requests = 0;
-  job.checkpoint.resume = true;
-  trace::MemoryRequestStream s2(t, 4096);
-  cache::Cache f2 = make_frontend(spec, capacity);
-  const CheckpointedRun done = simulate_stream_checkpointed(s2, f2, job);
-  EXPECT_EQ(done.resumed_from, half);
-  expect_same_result(baseline, done.result, "faulted split");
-  fs::remove_all(dir);
-}
-
 TEST(CheckpointRoundTrip, ResumeOnEmptyDirectoryIsAColdStart) {
   const trace::Trace t = recorded_trace();
   const std::uint64_t capacity = t.overall_size_bytes() / 25;
@@ -324,14 +275,6 @@ TEST(CheckpointRoundTrip, MismatchedResumeConfigurationsRejectedByName) {
     StreamCheckpointJob seeded = job;
     seeded.checkpoint.seed = 99;
     expect_rejected(seeded, lru, capacity, "seed");
-  }
-  {
-    // A fault schedule where the checkpoint had none.
-    StreamCheckpointJob faulted = job;
-    FaultSchedule schedule;
-    schedule.events = {{10, FaultKind::kEdgeCrash, 0}};
-    faulted.faults = &schedule;
-    expect_rejected(faulted, lru, capacity, "fault_schedule");
   }
 
   // The matching configuration still resumes fine afterwards.

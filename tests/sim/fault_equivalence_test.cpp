@@ -1,23 +1,18 @@
-// Empty-FaultSchedule bit-identity: the fault-aware replay loops must be a
-// pure superset of the plain ones. With no events scheduled, every
-// fault-aware entry point — hierarchy and partitioned, instrumented or
-// not — yields exactly the counters of its plain counterpart, across the
-// policy factory, and a single cache yields the textbook oracle's result
-// for the paper policies.
+// Empty-FaultSchedule bit-identity: the hierarchy's fault-aware replay loop
+// must be a pure superset of the plain one. With no events scheduled, it
+// yields exactly the counters of the plain loop, instrumented or not,
+// across the policy factory.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "cache/factory.hpp"
-#include "cache/partitioned.hpp"
 #include "obs/stats_sink.hpp"
 #include "sim/faults.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/simulator.hpp"
-#include "support/oracle.hpp"
 #include "support/result_eq.hpp"
 #include "synth/generator.hpp"
 #include "trace/dense_trace.hpp"
@@ -87,38 +82,6 @@ TEST(FaultEquivalence, EmptyScheduleMatchesPlainHierarchy) {
         simulate_hierarchy(dense, config, nullptr, &empty);
     expect_identical(plain, faulted, name);
     expect_no_fault_stats(faulted.faults, name);
-  }
-}
-
-TEST(FaultEquivalence, EmptyScheduleMatchesPlainPartitioned) {
-  const trace::Trace trace = recorded_trace();
-  const trace::DenseTrace dense = trace::densify(trace);
-  const std::uint64_t capacity = trace.overall_size_bytes() / 25;
-  const FaultSchedule empty;
-  const SimulatorOptions options;
-  std::array<double, trace::kDocumentClassCount> weights{};
-  weights.fill(1.0);
-
-  for (const std::string& name : factory_policies()) {
-    const cache::PolicySpec spec = cache::policy_spec_from_name(name);
-    const auto config =
-        cache::PartitionedCacheConfig::uniform_policy(capacity, spec, weights);
-
-    cache::PartitionedCache plain_cache(config);
-    const SimResult plain = simulate(dense, plain_cache, options);
-    cache::PartitionedCache fault_cache(config);
-    const SimResult faulted =
-        simulate(dense, fault_cache, options, nullptr, &empty);
-    expect_same_result(plain, faulted, name + " partitioned");
-    expect_no_fault_stats(faulted.faults, name + " partitioned");
-
-    // A single cache under the empty schedule is the paper's simulator.
-    if (oracle::supports(spec)) {
-      cache::Cache single(capacity, cache::make_policy(spec));
-      expect_same_result(oracle::replay(trace, capacity, spec, options),
-                         simulate(dense, single, options, nullptr, &empty),
-                         name + " single cache vs oracle");
-    }
   }
 }
 

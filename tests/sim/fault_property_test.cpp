@@ -4,13 +4,11 @@
 // overall.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "cache/factory.hpp"
-#include "cache/partitioned.hpp"
 #include "obs/stats_sink.hpp"
 #include "sim/faults.hpp"
 #include "sim/hierarchy.hpp"
@@ -32,15 +30,14 @@ trace::Trace random_trace(util::Rng& rng) {
 }
 
 FaultSchedule random_schedule(util::Rng& rng, std::uint64_t total_requests,
-                              std::uint32_t nodes, bool with_root) {
+                              std::uint32_t nodes) {
   FaultSchedule s;
   const std::uint64_t events = rng.below(12);
   for (std::uint64_t i = 0; i < events; ++i) {
     FaultEvent ev;
     ev.at_request = 1 + rng.below(total_requests + 10);  // may never fire
     ev.node = static_cast<std::uint32_t>(rng.below(nodes));
-    const std::uint64_t kinds = with_root ? 6 : 2;
-    switch (rng.below(kinds)) {
+    switch (rng.below(6)) {
       case 0: ev.kind = FaultKind::kEdgeCrash; break;
       case 1: ev.kind = FaultKind::kEdgeRecover; break;
       case 2: ev.kind = FaultKind::kRootOutage; break;
@@ -92,8 +89,8 @@ TEST(FaultProperty, RandomHierarchySchedulesConserveRequests) {
     config.root_policy = cache::policy_spec_from_name("GD*(packet)");
     config.sibling_cooperation = rng.below(2) == 0;
 
-    const FaultSchedule s = random_schedule(
-        rng, t.total_requests(), config.edge_count, /*with_root=*/true);
+    const FaultSchedule s =
+        random_schedule(rng, t.total_requests(), config.edge_count);
     const std::string label = "round " + std::to_string(round) + " (" +
                               std::to_string(s.events.size()) + " events)";
 
@@ -139,51 +136,6 @@ TEST(FaultProperty, RandomHierarchySchedulesConserveRequests) {
   }
 }
 
-TEST(FaultProperty, RandomPartitionedSchedulesConserveRequests) {
-  util::Rng rng(424242);
-  std::array<double, trace::kDocumentClassCount> weights{};
-  weights.fill(1.0);
-  for (int round = 0; round < 8; ++round) {
-    const trace::Trace t = random_trace(rng);
-    const FaultSchedule s = random_schedule(
-        rng, t.total_requests(),
-        static_cast<std::uint32_t>(trace::kDocumentClassCount),
-        /*with_root=*/false);
-    const std::string label = "round " + std::to_string(round);
-
-    cache::PartitionedCache cache(
-        cache::PartitionedCacheConfig::uniform_policy(
-            t.overall_size_bytes() / 25,
-            cache::policy_spec_from_name("LRU"), weights));
-    obs::RecordingSink sink(1 + rng.below(2000));
-    SimulatorOptions options;
-    const SimResult r = simulate(trace::densify(t), cache, options, &sink, &s);
-
-    EXPECT_EQ(r.overall.requests, r.measured_requests) << label;
-    EXPECT_LE(r.overall.hits + r.faults.lost_requests, r.overall.requests)
-        << label;
-    std::uint64_t class_requests = 0, class_hits = 0;
-    for (const HitCounters& c : r.per_class) {
-      class_requests += c.requests;
-      class_hits += c.hits;
-    }
-    EXPECT_EQ(class_requests, r.overall.requests) << label;
-    EXPECT_EQ(class_hits, r.overall.hits) << label;
-
-    const obs::MetricsSeries& series = sink.series();
-    std::uint64_t lost = 0;
-    for (std::size_t i = 0; i < series.windows.size(); ++i) {
-      expect_window_conserved(series.windows[i],
-                              label + " window " + std::to_string(i));
-      lost += series.windows[i].overall.lost;
-    }
-    EXPECT_EQ(lost, r.faults.lost_requests) << label;
-    const obs::WindowCounters totals = series.totals();
-    EXPECT_EQ(totals.requests, r.overall.requests) << label;
-    EXPECT_EQ(totals.hits, r.overall.hits) << label;
-  }
-}
-
 TEST(FaultProperty, ResultsAreReproducible) {
   // Same trace + same schedule -> identical counters, twice over (fresh
   // caches each time): the determinism the 1-based indexing exists for.
@@ -197,8 +149,7 @@ TEST(FaultProperty, ResultsAreReproducible) {
   config.root_capacity_bytes = t.overall_size_bytes() / 12;
   config.root_policy = cache::policy_spec_from_name("GD*(packet)");
   config.sibling_cooperation = true;
-  const FaultSchedule s =
-      random_schedule(rng, t.total_requests(), 4, /*with_root=*/true);
+  const FaultSchedule s = random_schedule(rng, t.total_requests(), 4);
 
   const HierarchyResult a = simulate_hierarchy(t, config, nullptr, &s);
   const HierarchyResult b = simulate_hierarchy(t, config, nullptr, &s);

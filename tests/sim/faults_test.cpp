@@ -1,12 +1,11 @@
 // Fault-injection layer: schedule parsing, the FaultRun state machine, and
 // the degraded-routing semantics (failover, origin fetches, lost requests,
-// recovery warm-up) over the hierarchy and the partitioned cache.
+// recovery warm-up) over the hierarchy.
 #include "sim/faults.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <sstream>
 #include <stdexcept>
@@ -14,7 +13,6 @@
 #include <vector>
 
 #include "cache/factory.hpp"
-#include "cache/partitioned.hpp"
 #include "obs/stats_sink.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/simulator.hpp"
@@ -71,6 +69,12 @@ TEST(FaultSchedule, MalformedLinesNameLineAndReason) {
   expect_parse_error("10 melt-down 1\n", "line 1");            // unknown kind
   expect_parse_error("probe-timeout-rate 1.5\n", "line 1");    // out of range
   expect_parse_error("10 edge-crash 1 extra\n", "line 1");     // trailing
+  // Retry counts past the cap: at 2^32-1, 1 + retries wraps to zero
+  // attempts; at 2^32-2, a degraded probe loops ~4.3e9 times.
+  expect_parse_error("max-probe-retries 4294967295\n",
+                     "line 1: max-probe-retries");
+  expect_parse_error("seed 1\nmax-probe-retries 4294967294\n",
+                     "line 2: max-probe-retries");
 }
 
 TEST(FaultSchedule, KindKeywordsRoundTrip) {
@@ -97,22 +101,16 @@ FaultSchedule schedule_of(std::vector<FaultEvent> events) {
 
 TEST(FaultRun, ValidatesAgainstMeshShape) {
   // Node out of range.
-  EXPECT_THROW(FaultRun(schedule_of({{10, FaultKind::kEdgeCrash, 4}}), 4,
-                        /*has_root=*/true),
-               std::invalid_argument);
-  // Root and probe events need a root (partitioned runs have neither).
-  EXPECT_THROW(FaultRun(schedule_of({{10, FaultKind::kRootOutage, 0}}), 4,
-                        /*has_root=*/false),
-               std::invalid_argument);
-  EXPECT_THROW(FaultRun(schedule_of({{10, FaultKind::kProbeDegrade, 1}}), 4,
-                        /*has_root=*/false),
+  EXPECT_THROW(FaultRun(schedule_of({{10, FaultKind::kEdgeCrash, 4}}), 4),
                std::invalid_argument);
   // 1-based request indices.
-  EXPECT_THROW(FaultRun(schedule_of({{0, FaultKind::kEdgeCrash, 0}}), 4,
-                        /*has_root=*/true),
+  EXPECT_THROW(FaultRun(schedule_of({{0, FaultKind::kEdgeCrash, 0}}), 4),
                std::invalid_argument);
-  EXPECT_NO_THROW(FaultRun(schedule_of({{10, FaultKind::kEdgeCrash, 3}}), 4,
-                           /*has_root=*/true));
+  // A retry budget past the parser's cap, set in code.
+  FaultSchedule retries = schedule_of({});
+  retries.max_probe_retries = kMaxProbeRetries + 1;
+  EXPECT_THROW(FaultRun(retries, 4), std::invalid_argument);
+  EXPECT_NO_THROW(FaultRun(schedule_of({{10, FaultKind::kEdgeCrash, 3}}), 4));
 }
 
 TEST(FaultRun, AppliesEventsInOrderAndSkipsNoOps) {
@@ -121,7 +119,7 @@ TEST(FaultRun, AppliesEventsInOrderAndSkipsNoOps) {
                                  {6, FaultKind::kEdgeCrash, 1},
                                  {8, FaultKind::kEdgeRecover, 1},
                                  {9, FaultKind::kEdgeRecover, 1}});
-  FaultRun run(s, 2, /*has_root=*/true);
+  FaultRun run(s, 2);
   std::uint64_t applied = 0;
   const auto count = [&](std::uint32_t, obs::FaultEventKind) { ++applied; };
   run.advance(4, count);
@@ -142,7 +140,7 @@ TEST(FaultRun, SameIndexEventsKeepFileOrder) {
   // so the node ends up up (but cold — the caller crashed the cache).
   FaultSchedule s = schedule_of(
       {{5, FaultKind::kEdgeCrash, 0}, {5, FaultKind::kEdgeRecover, 0}});
-  FaultRun run(s, 1, /*has_root=*/true);
+  FaultRun run(s, 1);
   std::vector<obs::FaultEventKind> seen;
   run.advance(5, [&](std::uint32_t, obs::FaultEventKind k) {
     seen.push_back(k);
@@ -156,16 +154,16 @@ TEST(FaultRun, SameIndexEventsKeepFileOrder) {
 TEST(FaultRun, ProbeTimeoutsAreDeterministicAndRateShaped) {
   FaultSchedule s;
   s.probe_timeout_rate = 1.0;
-  FaultRun always(s, 2, true);
+  FaultRun always(s, 2);
   EXPECT_TRUE(always.probe_times_out(1, 0, 0));
   s.probe_timeout_rate = 0.0;
-  FaultRun never(s, 2, true);
+  FaultRun never(s, 2);
   EXPECT_FALSE(never.probe_times_out(1, 0, 0));
 
   s.probe_timeout_rate = 0.5;
   s.seed = 7;
-  FaultRun half(s, 2, true);
-  FaultRun half_again(s, 2, true);
+  FaultRun half(s, 2);
+  FaultRun half_again(s, 2);
   std::uint64_t timeouts = 0;
   for (std::uint64_t i = 1; i <= 4000; ++i) {
     const bool t = half.probe_times_out(i, 1, 0);
@@ -474,125 +472,6 @@ TEST(HierarchyFaults, WarmupCurveShowsColdStartTransient) {
     best_later = std::max(best_later, curves[0].windows[i].overall.hit_rate());
   }
   EXPECT_LT(curves[0].windows.front().overall.hit_rate(), best_later);
-}
-
-// ------------------------------------------------------------- partitioned
-
-cache::PartitionedCache fresh_partitioned(const trace::Trace& t) {
-  std::array<double, trace::kDocumentClassCount> weights{};
-  weights.fill(1.0);
-  return cache::PartitionedCache(cache::PartitionedCacheConfig::uniform_policy(
-      t.overall_size_bytes() / 25, cache::policy_spec_from_name("LRU"),
-      weights));
-}
-
-TEST(PartitionedFaults, DownPartitionLosesItsClassOnly) {
-  const trace::Trace t = small_trace();
-  const trace::DenseTrace dense = trace::densify(t);
-  SimulatorOptions options;
-
-  FaultSchedule s = schedule_of(
-      {{1, FaultKind::kEdgeCrash,
-        static_cast<std::uint32_t>(trace::DocumentClass::kImage)}});
-  cache::PartitionedCache cache = fresh_partitioned(t);
-  const SimResult r = simulate(dense, cache, options, nullptr, &s);
-
-  const HitCounters& images = r.of(trace::DocumentClass::kImage);
-  EXPECT_GT(images.requests, 0u);
-  EXPECT_EQ(images.hits, 0u);
-  EXPECT_EQ(r.faults.lost_requests, images.requests);
-  EXPECT_EQ(r.faults.lost_bytes, images.requested_bytes);
-  // A single box has no failover path.
-  EXPECT_EQ(r.faults.failovers, 0u);
-  // The other classes are unaffected.
-  EXPECT_GT(r.of(trace::DocumentClass::kHtml).hits, 0u);
-  // The per-class stream still partitions the overall stream.
-  std::uint64_t class_requests = 0;
-  for (const HitCounters& c : r.per_class) class_requests += c.requests;
-  EXPECT_EQ(class_requests, r.overall.requests);
-}
-
-TEST(PartitionedFaults, RecoveredPartitionServesAgain) {
-  const trace::Trace t = small_trace();
-  const trace::DenseTrace dense = trace::densify(t);
-  SimulatorOptions options;
-  const std::uint32_t image =
-      static_cast<std::uint32_t>(trace::DocumentClass::kImage);
-  const std::uint64_t mid = t.total_requests() / 2;
-  FaultSchedule s = schedule_of({{mid, FaultKind::kEdgeCrash, image},
-                                 {mid + 200, FaultKind::kEdgeRecover, image}});
-  cache::PartitionedCache cache = fresh_partitioned(t);
-  const SimResult r = simulate(dense, cache, options, nullptr, &s);
-
-  EXPECT_GT(r.faults.lost_requests, 0u);
-  // After recovery the partition produces hits again, so it cannot have
-  // lost every image request past the crash.
-  const HitCounters& images = r.of(trace::DocumentClass::kImage);
-  EXPECT_GT(images.hits, 0u);
-  EXPECT_LT(r.faults.lost_requests, images.requests);
-}
-
-TEST(PartitionedFaults, RootAndProbeEventsRejected) {
-  const trace::Trace t = small_trace();
-  const trace::DenseTrace dense = trace::densify(t);
-  SimulatorOptions options;
-  cache::PartitionedCache cache = fresh_partitioned(t);
-  const FaultSchedule root = schedule_of({{10, FaultKind::kRootOutage, 0}});
-  EXPECT_THROW(simulate(dense, cache, options, nullptr, &root),
-               std::invalid_argument);
-  const FaultSchedule probe =
-      schedule_of({{10, FaultKind::kProbeDegrade, 0}});
-  EXPECT_THROW(simulate(dense, cache, options, nullptr, &probe),
-               std::invalid_argument);
-}
-
-TEST(PartitionedFaults, LostRequestsExcludedFromLatency) {
-  // Lost requests fetch nothing, so they must not contribute origin-fetch
-  // latency: losing a partition can only lower the total incurred latency.
-  const trace::Trace t = small_trace();
-  const trace::DenseTrace dense = trace::densify(t);
-  SimulatorOptions options;
-  cache::PartitionedCache plain_cache = fresh_partitioned(t);
-  const SimResult plain = simulate(dense, plain_cache, options);
-
-  FaultSchedule s = schedule_of(
-      {{1, FaultKind::kEdgeCrash,
-        static_cast<std::uint32_t>(trace::DocumentClass::kImage)}});
-  cache::PartitionedCache faulted_cache = fresh_partitioned(t);
-  const SimResult faulted =
-      simulate(dense, faulted_cache, options, nullptr, &s);
-  EXPECT_LT(faulted.miss_latency_ms, plain.miss_latency_ms);
-  // The all-miss baseline shrinks by exactly the lost class too: a lost
-  // request would not have been fetched even by a cacheless proxy.
-  EXPECT_LT(faulted.all_miss_latency_ms, plain.all_miss_latency_ms);
-}
-
-TEST(PartitionedFaults, SinkSeriesConservesAndRollsUp) {
-  const trace::Trace t = small_trace();
-  const trace::DenseTrace dense = trace::densify(t);
-  SimulatorOptions options;
-  const std::uint32_t image =
-      static_cast<std::uint32_t>(trace::DocumentClass::kImage);
-  const std::uint64_t mid = t.total_requests() / 2;
-  FaultSchedule s = schedule_of({{mid, FaultKind::kEdgeCrash, image},
-                                 {mid + 300, FaultKind::kEdgeRecover, image}});
-
-  obs::RecordingSink sink(500);
-  cache::PartitionedCache cache = fresh_partitioned(t);
-  const SimResult r = simulate(dense, cache, options, &sink, &s);
-
-  const obs::WindowCounters totals = sink.series().totals();
-  EXPECT_EQ(totals.requests, r.overall.requests);
-  EXPECT_EQ(totals.hits, r.overall.hits);
-  EXPECT_EQ(totals.lost, r.faults.lost_requests);
-  EXPECT_EQ(sink.series().fault_nodes, trace::kDocumentClassCount);
-  // hits + misses + lost == requests in every window.
-  for (const obs::WindowSample& w : sink.series().windows) {
-    EXPECT_LE(w.overall.hits + w.overall.lost, w.overall.requests);
-  }
-  // The recovered partition carries a warm-up curve.
-  ASSERT_EQ(sink.series().warmup_curves.size(), 1u);
-  EXPECT_EQ(sink.series().warmup_curves[0].node, image);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // The streaming replay must be a pure delivery change: driving the same
 // requests through simulate_stream() in chunks of any size has to yield
 // byte-identical SimResults to materializing and densifying them and
-// calling simulate() — for every factory policy, with metrics windows and
-// fault schedules that straddle chunk boundaries. For the paper policies
+// calling simulate() — for every factory policy, with metrics windows that
+// straddle chunk boundaries. For the paper policies
 // the reference is the textbook oracle (tests/support/oracle.hpp), which
 // shares no code with either replay.
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "cache/factory.hpp"
 #include "obs/stats_sink.hpp"
 #include "sim/checkpoint.hpp"
-#include "sim/faults.hpp"
 #include "sim/reporter.hpp"
 #include "sim/simulator.hpp"
 #include "sim/streaming.hpp"
@@ -114,61 +113,6 @@ TEST(StreamingEquivalence, MetricsWindowsStraddleChunkBoundaries) {
     write_metrics_json(json, streamed, sink.series());
     EXPECT_EQ(baseline_json.str(), json.str())
         << "metrics JSON diverged at chunk=" << chunk;
-  }
-}
-
-TEST(StreamingEquivalence, FaultSchedulesStraddleChunkBoundaries) {
-  const trace::Trace t = recorded_trace();
-  const std::uint64_t capacity = t.overall_size_bytes() / 25;
-  const cache::PolicySpec spec = cache::policy_spec_from_name("LRU");
-  const SimulatorOptions options;
-
-  // Events pinned to chunk-7 boundaries (14, 15) and mid-chunk indices;
-  // all key off the global 1-based request index.
-  FaultSchedule schedule;
-  schedule.events = {{14, FaultKind::kEdgeCrash, 0},
-                     {15, FaultKind::kEdgeRecover, 0},
-                     {100, FaultKind::kEdgeCrash, 0},
-                     {4096, FaultKind::kEdgeRecover, 0},
-                     {4097, FaultKind::kEdgeCrash, 0},
-                     {5000, FaultKind::kEdgeRecover, 0}};
-  schedule.seed = 17;
-
-  const trace::DenseTrace dense = trace::densify(t);
-  const SimResult baseline =
-      simulate(dense, capacity, spec, options, nullptr, &schedule);
-
-  for (const std::size_t chunk : kChunkings) {
-    trace::MemoryRequestStream stream(t, chunk);
-    const SimResult streamed =
-        simulate_stream_checkpointed(
-            stream, capacity, spec,
-            {.options = options, .faults = &schedule})
-            .result;
-    expect_same_result(baseline, streamed,
-                       "faults chunk=" + std::to_string(chunk));
-  }
-
-  // Instrumented fault replay: series must also match exactly.
-  obs::RecordingSink baseline_sink(113);
-  const SimResult base2 =
-      simulate(dense, capacity, spec, options, &baseline_sink, &schedule);
-  std::ostringstream baseline_json;
-  write_metrics_json(baseline_json, base2, baseline_sink.series());
-  for (const std::size_t chunk : kChunkings) {
-    trace::MemoryRequestStream stream(t, chunk);
-    obs::RecordingSink sink(113);
-    const SimResult streamed =
-        simulate_stream_checkpointed(
-            stream, capacity, spec,
-            {.options = options, .sink = &sink, .faults = &schedule})
-            .result;
-    expect_same_result(base2, streamed,
-                       "faulted metrics chunk=" + std::to_string(chunk));
-    std::ostringstream json;
-    write_metrics_json(json, streamed, sink.series());
-    EXPECT_EQ(baseline_json.str(), json.str())
-        << "faulted metrics JSON diverged at chunk=" << chunk;
   }
 }
 

@@ -96,9 +96,6 @@ int usage(std::ostream& os) {
         "            valid checkpoint with bit-identical final results;\n"
         "            corrupt or mismatched checkpoints are rejected with a\n"
         "            named diagnostic — see docs/API.md)\n"
-        "           [--faults=FILE [--fault-seed=N]] (stream path only with\n"
-        "            --checkpoint-dir; schedules are part of the checkpoint\n"
-        "            fingerprint)\n"
         "           [--result-out=FILE.json] (full-precision result dump —\n"
         "            doubles carry max_digits10, so bit-identity across\n"
         "            runs is byte-identity of the file)\n"
@@ -108,14 +105,12 @@ int usage(std::ostream& os) {
         "  sweep    TRACE [--policies=A,B,...] [--fractions=F1,F2,...]\n"
         "           [--warmup=0.1] [--threads=0] [--squid]\n"
         "           [--curve-out=FILE.json] [--panels-out=PREFIX]\n"
-        "           [--faults=FILE] [--fault-seed=N]\n"
         "           (prints hit-rate and byte-hit-rate panels, overall and\n"
         "            per document class — Figures 2-3 and Section 4.4;\n"
         "            --panels-out also writes each as\n"
         "            PREFIX_{hr,bhr}_{<class>,overall}.csv.\n"
         "            Every cell is one replay on a thread pool.\n"
-        "            --curve-out exports webcache.sweep.v1 JSON.\n"
-        "            --faults replays a fault schedule in every cell)\n"
+        "            --curve-out exports webcache.sweep.v1 JSON)\n"
         "           [--sampling=off|on] [--sample-rate=0.01]\n"
         "           [--sample-seed=N]\n"
         "           (on = SHARDS sampling of LRU columns; sampled cells\n"
@@ -456,14 +451,16 @@ std::uint64_t metrics_window(const util::Args& args,
                        std::max<std::uint64_t>(1, total_requests / 100));
 }
 
-/// The --faults schedule, its seed overridden by --fault-seed; none without
-/// --faults.
-std::optional<sim::FaultSchedule> fault_schedule(const util::Args& args) {
-  if (!args.has("faults")) return std::nullopt;
-  sim::FaultSchedule schedule =
-      sim::load_fault_schedule_file(args.get("faults", ""));
-  if (args.has("fault-seed")) schedule.seed = args.get_uint("fault-seed", 0);
-  return schedule;
+/// Fault schedules drive only the cache hierarchy; any other command
+/// refuses the flags rather than run fault-free.
+void reject_fault_flags(const util::Args& args, const std::string& command) {
+  for (const char* flag : {"faults", "fault-seed"}) {
+    if (args.has(flag)) {
+      throw std::invalid_argument(command + ": --" + flag +
+                                  " is a hierarchy-only option (fault "
+                                  "schedules drive `webcache hierarchy`)");
+    }
+  }
 }
 
 /// Writes the sink's windows to `path`: CSV for a .csv name, else the
@@ -533,11 +530,6 @@ int cmd_simulate_stream(const util::Args& args) {
   const bool checkpointing = args.has("checkpoint-dir") ||
                              args.has("checkpoint-every") ||
                              args.get_bool("resume", false);
-  if (args.has("faults") && !checkpointing) {
-    throw std::invalid_argument(
-        "simulate: --faults on the stream path needs --checkpoint-dir (the "
-        "schedule is part of the checkpoint fingerprint)");
-  }
 
   sim::StreamCheckpointJob job;
   job.options = simulator_options(args);
@@ -549,8 +541,6 @@ int cmd_simulate_stream(const util::Args& args) {
     job.checkpoint.trace_source = trace_identity(stream);
   }
   if (!metrics_path.empty()) job.sink = &sink;
-  const std::optional<sim::FaultSchedule> schedule = fault_schedule(args);
-  if (schedule) job.faults = &*schedule;
   const sim::CheckpointedRun run =
       sim::simulate_stream_checkpointed(stream, capacity, spec, job);
   const sim::SimResult& r = run.result;
@@ -577,6 +567,7 @@ int cmd_simulate(const util::Args& args) {
   if (args.positional().empty()) {
     throw std::invalid_argument("simulate: need a trace file");
   }
+  reject_fault_flags(args, "simulate");
   if (args.get_bool("stream", false)) return cmd_simulate_stream(args);
   if (args.has("checkpoint-dir") || args.has("checkpoint-every") ||
       args.get_bool("resume", false)) {
@@ -704,6 +695,7 @@ int cmd_sweep(const util::Args& args) {
   if (args.positional().empty()) {
     throw std::invalid_argument("sweep: need a trace file");
   }
+  reject_fault_flags(args, "sweep");
   if (args.get_bool("stream", false)) return cmd_sweep_stream(args);
   const trace::DenseTrace t =
       load_dense_trace(args.positional()[0], args.get_bool("squid", false));
@@ -725,9 +717,6 @@ int cmd_sweep(const util::Args& args) {
     }
   }
   config.threads = static_cast<std::uint32_t>(args.get_uint("threads", 0));
-  if (auto schedule = fault_schedule(args)) {
-    config.faults = std::move(*schedule);
-  }
   const std::string sampling = args.get("sampling", "off");
   if (sampling == "off") {
     config.sampling = sim::SamplingMode::kOff;
@@ -801,7 +790,12 @@ int cmd_hierarchy(const util::Args& args) {
   config.simulator = simulator_options(args);
   config.sibling_cooperation = args.get_bool("mesh", false);
 
-  const std::optional<sim::FaultSchedule> schedule = fault_schedule(args);
+  // The --faults schedule, its seed overridden by --fault-seed.
+  std::optional<sim::FaultSchedule> schedule;
+  if (args.has("faults")) {
+    schedule = sim::load_fault_schedule_file(args.get("faults", ""));
+    if (args.has("fault-seed")) schedule->seed = args.get_uint("fault-seed", 0);
+  }
 
   // Instrumented replay: identical results, plus the windowed series (with
   // per-window availability and warm-up curves under --faults).
