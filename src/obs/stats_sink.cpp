@@ -185,6 +185,14 @@ void RecordingSink::on_removal(const cache::CacheObject& obj,
 
 namespace {
 
+// The fault fields are not saved: only simulate_hierarchy feeds them, and
+// it is never checkpointed (save_state refuses a sink that has them).
+
+/// A WindowSample's encoded counters (six u64s, overall and per class): a
+/// lower bound on its size, which take_count checks the window count by.
+constexpr std::size_t kSampleCountersBytes =
+    6 * 8 * (1 + trace::kDocumentClassCount);
+
 void save_counters(util::StateWriter& w, const WindowCounters& c) {
   w.put_u64(c.requests);
   w.put_u64(c.hits);
@@ -192,8 +200,6 @@ void save_counters(util::StateWriter& w, const WindowCounters& c) {
   w.put_u64(c.hit_bytes);
   w.put_u64(c.evictions);
   w.put_u64(c.evicted_bytes);
-  w.put_u64(c.lost);
-  w.put_u64(c.lost_bytes);
 }
 
 void restore_counters(util::StateReader& r, WindowCounters& c) {
@@ -203,8 +209,6 @@ void restore_counters(util::StateReader& r, WindowCounters& c) {
   c.hit_bytes = r.take_u64();
   c.evictions = r.take_u64();
   c.evicted_bytes = r.take_u64();
-  c.lost = r.take_u64();
-  c.lost_bytes = r.take_u64();
 }
 
 void save_optional(util::StateWriter& w, const std::optional<double>& v) {
@@ -225,11 +229,6 @@ void save_sample(util::StateWriter& w, const WindowSample& s) {
   for (const WindowCounters& c : s.per_class) save_counters(w, c);
   w.put_u64(s.bypasses);
   w.put_u64(s.invalidations);
-  w.put_u64(s.failovers);
-  w.put_u64(s.probe_timeouts);
-  w.put_u64(s.fault_events);
-  w.put_u64(s.node_up_sum);
-  w.put_u64(s.node_samples);
   for (const std::uint64_t v : s.state.occupancy.objects) w.put_u64(v);
   for (const std::uint64_t v : s.state.occupancy.bytes) w.put_u64(v);
   w.put_u64(s.state.occupancy.total_objects);
@@ -246,11 +245,6 @@ void restore_sample(util::StateReader& r, WindowSample& s) {
   for (WindowCounters& c : s.per_class) restore_counters(r, c);
   s.bypasses = r.take_u64();
   s.invalidations = r.take_u64();
-  s.failovers = r.take_u64();
-  s.probe_timeouts = r.take_u64();
-  s.fault_events = r.take_u64();
-  s.node_up_sum = r.take_u64();
-  s.node_samples = r.take_u64();
   for (std::uint64_t& v : s.state.occupancy.objects) v = r.take_u64();
   for (std::uint64_t& v : s.state.occupancy.bytes) v = r.take_u64();
   s.state.occupancy.total_objects = r.take_u64();
@@ -260,56 +254,21 @@ void restore_sample(util::StateReader& r, WindowSample& s) {
   s.state.beta = restore_optional(r);
 }
 
-/// Encoded size of a WarmupWindow: one WindowCounters (eight u64s) overall
-/// and one per class. A WindowSample starts with the same counters, so this
-/// is a lower bound for both when take_count checks their counts.
-constexpr std::size_t kWarmupWindowBytes =
-    8 * 8 * (1 + trace::kDocumentClassCount);
-
-void save_warmup_window(util::StateWriter& w, const WarmupWindow& win) {
-  save_counters(w, win.overall);
-  for (const WindowCounters& c : win.per_class) save_counters(w, c);
-}
-
-void restore_warmup_window(util::StateReader& r, WarmupWindow& win) {
-  restore_counters(r, win.overall);
-  for (WindowCounters& c : win.per_class) restore_counters(r, c);
-}
-
-void save_curve(util::StateWriter& w, const WarmupCurve& curve) {
-  w.put_u32(curve.node);
-  w.put_u64(curve.recovered_at);
-  w.put_u64(curve.windows.size());
-  for (const WarmupWindow& win : curve.windows) save_warmup_window(w, win);
-}
-
-void restore_curve(util::StateReader& r, WarmupCurve& curve) {
-  curve.node = r.take_u32();
-  curve.recovered_at = r.take_u64();
-  const std::uint64_t n = r.take_count(kWarmupWindowBytes, "warm-up window");
-  curve.windows.resize(static_cast<std::size_t>(n));
-  for (WarmupWindow& win : curve.windows) restore_warmup_window(r, win);
-}
-
 }  // namespace
 
 void RecordingSink::save_state(util::StateWriter& w) const {
+  if (series_.fault_nodes != 0) {
+    throw std::logic_error(
+        "RecordingSink::save_state: the sink has seen the fault feed "
+        "(availability, failovers, losses, warm-up curves), which a "
+        "checkpoint does not carry");
+  }
   w.put_u64(series_.window_requests);
   w.put_u64(series_.total_requests);
   w.put_u64(series_.windows.size());
   for (const WindowSample& s : series_.windows) save_sample(w, s);
-  w.put_u64(series_.fault_nodes);
-  w.put_u64(series_.warmup_curves.size());
-  for (const WarmupCurve& c : series_.warmup_curves) save_curve(w, c);
   save_sample(w, current_);
   w.put_bool(window_open_);
-  w.put_u64(warmup_trackers_.size());
-  for (const WarmupTracker& t : warmup_trackers_) {
-    save_curve(w, t.curve);
-    save_warmup_window(w, t.current);
-    w.put_u64(t.accesses_in_window);
-    w.put_bool(t.capped);
-  }
 }
 
 void RecordingSink::restore_state(util::StateReader& r) {
@@ -321,24 +280,10 @@ void RecordingSink::restore_state(util::StateReader& r) {
   }
   series_.total_requests = r.take_u64();
   series_.windows.resize(static_cast<std::size_t>(
-      r.take_count(kWarmupWindowBytes, "metrics window")));
+      r.take_count(kSampleCountersBytes, "metrics window")));
   for (WindowSample& s : series_.windows) restore_sample(r, s);
-  series_.fault_nodes = r.take_u64();
-  series_.warmup_curves.resize(static_cast<std::size_t>(
-      r.take_count(4 + 8 + 8, "warm-up curve")));
-  for (WarmupCurve& c : series_.warmup_curves) restore_curve(r, c);
   restore_sample(r, current_);
   window_open_ = r.take_bool();
-  warmup_trackers_.clear();
-  const std::uint64_t trackers = r.take_u64();
-  for (std::uint64_t i = 0; i < trackers; ++i) {
-    WarmupTracker t;
-    restore_curve(r, t.curve);
-    restore_warmup_window(r, t.current);
-    t.accesses_in_window = r.take_u64();
-    t.capped = r.take_bool();
-    warmup_trackers_.push_back(std::move(t));
-  }
 }
 
 void RecordingSink::open_window() {

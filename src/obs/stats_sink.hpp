@@ -329,11 +329,14 @@ class RecordingSink final : public cache::RemovalListener {
 
   // ---- checkpointing ----
   //
-  // Serializes the collected series, the in-flight window, and any running
-  // warm-up trackers, so a resumed run emits windows bit-identical to an
-  // uninterrupted one. restore_state must be called AFTER begin_run (which
-  // resets the series and re-attaches the listener/snapshot source); the
-  // configured window length must match the saved one.
+  // Serializes the collected series and the in-flight window, so a resumed
+  // single-cache run emits windows bit-identical to an uninterrupted one.
+  // The fault feed is not part of the state: save_state throws
+  // std::logic_error once the sink has seen it (a hierarchy run with a
+  // schedule), rather than drop it silently. restore_state must be called
+  // AFTER begin_run (which resets the series and re-attaches the
+  // listener/snapshot source); the configured window length must match the
+  // saved one.
 
   void save_state(util::StateWriter& w) const;
   void restore_state(util::StateReader& r);

@@ -35,7 +35,7 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kMagic[4] = {'W', 'C', 'K', 'P'};
-constexpr std::uint32_t kVersion = 6;
+constexpr std::uint32_t kVersion = 7;
 constexpr const char* kFileSuffix = ".wckp";
 
 thread_local std::vector<std::string> g_resume_diagnostics;
@@ -352,12 +352,6 @@ void save_sim_result(util::StateWriter& w, const SimResult& result) {
   w.put_double(result.all_miss_latency_ms);
   w.put_u64(result.modification_misses);
   w.put_u64(result.interrupted_transfers);
-  w.put_u64(result.faults.events_applied);
-  w.put_u64(result.faults.failovers);
-  w.put_u64(result.faults.lost_requests);
-  w.put_u64(result.faults.lost_bytes);
-  w.put_u64(result.faults.probe_timeouts);
-  w.put_u64(result.faults.origin_fetches);
 }
 
 SimResult restore_sim_result(util::StateReader& r) {
@@ -380,12 +374,6 @@ SimResult restore_sim_result(util::StateReader& r) {
   result.all_miss_latency_ms = r.take_double();
   result.modification_misses = r.take_u64();
   result.interrupted_transfers = r.take_u64();
-  result.faults.events_applied = r.take_u64();
-  result.faults.failovers = r.take_u64();
-  result.faults.lost_requests = r.take_u64();
-  result.faults.lost_bytes = r.take_u64();
-  result.faults.probe_timeouts = r.take_u64();
-  result.faults.origin_fetches = r.take_u64();
   return result;
 }
 
@@ -400,7 +388,6 @@ void save_fingerprint(util::StateWriter& w, const CheckpointFingerprint& fp) {
   w.put_u64(fp.window_requests);
   w.put_string(fp.trace_source);
   w.put_u64(fp.total_requests);
-  w.put_u64(fp.seed);
 }
 
 CheckpointFingerprint restore_fingerprint(util::StateReader& r) {
@@ -415,7 +402,6 @@ CheckpointFingerprint restore_fingerprint(util::StateReader& r) {
   fp.window_requests = r.take_u64();
   fp.trace_source = r.take_string();
   fp.total_requests = r.take_u64();
-  fp.seed = r.take_u64();
   return fp;
 }
 
@@ -470,9 +456,6 @@ void validate_fingerprint(const CheckpointFingerprint& expected,
   if (found.total_requests != expected.total_requests) {
     mismatch("total_requests", num(found.total_requests),
              num(expected.total_requests));
-  }
-  if (found.seed != expected.seed) {
-    mismatch("seed", num(found.seed), num(expected.seed));
   }
 }
 
@@ -630,7 +613,6 @@ CheckpointFingerprint make_stream_fingerprint(
   fp.window_requests = job.sink != nullptr ? job.sink->window_requests() : 0;
   fp.trace_source = job.checkpoint.trace_source;
   fp.total_requests = stream.total_requests();
-  fp.seed = job.checkpoint.seed;
   return fp;
 }
 

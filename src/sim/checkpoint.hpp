@@ -1,7 +1,7 @@
 // Crash-safe checkpoint/resume for the streaming replay pipeline.
 //
 // A long replay is a deterministic state machine: (trace, frontend config,
-// options, seed) fully determine every counter. simulate_stream_
+// options) fully determine every counter. simulate_stream_
 // checkpointed() is the one streamed replay loop (simulate_stream() runs it
 // with no checkpoints), and every `every` requests it serializes the
 // complete run state — policy and object table (CacheFrontend::save_state),
@@ -30,7 +30,7 @@
 // Torn, truncated, bit-flipped or stale files are rejected with a named
 // diagnostic (never silently restored): structural damage falls back to the
 // next-older checkpoint, a fingerprint mismatch (different policy, trace,
-// seed, options...) aborts the resume outright — resuming a run under a
+// options...) aborts the resume outright — resuming a run under a
 // different configuration would produce confidently wrong numbers.
 //
 // File format (all integers little-endian):
@@ -38,13 +38,22 @@
 //   then per section:
 //     u32 name_len | name bytes | u64 payload_len | u32 crc32(payload) |
 //     payload
-// Sections: "fingerprint", "result", "ids" (the original document ids in
-// dense-id order, the same bytes whether the stream's ids were interned or
-// read from a WCT1 v4 file; every id in "cache" and "lastsize" must be
-// below their count), "cache", "lastsize", and optionally "metrics"
-// (instrumented runs; each window's snapshot carries per-class occupancy).
-// Version 6 (the fingerprint carries no fault-schedule hash: a streamed
-// replay takes no schedule); older files are rejected as unsupported.
+// Sections:
+//   "fingerprint"  policy, capacity, simulator options, metrics window,
+//                  trace identity tag and request count (CheckpointFingerprint)
+//   "result"       requests consumed, then the SimResult counters and
+//                  latency sums (no fault counters: a single cache has none)
+//   "ids"          the original document ids in dense-id order, the same
+//                  bytes whether the stream's ids were interned or read from
+//                  a WCT1 v4 file; every id in "cache" and "lastsize" must
+//                  be below their count
+//   "cache"        policy and object table (CacheFrontend::save_state)
+//   "lastsize"     the last-size tracker
+//   "metrics"      instrumented runs only: the closed windows and the open
+//                  one, each with per-class flow counters and occupancy
+//                  (RecordingSink::save_state; no fault feed)
+// Version 7 (no seed in the fingerprint, no fault counters in "result" or
+// "metrics"); older files are rejected as unsupported.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +83,6 @@ struct CheckpointFingerprint {
   std::uint64_t window_requests = 0;  // 0 = uninstrumented run
   std::string trace_source;           // caller-chosen trace identity tag
   std::uint64_t total_requests = 0;
-  std::uint64_t seed = 0;  // workload seed (0 when not applicable)
 };
 
 struct CheckpointConfig {
@@ -96,8 +104,6 @@ struct CheckpointConfig {
   /// Trace identity recorded in the fingerprint (e.g. file path + record
   /// count, or a generator spec string).
   std::string trace_source;
-  /// Workload seed recorded in the fingerprint.
-  std::uint64_t seed = 0;
   /// Test seam: stop (after writing a final checkpoint, when `every` > 0)
   /// once this many requests have been replayed; 0 = run to the end. The
   /// in-process round-trip tests use it to split a run without killing the

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "obs/stats_sink.hpp"
+#include "util/rng.hpp"
 
 namespace webcache::sim {
 
@@ -101,17 +102,29 @@ FaultSchedule parse_fault_schedule(std::istream& in);
 /// Loads and parses a schedule file (std::runtime_error if unreadable).
 FaultSchedule load_fault_schedule_file(const std::string& path);
 
-namespace detail {
-
-// SplitMix64 finalizer — the same mixer the edge-assignment hash uses.
-inline std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace detail
+/// Aggregate fault-injection counters of a hierarchy run
+/// (HierarchyResult::faults). The request-side fields (failovers, lost,
+/// origin fetches) count measured requests only, matching the other
+/// counters; events_applied and probe_timeouts are mesh events and count
+/// across the whole run, warm-up included. Runs without a fault schedule
+/// leave everything zero.
+struct FaultStats {
+  /// Schedule events that changed node state (no-op events — crashing an
+  /// already-down node, recovering an up one — are skipped and not counted).
+  std::uint64_t events_applied = 0;
+  /// Requests whose designated node was down and that were routed around it
+  /// (sibling / root / origin), successfully or not.
+  std::uint64_t failovers = 0;
+  /// Requests lost to double faults: designated edge down AND root down and
+  /// no sibling copy.
+  std::uint64_t lost_requests = 0;
+  std::uint64_t lost_bytes = 0;
+  /// Timed-out sibling-probe attempts (each bounded retry counts once).
+  std::uint64_t probe_timeouts = 0;
+  /// Root-outage edge misses served straight from the origin; these still
+  /// warm the edge cache.
+  std::uint64_t origin_fetches = 0;
+};
 
 /// Stand-in for FaultRun on runs without a schedule: kEnabled folds every
 /// fault branch away under `if constexpr`, and the constant node queries
@@ -170,9 +183,9 @@ class FaultRun {
                        std::uint32_t attempt) const {
     if (probe_timeout_rate_ >= 1.0) return true;
     if (probe_timeout_rate_ <= 0.0) return false;
-    std::uint64_t h = detail::mix64(seed_ ^ detail::mix64(index));
-    h = detail::mix64(h ^ ((static_cast<std::uint64_t>(sibling) << 32) |
-                           attempt));
+    std::uint64_t h = util::mix64(seed_ ^ util::mix64(index));
+    h = util::mix64(h ^ ((static_cast<std::uint64_t>(sibling) << 32) |
+                         attempt));
     // 53-bit mantissa -> uniform double in [0, 1).
     return static_cast<double>(h >> 11) * 0x1.0p-53 < probe_timeout_rate_;
   }

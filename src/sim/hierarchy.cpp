@@ -10,6 +10,7 @@
 #include "sim/faults.hpp"
 #include "sim/last_size.hpp"
 #include "sim/replay_core.hpp"
+#include "util/rng.hpp"
 
 namespace webcache::sim {
 
@@ -309,12 +310,11 @@ std::vector<std::unique_ptr<cache::Cache>> make_edges(
 std::uint32_t edge_for_request(std::uint64_t request_index,
                                std::uint32_t edge_count) {
   // SplitMix64 decorrelates consecutive request indices.
-  return static_cast<std::uint32_t>(detail::mix64(request_index) %
-                                    edge_count);
+  return static_cast<std::uint32_t>(util::mix64(request_index) % edge_count);
 }
 
 std::uint32_t edge_for_client(std::uint32_t client, std::uint32_t edge_count) {
-  return static_cast<std::uint32_t>(detail::mix64(client) % edge_count);
+  return static_cast<std::uint32_t>(util::mix64(client) % edge_count);
 }
 
 double HierarchyResult::edge_hit_rate() const {

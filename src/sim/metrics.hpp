@@ -1,5 +1,5 @@
-// Simulation metrics: per-class and overall hit/byte-hit counters, latency
-// and fault totals.
+// Simulation metrics: per-class and overall hit/byte-hit counters and
+// latency totals.
 #pragma once
 
 #include <array>
@@ -22,29 +22,6 @@ struct HitCounters {
   double byte_hit_rate() const;
 
   void merge(const HitCounters& other);
-};
-
-/// Aggregate fault-injection counters (sim/faults.hpp). The request-side
-/// fields (failovers, lost, origin fetches) count measured requests only,
-/// matching the other counters; events_applied and probe_timeouts are mesh
-/// events and count across the whole run, warm-up included. Runs without a
-/// fault schedule leave everything zero.
-struct FaultStats {
-  /// Schedule events that changed node state (no-op events — crashing an
-  /// already-down node, recovering an up one — are skipped and not counted).
-  std::uint64_t events_applied = 0;
-  /// Requests whose designated node was down and that were routed around it
-  /// (sibling / root / origin), successfully or not.
-  std::uint64_t failovers = 0;
-  /// Requests lost to double faults: designated edge down AND root down and
-  /// no sibling copy.
-  std::uint64_t lost_requests = 0;
-  std::uint64_t lost_bytes = 0;
-  /// Timed-out sibling-probe attempts (each bounded retry counts once).
-  std::uint64_t probe_timeouts = 0;
-  /// Root-outage edge misses served straight from the origin; these still
-  /// warm the edge cache.
-  std::uint64_t origin_fetches = 0;
 };
 
 struct SimResult {
@@ -75,11 +52,6 @@ struct SimResult {
   std::uint64_t modification_misses = 0;
   /// Requests whose size change was classified as an interrupted transfer.
   std::uint64_t interrupted_transfers = 0;
-
-  /// Fault-injection counters. Always zero: a single cache replays no
-  /// FaultSchedule (only the hierarchy does, into HierarchyResult::faults);
-  /// the field stays while the result and metrics schemas carry it.
-  FaultStats faults;
 
   const HitCounters& of(trace::DocumentClass c) const {
     return per_class[static_cast<std::size_t>(c)];

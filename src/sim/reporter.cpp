@@ -222,9 +222,7 @@ void write_metrics_json(std::ostream& os, const SimResult& result,
   os << ",\n    \"evictions\": " << result.evictions
      << ",\n    \"bypasses\": " << result.bypasses
      << ",\n    \"modification_misses\": " << result.modification_misses
-     << ",\n    \"faults\": ";
-  write_fault_stats_json(os, result.faults);
-  os << ",\n    \"per_class\": {";
+     << ",\n    \"per_class\": {";
   bool first = true;
   for (const auto cls : trace::kAllDocumentClasses) {
     os << (first ? "\n" : ",\n") << "      \"" << class_slug(cls) << "\": ";

@@ -40,11 +40,11 @@ std::string class_slug(trace::DocumentClass c);
 /// Serializes an instrumented run — the aggregate SimResult plus the
 /// windowed time series — as a single JSON document, schema
 /// "webcache.metrics.v1": run header, aggregate overall/per-class hit
-/// counters, and one record per window (flow counters and occupancy per
-/// class, admission rejections, occupancy/heap snapshot, aging L and beta
-/// traces; absent
-/// probes serialize as null). Validated by the CLI smoke test and the
-/// golden harness.
+/// counters (a single cache has no fault totals), and one record per
+/// window (flow counters and occupancy per class, admission rejections,
+/// occupancy/heap snapshot, aging L and beta traces; absent probes
+/// serialize as null). Validated by the CLI smoke test and the golden
+/// harness.
 void write_metrics_json(std::ostream& os, const SimResult& result,
                         const obs::MetricsSeries& series);
 

@@ -8,10 +8,10 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "sim/faults.hpp"  // detail::mix64
 #include "sim/last_size.hpp"
 #include "trace/stream_ids.hpp"
 #include "util/fenwick.hpp"
+#include "util/rng.hpp"
 
 namespace webcache::sim {
 
@@ -20,7 +20,7 @@ namespace {
 constexpr double kTwoPow64 = 18446744073709551616.0;
 
 std::uint64_t sampling_hash(std::uint64_t seed, trace::DocumentId doc) {
-  return detail::mix64(seed ^ detail::mix64(doc));
+  return util::mix64(seed ^ util::mix64(doc));
 }
 
 struct DocState {

@@ -23,6 +23,12 @@ Args::Args(int argc, const char* const* argv) {
 
 bool Args::has(const std::string& key) const { return values_.count(key) > 0; }
 
+std::vector<std::string> Args::keys() const {
+  std::vector<std::string> out;
+  for (const auto& entry : values_) out.push_back(entry.first);
+  return out;
+}
+
 std::string Args::get(const std::string& key, const std::string& fallback) const {
   const auto it = values_.find(key);
   return it == values_.end() ? fallback : it->second;

@@ -3,10 +3,11 @@
 //
 // Supports --key=value and --flag forms. Anything else is collected as a
 // positional argument. Unknown keys are tolerated (benchmark runners pass
-// their own flags through). The numeric getters are strict: the whole
-// value must parse, and get_uint rejects a leading '-'; a malformed value
-// throws std::invalid_argument naming the flag. The parse_* functions
-// apply the same rules to one element of a list flag (--fractions=A,B).
+// their own flags through); a caller that refuses them checks keys(). The
+// numeric getters are strict: the whole value must parse, and get_uint
+// rejects a leading '-'; a malformed value throws std::invalid_argument
+// naming the flag. The parse_* functions apply the same rules to one
+// element of a list flag (--fractions=A,B).
 #pragma once
 
 #include <cstdint>
@@ -33,6 +34,8 @@ class Args {
   bool get_bool(const std::string& key, bool fallback) const;
 
   const std::vector<std::string>& positional() const { return positional_; }
+  /// Every --key given, sorted; a caller that knows its flags checks these.
+  std::vector<std::string> keys() const;
 
  private:
   std::map<std::string, std::string> values_;

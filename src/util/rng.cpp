@@ -19,14 +19,6 @@ std::uint64_t fnv1a(std::string_view s) {
 
 }  // namespace
 
-std::uint64_t Rng::mix(std::uint64_t x) {
-  // SplitMix64 finalizer: decorrelates nearby seeds.
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 Rng Rng::fork(std::string_view tag) {
   const std::uint64_t child_seed = next_u64() ^ fnv1a(tag);
   return Rng(child_seed);

@@ -11,6 +11,16 @@
 
 namespace webcache::util {
 
+/// SplitMix64 finalizer: a bijective 64-bit mix that decorrelates nearby
+/// inputs. Seeds the Rng engine and keys the library's deterministic hashes
+/// (hierarchy edge assignment, probe timeouts, SHARDS sampling).
+inline std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// Deterministic pseudo-random source.
 ///
 /// Thin wrapper over std::mt19937_64 adding:
@@ -19,7 +29,7 @@ namespace webcache::util {
 ///  - convenience draws used throughout the library.
 class Rng {
  public:
-  explicit Rng(std::uint64_t seed) : engine_(mix(seed)) {}
+  explicit Rng(std::uint64_t seed) : engine_(mix64(seed)) {}
 
   /// Creates an independent substream. Forks with distinct tags (or in a
   /// distinct order) from the same parent produce distinct streams.
@@ -54,8 +64,6 @@ class Rng {
   const std::mt19937_64& engine() const { return engine_; }
 
  private:
-  static std::uint64_t mix(std::uint64_t x);
-
   std::mt19937_64 engine_;
 };
 

@@ -15,7 +15,10 @@ it from WCT1 v2 to v4 (dense ids stored) without changing a `simulate
 line for every policy pair, and OPT is refused, by name, everywhere but
 `sweep`. Every text output written to a full device exits 1 naming its
 path. NaN, infinite, negative and overflowing cache fractions and
-warm-up shares exit 1 with a diagnostic that names the flag.
+warm-up shares exit 1 with a diagnostic that names the flag. A single
+cache's --result-out is webcache.result.v2, and neither it nor the
+--metrics-out aggregate carries a faults object. A flag the command does
+not read exits 1 by name.
 
 Usage: cli_smoke_test.py <path-to-webcache-binary>
 """
@@ -68,6 +71,9 @@ def check_metrics_json(path):
         doc = json.load(f)
 
     check("schema tag", doc.get("schema") == "webcache.metrics.v1")
+    # A single cache has no fault state: its aggregate carries no faults.
+    check("single-cache aggregate has no faults key",
+          "faults" not in doc.get("aggregate", {}))
     for key in (
         "policy",
         "capacity_bytes",
@@ -388,7 +394,7 @@ def golden_rows():
 
 
 def result_counters(doc):
-    """A webcache.result.v1 file in the golden TSV's column order."""
+    """A webcache.result.v2 file in the golden TSV's column order."""
     def hits(h):
         return [h["requests"], h["hits"], h["requested_bytes"], h["hit_bytes"]]
 
@@ -417,6 +423,9 @@ def check_golden_counters(cli, tmp):
             continue
         with open(out) as f:
             doc = json.load(f)
+        check(f"golden {policy} result schema v2, no faults key",
+              doc.get("schema") == "webcache.result.v2"
+              and "faults" not in doc, str(doc.get("schema")))
         check(f"golden {policy} policy name", doc["policy"] == policy,
               doc["policy"])
         actual = result_counters(doc)
@@ -515,8 +524,7 @@ def check_upgrade_to_v4(cli, tmp):
 
 def check_fault_flags_are_hierarchy_only(cli, tmp):
     # Fault schedules drive only `hierarchy`. Elsewhere the flags exit 1 by
-    # name instead of running fault-free (unknown flags are otherwise
-    # accepted silently).
+    # name instead of running fault-free, with their own message.
     wct = os.path.join(tmp, "smoke.wct")
     schedule = os.path.join(tmp, "smoke.schedule")
     with open(schedule, "w") as f:
@@ -537,6 +545,26 @@ def check_fault_flags_are_hierarchy_only(cli, tmp):
                   f"rc={p.returncode} stderr={p.stderr.strip()[:200]}")
 
 
+def check_unknown_flags(cli, tmp):
+    # Each command accepts only the flags it reads: a misspelt one exits 1
+    # by name before any work, instead of running as the default. And
+    # --fault-seed without --faults would seed nothing.
+    wct = os.path.join(tmp, "smoke.wct")
+    for label, argv, flag in (
+        ("simulate --polcy", ("simulate", wct, "--polcy=X"), "--polcy"),
+        ("sweep --thread", ("sweep", wct, "--thread=2"), "--thread"),
+    ):
+        p = run(cli, *argv)
+        check(f"{label} exits 1 as an unknown flag",
+              p.returncode == 1 and f"unknown flag {flag}" in p.stderr,
+              f"rc={p.returncode} stderr={p.stderr.strip()[:200]}")
+    p = run(cli, "hierarchy", wct, "--fault-seed=3")
+    check("hierarchy --fault-seed without --faults exits 1 naming both",
+          p.returncode == 1 and "--fault-seed" in p.stderr
+          and "--faults" in p.stderr,
+          f"rc={p.returncode} stderr={p.stderr.strip()[:200]}")
+
+
 def main():
     if len(sys.argv) != 2:
         print("usage: cli_smoke_test.py <webcache-binary>", file=sys.stderr)
@@ -546,6 +574,7 @@ def main():
     with tempfile.TemporaryDirectory(prefix="webcache_cli_smoke.") as tmp:
         check_round_trip(cli, tmp)
         check_fault_flags_are_hierarchy_only(cli, tmp)
+        check_unknown_flags(cli, tmp)
         check_lazy_family(cli, tmp)
         check_golden_counters(cli, tmp)
         check_upgrade_to_v4(cli, tmp)

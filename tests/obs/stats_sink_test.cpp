@@ -10,7 +10,9 @@
 //     window;
 //   * policy state traces (aging L, GD*'s beta, heap size) appear exactly
 //     for the policies that have them;
-//   * a sink is reusable: begin_run resets, end_run detaches.
+//   * a sink is reusable: begin_run resets, end_run detaches;
+//   * a checkpoint round-trips the series byte for byte, and refuses a
+//     sink that has seen the fault feed, which it does not carry.
 // Composite frontends get the same treatment: the hierarchy sink observes
 // the client-offered stream and mesh-wide evictions; the partitioned sink
 // aggregates heap entries and drops the per-partition aging terms.
@@ -19,15 +21,18 @@
 #include <array>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "cache/factory.hpp"
 #include "cache/partitioned.hpp"
 #include "obs/stats_sink.hpp"
+#include "sim/faults.hpp"
 #include "sim/hierarchy.hpp"
 #include "sim/simulator.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
 #include "trace/dense_trace.hpp"
+#include "util/state_io.hpp"
 
 namespace webcache::obs {
 namespace {
@@ -217,6 +222,57 @@ TEST(RecordingSink, HierarchySinkObservesTheOfferedStream) {
   // The snapshot sums the mesh; the beta trace is the root's (GD*).
   ASSERT_FALSE(sink.series().windows.empty());
   EXPECT_TRUE(sink.series().windows.back().state.beta.has_value());
+}
+
+TEST(RecordingSink, SaveStateRoundTripsTheSeries) {
+  const trace::DenseTrace t = recorded_trace();
+  RecordingSink sink(kWindow);
+  sim::simulate(t, capacity_of(t), cache::policy_spec_from_name("GD*(1)"), {},
+                &sink);
+  util::StateWriter w;
+  sink.save_state(w);
+  const std::vector<std::uint8_t> bytes = w.take();
+
+  RecordingSink restored(kWindow);
+  restored.begin_run(SnapshotFn{});
+  util::StateReader r(bytes.data(), bytes.size(), "metrics");
+  restored.restore_state(r);
+  r.expect_end();
+  ASSERT_EQ(restored.series().windows.size(), sink.series().windows.size());
+  EXPECT_EQ(restored.series().total_requests, sink.series().total_requests);
+  util::StateWriter again;
+  restored.save_state(again);
+  EXPECT_EQ(again.take(), bytes);
+}
+
+TEST(RecordingSink, SaveStateRefusesTheFaultFeed) {
+  const trace::DenseTrace t = recorded_trace();
+  sim::HierarchyConfig config;
+  config.edge_count = 2;
+  config.edge_policy = cache::policy_spec_from_name("LRU");
+  config.root_policy = cache::policy_spec_from_name("LRU");
+  config.root_capacity_bytes = capacity_of(t);
+  config.edge_capacity_bytes = config.root_capacity_bytes / 2;
+
+  // Without a schedule the sink holds only what a checkpoint carries.
+  RecordingSink sink(kWindow);
+  sim::simulate_hierarchy(t, config, &sink);
+  util::StateWriter plain;
+  EXPECT_NO_THROW(sink.save_state(plain));
+
+  sim::FaultSchedule schedule;
+  schedule.events = {{100, sim::FaultKind::kEdgeCrash, 0},
+                     {200, sim::FaultKind::kEdgeRecover, 0}};
+  sim::simulate_hierarchy(t, config, &sink, &schedule);
+  ASSERT_FALSE(sink.series().warmup_curves.empty());
+  util::StateWriter faulted;
+  try {
+    sink.save_state(faulted);
+    FAIL() << "a sink fed by a fault schedule was checkpointed";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("fault feed"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(RecordingSink, PartitionedFrontendAggregatesTheProbe) {

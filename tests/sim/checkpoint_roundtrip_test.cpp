@@ -271,11 +271,6 @@ TEST(CheckpointRoundTrip, MismatchedResumeConfigurationsRejectedByName) {
     other.checkpoint.trace_source = "some-other-trace.wct";
     expect_rejected(other, lru, capacity, "trace_source");
   }
-  {
-    StreamCheckpointJob seeded = job;
-    seeded.checkpoint.seed = 99;
-    expect_rejected(seeded, lru, capacity, "seed");
-  }
 
   // The matching configuration still resumes fine afterwards.
   trace::MemoryRequestStream s2(t, 4096);

@@ -36,12 +36,6 @@ inline void expect_same_result(const SimResult& a, const SimResult& b,
   EXPECT_EQ(a.all_miss_latency_ms, b.all_miss_latency_ms) << label;
   EXPECT_EQ(a.modification_misses, b.modification_misses) << label;
   EXPECT_EQ(a.interrupted_transfers, b.interrupted_transfers) << label;
-  EXPECT_EQ(a.faults.events_applied, b.faults.events_applied) << label;
-  EXPECT_EQ(a.faults.failovers, b.faults.failovers) << label;
-  EXPECT_EQ(a.faults.lost_requests, b.faults.lost_requests) << label;
-  EXPECT_EQ(a.faults.lost_bytes, b.faults.lost_bytes) << label;
-  EXPECT_EQ(a.faults.probe_timeouts, b.faults.probe_timeouts) << label;
-  EXPECT_EQ(a.faults.origin_fetches, b.faults.origin_fetches) << label;
 }
 
 }  // namespace webcache::sim

@@ -25,6 +25,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -417,7 +418,7 @@ void write_result(std::ostream& out, const sim::SimResult& r) {
         << ",\"requested_bytes\":" << h.requested_bytes
         << ",\"hit_bytes\":" << h.hit_bytes << "}";
   };
-  out << "{\"schema\":\"webcache.result.v1\",\"policy\":\"" << r.policy_name
+  out << "{\"schema\":\"webcache.result.v2\",\"policy\":\"" << r.policy_name
       << "\",\"capacity_bytes\":" << r.capacity_bytes << ",\"overall\":";
   hits(r.overall);
   out << ",\"per_class\":[";
@@ -431,13 +432,7 @@ void write_result(std::ostream& out, const sim::SimResult& r) {
       << ",\"miss_latency_ms\":" << r.miss_latency_ms
       << ",\"all_miss_latency_ms\":" << r.all_miss_latency_ms
       << ",\"modification_misses\":" << r.modification_misses
-      << ",\"interrupted_transfers\":" << r.interrupted_transfers
-      << ",\"faults\":{\"events_applied\":" << r.faults.events_applied
-      << ",\"failovers\":" << r.faults.failovers
-      << ",\"lost_requests\":" << r.faults.lost_requests
-      << ",\"lost_bytes\":" << r.faults.lost_bytes
-      << ",\"probe_timeouts\":" << r.faults.probe_timeouts
-      << ",\"origin_fetches\":" << r.faults.origin_fetches << "}}\n";
+      << ",\"interrupted_transfers\":" << r.interrupted_transfers << "}\n";
 }
 
 void write_result_json(const std::string& path, const sim::SimResult& r) {
@@ -449,18 +444,6 @@ std::uint64_t metrics_window(const util::Args& args,
                              std::uint64_t total_requests) {
   return args.get_uint("metrics-window",
                        std::max<std::uint64_t>(1, total_requests / 100));
-}
-
-/// Fault schedules drive only the cache hierarchy; any other command
-/// refuses the flags rather than run fault-free.
-void reject_fault_flags(const util::Args& args, const std::string& command) {
-  for (const char* flag : {"faults", "fault-seed"}) {
-    if (args.has(flag)) {
-      throw std::invalid_argument(command + ": --" + flag +
-                                  " is a hierarchy-only option (fault "
-                                  "schedules drive `webcache hierarchy`)");
-    }
-  }
 }
 
 /// Writes the sink's windows to `path`: CSV for a .csv name, else the
@@ -567,7 +550,6 @@ int cmd_simulate(const util::Args& args) {
   if (args.positional().empty()) {
     throw std::invalid_argument("simulate: need a trace file");
   }
-  reject_fault_flags(args, "simulate");
   if (args.get_bool("stream", false)) return cmd_simulate_stream(args);
   if (args.has("checkpoint-dir") || args.has("checkpoint-every") ||
       args.get_bool("resume", false)) {
@@ -695,7 +677,6 @@ int cmd_sweep(const util::Args& args) {
   if (args.positional().empty()) {
     throw std::invalid_argument("sweep: need a trace file");
   }
-  reject_fault_flags(args, "sweep");
   if (args.get_bool("stream", false)) return cmd_sweep_stream(args);
   const trace::DenseTrace t =
       load_dense_trace(args.positional()[0], args.get_bool("squid", false));
@@ -768,6 +749,10 @@ int cmd_sweep(const util::Args& args) {
 int cmd_hierarchy(const util::Args& args) {
   if (args.positional().empty()) {
     throw std::invalid_argument("hierarchy: need a trace file");
+  }
+  if (args.has("fault-seed") && !args.has("faults")) {
+    throw std::invalid_argument(
+        "--fault-seed seeds a --faults schedule; give --faults=FILE too");
   }
   const trace::DenseTrace t =
       load_dense_trace(args.positional()[0], args.get_bool("squid", false),
@@ -927,17 +912,64 @@ int cmd_stackdist(const util::Args& args) {
   return 0;
 }
 
+/// A command and every --flag it reads; any other flag fails the command
+/// before it starts, so a misspelt option never runs as its default.
+struct Command {
+  std::string_view name;
+  int (*run)(const util::Args&);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"generate", cmd_generate,
+       {"profile", "profile-file", "scale", "seed", "out", "format"}},
+      {"profile", cmd_profile, {"profile", "out"}},
+      {"convert", cmd_convert, {"strict", "recover"}},
+      {"export", cmd_export, {}},
+      {"characterize", cmd_characterize, {"squid", "windows"}},
+      {"simulate", cmd_simulate,
+       {"policy", "cache-mb", "cache-fraction", "warmup", "mod-rule", "squid",
+        "metrics-out", "metrics-window", "result-out", "recover", "stream",
+        "chunk", "checkpoint-dir", "checkpoint-every", "checkpoint-keep",
+        "resume"}},
+      {"sweep", cmd_sweep,
+       {"policies", "fractions", "warmup", "mod-rule", "threads", "squid",
+        "curve-out", "panels-out", "sampling", "sample-rate", "sample-seed",
+        "stream", "capacities-mb", "max-docs", "chunk"}},
+      {"hierarchy", cmd_hierarchy,
+       {"edges", "edge-policy", "edge-fraction", "root-policy",
+        "root-fraction", "warmup", "mod-rule", "mesh", "squid", "faults",
+        "fault-seed", "metrics-out", "metrics-window"}},
+      {"replicate", cmd_replicate,
+       {"profile", "scale", "seeds", "seed", "cache-fraction", "policies",
+        "warmup", "mod-rule"}},
+      {"stackdist", cmd_stackdist, {"squid"}},
+  };
+  return table;
+}
+
+void check_flags(const Command& command, const util::Args& args) {
+  for (const std::string& key : args.keys()) {
+    if (std::find(command.flags.begin(), command.flags.end(), key) !=
+        command.flags.end()) {
+      continue;
+    }
+    if (key == "faults" || key == "fault-seed") {
+      throw std::invalid_argument("--" + key +
+                                  " is a hierarchy-only option (fault "
+                                  "schedules drive `webcache hierarchy`)");
+    }
+    throw std::invalid_argument("unknown flag --" + key);
+  }
+}
+
 int run_command(const std::string& command, const util::Args& args) {
-  if (command == "generate") return cmd_generate(args);
-  if (command == "profile") return cmd_profile(args);
-  if (command == "convert") return cmd_convert(args);
-  if (command == "export") return cmd_export(args);
-  if (command == "characterize") return cmd_characterize(args);
-  if (command == "simulate") return cmd_simulate(args);
-  if (command == "sweep") return cmd_sweep(args);
-  if (command == "hierarchy") return cmd_hierarchy(args);
-  if (command == "replicate") return cmd_replicate(args);
-  if (command == "stackdist") return cmd_stackdist(args);
+  for (const Command& c : commands()) {
+    if (c.name != command) continue;
+    check_flags(c, args);
+    return c.run(args);
+  }
   if (command == "help" || command == "--help") return usage(std::cout), 0;
   std::cerr << "webcache: unknown command '" << command << "'\n";
   return usage(std::cerr);
