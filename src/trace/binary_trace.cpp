@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "trace/binary_trace_detail.hpp"
+#include "trace/dense_trace.hpp"
 #include "trace/id_map.hpp"
 
 namespace webcache::trace {
@@ -69,12 +70,15 @@ void encode(char*& p, T value) {
   p += sizeof(T);
 }
 
-void encode_record(char*& p, const Request& r, std::uint32_t dense_id) {
+void encode_record(char*& p, const Request& r, std::uint32_t dense_id,
+                   bool size_changed) {
   encode(p, r.timestamp_ms);
   encode(p, r.document);
   encode(p, dense_id);
   encode(p, r.client);
-  encode(p, static_cast<std::uint8_t>(r.doc_class));
+  encode(p, static_cast<std::uint8_t>(
+                static_cast<std::uint8_t>(r.doc_class) |
+                (size_changed ? detail::kSizeChangedBit : 0)));
   encode(p, r.status);
   encode(p, r.document_size);
   encode(p, r.transfer_size);
@@ -235,6 +239,14 @@ void RecordDecoder::reject_dense_id(std::size_t i, std::uint32_t id) const {
             kHeaderBytes + at * record_bytes_);
 }
 
+void RecordDecoder::reject_first_reference_flag(std::size_t i,
+                                                std::uint32_t id) const {
+  const std::uint64_t at = next_record_ + i;
+  read_fail("size-changed flag on the first reference of dense id " +
+                std::to_string(id) + " at " + record_of(at, count_),
+            kHeaderBytes + at * record_bytes_);
+}
+
 bool RecordDecoder::next(std::vector<Request>& out,
                          std::vector<std::uint32_t>* dense) {
   // Room for the whole chunk up front: a stream's window is allocated once
@@ -245,15 +257,18 @@ bool RecordDecoder::next(std::vector<Request>& out,
     out.reserve(std::max(out.size() + n, 2 * out.capacity()));
   }
   if (dense == nullptr || !hands_out_dense_ids()) {
-    return next([&](const Request& r, std::uint32_t) { out.push_back(r); });
+    return next(
+        [&](const Request& r, std::uint32_t, bool) { out.push_back(r); });
   }
-  return next([&](const Request& r, std::uint32_t id) {
+  return next([&](const Request& r, std::uint32_t id, bool) {
     out.push_back(r);
     dense->push_back(id);
   });
 }
 
 void RecordDecoder::check_trailer() {
+  trailer_checked_ = true;
+  if (has_size_changes() && !read_tail()) return;
   std::uint64_t digest = 0;
   const bool present =
       static_cast<bool>(in_.read(reinterpret_cast<char*>(&digest),
@@ -262,22 +277,107 @@ void RecordDecoder::check_trailer() {
   if (recovery_ != nullptr) {
     recovery_->missing_trailer = !present;
     recovery_->checksum_mismatch = present && !match;
-  } else {
-    // Every record was read, so the trailer offset cannot overflow.
-    const std::uint64_t trailer_offset = kHeaderBytes + count_ * record_bytes_;
-    if (!present) read_fail("truncated checksum trailer", trailer_offset);
-    if (!match) {
-      read_fail("checksum mismatch over " + std::to_string(count_) +
-                    " records",
-                trailer_offset);
-    }
+    return;
   }
-  trailer_checked_ = true;
+  // Every record and the tail were read, so the trailer offset cannot
+  // overflow.
+  std::uint64_t trailer_offset = kHeaderBytes + count_ * record_bytes_;
+  if (has_size_changes()) {
+    trailer_offset += kTailSummaryBytes + 8 * tail_.changed_count;
+  }
+  if (!present) read_fail("truncated checksum trailer", trailer_offset);
+  if (!match) {
+    read_fail("checksum mismatch over " + std::to_string(count_) + " records",
+              trailer_offset);
+  }
+  if (has_size_changes()) check_tail();
+}
+
+bool RecordDecoder::read_tail() {
+  const std::uint64_t at = kHeaderBytes + count_ * record_bytes_;
+  char summary[kTailSummaryBytes];
+  if (!in_.read(summary, sizeof(summary))) {
+    tail_damage("truncated tail summary",
+                at + static_cast<std::uint64_t>(
+                         std::max<std::streamsize>(0, in_.gcount())));
+    return false;
+  }
+  checksum_.update(summary, sizeof(summary));
+  const char* p = summary;
+  decode_field(p, tail_.overall_size);
+  decode_field(p, tail_.max_transfer);
+  decode_field(p, tail_.changed_count);
+  const std::uint64_t count_at = at + 16;
+  // Checked before the column is read: no flagged record count can exceed
+  // the records, so neither can the column's allocation.
+  if (tail_.changed_count > count_) {
+    tail_damage("tail changed_count " + std::to_string(tail_.changed_count) +
+                    " exceeds the " + std::to_string(count_) + " records",
+                count_at);
+    return false;
+  }
+  // The column goes into the caller's vector, or is hashed through the
+  // record buffer in bounded pieces.
+  const std::uint64_t changed = tail_.changed_count;
+  if (column_ != nullptr) column_->resize(static_cast<std::size_t>(changed));
+  for (std::uint64_t done = 0; done < changed;) {
+    const auto n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(changed - done, kMaxChunkRecords));
+    char* dst = nullptr;
+    if (column_ != nullptr) {
+      dst = reinterpret_cast<char*>(column_->data() + done);
+    } else {
+      buffer_.resize(n * 8);
+      dst = buffer_.data();
+    }
+    if (!in_.read(dst, static_cast<std::streamsize>(n * 8))) {
+      const std::uint64_t whole =
+          done + static_cast<std::uint64_t>(
+                     std::max<std::streamsize>(0, in_.gcount())) / 8;
+      tail_damage("truncated tail at previous size " + std::to_string(whole) +
+                      " of " + std::to_string(changed),
+                  at + kTailSummaryBytes + 8 * whole);
+      return false;
+    }
+    checksum_.update(dst, n * 8);
+    done += n;
+  }
+  return true;
+}
+
+void RecordDecoder::tail_damage(const std::string& what,
+                                std::uint64_t offset) {
+  if (recovery_ == nullptr) read_fail(what, offset);
+  recovery_->missing_trailer = true;
+  if (recovery_->first_errors.size() < RecoveryReport::kMaxErrors) {
+    recovery_->first_errors.push_back(at_offset(what, offset));
+  }
+}
+
+void RecordDecoder::check_tail() const {
+  const std::uint64_t at = kHeaderBytes + count_ * record_bytes_;
+  if (tail_.changed_count != flagged_) {
+    read_fail("tail changed_count " + std::to_string(tail_.changed_count) +
+                  ", but " + std::to_string(flagged_) + " of the " +
+                  std::to_string(count_) +
+                  " records carry the size-changed flag",
+              at + 16);
+  }
+  if (tail_.max_transfer != max_transfer_) {
+    read_fail("tail max_transfer " + std::to_string(tail_.max_transfer) +
+                  ", but the largest transfer of the " +
+                  std::to_string(count_) + " records is " +
+                  std::to_string(max_transfer_),
+              at + 8);
+  }
 }
 
 void RecordDecoder::restart() {
   next_record_ = 0;
   documents_ = 0;
+  flagged_ = 0;
+  max_transfer_ = 0;
+  tail_ = {};
   end_ = count_;
   trailer_checked_ = false;
   checksum_.reset();
@@ -316,24 +416,56 @@ void write_binary_trace(std::ostream& out, const Trace& trace) {
 
   // Records are encoded into a block that is hashed and written whole: one
   // checksum call and one write per block, not per 43-byte record. The
-  // dense ids come from one IdMap pass, in first-reference order.
+  // dense ids come from one IdMap pass, in first-reference order, and the
+  // size-change flags, previous sizes and Overall Size from one
+  // LastSizeTable indexed by them, exactly as DenseTraceBuilder derives
+  // them from an older file. A block's ids are interned first, each
+  // prefetching its table entry, so the table's cache misses overlap the
+  // interning instead of adding to it.
   constexpr std::size_t kBlockRecords = 1024;
+  std::vector<std::uint32_t> block_ids(kBlockRecords);
   detail::TraceChecksum checksum;
   IdMap ids;
+  LastSizeTable last_sizes;
+  last_sizes.reserve(trace.requests.size());
+  std::vector<std::uint64_t> previous_sizes;
+  std::uint64_t max_transfer = 0;
   std::vector<char> block(kBlockRecords * kRecordBytesV4);
   const std::vector<Request>& requests = trace.requests;
   for (std::size_t first = 0; first < requests.size();
        first += kBlockRecords) {
     const std::size_t last =
         std::min(requests.size(), first + kBlockRecords);
+    for (std::size_t i = first; i < last; ++i) {
+      const std::uint32_t id = ids.intern(requests[i].document);
+      block_ids[i - first] = id;
+      last_sizes.prefetch(id);
+    }
     char* p = block.data();
     for (std::size_t i = first; i < last; ++i) {
-      encode_record(p, requests[i], ids.intern(requests[i].document));
+      const Request& r = requests[i];
+      const std::uint32_t id = block_ids[i - first];
+      std::uint64_t previous = 0;
+      const bool changed = last_sizes.record(r, id, previous);
+      if (changed) previous_sizes.push_back(previous);
+      max_transfer = std::max(max_transfer, r.transfer_size);
+      encode_record(p, r, id, changed);
     }
     const std::size_t bytes = (last - first) * kRecordBytesV4;
     checksum.update(block.data(), bytes);
     out.write(block.data(), static_cast<std::streamsize>(bytes));
   }
+  block.resize(detail::kTailSummaryBytes);
+  char* p = block.data();
+  encode(p, last_sizes.overall_size());
+  encode(p, max_transfer);
+  encode(p, static_cast<std::uint64_t>(previous_sizes.size()));
+  checksum.update(block.data(), block.size());
+  out.write(block.data(), static_cast<std::streamsize>(block.size()));
+  const char* column = reinterpret_cast<const char*>(previous_sizes.data());
+  const std::size_t column_bytes = previous_sizes.size() * 8;
+  checksum.update(column, column_bytes);
+  out.write(column, static_cast<std::streamsize>(column_bytes));
   const std::uint64_t digest = checksum.value();
   out.write(reinterpret_cast<const char*>(&digest), sizeof(digest));
   if (!out) throw std::runtime_error("binary trace: write failed");

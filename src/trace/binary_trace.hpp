@@ -6,12 +6,15 @@
 //
 // Layout (little-endian):
 //   header:  magic "WCT1" | u32 version | u64 record count
-//   records (v4):     u64 timestamp_ms | u64 document | u32 dense id |
+//   records (v4, v5): u64 timestamp_ms | u64 document | u32 dense id |
 //                     u32 client | u8 class | u16 status |
 //                     u64 document_size | u64 transfer_size   (43 bytes)
 //   records (v2, v3): as v4 without the dense id (39 bytes)
 //   records (v1):     as v2 without the client field (client = 0)
-//   trailer: u64 digest of all record bytes
+//   tail (v5 only):   u64 overall_size | u64 max_transfer |
+//                     u64 changed_count |
+//                     changed_count x u64 previous transfer size
+//   trailer: u64 digest of all record bytes (from v5: and the tail's)
 //
 // v4 stores each record in the form the replay consumes, the idiom of
 // libCacheSim's oracleGeneral traces: the dense id numbers the documents
@@ -28,7 +31,24 @@
 // 64-bit id inline, so read_binary_trace_file, and with it every caller
 // that wants original ids, reads v4 at no extra cost and no reader seeks.
 //
-// The v3 and v4 digest is a word-wise 4-lane hash. The payload is cut into
+// v5 also stores what the paper's modification rule (Section 4.1) and its
+// cache sizes need from the whole trace, derived by the writer in the same
+// pass: the top bit of a record's class byte (classes are < 5) is set when
+// its transfer size differs from the previous request's for the same
+// document, and the tail holds those previous sizes in trace order, the
+// Overall Size (each document's last document_size, summed) and the
+// largest transfer. read_dense_trace_file then decodes a v5 file straight
+// into replay records with no per-document pass (trace/dense_trace.hpp).
+// Every strict loader holds the new fields to the records: no flag on a
+// document's first reference, changed_count equal to the flagged records
+// (and never above the record count, checked before the column is read),
+// max_transfer equal to the records' largest transfer. The Overall Size is
+// guarded by the checksum only. The tail sits after the records so that
+// the header and every record offset stay those of v4 and the writer stays
+// single-pass. Loaders of the full Request form mask the flag bit and read
+// the tail only to check it.
+//
+// The v3-v5 digest is a word-wise 4-lane hash. The payload is cut into
 // 32-byte blocks; word k (a little-endian u64) of each block feeds lane k as
 //   h = (h ^ w) * 0x9FB21C651E98DF25;  h ^= h >> 29;
 // The final partial block is zero-padded, and the payload byte count and
@@ -52,11 +72,14 @@ namespace webcache::trace {
 inline constexpr char kTraceMagic[4] = {'W', 'C', 'T', '1'};
 /// Current writer version. The readers accept every version from 1 up to it:
 /// v1 files were written before the client field existed, v1/v2 files
-/// carry the legacy FNV-1a trailer, and v1-v3 files store no dense ids.
-inline constexpr std::uint32_t kTraceVersion = 4;
+/// carry the legacy FNV-1a trailer, v1-v3 files store no dense ids, and
+/// v1-v4 files store no size-change flags and no tail.
+inline constexpr std::uint32_t kTraceVersion = 5;
 
 /// Writes a trace as the current version, numbering its documents' dense
-/// ids in first-reference order; throws std::runtime_error on I/O failure.
+/// ids in first-reference order and deriving the size-change flags, the
+/// previous-size column, the Overall Size and the largest transfer in the
+/// same pass; throws std::runtime_error on I/O failure.
 /// The file overload overwrites an existing file in place and cuts it to
 /// the new length, so rewriting a trace frees no disk blocks unless the new
 /// one is shorter.
@@ -111,9 +134,10 @@ struct RecoveryReport {
 /// record index and byte offset. The header (magic, version, count field)
 /// must still be intact; without it there is no format to recover, and the
 /// loader throws exactly like the strict one. A clean file yields the same
-/// Trace as read_binary_trace_file. v4 dense ids are ignored, not checked:
-/// a skipped record can drop a first reference, so the caller renumbers
-/// (trace::densify).
+/// Trace as read_binary_trace_file. v4 dense ids and v5 flags are ignored,
+/// not checked: a skipped record can drop a first reference or a size
+/// change, so the caller renumbers (trace::densify). A damaged v5 tail is
+/// reported as a missing trailer; the records before it are kept.
 Trace read_binary_trace_file_recovering(const std::string& path,
                                         RecoveryReport& report);
 

@@ -8,6 +8,7 @@
 // matter which loader hit it, because there is only one loop to hit it.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -23,12 +24,27 @@ namespace webcache::trace::detail {
 
 // Header layout: 4 magic + 4 version + 8 count.
 inline constexpr std::uint64_t kHeaderBytes = 16;
+/// v5 tail summary: overall_size, max_transfer, changed_count.
+inline constexpr std::uint64_t kTailSummaryBytes = 24;
+/// The class byte's size-changed bit (v5); classes are < 5.
+inline constexpr std::uint8_t kSizeChangedBit = 0x80;
 
-/// Digest of the record payload, as the trailer of a file of `version`
-/// stores it: the v3/v4 4-lane word hash (see binary_trace.hpp), or byte-wise
-/// FNV-1a for versions 1 and 2. Split-invariant: feeding the payload in any
-/// pieces gives the one-shot digest (v3 carries at most 31 bytes between
-/// update() calls).
+/// A v5 file's tail summary (binary_trace.hpp), as the writer derived it
+/// from the whole trace.
+struct TraceTail {
+  /// The paper's Overall Size: each document's last document_size, summed.
+  std::uint64_t overall_size = 0;
+  /// The largest transfer size of any record.
+  std::uint64_t max_transfer = 0;
+  /// Records flagged size-changed == entries of the previous-size column.
+  std::uint64_t changed_count = 0;
+};
+
+/// Digest of the record payload (and the v5 tail), as the trailer of a file
+/// of `version` stores it: the v3-v5 4-lane word hash (see
+/// binary_trace.hpp), or byte-wise FNV-1a for versions 1 and 2.
+/// Split-invariant: feeding the payload in any pieces gives the one-shot
+/// digest (v3 carries at most 31 bytes between update() calls).
 class TraceChecksum {
  public:
   explicit TraceChecksum(std::uint32_t version = kTraceVersion)
@@ -65,7 +81,8 @@ std::ifstream open_trace_file(const std::string& path);
 /// there instead: a record with an invalid class is skipped, a truncated
 /// tail is dropped, a bad or missing trailer is flagged. A strict decoder
 /// also holds v4 dense ids to the first-reference rule (no id above the
-/// count of documents seen so far); a recovering one ignores them.
+/// count of documents seen so far) and a v5 file's flags and tail to the
+/// records (binary_trace.hpp); a recovering one ignores them.
 class RecordDecoder {
  public:
   /// Caps the read buffer (~45 MB), so neither a huge `chunk_records` nor
@@ -82,17 +99,31 @@ class RecordDecoder {
 
   /// True when the records carry dense ids (version 4 and later).
   bool has_dense_ids() const { return version_ >= 4; }
+  /// True when the records carry size-change flags and the file a tail
+  /// (version 5 and later).
+  bool has_size_changes() const { return version_ >= 5; }
 
   /// Decodes the next chunk and hands each of its valid records to
-  /// `emit(const Request& r, std::uint32_t dense_id)`, in file order, then
-  /// returns true; once every record has been read, checks the checksum
-  /// trailer (the first time) and returns false. `dense_id` is the
-  /// record's stored id, held to the first-reference rule, when the
-  /// records carry dense ids and the decoder is strict; else 0. Every
+  /// `emit(const Request& r, std::uint32_t dense_id, bool size_changed)`,
+  /// in file order, then returns true; once every record has been read,
+  /// checks the tail and the checksum trailer (the first time) and returns
+  /// false. `dense_id` is the record's stored id, held to the
+  /// first-reference rule, and `size_changed` its stored flag, when the
+  /// records carry them and the decoder is strict; else 0 and false. Every
   /// loader decodes through this one loop, so the records land straight in
   /// the caller's own layout.
   template <typename Emit>
   bool next(Emit&& emit);
+
+  /// A v5 decoder stores the tail's previous-size column in `column` when
+  /// it reads the tail, instead of only hashing it. `column` must outlive
+  /// the decoder's last next().
+  void keep_previous_sizes(std::vector<std::uint64_t>& column) {
+    column_ = &column;
+  }
+  /// The tail summary; valid once next() has returned false on a strict
+  /// v5 decoder (all zero before, and for other versions).
+  const TraceTail& tail() const { return tail_; }
 
   /// next() appending to `out`; when the records carry dense ids and
   /// `dense` is given, the chunk's ids are appended to it, one per record
@@ -123,7 +154,17 @@ class RecordDecoder {
   /// class: throws, or counts the skip when recovering.
   void reject_class(std::size_t i, std::uint8_t cls);
   [[noreturn]] void reject_dense_id(std::size_t i, std::uint32_t id) const;
+  [[noreturn]] void reject_first_reference_flag(std::size_t i,
+                                                std::uint32_t id) const;
   void check_trailer();
+  /// Reads and hashes the v5 tail; returns false when a recovering decoder
+  /// found it damaged (a strict one throws).
+  bool read_tail();
+  /// A damaged tail at byte `offset`: throws, or records it when
+  /// recovering.
+  void tail_damage(const std::string& what, std::uint64_t offset);
+  /// Holds the tail summary to the records, after the checksum matched.
+  void check_tail() const;
 
   std::istream& in_;
   std::size_t chunk_records_;
@@ -136,6 +177,12 @@ class RecordDecoder {
   std::uint64_t next_record_ = 0;
   /// Distinct documents the dense ids decoded so far have introduced.
   std::uint64_t documents_ = 0;
+  /// Records decoded so far with the size-changed flag, and the largest
+  /// transfer among all records decoded (strict v5 only).
+  std::uint64_t flagged_ = 0;
+  std::uint64_t max_transfer_ = 0;
+  TraceTail tail_;
+  std::vector<std::uint64_t>* column_ = nullptr;
   bool trailer_checked_ = false;
   TraceChecksum checksum_;
   std::vector<char> buffer_;
@@ -148,7 +195,7 @@ inline void decode_field(const char*& p, T& value) {
 }
 
 /// Decodes one record's fields (`dense_id` only from v4 on); returns the
-/// raw class byte for the caller to validate.
+/// raw class byte, size-changed bit included, for the caller to validate.
 inline std::uint8_t decode_record(const char* p, std::uint32_t version,
                                   Request& r, std::uint32_t& dense_id) {
   std::uint8_t cls = 0;
@@ -168,27 +215,48 @@ bool RecordDecoder::next(Emit&& emit) {
   std::size_t n = 0;
   if (!read_chunk(n)) return false;
   const bool check_dense = hands_out_dense_ids();
+  const std::uint8_t class_mask =
+      has_size_changes() ? static_cast<std::uint8_t>(~kSizeChangedBit)
+                         : std::uint8_t{0xFF};
+  // The counters live in locals for the chunk: `emit` writes memory the
+  // compiler cannot tell apart from the members, which would otherwise be
+  // reloaded and stored on every record.
+  const std::uint32_t version = version_;
+  const std::size_t record_bytes = record_bytes_;
+  std::uint64_t documents = documents_;
+  std::uint64_t flagged = flagged_;
+  std::uint64_t max_transfer = max_transfer_;
   const char* p = buffer_.data();
-  for (std::size_t i = 0; i < n; ++i, p += record_bytes_) {
+  for (std::size_t i = 0; i < n; ++i, p += record_bytes) {
     Request r;
     std::uint32_t id = 0;
-    const std::uint8_t cls = decode_record(p, version_, r, id);
+    const std::uint8_t raw = decode_record(p, version, r, id);
+    const std::uint8_t cls = raw & class_mask;
     if (cls >= kDocumentClassCount) [[unlikely]] {
       reject_class(i, cls);
       continue;
     }
+    bool changed = false;
     if (check_dense) {
       // An id is either one already seen or the next new one; anything
       // higher would size the replay's id-indexed arrays past the records
-      // read.
-      if (id > documents_) [[unlikely]] reject_dense_id(i, id);
-      documents_ += id == documents_ ? 1 : 0;
+      // read. A document's first reference has no previous size.
+      if (id > documents) [[unlikely]] reject_dense_id(i, id);
+      const bool first = id == documents;
+      changed = raw != cls;
+      if (changed && first) [[unlikely]] reject_first_reference_flag(i, id);
+      documents += first ? 1 : 0;
+      flagged += changed ? 1 : 0;
+      max_transfer = std::max(max_transfer, r.transfer_size);
     } else {
       id = 0;
     }
     r.doc_class = static_cast<DocumentClass>(cls);
-    emit(static_cast<const Request&>(r), id);
+    emit(static_cast<const Request&>(r), id, changed);
   }
+  documents_ = documents;
+  flagged_ = flagged;
+  max_transfer_ = max_transfer;
   next_record_ += n;
   return true;
 }

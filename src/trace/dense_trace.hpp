@@ -28,21 +28,28 @@
 //
 // The paper's modification rule (§4.1) compares each request's transfer
 // size with the previous one for the same document. That comparison is a
-// property of the trace, so the builder makes it once: a record whose size
-// differs from its document's previous one carries size_changed, and the
-// previous size is the next entry of the sparse previous_sizes column, in
-// trace order. A replay walks a PreviousSizeCursor over that column and
+// property of the trace, so it is made once: a record whose size differs
+// from its document's previous one carries size_changed, and the previous
+// size is the next entry of the sparse previous_sizes column, in trace
+// order. A replay walks a PreviousSizeCursor over that column and
 // classifies only the flagged records, for whatever rule and threshold it
 // runs, with no per-document array of its own.
 //
-// A WCT1 v4 file already stores the numbering: its writer interns once,
-// and read_dense_trace_file() takes each record's dense id as is and
-// records the original id at each first reference, with no hash at all.
-// The decoder holds the ids to the first-reference rule, which bounds the
-// id range by the records read; the checksum guards the bytes, but nothing
-// cross-checks a dense id against its original id (the writer guarantees
-// that mapping). Older files intern as they decode. Either way each chunk
-// is decoded straight into the records by the one WCT1 chunk loop
+// A WCT1 v5 file stores all of it: its writer interns once and walks a
+// LastSizeTable by the ids it numbers, so each record carries its dense id
+// and size-changed flag, and the file's tail the previous_sizes column,
+// the Overall Size and the largest transfer (trace/binary_trace.hpp).
+// read_dense_trace_file() then decodes each record straight into a
+// ReplayRecord, records the original id at each first reference, and takes
+// the column and the summary from the tail: no hash and no per-document
+// pass. The decoder holds the ids to the first-reference rule, which
+// bounds the id range by the records read, and the flags and the tail to
+// the records; the checksum guards the bytes, but nothing cross-checks a
+// dense id against its original id or a flag against the sizes (the writer
+// guarantees both). A v4 file stores only the numbering, so its load runs
+// the DenseTraceBuilder (and its LastSizeTable) over the stored ids; older
+// files also intern as they decode. Either way each chunk is decoded
+// straight into the records by the one WCT1 chunk loop
 // (trace/binary_trace_detail.hpp), and no whole-trace Trace is staged.
 // The replay APIs in src/sim take a DenseTrace; their `const Trace&` forms
 // densify first. The textbook oracle, which keys a std::map by the
@@ -158,11 +165,62 @@ class PreviousSizeCursor {
   const std::uint64_t* end_;
 };
 
-/// Builds a DenseTrace request by request. It tracks each document's last
-/// document size, for the Overall Size, and last transfer size, for the
-/// size-changed flags and previous_sizes; finish() frees both. Sized up
-/// front with reserve(), no per-request or per-document vector reallocates
-/// while requests are added.
+/// Each document's last document size and last transfer size, by dense id:
+/// what the Overall Size and the modification rule need from the requests
+/// before the current one. The WCT1 writer and DenseTraceBuilder walk a
+/// trace through one, so a v5 file stores the flags and column a load of
+/// an older file derives.
+class LastSizeTable {
+ public:
+  /// Room for `documents` documents (untouched capacity costs address
+  /// space, not memory).
+  void reserve(std::size_t documents) { last_.reserve(documents); }
+
+  /// Records `r`, whose document has dense id `id`: one already recorded,
+  /// or the next new one (size()). Returns true, with the document's
+  /// previous transfer size in `previous`, when r's transfer size differs
+  /// from it; a first reference never does.
+  bool record(const Request& r, std::uint32_t id, std::uint64_t& previous) {
+    if (id == last_.size()) {
+      last_.push_back({r.document_size, r.transfer_size});
+      return false;
+    }
+    Entry& last = last_[id];
+    last.document = r.document_size;
+    if (last.transfer == r.transfer_size) return false;
+    previous = last.transfer;
+    last.transfer = r.transfer_size;
+    return true;
+  }
+
+  std::size_t size() const { return last_.size(); }
+
+  /// Starts loading the entry of `id`, if it has one, into the cache.
+  void prefetch(std::uint32_t id) const {
+    if (id < last_.size()) __builtin_prefetch(last_.data() + id, 1);
+  }
+
+  /// The paper's Overall Size: each document's last document size, summed.
+  std::uint64_t overall_size() const {
+    std::uint64_t total = 0;
+    for (const Entry& last : last_) total += last.document;
+    return total;
+  }
+
+ private:
+  // One entry per document, so a request's two updates share a cache line.
+  struct Entry {
+    std::uint64_t document = 0;  // last Request::document_size
+    std::uint64_t transfer = 0;  // last Request::transfer_size
+  };
+
+  std::vector<Entry> last_;
+};
+
+/// Builds a DenseTrace request by request, through a LastSizeTable for the
+/// Overall Size, the size-changed flags and previous_sizes; finish() frees
+/// the table. Sized up front with reserve(), no per-request or
+/// per-document vector reallocates while requests are added.
 class DenseTraceBuilder {
  public:
   explicit DenseTraceBuilder(ClientColumn clients = ClientColumn::kSkip)
@@ -177,19 +235,10 @@ class DenseTraceBuilder {
   /// added, or the next new one (document_count()), which records
   /// r.document as its original id.
   void add(const Request& r, std::uint32_t id) {
-    bool changed = false;
-    if (id == last_.size()) {
-      trace_.original_ids.push_back(r.document);
-      last_.push_back({r.document_size, r.transfer_size});
-    } else {
-      LastSizes& last = last_[id];
-      last.document = r.document_size;
-      if (last.transfer != r.transfer_size) {
-        changed = true;
-        trace_.previous_sizes.push_back(last.transfer);
-        last.transfer = r.transfer_size;
-      }
-    }
+    if (id == last_.size()) trace_.original_ids.push_back(r.document);
+    std::uint64_t previous = 0;
+    const bool changed = last_.record(r, id, previous);
+    if (changed) trace_.previous_sizes.push_back(previous);
     trace_.records.push_back({r.transfer_size, id, r.doc_class, changed});
     if (clients_) trace_.clients.push_back(r.client);
     if (r.transfer_size > trace_.max_transfer) {
@@ -204,14 +253,8 @@ class DenseTraceBuilder {
   DenseTrace finish();
 
  private:
-  // One entry per document, so a request's two updates share a cache line.
-  struct LastSizes {
-    std::uint64_t document = 0;  // last Request::document_size
-    std::uint64_t transfer = 0;  // last Request::transfer_size
-  };
-
   DenseTrace trace_;
-  std::vector<LastSizes> last_;
+  LastSizeTable last_;
   bool clients_;
 };
 
@@ -219,13 +262,15 @@ class DenseTraceBuilder {
 DenseTrace densify(const Trace& source,
                    ClientColumn clients = ClientColumn::kSkip);
 
-/// Loads a WCT1 file as a DenseTrace. A v4 file's stored dense ids are
-/// taken as they are and its original ids fill `original_ids` at each
-/// first reference; a v1-v3 file interns each record as it is decoded.
-/// Either way the result equals densify(read_binary_trace_file(path),
-/// clients) field by field, the record vector is allocated once at its
-/// final size, and every strict-loader diagnostic is the same
-/// (trace/binary_trace.hpp).
+/// Loads a WCT1 file as a DenseTrace. A v5 file is decoded as stored: its
+/// dense ids and flags go into the records, its original ids fill
+/// `original_ids` at each first reference, and previous_sizes, the Overall
+/// Size and the largest transfer come from its tail, with no per-document
+/// pass. A v4 file's stored ids go through a DenseTraceBuilder; a v1-v3
+/// file interns each record as it is decoded. Either way the result equals
+/// densify(read_binary_trace_file(path), clients) field by field, the
+/// record vector is allocated once at its final size, and every
+/// strict-loader diagnostic is the same (trace/binary_trace.hpp).
 DenseTrace read_dense_trace_file(const std::string& path,
                                  ClientColumn clients = ClientColumn::kSkip);
 

@@ -1,5 +1,6 @@
 #include "trace/streaming_trace.hpp"
 
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -21,12 +22,30 @@ std::span<const Request> StreamingTraceReader::next_chunk() {
 std::uint64_t StreamingTraceReader::stored_digest() const {
   const std::uint64_t count = decoder_.count();
   const std::uint64_t record_bytes = decoder_.record_bytes();
+  // A v5 digest follows the tail, whose column is at most one word a record.
+  const bool tail = decoder_.has_size_changes();
+  const std::uint64_t fixed =
+      detail::kHeaderBytes + (tail ? detail::kTailSummaryBytes : 0);
+  const std::uint64_t per_record = record_bytes + (tail ? 8 : 0);
   std::uint64_t digest = 0;
-  if (count <= (std::numeric_limits<std::int64_t>::max() -
-                detail::kHeaderBytes) / record_bytes) {
+  if (count <= (std::numeric_limits<std::int64_t>::max() - fixed) /
+                   per_record) {
     std::ifstream in = detail::open_trace_file(path_);
-    in.seekg(static_cast<std::streamoff>(detail::kHeaderBytes +
-                                         count * record_bytes));
+    std::uint64_t offset = detail::kHeaderBytes + count * record_bytes;
+    in.seekg(static_cast<std::streamoff>(offset));
+    char summary[detail::kTailSummaryBytes];
+    if (tail && in.read(summary, sizeof(summary))) {
+      std::uint64_t changed = 0;
+      std::memcpy(&changed, summary + 16, sizeof(changed));
+      if (changed > count) {
+        throw std::runtime_error(
+            "binary trace: " + path_ + ": tail changed_count " +
+            std::to_string(changed) + " exceeds the " +
+            std::to_string(count) + " records");
+      }
+      offset += detail::kTailSummaryBytes + 8 * changed;
+      in.seekg(static_cast<std::streamoff>(offset));
+    }
     if (in.read(reinterpret_cast<char*>(&digest), sizeof(digest))) {
       return digest;
     }

@@ -9,7 +9,9 @@
 // offset — whichever loader hits it. The checksum is accumulated across
 // chunks and checked against the trailer after the final record. A v4
 // file's dense ids come out through dense_ids(), held to the
-// first-reference rule like every strict loader's.
+// first-reference rule like every strict loader's. A v5 file's size-change
+// flags and tail are checked like every strict loader's and then dropped:
+// the stream derives its size changes itself (sim/last_size.hpp).
 #pragma once
 
 #include <cstdint>
@@ -46,7 +48,8 @@ class StreamingTraceReader final : public RequestStream {
   std::uint32_t version() const { return decoder_.version(); }
   const std::string& path() const { return path_; }
   /// The digest the file's checksum trailer stores, read through a second
-  /// handle with one seek past the records the header declares (the replay
+  /// handle with one seek past the records the header declares and, on a
+  /// v5 file, one past the tail its changed_count sizes (the replay
   /// still checks it against the records at the end). With version() and
   /// total_requests() it identifies the trace by content, whatever its
   /// path. Throws std::runtime_error when the file ends before the trailer.

@@ -10,7 +10,8 @@ aggregate, per-class sums equal the overall counters). The CSV variant
 must agree with the JSON row for row. On the checked-in golden trace,
 `simulate --result-out` must reproduce golden_dfn_expected.tsv's
 constant-cost rows counter for counter, and `convert --recover` upgrades
-it from WCT1 v2 to v4 (dense ids stored) without changing a `simulate
+it, and its v4 encoding, from WCT1 v2 and v4 to one v5 file (dense ids,
+size-change flags and tail stored) without changing a `simulate
 --result-out` or `sweep --curve-out` byte. `replicate` prints a verdict
 line for every policy pair, and OPT is refused, by name, everywhere but
 `sweep`. Every text output written to a full device exits 1 naming its
@@ -18,7 +19,8 @@ path. NaN, infinite, negative and overflowing cache fractions and
 warm-up shares exit 1 with a diagnostic that names the flag. A single
 cache's --result-out is webcache.result.v2, and neither it nor the
 --metrics-out aggregate carries a faults object. A flag the command does
-not read exits 1 by name.
+not read exits 1 by name, listing the flags it does read, and every one
+of those appears in `webcache CMD --help`, which exits 0.
 
 Usage: cli_smoke_test.py <path-to-webcache-binary>
 """
@@ -480,29 +482,86 @@ def check_full_device(cli, tmp):
               f"rc={p.returncode} stderr={p.stderr.strip()[-200:]}")
 
 
-def check_upgrade_to_v4(cli, tmp):
-    """`convert --recover` is the upgrade path for v1-v3 traces: it rewrites
-    the v2 golden trace as v4, which stores each record's dense id after its
-    document id, and replays of the two files write the same result and
-    curve bytes."""
+# WCT1's v3-v5 digest (src/trace/binary_trace.hpp): a 4-lane word hash.
+LANE_MULTIPLIER = 0x9FB21C651E98DF25
+LANE_SEEDS = (0x243F6A8885A308D3, 0x13198A2E03707344, 0xA4093822299F31D0,
+              0x082EFA98EC4E6C89)
+U64 = (1 << 64) - 1
+
+
+def lane_step(h, w):
+    h = ((h ^ w) * LANE_MULTIPLIER) & U64
+    return h ^ (h >> 29)
+
+
+def wct1_digest(payload):
+    lanes = list(LANE_SEEDS)
+    padded = payload + bytes(-len(payload) % 32)
+    for block in range(0, len(padded), 32):
+        for k in range(4):
+            word = padded[block + 8 * k:block + 8 * k + 8]
+            lanes[k] = lane_step(lanes[k], int.from_bytes(word, "little"))
+    h = lane_step(LANE_SEEDS[0], len(payload))
+    for lane in lanes:
+        h = lane_step(h, lane)
+    return h
+
+
+def v2_to_v4(old):
+    """A WCT1 v4 file of the v2 file `old`, as the writer of that version
+    made it: each 39-byte record gets its first-reference dense id after
+    the document id, and the trailer is the 4-lane digest."""
+    count = int.from_bytes(old[8:16], "little")
+    ids = {}
+    records = []
+    for i in range(count):
+        rec = old[16 + 39 * i:16 + 39 * (i + 1)]
+        dense = ids.setdefault(rec[8:16], len(ids))
+        records.append(rec[:16] + dense.to_bytes(4, "little") + rec[16:])
+    payload = b"".join(records)
+    return (old[:4] + (4).to_bytes(4, "little") + old[8:16] + payload
+            + wct1_digest(payload).to_bytes(8, "little"))
+
+
+def check_upgrade_to_v5(cli, tmp):
+    """`convert --recover` is the upgrade path for v1-v4 traces: it rewrites
+    the v2 golden trace, and the v4 file of the same trace, as one v5 file,
+    which stores each record's dense id and size-change flag and a tail with
+    the previous sizes and the Overall Size; replays of every version write
+    the same result and curve bytes."""
     golden = os.path.join(DATA_DIR, "golden_dfn.wct")
-    upgraded = os.path.join(tmp, "golden_v4.wct")
-    p = run(cli, "convert", "--recover", golden, upgraded)
-    check("convert --recover golden", p.returncode == 0,
-          p.stderr.strip()[:200])
-    if p.returncode != 0:
-        return
     with open(golden, "rb") as f:
         old = f.read()
-    with open(upgraded, "rb") as f:
-        new = f.read()
-    count = int.from_bytes(old[8:16], "little")
     check("golden is version 2", int.from_bytes(old[4:8], "little") == 2)
-    check("upgraded is version 4", int.from_bytes(new[4:8], "little") == 4,
+    v4 = os.path.join(tmp, "golden_v4.wct")
+    with open(v4, "wb") as f:
+        f.write(v2_to_v4(old))
+    upgraded = []
+    for source in (golden, v4):
+        out = os.path.join(tmp, f"{os.path.basename(source)}.v5.wct")
+        p = run(cli, "convert", "--recover", source, out)
+        check(f"convert --recover {os.path.basename(source)}",
+              p.returncode == 0 and "file was clean" in p.stderr,
+              p.stderr.strip()[:200])
+        if p.returncode != 0:
+            return
+        upgraded.append(out)
+    with open(upgraded[0], "rb") as f:
+        new = f.read()
+    with open(upgraded[1], "rb") as f:
+        check("the v2 and v4 upgrades are byte-identical", f.read() == new)
+    count = int.from_bytes(old[8:16], "little")
+    tail = 16 + 43 * count
+    changed = int.from_bytes(new[tail + 16:tail + 24], "little")
+    flagged = sum(1 for i in range(count) if new[16 + 43 * i + 24] & 0x80)
+    check("upgraded is version 5", int.from_bytes(new[4:8], "little") == 5,
           str(new[4:8]))
-    check("upgrade keeps the magic and count, adds 4 bytes a record",
+    check("upgrade keeps the magic and count, adds 4 bytes a record and "
+          "the tail",
           new[:4] == old[:4] and new[8:16] == old[8:16]
-          and len(new) == len(old) + 4 * count)
+          and len(new) == len(old) + 4 * count + 24 + 8 * changed)
+    check("the tail counts the flagged records", 0 < changed == flagged,
+          f"{changed} vs {flagged}")
 
     for job, flags, out_flag in (
             ("simulate", ("--policy=GD*(1)",
@@ -511,15 +570,15 @@ def check_upgrade_to_v4(cli, tmp):
             ("sweep", ("--policies=LRU,GD*(1)", "--fractions=0.005,0.04"),
              "--curve-out")):
         outputs = []
-        for wct in (golden, upgraded):
+        for wct in (golden, v4, *upgraded):
             out = os.path.join(tmp, f"{os.path.basename(wct)}.{job}.json")
             p = run(cli, job, wct, *flags, f"{out_flag}={out}")
             check(f"{job} {os.path.basename(wct)}", p.returncode == 0,
                   p.stderr.strip()[:200])
             with open(out, "rb") as f:
                 outputs.append(f.read())
-        check(f"v2 and v4 golden {job} write identical {out_flag}",
-              outputs[0] == outputs[1])
+        check(f"v2, v4 and v5 golden {job} write identical {out_flag}",
+              all(o == outputs[0] for o in outputs[1:]))
 
 
 def check_fault_flags_are_hierarchy_only(cli, tmp):
@@ -565,19 +624,45 @@ def check_unknown_flags(cli, tmp):
           f"rc={p.returncode} stderr={p.stderr.strip()[:200]}")
 
 
+def check_command_help(cli):
+    """`webcache CMD --help` prints that command's section and exits 0, and
+    names every flag the command accepts: the ones its unknown-flag
+    diagnostic lists."""
+    commands = ("generate", "profile", "convert", "export", "characterize",
+                "simulate", "sweep", "hierarchy", "replicate", "stackdist")
+    full = run(cli, "help").stdout
+    for command in commands:
+        p = run(cli, command, "--help")
+        check(f"{command} --help exits 0 with its section",
+              p.returncode == 0 and f"  {command} " in p.stdout
+              and p.stdout.split("\n\n")[1].rstrip("\n") in full,
+              f"rc={p.returncode} stderr={p.stderr.strip()[:200]}")
+        bad = run(cli, command, "--no-such-flag")
+        match = re.search(r"accepts (.*); see", bad.stderr)
+        check(f"{command}'s unknown-flag diagnostic names what it accepts",
+              bad.returncode == 1 and match is not None, bad.stderr[:200])
+        if match is None or match.group(1) == "no flags":
+            continue
+        missing = [flag for flag in match.group(1).split(", ")
+                   if not re.search(re.escape(flag) + r"(?![\w-])", p.stdout)]
+        check(f"{command} --help names every flag it accepts", not missing,
+              f"missing {missing}")
+
+
 def main():
     if len(sys.argv) != 2:
         print("usage: cli_smoke_test.py <webcache-binary>", file=sys.stderr)
         return 2
     cli = sys.argv[1]
     check_exit_codes(cli)
+    check_command_help(cli)
     with tempfile.TemporaryDirectory(prefix="webcache_cli_smoke.") as tmp:
         check_round_trip(cli, tmp)
         check_fault_flags_are_hierarchy_only(cli, tmp)
         check_unknown_flags(cli, tmp)
         check_lazy_family(cli, tmp)
         check_golden_counters(cli, tmp)
-        check_upgrade_to_v4(cli, tmp)
+        check_upgrade_to_v5(cli, tmp)
         check_replicate_and_opt(cli, tmp)
         check_full_device(cli, tmp)
     if FAILURES:

@@ -1,10 +1,11 @@
-// A WCT1 v4 file and the v3 file of the same trace must be the same
-// workload to every stream consumer: a v4 stream's documents are numbered
-// from the ids the file stores, a v3 stream's by interning, and the two
-// numberings agree. So a checkpointed GD*(packet) stream gives an equal
-// SimResult and byte-identical checkpoint files on either encoding, a
-// checkpoint written on one resumes on the other, and the exact (rate 1)
-// sampled sweep gives the same curve.
+// WCT1 v3, v4 and v5 files of the same trace must be the same workload to
+// every stream consumer: a v4 or v5 stream's documents are numbered from
+// the ids the file stores, a v3 stream's by interning, and the numberings
+// agree; a v5 file's size-change flags and tail are checked and dropped.
+// So a checkpointed GD*(packet) stream gives an equal SimResult and
+// byte-identical checkpoint files on every encoding, a checkpoint written
+// on one resumes on another, and the exact (rate 1) sampled sweep gives
+// the same curve.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -34,7 +35,7 @@ namespace fs = std::filesystem;
 
 constexpr std::uint64_t kEvery = 2500;
 
-/// The v3 and v4 encodings of one small DFN trace.
+/// The v3, v4 and v5 encodings of one small DFN trace.
 class TraceVersions : public testing::Test {
  protected:
   void SetUp() override {
@@ -47,18 +48,20 @@ class TraceVersions : public testing::Test {
               testing::UnitTest::GetInstance()->current_test_info()->name();
     v3_ = prefix_ + "_v3.wct";
     v4_ = prefix_ + "_v4.wct";
-    std::remove(v3_.c_str());
-    {
-      std::ofstream out(v3_, std::ios::binary | std::ios::trunc);
-      const std::string bytes = trace::wct1::encode_v3(source_);
+    v5_ = prefix_ + "_v5.wct";
+    for (const auto& [path, version] : {std::pair{v3_, 3u}, {v4_, 4u}}) {
+      std::remove(path.c_str());
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      const std::string bytes = trace::wct1::encode(source_, version);
       out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     }
-    trace::write_binary_trace_file(v4_, source_);
+    trace::write_binary_trace_file(v5_, source_);
   }
 
   void TearDown() override {
     std::remove(v3_.c_str());
     std::remove(v4_.c_str());
+    std::remove(v5_.c_str());
   }
 
   /// A GD*(packet) stream over `path` (chunks of 1000, so batches straddle
@@ -98,31 +101,35 @@ class TraceVersions : public testing::Test {
   std::string prefix_;
   std::string v3_;
   std::string v4_;
+  std::string v5_;
 };
 
 TEST_F(TraceVersions, CheckpointedStreamsMatchByteForByte) {
   const std::string dir3 = fresh_dir("v3");
-  const std::string dir4 = fresh_dir("v4");
   const CheckpointedRun a = stream(v3_, dir3);
-  const CheckpointedRun b = stream(v4_, dir4);
-  expect_same_result(a.result, b.result, "v3 vs v4");
   EXPECT_EQ(a.checkpoints_written, source_.total_requests() / kEvery);
-  EXPECT_EQ(a.checkpoints_written, b.checkpoints_written);
   const auto files3 = files_of(dir3);
-  const auto files4 = files_of(dir4);
   ASSERT_EQ(files3.size(), a.checkpoints_written);
-  ASSERT_EQ(files3.size(), files4.size());
-  for (const auto& [name, bytes] : files3) {
-    ASSERT_TRUE(files4.count(name)) << name;
-    EXPECT_TRUE(files4.at(name) == bytes) << name << " differs";
+  for (const auto& [path, label] : {std::pair{v4_, "v4"}, {v5_, "v5"}}) {
+    const std::string dir = fresh_dir(label);
+    const CheckpointedRun b = stream(path, dir);
+    expect_same_result(a.result, b.result, std::string("v3 vs ") + label);
+    EXPECT_EQ(a.checkpoints_written, b.checkpoints_written);
+    const auto files = files_of(dir);
+    ASSERT_EQ(files3.size(), files.size());
+    for (const auto& [name, bytes] : files3) {
+      ASSERT_TRUE(files.count(name)) << name;
+      EXPECT_TRUE(files.at(name) == bytes) << name << " differs in " << label;
+    }
+    fs::remove_all(dir);
   }
   fs::remove_all(dir3);
-  fs::remove_all(dir4);
 }
 
 TEST_F(TraceVersions, CheckpointOfAVersionThreeStreamResumesOnVersionFour) {
   const CheckpointedRun whole = stream(v4_, fresh_dir("whole"));
-  for (const auto& [from, to] : {std::pair{v3_, v4_}, std::pair{v4_, v3_}}) {
+  for (const auto& [from, to] : {std::pair{v3_, v4_}, std::pair{v4_, v3_},
+                                 std::pair{v5_, v3_}, std::pair{v4_, v5_}}) {
     const std::string dir = fresh_dir("resume");
     const CheckpointedRun first = stream(from, dir, false, 2 * kEvery + 17);
     ASSERT_TRUE(first.stopped_early);
@@ -140,14 +147,14 @@ TEST_F(TraceVersions, ResumeOnAnotherTraceWithStoredIdsIsRejected) {
   // new document) breaks that at the first batch, and the replay must
   // refuse it rather than index the cache past its id range.
   const std::string dir = fresh_dir("swap");
-  ASSERT_TRUE(stream(v4_, dir, false, 2 * kEvery).stopped_early);
+  ASSERT_TRUE(stream(v5_, dir, false, 2 * kEvery).stopped_early);
   trace::Trace swapped = source_;
   for (std::size_t i = 0; i < swapped.requests.size(); ++i) {
     swapped.requests[i].document = 0xF0000000 + i;
   }
-  trace::write_binary_trace_file(v4_, swapped);
+  trace::write_binary_trace_file(v5_, swapped);
   try {
-    stream(v4_, dir, true);
+    stream(v5_, dir, true);
     ADD_FAILURE() << "resume on a swapped trace was accepted";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("out of first-reference order"),
@@ -164,16 +171,18 @@ TEST_F(TraceVersions, ExactSampledSweepMatches) {
   config.sample_rate = 1.0;
   const SampledSweep sweep(config);
   trace::StreamingTraceReader r3(v3_, 1000);
-  trace::StreamingTraceReader r4(v4_, 1000);
   const SampledCurve a = sweep.run(r3);
-  const SampledCurve b = sweep.run(r4);
   ASSERT_TRUE(a.exact);
-  ASSERT_TRUE(b.exact);
-  EXPECT_EQ(a.sampled_documents, b.sampled_documents);
-  ASSERT_EQ(a.results.size(), b.results.size());
-  for (std::size_t i = 0; i < a.results.size(); ++i) {
-    expect_same_result(a.results[i], b.results[i],
-                       "capacity " + std::to_string(i));
+  for (const std::string& path : {v4_, v5_}) {
+    trace::StreamingTraceReader reader(path, 1000);
+    const SampledCurve b = sweep.run(reader);
+    ASSERT_TRUE(b.exact);
+    EXPECT_EQ(a.sampled_documents, b.sampled_documents);
+    ASSERT_EQ(a.results.size(), b.results.size());
+    for (std::size_t i = 0; i < a.results.size(); ++i) {
+      expect_same_result(a.results[i], b.results[i],
+                         path + " capacity " + std::to_string(i));
+    }
   }
 }
 

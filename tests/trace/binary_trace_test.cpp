@@ -96,8 +96,9 @@ std::string diagnostic_for(const std::string& data) {
 TEST(BinaryTrace, DiagnosticsNameRecordIndexAndByteOffset) {
   // Regression for the load diagnostics: each corruption mode must name
   // where the file went bad, so multi-gigabyte traces can be triaged with a
-  // hex dump instead of a bisection. sample_trace() has two 43-byte v4
-  // records after the 16-byte header.
+  // hex dump instead of a bisection. sample_trace() has two 43-byte
+  // records after the 16-byte header, then a 24-byte v5 tail (no size
+  // changes), so the trailer sits at byte 126.
   std::stringstream buf;
   write_binary_trace(buf, sample_trace());
   const std::string good = buf.str();
@@ -122,14 +123,14 @@ TEST(BinaryTrace, DiagnosticsNameRecordIndexAndByteOffset) {
   flipped[16 + 5] ^= 0x01;
   what = diagnostic_for(flipped);
   EXPECT_NE(what.find("checksum mismatch"), std::string::npos) << what;
-  EXPECT_NE(what.find("byte offset 102"), std::string::npos) << what;
+  EXPECT_NE(what.find("byte offset 126"), std::string::npos) << what;
 
   // Missing checksum trailer.
   std::string no_trailer = good.substr(0, good.size() - 8);
   what = diagnostic_for(no_trailer);
   EXPECT_NE(what.find("truncated checksum trailer"), std::string::npos)
       << what;
-  EXPECT_NE(what.find("byte offset 102"), std::string::npos) << what;
+  EXPECT_NE(what.find("byte offset 126"), std::string::npos) << what;
 
   // Unsupported version names the version it saw.
   std::string future = good;
@@ -316,12 +317,12 @@ TEST(BinaryTrace, FileLoaderPreservesCorruptionDiagnostics) {
   flipped[16 + 5] ^= 0x01;
   what = file_diagnostic_for(flipped);
   EXPECT_NE(what.find("checksum mismatch"), std::string::npos) << what;
-  EXPECT_NE(what.find("byte offset 102"), std::string::npos) << what;
+  EXPECT_NE(what.find("byte offset 126"), std::string::npos) << what;
 
   what = file_diagnostic_for(good.substr(0, good.size() - 8));
   EXPECT_NE(what.find("truncated checksum trailer"), std::string::npos)
       << what;
-  EXPECT_NE(what.find("byte offset 102"), std::string::npos) << what;
+  EXPECT_NE(what.find("byte offset 126"), std::string::npos) << what;
 
   std::string future = good;
   future[4] = 9;

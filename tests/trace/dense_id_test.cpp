@@ -19,6 +19,7 @@
 
 #include "cache/factory.hpp"
 #include "sim/streaming.hpp"
+#include "support/dense_eq.hpp"
 #include "support/wct1.hpp"
 #include "synth/generator.hpp"
 #include "synth/profile.hpp"
@@ -149,24 +150,6 @@ TEST(DenseIdDecoder, StreamHandsOutTheStoredIds) {
   std::remove(v3.c_str());
 }
 
-void expect_same_dense(const DenseTrace& a, const DenseTrace& b,
-                       const std::string& label) {
-  EXPECT_EQ(a.original_ids, b.original_ids) << label;
-  EXPECT_EQ(a.clients, b.clients) << label;
-  EXPECT_EQ(a.overall_size_bytes(), b.overall_size_bytes()) << label;
-  EXPECT_EQ(a.max_transfer_size(), b.max_transfer_size()) << label;
-  ASSERT_EQ(a.records.size(), b.records.size()) << label;
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    const ReplayRecord& x = a.records[i];
-    const ReplayRecord& y = b.records[i];
-    ASSERT_EQ(x.document, y.document) << label << " record " << i;
-    ASSERT_EQ(x.doc_class, y.doc_class) << label << " record " << i;
-    ASSERT_EQ(x.transfer_size, y.transfer_size) << label << " record " << i;
-    ASSERT_EQ(x.size_changed, y.size_changed) << label << " record " << i;
-  }
-  EXPECT_EQ(a.previous_sizes, b.previous_sizes) << label;
-}
-
 TEST(DenseTraceFile, GoldenVersionTwoFileMatchesDensify) {
   const std::string golden =
       std::string(WEBCACHE_TEST_DATA_DIR) + "/golden_dfn.wct";
@@ -180,8 +163,8 @@ TEST(DenseTraceFile, VersionThreeAndFourEncodingsMatchDensify) {
           .generate();
   const std::string v3 =
       write_temp(wct1::encode_v3(source), "dense_file_v3.wct");
-  const std::string v4 = testing::TempDir() + "/dense_file_v4.wct";
-  write_binary_trace_file(v4, source);
+  const std::string v4 =
+      write_temp(wct1::encode(source, 4), "dense_file_v4.wct");
 
   const DenseTrace expected = densify(source);
   // Documents change size in this trace, so the size-change column that

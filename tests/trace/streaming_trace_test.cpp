@@ -155,12 +155,13 @@ std::string file_diagnostic_for(const std::string& data) {
 }
 
 TEST(StreamingTrace, CorruptionDiagnosticsMatchFileLoaderVerbatim) {
-  // sample_trace(2)-equivalent layout: two 43-byte v4 records after the
-  // 16-byte header, then the 8-byte checksum trailer.
+  // sample_trace(2)-equivalent layout: two 43-byte records after the
+  // 16-byte header, then the 24-byte v5 tail (two first references, so no
+  // previous sizes) and the 8-byte checksum trailer.
   std::stringstream buf;
   write_binary_trace(buf, sample_trace(2));
   const std::string good = buf.str();
-  ASSERT_EQ(good.size(), 16u + 2 * 43 + 8);
+  ASSERT_EQ(good.size(), 16u + 2 * 43 + 24 + 8);
 
   struct Case {
     const char* label;
@@ -186,6 +187,17 @@ TEST(StreamingTrace, CorruptionDiagnosticsMatchFileLoaderVerbatim) {
       {"checksum flip", [&] {
          std::string d = good;
          d[16 + 5] ^= 0x01;
+         return d;
+       }()},
+      {"truncated tail", good.substr(0, 16 + 2 * 43 + 10)},
+      {"flag on a first reference", [&] {
+         std::string d = good;
+         d[16 + 43 + 24] = static_cast<char>(d[16 + 43 + 24] | 0x80);
+         return d;
+       }()},
+      {"changed_count over the records", [&] {
+         std::string d = good;
+         d[16 + 2 * 43 + 16] = 3;
          return d;
        }()},
   };

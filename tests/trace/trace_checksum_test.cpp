@@ -144,10 +144,12 @@ TEST(TraceChecksum, EverySingleBitFlipIsRejected) {
   std::stringstream buf;
   write_binary_trace(buf, three_records());
   const std::string good = buf.str();
-  ASSERT_EQ(good.size(), detail::kHeaderBytes + 3 * kRecordBytes + 8);
+  // Three first references: the v5 tail is its 24-byte summary alone.
+  const std::size_t tail = detail::kHeaderBytes + 3 * kRecordBytes;
+  ASSERT_EQ(good.size(), tail + detail::kTailSummaryBytes + 8);
   std::uint32_t written_version = 0;
   std::memcpy(&written_version, good.data() + 4, sizeof(written_version));
-  ASSERT_EQ(written_version, 4u);
+  ASSERT_EQ(written_version, 5u);
   const std::string path = testing::TempDir() + "/trace_checksum_flip.wct";
 
   for (std::size_t bit = 0; bit < 8 * good.size(); ++bit) {
@@ -174,8 +176,16 @@ TEST(TraceChecksum, EverySingleBitFlipIsRejected) {
     // Past the header every flip lands in bytes the checksum covers (or in
     // the trailer itself); a header flip is a format error, not a checksum
     // one, and the recovering loader throws or reports it as damage.
+    // A flip in the tail's changed_count moves where the trailer is
+    // looked for, so the recovering loader finds it missing instead.
     RecoveryReport report;
-    if (bit / 8 >= detail::kHeaderBytes) {
+    const bool in_changed_count =
+        bit / 8 >= tail + 16 && bit / 8 < tail + detail::kTailSummaryBytes;
+    if (in_changed_count) {
+      read_binary_trace_file_recovering(path, report);
+      EXPECT_TRUE(report.missing_trailer) << where;
+      EXPECT_FALSE(report.clean()) << where;
+    } else if (bit / 8 >= detail::kHeaderBytes) {
       read_binary_trace_file_recovering(path, report);
       EXPECT_TRUE(report.checksum_mismatch) << where;
     } else {
@@ -240,7 +250,7 @@ TEST(TraceChecksum, VersionOneFileStillLoads) {
   std::remove(path.c_str());
 }
 
-TEST(TraceChecksum, GoldenVersionTwoFileStillLoadsAndRewritesAsV4) {
+TEST(TraceChecksum, GoldenVersionTwoFileStillLoadsAndRewritesAsV5) {
   const std::string golden = std::string(WEBCACHE_TEST_DATA_DIR) +
                              "/golden_dfn.wct";
   const std::string bytes = read_file(golden);
@@ -258,30 +268,41 @@ TEST(TraceChecksum, GoldenVersionTwoFileStillLoadsAndRewritesAsV4) {
   read_binary_trace_file_recovering(golden, report);
   EXPECT_TRUE(report.clean());
 
-  // Rewritten, it is a v4 file: the same header count, and each v2 record
-  // with its dense id (first-reference order) after the document id.
+  // Rewritten, it is a v5 file: the same header count; each v2 record with
+  // its dense id (first-reference order) after the document id and its
+  // size-changed flag in the class byte's top bit; then the tail.
   std::stringstream out;
   write_binary_trace(out, loaded);
   const std::string rewritten = out.str();
   const std::size_t n = loaded.requests.size();
-  ASSERT_EQ(rewritten.size(), detail::kHeaderBytes + n * kRecordBytes + 8);
   std::memcpy(&version, rewritten.data() + 4, sizeof(version));
   EXPECT_EQ(version, kTraceVersion);
   EXPECT_EQ(rewritten.substr(0, 4), bytes.substr(0, 4));
   EXPECT_EQ(rewritten.substr(8, 8), bytes.substr(8, 8));
   const std::vector<std::uint32_t> ids = wct1::first_reference_ids(loaded);
+  const wct1::V5Fields v5 = wct1::derive_v5(loaded);
+  ASSERT_GT(v5.changed_count, 0u);
   for (std::size_t i = 0; i < n; ++i) {
-    const std::string old_record =
+    std::string old_record =
         bytes.substr(detail::kHeaderBytes + i * wct1::kRecordBytesV3,
                      wct1::kRecordBytesV3);
     const std::string new_record = rewritten.substr(
         detail::kHeaderBytes + i * kRecordBytes, kRecordBytes);
     std::string dense(4, '\0');
     std::memcpy(dense.data(), &ids[i], 4);
+    if (v5.flags[i]) {
+      // The v2 record's class byte sits 4 bytes earlier, before no id.
+      old_record[wct1::kClassOffset - 4] = static_cast<char>(
+          old_record[wct1::kClassOffset - 4] | detail::kSizeChangedBit);
+    }
     ASSERT_EQ(new_record, old_record.substr(0, wct1::kDenseIdOffset) + dense +
                               old_record.substr(wct1::kDenseIdOffset))
         << "record " << i;
   }
+  ASSERT_EQ(rewritten.size(), detail::kHeaderBytes + n * kRecordBytes +
+                                  detail::kTailSummaryBytes +
+                                  8 * v5.changed_count + 8);
+  EXPECT_EQ(rewritten, wct1::encode(loaded, 5));
 }
 
 TEST(TraceChecksum, VersionThreeFileStillLoads) {

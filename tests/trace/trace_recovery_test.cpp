@@ -115,8 +115,8 @@ TEST(TraceRecovery, TruncatedTailDroppedAndReported) {
   write_binary_trace_file(path, sample_trace(50));
 
   std::vector<char> bytes = file_bytes(path);
-  // Chop the trailer plus the last two and a half records.
-  bytes.resize(bytes.size() - 8 - 2 * kRecordBytes - kRecordBytes / 2);
+  // Chop the trailer, the tail and the last two and a half records.
+  bytes.resize(kHeaderBytes + 47 * kRecordBytes + kRecordBytes / 2);
   write_bytes(path, bytes);
 
   EXPECT_THROW(read_binary_trace_file(path), std::runtime_error);

@@ -59,90 +59,6 @@ namespace {
 
 using namespace webcache;
 
-int usage(std::ostream& os) {
-  os << "usage: webcache <command> [args]\n"
-        "\n"
-        "  generate --profile=DFN|RTP | --profile-file=FILE.ini\n"
-        "           [--scale=0.01] [--seed=42] --out=FILE\n"
-        "           [--format=binary|squid]\n"
-        "  profile  --profile=DFN|RTP --out=FILE.ini   (dump an editable\n"
-        "           preset for --profile-file)\n"
-        "  convert  ACCESS_LOG OUT.wct [--strict]   (--strict aborts on the\n"
-        "           first malformed log line instead of skipping it)\n"
-        "           [--recover]   (accepts a damaged IN.wct instead of a\n"
-        "           log: undecodable records are skipped, a truncated tail\n"
-        "           dropped, and a clean WCT1 file is rewritten; the\n"
-        "           recovery summary names each skipped record and offset;\n"
-        "           on a clean v1-v3 file this is the upgrade to v4, whose\n"
-        "           stored dense ids spare simulate/sweep/--stream the\n"
-        "           per-request intern)\n"
-        "  export   IN.wct OUT.log\n"
-        "  characterize TRACE... [--squid] [--windows=N]\n"
-        "           (Table 1 has a column per trace; the other tables are\n"
-        "            printed per trace, titled by its file stem)\n"
-        "  simulate TRACE --policy=NAME [--cache-mb=N | --cache-fraction=F]\n"
-        "           [--warmup=0.1] [--mod-rule=threshold|any|never] [--squid]\n"
-        "           [--metrics-out=FILE[.json|.csv]] [--metrics-window=N]\n"
-        "           (windowed per-class time series incl. aging L and GD*\n"
-        "            beta traces; window defaults to ~1% of the trace)\n"
-        "           [--stream [--chunk=65536]]\n"
-        "           (--stream replays the binary trace file chunk by chunk\n"
-        "            in memory that grows with the distinct documents, not\n"
-        "            the trace — bit-identical results; needs --cache-mb\n"
-        "            and is incompatible with --squid)\n"
-        "           [--checkpoint-dir=DIR [--checkpoint-every=N]\n"
-        "            [--checkpoint-keep=3] [--resume]] (crash-safe stream\n"
-        "            replay: every N requests the full run state is written\n"
-        "            atomically to DIR; --resume continues from the newest\n"
-        "            valid checkpoint with bit-identical final results;\n"
-        "            corrupt or mismatched checkpoints are rejected with a\n"
-        "            named diagnostic — see docs/API.md)\n"
-        "           [--result-out=FILE.json] (full-precision result dump —\n"
-        "            doubles carry max_digits10, so bit-identity across\n"
-        "            runs is byte-identity of the file)\n"
-        "           [--recover] (permissive trace load: skip corrupt WCT1\n"
-        "            records with per-record diagnostics; materialized\n"
-        "            replay only, strict loading stays the default)\n"
-        "  sweep    TRACE [--policies=A,B,...] [--fractions=F1,F2,...]\n"
-        "           [--warmup=0.1] [--threads=0] [--squid]\n"
-        "           [--curve-out=FILE.json] [--panels-out=PREFIX]\n"
-        "           (prints hit-rate and byte-hit-rate panels, overall and\n"
-        "            per document class — Figures 2-3 and Section 4.4;\n"
-        "            --panels-out also writes each as\n"
-        "            PREFIX_{hr,bhr}_{<class>,overall}.csv.\n"
-        "            Every cell is one replay on a thread pool.\n"
-        "            --curve-out exports webcache.sweep.v1 JSON)\n"
-        "           [--sampling=off|on] [--sample-rate=0.01]\n"
-        "           [--sample-seed=N]\n"
-        "           (on = SHARDS sampling of LRU columns; sampled cells\n"
-        "            carry error bars in the table and the JSON)\n"
-        "           [--stream --capacities-mb=A,B,... [--sample-rate=R]\n"
-        "            [--sample-seed=N] [--max-docs=N]]\n"
-        "           (--stream runs the SHARDS-sampled LRU curve over the\n"
-        "            binary trace file at bounded memory; capacities are\n"
-        "            absolute whole MiB because fractions need the overall\n"
-        "            trace size, which streaming never materializes)\n"
-        "  hierarchy TRACE [--edges=4] [--edge-policy='GD*(1)']\n"
-        "           [--edge-fraction=0.005] [--root-policy='GD*(packet)']\n"
-        "           [--root-fraction=0.08] [--mesh] [--squid]\n"
-        "           [--faults=FILE] [--fault-seed=N]\n"
-        "           [--metrics-out=FILE[.json|.csv]] [--metrics-window=N]\n"
-        "           (--faults replays a fault schedule: node outages,\n"
-        "            degraded probes, recovery warm-up; see docs/API.md)\n"
-        "  replicate --profile=DFN|RTP [--scale=0.005] [--seeds=5]\n"
-        "           [--cache-fraction=0.04] [--policies=A,B,...]\n"
-        "  stackdist TRACE [--squid]   (Mattson reuse-distance profile:\n"
-        "           cold-miss floor + unit-LRU hit curve)\n"
-        "  help\n"
-        "\n"
-        "Policies: LRU LFU-DA FIFO SIZE LFU LRU-MIN LRU-2 LRU-THOLD(bytes)\n"
-        "          GDS(1|packet|latency) GDSF(...) GD*(...)[:beta=X]\n"
-        "          GD*C(...) OPT (sweep only: the clairvoyant bound)\n"
-        "          RANDOM[:seed=N] CLOCK DELAY-CLOCK[:k=N]\n"
-        "          PROB-LRU[:p=X[,seed=N]] DELAY-LRU[:k=N] BATCH-LRU[:batch=N]\n";
-  return 2;
-}
-
 trace::Trace load_trace(const std::string& path, bool squid_format,
                         bool strict = false) {
   if (!squid_format) return trace::read_binary_trace_file(path);
@@ -159,9 +75,10 @@ trace::Trace load_trace(const std::string& path, bool squid_format,
   return t;
 }
 
-/// The replays' load: a WCT1 v4 file comes back densely numbered as
-/// stored, with no intern pass; older files intern as they decode, and
-/// squid logs densify. Only the hierarchy asks for the client column.
+/// The replays' load: a WCT1 v5 file comes back as stored, with no intern
+/// and no per-document pass; a v4 file skips only the intern, older files
+/// intern as they decode, and squid logs densify. Only the hierarchy asks
+/// for the client column.
 trace::DenseTrace load_dense_trace(
     const std::string& path, bool squid_format,
     trace::ClientColumn clients = trace::ClientColumn::kSkip) {
@@ -271,7 +188,7 @@ int cmd_convert(const util::Args& args) {
     // Salvage mode: the input is a damaged WCT1 file, not an access log.
     // Decodable records survive, the rest is reported, and the output is a
     // clean strict-loadable WCT1 file of the current version, so a clean
-    // v1-v3 input comes out upgraded to v4 with the same requests.
+    // v1-v4 input comes out upgraded to v5 with the same requests.
     trace::RecoveryReport report;
     const trace::Trace salvaged =
         trace::read_binary_trace_file_recovering(args.positional()[0], report);
@@ -912,41 +829,135 @@ int cmd_stackdist(const util::Args& args) {
   return 0;
 }
 
-/// A command and every --flag it reads; any other flag fails the command
-/// before it starts, so a misspelt option never runs as its default.
+/// A command, every --flag it reads and its section of the help text. Any
+/// other flag fails the command before it starts, so a misspelt option
+/// never runs as its default. `webcache help` prints every section and
+/// `webcache CMD --help` the command's own, so both show one text.
 struct Command {
   std::string_view name;
   int (*run)(const util::Args&);
   std::vector<std::string_view> flags;
+  std::string_view help;
 };
 
 const std::vector<Command>& commands() {
   static const std::vector<Command> table = {
       {"generate", cmd_generate,
-       {"profile", "profile-file", "scale", "seed", "out", "format"}},
-      {"profile", cmd_profile, {"profile", "out"}},
-      {"convert", cmd_convert, {"strict", "recover"}},
-      {"export", cmd_export, {}},
-      {"characterize", cmd_characterize, {"squid", "windows"}},
+       {"profile", "profile-file", "scale", "seed", "out", "format"},
+       "  generate --profile=DFN|RTP | --profile-file=FILE.ini\n"
+       "           [--scale=0.01] [--seed=42] --out=FILE\n"
+       "           [--format=binary|squid]\n"},
+      {"profile", cmd_profile, {"profile", "out"},
+       "  profile  --profile=DFN|RTP --out=FILE.ini   (dump an editable\n"
+       "           preset for --profile-file)\n"},
+      {"convert", cmd_convert, {"strict", "recover"},
+       "  convert  ACCESS_LOG OUT.wct [--strict]   (--strict aborts on the\n"
+       "           first malformed log line instead of skipping it)\n"
+       "           [--recover]   (accepts a damaged IN.wct instead of a\n"
+       "           log: undecodable records are skipped, a truncated tail\n"
+       "           dropped, and a clean WCT1 file is rewritten; the\n"
+       "           recovery summary names each skipped record and offset;\n"
+       "           on a clean v1-v4 file this is the upgrade to v5, whose\n"
+       "           stored dense ids, size-change flags and Overall Size\n"
+       "           spare simulate/sweep/hierarchy the per-request intern\n"
+       "           and the per-document pass of their load)\n"},
+      {"export", cmd_export, {}, "  export   IN.wct OUT.log\n"},
+      {"characterize", cmd_characterize, {"squid", "windows"},
+       "  characterize TRACE... [--squid] [--windows=N]\n"
+       "           (Table 1 has a column per trace; the other tables are\n"
+       "            printed per trace, titled by its file stem)\n"},
       {"simulate", cmd_simulate,
        {"policy", "cache-mb", "cache-fraction", "warmup", "mod-rule", "squid",
         "metrics-out", "metrics-window", "result-out", "recover", "stream",
         "chunk", "checkpoint-dir", "checkpoint-every", "checkpoint-keep",
-        "resume"}},
+        "resume"},
+       "  simulate TRACE --policy=NAME [--cache-mb=N | --cache-fraction=F]\n"
+       "           [--warmup=0.1] [--mod-rule=threshold|any|never] [--squid]\n"
+       "           [--metrics-out=FILE[.json|.csv]] [--metrics-window=N]\n"
+       "           (windowed per-class time series incl. aging L and GD*\n"
+       "            beta traces; window defaults to ~1% of the trace)\n"
+       "           [--stream [--chunk=65536]]\n"
+       "           (--stream replays the binary trace file chunk by chunk\n"
+       "            in memory that grows with the distinct documents, not\n"
+       "            the trace — bit-identical results; needs --cache-mb\n"
+       "            and is incompatible with --squid)\n"
+       "           [--checkpoint-dir=DIR [--checkpoint-every=N]\n"
+       "            [--checkpoint-keep=3] [--resume]] (crash-safe stream\n"
+       "            replay: every N requests the full run state is written\n"
+       "            atomically to DIR; --resume continues from the newest\n"
+       "            valid checkpoint with bit-identical final results;\n"
+       "            corrupt or mismatched checkpoints are rejected with a\n"
+       "            named diagnostic — see docs/API.md)\n"
+       "           [--result-out=FILE.json] (full-precision result dump —\n"
+       "            doubles carry max_digits10, so bit-identity across\n"
+       "            runs is byte-identity of the file)\n"
+       "           [--recover] (permissive trace load: skip corrupt WCT1\n"
+       "            records with per-record diagnostics; materialized\n"
+       "            replay only, strict loading stays the default)\n"},
       {"sweep", cmd_sweep,
        {"policies", "fractions", "warmup", "mod-rule", "threads", "squid",
         "curve-out", "panels-out", "sampling", "sample-rate", "sample-seed",
-        "stream", "capacities-mb", "max-docs", "chunk"}},
+        "stream", "capacities-mb", "max-docs", "chunk"},
+       "  sweep    TRACE [--policies=A,B,...] [--fractions=F1,F2,...]\n"
+       "           [--warmup=0.1] [--mod-rule=threshold|any|never]\n"
+       "           [--threads=0] [--squid]\n"
+       "           [--curve-out=FILE.json] [--panels-out=PREFIX]\n"
+       "           (prints hit-rate and byte-hit-rate panels, overall and\n"
+       "            per document class — Figures 2-3 and Section 4.4;\n"
+       "            --panels-out also writes each as\n"
+       "            PREFIX_{hr,bhr}_{<class>,overall}.csv.\n"
+       "            Every cell is one replay on a thread pool.\n"
+       "            --curve-out exports webcache.sweep.v1 JSON)\n"
+       "           [--sampling=off|on] [--sample-rate=0.01]\n"
+       "           [--sample-seed=N]\n"
+       "           (on = SHARDS sampling of LRU columns; sampled cells\n"
+       "            carry error bars in the table and the JSON)\n"
+       "           [--stream --capacities-mb=A,B,... [--sample-rate=R]\n"
+       "            [--sample-seed=N] [--max-docs=N] [--chunk=65536]]\n"
+       "           (--stream runs the SHARDS-sampled LRU curve over the\n"
+       "            binary trace file at bounded memory, reading --chunk\n"
+       "            records at a time; capacities are absolute whole MiB\n"
+       "            because fractions need the overall trace size, which\n"
+       "            streaming never materializes)\n"},
       {"hierarchy", cmd_hierarchy,
        {"edges", "edge-policy", "edge-fraction", "root-policy",
         "root-fraction", "warmup", "mod-rule", "mesh", "squid", "faults",
-        "fault-seed", "metrics-out", "metrics-window"}},
+        "fault-seed", "metrics-out", "metrics-window"},
+       "  hierarchy TRACE [--edges=4] [--edge-policy='GD*(1)']\n"
+       "           [--edge-fraction=0.005] [--root-policy='GD*(packet)']\n"
+       "           [--root-fraction=0.08] [--mesh] [--squid]\n"
+       "           [--warmup=0.1] [--mod-rule=threshold|any|never]\n"
+       "           [--faults=FILE] [--fault-seed=N]\n"
+       "           [--metrics-out=FILE[.json|.csv]] [--metrics-window=N]\n"
+       "           (--faults replays a fault schedule: node outages,\n"
+       "            degraded probes, recovery warm-up; see docs/API.md)\n"},
       {"replicate", cmd_replicate,
        {"profile", "scale", "seeds", "seed", "cache-fraction", "policies",
-        "warmup", "mod-rule"}},
-      {"stackdist", cmd_stackdist, {"squid"}},
+        "warmup", "mod-rule"},
+       "  replicate --profile=DFN|RTP [--scale=0.005] [--seeds=5]\n"
+       "           [--seed=42] [--cache-fraction=0.04] [--policies=A,B,...]\n"
+       "           [--warmup=0.1] [--mod-rule=threshold|any|never]\n"
+       "           (--seeds traces, seeded --seed, --seed+1, ...)\n"},
+      {"stackdist", cmd_stackdist, {"squid"},
+       "  stackdist TRACE [--squid]   (Mattson reuse-distance profile:\n"
+       "           cold-miss floor + unit-LRU hit curve)\n"},
   };
   return table;
+}
+
+constexpr std::string_view kPolicies =
+    "Policies: LRU LFU-DA FIFO SIZE LFU LRU-MIN LRU-2 LRU-THOLD(bytes)\n"
+    "          GDS(1|packet|latency) GDSF(...) GD*(...)[:beta=X]\n"
+    "          GD*C(...) OPT (sweep only: the clairvoyant bound)\n"
+    "          RANDOM[:seed=N] CLOCK DELAY-CLOCK[:k=N]\n"
+    "          PROB-LRU[:p=X[,seed=N]] DELAY-LRU[:k=N] BATCH-LRU[:batch=N]\n";
+
+int usage(std::ostream& os) {
+  os << "usage: webcache <command> [args]   (webcache <command> --help\n"
+        "       prints one command's section)\n\n";
+  for (const Command& c : commands()) os << c.help;
+  os << "  help\n\n" << kPolicies;
+  return 2;
 }
 
 void check_flags(const Command& command, const util::Args& args) {
@@ -960,13 +971,29 @@ void check_flags(const Command& command, const util::Args& args) {
                                   " is a hierarchy-only option (fault "
                                   "schedules drive `webcache hierarchy`)");
     }
-    throw std::invalid_argument("unknown flag --" + key);
+    std::string accepted;
+    for (const std::string_view flag : command.flags) {
+      accepted += (accepted.empty() ? "--" : ", --") + std::string(flag);
+    }
+    throw std::invalid_argument(
+        "unknown flag --" + key + " (" + std::string(command.name) +
+        " accepts " + (accepted.empty() ? "no flags" : accepted) +
+        "; see webcache " + std::string(command.name) + " --help)");
   }
 }
 
 int run_command(const std::string& command, const util::Args& args) {
   for (const Command& c : commands()) {
     if (c.name != command) continue;
+    if (args.has("help")) {
+      std::cout << "usage: webcache <command> [args]\n\n" << c.help;
+      const bool names_policies =
+          std::any_of(c.flags.begin(), c.flags.end(), [](std::string_view f) {
+            return f.find("polic") != std::string_view::npos;
+          });
+      if (names_policies) std::cout << "\n" << kPolicies;
+      return 0;
+    }
     check_flags(c, args);
     return c.run(args);
   }
